@@ -43,6 +43,11 @@ let set_time ev t = ev.time <- t
 
 let nop () = ()
 
+(* The body of a cancelled event: [Sim] marks a tombstone by physical
+   equality with this closure and recycles the cell without running it,
+   so reaching it is an engine bug. *)
+let cancelled () = invalid_arg "Sched_event: a cancelled event was dispatched"
+
 (* Self-referencing sentinel: list ends and "no event" results are
    represented by physical equality with [nil], so the hot loop never
    allocates an option. Never mutated after creation. *)
@@ -101,8 +106,11 @@ let before_bits a b =
         || (a.tlo = b.tlo && (a.key < b.key || (a.key = b.key && a.seq < b.seq)))))
 
 (* Drop closure/label references so a freelisted cell does not retain
-   dead continuations or strings across simulations. *)
+   dead continuations or strings across simulations, and zero [seq]
+   (never a live event's) so a late cancel of the dispatched event finds
+   no match. *)
 let clear ev =
+  ev.seq <- 0;
   ev.label <- "";
   ev.run <- nop;
   ev.next <- nil

@@ -66,6 +66,14 @@ val before_bits : t -> t -> bool
     because simulation times are nonnegative, where the IEEE-754 bit
     pattern is monotonic in the float value (ulp-exact, no epsilon). *)
 
+val cancelled : unit -> unit
+(** The tombstone body. A pending cell whose [run] is physically this
+    closure is a cancelled event: it keeps its place in the scheduler
+    (its [time], [key] and [seq] are untouched) and the engine recycles
+    it when popped instead of dispatching it. Raises [Invalid_argument]
+    if ever run. *)
+
 val clear : t -> unit
 (** Reset [label], [run] and [next] so a recycled cell retains no dead
-    closures or strings. *)
+    closures or strings, and [seq] to 0 — a value no scheduled event
+    carries — so a stale cancel handle on the cell no longer matches. *)

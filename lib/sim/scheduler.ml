@@ -77,7 +77,6 @@ type t = {
   pop : unit -> Event.t;
   pop_until : float -> Event.t;
   peek_time : unit -> float;
-  length : unit -> int;
 }
 
 let make (type a) (module M : S with type t = a) kind =
@@ -88,7 +87,6 @@ let make (type a) (module M : S with type t = a) kind =
     pop = (fun () -> M.pop st);
     pop_until = (fun limit -> M.pop_until st limit);
     peek_time = (fun () -> M.peek_time st);
-    length = (fun () -> M.length st);
   }
 
 let create = function
@@ -101,7 +99,6 @@ let add t ev = t.add ev
 let pop t = t.pop ()
 let pop_until t limit = t.pop_until limit
 let peek_time t = t.peek_time ()
-let length t = t.length ()
 
 let name = function Binary_heap -> "heap" | Calendar -> "calendar" | Wheel -> "wheel"
 let kinds = [ Binary_heap; Calendar; Wheel ]

@@ -6,8 +6,9 @@
     bit-identical dispatch sequences from the engine — the property
     that keeps race-detector digests and same-seed chaos runs stable
     no matter which scheduler a run selects ([Sim.run ?sched]). Three
-    implementations ship: the reference binary heap, a calendar queue,
-    and a hierarchical timing wheel. *)
+    implementations ship: a hierarchical timing wheel (the engine's
+    default), a calendar queue, and the binary heap the equivalence
+    tests use as the oracle. *)
 
 module Event = Sched_event
 (** The shared event-cell type all schedulers store. *)
@@ -52,7 +53,7 @@ end
 (** Which implementation to use: [Binary_heap] is the O(log n)
     reference, [Calendar] the Brown '88 calendar queue, [Wheel] the
     hierarchical timing wheel with overflow heap (fastest at
-    cluster-scale pending populations). *)
+    cluster-scale pending populations, and {!Sim.run}'s default). *)
 type kind = Binary_heap | Calendar | Wheel
 
 type t
@@ -77,9 +78,6 @@ val pop_until : t -> float -> Event.t
 val peek_time : t -> float
 (** Time of the minimum event; [infinity] when empty (see
     {!S.peek_time}). *)
-
-val length : t -> int
-(** Number of events currently queued. *)
 
 val name : kind -> string
 (** Canonical CLI name: ["heap"], ["calendar"] or ["wheel"]. *)

@@ -7,15 +7,18 @@
    primitive, whose resume closure is single-shot, making timeouts
    race-free.
 
-   The scheduler is pluggable (Scheduler.kind): a binary heap (the
-   reference), a calendar queue, or a hierarchical timing wheel. All
-   three honour the same (time, key, seq) ordering contract exactly, so
-   the dispatch sequence — and therefore every digest built on it — is
-   bit-identical whichever one a run selects.
+   The scheduler is pluggable (Scheduler.kind): a hierarchical timing
+   wheel (the default), a calendar queue, or a binary heap (the test
+   oracle). All three honour the same (time, key, seq) ordering contract
+   exactly, so the dispatch sequence — and therefore every digest built
+   on it — is bit-identical whichever one a run selects.
 
    The hot loop is allocation-lean: event cells are recycled through a
    per-engine freelist, so steady-state scheduling mutates a reused
-   record instead of allocating one per event. *)
+   record instead of allocating one per event. A timeout that loses its
+   race is cancelled in place ([cancel]): its cell stays queued as a
+   tombstone and is recycled, undispatched, when the scheduler reaches
+   it. *)
 
 exception Deadlock of string
 exception Main_incomplete
@@ -42,8 +45,8 @@ type engine = {
   mutable stopped : bool;
   mutable spawned : int;
   mutable dispatched : int;
-  mutable pending : int; (* events scheduled and not yet dispatched *)
-  mutable max_pending : int; (* high-water mark of pending events *)
+  mutable pending : int; (* live events: scheduled, not yet dispatched or cancelled *)
+  mutable max_pending : int; (* high-water mark of [pending] *)
   keyfn : int -> int; (* seq -> equal-time ordering key, from [tiebreak] *)
   on_dispatch : (dispatch -> unit) option;
   mutable cur_label : string; (* label of the event being executed *)
@@ -61,6 +64,8 @@ let keyfn_of = function
   | Perturbed seed -> fun seq -> Rng.hash2 seed seq
   | Perturb_first { seed; limit } -> fun seq -> if seq <= limit then Rng.hash2 seed seq else 0
 
+(* Queue [run] at [at] and return its cell, which a caller may keep (with
+   the cell's [seq]) as a [cancel] handle. *)
 let schedule ?label eng ~at run =
   (* [at >= now] is also false for NaN, so a poisoned latency computation
      trips here instead of silently freezing the dispatch order. Guarded
@@ -92,7 +97,24 @@ let schedule ?label eng ~at run =
   (* Tracked incrementally rather than asking the scheduler: one fewer
      closure call per scheduled event. *)
   eng.pending <- eng.pending + 1;
-  if eng.pending > eng.max_pending then eng.max_pending <- eng.pending
+  if eng.pending > eng.max_pending then eng.max_pending <- eng.pending;
+  ev
+
+(* Tombstone the event [schedule] returned as [ev] with sequence number
+   [seq]. The cell stays where the scheduler put it — time, key and seq
+   untouched, so every live event keeps its place in the (time, key,
+   seq) order under any tie-break — but drops its closure and label and
+   stops counting as pending; the dispatch loop recycles it without
+   dispatching it. Once the event has been dispatched, its recycled cell
+   carries seq 0 or a later event's seq, so a late cancel is a no-op.
+   [eng] must be the engine that scheduled the event, which is not
+   always the current one: a nested run can fill an outer Ivar. *)
+let cancel eng (ev : Sched_event.t) seq =
+  if ev.Sched_event.seq = seq then begin
+    ev.Sched_event.run <- Sched_event.cancelled;
+    ev.Sched_event.label <- "";
+    eng.pending <- eng.pending - 1
+  end
 
 type _ Effect.t +=
   | Delay : float -> unit Effect.t
@@ -111,7 +133,7 @@ let exec : engine -> (unit -> unit) -> unit =
           | Delay t ->
               Some
                 (fun (k : (a, _) continuation) ->
-                  schedule eng ~at:(eng.now +. t) (fun () -> continue k ()))
+                  ignore (schedule eng ~at:(eng.now +. t) (fun () -> continue k ())))
           | Suspend register ->
               Some
                 (fun (k : (a, _) continuation) ->
@@ -123,7 +145,7 @@ let exec : engine -> (unit -> unit) -> unit =
                   register (fun v ->
                       if not !resumed then begin
                         resumed := true;
-                        schedule ~label eng ~at:eng.now (fun () -> continue k v)
+                        ignore (schedule ~label eng ~at:eng.now (fun () -> continue k v))
                       end))
           | _ -> None);
     }
@@ -139,12 +161,12 @@ let suspend register = Effect.perform (Suspend register)
 let spawn ?label f =
   let eng = get_engine () in
   eng.spawned <- eng.spawned + 1;
-  schedule ?label eng ~at:eng.now (fun () -> exec eng f)
+  ignore (schedule ?label eng ~at:eng.now (fun () -> exec eng f))
 
 (* Run [f] (non-blocking) after [t] seconds without creating a process. *)
 let after t f =
   let eng = get_engine () in
-  schedule eng ~at:(eng.now +. t) f
+  ignore (schedule eng ~at:(eng.now +. t) f)
 let yield () = Effect.perform (Delay 0.)
 
 let stop () =
@@ -153,11 +175,11 @@ let stop () =
 
 (* Scheduler introspection, sampled by the observability layer. *)
 let events_dispatched () = (get_engine ()).dispatched
-let heap_depth () = Scheduler.length (get_engine ()).sched
+let heap_depth () = (get_engine ()).pending
 let max_pending_events () = (get_engine ()).max_pending
 let processes_spawned () = (get_engine ()).spawned
 
-let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Binary_heap) ?on_dispatch
+let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Wheel) ?on_dispatch
     (main : unit -> 'a) : 'a =
   let eng =
     {
@@ -181,10 +203,11 @@ let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Binary_heap) ?o
   (match checks with Some b -> Invariant.set_enabled b | None -> ());
   let result = ref None in
   let main_done = ref false in
-  schedule ~label:"main" eng ~at:0. (fun () ->
-      exec eng (fun () ->
-          result := Some (main ());
-          main_done := true));
+  ignore
+    (schedule ~label:"main" eng ~at:0. (fun () ->
+         exec eng (fun () ->
+             result := Some (main ());
+             main_done := true)));
   let finish () =
     current := saved;
     Invariant.set_enabled saved_checks
@@ -203,6 +226,14 @@ let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Binary_heap) ?o
        if ev == Sched_event.nil then begin
          if Scheduler.peek_time eng.sched < infinity then eng.now <- until;
          continue_loop := false
+       end
+       else if ev.Sched_event.run == Sched_event.cancelled then begin
+         (* A tombstone: recycle it unseen — no dispatch count, no clock
+            move, no [on_dispatch]. [cancel] already dropped it from
+            [pending]. *)
+         Sched_event.clear ev;
+         ev.Sched_event.next <- eng.free;
+         eng.free <- ev
        end
        else begin
          (* Copy the cell's fields out and recycle it before dispatch:
@@ -289,14 +320,20 @@ module Ivar = struct
     | Full v -> v
     | Empty _ -> suspend (fun resume -> on_fill t resume)
 
-  (* [None] if the timeout elapses first. *)
+  (* [None] if the timeout elapses first. A fill that wins cancels the
+     timer, so it is never dispatched; a fill after the timeout finds the
+     cancel handle stale and the resume already spent. *)
   let read_timeout t timeout =
     match t.state with
     | Full v -> Some v
     | Empty _ ->
         suspend (fun resume ->
-            on_fill t (fun v -> resume (Some v));
-            after timeout (fun () -> resume None))
+            let eng = get_engine () in
+            let timer = schedule eng ~at:(eng.now +. timeout) (fun () -> resume None) in
+            let seq = timer.Sched_event.seq in
+            on_fill t (fun v ->
+                cancel eng timer seq;
+                resume (Some v)))
 end
 
 module Mailbox = struct
@@ -337,14 +374,30 @@ module Mailbox = struct
     | Some v -> Some v
     | None ->
         suspend (fun resume ->
-            let w = { cancelled = false; wake = (fun v -> resume (Some v)) } in
+            let eng = get_engine () in
+            (* The waiter is queued before the timer exists; its wake
+               reads the cancel handle filled in just below. *)
+            let timer = ref Sched_event.nil and seq = ref 0 in
+            let w =
+              {
+                cancelled = false;
+                wake =
+                  (fun v ->
+                    cancel eng !timer !seq;
+                    resume (Some v));
+              }
+            in
             Queue.push w t.waiters;
-            after timeout (fun () ->
-                (* If the timeout loses the race this is a no-op thanks to
-                   the single-shot resume; but the waiter must be
-                   tombstoned so a later send is not swallowed. *)
-                w.cancelled <- true;
-                resume None))
+            let ev =
+              schedule eng ~at:(eng.now +. timeout) (fun () ->
+                  (* Only reached when the timeout wins: a send that wins
+                     cancels this event. The waiter must be tombstoned so
+                     a later send is not swallowed. *)
+                  w.cancelled <- true;
+                  resume None)
+            in
+            timer := ev;
+            seq := ev.Sched_event.seq)
 end
 
 module Resource = struct

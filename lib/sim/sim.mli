@@ -37,12 +37,13 @@ exception Main_incomplete
 type tiebreak = Fifo | Perturbed of int | Perturb_first of { seed : int; limit : int }
 
 (** Which event-scheduler data structure drives the run (see
-    {!Scheduler}): [Binary_heap] is the O(log n) reference, [Calendar]
-    a Brown '88 calendar queue, [Wheel] a hierarchical timing wheel
-    with overflow heap. All three obey the same [(time, key, seq)]
-    ordering contract exactly, so the dispatch sequence — and every
-    race/chaos digest built on it — is bit-identical whichever one a
-    run selects; only speed differs. *)
+    {!Scheduler}): [Wheel], a hierarchical timing wheel with overflow
+    heap, is the default and the fastest end to end; [Binary_heap] is
+    the O(log n) oracle the equivalence tests compare against;
+    [Calendar] is a Brown '88 calendar queue. All three obey the same
+    [(time, key, seq)] ordering contract exactly, so the dispatch
+    sequence — and every race/chaos digest built on it — is
+    bit-identical whichever one a run selects; only speed differs. *)
 type sched = Scheduler.kind = Binary_heap | Calendar | Wheel
 
 (** One executed scheduler event, as seen by [run]'s [?on_dispatch]
@@ -59,10 +60,12 @@ val run :
   (unit -> 'a) ->
   'a
 (** [run main] creates a fresh simulation clock at time 0, executes [main]
-    as the root process and drives the event loop until [main]'s result is
-    available and the event heap drains, [until] is reached, or {!stop} is
-    called. Returns [main]'s result. Nested runs are permitted (the outer
-    engine is restored on exit).
+    as the root process and drives the event loop until [main] returns,
+    [until] is reached, {!stop} is called, or no events remain. The loop
+    stops as soon as [main] has its result: events still pending then
+    (daemon processes such as periodic compactors and heartbeats, armed
+    timers) are dropped, not drained. Returns [main]'s result. Nested
+    runs are permitted (the outer engine is restored on exit).
 
     [~checks:true] turns on the {!Invariant} runtime sanitizer for the
     duration of the run (event-time monotonicity, device queue bounds,
@@ -73,8 +76,8 @@ val run :
 
     [~tiebreak] selects the equal-time event ordering policy (default
     {!Fifo}). [~sched] selects the scheduler data structure (default
-    {!Binary_heap}); the choice never changes observable behaviour,
-    only performance. [~on_dispatch] is called once per executed event,
+    {!Wheel}; pass {!Binary_heap} for the reference oracle); the choice
+    never changes observable behaviour, only performance. [~on_dispatch] is called once per executed event,
     before it runs — the race detector's execution-log channel; leave it
     unset on hot paths (the per-event cost when unset is one branch). *)
 
@@ -117,16 +120,21 @@ val stop : unit -> unit
     inside {!run}. *)
 
 val events_dispatched : unit -> int
-(** Number of heap events executed since the current run started. *)
+(** Number of events executed since the current run started. Cancelled
+    timeouts (see {!Ivar.read_timeout}) are never executed and never
+    counted. *)
 
 val heap_depth : unit -> int
-(** Number of events currently pending on the scheduler (the name
-    predates pluggable schedulers; it is the pending-event count
-    whichever structure the run selected). *)
+(** Number of live events currently pending: scheduled, and neither
+    executed nor cancelled. The name predates pluggable schedulers; the
+    count is the same whichever structure the run selected. A cancelled
+    timeout stops counting at once, though its tombstone stays queued in
+    the scheduler until the clock reaches it. *)
 
 val max_pending_events : unit -> int
-(** High-water mark of {!heap_depth} since the current run started —
-    the "max pending" column of the scale benchmark. *)
+(** High-water mark of {!heap_depth} (live events, tombstones excluded)
+    since the current run started — the "max pending" column of the
+    scale benchmark. *)
 
 val processes_spawned : unit -> int
 (** Number of processes started with {!spawn} since the run started. *)
@@ -206,7 +214,9 @@ module Ivar : sig
   (** Block until filled. *)
 
   val read_timeout : 'a t -> float -> 'a option
-  (** Block until filled or the timeout elapses, whichever happens first. *)
+  (** Block until filled or the timeout elapses, whichever happens first.
+      When the fill wins, the timer is cancelled: it is never executed
+      and leaves no pending event behind. *)
 end
 
 (** Unbounded FIFO channels with blocking receive. *)
@@ -234,7 +244,8 @@ module Mailbox : sig
   (** Block until a value is available, then return the oldest. *)
 
   val recv_timeout : 'a t -> float -> 'a option
-  (** [None] if nothing arrives within the timeout. *)
+  (** [None] if nothing arrives within the timeout. When a value arrives
+      first, the timer is cancelled as in {!Ivar.read_timeout}. *)
 end
 
 (** Counted resources with FIFO admission (SimPy's [Resource]): models

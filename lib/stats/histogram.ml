@@ -2,13 +2,20 @@
 
    Values are bucketed geometrically with ratio [gamma]; percentile queries
    return the upper edge of the containing bucket, so the reported quantile
-   overestimates by at most (gamma - 1). *)
+   overestimates by at most (gamma - 1).
+
+   With the default 1 ns floor a 100 us latency lands near bucket 1,160,
+   so a percentile walk from bucket 0 would spend nearly all its time on
+   empty buckets. [lowest] bounds the occupied range from below and the
+   walk starts there; every bucket below it is empty, so the walk stops
+   at the same bucket a full scan would. *)
 
 type t = {
   gamma : float;
   log_gamma : float;
   floor : float; (* values below [floor] land in bucket 0 *)
   mutable counts : int array;
+  mutable lowest : int; (* no bucket below this is occupied; max_int when empty *)
   mutable total : int;
   mutable sum : float;
   mutable min_v : float;
@@ -23,6 +30,7 @@ let create ?(precision = 0.01) ?(floor = 1e-9) () =
     log_gamma = log gamma;
     floor;
     counts = Array.make 1024 0;
+    lowest = max_int;
     total = 0;
     sum = 0.;
     min_v = infinity;
@@ -44,6 +52,7 @@ let record ?(count = 1) t v =
     t.counts <- counts
   end;
   t.counts.(b) <- t.counts.(b) + count;
+  if b < t.lowest then t.lowest <- b;
   t.total <- t.total + count;
   t.sum <- t.sum +. (v *. float_of_int count);
   if v < t.min_v then t.min_v <- v;
@@ -54,8 +63,9 @@ let mean t = if t.total = 0 then 0. else t.sum /. float_of_int t.total
 let min_value t = if t.total = 0 then 0. else t.min_v
 let max_value t = if t.total = 0 then 0. else t.max_v
 
-(* q in [0,1]; q=0.5 is the median. *)
-let percentile t q =
+(* q in [0,1]; q=0.5 is the median. The walk starts at bucket [first],
+   which must have no occupied bucket below it. *)
+let percentile_from t ~first q =
   if q < 0. || q > 1. then invalid_arg "Histogram.percentile: q outside [0,1]";
   if t.total = 0 then 0.
   else begin
@@ -63,7 +73,7 @@ let percentile t q =
     let rank = max rank 1 in
     let acc = ref 0 and result = ref t.max_v and found = ref false in
     (try
-       for i = 0 to Array.length t.counts - 1 do
+       for i = first to Array.length t.counts - 1 do
          acc := !acc + t.counts.(i);
          if !acc >= rank then begin
            result := min (value_of t i) t.max_v;
@@ -74,6 +84,9 @@ let percentile t q =
      with Exit -> ());
     if !found then !result else t.max_v
   end
+
+let percentile t q = percentile_from t ~first:t.lowest q
+let percentile_scan t q = percentile_from t ~first:0 q
 
 let median t = percentile t 0.5
 let p99 t = percentile t 0.99
@@ -89,6 +102,7 @@ let merge ~into src =
     into.counts <- counts
   end;
   Array.iteri (fun i c -> if c > 0 then into.counts.(i) <- into.counts.(i) + c) src.counts;
+  if src.lowest < into.lowest then into.lowest <- src.lowest;
   into.total <- into.total + src.total;
   into.sum <- into.sum +. src.sum;
   if src.total > 0 then begin
@@ -98,6 +112,7 @@ let merge ~into src =
 
 let reset t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
+  t.lowest <- max_int;
   t.total <- 0;
   t.sum <- 0.;
   t.min_v <- infinity;

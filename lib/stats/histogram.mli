@@ -22,7 +22,12 @@ val min_value : t -> float
 val max_value : t -> float
 
 val percentile : t -> float -> float
-(** [percentile t q] for q in [0, 1]; within [precision] relative error. *)
+(** [percentile t q] for q in [0, 1]; within [precision] relative error.
+    The bucket walk starts at the lowest occupied bucket, not bucket 0. *)
+
+val percentile_scan : t -> float -> float
+(** {!percentile} by a walk from bucket 0: the reference the property
+    tests hold {!percentile} to, bit for bit. *)
 
 val median : t -> float
 val p99 : t -> float

@@ -43,8 +43,11 @@ let check_logs_equal ~what ~tiebreak f =
    of events at the same quantised instant (tie-break territory),
    same-instant spawn/Ivar churn (front-heap territory for the wheel),
    short uniform delays (calendar bucket territory), heartbeat-scale
-   delays (level-2 cascade territory) and far-future timers beyond the
-   wheel's ~16 s horizon (overflow territory). *)
+   delays (level-2 cascade territory), far-future timers beyond the
+   wheel's ~16 s horizon (overflow territory), and timeout races whose
+   fill lands before, at or after the timeout (tombstone territory: a
+   losing timer is cancelled in place and must vanish identically from
+   every structure). *)
 let storm ~seed ~workers ~steps () =
   Sim.fork_join_named
     (List.init workers (fun wkr ->
@@ -71,6 +74,27 @@ let storm ~seed ~workers ~steps () =
                else if r < 0.62 then
                  (* detached timer event *)
                  Sim.after (Rng.float rng *. 2.) (fun () -> ())
+               else if r < 0.72 then begin
+                 (* timeout race; the same-instant case is a tie the
+                    tie-break decides *)
+                 let timeout = float_of_int (1 + Rng.int rng 3) *. 1e-3 in
+                 let fill_at =
+                   match Rng.int rng 3 with
+                   | 0 -> timeout /. 2.
+                   | 1 -> timeout
+                   | _ -> timeout *. 2.
+                 in
+                 if Rng.int rng 2 = 0 then begin
+                   let iv = Sim.Ivar.create () in
+                   Sim.after fill_at (fun () -> Sim.Ivar.fill iv step);
+                   ignore (Sim.Ivar.read_timeout iv timeout)
+                 end
+                 else begin
+                   let mb = Sim.Mailbox.create () in
+                   Sim.after fill_at (fun () -> Sim.Mailbox.send mb step);
+                   ignore (Sim.Mailbox.recv_timeout mb timeout)
+                 end
+               end
                else Sim.delay (Rng.float rng *. 0.01)
              done )));
   Sim.events_dispatched ()

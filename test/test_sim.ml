@@ -123,6 +123,116 @@ let test_ivar_timeout_wins () =
   in
   Alcotest.(check (option int)) "value" (Some 7) r
 
+(* --- Cancelled timeouts ---
+
+   A timeout that loses its race is cancelled in place: it must leave no
+   pending event and never be dispatched, whatever scheduler drives the
+   run. Each test runs under every [Sim.sched]. *)
+
+let for_each_sched f =
+  List.iter (fun sched -> f ~what:(Scheduler.name sched) sched) Scheduler.kinds
+
+(* Events dispatched while [f] runs, [f]'s own wake-ups included. *)
+let dispatched_during f =
+  let d0 = Sim.events_dispatched () in
+  f ();
+  Sim.events_dispatched () - d0
+
+let test_ivar_timeout_cancelled () =
+  for_each_sched (fun ~what sched ->
+      let r, depth, idle =
+        Sim.run ~sched (fun () ->
+            let iv = Sim.Ivar.create () in
+            Sim.spawn (fun () ->
+                Sim.delay 0.5;
+                Sim.Ivar.fill iv 7);
+            let r = Sim.Ivar.read_timeout iv 1.0 in
+            let depth = Sim.heap_depth () in
+            (* Sleeping past the dead timer's time dispatches only the
+               sleep's own wake-up. *)
+            (r, depth, dispatched_during (fun () -> Sim.delay 2.)))
+      in
+      Alcotest.(check (option int)) (what ^ ": value") (Some 7) r;
+      Alcotest.(check int) (what ^ ": nothing pending") 0 depth;
+      Alcotest.(check int) (what ^ ": timer never dispatched") 1 idle)
+
+let test_mailbox_timeout_cancelled () =
+  for_each_sched (fun ~what sched ->
+      let r, depth, idle =
+        Sim.run ~sched (fun () ->
+            let mb = Sim.Mailbox.create () in
+            Sim.spawn (fun () ->
+                Sim.delay 0.5;
+                Sim.Mailbox.send mb 7);
+            let r = Sim.Mailbox.recv_timeout mb 1.0 in
+            let depth = Sim.heap_depth () in
+            (r, depth, dispatched_during (fun () -> Sim.delay 2.)))
+      in
+      Alcotest.(check (option int)) (what ^ ": value") (Some 7) r;
+      Alcotest.(check int) (what ^ ": nothing pending") 0 depth;
+      Alcotest.(check int) (what ^ ": timer never dispatched") 1 idle)
+
+let test_ivar_late_fill_noop () =
+  (* The timeout wins; its cell is recycled at once (the wake-up and the
+     unrelated timer below reuse the freelist head). The late fill's
+     cancel must not touch whatever event now occupies the cell. *)
+  for_each_sched (fun ~what sched ->
+      let r, depth, fired =
+        Sim.run ~sched (fun () ->
+            let iv = Sim.Ivar.create () in
+            let r = Sim.Ivar.read_timeout iv 1.0 in
+            let fired = ref false in
+            Sim.after 5. (fun () -> fired := true);
+            Sim.Ivar.fill iv 7;
+            let depth = Sim.heap_depth () in
+            Sim.delay 10.;
+            (r, depth, !fired))
+      in
+      Alcotest.(check (option int)) (what ^ ": timed out") None r;
+      Alcotest.(check int) (what ^ ": unrelated event still pending") 1 depth;
+      Alcotest.(check bool) (what ^ ": unrelated event fired") true fired)
+
+let test_mailbox_late_send_noop () =
+  for_each_sched (fun ~what sched ->
+      let r, depth, fired, queued =
+        Sim.run ~sched (fun () ->
+            let mb = Sim.Mailbox.create () in
+            let r = Sim.Mailbox.recv_timeout mb 1.0 in
+            let fired = ref false in
+            Sim.after 5. (fun () -> fired := true);
+            Sim.Mailbox.send mb 7;
+            let depth = Sim.heap_depth () in
+            Sim.delay 10.;
+            (r, depth, !fired, Sim.Mailbox.try_recv mb))
+      in
+      Alcotest.(check (option int)) (what ^ ": timed out") None r;
+      Alcotest.(check int) (what ^ ": unrelated event still pending") 1 depth;
+      Alcotest.(check bool) (what ^ ": unrelated event fired") true fired;
+      Alcotest.(check (option int)) (what ^ ": late send queued") (Some 7) queued)
+
+let test_nested_cancel_engine () =
+  (* A nested run fills an outer Ivar: the cancel must settle the outer
+     engine's books, not the inner one's. *)
+  for_each_sched (fun ~what sched ->
+      let r, inner_depth, depth, idle =
+        Sim.run ~sched (fun () ->
+            let iv = Sim.Ivar.create () in
+            let inner_depth = ref (-1) in
+            Sim.spawn (fun () ->
+                Sim.delay 0.5;
+                inner_depth :=
+                  Sim.run ~sched (fun () ->
+                      Sim.Ivar.fill iv 7;
+                      Sim.heap_depth ()));
+            let r = Sim.Ivar.read_timeout iv 1.0 in
+            let depth = Sim.heap_depth () in
+            (r, !inner_depth, depth, dispatched_during (fun () -> Sim.delay 2.)))
+      in
+      Alcotest.(check (option int)) (what ^ ": value") (Some 7) r;
+      Alcotest.(check int) (what ^ ": inner engine untouched") 0 inner_depth;
+      Alcotest.(check int) (what ^ ": outer nothing pending") 0 depth;
+      Alcotest.(check int) (what ^ ": outer timer never dispatched") 1 idle)
+
 (* --- Mailbox --- *)
 
 let test_mailbox_fifo () =
@@ -367,6 +477,14 @@ let () =
           Alcotest.test_case "double fill raises" `Quick test_ivar_double_fill_raises;
           Alcotest.test_case "timeout expires" `Quick test_ivar_timeout_expires;
           Alcotest.test_case "fill beats timeout" `Quick test_ivar_timeout_wins;
+        ] );
+      ( "cancel",
+        [
+          Alcotest.test_case "ivar fill cancels timer" `Quick test_ivar_timeout_cancelled;
+          Alcotest.test_case "mailbox send cancels timer" `Quick test_mailbox_timeout_cancelled;
+          Alcotest.test_case "late fill is a no-op" `Quick test_ivar_late_fill_noop;
+          Alcotest.test_case "late send is a no-op" `Quick test_mailbox_late_send_noop;
+          Alcotest.test_case "nested run cancels on its engine" `Quick test_nested_cancel_engine;
         ] );
       ( "mailbox",
         [

@@ -72,6 +72,39 @@ let histogram_percentile_bounds =
       let p50 = Histogram.percentile h 0.5 in
       p50 >= Histogram.min_value h *. 0.99 -. 1e-9 && p50 <= Histogram.max_value h +. 1e-9)
 
+(* [percentile] starts its walk at the lowest occupied bucket; it must
+   agree bit for bit with a walk from bucket 0 after any mix of records
+   (some at or below the 1 ns floor, some with [~count > 1]), merges
+   (which may grow the bucket array) and resets. *)
+let histogram_percentile_matches_scan =
+  QCheck.Test.make ~name:"percentile equals a full scan from bucket 0" ~count:200
+    QCheck.(list (triple (int_bound 8) (float_bound_inclusive 1e-3) (int_range 1 5)))
+    (fun ops ->
+      let h = Histogram.create () in
+      let qs = [ 0.; 0.001; 0.1; 0.5; 0.9; 0.99; 0.999; 1.0 ] in
+      let agree () =
+        List.for_all
+          (fun q ->
+            Int64.equal
+              (Int64.bits_of_float (Histogram.percentile h q))
+              (Int64.bits_of_float (Histogram.percentile_scan h q)))
+          qs
+      in
+      List.for_all
+        (fun (op, v, count) ->
+          (* every third value lands at or below the floor: bucket 0 *)
+          let v = if op mod 3 = 0 then v *. 1e-6 else v in
+          (match op with
+          | 8 -> Histogram.reset h
+          | 6 | 7 ->
+              let src = Histogram.create () in
+              Histogram.record ~count src v;
+              Histogram.record src (v *. 3.);
+              Histogram.merge ~into:h src
+          | _ -> Histogram.record ~count h v);
+          agree ())
+        ops)
+
 let histogram_mean_matches_list =
   QCheck.Test.make ~name:"histogram mean is exact" ~count:100
     QCheck.(list_of_size (Gen.int_range 1 100) (float_bound_inclusive 100.))
@@ -124,5 +157,11 @@ let () =
       ("summary", [ Alcotest.test_case "moments" `Quick test_summary ]);
       ("report", [ Alcotest.test_case "formats" `Quick test_report_formats ]);
       qsuite "properties"
-        [ histogram_percentile_monotone; histogram_percentile_bounds; histogram_mean_matches_list; summary_mean_bounds ];
+        [
+          histogram_percentile_monotone;
+          histogram_percentile_bounds;
+          histogram_percentile_matches_scan;
+          histogram_mean_matches_list;
+          summary_mean_bounds;
+        ];
     ]
