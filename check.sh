@@ -119,6 +119,16 @@ bash bench/profile/run.sh --workload ycsb-b --seconds 1 \
 [ "$(wc -l < "$tmp/profile-heap.txt")" -eq 8 ] || { echo "expected 8 simulated metric lines"; exit 1; }
 diff "$tmp/profile-heap.txt" "$tmp/profile-default.txt"
 
+echo "== cross-commit golden gate (simulated numbers vs checked-in goldens) =="
+# The stages above compare two runs of this commit; this one compares it
+# with goldens checked in by an earlier commit (test/golden/): the event
+# count and simulated metrics of the profile ycsb-b run and the digest of
+# every chaos stage. A change that moves any of them fails here unless it
+# reruns tools/rebaseline.sh and commits the new goldens on purpose.
+sh tools/rebaseline.sh "$tmp/golden"
+diff -u test/golden/profile-ycsb-b.txt "$tmp/golden/profile-ycsb-b.txt"
+diff -u test/golden/chaos-digests.txt "$tmp/golden/chaos-digests.txt"
+
 echo "== api docs (odoc, when available) =="
 # CI installs odoc and builds the full doc tree; containers without odoc
 # still enforce doc coverage of the curated interfaces via simlint R5.

@@ -59,10 +59,22 @@ let occupancy t = float_of_int (used t) /. float_of_int t.size
 
 let phys t loff = t.base + (loff mod t.size)
 
-let split_ranges t ~loff ~len =
-  let p = phys t loff in
-  let first = min len (t.base + t.size - p) in
-  if first >= len then [ (p, 0, len) ] else [ (p, 0, first); (t.base, first, len - first) ]
+(* Bytes from [loff] to the physical end of the region: a range of [len]
+   bytes at [loff] wraps, and takes two device commands, iff [len] exceeds
+   this. *)
+let room_before_wrap t loff = t.base + t.size - phys t loff
+
+(* Write [data] at [loff]. A range that does not wrap hands [data] itself
+   to the device, which copies it into the medium when the command
+   completes; only a wrapping range is cut in two. *)
+let write_range t ~loff data =
+  let len = Bytes.length data and p = phys t loff in
+  let first = room_before_wrap t loff in
+  if len <= first then Blockdev.write_seq t.dev ~off:p data
+  else begin
+    Blockdev.write_seq t.dev ~off:p (Bytes.sub data 0 first);
+    Blockdev.write_seq t.dev ~off:t.base (Bytes.sub data first (len - first))
+  end
 
 (* Offsets below this are fully durable: every scanner (compaction,
    recovery) must stop here, never at [tail], because appends reserve their
@@ -82,11 +94,7 @@ let append t data =
   t.tail <- t.tail + len;
   t.appended_bytes <- t.appended_bytes + len;
   t.outstanding <- (loff, len) :: t.outstanding;
-  (try
-     List.iter
-       (fun (p, src_off, n) -> Blockdev.write_seq t.dev ~off:p (Bytes.sub data src_off n))
-       (split_ranges t ~loff ~len)
-   with e ->
+  (try write_range t ~loff data with e ->
      t.outstanding <- List.filter (fun (o, _) -> o <> loff) t.outstanding;
      raise e);
   t.outstanding <- List.filter (fun (o, _) -> o <> loff) t.outstanding;
@@ -135,11 +143,7 @@ let write_reserved t ~loff data =
     t.outstanding <-
       List.filter (fun (o, l) -> not (o >= loff && o + l <= loff + len)) t.outstanding
   in
-  (try
-     List.iter
-       (fun (p, src_off, n) -> Blockdev.write_seq t.dev ~off:p (Bytes.sub data src_off n))
-       (split_ranges t ~loff ~len)
-   with e ->
+  (try write_range t ~loff data with e ->
      settle ();
      raise e);
   settle ()
@@ -173,15 +177,18 @@ let check_readable t ~loff ~len =
       (Printf.sprintf "%s: read [%d,%d) outside readable range (head=%d tail=%d size=%d)" t.name
          loff (loff + len) t.head t.tail t.size)
 
+(* A range that does not wrap returns the device's own result, a fresh
+   buffer; only a wrapping range is assembled from two reads. *)
 let read t ~loff ~len =
   check_readable t ~loff ~len;
-  let out = Bytes.create len in
-  List.iter
-    (fun (p, dst_off, n) ->
-      let part = Blockdev.read t.dev ~off:p ~len:n in
-      Bytes.blit part 0 out dst_off n)
-    (split_ranges t ~loff ~len);
-  out
+  let p = phys t loff and first = room_before_wrap t loff in
+  if len <= first then Blockdev.read t.dev ~off:p ~len
+  else begin
+    let out = Bytes.create len in
+    Bytes.blit (Blockdev.read t.dev ~off:p ~len:first) 0 out 0 first;
+    Bytes.blit (Blockdev.read t.dev ~off:t.base ~len:(len - first)) 0 out first (len - first);
+    out
+  end
 
 (* Move the head forward, reclaiming [n] bytes. Only compaction calls this,
    after relocating every live entry below the new head. *)

@@ -59,7 +59,10 @@ val truncate_torn : t -> unit
 val append : t -> bytes -> int
 (** Append at the tail (reserving the range first, so concurrent appends
     never interleave); returns the entry's logical offset. Blocks for the
-    device write. Raises {!Log_full}. *)
+    device write. The device copies [data] when the write completes, so
+    the caller must not mutate it before [append] returns. A range that
+    wraps past the region's end takes two device writes. Raises
+    {!Log_full}. *)
 
 val reserve : t -> int -> int
 (** Claim tail space immediately without writing — the first half of a
@@ -67,12 +70,15 @@ val reserve : t -> int -> int
 
 val write_reserved : t -> loff:int -> bytes -> unit
 (** Write a blob covering one or more contiguous reservations starting at
-    [loff]; all reservations fully inside it become durable. *)
+    [loff]; all reservations fully inside it become durable. The same
+    no-mutation rule as {!append} holds for the blob. *)
 
 val read : t -> loff:int -> len:int -> bytes
-(** Read [len] bytes at logical offset [loff]. Blocks for the device read.
-    Raises [Invalid_argument] if the range was never written or has been
-    physically overwritten by the wrap-around. *)
+(** Read [len] bytes at logical offset [loff]. Blocks for the device read
+    (two reads when the range wraps past the region's end). The result is
+    a fresh buffer the caller owns. Raises [Invalid_argument] if the range
+    was never written or has been physically overwritten by the
+    wrap-around. *)
 
 val phys : t -> int -> int
 (** Device offset backing logical offset [loff] — lets fault injection and

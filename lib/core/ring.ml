@@ -72,19 +72,24 @@ let serving e = match e.vstate with Running -> true | Joining | Leaving -> false
 
 (* The replica chain for a key: walk clockwise from the owning arc,
    collecting entries on distinct physical nodes. Joining vnodes are
-   skipped — they join chains only once RUNNING. *)
+   skipped — they join chains only once RUNNING. This runs several times
+   per request, so distinctness is checked against the (at most r) entries
+   picked so far: the chain itself is the only allocation. *)
+let rec picked_node node = function
+  | [] -> false
+  | e :: rest -> e.owner.node = node || picked_node node rest
+
 let chain_at t ~r p =
   let n = Array.length t.entries in
   if n = 0 then []
   else begin
     let start = successor_index t p in
-    let picked = ref [] and seen_nodes = Hashtbl.create 8 in
-    let i = ref 0 in
-    while List.length !picked < r && !i < n do
+    let picked = ref [] and npicked = ref 0 and i = ref 0 in
+    while !npicked < r && !i < n do
       let e = t.entries.((start + !i) mod n) in
-      if serving e && not (Hashtbl.mem seen_nodes e.owner.node) then begin
-        Hashtbl.add seen_nodes e.owner.node ();
-        picked := e :: !picked
+      if serving e && not (picked_node e.owner.node !picked) then begin
+        picked := e :: !picked;
+        incr npicked
       end;
       incr i
     done;

@@ -24,6 +24,10 @@ type t = {
   (* modeled DRAM bytes per entry: 4 B offset + K bits chain + lock bit +
      SSD id — 6 B, matching the paper's budget arithmetic. *)
   entry_bytes : int;
+  (* materialised entries whose [dev] is not [home_dev]: kept by [update],
+     the only writer of an entry's location, so [swapped_out] can answer
+     "none" — the common case — without scanning the table *)
+  mutable foreign : int;
 }
 
 let create ?(entry_bytes = 6) ~nsegments ~home_dev () =
@@ -35,6 +39,7 @@ let create ?(entry_bytes = 6) ~nsegments ~home_dev () =
           { dev = home_dev; off = -1; chain_len = 0; locked = false; waiters = Queue.create () });
     home_dev;
     entry_bytes;
+    foreign = 0;
   }
 
 let nsegments t = t.nsegments
@@ -44,11 +49,15 @@ let is_materialised e = e.chain_len > 0
 (* Modeled DRAM footprint (what an 8 GB Stingray would actually spend). *)
 let modeled_bytes t = t.nsegments * t.entry_bytes
 
+let is_foreign t e = e.chain_len > 0 && e.dev <> t.home_dev
+
 let update t ~seg ~dev ~off ~chain_len =
   let e = t.entries.(seg) in
+  if is_foreign t e then t.foreign <- t.foreign - 1;
   e.dev <- dev;
   e.off <- off;
-  e.chain_len <- chain_len
+  e.chain_len <- chain_len;
+  if is_foreign t e then t.foreign <- t.foreign + 1
 
 (* --- segment lock (the "one lock bit" of §3.2.2) --- *)
 
@@ -86,8 +95,20 @@ let with_lock t seg f =
       raise e
 
 (* Live segments currently stored on a foreign SSD (swap regions awaiting
-   merge-back, §3.6). *)
+   merge-back, §3.6). Sanitized runs scan even when the count is 0, so
+   the scan can cross-check it. *)
 let swapped_out t =
-  let acc = ref [] in
-  Array.iteri (fun i e -> if e.chain_len > 0 && e.dev <> t.home_dev then acc := i :: !acc) t.entries;
-  List.rev !acc
+  if t.foreign = 0 && not (Invariant.active ()) then []
+  else begin
+    let acc = ref [] and n = ref 0 in
+    for i = t.nsegments - 1 downto 0 do
+      if is_foreign t t.entries.(i) then begin
+        acc := i :: !acc;
+        incr n
+      end
+    done;
+    Invariant.require ~invariant:"segtbl-foreign-count" ~time:(Sim.now ()) (!n = t.foreign)
+      ~detail:(fun () ->
+        Printf.sprintf "%d segments live on a foreign SSD but the table counts %d" !n t.foreign);
+    !acc
+  end

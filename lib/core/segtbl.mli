@@ -5,9 +5,13 @@
     key log, one lock bit, and — for the §3.6 data-swapping extension —
     the id of the SSD currently holding the segment. The modeled budget is
     6 bytes per entry; with ~14 objects per segment that is well under the
-    0.5 B-per-object ceiling of Challenge 1. *)
+    0.5 B-per-object ceiling of Challenge 1.
 
-type entry = {
+    Entries are [private]: callers read them freely, but a segment's
+    location changes only through {!update}, which also keeps the count
+    behind {!swapped_out}. *)
+
+type entry = private {
   mutable dev : int;        (** SSD id of the log holding the segment *)
   mutable off : int;        (** logical offset of the segment in that log *)
   mutable chain_len : int;  (** 0 = segment not yet materialised on flash *)
@@ -42,4 +46,5 @@ val with_lock : t -> int -> (unit -> 'a) -> 'a
 
 val swapped_out : t -> int list
 (** Segments currently living on a foreign SSD's swap region, awaiting
-    merge-back (§3.6). *)
+    merge-back (§3.6), in increasing order. O(1) when there are none,
+    which is the usual answer; a full scan otherwise. *)

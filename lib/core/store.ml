@@ -712,7 +712,8 @@ let recover t =
      than trust entries that may point past the truncation. The scan below
      rebuilds every segment that survives on flash. *)
   for seg = 0 to Segtbl.nsegments t.segtbl - 1 do
-    (Segtbl.entry t.segtbl seg).Segtbl.chain_len <- 0
+    let e = Segtbl.entry t.segtbl seg in
+    Segtbl.update t.segtbl ~seg ~dev:e.Segtbl.dev ~off:e.Segtbl.off ~chain_len:0
   done;
   let loff = ref (Circular_log.head t.klog) in
   let stop = Circular_log.committed_tail t.klog in

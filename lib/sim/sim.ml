@@ -403,24 +403,26 @@ end
 module Resource = struct
   type waiter = { amount : int; wake : unit -> unit }
 
+  (* All-float, so OCaml stores the fields flat and [account] updates them
+     in place; as float fields of [t] every update would box. *)
+  type busy = { mutable area : float; mutable last_change : float }
+
   type t = {
     name : string;
     capacity : int;
     mutable in_use : int;
     queue : waiter Queue.t;
-    (* cumulative busy integral for utilisation reporting *)
-    mutable busy_area : float;
-    mutable last_change : float;
+    busy : busy; (* cumulative busy integral for utilisation reporting *)
   }
 
   let create ?(name = "resource") ~capacity () =
     if capacity <= 0 then invalid_arg "Resource.create: capacity must be positive";
-    { name; capacity; in_use = 0; queue = Queue.create (); busy_area = 0.; last_change = 0. }
+    { name; capacity; in_use = 0; queue = Queue.create (); busy = { area = 0.; last_change = 0. } }
 
   let account t =
-    let t_now = now () in
-    t.busy_area <- t.busy_area +. (float_of_int t.in_use *. (t_now -. t.last_change));
-    t.last_change <- t_now
+    let t_now = now () and b = t.busy in
+    b.area <- b.area +. (float_of_int t.in_use *. (t_now -. b.last_change));
+    b.last_change <- t_now
 
   let in_use t = t.in_use
   let waiting t = Queue.length t.queue
@@ -467,11 +469,11 @@ module Resource = struct
   let utilisation t =
     account t;
     if now () <= 0. then 0.
-    else t.busy_area /. (float_of_int t.capacity *. now ())
+    else t.busy.area /. (float_of_int t.capacity *. now ())
 
   let busy_time t =
     account t;
-    t.busy_area
+    t.busy.area
 end
 
 (* Spawn all thunks and block until every one has finished. *)

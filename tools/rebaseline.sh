@@ -1,0 +1,43 @@
+#!/bin/sh
+# Write the simulated goldens of this checkout into DIR (default
+# test/golden), from the root of the repository:
+#
+#   sh tools/rebaseline.sh            # regenerate the checked-in goldens
+#   sh tools/rebaseline.sh /tmp/now   # what check.sh diffs against them
+#
+# profile-ycsb-b.txt  the `# events` line and the 8 simulated end-to-end
+#                     metrics of a 1 s bench/profile ycsb-b run
+# chaos-digests.txt   the digest of every chaos stage check.sh runs
+#
+# Every number here is simulated, so it repeats exactly on any machine.
+# A change that should not move simulated behaviour must leave both files
+# byte-identical; a change that moves it on purpose reruns this script
+# and commits the new goldens with the change.
+set -e
+
+cd "$(dirname "$0")/.."
+out=${1:-test/golden}
+mkdir -p "$out"
+
+dune build 2>&1
+
+sim_lines='^(# events|throughput_ops_s|get_p[0-9]+_us|put_p[0-9]+_us|slo_met_frac|ok_frac|avail_frac) '
+bash bench/profile/run.sh --workload ycsb-b --seconds 1 \
+  | grep -E "$sim_lines" > "$out/profile-ycsb-b.txt"
+[ "$(wc -l < "$out/profile-ycsb-b.txt")" -eq 9 ] \
+  || { echo "rebaseline: expected 9 simulated profile lines"; exit 1; }
+
+: > "$out/chaos-digests.txt"
+for proto in crrs abd; do
+  for stage in "smoke --seed 42" "bit-rot --bit-rot --seed 7" "fail-slow --fail-slow --seed 11" \
+    "cache --cache --seed 42"; do
+    # shellcheck disable=SC2086 # the stage string is a name then flags
+    set -- $stage
+    name=$1
+    shift
+    digest=$(dune exec bin/leed.exe -- chaos --fast --sanitize "$@" --proto "$proto" \
+      | awk '$1 == "digest" { print $2 }')
+    [ -n "$digest" ] || { echo "rebaseline: no digest from chaos $name [$proto]"; exit 1; }
+    echo "$name $proto $digest" >> "$out/chaos-digests.txt"
+  done
+done
