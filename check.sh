@@ -106,18 +106,21 @@ dune exec bin/leed.exe -- trace --seed 42 --out "$tmp/trace-b.json" > /dev/null
 cmp "$tmp/trace-a.json" "$tmp/trace-b.json"
 dune exec bin/leed.exe -- trace-validate "$tmp/trace-a.json"
 
-echo "== oracle scheduler parity (profile ycsb-b: heap vs default wheel, simulated metrics identical) =="
+echo "== oracle scheduler parity (profile ycsb-b: heap vs default wheel and calendar, simulated metrics identical) =="
 # The binary heap is kept as the reference oracle; the default scheduler
-# (the timing wheel) must reproduce its simulated end-to-end metrics to
-# the last digit on the benchmark's own workload. Wall-clock metrics
-# differ by design and are not compared.
+# (the timing wheel) and the calendar queue must reproduce its simulated
+# end-to-end metrics to the last digit on the benchmark's own workload.
+# Wall-clock metrics differ by design and are not compared.
 sim_metrics='^(throughput_ops_s|get_p[0-9]+_us|put_p[0-9]+_us|slo_met_frac|ok_frac|avail_frac) '
 bash bench/profile/run.sh --workload ycsb-b --seconds 1 --sched heap \
   | grep -E "$sim_metrics" > "$tmp/profile-heap.txt"
 bash bench/profile/run.sh --workload ycsb-b --seconds 1 \
   | grep -E "$sim_metrics" > "$tmp/profile-default.txt"
+bash bench/profile/run.sh --workload ycsb-b --seconds 1 --sched calendar \
+  | grep -E "$sim_metrics" > "$tmp/profile-calendar.txt"
 [ "$(wc -l < "$tmp/profile-heap.txt")" -eq 8 ] || { echo "expected 8 simulated metric lines"; exit 1; }
 diff "$tmp/profile-heap.txt" "$tmp/profile-default.txt"
+diff "$tmp/profile-heap.txt" "$tmp/profile-calendar.txt"
 
 echo "== cross-commit golden gate (simulated numbers vs checked-in goldens) =="
 # The stages above compare two runs of this commit; this one compares it

@@ -1,7 +1,8 @@
 (* Calendar queue scheduler (R. Brown, CACM '88).
 
    Events hash by time into a circular array of "day" buckets of fixed
-   width; each bucket is a sorted intrusive list (Sched_event.before).
+   width; each bucket is a sorted intrusive list (Event_store.before)
+   of Event_store handles.
    A pop scans forward from the current day and returns the bucket head
    that belongs to the current "year", giving O(1) amortised add/pop
    when event times are reasonably uniform — the regime cluster-scale
@@ -14,7 +15,7 @@
      exact float operation (exponent shift) and the virtual bucket
      number of a time is a well-defined integer;
    - the scan position is that integer ([cur_vb]), never an accumulated
-     float edge, so year-membership tests ([vb_of head.time = cur_vb])
+     float edge, so year-membership tests ([vb_of head = cur_vb])
      are exact integer comparisons.
 
    Equal-time events land in the same bucket (same virtual bucket
@@ -22,7 +23,8 @@
    the heap's total order. *)
 
 type t = {
-  mutable buckets : Sched_event.t array; (* sorted intrusive lists; nil = empty *)
+  store : Event_store.t;
+  mutable buckets : int array; (* sorted intrusive lists; nil = empty *)
   mutable nbuckets : int; (* power of two *)
   mutable mask : int; (* nbuckets - 1 *)
   mutable width : float; (* bucket width in seconds; power of two *)
@@ -31,23 +33,22 @@ type t = {
   mutable count : int;
 }
 
-(* Virtual bucket number of a time: floor (time / width), computed
-   exactly (power-of-two width). Times so far in the future that the
-   quotient leaves integer range all clamp into one far bucket, where
-   the sorted list keeps them correctly ordered. *)
-let vb_of t time =
-  let q = time *. t.inv_width in
-  if q >= 4.0e18 then max_int / 2 else int_of_float q
+let nil = Event_store.nil
 
-let create ?(nbuckets = 256) ?(width = 0x1p-17) () =
-  let n =
-    let rec pow2 n = if n >= nbuckets then n else pow2 (2 * n) in
-    pow2 16
-  in
+(* Virtual bucket number of a queued event: floor (time / width),
+   exact for a power-of-two width (see Event_store.bucket). Times so
+   far out that they leave int range all share one far bucket, where
+   the sorted list keeps them correctly ordered. *)
+let vb_of t h = Event_store.bucket t.store h t.inv_width
+
+(* 256 buckets of ~7.6 us to start; both adapt as events accumulate. *)
+let create store =
+  let width = 0x1p-17 in
   {
-    buckets = Array.make n Sched_event.nil;
-    nbuckets = n;
-    mask = n - 1;
+    store;
+    buckets = Array.make 256 nil;
+    nbuckets = 256;
+    mask = 255;
     width;
     inv_width = 1. /. width;
     cur_vb = 0;
@@ -55,33 +56,32 @@ let create ?(nbuckets = 256) ?(width = 0x1p-17) () =
   }
 
 let length t = t.count
-let is_empty t = t.count = 0
 
-(* Insertion point for [ev] in the sorted list after [prev]. Top level
-   with explicit arguments, not an inner closure capturing [ev]: this
+(* Insertion point for [h] in the sorted list after [prev]. Top level
+   with explicit arguments, not an inner closure capturing [h]: this
    runs on every add and must not allocate. *)
-let rec find_pos (prev : Sched_event.t) (ev : Sched_event.t) =
-  let n = prev.Sched_event.next in
-  if n != Sched_event.nil && Sched_event.before_bits n ev then find_pos n ev else prev
+let rec find_pos st prev h =
+  let n = Event_store.next st prev in
+  if n <> nil && Event_store.before st n h then find_pos st n h else prev
 
-(* Sorted insert by Sched_event.before into the intrusive list rooted at
-   buckets.(idx). *)
-let insert_sorted t idx (ev : Sched_event.t) =
+(* Sorted insert by Event_store.before into the intrusive list rooted
+   at buckets.(idx). *)
+let insert_sorted t idx h =
+  let st = t.store in
   let head = t.buckets.(idx) in
-  if head == Sched_event.nil || Sched_event.before_bits ev head then begin
-    ev.next <- head;
-    t.buckets.(idx) <- ev
+  if head = nil || Event_store.before st h head then begin
+    Event_store.set_next st h head;
+    t.buckets.(idx) <- h
   end
   else begin
-    let prev = find_pos head ev in
-    ev.next <- prev.Sched_event.next;
-    prev.Sched_event.next <- ev
+    let prev = find_pos st head h in
+    Event_store.set_next st h (Event_store.next st prev);
+    Event_store.set_next st prev h
   end
 
-let place t ev =
-  let vb = vb_of t ev.Sched_event.time in
-  ev.Sched_event.tick <- vb;
-  insert_sorted t (vb land t.mask) ev;
+let place t h =
+  let vb = vb_of t h in
+  insert_sorted t (vb land t.mask) h;
   (* Never let the scan position sit past a pending event: an add at the
      current instant may hash behind a scan that already skipped its
      (then-empty) bucket. *)
@@ -101,44 +101,44 @@ let ideal_width ~span ~count old =
   end
 
 let resize t nbuckets' =
-  (* Unlink every cell, then re-place under the new geometry. *)
-  let all = ref Sched_event.nil in
-  let tmin = ref infinity and tmax = ref neg_infinity in
+  (* Unlink every event, then re-place under the new geometry. *)
+  let st = t.store in
+  let all = ref nil and hmin = ref nil and hmax = ref nil in
   Array.iteri
     (fun i head ->
-      let cell = ref head in
-      while !cell != Sched_event.nil do
-        let next = !cell.Sched_event.next in
-        if !cell.Sched_event.time < !tmin then tmin := !cell.Sched_event.time;
-        if !cell.Sched_event.time > !tmax then tmax := !cell.Sched_event.time;
-        !cell.Sched_event.next <- !all;
-        all := !cell;
-        cell := next
+      let h = ref head in
+      while !h <> nil do
+        let next = Event_store.next st !h in
+        let s = Event_store.stamp st !h in
+        if !hmin = nil || s < Event_store.stamp st !hmin then hmin := !h;
+        if !hmax = nil || s > Event_store.stamp st !hmax then hmax := !h;
+        Event_store.set_next st !h !all;
+        all := !h;
+        h := next
       done;
-      t.buckets.(i) <- Sched_event.nil)
+      t.buckets.(i) <- nil)
     t.buckets;
-  let width = ideal_width ~span:(!tmax -. !tmin) ~count:t.count t.width in
+  let span =
+    if !hmin = nil then 0. else Event_store.time st !hmax -. Event_store.time st !hmin
+  in
+  let width = ideal_width ~span ~count:t.count t.width in
   if nbuckets' <> t.nbuckets then begin
-    t.buckets <- Array.make nbuckets' Sched_event.nil;
+    t.buckets <- Array.make nbuckets' nil;
     t.nbuckets <- nbuckets';
     t.mask <- nbuckets' - 1
   end;
   t.width <- width;
   t.inv_width <- 1. /. width;
-  t.cur_vb <- (if t.count = 0 then 0 else vb_of t !tmin);
-  let cell = ref !all in
-  while !cell != Sched_event.nil do
-    let next = !cell.Sched_event.next in
-    !cell.Sched_event.next <- Sched_event.nil;
-    let vb = vb_of t !cell.Sched_event.time in
-    !cell.Sched_event.tick <- vb;
-    insert_sorted t (vb land t.mask) !cell;
-    cell := next
+  t.cur_vb <- (if !hmin = nil then 0 else vb_of t !hmin);
+  let h = ref !all in
+  while !h <> nil do
+    let next = Event_store.next st !h in
+    insert_sorted t (vb_of t !h land t.mask) !h;
+    h := next
   done
 
-let add t ev =
-  Sched_event.cache_time_bits ev;
-  place t ev;
+let add t h =
+  place t h;
   t.count <- t.count + 1;
   if t.count > 2 * t.nbuckets then resize t (2 * t.nbuckets)
 
@@ -147,15 +147,12 @@ let add t ev =
    heads are each bucket's minimum (lists are sorted with time as the
    major component), so the global minimum is the minimal head. *)
 let direct_search t =
-  let best = ref Sched_event.nil in
+  let best = ref nil in
   Array.iter
     (fun head ->
-      if
-        head != Sched_event.nil
-        && (!best == Sched_event.nil || Sched_event.before head !best)
-      then best := head)
+      if head <> nil && (!best = nil || Event_store.before t.store head !best) then best := head)
     t.buckets;
-  t.cur_vb <- vb_of t !best.Sched_event.time;
+  t.cur_vb <- vb_of t !best;
   !best
 
 (* Advance the scan position to the next event and return it (without
@@ -163,41 +160,28 @@ let direct_search t =
    and every peek. After [nbuckets] empty days the current year is
    proven empty and [direct_search] jumps the calendar. *)
 let rec scan t steps =
-  let idx = t.cur_vb land t.mask in
-  let head = t.buckets.(idx) in
-  if head != Sched_event.nil && head.Sched_event.tick = t.cur_vb then head
+  let head = t.buckets.(t.cur_vb land t.mask) in
+  if head <> nil && vb_of t head = t.cur_vb then head
   else if steps + 1 >= t.nbuckets then direct_search t
   else begin
     t.cur_vb <- t.cur_vb + 1;
     scan t (steps + 1)
   end
 
-(* Fused peek-and-pop: [Sched_event.nil] when empty or when the minimum
-   lies beyond [limit]. The engine's hot loop uses this instead of
-   peek-then-pop, avoiding a per-dispatch call and float boxing. *)
+(* Fused peek-and-pop against a stamp limit: nil when empty or when the
+   minimum lies beyond [limit]. *)
 let pop_until t limit =
-  if t.count = 0 then Sched_event.nil
+  if t.count = 0 then nil
   else begin
     let head = scan t 0 in
-    (* Rebuild the time from the cached bits rather than dereferencing
-       the cold box stored at schedule time (see Sched_event.refresh_time). *)
-    Sched_event.refresh_time head;
-    if head.Sched_event.time > limit then Sched_event.nil
+    if Event_store.stamp t.store head > limit then nil
     else begin
-      t.buckets.(t.cur_vb land t.mask) <- head.Sched_event.next;
-      head.Sched_event.next <- Sched_event.nil;
+      t.buckets.(t.cur_vb land t.mask) <- Event_store.next t.store head;
       t.count <- t.count - 1;
       if t.nbuckets > 64 && t.count < t.nbuckets / 8 then resize t (t.nbuckets / 2);
       head
     end
   end
 
-let pop t = pop_until t infinity
-
-let peek_time t =
-  if t.count = 0 then infinity
-  else begin
-    let head = scan t 0 in
-    Sched_event.refresh_time head;
-    head.Sched_event.time
-  end
+let pop t = pop_until t max_int
+let peek_time t = if t.count = 0 then infinity else Event_store.time t.store (scan t 0)

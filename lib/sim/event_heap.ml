@@ -1,39 +1,33 @@
-(* Binary min-heap of timestamped events — the reference scheduler.
+(* Binary min-heap of event handles — the reference scheduler.
 
-   Ordering is Sched_event.before: (time, key, seq). Under the default
+   Ordering is Event_store.before: (time, key, seq). Under the default
    FIFO tie-break policy every key is 0, so equal-time events fire in
    insertion order; the race detector assigns seeded pseudo-random keys
    instead, exploring a different — but still fully deterministic —
    legal ordering of simultaneous events (see Sim.tiebreak).
 
-   The API is allocation-free: [pop] returns [Sched_event.nil] (tested
-   with [==]) instead of an option, and [peek_time] returns [infinity]
-   when empty. *)
+   The heap deliberately goes through Event_store's own accessors and
+   none of the inlined copies the wheel uses: it is the plain baseline
+   the other structures are checked and measured against. *)
 
-type t = { mutable arr : Sched_event.t array; mutable len : int }
+type t = { store : Event_store.t; mutable arr : int array; mutable len : int }
 
-let create ?(capacity = 64) () =
-  { arr = Array.make (max 1 capacity) Sched_event.nil; len = 0 }
-
+let create store = { store; arr = Array.make 64 Event_store.nil; len = 0 }
 let length h = h.len
 
-let is_empty h = h.len = 0
-
-let before = Sched_event.before
-
 let grow h =
-  let arr = Array.make (2 * Array.length h.arr) Sched_event.nil in
+  let arr = Array.make (2 * Array.length h.arr) Event_store.nil in
   Array.blit h.arr 0 arr 0 h.len;
   h.arr <- arr
 
 (* The sift loops are top-level functions with explicit arguments, not
    inner closures: a closure capturing [h] would allocate on every
-   add/pop, and these are the engine's hottest operations. *)
+   add/pop. *)
 let rec sift_up h ev i =
   if i = 0 then h.arr.(0) <- ev
   else
     let p = (i - 1) / 2 in
-    if before ev h.arr.(p) then begin
+    if Event_store.before h.store ev h.arr.(p) then begin
       h.arr.(i) <- h.arr.(p);
       sift_up h ev p
     end
@@ -47,8 +41,8 @@ let add h ev =
 
 let rec sift_down h i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let m = if l < h.len && before h.arr.(l) h.arr.(i) then l else i in
-  let m = if r < h.len && before h.arr.(r) h.arr.(m) then r else m in
+  let m = if l < h.len && Event_store.before h.store h.arr.(l) h.arr.(i) then l else i in
+  let m = if r < h.len && Event_store.before h.store h.arr.(r) h.arr.(m) then r else m in
   if m <> i then begin
     let tmp = h.arr.(i) in
     h.arr.(i) <- h.arr.(m);
@@ -57,25 +51,19 @@ let rec sift_down h i =
   end
 
 let pop h =
-  if h.len = 0 then Sched_event.nil
+  if h.len = 0 then Event_store.nil
   else begin
     let top = h.arr.(0) in
     h.len <- h.len - 1;
-    let last = h.arr.(h.len) in
-    h.arr.(h.len) <- Sched_event.nil;
     if h.len > 0 then begin
-      h.arr.(0) <- last;
+      h.arr.(0) <- h.arr.(h.len);
       sift_down h 0
     end;
     top
   end
 
-let peek_time h = if h.len = 0 then infinity else h.arr.(0).Sched_event.time
+let peek h = if h.len = 0 then Event_store.nil else h.arr.(0)
+let peek_time h = if h.len = 0 then infinity else Event_store.time h.store h.arr.(0)
 
-(* One call instead of peek-then-pop in the engine loop: a [peek_time]
-   through the scheduler's closure record boxes its float result on
-   every dispatch, which this fused form avoids entirely. *)
 let pop_until h limit =
-  if h.len = 0 then Sched_event.nil
-  else if h.arr.(0).Sched_event.time > limit then Sched_event.nil
-  else pop h
+  if h.len = 0 || Event_store.stamp h.store h.arr.(0) > limit then Event_store.nil else pop h

@@ -1,6 +1,6 @@
-(** Binary min-heap of timestamped events — the reference scheduler.
+(** Binary min-heap of event handles — the reference scheduler.
 
-    Ordering is {!Sched_event.before}: [(time, key, seq)] lexicographic.
+    Ordering is {!Event_store.before}: [(time, key, seq)] lexicographic.
     The default FIFO policy assigns every event key 0 (pure insertion
     order); the race detector assigns seeded pseudo-random keys to
     explore alternative legal orderings of simultaneous events.
@@ -10,32 +10,31 @@
     against for bit-identical dispatch order. *)
 
 type t
-(** An array-backed binary min-heap of {!Sched_event.t} cells. *)
+(** An array-backed binary min-heap of {!Event_store} handles. *)
 
-val create : ?capacity:int -> unit -> t
-(** A fresh, empty heap. [capacity] (default 64) sizes the initial
-    backing array; the heap grows geometrically as needed. *)
+val create : Event_store.t -> t
+(** A fresh, empty heap over the handles of the given store. *)
 
 val length : t -> int
 (** Number of events currently queued. *)
 
-val is_empty : t -> bool
-(** Whether no events are queued. *)
+val add : t -> int -> unit
+(** Insert a handle whose ordering fields are set. The heap owns the
+    handle's [next] link until {!pop} returns it (it does not use it). *)
 
-val add : t -> Sched_event.t -> unit
-(** Insert an event cell. The heap takes ownership of the cell until it
-    is returned by {!pop}. *)
+val pop : t -> int
+(** Remove and return the minimum handle per {!Event_store.before};
+    {!Event_store.nil} when empty. *)
 
-val pop : t -> Sched_event.t
-(** Remove and return the minimum event per {!Sched_event.before};
-    returns [Sched_event.nil] (test with [==]) when empty. *)
+val peek : t -> int
+(** The minimum handle without removing it; {!Event_store.nil} when
+    empty. *)
 
 val peek_time : t -> float
 (** Time of the earliest event without removing it; [infinity] when
     empty. *)
 
-val pop_until : t -> float -> Sched_event.t
-(** [pop_until h limit] pops the minimum event if its time is [<= limit];
-    [Sched_event.nil] when the heap is empty or the minimum lies beyond
-    [limit]. Equivalent to a [peek_time] test followed by [pop], fused so
-    the hot loop performs one call and no float boxing. *)
+val pop_until : t -> int -> int
+(** [pop_until h limit] pops the minimum handle if its stamp
+    ({!Event_store.stamp_of_time}) is [<= limit]; {!Event_store.nil}
+    when the heap is empty or the minimum lies beyond [limit]. *)

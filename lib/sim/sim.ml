@@ -13,11 +13,13 @@
    exactly, so the dispatch sequence — and therefore every digest built
    on it — is bit-identical whichever one a run selects.
 
-   The hot loop is allocation-lean: event cells are recycled through a
-   per-engine freelist, so steady-state scheduling mutates a reused
-   record instead of allocating one per event. A timeout that loses its
-   race is cancelled in place ([cancel]): its cell stays queued as a
-   tombstone and is recycled, undispatched, when the scheduler reaches
+   Events live in a per-engine Event_store and are named by int
+   handles: their time (as a stamp), tie-break key, seq and link are
+   int words in one slab, recycled through the store's freelist, so the
+   per-event path writes no boxed float and runs the write barrier only
+   for the closure (and a changed label). A timeout that loses its race
+   is cancelled in place ([cancel]): its handle stays queued as a
+   tombstone and is released, undispatched, when the scheduler reaches
    it. *)
 
 exception Deadlock of string
@@ -40,14 +42,14 @@ type dispatch = { d_time : float; d_seq : int; d_label : string }
 type engine = {
   mutable now : float;
   mutable seq : int;
+  store : Event_store.t;
   sched : Scheduler.t;
-  mutable free : Sched_event.t; (* freelist of recycled event cells *)
   mutable stopped : bool;
   mutable spawned : int;
   mutable dispatched : int;
   mutable pending : int; (* live events: scheduled, not yet dispatched or cancelled *)
   mutable max_pending : int; (* high-water mark of [pending] *)
-  keyfn : int -> int; (* seq -> equal-time ordering key, from [tiebreak] *)
+  tiebreak : tiebreak;
   on_dispatch : (dispatch -> unit) option;
   mutable cur_label : string; (* label of the event being executed *)
 }
@@ -59,14 +61,29 @@ let get_engine () =
   | Some e -> e
   | None -> failwith "Sim: no simulation running (call inside Sim.run)"
 
-let keyfn_of = function
-  | Fifo -> fun _ -> 0
-  | Perturbed seed -> fun seq -> Rng.hash2 seed seq
-  | Perturb_first { seed; limit } -> fun seq -> if seq <= limit then Rng.hash2 seed seq else 0
+(* The equal-time ordering key of the event with sequence number [seq]. *)
+let[@inline] key_of tiebreak seq =
+  match tiebreak with
+  | Fifo -> 0
+  | Perturbed seed -> Rng.hash2 seed seq
+  | Perturb_first { seed; limit } -> if seq <= limit then Rng.hash2 seed seq else 0
 
-(* Queue [run] at [at] and return its cell, which a caller may keep (with
-   the cell's [seq]) as a [cancel] handle. *)
-let schedule ?label eng ~at run =
+(* Event_store.stamp_of_time and its inverse, copied here so they
+   compile inline on the per-event path: a float passed to or returned
+   from another module is boxed (the default dev profile builds with
+   -opaque, so nothing crosses modules inline). *)
+let[@inline] stamp_of_time t = Int64.to_int (Int64.sub (Int64.bits_of_float t) 0x4000_0000_0000_0000L)
+let[@inline] time_of_stamp s = Int64.float_of_bits (Int64.add (Int64.of_int s) 0x4000_0000_0000_0000L)
+
+(* [schedule] and [run]'s dispatch address the store's slots and
+   freelist inline (layout in event_store.mli); the literal 10 there is
+   [Event_store.chunk_bits]. *)
+let () = assert (Event_store.chunk_bits = 10)
+
+(* Queue [run] at [at] and return its handle; the handle and [eng.seq]
+   as of the return are the event's [cancel] handle. The slab writes are
+   int stores: no barrier. *)
+let schedule eng ~label ~at run =
   (* [at >= now] is also false for NaN, so a poisoned latency computation
      trips here instead of silently freezing the dispatch order. Guarded
      on [active] so the off path does not allocate the detail closure —
@@ -76,43 +93,46 @@ let schedule ?label eng ~at run =
       (at >= eng.now)
       ~detail:(fun () ->
         Printf.sprintf "event scheduled into the past (at=%.9g, now=%.9g)" at eng.now);
-  eng.seq <- eng.seq + 1;
-  (* Recycle an event cell from the freelist; allocate only when the
-     pending population reaches a new high. *)
-  let ev = eng.free in
-  let ev =
-    if ev == Sched_event.nil then Sched_event.make ()
+  let seq = eng.seq + 1 in
+  eng.seq <- seq;
+  let st = eng.store in
+  let h =
+    if st.free = Event_store.nil then Event_store.alloc st
     else begin
-      eng.free <- ev.Sched_event.next;
-      ev.Sched_event.next <- Sched_event.nil;
-      ev
+      let h = st.free in
+      st.free <- st.slab.(h lsr 10).(((h land 1023) lsl 2) + 3);
+      h
     end
   in
-  ev.Sched_event.time <- at;
-  ev.Sched_event.key <- eng.keyfn eng.seq;
-  ev.Sched_event.seq <- eng.seq;
-  ev.Sched_event.label <- (match label with Some l -> l | None -> eng.cur_label);
-  ev.Sched_event.run <- run;
-  Scheduler.add eng.sched ev;
+  let c = h lsr 10 and i = h land 1023 in
+  let s = st.slab.(c) and j = i lsl 2 in
+  s.(j) <- stamp_of_time at;
+  s.(j + 1) <- key_of eng.tiebreak seq;
+  s.(j + 2) <- seq;
+  st.run.(c).(i) <- run;
+  (* A recycled handle usually carried the same label: skip the barrier. *)
+  let labels = st.label.(c) in
+  if labels.(i) != label then labels.(i) <- label;
+  Scheduler.add eng.sched h;
   (* Tracked incrementally rather than asking the scheduler: one fewer
      closure call per scheduled event. *)
   eng.pending <- eng.pending + 1;
   if eng.pending > eng.max_pending then eng.max_pending <- eng.pending;
-  ev
+  h
 
-(* Tombstone the event [schedule] returned as [ev] with sequence number
-   [seq]. The cell stays where the scheduler put it — time, key and seq
-   untouched, so every live event keeps its place in the (time, key,
-   seq) order under any tie-break — but drops its closure and label and
-   stops counting as pending; the dispatch loop recycles it without
-   dispatching it. Once the event has been dispatched, its recycled cell
-   carries seq 0 or a later event's seq, so a late cancel is a no-op.
-   [eng] must be the engine that scheduled the event, which is not
-   always the current one: a nested run can fill an outer Ivar. *)
-let cancel eng (ev : Sched_event.t) seq =
-  if ev.Sched_event.seq = seq then begin
-    ev.Sched_event.run <- Sched_event.cancelled;
-    ev.Sched_event.label <- "";
+(* Tombstone the event [schedule] returned as handle [h] with sequence
+   number [seq]. The handle stays where the scheduler put it — stamp,
+   key and seq untouched, so every live event keeps its place in the
+   (time, key, seq) order under any tie-break — but drops its closure
+   and stops counting as pending; the dispatch loop releases it without
+   dispatching it. Once the event has been dispatched, its released
+   handle carries seq 0 or a later event's seq, so a late cancel is a
+   no-op. [eng] must be the engine that scheduled the event, which is
+   not always the current one: a nested run can fill an outer Ivar. *)
+let cancel eng h seq =
+  let st = eng.store in
+  if Event_store.seq st h = seq then begin
+    Event_store.cancel st h;
     eng.pending <- eng.pending - 1
   end
 
@@ -133,7 +153,9 @@ let exec : engine -> (unit -> unit) -> unit =
           | Delay t ->
               Some
                 (fun (k : (a, _) continuation) ->
-                  ignore (schedule eng ~at:(eng.now +. t) (fun () -> continue k ())))
+                  ignore
+                    (schedule eng ~label:eng.cur_label ~at:(eng.now +. t) (fun () ->
+                         continue k ())))
           | Suspend register ->
               Some
                 (fun (k : (a, _) continuation) ->
@@ -145,7 +167,7 @@ let exec : engine -> (unit -> unit) -> unit =
                   register (fun v ->
                       if not !resumed then begin
                         resumed := true;
-                        ignore (schedule ~label eng ~at:eng.now (fun () -> continue k v))
+                        ignore (schedule eng ~label ~at:eng.now (fun () -> continue k v))
                       end))
           | _ -> None);
     }
@@ -161,12 +183,13 @@ let suspend register = Effect.perform (Suspend register)
 let spawn ?label f =
   let eng = get_engine () in
   eng.spawned <- eng.spawned + 1;
-  ignore (schedule ?label eng ~at:eng.now (fun () -> exec eng f))
+  let label = match label with Some l -> l | None -> eng.cur_label in
+  ignore (schedule eng ~label ~at:eng.now (fun () -> exec eng f))
 
 (* Run [f] (non-blocking) after [t] seconds without creating a process. *)
 let after t f =
   let eng = get_engine () in
-  ignore (schedule eng ~at:(eng.now +. t) f)
+  ignore (schedule eng ~label:eng.cur_label ~at:(eng.now +. t) f)
 let yield () = Effect.perform (Delay 0.)
 
 let stop () =
@@ -181,18 +204,19 @@ let processes_spawned () = (get_engine ()).spawned
 
 let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Wheel) ?on_dispatch
     (main : unit -> 'a) : 'a =
+  let store = Event_store.create () in
   let eng =
     {
       now = 0.;
       seq = 0;
-      sched = Scheduler.create sched;
-      free = Sched_event.nil;
+      store;
+      sched = Scheduler.create sched store;
       stopped = false;
       spawned = 0;
       dispatched = 0;
       pending = 0;
       max_pending = 0;
-      keyfn = keyfn_of tiebreak;
+      tiebreak;
       on_dispatch;
       cur_label = "main";
     }
@@ -204,7 +228,7 @@ let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Wheel) ?on_disp
   let result = ref None in
   let main_done = ref false in
   ignore
-    (schedule ~label:"main" eng ~at:0. (fun () ->
+    (schedule eng ~label:"main" ~at:0. (fun () ->
          exec eng (fun () ->
              result := Some (main ());
              main_done := true)));
@@ -213,54 +237,58 @@ let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Wheel) ?on_disp
     Invariant.set_enabled saved_checks
   in
   (try
+     let until_stamp = stamp_of_time until in
      let continue_loop = ref true in
      (* The loop ends as soon as the main process has its result: daemon
         processes (periodic compactors, heartbeats) must not keep the
         simulation alive forever. *)
      while !continue_loop && not eng.stopped && not !main_done do
-       (* One fused scheduler call per dispatch: peek-then-pop through
-          the closure record would box peek's float result every
-          iteration. [nil] means empty or next-beyond-[until]; the two
-          are told apart on the cold path below. *)
-       let ev = Scheduler.pop_until eng.sched until in
-       if ev == Sched_event.nil then begin
+       (* One fused scheduler call per dispatch, compared on stamps, so
+          no float crosses the call. [nil] means empty or
+          next-beyond-[until]; the two are told apart on the cold path
+          below. *)
+       let h = Scheduler.pop_until eng.sched until_stamp in
+       if h = Event_store.nil then begin
          if Scheduler.peek_time eng.sched < infinity then eng.now <- until;
          continue_loop := false
        end
-       else if ev.Sched_event.run == Sched_event.cancelled then begin
-         (* A tombstone: recycle it unseen — no dispatch count, no clock
-            move, no [on_dispatch]. [cancel] already dropped it from
-            [pending]. *)
-         Sched_event.clear ev;
-         ev.Sched_event.next <- eng.free;
-         eng.free <- ev
-       end
        else begin
-         (* Copy the cell's fields out and recycle it before dispatch:
-            the event body is free to schedule (and thus reuse the
-            cell) immediately. *)
-         let time = ev.Sched_event.time in
-         let seq = ev.Sched_event.seq in
-         let label = ev.Sched_event.label in
-         let run = ev.Sched_event.run in
-         Sched_event.clear ev;
-         ev.Sched_event.next <- eng.free;
-         eng.free <- ev;
-         (* Guarded on [active] like the one in [schedule]: the off path
-            must not allocate the detail closure on every dispatch. *)
-         if Invariant.active () then
-           Invariant.require ~invariant:"event-time-monotonicity" ~time:eng.now
-             (time >= eng.now)
-             ~detail:(fun () ->
-               Printf.sprintf "scheduler yielded an event at t=%.9g behind the clock" time);
-         eng.now <- time;
-         eng.dispatched <- eng.dispatched + 1;
-         eng.pending <- eng.pending - 1;
-         eng.cur_label <- label;
-         (match eng.on_dispatch with
-         | None -> ()
-         | Some f -> f { d_time = time; d_seq = seq; d_label = label });
-         run ()
+         let st = eng.store in
+         let c = h lsr 10 and i = h land 1023 in
+         let run = st.run.(c).(i) in
+         (* A tombstone is released unseen — no dispatch count, no clock
+            move, no [on_dispatch]; [cancel] already dropped it from
+            [pending]. Otherwise the handle is released before dispatch,
+            since the body is free to schedule (and so reuse it) at once;
+            releasing is int stores only. *)
+         if run == Event_store.cancelled then Event_store.release st h
+         else begin
+           let s = st.slab.(c) and j = i lsl 2 in
+           let time = time_of_stamp s.(j) in
+           let seq = s.(j + 2) in
+           let label = st.label.(c).(i) in
+           (* Event_store.release, inline. *)
+           s.(j + 2) <- 0;
+           s.(j + 3) <- st.free;
+           st.free <- h;
+           (* Guarded on [active] like the one in [schedule]: the off path
+              must not allocate the detail closure on every dispatch. *)
+           if Invariant.active () then
+             Invariant.require ~invariant:"event-time-monotonicity" ~time:eng.now
+               (time >= eng.now)
+               ~detail:(fun () ->
+                 Printf.sprintf "scheduler yielded an event at t=%.9g behind the clock" time);
+           (* [now] is a boxed field: box (and barrier) only when the
+              clock moves, not for every same-instant event. *)
+           if time <> eng.now then eng.now <- time;
+           eng.dispatched <- eng.dispatched + 1;
+           eng.pending <- eng.pending - 1;
+           if label != eng.cur_label then eng.cur_label <- label;
+           (match eng.on_dispatch with
+           | None -> ()
+           | Some f -> f { d_time = time; d_seq = seq; d_label = label });
+           run ()
+         end
        end
      done
    with e ->
@@ -329,8 +357,10 @@ module Ivar = struct
     | Empty _ ->
         suspend (fun resume ->
             let eng = get_engine () in
-            let timer = schedule eng ~at:(eng.now +. timeout) (fun () -> resume None) in
-            let seq = timer.Sched_event.seq in
+            let timer =
+              schedule eng ~label:eng.cur_label ~at:(eng.now +. timeout) (fun () -> resume None)
+            in
+            let seq = eng.seq in
             on_fill t (fun v ->
                 cancel eng timer seq;
                 resume (Some v)))
@@ -377,7 +407,7 @@ module Mailbox = struct
             let eng = get_engine () in
             (* The waiter is queued before the timer exists; its wake
                reads the cancel handle filled in just below. *)
-            let timer = ref Sched_event.nil and seq = ref 0 in
+            let timer = ref Event_store.nil and seq = ref 0 in
             let w =
               {
                 cancelled = false;
@@ -388,16 +418,14 @@ module Mailbox = struct
               }
             in
             Queue.push w t.waiters;
-            let ev =
-              schedule eng ~at:(eng.now +. timeout) (fun () ->
+            timer :=
+              schedule eng ~label:eng.cur_label ~at:(eng.now +. timeout) (fun () ->
                   (* Only reached when the timeout wins: a send that wins
                      cancels this event. The waiter must be tombstoned so
                      a later send is not swallowed. *)
                   w.cancelled <- true;
-                  resume None)
-            in
-            timer := ev;
-            seq := ev.Sched_event.seq)
+                  resume None);
+            seq := eng.seq)
 end
 
 module Resource = struct

@@ -3,7 +3,7 @@
    Geometry: a sorted intrusive "front" list holding every event at or
    before the current front edge, three wheel levels of [w = 32768]
    slots each (spans of w, w^2 and w^3 ticks), and an overflow heap for
-   events beyond the w^3-tick horizon. With the default ~0.12 us tick
+   events beyond the w^3-tick horizon. With the 2^-23 s (~0.12 us) tick
    the levels cover ~3.9 ms / ~128 s / ~48 days, so virtually all
    timers a cluster simulation arms land inside the wheel; only far
    stragglers wait in the overflow heap until the edge approaches.
@@ -16,20 +16,26 @@
    dispatch — and the common short timers of a steady-state storm
    (sub-level-0-span re-arms) go straight to level 0 and are touched
    cold exactly once. Every re-bucketing walk costs one cache miss per
-   cell — the dominant cost at cluster scale, which is why fewer,
+   event — the dominant cost at cluster scale, which is why fewer,
    wider levels beat a taller tower here. The tick is deliberately
    fine: per-tick occupancy bounds the sorted front-list insert walk,
    which is quadratic in events-per-tick, so at tens of millions of
    pending events a coarse tick turns the front list into the
    bottleneck long before slot-array footprint matters.
 
-   The front is a list, not a heap, because comparisons dereference
-   event cells (the time field of a mixed record is a boxed float): a
-   sorted insert into a handful of just-migrated, cache-warm cells is
-   cheaper than heap sifts, pop is a head unlink, and a tail pointer
-   gives O(1) appends — the path taken by same-instant FIFO bursts
-   (spawn / suspend wake-ups at [now]), whose seq-ordered keys always
-   sort last.
+   Events are Event_store handles. Their ordering fields and [next]
+   link live in the store's int slab, four words per handle, so a cold
+   event walked by a migration or cascade costs one cache line and
+   every link update is a plain int store (no write barrier); the
+   bucket heads and the front list are ints too. The slab accessors
+   this file uses per event ([next], [set_next], [before]) are local
+   copies of Event_store's, so the compiler inlines them.
+
+   The front is a list, not a heap: a sorted insert into a handful of
+   just-migrated, cache-warm events is cheaper than heap sifts, pop is
+   a head unlink, and a tail pointer gives O(1) appends — the path
+   taken by same-instant FIFO bursts (spawn / suspend wake-ups at
+   [now]), whose seq-ordered keys always sort last.
 
    Determinism: dispatch order must be bit-identical to the binary
    heap's. The tick is a power of two, so [time / tick] is exact and
@@ -45,7 +51,7 @@
      empty, cascading each level-1/2 slot when the edge enters it;
    - each slot holds a single tick-index value at a time (level ranges
      are narrower than a wrap), so migrating a whole slot is exact;
-   - within the front list, Sched_event.before gives the (time, key,
+   - within the front list, Event_store.before gives the (time, key,
      seq) total order. *)
 
 let lw = 15
@@ -55,13 +61,13 @@ let w2 = w * w
 let w3 = w * w * w
 
 type t = {
-  inv_tick : float; (* 1 / tick; tick is a power of two *)
+  store : Event_store.t;
   mutable edge : int; (* front edge as an absolute tick index *)
-  mutable front : Sched_event.t; (* sorted intrusive list; events with a <= edge *)
-  mutable front_tail : Sched_event.t; (* last cell; stale when front is nil *)
-  slots0 : Sched_event.t array; (* intrusive lists; a - edge in [1, w) *)
-  slots1 : Sched_event.t array; (* a - edge in [w, w2) *)
-  slots2 : Sched_event.t array; (* a - edge in [w2, w3) *)
+  mutable front : int; (* sorted intrusive list; events with a <= edge *)
+  mutable front_tail : int; (* last handle; stale when front is nil *)
+  slots0 : int array; (* intrusive lists; a - edge in [1, w) *)
+  slots1 : int array; (* a - edge in [w, w2) *)
+  slots2 : int array; (* a - edge in [w2, w3) *)
   mutable c0 : int;
   mutable c1 : int;
   mutable c2 : int;
@@ -69,112 +75,131 @@ type t = {
   mutable count : int;
 }
 
-(* Tick index of a time: floor (time / tick), exact for power-of-two
-   ticks. Times too far in the future for integer range clamp to a
-   far index; they sit in the overflow heap (which orders by time
-   exactly) until the clamp is irrelevant. *)
-let tick_of t time =
-  let q = time *. t.inv_tick in
-  if q >= 4.0e18 then max_int / 2 else int_of_float q
+let nil = Event_store.nil
 
-let create ?(tick = 0x1p-23) () =
+let create store =
   {
-    inv_tick = 1. /. tick;
+    store;
     edge = 0;
-    front = Sched_event.nil;
-    front_tail = Sched_event.nil;
-    slots0 = Array.make w Sched_event.nil;
-    slots1 = Array.make w Sched_event.nil;
-    slots2 = Array.make w Sched_event.nil;
+    front = nil;
+    front_tail = nil;
+    slots0 = Array.make w nil;
+    slots1 = Array.make w nil;
+    slots2 = Array.make w nil;
     c0 = 0;
     c1 = 0;
     c2 = 0;
-    overflow = Event_heap.create ~capacity:64 ();
+    overflow = Event_heap.create store;
     count = 0;
   }
 
 let length t = t.count
-let is_empty t = t.count = 0
 
-(* Insertion point for [ev] in a sorted intrusive list after [prev].
+(* Slab accessors (layout in event_store.mli), copied so the compiler
+   inlines them; the literal 10 is [Event_store.chunk_bits]. *)
+let () = assert (Event_store.chunk_bits = 10)
+
+(* Tick index of a queued event: floor (time / tick) for the level-0
+   slot width tick = 2^-23 s (~0.12 us) — Event_store.bucket on the
+   decoded stamp, exact because the tick is a power of two. *)
+let[@inline] tick_of (s : int array array) h =
+  let stamp = s.(h lsr 10).((h land 1023) lsl 2) in
+  let q = Int64.float_of_bits (Int64.add (Int64.of_int stamp) 0x4000_0000_0000_0000L) *. 0x1p23 in
+  if q >= 4.0e18 then max_int / 2 else int_of_float q
+
+let[@inline] next (s : int array array) h = s.(h lsr 10).(((h land 1023) lsl 2) + 3)
+let[@inline] set_next (s : int array array) h n = s.(h lsr 10).(((h land 1023) lsl 2) + 3) <- n
+
+let[@inline] before (s : int array array) a b =
+  let sa = s.(a lsr 10) and i = (a land 1023) lsl 2 in
+  let sb = s.(b lsr 10) and j = (b land 1023) lsl 2 in
+  sa.(i) < sb.(j)
+  || sa.(i) = sb.(j)
+     && (sa.(i + 1) < sb.(j + 1) || (sa.(i + 1) = sb.(j + 1) && sa.(i + 2) < sb.(j + 2)))
+
+(* Insertion point for [h] in a sorted intrusive list after [prev].
    Top level with explicit arguments, not an inner closure: this is on
    the hot path and must not allocate. *)
-let rec find_pos (prev : Sched_event.t) (ev : Sched_event.t) =
-  let n = prev.Sched_event.next in
-  if n != Sched_event.nil && Sched_event.before_bits n ev then find_pos n ev else prev
+let rec find_pos s prev h =
+  let n = next s prev in
+  if n <> nil && before s n h then find_pos s n h else prev
 
 (* Sorted insert into the front list. Head and tail fast paths are
    O(1); the interior walk only runs for events landing strictly inside
-   the list, which for a just-migrated slot is a handful of warm cells. *)
-let front_add t (ev : Sched_event.t) =
-  if t.front == Sched_event.nil then begin
-    ev.Sched_event.next <- Sched_event.nil;
-    t.front <- ev;
-    t.front_tail <- ev
+   the list, which for a just-migrated slot is a handful of warm ones. *)
+let front_add t s h =
+  if t.front = nil then begin
+    set_next s h nil;
+    t.front <- h;
+    t.front_tail <- h
   end
-  else if Sched_event.before_bits ev t.front then begin
-    ev.Sched_event.next <- t.front;
-    t.front <- ev
+  else if before s h t.front then begin
+    set_next s h t.front;
+    t.front <- h
   end
-  else if Sched_event.before_bits t.front_tail ev then begin
-    ev.Sched_event.next <- Sched_event.nil;
-    t.front_tail.Sched_event.next <- ev;
-    t.front_tail <- ev
+  else if before s t.front_tail h then begin
+    set_next s h nil;
+    set_next s t.front_tail h;
+    t.front_tail <- h
   end
   else begin
-    let prev = find_pos t.front ev in
-    ev.Sched_event.next <- prev.Sched_event.next;
-    prev.Sched_event.next <- ev
+    let prev = find_pos s t.front h in
+    set_next s h (next s prev);
+    set_next s prev h
   end
 
-(* Bucket an event by its distance from the current edge, using the
-   tick index cached in the cell by [add]. Shared by [add], cascades,
-   and the overflow drain; does not touch [count]. Reading [ev.tick]
-   instead of re-deriving it from the time matters on cascade walks:
-   the cell is a cold cache line there, and the boxed time float would
-   be a second one. *)
-let place t (ev : Sched_event.t) =
-  let a = ev.Sched_event.tick in
-  if a <= t.edge then front_add t ev
+(* Bucket an event with tick index [a] by its distance from the current
+   edge. Shared by [add], cascades, and the overflow drain; does not
+   touch [count]. *)
+let place t s h a =
+  if a <= t.edge then front_add t s h
   else begin
     let d = a - t.edge in
     if d < w then begin
       let idx = a land wmask in
-      ev.next <- t.slots0.(idx);
-      t.slots0.(idx) <- ev;
+      set_next s h t.slots0.(idx);
+      t.slots0.(idx) <- h;
       t.c0 <- t.c0 + 1
     end
     else if d < w2 then begin
       let idx = (a asr lw) land wmask in
-      ev.next <- t.slots1.(idx);
-      t.slots1.(idx) <- ev;
+      set_next s h t.slots1.(idx);
+      t.slots1.(idx) <- h;
       t.c1 <- t.c1 + 1
     end
     else if d < w3 then begin
       let idx = (a asr (2 * lw)) land wmask in
-      ev.next <- t.slots2.(idx);
-      t.slots2.(idx) <- ev;
+      set_next s h t.slots2.(idx);
+      t.slots2.(idx) <- h;
       t.c2 <- t.c2 + 1
     end
-    else Event_heap.add t.overflow ev
+    else Event_heap.add t.overflow h
   end
 
-let add t ev =
-  ev.Sched_event.tick <- tick_of t ev.Sched_event.time;
-  Sched_event.cache_time_bits ev;
-  place t ev;
+let add t h =
+  let s = t.store.Event_store.slab in
+  place t s h (tick_of s h);
   t.count <- t.count + 1
 
 (* Top-level tail-recursive walks with explicit arguments rather than
    [ref] cursors or inner closures throughout the advance path: both
    would allocate once per tick, and the whole point of this structure
    is an allocation-free steady state. *)
-let rec migrate0_go t (cell : Sched_event.t) =
-  if cell != Sched_event.nil then begin
-    let next = cell.Sched_event.next in
+let rec migrate0_go t s h =
+  if h <> nil then begin
+    let n = next s h in
+    (* Touch the event's closure and label now, though only dispatch
+       reads them: both sit in the store's pointer arrays, away from the
+       slab line this walk has loaded, and the event is popped within a
+       tick. Issued here, their cache misses overlap the walk's
+       dependent link misses instead of costing two serial misses at
+       dispatch. *)
+    let c = h lsr 10 and i = h land 1023 in
+    let (_ : unit -> unit) = Sys.opaque_identity t.store.Event_store.run.(c).(i) in
+    let (_ : string) = Sys.opaque_identity t.store.Event_store.label.(c).(i) in
     t.c0 <- t.c0 - 1;
-    front_add t cell;
-    migrate0_go t next
+    front_add t s h;
+    migrate0_go t s n
   end
 
 (* Move the level-0 slot for tick index [a] (= the slot the edge just
@@ -182,96 +207,99 @@ let rec migrate0_go t (cell : Sched_event.t) =
 let migrate0 t a =
   let idx = a land wmask in
   let head = t.slots0.(idx) in
-  t.slots0.(idx) <- Sched_event.nil;
-  migrate0_go t head
+  t.slots0.(idx) <- nil;
+  migrate0_go t t.store.Event_store.slab head
 
 (* Re-place every event of a level-1/2 slot now that the edge has
    entered its region; they land in lower levels (or the front list). *)
-let rec cascade1_go t (cell : Sched_event.t) =
-  if cell != Sched_event.nil then begin
-    let next = cell.Sched_event.next in
+let rec cascade1_go t s h =
+  if h <> nil then begin
+    let n = next s h in
     t.c1 <- t.c1 - 1;
-    place t cell;
-    cascade1_go t next
+    place t s h (tick_of s h);
+    cascade1_go t s n
   end
 
 let cascade1 t b =
   let idx = b land wmask in
   let head = t.slots1.(idx) in
-  t.slots1.(idx) <- Sched_event.nil;
-  cascade1_go t head
+  t.slots1.(idx) <- nil;
+  cascade1_go t t.store.Event_store.slab head
 
-let rec cascade2_go t (cell : Sched_event.t) =
-  if cell != Sched_event.nil then begin
-    let next = cell.Sched_event.next in
+let rec cascade2_go t s h =
+  if h <> nil then begin
+    let n = next s h in
     t.c2 <- t.c2 - 1;
-    place t cell;
-    cascade2_go t next
+    place t s h (tick_of s h);
+    cascade2_go t s n
   end
 
 let cascade2 t c =
   let idx = c land wmask in
   let head = t.slots2.(idx) in
-  t.slots2.(idx) <- Sched_event.nil;
-  cascade2_go t head
+  t.slots2.(idx) <- nil;
+  cascade2_go t t.store.Event_store.slab head
 
 (* Pull overflow events that have come within the wheel horizon. *)
 let rec drain_overflow t =
-  if
-    (not (Event_heap.is_empty t.overflow))
-    && tick_of t (Event_heap.peek_time t.overflow) - t.edge < w3
-  then begin
-    place t (Event_heap.pop t.overflow);
-    drain_overflow t
+  let h = Event_heap.peek t.overflow in
+  if h <> nil then begin
+    let s = t.store.Event_store.slab in
+    let a = tick_of s h in
+    if a - t.edge < w3 then begin
+      ignore (Event_heap.pop t.overflow);
+      place t s h a;
+      drain_overflow t
+    end
   end
+
+(* First occupied slot of a level in [a, a_end], or -1. *)
+let rec scan0 t a a_end =
+  if a > a_end then -1
+  else if t.slots0.(a land wmask) <> nil then a
+  else scan0 t (a + 1) a_end
+
+let rec scan1 t b b_end =
+  if b > b_end then -1
+  else if t.slots1.(b land wmask) <> nil then b
+  else scan1 t (b + 1) b_end
+
+let rec scan2 t c c_end =
+  if c > c_end then -1
+  else if t.slots2.(c land wmask) <> nil then c
+  else scan2 t (c + 1) c_end
 
 (* Advance the edge until the front list is populated (or no events
    remain). Each iteration either processes a region boundary (with its
    cascades), scans the current region's occupied level for the next
    nonempty slot, or jumps across a region proven empty. *)
-(* First occupied slot of a level in [a, a_end], or -1. *)
-let rec scan0 t a a_end =
-  if a > a_end then -1
-  else if t.slots0.(a land wmask) != Sched_event.nil then a
-  else scan0 t (a + 1) a_end
-
-let rec scan1 t b b_end =
-  if b > b_end then -1
-  else if t.slots1.(b land wmask) != Sched_event.nil then b
-  else scan1 t (b + 1) b_end
-
-let rec scan2 t c c_end =
-  if c > c_end then -1
-  else if t.slots2.(c land wmask) != Sched_event.nil then c
-  else scan2 t (c + 1) c_end
-
 let rec advance t =
   drain_overflow t;
-  if t.front != Sched_event.nil || t.count = 0 then ()
+  if t.front <> nil || t.count = 0 then ()
   else begin
     (if t.c0 = 0 && t.c1 = 0 && t.c2 = 0 then
        (* Only far-future overflow remains: jump to just before its
           head; the next drain pulls it into the wheel. *)
-       t.edge <- max t.edge (tick_of t (Event_heap.peek_time t.overflow) - 1)
+       t.edge <- max t.edge (tick_of t.store.Event_store.slab (Event_heap.peek t.overflow) - 1)
      else
-       let next = t.edge + 1 in
-       if next land (w2 - 1) = 0 then begin
+       let e = t.edge + 1 in
+       if e land (w2 - 1) = 0 then begin
          (* Entering a new level-2 region: cascade its slot, then the
             first level-1 slot of the region, then take the first tick. *)
-         t.edge <- next;
-         cascade2 t (next asr (2 * lw));
-         cascade1 t (next asr lw);
-         migrate0 t next
+         t.edge <- e;
+         cascade2 t (e asr (2 * lw));
+         cascade1 t (e asr lw);
+         migrate0 t e
        end
-       else if next land (w - 1) = 0 then begin
-         t.edge <- next;
-         cascade1 t (next asr lw);
-         migrate0 t next
+       else if e land (w - 1) = 0 then begin
+         t.edge <- e;
+         cascade1 t (e asr lw);
+         migrate0 t e
        end
        else if t.c0 > 0 then begin
          (* Scan level 0 up to the end of the current level-1 region. *)
-         let region_end = (((next asr lw) + 1) * w) - 1 in
-         let a = scan0 t next region_end in
+         let region_end = (((e asr lw) + 1) * w) - 1 in
+         let a = scan0 t e region_end in
          if a >= 0 then begin
            t.edge <- a;
            migrate0 t a
@@ -298,33 +326,28 @@ let rec advance t =
     advance t
   end
 
-(* Fused peek-and-pop: [Sched_event.nil] when empty or when the minimum
-   lies beyond [limit]. The engine's hot loop uses this instead of
-   peek-then-pop, avoiding a per-dispatch call and float boxing. *)
+(* Fused peek-and-pop against a stamp limit: nil when empty or when the
+   minimum lies beyond [limit]. The popped handle's [next] is left
+   stale; whoever takes the handle next overwrites it. *)
 let pop_until t limit =
-  if t.count = 0 then Sched_event.nil
+  if t.count = 0 then nil
   else begin
-    if t.front == Sched_event.nil then advance t;
+    if t.front = nil then advance t;
+    let s = t.store.Event_store.slab in
     let head = t.front in
-    (* The box behind [head.time] was allocated at schedule time — a
-       cold line by now; rebuild the identical float from the cached
-       bits in the warm cell line instead of dereferencing it. *)
-    Sched_event.refresh_time head;
-    if head.Sched_event.time > limit then Sched_event.nil
+    if s.(head lsr 10).((head land 1023) lsl 2) > limit then nil
     else begin
-      t.front <- head.Sched_event.next;
-      head.Sched_event.next <- Sched_event.nil;
+      t.front <- next s head;
       t.count <- t.count - 1;
       head
     end
   end
 
-let pop t = pop_until t infinity
+let pop t = pop_until t max_int
 
 let peek_time t =
   if t.count = 0 then infinity
   else begin
-    if t.front == Sched_event.nil then advance t;
-    Sched_event.refresh_time t.front;
-    t.front.Sched_event.time
+    if t.front = nil then advance t;
+    Event_store.time t.store t.front
   end

@@ -196,9 +196,12 @@ let prop_impls_agree =
   QCheck.Test.make ~name:"peek_time/pop agree across implementations" ~count:150
     QCheck.(list (pair (int_bound 20000) bool))
     (fun ops ->
-      let h = Event_heap.create () in
-      let c = Calendar_queue.create () in
-      let w = Timing_wheel.create () in
+      (* one store per structure: each links its handles through it *)
+      let sh = Event_store.create () and sc = Event_store.create ()
+      and sw = Event_store.create () in
+      let h = Event_heap.create sh in
+      let c = Calendar_queue.create sc in
+      let w = Timing_wheel.create sw in
       let seq = ref 0 in
       let ok = ref true in
       let check_eq () =
@@ -215,16 +218,21 @@ let prop_impls_agree =
         let eh = Event_heap.pop h in
         let ec = Calendar_queue.pop c in
         let ew = Timing_wheel.pop w in
-        if eh == Sched_event.nil then begin
+        if eh = Event_store.nil then begin
           (* ...and emptiness must coincide. *)
-          if ec != Sched_event.nil || ew != Sched_event.nil then ok := false
+          if ec <> Event_store.nil || ew <> Event_store.nil then ok := false
         end
-        else if
-          eh.Sched_event.seq <> ec.Sched_event.seq
-          || eh.Sched_event.seq <> ew.Sched_event.seq
-          || Int64.bits_of_float (Sched_event.time eh)
-             <> Int64.bits_of_float (Sched_event.time ec)
-        then ok := false
+        else begin
+          if
+            Event_store.seq sh eh <> Event_store.seq sc ec
+            || Event_store.seq sh eh <> Event_store.seq sw ew
+            || Int64.bits_of_float (Event_store.time sh eh)
+               <> Int64.bits_of_float (Event_store.time sc ec)
+          then ok := false;
+          Event_store.release sh eh;
+          Event_store.release sc ec;
+          Event_store.release sw ew
+        end
       in
       List.iter
         (fun (traw, is_add) ->
@@ -238,16 +246,15 @@ let prop_impls_agree =
               else float_of_int traw *. 1e-4
             in
             let key = if traw land 1 = 0 then 0 else Rng.hash2 11 !seq in
-            let mk () =
-              let ev = Sched_event.make () in
-              Sched_event.set_time ev time;
-              ev.Sched_event.key <- key;
-              ev.Sched_event.seq <- !seq;
+            let mk st =
+              let ev = Event_store.alloc st in
+              Event_store.set st ev ~stamp:(Event_store.stamp_of_time time) ~key ~seq:!seq ~label:""
+                ~run:ignore;
               ev
             in
-            Event_heap.add h (mk ());
-            Calendar_queue.add c (mk ());
-            Timing_wheel.add w (mk ())
+            Event_heap.add h (mk sh);
+            Calendar_queue.add c (mk sc);
+            Timing_wheel.add w (mk sw)
           end
           else pop_all ();
           check_eq ())
@@ -259,6 +266,182 @@ let prop_impls_agree =
       done;
       pop_all ();
       !ok)
+
+(* --- model property: schedule/cancel/pop against a sorted reference -- *)
+
+(* Each scheduler, driven the way [Sim.run] drives it — stamps, keys
+   and seqs set through the store, cancels as (handle, seq) tombstones,
+   every popped handle released and so reused — must dispatch exactly
+   the live events of an ordered-set reference, in its order. Times
+   advance from the last dispatch like the engine's clock, and cover
+   equal-time bursts (which also grow the store past its initial
+   capacity with every handle live), the wheel's levels, its overflow
+   heap beyond the w^3 horizon (~48 days) and the clamp of times past
+   integer tick range. Keys follow the three tie-break policies. *)
+
+module Ref = Set.Make (struct
+  type t = int * int * int (* stamp, key, seq *)
+
+  let compare = compare
+end)
+
+type op =
+  | Add of int (* time class selector *)
+  | Burst of int (* this many adds at one new instant *)
+  | Cancel of int (* index into every (handle, seq) ever scheduled *)
+  | Pop
+  | Pop_until of int (* limit, in ms past the clock *)
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun r -> Add r) (int_bound 999_999));
+        (1, map (fun n -> Burst n) (frequency [ (4, int_range 1 90); (1, int_range 300 700) ]));
+        (3, map (fun i -> Cancel i) (int_bound 999_999));
+        (4, return Pop);
+        (2, map (fun l -> Pop_until l) (int_bound 20));
+      ])
+
+let op_print = function
+  | Add r -> Printf.sprintf "Add %d" r
+  | Burst n -> Printf.sprintf "Burst %d" n
+  | Cancel i -> Printf.sprintf "Cancel %d" i
+  | Pop -> "Pop"
+  | Pop_until l -> Printf.sprintf "Pop_until %d" l
+
+(* Offset from the clock for an [Add]: same instant, quantised (ties
+   across adds), dense, heartbeat-scale (levels 1-2), beyond the
+   horizon (overflow heap), and past int tick range (the clamp). *)
+let delta_of r =
+  match r mod 8 with
+  | 0 -> 0.
+  | 1 | 2 -> float_of_int (r mod 5) *. 1e-3
+  | 3 | 4 -> float_of_int r *. 1e-9
+  | 5 -> 0.05 +. (float_of_int r *. 4e-7)
+  | 6 -> 4.3e6 +. float_of_int r
+  | _ -> 1e12 +. float_of_int r
+
+(* Sim's key policies, restated: Fifo, Perturbed, Perturb_first 40. *)
+let key_of policy seq =
+  match policy with
+  | 0 -> 0
+  | 1 -> Rng.hash2 0xBEEF seq
+  | _ -> if seq <= 40 then Rng.hash2 0xBEEF seq else 0
+
+let model_run kind policy ops =
+  let st = Event_store.create () in
+  let sched = Scheduler.create kind st in
+  let live = ref Ref.empty and issued = ref [||] and n_issued = ref 0 in
+  let seq = ref 0 and now = ref 0. and held = ref 0 and max_held = ref 0 in
+  let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_reportf "%s: %s" (Scheduler.name kind) s) fmt in
+  let body () = () in
+  let add time =
+    incr seq;
+    let h = Event_store.alloc st in
+    incr held;
+    max_held := max !max_held !held;
+    let stamp = Event_store.stamp_of_time time and key = key_of policy !seq in
+    Event_store.set st h ~stamp ~key ~seq:!seq ~label:"" ~run:body;
+    Scheduler.add sched h;
+    live := Ref.add (stamp, key, !seq) !live;
+    if !n_issued = Array.length !issued then
+      issued := Array.append !issued (Array.make (max 16 !n_issued) (0, 0));
+    !issued.(!n_issued) <- (h, !seq);
+    incr n_issued
+  in
+  (* Pop through tombstones like the engine's loop; check the first
+     live handle against the reference minimum (if within [limit]). *)
+  let rec dispatch limit =
+    let h = Scheduler.pop_until sched (Event_store.stamp_of_time limit) in
+    let expect = Ref.min_elt_opt !live in
+    let expect =
+      match expect with
+      | Some (s, _, _) when Event_store.time_of_stamp s <= limit -> expect
+      | _ -> None
+    in
+    if h = Event_store.nil then begin
+      if expect <> None then fail "popped nothing, reference has a due event"
+    end
+    else if Event_store.run st h == Event_store.cancelled then begin
+      Event_store.release st h;
+      decr held;
+      dispatch limit
+    end
+    else begin
+      let got = (Event_store.stamp st h, Event_store.key st h, Event_store.seq st h) in
+      if Some got <> expect then
+        fail "popped seq %d, reference expects %s" (Event_store.seq st h)
+          (match expect with Some (_, _, s) -> string_of_int s | None -> "nothing");
+      live := Ref.remove got !live;
+      now := Event_store.time st h;
+      Event_store.release st h;
+      decr held
+    end
+  in
+  List.iter
+    (function
+      | Add r -> add (!now +. delta_of r)
+      | Burst n ->
+          let t = !now +. float_of_int (1 + (n mod 3)) *. 1e-3 in
+          for _ = 1 to n do
+            add t
+          done
+      | Cancel i ->
+          let i = if !n_issued = 0 then -1 else i mod !n_issued in
+          (* The engine cancels a handle at most once: skip repeats. *)
+          if i >= 0 && snd !issued.(i) > 0 then begin
+            let h, s = !issued.(i) in
+            !issued.(i) <- (h, 0);
+            (* Sim.cancel: the handle's seq decides; a stale handle
+               (dispatched, maybe reused) must not match. *)
+            let is_live = Ref.exists (fun (_, _, s') -> s' = s) !live in
+            if Event_store.seq st h = s then begin
+              if not is_live then fail "stale handle (seq %d) still matches" s;
+              Event_store.cancel st h;
+              live := Ref.filter (fun (_, _, s') -> s' <> s) !live
+            end
+            else if is_live then fail "live handle (seq %d) no longer matches" s
+          end
+      | Pop -> dispatch infinity
+      | Pop_until l -> dispatch (!now +. (float_of_int l *. 1e-3)))
+    ops;
+  while not (Ref.is_empty !live) do
+    dispatch infinity
+  done;
+  dispatch infinity;
+  if Scheduler.length sched <> 0 then fail "%d handles left queued" (Scheduler.length sched);
+  if !max_held > Event_store.chunk && Event_store.capacity st <= Event_store.chunk
+  then fail "%d handles held at once, but the store never grew" !max_held;
+  !max_held
+
+let prop_model =
+  QCheck.Test.make ~name:"schedule/cancel/pop match a sorted reference" ~count:120
+    QCheck.(
+      pair (int_bound 2)
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map op_print ops))
+           Gen.(list_size (int_range 0 250) op_gen)))
+    (fun (policy, ops) ->
+      List.iter (fun kind -> ignore (model_run kind policy ops)) Scheduler.kinds;
+      true)
+
+let test_model_growth () =
+  (* Pinned case: growth while every old handle is live and queued
+     (two bursts of tombstones and live events), for every policy. *)
+  let ops =
+    [ Burst 500; Add 7; Cancel 3; Burst 600; Cancel 700; Pop; Add 6; Pop_until 2; Burst 9; Cancel 1100 ]
+  in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun policy ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s policy %d: outgrew the initial store" (Scheduler.name kind) policy)
+            true
+            (model_run kind policy ops > Event_store.chunk))
+        [ 0; 1; 2 ])
+    Scheduler.kinds
 
 let () =
   Alcotest.run "sched"
@@ -278,5 +461,9 @@ let () =
           Alcotest.test_case "racy bisection identical" `Slow test_racy_bisection;
         ] );
       ( "property",
-        [ QCheck_alcotest.to_alcotest ~long:false prop_impls_agree ] );
+        [
+          QCheck_alcotest.to_alcotest ~long:false prop_impls_agree;
+          QCheck_alcotest.to_alcotest ~long:false prop_model;
+          Alcotest.test_case "model: store growth with live handles" `Quick test_model_growth;
+        ] );
     ]

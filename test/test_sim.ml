@@ -233,6 +233,53 @@ let test_nested_cancel_engine () =
       Alcotest.(check int) (what ^ ": outer nothing pending") 0 depth;
       Alcotest.(check int) (what ^ ": outer timer never dispatched") 1 idle)
 
+let test_stale_handle_reused () =
+  (* The timeout wins, so its handle is released; then more events are
+     armed than the store had handles, which forces every old handle —
+     the dead timer's included — back into use (the store only grows
+     once its freelist is empty). The late fill's cancel carries the
+     dead timer's (handle, seq): it must match none of the live events,
+     neither in this engine nor, when the fill runs inside a nested run,
+     in the nested engine's own store. *)
+  let n = Event_store.chunk + 1 in
+  for_each_sched (fun ~what sched ->
+      List.iter
+        (fun nested ->
+          let what = Printf.sprintf "%s%s" what (if nested then " nested" else "") in
+          let r, depth, fired, inner =
+            Sim.run ~sched (fun () ->
+                let iv = Sim.Ivar.create () in
+                let r = Sim.Ivar.read_timeout iv 1.0 in
+                let fired = ref 0 in
+                for i = 1 to n do
+                  Sim.after (float_of_int i) (fun () -> incr fired)
+                done;
+                let inner =
+                  if nested then
+                    Sim.run ~sched (fun () ->
+                        let inner_fired = ref 0 in
+                        for i = 1 to n do
+                          Sim.after (float_of_int i) (fun () -> incr inner_fired)
+                        done;
+                        Sim.Ivar.fill iv 7;
+                        let depth = Sim.heap_depth () in
+                        Sim.delay (float_of_int (n + 1));
+                        (depth, !inner_fired))
+                  else begin
+                    Sim.Ivar.fill iv 7;
+                    (n, n)
+                  end
+                in
+                let depth = Sim.heap_depth () in
+                Sim.delay (float_of_int (n + 1));
+                (r, depth, !fired, inner))
+          in
+          Alcotest.(check (option int)) (what ^ ": timed out") None r;
+          Alcotest.(check int) (what ^ ": every armed event still pending") n depth;
+          Alcotest.(check int) (what ^ ": every armed event fired") n fired;
+          Alcotest.(check (pair int int)) (what ^ ": nested engine untouched") (n, n) inner)
+        [ false; true ])
+
 (* --- Mailbox --- *)
 
 let test_mailbox_fifo () =
@@ -380,18 +427,19 @@ let heap_sorts =
   QCheck.Test.make ~name:"event heap pops in (time, seq) order" ~count:200
     QCheck.(list (float_bound_inclusive 1000.))
     (fun times ->
-      let h = Event_heap.create () in
+      let st = Event_store.create () in
+      let h = Event_heap.create st in
       List.iteri
         (fun i t ->
-          let ev = Sched_event.make () in
-          Sched_event.set_time ev t;
-          ev.Sched_event.seq <- i;
+          let ev = Event_store.alloc st in
+          Event_store.set st ev ~stamp:(Event_store.stamp_of_time t) ~key:0 ~seq:i ~label:""
+            ~run:ignore;
           Event_heap.add h ev)
         times;
       let rec drain acc =
         let e = Event_heap.pop h in
-        if e == Sched_event.nil then List.rev acc
-        else drain ((Sched_event.time e, e.Sched_event.seq) :: acc)
+        if e = Event_store.nil then List.rev acc
+        else drain ((Event_store.time st e, Event_store.seq st e) :: acc)
       in
       let out = drain [] in
       let sorted = List.sort compare out in
@@ -485,6 +533,7 @@ let () =
           Alcotest.test_case "late fill is a no-op" `Quick test_ivar_late_fill_noop;
           Alcotest.test_case "late send is a no-op" `Quick test_mailbox_late_send_noop;
           Alcotest.test_case "nested run cancels on its engine" `Quick test_nested_cancel_engine;
+          Alcotest.test_case "stale handle after reuse" `Quick test_stale_handle_reused;
         ] );
       ( "mailbox",
         [

@@ -377,7 +377,7 @@ let lint_file file =
 let doc_required_files =
   [
     "lib/sim/sim.mli";
-    "lib/sim/sched_event.mli";
+    "lib/sim/event_store.mli";
     "lib/sim/event_heap.mli";
     "lib/sim/calendar_queue.mli";
     "lib/sim/timing_wheel.mli";
