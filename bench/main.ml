@@ -37,64 +37,7 @@
 
 open Leed_experiments
 
-(* --- minimal JSON emitter (no JSON library in the container) --- *)
-
-module Json = struct
-  type t =
-    | Str of string
-    | Num of float
-    | Int of int
-    | Bool of bool
-    | List of t list
-    | Obj of (string * t) list
-
-  let escape b s =
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 32 -> Printf.bprintf b "\\u%04x" (Char.code c)
-        | c -> Buffer.add_char b c)
-      s
-
-  let rec emit b = function
-    | Str s ->
-        Buffer.add_char b '"';
-        escape b s;
-        Buffer.add_char b '"'
-    | Num f ->
-        if Float.is_finite f then Printf.bprintf b "%.9g" f else Buffer.add_string b "null"
-    | Int i -> Buffer.add_string b (string_of_int i)
-    | Bool v -> Buffer.add_string b (string_of_bool v)
-    | List xs ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char b ',';
-            emit b x)
-          xs;
-        Buffer.add_char b ']'
-    | Obj fields ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char b ',';
-            emit b (Str k);
-            Buffer.add_char b ':';
-            emit b v)
-          fields;
-        Buffer.add_char b '}'
-
-  let write file t =
-    let b = Buffer.create 4096 in
-    emit b t;
-    Buffer.add_char b '\n';
-    let oc = open_out file in
-    output_string oc (Buffer.contents b);
-    close_out oc
-end
+module Json = Leed_trace.Trace.Json
 
 let experiments =
   [
@@ -157,7 +100,7 @@ let ycsb ?jbofs backends =
             ("avg_lat_s", Json.Num m.Backend.avg_lat);
             ("p99_s", Json.Num m.Backend.p99);
             ("p999_s", Json.Num m.Backend.p999);
-            ("nvme_accesses", Json.Int m.Backend.nvme_accesses);
+            ("nvme_accesses", Json.Int (Backend.nvme_accesses m.Backend.counters));
             ("watts", Json.Num m.Backend.watts);
             ("events", Json.Int events);
             ("wall_s", Json.Num wall);
@@ -169,7 +112,7 @@ let ycsb ?jbofs backends =
     (Json.Obj
        ([ ("bench", Json.Str "ycsb"); ("workload", Json.Str "YCSB-B"); ("object_size", Json.Int 1024) ]
        @ (match jbofs with None -> [] | Some n -> [ ("jbofs", Json.Int n) ])
-       @ [ ("results", Json.List rows) ]));
+       @ [ ("results", Json.Arr rows) ]));
   Printf.printf "wrote BENCH_ycsb.json (%d backends)\n" (List.length rows)
 
 (* --- traced benchmark: capture one YCSB run and report the overhead --- *)
@@ -247,25 +190,27 @@ let chaos ~fast seeds =
   let point_row (p : Fig_failslow.point) =
     let r = p.Fig_failslow.report in
     let module C = Chaos in
+    let n = Leed_core.Backend.count r.C.counters in
+    let sheds = Leed_core.Backend.sheds r.C.counters in
     let hedge_rate =
-      if r.C.reads > 0 then float_of_int r.C.hedges /. float_of_int r.C.reads else 0.
+      if r.C.reads > 0 then float_of_int (n "client.hedges") /. float_of_int r.C.reads else 0.
     in
     Printf.printf
       "  %-18s get p99 %7.0fus p99.9 %7.0fus  hedges %d (%.1f%% of reads, %d wins)  sheds %d  \
        slow events %d  detection %s\n"
-      p.Fig_failslow.label (1e6 *. r.C.get_p99) (1e6 *. r.C.get_p999) r.C.hedges
-      (100. *. hedge_rate) r.C.hedge_wins r.C.sheds r.C.slow_events
+      p.Fig_failslow.label (1e6 *. r.C.get_p99) (1e6 *. r.C.get_p999) (n "client.hedges")
+      (100. *. hedge_rate) (n "client.hedge_wins") sheds (n "control.slow_events")
       (if r.C.detection_latency < 0. then "-" else Printf.sprintf "%.2fs" r.C.detection_latency);
     Json.Obj
       [
         ("label", Json.Str p.Fig_failslow.label);
         ("get_p99_s", Json.Num r.C.get_p99);
         ("get_p999_s", Json.Num r.C.get_p999);
-        ("hedges", Json.Int r.C.hedges);
-        ("hedge_wins", Json.Int r.C.hedge_wins);
+        ("hedges", Json.Int (n "client.hedges"));
+        ("hedge_wins", Json.Int (n "client.hedge_wins"));
         ("hedge_rate", Json.Num hedge_rate);
-        ("sheds", Json.Int r.C.sheds);
-        ("slow_events", Json.Int r.C.slow_events);
+        ("sheds", Json.Int sheds);
+        ("slow_events", Json.Int (n "control.slow_events"));
         ("detection_latency_s", Json.Num r.C.detection_latency);
         ("ok", Json.Bool r.C.ok);
       ]
@@ -285,8 +230,8 @@ let chaos ~fast seeds =
        [
          ("bench", Json.Str "chaos");
          ("fast", Json.Bool fast);
-         ("seeds", Json.List seed_rows);
-         ("failslow", Json.Obj (ratios @ [ ("points", Json.List point_rows) ]));
+         ("seeds", Json.Arr seed_rows);
+         ("failslow", Json.Obj (ratios @ [ ("points", Json.Arr point_rows) ]));
        ]);
   Printf.printf "wrote BENCH_chaos.json (%d seeds, %d fail-slow points)\n" (List.length seed_rows)
     (List.length pts);
@@ -326,8 +271,10 @@ let repl ~fast seeds =
       R.all_protos
   in
   let throughput (r : Chaos.report) = float_of_int r.Chaos.ops /. base.Chaos.duration in
+  let count (r : Chaos.report) = Leed_core.Backend.count r.Chaos.counters in
   let write_hops (r : Chaos.report) =
-    if r.Chaos.writes > 0 then float_of_int r.Chaos.write_applies /. float_of_int r.Chaos.writes
+    if r.Chaos.writes > 0 then
+      float_of_int (count r "node.write_applies") /. float_of_int r.Chaos.writes
     else 0.
   in
   List.iter
@@ -337,7 +284,8 @@ let repl ~fast seeds =
         "  %-4s seed %-3d  %7.0f ops/s  get p99.9 %6.0fus  put p99.9 %6.0fus  hops/write %.2f  \
          recovery %5.2fs  quorum rounds %6d  writebacks %3d  lin %d/%d  %s\n"
         (R.proto_to_string proto) seed (throughput r) (1e6 *. r.C.get_p999)
-        (1e6 *. r.C.put_p999) (write_hops r) r.C.max_outage r.C.quorum_rounds r.C.writebacks
+        (1e6 *. r.C.put_p999) (write_hops r) r.C.max_outage (count r "client.quorum_rounds")
+        (count r "client.writebacks")
         r.C.lin_violations r.C.lin_checked_keys
         (if r.C.ok then "ok" else "VIOLATED"))
     runs;
@@ -356,11 +304,11 @@ let repl ~fast seeds =
         ("put_p999_s", Json.Num r.C.put_p999);
         ("write_hops", Json.Num (write_hops r));
         ("recovery_s", Json.Num r.C.max_outage);
-        ("quorum_rounds", Json.Int r.C.quorum_rounds);
-        ("writebacks", Json.Int r.C.writebacks);
+        ("quorum_rounds", Json.Int (count r "client.quorum_rounds"));
+        ("writebacks", Json.Int (count r "client.writebacks"));
         ("lin_checked_keys", Json.Int r.C.lin_checked_keys);
         ("lin_violations", Json.Int r.C.lin_violations);
-        ("failed_invariants", Json.List (List.map (fun s -> Json.Str s) r.C.failed_invariants));
+        ("failed_invariants", Json.Arr (List.map (fun s -> Json.Str s) r.C.failed_invariants));
         ("ok", Json.Bool r.C.ok);
         ("digest", Json.Str r.C.digest);
         ("wall_s", Json.Num wall);
@@ -374,7 +322,7 @@ let repl ~fast seeds =
          ("duration_s", Json.Num base.Chaos.duration);
          ("nnodes", Json.Int base.Chaos.nnodes);
          ("r", Json.Int base.Chaos.r);
-         ("runs", Json.List (List.map row runs));
+         ("runs", Json.Arr (List.map row runs));
        ]);
   Printf.printf "wrote BENCH_repl.json (%d protocols x %d seeds)\n" (List.length R.all_protos)
     (List.length seeds);
@@ -428,7 +376,7 @@ let race ~fast names =
          ("bench", Json.Str "race");
          ("runs", Json.Int runs);
          ("fast", Json.Bool fast);
-         ("results", Json.List (List.map snd rows));
+         ("results", Json.Arr (List.map snd rows));
        ]);
   Printf.printf "wrote BENCH_race.json (%d targets)\n" (List.length rows);
   if List.exists (fun (r, _) -> not (Leed_race.Race.passed r)) rows then begin
@@ -647,7 +595,7 @@ let scale ~fast () =
        [
          ("bench", Json.Str "scale");
          ("fast", Json.Bool fast);
-         ("results", Json.List (List.rev !rows));
+         ("results", Json.Arr (List.rev !rows));
          ( "speedup_largest",
            Json.Obj (List.map (fun (name, s) -> (name, Json.Num s)) speedups) );
        ]);
@@ -783,10 +731,9 @@ let cache_bench ~fast () =
             ~setup ~clients:workers ~duration:(Exp_common.dur window) ~gen ())
     in
     Exp_common.report_metrics m;
-    let lookups = m.Backend.cache_hits + m.Backend.cache_misses in
-    let hit_rate =
-      if lookups > 0 then float_of_int m.Backend.cache_hits /. float_of_int lookups else 0.
-    in
+    let n = Backend.count m.Backend.counters in
+    let lookups = n "netcache.hits" + n "netcache.misses" in
+    let hit_rate = if lookups > 0 then float_of_int (n "netcache.hits") /. float_of_int lookups else 0. in
     Json.Obj
       [
         ("scenario", Json.Str scenario);
@@ -796,13 +743,13 @@ let cache_bench ~fast () =
         ("throughput_ops_s", Json.Num m.Backend.throughput);
         ("p99_s", Json.Num m.Backend.p99);
         ("p999_s", Json.Num m.Backend.p999);
-        ("cache_hits", Json.Int m.Backend.cache_hits);
-        ("cache_misses", Json.Int m.Backend.cache_misses);
+        ("cache_hits", Json.Int (n "netcache.hits"));
+        ("cache_misses", Json.Int (n "netcache.misses"));
         ("hit_rate", Json.Num hit_rate);
-        ("cache_invalidations", Json.Int m.Backend.cache_invalidations);
-        ("cache_sprays", Json.Int m.Backend.cache_sprays);
-        ("cache_hot_keys", Json.Int m.Backend.cache_hot_keys);
-        ("nvme_accesses", Json.Int m.Backend.nvme_accesses);
+        ("cache_invalidations", Json.Int (n "netcache.invalidations"));
+        ("cache_sprays", Json.Int (n "netcache.sprays"));
+        ("cache_hot_keys", Json.Int (n "netcache.hot_groups"));
+        ("nvme_accesses", Json.Int (Backend.nvme_accesses m.Backend.counters));
         ("watts", Json.Num m.Backend.watts);
         ("queries_per_joule", Json.Num m.Backend.queries_per_joule);
       ]
@@ -830,8 +777,8 @@ let cache_bench ~fast () =
          ("bench", Json.Str "cache");
          ("workload", Json.Str "95/5 read/write, 1KB");
          ("nkeys", Json.Int nkeys);
-         ("thetas", Json.List (List.map (fun t -> Json.Num t) cache_thetas));
-         ("results", Json.List (sweep @ flash));
+         ("thetas", Json.Arr (List.map (fun t -> Json.Num t) cache_thetas));
+         ("results", Json.Arr (sweep @ flash));
        ]);
   Printf.printf "wrote BENCH_cache.json (%d rows)\n" (List.length sweep + List.length flash)
 

@@ -80,7 +80,7 @@ let smoke_cmd =
           n
           ((t2 -. t1) *. 1e3)
           !bad (Backend.nvme_accesses c)
-          (let util = if t2 > 0. then Float.min 1.0 (c.Backend.device_busy /. t2) else 0. in
+          (let util = if t2 > 0. then Float.min 1.0 (Backend.sum c "blockdev.busy_s" /. t2) else 0. in
            Backend.watts setup.Leed_experiments.Exp_common.backend ~util);
         if !bad > 0 then exit 1)
   in

@@ -82,16 +82,23 @@ echo "== scheduler scale smoke (digest equivalence + fast sweep + schema) =="
 dune exec bench/main.exe -- scale fast
 dune exec bench/main.exe -- scale-validate BENCH_scale.json
 
-echo "== cache bench smoke (theta sweep + flash crowd + schema) =="
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+echo "== cache bench smoke (theta sweep + flash crowd + schema + committed-file gate) =="
 # `cache fast` sweeps Zipf skew and a flash crowd across cache-off /
 # cache-only / cache+CRRS and writes BENCH_cache.json; the validator
 # checks every (scenario x config) cell is present, metrics are finite,
 # cache-off rows report no cache traffic, and some armed cell hit.
+# Every field of the file is simulated (no wall clock) and goes through
+# Backend.measure's counter deltas, so it must also reproduce the
+# committed BENCH_cache.json byte for byte: a change that moves it on
+# purpose commits the regenerated file.
+cp BENCH_cache.json "$tmp/BENCH_cache.committed.json"
 dune exec bench/main.exe -- cache fast
 dune exec bench/main.exe -- cache-validate BENCH_cache.json
-
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+cmp "$tmp/BENCH_cache.committed.json" BENCH_cache.json \
+  || { echo "BENCH_cache.json differs from the committed file"; exit 1; }
 
 echo "== traced chaos smoke (capture under faults + schema validation) =="
 # Re-run the chaos schedule with the tracer armed and validate that the

@@ -47,8 +47,10 @@ let run backend_name workload_name object_size duration clients skew nkeys crrs 
   Printf.printf "  avg latency  %.1f us\n" (m.Backend.avg_lat *. 1e6);
   Printf.printf "  p99          %.1f us\n" (m.Backend.p99 *. 1e6);
   Printf.printf "  p99.9        %.1f us\n" (m.Backend.p999 *. 1e6);
-  Printf.printf "  nvme         %d accesses (%d nacks, %d retries)\n" m.Backend.nvme_accesses
-    m.Backend.nacks m.Backend.retries;
+  Printf.printf "  nvme         %d accesses (%d nacks, %d retries)\n"
+    (Backend.nvme_accesses m.Backend.counters)
+    (Backend.count m.Backend.counters "client.nacks")
+    (Backend.count m.Backend.counters "client.retries");
   Printf.printf "  cluster power %.1f W -> %.2f KQueries/Joule\n" m.Backend.watts
     (m.Backend.queries_per_joule /. 1e3)
 

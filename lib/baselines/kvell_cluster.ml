@@ -178,51 +178,23 @@ let execute c (op : Leed_workload.Workload.op) =
 
 let total_objects t = Array.fold_left (fun acc n -> acc + Kvell_store.objects n.store) 0 t.nodes
 
+(* Static membership, client-side replication without a retry loop,
+   single-replica stores and no hedging, deadline or cache machinery: the
+   baseline registers only device activity, client NACKs and corruption
+   (which nacks the op; there is no repair path). *)
 let counters t =
-  let nvme_reads = ref 0 and nvme_writes = ref 0 in
-  let busy = ref 0. and ndevs = ref 0 in
-  Array.iter
-    (fun n ->
-      Array.iter
-        (fun dev ->
-          let s = Blockdev.stats dev in
-          nvme_reads := !nvme_reads + s.Blockdev.n_reads;
-          nvme_writes := !nvme_writes + s.Blockdev.n_writes;
-          busy := !busy +. Blockdev.busy_seconds dev;
-          incr ndevs)
-        n.devs)
-    t.nodes;
-  {
-    Backend.nvme_reads = !nvme_reads;
-    nvme_writes = !nvme_writes;
-    device_busy = (if !ndevs > 0 then !busy /. float_of_int !ndevs else 0.);
-    nacks = t.client_nacks;
-    retries = 0; (* client-side replication: no retry loop *)
-    backoff_time = 0.;
-    (* static membership: no join/leave/failure machinery modeled *)
-    joins = 0;
-    leaves = 0;
-    failures_handled = 0;
-    (* single-replica stores: corruption nacks the op; no repair path *)
-    corrupt_reads =
-      Array.fold_left (fun acc n -> acc + Kvell_store.corrupt_reads n.store) 0 t.nodes;
-    read_repairs = 0;
-    scrubbed_segments = 0;
-    scrub_repairs = 0;
-    (* no hedging / deadline / gray-failure machinery in the baseline *)
-    hedges = 0;
-    hedge_wins = 0;
-    sheds = 0;
-    slow_events = 0;
-    quorum_rounds = 0;
-    writebacks = 0;
-    lin_checked_keys = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_invalidations = 0;
-    cache_sprays = 0;
-    cache_hot_keys = 0;
-  }
+  let devices = Array.concat (Array.to_list (Array.map (fun n -> n.devs) t.nodes)) in
+  let per_device f = Array.fold_left (fun acc d -> acc + f (Blockdev.stats d)) 0 devices in
+  let busy = Array.fold_left (fun acc d -> acc +. Blockdev.busy_seconds d) 0. devices in
+  let ndevs = Array.length devices in
+  [
+    ("blockdev.reads", Backend.Count (per_device (fun s -> s.Blockdev.n_reads)));
+    ("blockdev.writes", Count (per_device (fun s -> s.Blockdev.n_writes)));
+    ("blockdev.busy_s", Sum (if ndevs > 0 then busy /. float_of_int ndevs else 0.));
+    ("client.nacks", Count t.client_nacks);
+    ( "store.corrupt_reads",
+      Count (Array.fold_left (fun acc n -> acc + Kvell_store.corrupt_reads n.store) 0 t.nodes) );
+  ]
 
 let watts t ~util =
   float_of_int (Array.length t.nodes) *. Platform.wall_power t.platform ~util

@@ -175,7 +175,7 @@ module Impl = struct
         Some (handle_tag_read env ~vn ~key ~want_value ~tenant ~deadline ~version)
     | Messages.Tag_write { vn; key; value; tag; tenant; deadline; version } ->
         Some (handle_tag_write env ~vn ~key ~value ~tag ~tenant ~deadline ~version)
-    | Messages.Get _ | Messages.Write _ | Messages.Version_query _ ->
+    | Messages.Get _ | Messages.Write _ ->
         (* chain-protocol traffic aimed at a quorum cluster *)
         Some (Messages.Nack Messages.Not_serving)
     | Messages.Copy_put _ | Messages.Repair_get _ | Messages.Ring_update _

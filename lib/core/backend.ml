@@ -3,94 +3,32 @@
    packing so harness code can hold "some backend", and the unified
    metrics record the experiments report. *)
 
-type counters = {
-  nvme_reads : int;
-  nvme_writes : int;
-  device_busy : float;
-  nacks : int;
-  retries : int;
-  backoff_time : float;
-  joins : int;
-  leaves : int;
-  failures_handled : int;
-  corrupt_reads : int;
-  read_repairs : int;
-  scrubbed_segments : int;
-  scrub_repairs : int;
-  hedges : int;
-  hedge_wins : int;
-  sheds : int;
-  slow_events : int;
-  quorum_rounds : int;
-  writebacks : int;
-  lin_checked_keys : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_invalidations : int;
-  cache_sprays : int;
-  cache_hot_keys : int;
-}
+type value = Count of int | Sum of float | Gauge of int
+type counters = (string * value) list
 
-let no_counters =
-  {
-    nvme_reads = 0;
-    nvme_writes = 0;
-    device_busy = 0.;
-    nacks = 0;
-    retries = 0;
-    backoff_time = 0.;
-    joins = 0;
-    leaves = 0;
-    failures_handled = 0;
-    corrupt_reads = 0;
-    read_repairs = 0;
-    scrubbed_segments = 0;
-    scrub_repairs = 0;
-    hedges = 0;
-    hedge_wins = 0;
-    sheds = 0;
-    slow_events = 0;
-    quorum_rounds = 0;
-    writebacks = 0;
-    lin_checked_keys = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_invalidations = 0;
-    cache_sprays = 0;
-    cache_hot_keys = 0;
-  }
+let count c name =
+  match List.assoc_opt name c with
+  | Some (Count n | Gauge n) -> n
+  | None -> 0
+  | Some (Sum _) -> invalid_arg ("Backend.count: " ^ name ^ " is a sum")
 
-let nvme_accesses c = c.nvme_reads + c.nvme_writes
+let sum c name =
+  match List.assoc_opt name c with
+  | Some (Sum f) -> f
+  | None -> 0.
+  | Some (Count _ | Gauge _) -> invalid_arg ("Backend.sum: " ^ name ^ " is a count")
 
-let diff_counters ~after ~before =
-  {
-    nvme_reads = after.nvme_reads - before.nvme_reads;
-    nvme_writes = after.nvme_writes - before.nvme_writes;
-    device_busy = after.device_busy -. before.device_busy;
-    nacks = after.nacks - before.nacks;
-    retries = after.retries - before.retries;
-    backoff_time = after.backoff_time -. before.backoff_time;
-    joins = after.joins - before.joins;
-    leaves = after.leaves - before.leaves;
-    failures_handled = after.failures_handled - before.failures_handled;
-    corrupt_reads = after.corrupt_reads - before.corrupt_reads;
-    read_repairs = after.read_repairs - before.read_repairs;
-    scrubbed_segments = after.scrubbed_segments - before.scrubbed_segments;
-    scrub_repairs = after.scrub_repairs - before.scrub_repairs;
-    hedges = after.hedges - before.hedges;
-    hedge_wins = after.hedge_wins - before.hedge_wins;
-    sheds = after.sheds - before.sheds;
-    slow_events = after.slow_events - before.slow_events;
-    quorum_rounds = after.quorum_rounds - before.quorum_rounds;
-    writebacks = after.writebacks - before.writebacks;
-    lin_checked_keys = after.lin_checked_keys - before.lin_checked_keys;
-    cache_hits = after.cache_hits - before.cache_hits;
-    cache_misses = after.cache_misses - before.cache_misses;
-    cache_invalidations = after.cache_invalidations - before.cache_invalidations;
-    cache_sprays = after.cache_sprays - before.cache_sprays;
-    (* a gauge, not a counter: report the end-of-window hot-set size *)
-    cache_hot_keys = after.cache_hot_keys;
-  }
+let diff ~after ~before =
+  List.map
+    (fun (name, v) ->
+      match (v, List.assoc_opt name before) with
+      | Count a, Some (Count b) -> (name, Count (a - b))
+      | Sum a, Some (Sum b) -> (name, Sum (a -. b))
+      | _ -> (name, v))
+    after
+
+let nvme_accesses c = count c "blockdev.reads" + count c "blockdev.writes"
+let sheds c = count c "client.sheds" + count c "engine.sheds"
 
 type metrics = {
   label : string;
@@ -101,29 +39,7 @@ type metrics = {
   avg_lat : float;
   p99 : float;
   p999 : float;
-  nvme_accesses : int;
-  nacks : int;
-  retries : int;
-  backoff_time : float;
-  joins : int;
-  leaves : int;
-  failures_handled : int;
-  corrupt_reads : int;
-  read_repairs : int;
-  scrubbed_segments : int;
-  scrub_repairs : int;
-  hedges : int;
-  hedge_wins : int;
-  sheds : int;
-  slow_events : int;
-  quorum_rounds : int;
-  writebacks : int;
-  lin_checked_keys : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_invalidations : int;
-  cache_sprays : int;
-  cache_hot_keys : int;
+  counters : counters;
   watts : float;
   queries_per_joule : float;
 }
@@ -170,12 +86,13 @@ let measure ~label b run =
   let module D = Leed_workload.Workload.Driver in
   let before = counters b in
   let r = run () in
-  let delta = diff_counters ~after:(counters b) ~before in
+  let delta = diff ~after:(counters b) ~before in
   (* Energy from *observed* device activity over the window, not
      config-time constants: a fault-degraded SSD burns its longer service
      times here, where a static model would never notice. *)
   let util =
-    if r.D.duration > 0. then Float.min 1.0 (delta.device_busy /. r.D.duration) else 0.
+    if r.D.duration > 0. then Float.min 1.0 (sum delta "blockdev.busy_s" /. r.D.duration)
+    else 0.
   in
   let w = watts b ~util in
   {
@@ -187,29 +104,7 @@ let measure ~label b run =
     avg_lat = Leed_stats.Histogram.mean r.D.latency;
     p99 = Leed_stats.Histogram.percentile r.D.latency 0.99;
     p999 = Leed_stats.Histogram.percentile r.D.latency 0.999;
-    nvme_accesses = nvme_accesses delta;
-    nacks = delta.nacks;
-    retries = delta.retries;
-    backoff_time = delta.backoff_time;
-    joins = delta.joins;
-    leaves = delta.leaves;
-    failures_handled = delta.failures_handled;
-    corrupt_reads = delta.corrupt_reads;
-    read_repairs = delta.read_repairs;
-    scrubbed_segments = delta.scrubbed_segments;
-    scrub_repairs = delta.scrub_repairs;
-    hedges = delta.hedges;
-    hedge_wins = delta.hedge_wins;
-    sheds = delta.sheds;
-    slow_events = delta.slow_events;
-    quorum_rounds = delta.quorum_rounds;
-    writebacks = delta.writebacks;
-    lin_checked_keys = delta.lin_checked_keys;
-    cache_hits = delta.cache_hits;
-    cache_misses = delta.cache_misses;
-    cache_invalidations = delta.cache_invalidations;
-    cache_sprays = delta.cache_sprays;
-    cache_hot_keys = delta.cache_hot_keys;
+    counters = delta;
     watts = w;
     queries_per_joule = (if w > 0. then r.D.throughput /. w else 0.);
   }

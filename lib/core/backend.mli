@@ -4,7 +4,7 @@
     LEED vs FAWN vs KVell per-watt and per-dollar — so every system must
     expose the same service surface: lifecycle (create/start/stop), client
     acquisition, the four data operations, object accounting, and a
-    uniform observability record. A system implements {!S}; callers that
+    uniform registry of named counters. A system implements {!S}; callers that
     do not care which system they drive hold a packed {!t} / {!client}
     and use the generic operations below.
 
@@ -13,63 +13,44 @@
     Adding a backend = implement {!S}, then {!pack} it (see DESIGN.md
     "How to add a backend"). *)
 
-(** Cumulative service counters, uniform across backends. Deltas over a
-    measurement window feed the {!metrics} record. *)
-type counters = {
-  nvme_reads : int;   (** block-device read commands issued (§3.3 accesses) *)
-  nvme_writes : int;  (** block-device write commands issued *)
-  device_busy : float;
-      (** mean equivalent fully-busy device-seconds across the cluster's
-          block devices ({!Leed_blockdev.Blockdev.busy_seconds}) — the
-          observed-activity signal the energy model derives utilisation
-          from. Linear, so window deltas are meaningful. *)
-  nacks : int;        (** client-observed rejections (NACK / error / timeout) *)
-  retries : int;      (** client-side retries after a rejection *)
-  backoff_time : float;
-      (** cumulative seconds clients slept in retry backoff — the
-          client-visible cost of failures and overload *)
-  joins : int;             (** membership joins completed (§3.8.1) *)
-  leaves : int;            (** graceful leaves / failure expulsions completed *)
-  failures_handled : int;  (** failure detections that triggered chain repair *)
-  corrupt_reads : int;     (** checksum failures detected on the read path *)
-  read_repairs : int;      (** corrupt entries healed from a CRRS replica *)
-  scrubbed_segments : int; (** segments walked by the background scrubber *)
-  scrub_repairs : int;     (** rotted values the scrubber healed *)
-  hedges : int;            (** hedged GETs fired against a slow primary *)
-  hedge_wins : int;        (** hedges whose response beat the primary *)
-  sheds : int;
-      (** deadline sheds: engine-side expired-queue drops plus client-side
-          abandonments *)
-  slow_events : int;       (** gray-failure escalations/de-escalations pushed *)
-  quorum_rounds : int;
-      (** ABD quorum round-trips executed by clients (phase 1 + phase 2 +
-          write-backs); 0 under CRRS and for the non-replicated baselines *)
-  writebacks : int;
-      (** ABD reads that needed a repair write-back round before
-          answering; 0 under CRRS and for the baselines *)
-  lin_checked_keys : int;
-      (** keys whose operation history passed through the linearizability
-          checker; 0 outside a chaos run (the chaos harness owns the
-          history recorder and reports the count through its digest) *)
-  cache_hits : int;
-      (** GETs answered by the in-network cache at the switch (§15);
-          0 unless the cluster armed [cache: ttl_lru] *)
-  cache_misses : int;     (** WARM/HOT GETs looked up but not resident *)
-  cache_invalidations : int;
-      (** write-driven evictions that removed at least one cached entry *)
-  cache_sprays : int;     (** HOT GETs round-robined across cache instances *)
-  cache_hot_keys : int;
-      (** hash groups currently classified HOT — a gauge, not a counter
-          ({!diff_counters} keeps the [after] value rather than
-          subtracting) *)
-}
+(** {1 Named counters}
 
-val no_counters : counters
+    Every backend reports its cumulative service counters as one ordered
+    list of [(name, value)] pairs. A name is ["layer.what"]: the layer
+    prefix ([blockdev], [client], [control], [node], [store], [engine],
+    [netsim], [netcache]) says where the count is kept. A backend
+    registers only the counters it has; a name it did not register reads
+    as 0, which is what "this system has no such mechanism" means for the
+    comparison. LEED's names (see {!Leed_backend}) are a superset of the
+    baselines'. *)
+
+type value =
+  | Count of int  (** a monotone count; {!diff} subtracts *)
+  | Sum of float  (** a monotone float total, e.g. seconds; {!diff} subtracts *)
+  | Gauge of int  (** a level, not a count; {!diff} keeps the [after] value *)
+
+type counters = (string * value) list
+(** In registration order, each name at most once. *)
+
+val count : counters -> string -> int
+(** The value of a [Count] or [Gauge]; 0 when [name] is not registered.
+    Raises [Invalid_argument] on a [Sum]. *)
+
+val sum : counters -> string -> float
+(** The value of a [Sum]; 0. when [name] is not registered. Raises
+    [Invalid_argument] on a [Count] or [Gauge]. *)
+
+val diff : after:counters -> before:counters -> counters
+(** The window delta, in [after]'s order: counts and sums subtract
+    (a name missing from [before] counts from 0), gauges keep [after]. *)
 
 val nvme_accesses : counters -> int
-(** [nvme_reads + nvme_writes]. *)
+(** [blockdev.reads + blockdev.writes]: block-device commands (§3.3
+    accesses). *)
 
-val diff_counters : after:counters -> before:counters -> counters
+val sheds : counters -> int
+(** [client.sheds + engine.sheds]: deadline sheds, client abandonments
+    plus engine-side expired-queue drops. *)
 
 (** The unified measurement record: driver-side load numbers combined
     with the backend's counter deltas and its modeled wall power. *)
@@ -82,29 +63,7 @@ type metrics = {
   avg_lat : float;           (** seconds *)
   p99 : float;
   p999 : float;
-  nvme_accesses : int;       (** device commands during the window *)
-  nacks : int;
-  retries : int;
-  backoff_time : float;      (** seconds clients slept in retry backoff *)
-  joins : int;               (** membership events during the window *)
-  leaves : int;
-  failures_handled : int;
-  corrupt_reads : int;       (** checksum failures detected during the window *)
-  read_repairs : int;
-  scrubbed_segments : int;
-  scrub_repairs : int;
-  hedges : int;              (** hedged GETs fired during the window *)
-  hedge_wins : int;
-  sheds : int;               (** deadline sheds during the window *)
-  slow_events : int;         (** gray-failure escalations during the window *)
-  quorum_rounds : int;       (** ABD quorum round-trips during the window *)
-  writebacks : int;          (** ABD repair write-backs during the window *)
-  lin_checked_keys : int;    (** linearizability-checked keys (chaos only) *)
-  cache_hits : int;          (** in-network cache hits during the window *)
-  cache_misses : int;
-  cache_invalidations : int; (** write-driven cache evictions *)
-  cache_sprays : int;        (** HOT GETs sprayed across cache instances *)
-  cache_hot_keys : int;      (** hash groups HOT at window end (gauge) *)
+  counters : counters;       (** the backend's counter deltas over the window ({!diff}) *)
   watts : float;             (** modeled cluster wall power (paper's meters) *)
   queries_per_joule : float; (** throughput / watts — the paper's headline *)
 }
@@ -143,14 +102,15 @@ module type S = sig
   (** Live objects summed over every store (R replicas count R times). *)
 
   val counters : t -> counters
-  (** Cumulative since creation; callers take deltas. *)
+  (** The counters this system has, cumulative since creation; callers
+      take deltas with {!diff}. *)
 
   val watts : t -> util:float -> float
   (** Modeled wall power of the whole cluster at average device
       utilisation [util] ∈ [0,1]. Polling stacks (LEED's SmartNICs,
       KVell's Xeons) burn near-max regardless of [util]; interrupt-driven
       platforms (FAWN's Pis) scale between idle and active power. Callers
-      derive [util] from observed {!counters.device_busy} deltas — see
+      derive [util] from observed [blockdev.busy_s] deltas — see
       {!measure}. *)
 end
 
@@ -183,7 +143,7 @@ val measure :
     (a workload-driver invocation) and combines the driver's result with
     the counter deltas and the backend's modeled power into one
     {!metrics} record. Power is evaluated at the device utilisation
-    actually observed during the window ([device_busy] delta over
-    duration), so fault-degraded devices — which stay busy longer per
-    command — raise the reported watts on power-proportional platforms
+    actually observed during the window (the [blockdev.busy_s] delta,
+    mean fully-busy device-seconds, over the duration), so
+    fault-degraded devices — which stay busy longer per command — raise the reported watts on power-proportional platforms
     instead of being invisible to a config-time constant. *)

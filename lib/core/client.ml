@@ -282,9 +282,7 @@ let issue t (e : Ring.entry) req =
     match req with
     | Messages.Write _ | Messages.Tag_write _ -> 3
     | Messages.Get _ | Messages.Tag_read _ -> 2
-    | Messages.Version_query _ | Messages.Copy_put _ | Messages.Repair_get _ | Messages.Ring_update _
-    | Messages.Ping _ ->
-        0
+    | Messages.Copy_put _ | Messages.Repair_get _ | Messages.Ring_update _ | Messages.Ping _ -> 0
   in
   admit t vn cost;
   let v = vstate t vn in
@@ -299,7 +297,6 @@ let issue t (e : Ring.entry) req =
   (match resp with
   | Some (Messages.Value { tokens; _ })
   | Some (Messages.Ok { tokens })
-  | Some (Messages.Version { tokens; _ })
   | Some (Messages.Tagged { tokens; _ })
   | Some (Messages.Pong { tokens; _ }) ->
       credit t vn tokens

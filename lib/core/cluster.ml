@@ -17,7 +17,6 @@ type config = {
   client_config : Client.config;
   platform : Platform.t;
   base_latency_us : float;
-  read_mode : Node.read_mode; (* CRRS shipping vs CRAQ-style version query *)
   heartbeat_period : float;   (* failure-detector probe period (§3.8.2) *)
   miss_limit : int;           (* consecutive missed probes before fail-out *)
   slow_detection : bool;      (* gray-failure outlier scoring + escalation *)
@@ -33,7 +32,6 @@ let default_config =
     client_config = Client.default_config;
     platform = Platform.smartnic_jbof;
     base_latency_us = 3.0;
-    read_mode = Node.Ship;
     heartbeat_period = 0.2;
     miss_limit = 3;
     slow_detection = true;
@@ -178,7 +176,7 @@ let create ?(config = default_config) () =
   in
   for _ = 1 to config.nnodes do
     let n =
-      Node.create ~read_mode:config.read_mode ~proto:config.proto ~id:t.next_node_id
+      Node.create ~proto:config.proto ~id:t.next_node_id
         ~platform:config.platform ~fabric ~engine_config:config.engine_config ~r:config.r ()
     in
     t.next_node_id <- t.next_node_id + 1;
@@ -225,7 +223,7 @@ let client ?(config : Client.config option) t =
    Returns the number of key-value pairs copied. *)
 let add_node t =
   let n =
-    Node.create ~read_mode:t.config.read_mode ~proto:t.config.proto ~id:t.next_node_id
+    Node.create ~proto:t.config.proto ~id:t.next_node_id
       ~platform:t.config.platform ~fabric:t.fabric ~engine_config:t.config.engine_config
       ~r:t.config.r ()
   in

@@ -13,9 +13,6 @@ type config = {
   client_config : Client.config;
   platform : Leed_platform.Platform.t;
   base_latency_us : float;
-  read_mode : Node.read_mode;
-      (** CRRS request shipping (default) vs the CRAQ-style version-query
-          alternative of §3.7 *)
   heartbeat_period : float;
       (** failure-detector probe period (§3.8.2); default 0.2 s *)
   miss_limit : int;

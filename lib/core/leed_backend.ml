@@ -4,6 +4,7 @@
 
 open Leed_platform
 open Leed_blockdev
+open Leed_netsim
 
 type config = Cluster.config
 type t = Cluster.t
@@ -25,104 +26,59 @@ let execute = Client.execute
 let total_objects = Cluster.total_objects
 
 let counters t =
-  let nvme_reads = ref 0 and nvme_writes = ref 0 in
-  let busy = ref 0. and ndevs = ref 0 in
-  List.iter
-    (fun n ->
-      Array.iter
-        (fun d ->
-          let s = Blockdev.stats d in
-          nvme_reads := !nvme_reads + s.Blockdev.n_reads;
-          nvme_writes := !nvme_writes + s.Blockdev.n_writes;
-          busy := !busy +. Blockdev.busy_seconds d;
-          incr ndevs)
-        (Engine.devices (Node.engine n)))
-    (Cluster.nodes t);
-  let nacks, retries, backoff_time =
-    List.fold_left
-      (fun (n, r, b) c -> (n + Client.nacks c, r + Client.retries c, b +. Client.backoff_time c))
-      (0, 0, 0.) (Cluster.clients t)
-  in
+  let nodes = Cluster.nodes t and clients = Cluster.clients t in
+  let engines = List.map Node.engine nodes in
+  let each f = List.concat_map (fun e -> Array.to_list (f e)) engines in
+  let devices = each Engine.devices in
+  let total f xs = List.fold_left (fun acc x -> acc + f x) 0 xs in
+  let per_node f = total (fun n -> f (Node.stats n)) nodes in
+  let per_device f = total (fun d -> f (Blockdev.stats d)) devices in
+  let busy = List.fold_left (fun acc d -> acc +. Blockdev.busy_seconds d) 0. devices in
+  let ndevs = List.length devices in
   let cs = Control.stats (Cluster.control t) in
-  let corrupt = ref 0 in
-  List.iter
-    (fun n ->
-      Array.iter
-        (fun p -> corrupt := !corrupt + (Store.counters (Engine.store p)).Store.corrupt)
-        (Engine.partitions (Node.engine n)))
-    (Cluster.nodes t);
-  let rr, scrubbed, srep =
-    List.fold_left
-      (fun (rr, sc, sr) n ->
-        let s = Node.stats n in
-        (rr + s.Node.n_read_repairs, sc + s.Node.n_scrubbed_segments, sr + s.Node.n_scrub_repairs))
-      (0, 0, 0) (Cluster.nodes t)
-  in
-  let hedges, hedge_wins, client_sheds =
-    List.fold_left
-      (fun (h, w, s) c -> (h + Client.hedges c, w + Client.hedge_wins c, s + Client.sheds c))
-      (0, 0, 0) (Cluster.clients t)
-  in
-  let quorum_rounds, writebacks =
-    List.fold_left
-      (fun (q, w) c -> (q + Client.quorum_rounds c, w + Client.writebacks c))
-      (0, 0) (Cluster.clients t)
-  in
-  let cache =
-    match Cluster.cache t with
-    | Some c -> Netcache.stats c
-    | None ->
-        {
-          Netcache.hits = 0;
-          misses = 0;
-          invalidations = 0;
-          sprays = 0;
-          populates = 0;
-          evictions = 0;
-          expirations = 0;
-          promotes = 0;
-          demotes = 0;
-          hot_groups = 0;
-          resident = 0;
-        }
-  in
-  let engine_sheds =
-    List.fold_left
-      (fun acc n ->
-        Array.fold_left
-          (fun acc s -> acc + (Engine.ssd_stats s).Engine.shed)
-          acc
-          (Engine.ssds (Node.engine n)))
-      0 (Cluster.nodes t)
-  in
-  {
-    Backend.nvme_reads = !nvme_reads;
-    nvme_writes = !nvme_writes;
-    device_busy = (if !ndevs > 0 then !busy /. float_of_int !ndevs else 0.);
-    nacks;
-    retries;
-    backoff_time;
-    joins = cs.Control.n_joins;
-    leaves = cs.Control.n_leaves;
-    failures_handled = cs.Control.n_failures_handled;
-    corrupt_reads = !corrupt;
-    read_repairs = rr;
-    scrubbed_segments = scrubbed;
-    scrub_repairs = srep;
-    hedges;
-    hedge_wins;
-    sheds = client_sheds + engine_sheds;
-    slow_events = cs.Control.n_slow_events;
-    quorum_rounds;
-    writebacks;
-    (* the chaos harness owns the history recorder; see Fault.Chaos *)
-    lin_checked_keys = 0;
-    cache_hits = cache.Netcache.hits;
-    cache_misses = cache.Netcache.misses;
-    cache_invalidations = cache.Netcache.invalidations;
-    cache_sprays = cache.Netcache.sprays;
-    cache_hot_keys = cache.Netcache.hot_groups;
-  }
+  let fabric = Netsim.fabric_stats (Cluster.fabric t) in
+  [
+    ("blockdev.reads", Backend.Count (per_device (fun s -> s.Blockdev.n_reads)));
+    ("blockdev.writes", Count (per_device (fun s -> s.Blockdev.n_writes)));
+    ("blockdev.busy_s", Sum (if ndevs > 0 then busy /. float_of_int ndevs else 0.));
+    ("client.nacks", Count (total Client.nacks clients));
+    ("client.retries", Count (total Client.retries clients));
+    ( "client.backoff_s",
+      Sum (List.fold_left (fun acc c -> acc +. Client.backoff_time c) 0. clients) );
+    ("client.hedges", Count (total Client.hedges clients));
+    ("client.hedge_wins", Count (total Client.hedge_wins clients));
+    ("client.sheds", Count (total Client.sheds clients));
+    ("client.quorum_rounds", Count (total Client.quorum_rounds clients));
+    ("client.writebacks", Count (total Client.writebacks clients));
+    ("control.joins", Count cs.Control.n_joins);
+    ("control.leaves", Count cs.Control.n_leaves);
+    ("control.failures_handled", Count cs.Control.n_failures_handled);
+    ("control.slow_events", Count cs.Control.n_slow_events);
+    ("node.read_repairs", Count (per_node (fun s -> s.Node.n_read_repairs)));
+    ("node.scrubbed_segments", Count (per_node (fun s -> s.Node.n_scrubbed_segments)));
+    ("node.scrub_repairs", Count (per_node (fun s -> s.Node.n_scrub_repairs)));
+    ("node.write_applies", Count (per_node (fun s -> s.Node.n_write_applies)));
+    ( "store.corrupt_reads",
+      Count
+        (total (fun p -> (Store.counters (Engine.store p)).Store.corrupt) (each Engine.partitions))
+    );
+    ("engine.sheds", Count (total (fun s -> (Engine.ssd_stats s).Engine.shed) (each Engine.ssds)));
+    ("netsim.dropped", Count fabric.Netsim.dropped);
+    ("netsim.delayed", Count fabric.Netsim.delayed);
+    ("netsim.consumed", Count fabric.Netsim.consumed);
+  ]
+  @
+  match Cluster.cache t with
+  | None -> []
+  | Some c ->
+      let s = Netcache.stats c in
+      [
+        ("netcache.hits", Count s.Netcache.hits);
+        ("netcache.misses", Count s.Netcache.misses);
+        ("netcache.invalidations", Count s.Netcache.invalidations);
+        ("netcache.sprays", Count s.Netcache.sprays);
+        ("netcache.hot_groups", Gauge s.Netcache.hot_groups);
+      ]
 
 let watts t ~util =
   let nnodes = List.length (Cluster.nodes t) in

@@ -31,9 +31,6 @@ type request =
       (* [value] = None is a DEL. [hop] validates the chain position
          against the receiver's ring view (§3.8.1). [deadline] as in
          [Get]. *)
-  | Version_query of { vn : Ring.vnode; key : string }
-      (* the CRAQ-style alternative to request shipping (§3.7): ask the
-         tail whether the key's latest write has committed *)
   | Tag_read of {
       vn : Ring.vnode;
       key : string;
@@ -77,7 +74,6 @@ type nack_reason =
 type response =
   | Value of { value : bytes option; tokens : int }
   | Ok of { tokens : int }
-  | Version of { dirty : bool; tokens : int }
   | Tagged of { value : bytes option; tag : int * int; tokens : int }
       (* ABD phase-1 reply: the replica's local tag, plus the stored
          (framed) value when the reader asked for it *)
@@ -90,7 +86,6 @@ let request_size = function
   | Get { key; _ } -> 80 + String.length key
   | Write { key; value; _ } ->
       72 + String.length key + (match value with Some v -> Bytes.length v | None -> 0)
-  | Version_query { key; _ } -> 48 + String.length key
   | Tag_read { key; _ } -> 80 + String.length key
   | Tag_write { key; value; _ } -> 96 + String.length key + Bytes.length value
   | Copy_put { key; value; _ } -> 64 + String.length key + Bytes.length value
@@ -102,4 +97,4 @@ let response_size = function
   | Value { value = Some v; _ } -> 64 + Bytes.length v
   | Tagged { value = Some v; _ } -> 80 + Bytes.length v
   | Tagged { value = None; _ } -> 80
-  | Value { value = None; _ } | Ok _ | Version _ | Pong _ | Nack _ -> 64
+  | Value { value = None; _ } | Ok _ | Pong _ | Nack _ -> 64

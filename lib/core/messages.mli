@@ -31,9 +31,6 @@ type request =
       (** [value = None] is a DEL. [hop] validates the chain position
           against the receiver's ring view (§3.8.1). [deadline] as in
           [Get]. *)
-  | Version_query of { vn : Ring.vnode; key : string }
-      (** The CRAQ-style alternative to request shipping (§3.7): ask the
-          tail whether the key's latest write has committed. *)
   | Tag_read of {
       vn : Ring.vnode;
       key : string;
@@ -81,7 +78,6 @@ type nack_reason =
 type response =
   | Value of { value : bytes option; tokens : int }
   | Ok of { tokens : int }
-  | Version of { dirty : bool; tokens : int }
   | Tagged of { value : bytes option; tag : int * int; tokens : int }
       (** ABD phase-1 reply: the replica's local tag, plus the stored
           (framed) value when the reader asked for it *)

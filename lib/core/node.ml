@@ -39,8 +39,6 @@ type vnode_state = {
 
 let fence_active vs = vs.fence_depth > 0
 
-type read_mode = Replication.read_mode = Ship | Version_query
-
 type t = {
   id : int;
   platform : Platform.t;
@@ -59,11 +57,9 @@ type t = {
   proto : Replication.proto;
   repl : (module Replication.S);
   mutable renv : Replication.server_env option; (* built lazily over [t] *)
-  read_mode : read_mode;
   mutable nacks : int;
   mutable shipped_reads : int;
   mutable served_reads : int;
-  mutable version_queries : int;
   mutable write_applies : int;     (* replica writes applied locally *)
   mutable read_repairs : int;      (* corrupt entries healed from a replica *)
   mutable repair_failures : int;   (* no replica could supply the value *)
@@ -91,7 +87,7 @@ type t = {
 (* Cycles to pull a request out of the RDMA stack and dispatch it. *)
 let rx_cycles = 2500.
 
-let create ?(read_mode = Ship) ?(proto = Replication.Crrs) ~id ~platform ~fabric
+let create ?(proto = Replication.Crrs) ~id ~platform ~fabric
     ~engine_config ~r () =
   let track = Trace.new_track (Printf.sprintf "jbof%d" id) in
   let engine = Engine.create ~config:engine_config ~rng:(Rng.create (1000 + id)) ~track platform in
@@ -130,11 +126,9 @@ let create ?(read_mode = Ship) ?(proto = Replication.Crrs) ~id ~platform ~fabric
     proto;
     repl = Abd.protocol proto;
     renv = None;
-    read_mode;
     nacks = 0;
     shipped_reads = 0;
     served_reads = 0;
-    version_queries = 0;
     write_applies = 0;
     read_repairs = 0;
     repair_failures = 0;
@@ -307,7 +301,6 @@ let make_env t : Replication.server_env =
     R.sv_node = t.id;
     sv_r = t.r;
     sv_ring = t.ring;
-    sv_read_mode = t.read_mode;
     sv_track = t.track;
     sv_has_vnode = (fun ~vidx -> Hashtbl.mem t.vnodes vidx);
     sv_submit = (fun ~deadline ~vidx cmd -> submit_local ~deadline t (vnode t vidx) cmd);
@@ -355,7 +348,6 @@ let make_env t : Replication.server_env =
       | R.S_nack -> t.nacks <- t.nacks + 1
       | R.S_shipped_read -> t.shipped_reads <- t.shipped_reads + 1
       | R.S_served_read -> t.served_reads <- t.served_reads + 1
-      | R.S_version_query -> t.version_queries <- t.version_queries + 1
       | R.S_write_apply -> t.write_applies <- t.write_applies + 1);
   }
 
@@ -428,8 +420,7 @@ let dispatch t (req : Messages.request) : Messages.response =
              the gray-failure telemetry the control plane scores
              (§3.8-adjacent escalation ladder). *)
           Messages.Pong { tokens = 0; svc_us = t.svc_ewma_us }
-      | Messages.Get _ | Messages.Write _ | Messages.Version_query _
-      | Messages.Tag_read _ | Messages.Tag_write _ ->
+      | Messages.Get _ | Messages.Write _ | Messages.Tag_read _ | Messages.Tag_write _ ->
           (* A data request the selected protocol declined to handle. *)
           Messages.Nack Messages.Not_serving)
 
@@ -488,7 +479,6 @@ let handle t (req : Messages.request) : Messages.response =
       match req with
       | Messages.Get _ -> "get"
       | Messages.Write _ -> "write"
-      | Messages.Version_query _ -> "version_query"
       | Messages.Tag_read _ -> "tag_read"
       | Messages.Tag_write _ -> "tag_write"
       | Messages.Copy_put _ -> "copy_put"
@@ -504,10 +494,7 @@ let handle t (req : Messages.request) : Messages.response =
       | Messages.Tag_read { key; _ } -> [ ("key", Trace.Str key) ]
       | Messages.Tag_write { key; tag = (ts, _); _ } ->
           [ ("key", Trace.Str key); ("ts", Trace.Int ts) ]
-      | Messages.Version_query { key; _ }
-      | Messages.Copy_put { key; _ }
-      | Messages.Repair_get { key; _ } ->
-          [ ("key", Trace.Str key) ]
+      | Messages.Copy_put { key; _ } | Messages.Repair_get { key; _ } -> [ ("key", Trace.Str key) ]
       | Messages.Ring_update _ | Messages.Ping _ -> []
     in
     Trace.span ~track:t.track ~cat:"node" name ~largs (fun () -> tracked_dispatch t req)
@@ -640,7 +627,6 @@ type stats = {
   n_nacks : int;
   n_shipped_reads : int;
   n_served_reads : int;
-  n_version_queries : int;
   n_write_applies : int;
   n_read_repairs : int;
   n_repair_failures : int;
@@ -654,7 +640,6 @@ let stats t =
     n_nacks = t.nacks;
     n_shipped_reads = t.shipped_reads;
     n_served_reads = t.served_reads;
-    n_version_queries = t.version_queries;
     n_write_applies = t.write_applies;
     n_read_repairs = t.read_repairs;
     n_repair_failures = t.repair_failures;

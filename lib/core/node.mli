@@ -11,15 +11,9 @@
 
 type vnode_state
 
-(** Re-export of {!Replication.read_mode}: how a dirty CRRS replica
-    resolves a read (§3.7) — [Ship] to the tail, or [Version_query] it
-    CRAQ-style and serve locally when the write has committed. *)
-type read_mode = Replication.read_mode = Ship | Version_query
-
 type t
 
 val create :
-  ?read_mode:read_mode ->
   ?proto:Replication.proto ->
   id:int ->
   platform:Leed_platform.Platform.t ->
@@ -153,7 +147,6 @@ type stats = {
   n_nacks : int;
   n_shipped_reads : int;
   n_served_reads : int;
-  n_version_queries : int;
   n_write_applies : int;     (** replica writes applied locally *)
   n_read_repairs : int;      (** corrupt entries healed from a replica *)
   n_repair_failures : int;   (** repairs no replica could supply *)

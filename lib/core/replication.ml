@@ -31,14 +31,6 @@ let proto_of_string = function
 
 let all_protos = [ Crrs; Abd ]
 
-(* How a dirty CRRS replica resolves a read (§3.7): ship the whole
-   request to the tail (the paper's choice) or ask the tail whether the
-   write has committed and serve locally if so (the CRAQ-style
-   alternative the paper measured as generating more cross-JBOF
-   traffic). Lives here because it is a property of the chain protocol,
-   not of the node hosting it. *)
-type read_mode = Ship | Version_query
-
 (* Majority quorum size over [n] replicas. *)
 let quorum n = (n / 2) + 1
 
@@ -107,14 +99,12 @@ type server_stat =
   | S_nack
   | S_shipped_read
   | S_served_read
-  | S_version_query
   | S_write_apply
 
 type server_env = {
   sv_node : int;
   sv_r : int;
   sv_ring : Ring.t;
-  sv_read_mode : read_mode;
   sv_track : Trace.track;
   sv_has_vnode : vidx:int -> bool;
   (* foreground engine submission (deadline 0. = none); routes through
@@ -384,19 +374,6 @@ module Crrs_impl = struct
     | Some r -> r
     | None -> Messages.Nack Messages.Not_serving
 
-  (* CRAQ-style resolution (§3.7's alternative): ask the tail whether
-     the key's latest write has committed; if it has, the local copy is
-     the committed one and can be served without moving the value across
-     the fabric. A still-dirty tail falls back to shipping. *)
-  let resolve_by_version env ~vidx ~key ~tenant ~deadline (te : Ring.entry) =
-    env.sv_note S_version_query;
-    let req = Messages.Version_query { vn = te.Ring.owner; key } in
-    match env.sv_call ~dst:te.Ring.owner ~timeout:0.5 req with
-    | Some (Messages.Version { dirty = false; _ }) ->
-        serve_local_read env ~vidx ~key ~tenant ~deadline
-    | Some _ -> ship_to_tail env ~key ~tenant ~deadline te
-    | None -> Messages.Nack Messages.Not_serving
-
   let handle_get env ~(vn : Ring.vnode) ~key ~shipped ~tenant ~deadline ~version =
     if version <> Ring.version env.sv_ring then nack_stale env
     else if not (env.sv_has_vnode ~vidx:vn.Ring.vidx) then nack_stale env
@@ -433,32 +410,18 @@ module Crrs_impl = struct
       else if shipped || am_tail then serve_local_read env ~vidx ~key ~tenant ~deadline
       else if env.sv_is_tainted ~vidx ~key then begin
         (* The local copy may be ahead of the commit point (a partial
-           write landed here): only the tail is authoritative, and the
-           CRAQ version probe cannot help — it validates in-flight
-           writes, not orphaned ones. *)
+           write landed here): only the tail is authoritative. *)
         match tail_entry with
         | None -> Messages.Nack Messages.Not_serving
         | Some te -> ship_to_tail env ~key ~tenant ~deadline te
       end
       else if env.sv_is_dirty ~vidx ~key then begin
+        (* §3.7: a dirty replica ships the whole request to the tail. *)
         match tail_entry with
         | None -> Messages.Nack Messages.Not_serving
-        | Some te -> (
-            match env.sv_read_mode with
-            | Ship -> ship_to_tail env ~key ~tenant ~deadline te
-            | Version_query -> resolve_by_version env ~vidx ~key ~tenant ~deadline te)
+        | Some te -> ship_to_tail env ~key ~tenant ~deadline te
       end
       else serve_local_read env ~vidx ~key ~tenant ~deadline
-
-  let handle_version_query env ~(vn : Ring.vnode) ~key =
-    if not (env.sv_has_vnode ~vidx:vn.Ring.vidx) then nack_stale env
-    else
-      let vidx = vn.Ring.vidx in
-      Messages.Version
-        {
-          dirty = env.sv_is_dirty ~vidx ~key || env.sv_is_tainted ~vidx ~key;
-          tokens = env.sv_tokens ~tenant:0 ~vidx;
-        }
 
   let handle env (req : Messages.request) =
     match req with
@@ -466,7 +429,6 @@ module Crrs_impl = struct
         Some (handle_get env ~vn ~key ~shipped ~tenant ~deadline ~version)
     | Messages.Write { vn; key; value; hop; version; tenant; deadline } ->
         Some (handle_write env ~vn ~key ~value ~hop ~version ~tenant ~deadline)
-    | Messages.Version_query { vn; key } -> Some (handle_version_query env ~vn ~key)
     | Messages.Tag_read _ | Messages.Tag_write _ ->
         (* quorum-protocol traffic aimed at a chain cluster *)
         Some (Messages.Nack Messages.Not_serving)
@@ -483,9 +445,7 @@ module Crrs_impl = struct
     | Some e -> (
         match env.cl_hedged_get chain e ~key ~deadline with
         | Some (Messages.Value { value; _ }) -> Some value
-        | Some (Messages.Ok _ | Messages.Version _ | Messages.Tagged _ | Messages.Pong _)
-          ->
-            Some None
+        | Some (Messages.Ok _ | Messages.Tagged _ | Messages.Pong _) -> Some None
         | Some (Messages.Nack Messages.Deadline_exceeded) ->
             env.cl_fail_deadline ~key;
             None
@@ -512,9 +472,7 @@ module Crrs_impl = struct
         in
         match env.cl_issue head req with
         | Some (Messages.Ok _) -> Some ()
-        | Some (Messages.Value _ | Messages.Version _ | Messages.Tagged _ | Messages.Pong _)
-          ->
-            Some ()
+        | Some (Messages.Value _ | Messages.Tagged _ | Messages.Pong _) -> Some ()
         | Some (Messages.Nack Messages.Deadline_exceeded) ->
             env.cl_fail_deadline ~key;
             None

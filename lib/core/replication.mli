@@ -24,12 +24,6 @@ val proto_of_string : string -> proto
 val all_protos : proto list
 (** Every protocol, in comparison-bench order. *)
 
-(** How a dirty CRRS replica resolves a read (§3.7): [Ship] forwards the
-    whole request to the tail (the paper's choice); [Version_query] asks
-    the tail whether the write committed and serves locally if so (the
-    CRAQ-style alternative). *)
-type read_mode = Ship | Version_query
-
 val quorum : int -> int
 (** [quorum n] is the majority size over [n] replicas, [n/2 + 1]. *)
 
@@ -73,7 +67,6 @@ type server_stat =
   | S_nack  (** request refused (stale view, failure, shed) *)
   | S_shipped_read  (** CRRS dirty read forwarded to the tail *)
   | S_served_read  (** read served from the local store *)
-  | S_version_query  (** CRAQ-style commit probe sent *)
   | S_write_apply  (** replica write applied to the local engine *)
 
 (** The host-node surface a server-side protocol runs against. Every
@@ -83,7 +76,6 @@ type server_env = {
   sv_node : int;  (** hosting node id *)
   sv_r : int;  (** replication factor *)
   sv_ring : Ring.t;  (** the node's local ring view *)
-  sv_read_mode : read_mode;
   sv_track : Leed_trace.Trace.track;
   sv_has_vnode : vidx:int -> bool;
   sv_submit : deadline:float -> vidx:int -> Engine.cmd -> Engine.outcome;

@@ -171,7 +171,10 @@ let report_metrics (m : Backend.metrics) =
     (m.Backend.avg_lat *. 1e3)
     (m.Backend.p99 *. 1e3)
     (m.Backend.p999 *. 1e3)
-    m.Backend.nvme_accesses m.Backend.nacks m.Backend.retries m.Backend.watts
+    (Backend.nvme_accesses m.Backend.counters)
+    (Backend.count m.Backend.counters "client.nacks")
+    (Backend.count m.Backend.counters "client.retries")
+    m.Backend.watts
     (m.Backend.queries_per_joule /. 1e3)
 
 (* --- energy: the paper's measured wall power per platform --- *)

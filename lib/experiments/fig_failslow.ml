@@ -86,14 +86,15 @@ let run () =
       [ "config"; "get p99(us)"; "p99.9(us)"; "hedges"; "wins"; "sheds"; "slow evts"; "detect(s)" ]
     (List.map
        (fun { label; report = r } ->
+         let n = Leed_core.Backend.count r.Fault.Chaos.counters in
          [
            label;
            us r.Fault.Chaos.get_p99;
            us r.Fault.Chaos.get_p999;
-           string_of_int r.Fault.Chaos.hedges;
-           string_of_int r.Fault.Chaos.hedge_wins;
-           string_of_int r.Fault.Chaos.sheds;
-           string_of_int r.Fault.Chaos.slow_events;
+           string_of_int (n "client.hedges");
+           string_of_int (n "client.hedge_wins");
+           string_of_int (Leed_core.Backend.sheds r.Fault.Chaos.counters);
+           string_of_int (n "control.slow_events");
            (if r.Fault.Chaos.detection_latency < 0. then "-"
             else Printf.sprintf "%.2f" r.Fault.Chaos.detection_latency);
          ])

@@ -544,47 +544,22 @@ module Chaos = struct
     writes : int;
     failed_ops : int;
     null_reads : int;
-    corrupt_reads : int;
+    corrupt_values : int;
     lost_writes : int;
     stale_replicas : int;
     incomplete_chains : int;
     max_outage : float;
     live_nodes : int;
-    joins : int;
-    leaves : int;
-    failures_handled : int;
-    msgs_dropped : int;
-    msgs_delayed : int;
-    nacks : int;
-    retries : int;
-    backoff_time : float;
-    nvme_accesses : int;
-    scrubbed_segments : int;
-    read_repairs : int;
-    scrub_repairs : int;
+    counters : Backend.counters; (* the cluster's registry at the end of the run *)
     verify_bad : int;
     get_p99 : float;
     get_p999 : float;
     put_p99 : float;
     put_p999 : float;
-    hedges : int;
-    hedge_wins : int;
-    sheds : int;
-    slow_events : int;
     detection_latency : float;
         (* seconds from the first Fail_slow application to the first
            slow-ladder event the control plane logged; negative when
            either never happened *)
-    write_applies : int;
-        (* replica write applications across all nodes: divided by the
-           acknowledged writes this is the per-write hop count (chain
-           depth for CRRS, replied replicas for ABD) *)
-    quorum_rounds : int; (* ABD client quorum round-trips; 0 under CRRS *)
-    writebacks : int; (* ABD read repair write-back rounds; 0 under CRRS *)
-    cache_hits : int; (* GETs the in-network cache answered; 0 unarmed *)
-    cache_misses : int;
-    cache_invalidations : int; (* write-driven cache evictions *)
-    cache_sprays : int; (* HOT GETs sprayed across cache instances *)
     lin_checked_keys : int;
         (* keys whose full operation history the Wing–Gong checker
            searched *)
@@ -664,6 +639,33 @@ module Chaos = struct
             { Store.default_config with Store.nsegments = 2048; compaction_window = 256 * 1024 };
         };
     }
+
+  (* The registry counters [digest] folds in, as three runs in digest
+     order; chaos's own observables sit between them. A field naming
+     several counters folds their sum. *)
+  let digest_health =
+    [ [ "control.joins" ]; [ "control.leaves" ]; [ "control.failures_handled" ];
+      [ "netsim.dropped" ]; [ "netsim.delayed" ]; [ "client.nacks" ]; [ "client.retries" ];
+      [ "client.backoff_s" ]; [ "blockdev.reads"; "blockdev.writes" ];
+      [ "node.scrubbed_segments" ]; [ "node.read_repairs" ]; [ "node.scrub_repairs" ];
+      [ "store.corrupt_reads" ] ]
+
+  let digest_gray =
+    [ [ "client.hedges" ]; [ "client.hedge_wins" ]; [ "client.sheds"; "engine.sheds" ];
+      [ "control.slow_events" ] ]
+
+  let digest_replication =
+    [ [ "node.write_applies" ]; [ "client.quorum_rounds" ]; [ "client.writebacks" ];
+      [ "netcache.hits" ]; [ "netcache.misses" ]; [ "netcache.invalidations" ];
+      [ "netcache.sprays" ]; [ "netsim.consumed" ] ]
+
+  let digest_counters = List.concat (digest_health @ digest_gray @ digest_replication)
+
+  (* Float sums print exactly ([%h]); counts print as integers. *)
+  let digest_field counters names =
+    match List.map (fun n -> List.assoc_opt n counters) names with
+    | [ Some (Backend.Sum f) ] -> Printf.sprintf "%h" f
+    | _ -> string_of_int (List.fold_left (fun acc n -> acc + Backend.count counters n) 0 names)
 
   let digest_of_fields fields = Digest.to_hex (Digest.string (String.concat "|" fields))
 
@@ -903,13 +905,7 @@ module Chaos = struct
                 incr lin_violations;
                 if !lin_detail = "" then lin_detail := Printf.sprintf "key %s: %s" key detail)
           (History.keys hist);
-        let write_applies =
-          List.fold_left
-            (fun acc n -> acc + (Node.stats n).Node.n_write_applies)
-            0 (Cluster.nodes cluster)
-        in
         let counters = Leed_backend.counters cluster in
-        let fstats = Netsim.fabric_stats (Cluster.fabric cluster) in
         (* Detection latency: first Fail_slow application (injector log,
            oldest first — the apply note precedes the heal note) to the
            first slow-ladder event the control plane pushed. *)
@@ -946,7 +942,7 @@ module Chaos = struct
         let ok = failed_invariants = [] in
         let digest =
           digest_of_fields
-            [
+            ([
               string_of_int cfg.seed;
               Replication.proto_to_string cfg.proto;
               string_of_int !ops;
@@ -960,40 +956,24 @@ module Chaos = struct
               string_of_int !bad_chains;
               Printf.sprintf "%h" !max_gap;
               string_of_int (List.length live);
-              string_of_int counters.Backend.joins;
-              string_of_int counters.Backend.leaves;
-              string_of_int counters.Backend.failures_handled;
-              string_of_int fstats.Netsim.dropped;
-              string_of_int fstats.Netsim.delayed;
-              string_of_int counters.Backend.nacks;
-              string_of_int counters.Backend.retries;
-              Printf.sprintf "%h" counters.Backend.backoff_time;
-              string_of_int (Backend.nvme_accesses counters);
-              string_of_int counters.Backend.scrubbed_segments;
-              string_of_int counters.Backend.read_repairs;
-              string_of_int counters.Backend.scrub_repairs;
-              string_of_int counters.Backend.corrupt_reads;
+            ]
+            @ List.map (digest_field counters) digest_health
+            @ [
               string_of_int verify_bad;
               Printf.sprintf "%h" get_p99;
               Printf.sprintf "%h" get_p999;
-              string_of_int counters.Backend.hedges;
-              string_of_int counters.Backend.hedge_wins;
-              string_of_int counters.Backend.sheds;
-              string_of_int counters.Backend.slow_events;
+            ]
+            @ List.map (digest_field counters) digest_gray
+            @ [
               Printf.sprintf "%h" detection_latency;
               Printf.sprintf "%h" put_p99;
               Printf.sprintf "%h" put_p999;
-              string_of_int write_applies;
-              string_of_int counters.Backend.quorum_rounds;
-              string_of_int counters.Backend.writebacks;
-              string_of_int counters.Backend.cache_hits;
-              string_of_int counters.Backend.cache_misses;
-              string_of_int counters.Backend.cache_invalidations;
-              string_of_int counters.Backend.cache_sprays;
-              string_of_int fstats.Netsim.consumed;
+            ]
+            @ List.map (digest_field counters) digest_replication
+            @ [
               string_of_int lin_checked_keys;
               string_of_int !lin_violations;
-            ]
+            ])
         in
         let state_digest =
           digest_of_fields
@@ -1013,41 +993,19 @@ module Chaos = struct
           writes = !writes;
           failed_ops = !failed;
           null_reads = !null_reads;
-          corrupt_reads = !corrupt;
+          corrupt_values = !corrupt;
           lost_writes = !lost;
           stale_replicas = !stale;
           incomplete_chains = !bad_chains;
           max_outage = !max_gap;
           live_nodes = List.length live;
-          joins = counters.Backend.joins;
-          leaves = counters.Backend.leaves;
-          failures_handled = counters.Backend.failures_handled;
-          msgs_dropped = fstats.Netsim.dropped;
-          msgs_delayed = fstats.Netsim.delayed;
-          nacks = counters.Backend.nacks;
-          retries = counters.Backend.retries;
-          backoff_time = counters.Backend.backoff_time;
-          nvme_accesses = Backend.nvme_accesses counters;
-          scrubbed_segments = counters.Backend.scrubbed_segments;
-          read_repairs = counters.Backend.read_repairs;
-          scrub_repairs = counters.Backend.scrub_repairs;
+          counters;
           verify_bad;
           get_p99;
           get_p999;
           put_p99;
           put_p999;
-          hedges = counters.Backend.hedges;
-          hedge_wins = counters.Backend.hedge_wins;
-          sheds = counters.Backend.sheds;
-          slow_events = counters.Backend.slow_events;
           detection_latency;
-          write_applies;
-          quorum_rounds = counters.Backend.quorum_rounds;
-          writebacks = counters.Backend.writebacks;
-          cache_hits = counters.Backend.cache_hits;
-          cache_misses = counters.Backend.cache_misses;
-          cache_invalidations = counters.Backend.cache_invalidations;
-          cache_sprays = counters.Backend.cache_sprays;
           lin_checked_keys;
           lin_violations = !lin_violations;
           lin_detail = !lin_detail;
@@ -1058,6 +1016,7 @@ module Chaos = struct
         })
 
   let pp_report fmt (r : report) =
+    let c = Backend.count r.counters in
     Format.fprintf fmt
       "@[<v>schedule:@,%s@,\
        proto      %s@,\
@@ -1079,16 +1038,21 @@ module Chaos = struct
        gray       hedges %d (wins %d), sheds %d, slow events %d, detection %.3fs@,\
        digest     %s@,\
        verdict    %s@]"
-      r.schedule r.proto r.ops r.reads r.writes r.failed_ops r.null_reads r.corrupt_reads
-      r.lost_writes r.stale_replicas r.incomplete_chains r.max_outage r.live_nodes r.joins
-      r.leaves r.failures_handled r.msgs_dropped r.msgs_delayed r.nacks r.retries r.backoff_time
-      r.nvme_accesses r.scrubbed_segments r.read_repairs r.scrub_repairs r.verify_bad
+      r.schedule r.proto r.ops r.reads r.writes r.failed_ops r.null_reads r.corrupt_values
+      r.lost_writes r.stale_replicas r.incomplete_chains r.max_outage r.live_nodes
+      (c "control.joins") (c "control.leaves") (c "control.failures_handled")
+      (c "netsim.dropped") (c "netsim.delayed") (c "client.nacks") (c "client.retries")
+      (Backend.sum r.counters "client.backoff_s")
+      (Backend.nvme_accesses r.counters) (c "node.scrubbed_segments") (c "node.read_repairs")
+      (c "node.scrub_repairs") r.verify_bad
       (Leed_sim.Sim.to_us r.get_p99) (Leed_sim.Sim.to_us r.get_p999)
       (Leed_sim.Sim.to_us r.put_p99) (Leed_sim.Sim.to_us r.put_p999)
-      r.write_applies r.quorum_rounds r.writebacks r.cache_hits r.cache_misses
-      r.cache_invalidations r.cache_sprays r.lin_checked_keys r.lin_violations
+      (c "node.write_applies") (c "client.quorum_rounds") (c "client.writebacks")
+      (c "netcache.hits") (c "netcache.misses") (c "netcache.invalidations") (c "netcache.sprays")
+      r.lin_checked_keys r.lin_violations
       (if r.lin_detail = "" then "" else "\n  " ^ r.lin_detail)
-      r.hedges r.hedge_wins r.sheds r.slow_events r.detection_latency r.digest
+      (c "client.hedges") (c "client.hedge_wins") (Backend.sheds r.counters)
+      (c "control.slow_events") r.detection_latency r.digest
       (if r.ok then "OK"
        else "INVARIANT VIOLATED: " ^ String.concat ", " r.failed_invariants)
 end

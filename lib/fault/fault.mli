@@ -151,46 +151,27 @@ module Chaos : sig
     writes : int;
     failed_ops : int;        (** retry budget exhausted (unavailability) *)
     null_reads : int;        (** mid-run misses on preloaded keys *)
-    corrupt_reads : int;     (** mid-run payload outside the legal range *)
+    corrupt_values : int;
+        (** payloads outside the legal range (mid-run reads) plus corrupt
+            replica values (final sweep) *)
     lost_writes : int;       (** acknowledged-write loss — must be 0 *)
     stale_replicas : int;    (** replicas below the acknowledged sequence *)
     incomplete_chains : int; (** chains not back at full replication *)
     max_outage : float;      (** longest cluster-wide gap between successes *)
     live_nodes : int;
-    joins : int;
-    leaves : int;
-    failures_handled : int;
-    msgs_dropped : int;
-    msgs_delayed : int;
-    nacks : int;
-    retries : int;
-    backoff_time : float;
-    nvme_accesses : int;
-    scrubbed_segments : int; (** segments walked by the background scrubber *)
-    read_repairs : int;      (** corrupt entries healed from a CRRS replica *)
-    scrub_repairs : int;     (** rotted values the scrubber healed *)
+    counters : Leed_core.Backend.counters;
+        (** the cluster's named counters at the end of the run
+            ({!Leed_core.Leed_backend}): membership, network, client
+            retry/hedge/shed, nvme, integrity, replication and cache
+            activity, read by name *)
     verify_bad : int;        (** checksum failures left after the final heal — must be 0 *)
     get_p99 : float;         (** client-observed GET tail over the whole run, seconds *)
     get_p999 : float;
     put_p99 : float;         (** client-observed PUT tail, seconds *)
     put_p999 : float;
-    hedges : int;            (** hedged GETs fired *)
-    hedge_wins : int;        (** hedges whose response beat the primary *)
-    sheds : int;             (** deadline sheds (client + engine) *)
-    slow_events : int;       (** slow-ladder escalations + de-escalations *)
     detection_latency : float;
         (** seconds from the first [Fail_slow] application to the first
             slow-ladder event; negative when either never happened *)
-    write_applies : int;
-        (** replica write applications across all nodes; divided by the
-            acknowledged writes this is the per-write hop count (chain
-            depth under CRRS, replied replicas under ABD) *)
-    quorum_rounds : int;     (** ABD client quorum round-trips; 0 under CRRS *)
-    writebacks : int;        (** ABD read-repair write-back rounds; 0 under CRRS *)
-    cache_hits : int;        (** GETs answered by the in-network cache; 0 unarmed *)
-    cache_misses : int;      (** WARM/HOT cache lookups that fell through *)
-    cache_invalidations : int; (** write-driven cache evictions *)
-    cache_sprays : int;      (** HOT GETs sprayed across cache instances *)
     lin_checked_keys : int;  (** keys the Wing–Gong checker searched *)
     lin_violations : int;    (** keys with no legal linearization — must be 0 *)
     lin_detail : string;     (** first violation's explanation ([""] when none) *)
@@ -209,6 +190,11 @@ module Chaos : sig
             identical across perturbed equal-time event orderings, not
             just across same-seed runs. *)
   }
+
+  val digest_counters : string list
+  (** The registry names {!report.digest} folds in, in digest order. A
+      name the cluster did not register would read 0 there, so the
+      tests check that LEED registers every one. *)
 
   val run :
     ?checks:bool ->

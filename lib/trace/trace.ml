@@ -330,16 +330,50 @@ let write_file path =
   output_string oc (to_json ());
   close_out oc
 
-(* --- minimal JSON parser + schema validator --- *)
+(* --- minimal JSON emitter, parser + schema validator --- *)
 
 module Json = struct
   type t =
     | Null
     | Bool of bool
     | Num of float
+    | Int of int
     | Str of string
     | Arr of t list
     | Obj of (string * t) list
+
+  let rec to_buffer b = function
+    | Null -> Buffer.add_string b "null"
+    | Bool v -> Buffer.add_string b (string_of_bool v)
+    | Num f -> if Float.is_finite f then Printf.bprintf b "%.9g" f else Buffer.add_string b "null"
+    | Int i -> Buffer.add_string b (string_of_int i)
+    | Str s -> add_str b s
+    | Arr xs ->
+        Buffer.add_char b '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char b ',';
+            to_buffer b x)
+          xs;
+        Buffer.add_char b ']'
+    | Obj fields ->
+        Buffer.add_char b '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char b ',';
+            add_str b k;
+            Buffer.add_char b ':';
+            to_buffer b v)
+          fields;
+        Buffer.add_char b '}'
+
+  let write path t =
+    let b = Buffer.create 4096 in
+    to_buffer b t;
+    Buffer.add_char b '\n';
+    let oc = open_out_bin path in
+    Buffer.output_buffer oc b;
+    close_out oc
 
   exception Err of int * string
 

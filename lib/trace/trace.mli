@@ -187,10 +187,11 @@ val to_json : unit -> string
 val write_file : string -> unit
 (** Write {!to_json} to a file. *)
 
-(** {1 Validation}
+(** {1 JSON and validation}
 
-    A hand-rolled JSON parser (the environment has no JSON library) and
-    a schema checker for files produced by {!write_file}, used by the
+    A hand-rolled JSON emitter and parser (no JSON library is assumed),
+    shared by the bench harness's [BENCH_*.json] files, and a schema
+    checker for files produced by {!write_file}, used by the
     [leed trace-validate] CLI and check.sh. *)
 
 module Json : sig
@@ -199,9 +200,19 @@ module Json : sig
     | Null
     | Bool of bool
     | Num of float
+    | Int of int
+        (** emitted without a fraction at any magnitude; {!parse} never
+            produces it (every number parses as [Num]) *)
     | Str of string
     | Arr of t list
     | Obj of (string * t) list
+
+  val to_buffer : Buffer.t -> t -> unit
+  (** Compact serialization, no whitespace: [Num] as [%.9g] ([null] when
+      not finite), strings escaped as in the trace writer. *)
+
+  val write : string -> t -> unit
+  (** [write path v] writes {!to_buffer}'s text plus a newline to [path]. *)
 
   val parse : string -> (t, string) result
   (** Parse a complete JSON document; [Error] carries a message with an

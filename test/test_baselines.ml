@@ -286,8 +286,8 @@ let test_fawn_cluster_end_to_end () =
       (* All 30 writes and 30 reads succeeded: no client-observed nacks,
          and the devices saw real traffic. *)
       let ctrs = Fawn_cluster.counters cl in
-      Alcotest.(check int) "no nacks" 0 ctrs.Backend.nacks;
-      Alcotest.(check bool) "nvme writes" true (ctrs.Backend.nvme_writes > 0))
+      Alcotest.(check int) "no nacks" 0 (Backend.count ctrs "client.nacks");
+      Alcotest.(check bool) "nvme writes" true (Backend.count ctrs "blockdev.writes" > 0))
 
 let test_kvell_cluster_end_to_end () =
   Sim.run (fun () ->
@@ -309,7 +309,7 @@ let test_kvell_cluster_end_to_end () =
           (Option.map Bytes.to_string (Kvell_cluster.get c (key i)))
       done;
       Alcotest.(check int) "replicated" 90 (Kvell_cluster.total_objects cl);
-      Alcotest.(check int) "no nacks" 0 (Kvell_cluster.counters cl).Backend.nacks)
+      Alcotest.(check int) "no nacks" 0 (Backend.count (Kvell_cluster.counters cl) "client.nacks"))
 
 let test_fawn_slower_than_kvell_cluster () =
   (* Sanity on relative platform speed: a Pi-backed FAWN get is much slower

@@ -210,7 +210,7 @@ let test_chaos_cached_crrs () =
       (String.concat ", " r1.Fault.Chaos.failed_invariants);
   Alcotest.(check int) "linearizability violations" 0 r1.Fault.Chaos.lin_violations;
   Alcotest.(check bool) "history checked" true (r1.Fault.Chaos.lin_checked_keys > 0);
-  Alcotest.(check bool) "cache served under chaos" true (r1.Fault.Chaos.cache_hits > 0);
+  Alcotest.(check bool) "cache served under chaos" true (Backend.count r1.Fault.Chaos.counters "netcache.hits" > 0);
   Alcotest.(check string) "same-seed digest identical" r1.Fault.Chaos.digest
     r2.Fault.Chaos.digest
 
@@ -221,7 +221,8 @@ let test_chaos_cached_abd () =
   Alcotest.(check int) "linearizability violations" 0 r.Fault.Chaos.lin_violations;
   (* under ABD every read is a Tag_read quorum the cache must not
      intercept: armed but silent *)
-  Alcotest.(check int) "no cache hits under ABD" 0 r.Fault.Chaos.cache_hits
+  Alcotest.(check int) "no cache hits under ABD" 0
+    (Backend.count r.Fault.Chaos.counters "netcache.hits")
 
 let () =
   Alcotest.run "leed_cache"

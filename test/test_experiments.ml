@@ -23,7 +23,7 @@ let test_leed_setup_measures () =
   Alcotest.(check bool) "p999 >= avg" true (m.Backend.p999 >= m.Backend.avg_lat *. 0.9);
   (* The unified observability fields are live: a half-write workload hits
      flash, and the power model reports the 3-JBOF figure. *)
-  Alcotest.(check bool) "nvme accesses" true (m.Backend.nvme_accesses > 0);
+  Alcotest.(check bool) "nvme accesses" true (Backend.nvme_accesses m.Backend.counters > 0);
   Alcotest.(check (float 0.01)) "watts" 157.5 m.Backend.watts;
   Alcotest.(check bool) "qpj consistent" true
     (abs_float (m.Backend.queries_per_joule -. (m.Backend.throughput /. m.Backend.watts)) < 1e-6)

@@ -384,8 +384,11 @@ let test_chaos_fail_slow_deterministic () =
   Alcotest.(check bool) "invariants hold" true (r1.Chaos.ok && r2.Chaos.ok);
   Alcotest.(check int) "no acked-write loss" 0 r1.Chaos.lost_writes;
   Alcotest.(check string) "bit-identical digests" r1.Chaos.digest r2.Chaos.digest;
-  Alcotest.(check int) "hedge counts agree" r1.Chaos.hedges r2.Chaos.hedges;
-  Alcotest.(check int) "shed counts agree" r1.Chaos.sheds r2.Chaos.sheds
+  Alcotest.(check int) "hedge counts agree"
+    (Backend.count r1.Chaos.counters "client.hedges")
+    (Backend.count r2.Chaos.counters "client.hedges");
+  Alcotest.(check int) "shed counts agree" (Backend.sheds r1.Chaos.counters)
+    (Backend.sheds r2.Chaos.counters)
 
 let () =
   Alcotest.run "leed_failslow"
