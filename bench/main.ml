@@ -246,11 +246,7 @@ let repl ~fast seeds =
   let open Leed_fault.Fault in
   let module R = Leed_core.Replication in
   let seeds = if seeds = [] then [ 42 ] else List.map int_of_string seeds in
-  let base =
-    if fast then
-      { Chaos.default_config with Chaos.nnodes = 3; nkeys = 96; nclients = 3; duration = 4.0 }
-    else Chaos.default_config
-  in
+  let base = if fast then Chaos.fast_config else Chaos.default_config in
   (* Same seeds, same schedules, same invariants — only the replication
      protocol changes. The row set is the head-to-head the seam exists
      for: hops/write and recovery favour one design, quorum round-trips
@@ -657,17 +653,16 @@ let scale_validate file =
 (* --- in-network cache sweep (fig7/fig8-style; DESIGN.md §15) ---
 
    The LETHE comparison: under growing Zipf skew and under a flash crowd,
-   how does switch-resident caching compare with — and compose with —
-   CRRS read-spreading? Three configs per traffic point:
+   how does switch-resident caching compose with CRRS read-spreading?
+   Two configs per traffic point, both with CRRS replica reads on:
 
-     crrs        cache off, CRRS replica reads on  (the PR-baseline)
-     cache       cache on,  CRRS replica reads off (head-only reads)
-     cache+crrs  cache on,  CRRS replica reads on  (the composition)
+     crrs        cache off (the baseline)
+     cache+crrs  cache on  (the composition)
 
    Read-heavy (95/5) so the cache has something to serve while the 5%
    writes keep exercising invalidation. *)
 
-let cache_configs = [ ("crrs", false, true); ("cache", true, false); ("cache+crrs", true, true) ]
+let cache_configs = [ ("crrs", false); ("cache+crrs", true) ]
 (* Zipf.create (the YCSB sampler) supports theta in (0,1); the beyond-1
    "extreme skew" regime LETHE targets is covered by the flash-crowd
    scenario instead, which concentrates half the picks on 16 keys. *)
@@ -701,11 +696,11 @@ let cache_bench ~fast () =
         hot_down = 120;
       }
   in
-  let cell ~scenario ~theta ~label ~cached ~crrs =
+  let cell ~scenario ~theta ~label ~cached =
     let m =
       Sim.run (fun () ->
           let setup =
-            Exp_common.make_leed ~nclients:4 ~crrs
+            Exp_common.make_leed ~nclients:4
               ?cache:(if cached then Some cache_cfg else None)
               ()
           in
@@ -759,7 +754,7 @@ let cache_bench ~fast () =
       (fun theta ->
         Printf.printf "-- zipf θ=%.1f --\n%!" theta;
         List.map
-          (fun (label, cached, crrs) -> cell ~scenario:"zipf" ~theta ~label ~cached ~crrs)
+          (fun (label, cached) -> cell ~scenario:"zipf" ~theta ~label ~cached)
           cache_configs)
       cache_thetas
   in
@@ -768,7 +763,7 @@ let cache_bench ~fast () =
   print_endline "-- flash crowd (50% of picks on 16 keys) --";
   let flash =
     List.map
-      (fun (label, cached, crrs) -> cell ~scenario:"flash" ~theta:0.9 ~label ~cached ~crrs)
+      (fun (label, cached) -> cell ~scenario:"flash" ~theta:0.9 ~label ~cached)
       cache_configs
   in
   Json.write "BENCH_cache.json"
@@ -816,7 +811,7 @@ let cache_validate file =
         | _ -> fail "missing results array"
       in
       if rows = [] then fail "empty results array";
-      let configs = List.map (fun (l, _, _) -> l) cache_configs in
+      let configs = List.map fst cache_configs in
       let required =
         [ "theta"; "ops"; "throughput_ops_s"; "p99_s"; "p999_s"; "cache_hits"; "cache_misses";
           "hit_rate"; "cache_invalidations"; "cache_sprays"; "cache_hot_keys"; "nvme_accesses";

@@ -277,11 +277,8 @@ let chaos_cmd =
     let open Leed_fault.Fault in
     let module Trace = Leed_trace.Trace in
     let cfg =
-      let base = { Chaos.default_config with Chaos.seed; bit_rot; naive; proto; cache } in
-      let base =
-        if fast then { base with Chaos.nnodes = 3; nkeys = 96; nclients = 3; duration = 4.0 }
-        else base
-      in
+      let base = if fast then Chaos.fast_config else Chaos.default_config in
+      let base = { base with Chaos.seed; bit_rot; naive; proto; cache } in
       (* The fail-slow preset needs a victim beyond the crash-restart
          and partition victims (else the generator skips it), and a
          per-op deadline so the shedding path has real work. *)

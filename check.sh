@@ -28,6 +28,15 @@ dune runtest
 echo "== tests under the invariant sanitizer (LEED_SANITIZE=1) =="
 LEED_SANITIZE=1 dune runtest --force
 
+echo "== examples (each must exit 0) =="
+# The examples build their clusters from the library's default configs,
+# so a config change that breaks one shows up here. ycsb_cluster runs a
+# 20 ms window to keep the stage at a few seconds.
+for ex in quickstart failover swap_demo; do
+  dune exec "examples/$ex.exe" > /dev/null
+done
+dune exec examples/ycsb_cluster.exe -- -d 0.02 > /dev/null
+
 # The chaos stages run as a replication-protocol matrix: every schedule
 # must pass the same invariants (including the linearizability oracle)
 # under both CRRS chain replication and the ABD quorum register, and

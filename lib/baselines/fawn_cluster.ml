@@ -28,10 +28,11 @@ let response_size = function FValue (Some v) -> 48 + Bytes.length v | FValue Non
 type config = {
   r : int;
   nnodes : int;
-  dram_for_index : int; (* bounds each node's 6 B/object hash index *)
 }
 
-let default_config = { r = 3; nnodes = 10; dram_for_index = 16 * 1024 * 1024 }
+let default_config = { r = 3; nnodes = 10 }
+
+let dram_for_index = 16 * 1024 * 1024 (* bounds each node's 6 B/object hash index *)
 
 type node = {
   id : int;
@@ -115,7 +116,7 @@ let create ?(config = default_config) () =
         in
         let store =
           Fawn_store.create
-            ~config:{ Fawn_store.default_config with Fawn_store.dram_budget = config.dram_for_index }
+            ~config:{ Fawn_store.default_config with Fawn_store.dram_budget = dram_for_index }
             ~log ()
         in
         Fawn_store.run_flusher store;

@@ -13,7 +13,6 @@
 type config = {
   r : int;
   nnodes : int;
-  dram_for_index : int;  (** bounds each node's 6 B/object hash index *)
 }
 
 include Leed_core.Backend.S with type config := config

@@ -18,25 +18,22 @@ exception Index_full
 (* DRAM budget exhausted: FAWN cannot index more objects (Table 3). *)
 
 type config = {
-  index_bytes_per_object : int; (* the paper's 6 B *)
   dram_budget : int;            (* bytes available for the hash index *)
   flush_threshold : int;        (* write-behind buffer size *)
-  compact_trigger : float;
-  compact_target : float;
-  compaction_window : int;
   charge : float -> unit;       (* CPU-cycle hook *)
 }
 
 let default_config =
   {
-    index_bytes_per_object = 6;
     dram_budget = 64 * 1024 * 1024;
     flush_threshold = 64 * 1024;
-    compact_trigger = 0.85;
-    compact_target = 0.6;
-    compaction_window = 256 * 1024;
     charge = (fun _ -> ());
   }
+
+let index_bytes_per_object = 6 (* the paper's 6 B *)
+let compact_trigger = 0.85
+let compact_target = 0.6
+let compaction_window = 256 * 1024
 
 (* Log entry framing: magic(1) klen(1) vlen(4) pad(2) key value.
    vlen = 0 marks a tombstone. *)
@@ -65,7 +62,7 @@ let create ?(config = default_config) ~log () =
     log;
     index = Hashtbl.create 4096;
     objects = 0;
-    max_objects = config.dram_budget / config.index_bytes_per_object;
+    max_objects = config.dram_budget / index_bytes_per_object;
     buffer = Queue.create ();
     staged = Hashtbl.create 256;
     buffer_bytes = 0;
@@ -77,7 +74,7 @@ let create ?(config = default_config) ~log () =
 
 let objects t = t.objects
 let max_objects t = t.max_objects
-let index_bytes t = t.objects * t.config.index_bytes_per_object
+let index_bytes t = t.objects * index_bytes_per_object
 let log t = t.log
 
 (* Fraction of the flash this store can actually index (Table 3 row 1). *)
@@ -201,7 +198,7 @@ let get t key =
 let compact t =
   flush t;
   let head = Circular_log.head t.log in
-  let stop = min (Circular_log.committed_tail t.log) (head + t.config.compaction_window) in
+  let stop = min (Circular_log.committed_tail t.log) (head + compaction_window) in
   let loff = ref head in
   let rotted = ref false in
   while (not !rotted) && !loff < stop do
@@ -228,11 +225,11 @@ let compact t =
 
 let run_compactor ?(period = 0.01) t =
   Sim.every ~period (fun () ->
-      let max_rounds = 2 + (Circular_log.size t.log / max 1 t.config.compaction_window) in
-      if Circular_log.occupancy t.log > t.config.compact_trigger then begin
+      let max_rounds = 2 + (Circular_log.size t.log / compaction_window) in
+      if Circular_log.occupancy t.log > compact_trigger then begin
         let rounds = ref 0 in
         while
-          Circular_log.occupancy t.log > t.config.compact_target
+          Circular_log.occupancy t.log > compact_target
           && (not (Circular_log.is_empty t.log))
           && !rounds < max_rounds
         do

@@ -15,13 +15,9 @@ exception Index_full
 exception Corrupt of string
 
 type config = {
-  index_bytes_per_object : int; (** the paper's 6 B *)
   dram_budget : int;
   flush_threshold : int;
       (** write-behind buffer size; ≤ 0 selects synchronous write-through *)
-  compact_trigger : float;
-  compact_target : float;
-  compaction_window : int;
   charge : float -> unit; (** CPU-cycle hook *)
 }
 

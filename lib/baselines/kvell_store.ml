@@ -27,10 +27,7 @@ type config = {
   nworkers : int;
   slot_size : int;         (* slab item class *)
   dram_budget : int;       (* total for index + cache across workers *)
-  index_bytes_per_object : int; (* ~64 B: B-tree entry + free list + cache meta *)
   index_cycles : float;    (* per-op B-tree walk cost, A72-equivalent *)
-  page_cache_frac : float; (* share of DRAM for the page cache *)
-  batch_size : int;        (* device-access batching factor *)
   charge : int -> float -> unit; (* worker -> cycles -> () *)
 }
 
@@ -39,12 +36,13 @@ let default_config =
     nworkers = 4;
     slot_size = 1024;
     dram_budget = 512 * 1024 * 1024;
-    index_bytes_per_object = 64;
     index_cycles = 60_000.;
-    page_cache_frac = 0.25;
-    batch_size = 64;
     charge = (fun _ _ -> ());
   }
+
+let index_bytes_per_object = 64 (* ~64 B: B-tree entry + free list + cache meta *)
+let page_cache_frac = 0.25 (* share of DRAM for the page cache *)
+let batch_size = 64 (* device-access batching factor *)
 
 type op = OGet of string | OPut of string * bytes | ODel of string
 
@@ -88,7 +86,7 @@ let create ?(config = default_config) ~devs () =
   let ndev = Array.length devs in
   if ndev = 0 then invalid_arg "Kvell_store.create: need at least one device";
   let per_worker_cache =
-    int_of_float (config.page_cache_frac *. float_of_int config.dram_budget)
+    int_of_float (page_cache_frac *. float_of_int config.dram_budget)
     / config.nworkers / config.slot_size
   in
   let workers =
@@ -101,14 +99,14 @@ let create ?(config = default_config) ~devs () =
           dev;
           base;
           nslots = share / config.slot_size;
-          btree = Btree.create ~entry_bytes:config.index_bytes_per_object ~dummy:0 ();
+          btree = Btree.create ~entry_bytes:index_bytes_per_object ~dummy:0 ();
           free_list = Queue.create ();
           next_slot = 0;
           inbox = Sim.Mailbox.create ();
           io_window =
             Sim.Resource.create
               ~name:(Printf.sprintf "kvell.w%d.io" wid)
-              ~capacity:config.batch_size ();
+              ~capacity:batch_size ();
           cache = Hashtbl.create 1024;
           cache_order = Queue.create ();
           cache_capacity = max 16 per_worker_cache;
@@ -117,12 +115,12 @@ let create ?(config = default_config) ~devs () =
         })
   in
   let index_budget =
-    int_of_float ((1. -. config.page_cache_frac) *. float_of_int config.dram_budget)
+    int_of_float ((1. -. page_cache_frac) *. float_of_int config.dram_budget)
   in
   {
     config;
     workers;
-    max_objects = index_budget / config.index_bytes_per_object;
+    max_objects = index_budget / index_bytes_per_object;
     objects = 0;
     reads = 0;
     writes = 0;
@@ -266,7 +264,7 @@ let worker_loop t w =
     let batch = ref [ first ] in
     let n = ref 1 in
     let continue = ref true in
-    while !n < t.config.batch_size && !continue do
+    while !n < batch_size && !continue do
       match Sim.Mailbox.try_recv w.inbox with
       | Some p ->
           batch := p :: !batch;

@@ -5,7 +5,7 @@
     a free list, and a page cache in DRAM (~64 B per object — the Table 3
     capacity cap). Commands are enqueued to their worker; the worker walks
     the B-tree for each batch entry sequentially on its pinned core and
-    issues the device I/O asynchronously behind a bounded window. Every
+    issues the device I/O asynchronously behind a window of 64. Every
     command costs at most one SSD access; the CPU-heavy index is why KVell
     collapses on the wimpy SmartNIC while topping throughput on a Xeon. *)
 
@@ -20,10 +20,8 @@ type config = {
   nworkers : int;
   slot_size : int;              (** slab item class *)
   dram_budget : int;
-  index_bytes_per_object : int; (** ~64 B *)
+      (** a quarter is page cache, the rest indexes objects at 64 B each *)
   index_cycles : float;         (** per-op B-tree walk, A72-equivalent *)
-  page_cache_frac : float;
-  batch_size : int;             (** per-worker in-flight I/O window *)
   charge : int -> float -> unit; (** worker id -> cycles -> () *)
 }
 

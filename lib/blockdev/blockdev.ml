@@ -118,8 +118,6 @@ module Storage = struct
     done;
     out
 
-  let resident_bytes t = Hashtbl.length t.chunks * chunk_size
-
   (* Chunk indices holding ever-written data, sorted so callers walking
      them stay deterministic regardless of hash-table order. *)
   let resident_chunks t =

@@ -39,7 +39,6 @@ module Storage : sig
   val create : unit -> t
   val write : t -> off:int -> bytes -> unit
   val read : t -> off:int -> len:int -> bytes
-  val resident_bytes : t -> int
 
   val resident_chunks : t -> int list
   (** Sorted chunk indices holding ever-written data. *)

@@ -38,18 +38,9 @@ type config = {
   flow_control : bool; (* §3.5 token gating *)
   crrs : bool;         (* §3.7 replica reads *)
   tenant : int;        (* §3.5 weighted token share *)
-  retry_limit : int;
-  retry_backoff : float;     (* base sleep before retry 1 *)
-  retry_backoff_cap : float; (* ceiling of the exponential ramp *)
-  retry_jitter : float;      (* relative spread: sleep ∈ base·2ⁿ·[1±j] *)
   rpc_timeout : float;
   hedge : bool;              (* hedged GETs toward a second CRRS replica *)
-  hedge_quantile : float;    (* global latency quantile arming the hedge *)
-  hedge_floor : float;       (* minimum hedge delay (s) *)
   adaptive_timeout : bool;   (* per-destination quantile-based timeouts *)
-  timeout_quantile : float;  (* per-destination quantile the timeout tracks *)
-  timeout_mult : float;      (* timeout = mult × dest quantile *)
-  timeout_floor : float;     (* adaptive timeouts never drop below this (s) *)
   op_deadline : float;       (* per-op SLO budget (s); 0. = no deadline *)
 }
 
@@ -60,20 +51,21 @@ let default_config =
     flow_control = true;
     crrs = true;
     tenant = 0;
-    retry_limit = 8;
-    retry_backoff = 0.002;
-    retry_backoff_cap = 0.1;
-    retry_jitter = 0.25;
     rpc_timeout = 0.5;
     hedge = true;
-    hedge_quantile = 0.95;
-    hedge_floor = 0.0002;
     adaptive_timeout = true;
-    timeout_quantile = 0.99;
-    timeout_mult = 6.0;
-    timeout_floor = 0.025;
     op_deadline = 0.;
   }
+
+let retry_limit = 8
+let retry_backoff = 0.002     (* base sleep before retry 1 *)
+let retry_backoff_cap = 0.1   (* ceiling of the exponential ramp *)
+let retry_jitter = 0.25       (* relative spread: sleep ∈ base·2ⁿ·[1±j] *)
+let hedge_quantile = 0.95     (* global latency quantile arming the hedge *)
+let hedge_floor = 0.0002      (* minimum hedge delay (s) *)
+let timeout_quantile = 0.99   (* per-destination quantile the timeout tracks *)
+let timeout_mult = 6.0        (* timeout = mult × dest quantile *)
+let timeout_floor = 0.025     (* adaptive timeouts never drop below this (s) *)
 
 (* Sample floors before the adaptive machinery arms: a hedge fired off
    three samples is noise, and a timeout fitted to a cold histogram is a
@@ -197,8 +189,8 @@ let timeout_for t node =
     let h = dest_hist t node in
     if Histogram.count h < timeout_min_samples then t.config.rpc_timeout
     else
-      let q = Histogram.percentile h t.config.timeout_quantile in
-      Float.min t.config.rpc_timeout (Float.max t.config.timeout_floor (t.config.timeout_mult *. q))
+      let q = Histogram.percentile h timeout_quantile in
+      Float.min t.config.rpc_timeout (Float.max timeout_floor (timeout_mult *. q))
 
 (* Hedge delay: the hedge-quantile of the *fastest warm destination* —
    the robust estimate of what a healthy replica's tail looks like. The
@@ -219,14 +211,14 @@ let hedge_delay t =
     Hashtbl.iter
       (fun _node h ->
         if Histogram.count h >= hedge_min_samples then
-          let q = Histogram.percentile h t.config.hedge_quantile in
+          let q = Histogram.percentile h hedge_quantile in
           if q < !best then best := q)
       t.dest_hists;
     let q =
       if Float.is_finite !best then !best
-      else Histogram.percentile t.global_hist t.config.hedge_quantile
+      else Histogram.percentile t.global_hist hedge_quantile
     in
-    Some (Float.max t.config.hedge_floor q)
+    Some (Float.max hedge_floor q)
 
 let vstate t vn =
   match Hashtbl.find_opt t.vstates vn with
@@ -346,13 +338,13 @@ let hedge_target t chain (primary : Ring.entry) =
    the same failure de-synchronize instead of stampeding the repaired
    chain in lockstep, and every run with the same seed sleeps the same. *)
 let backoff_delay t n =
-  let exp = Float.min t.config.retry_backoff_cap (t.config.retry_backoff *. (2. ** float_of_int n)) in
-  let j = t.config.retry_jitter in
-  let scale = if j <= 0. then 1. else 1. -. j +. (2. *. j *. Rng.float t.rng) in
+  let exp = Float.min retry_backoff_cap (retry_backoff *. (2. ** float_of_int n)) in
+  let j = retry_jitter in
+  let scale = 1. -. j +. (2. *. j *. Rng.float t.rng) in
   exp *. scale
 
 let rec with_retries t n f =
-  if n > t.config.retry_limit then raise (Unavailable "retry limit exceeded")
+  if n > retry_limit then raise (Unavailable "retry limit exceeded")
   else
     match f () with
     | Some r -> r

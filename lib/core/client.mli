@@ -20,33 +20,17 @@ type config = {
   flow_control : bool; (** §3.5 token gating *)
   crrs : bool;         (** §3.7 replica reads *)
   tenant : int;        (** §3.5 weighted token share this client draws from *)
-  retry_limit : int;
-  retry_backoff : float;     (** base sleep before the first retry *)
-  retry_backoff_cap : float; (** ceiling of the exponential ramp *)
-  retry_jitter : float;
-      (** relative spread: the nth retry sleeps min(cap, base·2ⁿ) scaled
-          uniformly from [1±jitter] off the client's own deterministic
-          {!Leed_sim.Rng}, de-synchronizing retry stampedes *)
   rpc_timeout : float;
       (** static RPC timeout: the cold-start value and upper clamp of the
           adaptive per-destination timeouts *)
   hedge : bool;
       (** hedged GETs: if the primary replica has not answered within the
-          global [hedge_quantile] latency, re-issue the read to the best
+          global 0.95 latency quantile, re-issue the read to the best
           alternate CRRS chain member; first response wins and the loser
           cannot double-count tokens, retries, or NVMe accesses *)
-  hedge_quantile : float;
-      (** global response-time quantile arming the hedge (default 0.95) *)
-  hedge_floor : float;  (** minimum hedge delay in seconds *)
   adaptive_timeout : bool;
       (** per-destination timeouts tracking each node's own latency
           quantile instead of the single static [rpc_timeout] *)
-  timeout_quantile : float;
-      (** per-destination quantile the adaptive timeout tracks *)
-  timeout_mult : float;  (** timeout = mult × destination quantile *)
-  timeout_floor : float;
-      (** adaptive timeouts never drop below this (seconds) — an
-          occasional convoy on a healthy node must not read as death *)
   op_deadline : float;
       (** per-operation SLO budget in seconds (0. = none). The absolute
           deadline rides the wire; the token engine sheds work still
@@ -55,6 +39,15 @@ type config = {
 }
 
 val default_config : config
+(** R = 3, CRRS, flow control, hedging and adaptive timeouts on, 0.5 s
+    static timeout, no deadline. Retries are fixed: at most 8, each
+    sleeping min(0.1 s, 2 ms·2ⁿ) scaled uniformly from [0.75, 1.25] off
+    the client's own deterministic {!Leed_sim.Rng}, de-synchronizing
+    retry stampedes. *)
+
+val timeout_floor : float
+(** Adaptive timeouts never drop below this (0.025 s): an occasional
+    convoy on a healthy node must not read as death. *)
 
 type t
 
@@ -119,13 +112,13 @@ val slow_level : t -> int -> int
 val timeout_for : t -> int -> float
 (** The RPC timeout the client would use toward the given node right now:
     [rpc_timeout] until the destination's histogram is warm, then
-    [timeout_mult] × its [timeout_quantile], clamped to
-    [[timeout_floor, rpc_timeout]]. Exposed for tests. *)
+    6 × its 0.99 quantile, clamped to [[timeout_floor, rpc_timeout]].
+    Exposed for tests. *)
 
 val hedge_delay : t -> float option
-(** The current hedge delay (global [hedge_quantile], floored), or [None]
-    while hedging is disabled or the global histogram is cold. Exposed
-    for tests. *)
+(** The current hedge delay (0.95 latency quantile, floored at 0.2 ms),
+    or [None] while hedging is disabled or the global histogram is cold.
+    Exposed for tests. *)
 
 val throttled_time : t -> float
 (** Cumulative seconds spent blocked by Algorithm 1's token gate. *)

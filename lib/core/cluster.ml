@@ -16,7 +16,6 @@ type config = {
   engine_config : Engine.config;
   client_config : Client.config;
   platform : Platform.t;
-  base_latency_us : float;
   heartbeat_period : float;   (* failure-detector probe period (§3.8.2) *)
   miss_limit : int;           (* consecutive missed probes before fail-out *)
   slow_detection : bool;      (* gray-failure outlier scoring + escalation *)
@@ -31,7 +30,6 @@ let default_config =
     engine_config = Engine.default_config;
     client_config = Client.default_config;
     platform = Platform.smartnic_jbof;
-    base_latency_us = 3.0;
     heartbeat_period = 0.2;
     miss_limit = 3;
     slow_detection = true;
@@ -151,7 +149,7 @@ let create ?(config = default_config) () =
      past the real chain — reads land on a replica that never sees writes. *)
   if config.client_config.Client.r > config.r then
     invalid_arg "Cluster.create: client_config.r exceeds cluster replication factor";
-  let fabric = Netsim.fabric ~base_latency_us:config.base_latency_us () in
+  let fabric = Netsim.fabric () in
   let control =
     Control.create ~r:config.r ~heartbeat_period:config.heartbeat_period
       ~miss_limit:config.miss_limit ~slow_detection:config.slow_detection fabric

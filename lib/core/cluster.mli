@@ -12,7 +12,6 @@ type config = {
   engine_config : Engine.config;
   client_config : Client.config;
   platform : Leed_platform.Platform.t;
-  base_latency_us : float;
   heartbeat_period : float;
       (** failure-detector probe period (§3.8.2); default 0.2 s *)
   miss_limit : int;

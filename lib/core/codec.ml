@@ -237,8 +237,6 @@ let segment_bytes ~chain_len = chain_len * bucket_size
 
 type value_entry = { ve_seg : int; ve_key : string; ve_value : bytes }
 
-let value_entry_size ve = value_header_size + String.length ve.ve_key + Bytes.length ve.ve_value
-
 (* The value-entry CRC occupies the previously reserved header bytes
    [14,18) (bytes [18,20) stay zero) and covers the whole entry minus its
    own field: header, key, and payload. *)

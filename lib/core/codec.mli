@@ -83,7 +83,6 @@ val segment_bytes : chain_len:int -> int
 
 type value_entry = { ve_seg : int; ve_key : string; ve_value : bytes }
 
-val value_entry_size : value_entry -> int
 val encode_value_entry : value_entry -> bytes
 
 val decode_value_header : bytes -> int * int * int

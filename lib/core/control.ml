@@ -37,9 +37,6 @@ type t = {
   heartbeat_period : float;
   miss_limit : int;
   slow_detection : bool;
-  slow_threshold : float; (* svc / median ratio that reads as slow *)
-  slow_rounds_trigger : int; (* consecutive slow rounds per ladder rung *)
-  mutable on_failure : int -> unit;
   mutable running : bool;
   mutable joins : int;
   mutable leaves : int;
@@ -50,8 +47,10 @@ type t = {
   mutable slow_log : (float * int * int) list;
 }
 
-let create ?(r = 3) ?(heartbeat_period = 0.2) ?(miss_limit = 3) ?(slow_detection = true)
-    ?(slow_threshold = 3.0) ?(slow_rounds_trigger = 3) fabric =
+let slow_threshold = 3.0 (* svc / median ratio that reads as slow *)
+let slow_rounds_trigger = 3 (* consecutive slow rounds per ladder rung *)
+
+let create ~r ~heartbeat_period ~miss_limit ~slow_detection fabric =
   let rpc = Rpc.create fabric ~name:"control-plane" ~gbps:10. in
   Rpc.client rpc;
   {
@@ -65,9 +64,6 @@ let create ?(r = 3) ?(heartbeat_period = 0.2) ?(miss_limit = 3) ?(slow_detection
     heartbeat_period;
     miss_limit;
     slow_detection;
-    slow_threshold;
-    slow_rounds_trigger;
-    on_failure = (fun _ -> ());
     running = false;
     joins = 0;
     leaves = 0;
@@ -80,7 +76,6 @@ let ring t = t.ring
 let r t = t.r
 let snapshot t = Ring.snapshot t.ring
 let register_client t c = t.clients <- c :: t.clients
-let set_on_failure t f = t.on_failure <- f
 
 let node t id = (Hashtbl.find t.nodes id).node
 
@@ -427,7 +422,6 @@ let handle_failure t dead_id =
   | Some ns -> ns.alive <- false
   | None -> ());
   t.failures_handled <- t.failures_handled + 1;
-  t.on_failure dead_id;
   ignore (leave t dead_id)
 
 (* --- crash-restart (§3.8.2) --- *)
@@ -525,15 +519,15 @@ let score_round t =
           if Trace.on () then
             Trace.counter ~track:t.track ~cat:"control" "slow.score"
               [ (Printf.sprintf "n%d" id, score) ];
-          if score >= t.slow_threshold then begin
+          if score >= slow_threshold then begin
             ns.slow_rounds <- ns.slow_rounds + 1;
             ns.clean_rounds <- 0;
-            if ns.slow_stage < 3 && ns.slow_rounds >= (ns.slow_stage + 1) * t.slow_rounds_trigger
+            if ns.slow_stage < 3 && ns.slow_rounds >= (ns.slow_stage + 1) * slow_rounds_trigger
             then escalate t ns id (ns.slow_stage + 1)
           end
           else begin
             ns.clean_rounds <- ns.clean_rounds + 1;
-            if ns.clean_rounds >= t.slow_rounds_trigger then begin
+            if ns.clean_rounds >= slow_rounds_trigger then begin
               if ns.slow_stage > 0 && ns.slow_stage < 3 then de_escalate t ns id;
               ns.slow_rounds <- 0
             end

@@ -9,19 +9,16 @@
 type t
 
 val create :
-  ?r:int ->
-  ?heartbeat_period:float ->
-  ?miss_limit:int ->
-  ?slow_detection:bool ->
-  ?slow_threshold:float ->
-  ?slow_rounds_trigger:int ->
+  r:int ->
+  heartbeat_period:float ->
+  miss_limit:int ->
+  slow_detection:bool ->
   (Messages.request, Messages.response) Leed_netsim.Netsim.Rpc.wire Leed_netsim.Netsim.fabric ->
   t
-(** [slow_detection] (default true) arms the gray-failure detector:
+(** [slow_detection] arms the gray-failure detector:
     heartbeat replies piggyback each node's smoothed service time, every
     probe round scores reporters against the round's median, and a node
-    sustaining [slow_threshold]× the median (default 3) for
-    [slow_rounds_trigger] consecutive rounds (default 3) walks the
+    sustaining 3× the median for 3 consecutive rounds walks the
     escalation ladder — deprioritize in CRRS read spreading, then drain,
     then fence and re-copy via the §3.8 failure machinery. The same count
     of consecutive healthy rounds walks stages 1-2 back down. *)
@@ -32,9 +29,6 @@ val ring : t -> Ring.t
 val r : t -> int
 val snapshot : t -> Ring.snapshot
 val register_client : t -> Client.t -> unit
-
-val set_on_failure : t -> (int -> unit) -> unit
-(** Hook invoked when a node is declared dead, before chain repair. *)
 
 val node : t -> int -> Node.t
 val node_ids : t -> int list

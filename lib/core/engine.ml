@@ -47,8 +47,6 @@ type config = {
   token_max : int;
   waiting_cap : int;      (* shallow waiting queue bound (§3.4) *)
   store_config : Store.config;
-  klog_frac : float;      (* fraction of a partition given to the key log *)
-  swap_frac : float;      (* fraction of each SSD reserved as swap region *)
 }
 
 let default_config =
@@ -60,9 +58,10 @@ let default_config =
     token_max = 96;
     waiting_cap = 256;
     store_config = Store.default_config;
-    klog_frac = 0.3;
-    swap_frac = 0.1;
   }
+
+let klog_frac = 0.3 (* fraction of a partition given to the key log *)
+let swap_frac = 0.1 (* fraction of each SSD reserved as swap region *)
 
 type pending = {
   cmd : cmd;
@@ -150,7 +149,7 @@ let create ?(config = default_config) ?(rng = Rng.create 11) ?track platform =
         Blockdev.create ~rng:(Rng.split rng) ~track:dev_tracks.(d) platform.Platform.ssd)
   in
   let cap_dev = platform.Platform.ssd.Blockdev.capacity_bytes in
-  let swap_bytes = int_of_float (config.swap_frac *. float_of_int cap_dev) in
+  let swap_bytes = int_of_float (swap_frac *. float_of_int cap_dev) in
   let part_bytes = (cap_dev - swap_bytes) / config.partitions_per_ssd in
   let ssds =
     Array.init nssd (fun d ->
@@ -188,7 +187,7 @@ let create ?(config = default_config) ?(rng = Rng.create 11) ?track platform =
     let slot = pid / nssd in
     let s = ssds.(d) in
     let base = slot * part_bytes in
-    let ksize = int_of_float (config.klog_frac *. float_of_int part_bytes) in
+    let ksize = int_of_float (klog_frac *. float_of_int part_bytes) in
     let klog =
       Circular_log.create ~name:(Printf.sprintf "p%d.klog" pid) ~dev:s.dev ~dev_id:d ~base ~size:ksize
     in
@@ -551,5 +550,4 @@ let active_tokens (s : ssd_sched) = s.active_tokens
 let token_capacity (s : ssd_sched) = s.capacity
 let ssd_device (s : ssd_sched) = s.dev
 let ssd_track (s : ssd_sched) = s.track
-let queued_tokens (p : partition) = p.queued_tokens
 let swapped_segments (p : partition) = List.length (Segtbl.swapped_out (Store.segtbl p.store))

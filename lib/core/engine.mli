@@ -47,8 +47,6 @@ type config = {
   token_max : int;
   waiting_cap : int;      (** shallow waiting-queue bound (§3.4) *)
   store_config : Store.config;
-  klog_frac : float;      (** fraction of a partition given to the key log *)
-  swap_frac : float;      (** fraction of each SSD reserved as swap region *)
 }
 
 val default_config : config
@@ -160,9 +158,6 @@ val ssd_device : ssd_sched -> Leed_blockdev.Blockdev.t
 
 val ssd_track : ssd_sched -> Leed_trace.Trace.track
 (** The scheduler's trace row (counters for this SSD land here). *)
-
-val queued_tokens : partition -> int
-(** Tokens committed in the partition's waiting queue. *)
 
 val swapped_segments : partition -> int
 (** Segments of this partition currently living in a foreign SSD's swap

@@ -48,9 +48,6 @@ type config = {
   warm_down : int;
   hot_up : int;
   hot_down : int;
-  service_us : float;
-  gbps : float;
-  pending_ttl : float;
 }
 
 let default_config =
@@ -65,10 +62,11 @@ let default_config =
     warm_down = 4;
     hot_up = 48;
     hot_down = 24;
-    service_us = 1.0;
-    gbps = 100.;
-    pending_ttl = 5.0;
   }
+
+let service_us = 1.0 (* per-lookup switch service time *)
+let gbps = 100. (* the instances' reply bandwidth *)
+let pending_ttl = 5.0 (* how long an unanswered request record keeps its key uncacheable *)
 
 let enabled c = { c with mode = Ttl_lru }
 
@@ -343,7 +341,7 @@ let serve t inst ~requester ~req_id (e : entry) =
   let value = Bytes.copy e.e_value in
   let resp = Messages.Value { value = Some value; tokens = e.e_tokens } in
   let size = Messages.response_size resp in
-  let service = Sim.us t.cfg.service_us in
+  let service = Sim.us service_us in
   Sim.spawn ~label:(Netsim.name inst.ep) (fun () ->
       Sim.Resource.with_ inst.res (fun () -> Sim.delay service);
       Netsim.inject t.fab ~src:inst.ep ~dst:requester ~size (Netsim.Rpc.Resp (req_id, resp)))
@@ -373,8 +371,8 @@ let on_get t (env : wire Netsim.envelope) req_id key =
         let m = kmeta_of t key in
         let slot = (Netsim.id env.Netsim.src, req_id) in
         Hashtbl.replace t.pending_get slot
-          { pg_key = key; pg_epoch = m.epoch; pg_expires = Sim.now () +. t.cfg.pending_ttl };
-        Queue.push (slot, Sim.now () +. t.cfg.pending_ttl) t.gc_get;
+          { pg_key = key; pg_epoch = m.epoch; pg_expires = Sim.now () +. pending_ttl };
+        Queue.push (slot, Sim.now () +. pending_ttl) t.gc_get;
         Netsim.Forward
       in
       (match Hashtbl.find_opt inst.tbl key with
@@ -403,8 +401,8 @@ let on_write_req t (env : wire Netsim.envelope) req_id key =
     m.writers <- m.writers + 1;
     let slot = (Netsim.id env.Netsim.src, req_id) in
     Hashtbl.replace t.pending_wr slot
-      { pw_key = key; pw_expires = Sim.now () +. t.cfg.pending_ttl };
-    Queue.push (slot, Sim.now () +. t.cfg.pending_ttl) t.gc_wr
+      { pw_key = key; pw_expires = Sim.now () +. pending_ttl };
+    Queue.push (slot, Sim.now () +. pending_ttl) t.gc_wr
   end
 
 let populate t key value tokens =
@@ -479,7 +477,7 @@ let attach ?(config = enabled default_config) fab =
           ix;
           tbl = Hashtbl.create (4 * config.capacity);
           res = Sim.Resource.create ~name:(Printf.sprintf "cache%d" ix) ~capacity:1 ();
-          ep = Netsim.endpoint fab ~name:(Printf.sprintf "switch.cache%d" ix) ~gbps:config.gbps;
+          ep = Netsim.endpoint fab ~name:(Printf.sprintf "switch.cache%d" ix) ~gbps;
         })
   in
   let t =

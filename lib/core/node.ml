@@ -183,8 +183,6 @@ let set_slow_factor t f =
   if f < 1.0 then invalid_arg "Node.set_slow_factor: factor must be >= 1";
   t.slow_factor <- f
 
-let slow_factor t = t.slow_factor
-let svc_ewma_us t = t.svc_ewma_us
 
 (* All foreground store work funnels through here: measure the engine
    service time for the heartbeat telemetry, and — under fail-slow

@@ -79,14 +79,6 @@ val set_slow_factor : t -> float -> unit
     way a genuinely degraded wimpy core does. The node keeps answering
     heartbeats — slow, never dead. *)
 
-val slow_factor : t -> float
-(** The currently injected fail-slow factor (1.0 = healthy). *)
-
-val svc_ewma_us : t -> float
-(** Smoothed local service time (µs) of foreground engine submissions —
-    the telemetry piggybacked on heartbeat replies ({!Messages.response}
-    [Pong]) and scored by the control plane's outlier detector. *)
-
 val restart : t -> unit
 (** Crash-restart recovery (§3.8.2): wipe the volatile protocol state
     (dirty marks, taint marks, the ABD tag gate, copy fences, forwarding

@@ -193,8 +193,8 @@ val local_get : server_env -> vidx:int -> key:string -> deadline:float -> local_
 
 module Crrs_protocol : S
 (** LEED §3.7 chain replication, re-expressed against the seam: head-to
-    -tail forwarding with dirty marks, replica reads, tail shipping (or
-    CRAQ version probes), COPY fencing — plus taint marks that route
+    -tail forwarding with dirty marks, replica reads, tail shipping,
+    COPY fencing — plus taint marks that route
     reads of partially written keys through the tail, keeping the chain
     linearizable when a mid-chain hop fails after the head applied. *)
 

@@ -82,8 +82,6 @@ let try_lock t seg =
     true
   end
 
-let is_locked t seg = t.entries.(seg).locked
-
 let with_lock t seg f =
   lock t seg;
   match f () with

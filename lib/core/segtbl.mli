@@ -41,7 +41,6 @@ val update : t -> seg:int -> dev:int -> off:int -> chain_len:int -> unit
 val lock : t -> int -> unit
 val unlock : t -> int -> unit
 val try_lock : t -> int -> bool
-val is_locked : t -> int -> bool
 val with_lock : t -> int -> (unit -> 'a) -> 'a
 
 val swapped_out : t -> int list

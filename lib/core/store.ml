@@ -15,26 +15,24 @@ open Leed_stats
 
 type config = {
   nsegments : int;
-  key_size_hint : int;
   compact_trigger : float; (* log occupancy that wakes the compactor *)
   compact_target : float;  (* occupancy the compactor drives down to *)
   subcompactions : int;    (* S-way intra-parallelism (§3.3.1) *)
   prefetch : bool;         (* prefetch window N+1 during compaction N *)
   compaction_window : int; (* bytes examined per compaction round *)
-  max_value_size : int;
 }
 
 let default_config =
   {
     nsegments = 4096;
-    key_size_hint = 16;
     compact_trigger = 0.85;
     compact_target = 0.60;
     subcompactions = 4;
     prefetch = true;
     compaction_window = 256 * 1024;
-    max_value_size = 1 lsl 20;
   }
+
+let max_value_size = 1 lsl 20
 
 (* CPU cycle costs of the software path (A72-equivalent cycles); the
    simulation charges these on the core mapped to the store's SSD. *)
@@ -339,7 +337,7 @@ let wait_for_space t log need =
    swap log. *)
 
 let put ?target t key value =
-  if Bytes.length value > t.config.max_value_size then invalid_arg "Store.put: value too large";
+  if Bytes.length value > max_value_size then invalid_arg "Store.put: value too large";
   if Bytes.length value = 0 then invalid_arg "Store.put: empty value (reserved as tombstone)";
   let t0 = Sim.now () in
   let ctx = { ssd = 0.; cpu = 0.; accesses = 0 } in
@@ -751,14 +749,16 @@ let recover t =
     segs;
   t.objects <- !objects
 
+let fold_parallel = 8 (* segments [fold_live] visits at once *)
+
 (* Iterate every live (key, value) pair, locking each segment while it is
    visited — the substrate of the COPY primitive (§3.8): COPY is mutually
    exclusive with PUT/DEL on the same segment, so copied pairs are
    immutable during their transfer. *)
-let fold_live ?(parallel = 8) t ~init ~f =
+let fold_live t ~init ~f =
   let acc = ref init in
   let nsegs = Segtbl.nsegments t.segtbl in
-  (* COPY is a bulk operation: scan [parallel] segments at a time, each
+  (* COPY is a bulk operation: scan [fold_parallel] segments at a time, each
      visit reading its values with the device's internal parallelism, then
      hand the pairs out in order. *)
   let visit seg collected () =
@@ -798,7 +798,7 @@ let fold_live ?(parallel = 8) t ~init ~f =
   in
   let seg = ref 0 in
   while !seg < nsegs do
-    let batch = min parallel (nsegs - !seg) in
+    let batch = min fold_parallel (nsegs - !seg) in
     let slots = Array.init batch (fun _ -> ref []) in
     Sim.fork_join (List.init batch (fun i -> visit (!seg + i) slots.(i)));
     Array.iter (fun slot -> List.iter (fun (k, v) -> acc := f !acc k v) !slot) slots;

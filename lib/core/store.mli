@@ -13,13 +13,11 @@
 
 type config = {
   nsegments : int;         (** segments per store; ~14 objects each *)
-  key_size_hint : int;
   compact_trigger : float; (** log occupancy that wakes the compactor *)
   compact_target : float;  (** occupancy the compactor drives down to *)
   subcompactions : int;    (** S-way intra-parallelism (§3.3.1) *)
   prefetch : bool;         (** prefetch window N+1 during compaction N *)
   compaction_window : int; (** bytes examined per compaction round *)
-  max_value_size : int;
 }
 
 val default_config : config
@@ -81,7 +79,9 @@ val get : t -> string -> bytes option
 val put : ?target:Circular_log.t * Circular_log.t -> t -> string -> bytes -> unit
 (** Three NVMe accesses, value append overlapped with the segment read.
     [target] redirects both appends to a foreign SSD's swap log (§3.6).
-    Blocks for compaction headroom when a log is near-full. *)
+    Blocks for compaction headroom when a log is near-full. Raises
+    [Invalid_argument] on an empty value (the tombstone) or one larger
+    than 1 MiB. *)
 
 val del : t -> string -> unit
 (** Two NVMe accesses; writes a tombstoned segment copy. *)
@@ -119,9 +119,9 @@ val recover : t -> unit
     The scan stops at the first CRC-bad frame header — like the torn-tail
     rule, everything beyond it is unreachable and re-enters via COPY. *)
 
-val fold_live : ?parallel:int -> t -> init:'a -> f:('a -> string -> bytes -> 'a) -> 'a
+val fold_live : t -> init:'a -> f:('a -> string -> bytes -> 'a) -> 'a
 (** Visit every live (key, value) pair — the substrate of COPY. Segments
-    are visited [parallel] at a time, each locked for the duration of its
+    are visited 8 at a time, each locked for the duration of its
     visit, so copied pairs are immutable while in flight. *)
 
 (** {1 Scrubbing (data integrity)} *)

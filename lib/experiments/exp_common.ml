@@ -31,14 +31,16 @@ let leed_platform ?(ssd_capacity = 512 * 1024 * 1024) () =
 let server_platform ?(ssd_capacity = 512 * 1024 * 1024) () =
   { Platform.server_jbof with Platform.ssd = scale_ssd ~capacity:ssd_capacity Blockdev.dct983 }
 
-let pi_platform ?(sd_capacity = 128 * 1024 * 1024) () =
-  { Platform.embedded_node with Platform.ssd = scale_ssd ~capacity:sd_capacity Blockdev.sandisk_sd }
+let pi_platform () =
+  {
+    Platform.embedded_node with
+    Platform.ssd = scale_ssd ~capacity:(128 * 1024 * 1024) Blockdev.sandisk_sd;
+  }
 
 (* Store sizing for scaled runs: enough segments that chains stay short at
    the experiment object counts. *)
-let store_config ?(nsegments = 4096) ?(subcompactions = 4) ?(prefetch = true)
-    ?(compaction_window = 256 * 1024) () =
-  { Store.default_config with Store.nsegments; subcompactions; prefetch; compaction_window }
+let store_config ?(nsegments = 4096) ?(subcompactions = 4) ?(prefetch = true) () =
+  { Store.default_config with Store.nsegments; subcompactions; prefetch }
 
 let engine_config ?(partitions_per_ssd = 2) ?(swap = true) ?(swap_threshold = 24) ?store_cfg () =
   {
@@ -100,8 +102,8 @@ let make_leed ?nnodes ?r ?nclients ?crrs ?flow_control ?swap ?cache ?engine_cfg 
   setup_of_cluster ?nclients
     (make_leed_cluster ?nnodes ?r ?crrs ?flow_control ?swap ?cache ?engine_cfg ?platform ())
 
-let make_fawn ?(nnodes = 10) ?(r = 3) ?nclients ?(dram_for_index = 16 * 1024 * 1024) () =
-  let config = { Fawn_cluster.r; nnodes; dram_for_index } in
+let make_fawn ?(nnodes = 10) ?(r = 3) ?nclients () =
+  let config = { Fawn_cluster.r; nnodes } in
   attach_clients ?nclients (fawn_backend (Fawn_cluster.create ~config ()))
 
 let make_kvell ?(nnodes = 3) ?(r = 3) ?nclients ?(object_size = 1024) ?platform () =
@@ -182,11 +184,6 @@ let report_metrics (m : Backend.metrics) =
 let cluster_watts platform nnodes = float_of_int nnodes *. Platform.wall_power platform ~util:1.0
 
 let queries_per_joule ~throughput ~watts = throughput /. watts
-
-(* Default scaled experiment sizes. *)
-let default_nkeys = 10_000
-let default_duration = 0.25
-let default_clients = 96
 
 (* Reviewed singleton: CLI-scoped knob set once at process start (before
    any Sim.run) by `leed experiment --fast` / `bench fast`, read-only

@@ -16,13 +16,12 @@ val scale_ssd :
 
 val leed_platform : ?ssd_capacity:int -> unit -> Leed_platform.Platform.t
 val server_platform : ?ssd_capacity:int -> unit -> Leed_platform.Platform.t
-val pi_platform : ?sd_capacity:int -> unit -> Leed_platform.Platform.t
+val pi_platform : unit -> Leed_platform.Platform.t
 
 val store_config :
   ?nsegments:int ->
   ?subcompactions:int ->
   ?prefetch:bool ->
-  ?compaction_window:int ->
   unit ->
   Store.config
 
@@ -81,7 +80,7 @@ val make_leed :
   setup
 
 val make_fawn :
-  ?nnodes:int -> ?r:int -> ?nclients:int -> ?dram_for_index:int -> unit -> setup
+  ?nnodes:int -> ?r:int -> ?nclients:int -> unit -> setup
 
 val make_kvell :
   ?nnodes:int ->
@@ -142,10 +141,6 @@ val cluster_watts : Leed_platform.Platform.t -> int -> float
 (** The paper's measured wall power: per-platform watts × node count. *)
 
 val queries_per_joule : throughput:float -> watts:float -> float
-
-val default_nkeys : int
-val default_duration : float
-val default_clients : int
 
 val time_scale : float ref
 (** Global knob for quick runs: multiplies every measurement window

@@ -40,7 +40,6 @@ let make_squeezed_store ~name ~dev ~base ~subcompactions ~prefetch =
   in
   let config =
     {
-      Store.default_config with
       Store.nsegments = 256;
       subcompactions;
       prefetch;

@@ -137,7 +137,6 @@ let fawn_point ~object_size =
             let core = Platform.Cpu.pinned_core platform d in
             let config =
               {
-                Fawn_store.default_config with
                 Fawn_store.dram_budget = 256 * 1024 * 1024;
                 (* the SPDK port writes through synchronously *)
                 flush_threshold = 0;

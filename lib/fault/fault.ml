@@ -483,10 +483,7 @@ module Chaos = struct
     object_size : int;
     duration : float;
     write_ratio : float;
-    heartbeat_period : float;
-    miss_limit : int;
     outage_bound : float;
-    ssd_capacity : int;
     schedule : Schedule.t option;
     bit_rot : bool;
         (* inject at-rest bit flips and run the background scrubber *)
@@ -523,10 +520,7 @@ module Chaos = struct
       object_size = 256;
       duration = 6.0;
       write_ratio = 0.5;
-      heartbeat_period = 0.2;
-      miss_limit = 3;
       outage_bound = 2.5;
-      ssd_capacity = 192 * 1024 * 1024;
       schedule = None;
       bit_rot = false;
       fail_slow = false;
@@ -535,6 +529,8 @@ module Chaos = struct
       ops_per_worker = None;
       cache = false;
     }
+
+  let fast_config = { default_config with nnodes = 3; nkeys = 96; nclients = 3; duration = 4.0 }
 
   type report = {
     schedule : string;
@@ -601,11 +597,11 @@ module Chaos = struct
         | _ -> None
       else None
 
-  let scaled_platform cfg =
-    {
-      Platform.smartnic_jbof with
-      Platform.ssd = Blockdev.with_capacity Blockdev.dct983 cfg.ssd_capacity;
-    }
+  (* scaled-down drive capacity *)
+  let ssd_capacity = 192 * 1024 * 1024
+
+  let scaled_platform =
+    { Platform.smartnic_jbof with Platform.ssd = Blockdev.with_capacity Blockdev.dct983 ssd_capacity }
 
   let cluster_config cfg =
     {
@@ -613,9 +609,7 @@ module Chaos = struct
       Cluster.nnodes = cfg.nnodes;
       r = cfg.r;
       proto = cfg.proto;
-      platform = scaled_platform cfg;
-      heartbeat_period = cfg.heartbeat_period;
-      miss_limit = cfg.miss_limit;
+      platform = scaled_platform;
       (* The client must agree with the cluster on r: a wider client chain
          would target a phantom replica past the real chain, whose idle
          partition advertises full tokens and attracts every CRRS read. *)
@@ -636,7 +630,7 @@ module Chaos = struct
         {
           Engine.default_config with
           Engine.store_config =
-            { Store.default_config with Store.nsegments = 2048; compaction_window = 256 * 1024 };
+            { Store.default_config with Store.nsegments = 2048 };
         };
     }
 

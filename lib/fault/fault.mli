@@ -109,10 +109,7 @@ module Chaos : sig
     object_size : int;
     duration : float;       (** load / fault window, simulated seconds *)
     write_ratio : float;
-    heartbeat_period : float;
-    miss_limit : int;
     outage_bound : float;   (** max tolerated cluster-wide success gap; <= 0 disables *)
-    ssd_capacity : int;     (** scaled-down drive capacity *)
     schedule : Schedule.t option;
         (** [None]: generate [Schedule.random] from [seed] *)
     bit_rot : bool;
@@ -142,6 +139,12 @@ module Chaos : sig
   }
 
   val default_config : config
+  (** 4 nodes on 192 MiB drives, R = 3, CRRS, 4 clients over 192 keys of
+      256 B at 50 % writes for 6 s, seed 42, no optional faults. *)
+
+  val fast_config : config
+  (** [default_config] shrunk for smoke runs: 3 nodes, 96 keys,
+      3 clients, 4 s. *)
 
   type report = {
     schedule : string;

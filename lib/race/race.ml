@@ -101,11 +101,8 @@ let ycsb_target ~fast ~backend ~mixname mk_mix =
 let chaos_target ~fast ~bit_rot =
   let cfg =
     {
-      Fault.Chaos.default_config with
-      Fault.Chaos.nnodes = 3;
-      nkeys = 96;
-      nclients = 3;
-      duration = (if fast then 2.0 else 3.0);
+      Fault.Chaos.fast_config with
+      Fault.Chaos.duration = (if fast then 2.0 else 3.0);
       ops_per_worker = Some (if fast then 150 else 400);
       bit_rot;
       seed = (if bit_rot then 7 else 42);

@@ -429,8 +429,6 @@ module Mailbox = struct
 end
 
 module Resource = struct
-  type waiter = { amount : int; wake : unit -> unit }
-
   (* All-float, so OCaml stores the fields flat and [account] updates them
      in place; as float fields of [t] every update would box. *)
   type busy = { mutable area : float; mutable last_change : float }
@@ -439,7 +437,7 @@ module Resource = struct
     name : string;
     capacity : int;
     mutable in_use : int;
-    queue : waiter Queue.t;
+    queue : (unit -> unit) Queue.t; (* wake-ups of blocked acquirers *)
     busy : busy; (* cumulative busy integral for utilisation reporting *)
   }
 
@@ -456,42 +454,37 @@ module Resource = struct
   let waiting t = Queue.length t.queue
   let capacity t = t.capacity
 
-  let acquire ?(amount = 1) t =
-    if amount > t.capacity then
-      invalid_arg (Printf.sprintf "Resource.acquire: amount %d > capacity %d (%s)" amount t.capacity t.name);
-    if Queue.is_empty t.queue && t.in_use + amount <= t.capacity then begin
+  let acquire t =
+    if Queue.is_empty t.queue && t.in_use < t.capacity then begin
       account t;
-      t.in_use <- t.in_use + amount
+      t.in_use <- t.in_use + 1
     end
-    else
-      suspend (fun resume ->
-          Queue.push { amount; wake = (fun () -> resume ()) } t.queue)
+    else suspend (fun resume -> Queue.push resume t.queue)
 
-  let release ?(amount = 1) t =
+  let release t =
     account t;
-    t.in_use <- t.in_use - amount;
+    t.in_use <- t.in_use - 1;
     if t.in_use < 0 then invalid_arg (Printf.sprintf "Resource.release: %s under-released" t.name);
     (* Wake waiters strictly in FIFO order while they fit. *)
     let rec wake () =
-      match Queue.peek_opt t.queue with
-      | Some w when t.in_use + w.amount <= t.capacity ->
-          ignore (Queue.pop t.queue);
-          account t;
-          t.in_use <- t.in_use + w.amount;
-          w.wake ();
-          wake ()
-      | _ -> ()
+      if t.in_use < t.capacity && not (Queue.is_empty t.queue) then begin
+        let w = Queue.pop t.queue in
+        account t;
+        t.in_use <- t.in_use + 1;
+        w ();
+        wake ()
+      end
     in
     wake ()
 
-  let with_ ?(amount = 1) t f =
-    acquire ~amount t;
+  let with_ t f =
+    acquire t;
     match f () with
     | v ->
-        release ~amount t;
+        release t;
         v
     | exception e ->
-        release ~amount t;
+        release t;
         raise e
 
   let utilisation t =

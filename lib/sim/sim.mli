@@ -259,16 +259,14 @@ module Resource : sig
   (** A fresh resource with the given (positive) capacity; [name] appears
       in error messages and sanitizer reports. *)
 
-  val acquire : ?amount:int -> t -> unit
-  (** Take [amount] units (default 1), blocking behind earlier waiters
-      until they fit. Raises [Invalid_argument] if [amount] exceeds the
-      total capacity. *)
+  val acquire : t -> unit
+  (** Take one unit, blocking behind earlier waiters until it fits. *)
 
-  val release : ?amount:int -> t -> unit
-  (** Return [amount] units (default 1) and wake fitting waiters in FIFO
-      order. Raises [Invalid_argument] on over-release. *)
+  val release : t -> unit
+  (** Return one unit and wake fitting waiters in FIFO order. Raises
+      [Invalid_argument] on over-release. *)
 
-  val with_ : ?amount:int -> t -> (unit -> 'a) -> 'a
+  val with_ : t -> (unit -> 'a) -> 'a
   (** Acquire, run, release (also on exception). *)
 
   val in_use : t -> int

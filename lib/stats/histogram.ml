@@ -4,7 +4,7 @@
    return the upper edge of the containing bucket, so the reported quantile
    overestimates by at most (gamma - 1).
 
-   With the default 1 ns floor a 100 us latency lands near bucket 1,160,
+   With the 1 ns floor a 100 us latency lands near bucket 1,160,
    so a percentile walk from bucket 0 would spend nearly all its time on
    empty buckets. [lowest] bounds the occupied range from below and the
    walk starts there; every bucket below it is empty, so the walk stops
@@ -13,7 +13,6 @@
 type t = {
   gamma : float;
   log_gamma : float;
-  floor : float; (* values below [floor] land in bucket 0 *)
   mutable counts : int array;
   mutable lowest : int; (* no bucket below this is occupied; max_int when empty *)
   mutable total : int;
@@ -22,13 +21,14 @@ type t = {
   mutable max_v : float;
 }
 
-let create ?(precision = 0.01) ?(floor = 1e-9) () =
+let floor = 1e-9 (* values below [floor] land in bucket 0 *)
+
+let create ?(precision = 0.01) () =
   if precision <= 0. then invalid_arg "Histogram.create: precision must be > 0";
   let gamma = 1. +. precision in
   {
     gamma;
     log_gamma = log gamma;
-    floor;
     counts = Array.make 1024 0;
     lowest = max_int;
     total = 0;
@@ -38,10 +38,10 @@ let create ?(precision = 0.01) ?(floor = 1e-9) () =
   }
 
 let bucket_of t v =
-  if v <= t.floor then 0 else 1 + int_of_float (log (v /. t.floor) /. t.log_gamma)
+  if v <= floor then 0 else 1 + int_of_float (log (v /. floor) /. t.log_gamma)
 
 (* Upper edge of bucket [i]: floor * gamma^i. *)
-let value_of t i = if i = 0 then t.floor else t.floor *. (t.gamma ** float_of_int i)
+let value_of t i = if i = 0 then floor else floor *. (t.gamma ** float_of_int i)
 
 let record ?(count = 1) t v =
   if v < 0. then invalid_arg "Histogram.record: negative value";
@@ -94,7 +94,7 @@ let p999 t = percentile t 0.999
 
 let merge ~into src =
   (* Requires identical bucketing. *)
-  if into.gamma <> src.gamma || into.floor <> src.floor then
+  if into.gamma <> src.gamma then
     invalid_arg "Histogram.merge: incompatible configurations";
   if Array.length src.counts > Array.length into.counts then begin
     let counts = Array.make (Array.length src.counts) 0 in

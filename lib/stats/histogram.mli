@@ -6,9 +6,9 @@
 
 type t
 
-val create : ?precision:float -> ?floor:float -> unit -> t
-(** [precision] defaults to 1% relative error; values below [floor]
-    (default 1 ns) share bucket 0. *)
+val create : ?precision:float -> unit -> t
+(** [precision] defaults to 1% relative error; values below 1 ns share
+    bucket 0. *)
 
 val record : ?count:int -> t -> float -> unit
 (** Record a non-negative value ([count] occurrences). *)
@@ -34,6 +34,6 @@ val p99 : t -> float
 val p999 : t -> float
 
 val merge : into:t -> t -> unit
-(** Requires identical bucketing configurations. *)
+(** Requires the same [precision]. *)
 
 val reset : t -> unit

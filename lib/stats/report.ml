@@ -52,7 +52,6 @@ let series ?title ~x_label ~(xs : string list) (named : (string * float list) li
 
 let f1 v = Printf.sprintf "%.1f" v
 let f2 v = Printf.sprintf "%.2f" v
-let f3g v = Printf.sprintf "%.3g" v
 let pct v = Printf.sprintf "%.1f%%" (100. *. v)
 let kqps v = Printf.sprintf "%.1f" (v /. 1e3)
 let usec v = Printf.sprintf "%.1f" (v *. 1e6)

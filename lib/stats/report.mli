@@ -13,7 +13,6 @@ val series :
 
 val f1 : float -> string
 val f2 : float -> string
-val f3g : float -> string
 
 val pct : float -> string
 (** Fraction → ["42.0%"]. *)

@@ -1,10 +1,10 @@
 (* Deterministic virtual-time tracing.
 
-   One global collector (the simulator is single-domain) holds a ring of
-   typed events plus a registry of named tracks. Emitters check a single
-   mutable boolean first, never block, and read time only from Sim.now,
-   so capture perturbs nothing and two same-seed runs serialize to
-   byte-identical JSON. See trace.mli and docs/TRACING.md. *)
+   One global collector (the simulator is single-domain) holds a growable
+   buffer of typed events plus a registry of named tracks. Emitters check
+   a single mutable boolean first, never block, and read time only from
+   Sim.now, so capture perturbs nothing and two same-seed runs serialize
+   to byte-identical JSON. See trace.mli and docs/TRACING.md. *)
 
 open Leed_sim
 
@@ -29,11 +29,8 @@ let dummy_event =
 
 type state = {
   mutable enabled : bool;
-  mutable limit : int; (* 0 = unbounded *)
   mutable buf : event array;
   mutable len : int;
-  mutable head : int; (* index of oldest event (ring mode) *)
-  mutable n_dropped : int;
   mutable track_list : (int * int * string) list; (* newest first *)
   mutable next_pid : int;
   mutable tid_next : (int * int) list; (* pid -> next thread id *)
@@ -50,11 +47,8 @@ let st =
   (* simlint: allow toplevel-state *)
   {
     enabled = false;
-    limit = 0;
     buf = [||]; (* simlint: allow toplevel-state *)
     len = 0;
-    head = 0;
-    n_dropped = 0;
     track_list = [ (0, 0, "sim") ];
     next_pid = 1;
     tid_next = [];
@@ -63,19 +57,13 @@ let st =
 
 let on () = st.enabled
 
-let reset ~limit =
-  st.limit <- (if limit > 0 then limit else 0);
+let start () =
   st.buf <- [||];
   st.len <- 0;
-  st.head <- 0;
-  st.n_dropped <- 0;
   st.track_list <- [ (0, 0, "sim") ];
   st.next_pid <- 1;
   st.tid_next <- [];
-  st.next_async <- 1
-
-let start ?(limit = 0) () =
-  reset ~limit;
+  st.next_async <- 1;
   st.enabled <- true
 
 let stop () = st.enabled <- false
@@ -95,42 +83,21 @@ let new_track ?(parent : track option) name =
 
 let tracks () = List.rev st.track_list
 
-(* --- the ring --- *)
+(* --- the buffer --- *)
 
 let push ev =
   let cap = Array.length st.buf in
-  if st.limit > 0 then begin
-    if cap = 0 then begin
-      st.buf <- Array.make st.limit dummy_event;
-      st.buf.(0) <- ev;
-      st.len <- 1
-    end
-    else if st.len < cap then begin
-      st.buf.((st.head + st.len) mod cap) <- ev;
-      st.len <- st.len + 1
-    end
-    else begin
-      st.buf.(st.head) <- ev;
-      st.head <- (st.head + 1) mod cap;
-      st.n_dropped <- st.n_dropped + 1
-    end
-  end
-  else begin
-    if st.len = cap then begin
-      let bigger = Array.make (max 256 (2 * cap)) dummy_event in
-      Array.blit st.buf 0 bigger 0 st.len;
-      st.buf <- bigger
-    end;
-    st.buf.(st.len) <- ev;
-    st.len <- st.len + 1
-  end
+  if st.len = cap then begin
+    let bigger = Array.make (max 256 (2 * cap)) dummy_event in
+    Array.blit st.buf 0 bigger 0 st.len;
+    st.buf <- bigger
+  end;
+  st.buf.(st.len) <- ev;
+  st.len <- st.len + 1
 
 let count () = st.len
-let dropped () = st.n_dropped
 
-let events () =
-  let cap = Array.length st.buf in
-  List.init st.len (fun i -> st.buf.((st.head + i) mod max 1 cap))
+let events () = List.init st.len (fun i -> st.buf.(i))
 
 (* --- emitters --- *)
 

@@ -57,12 +57,9 @@ val on : unit -> bool
 (** Whether capture is currently enabled. Instrumented sites use this to
     skip argument-list construction when tracing is off. *)
 
-val start : ?limit:int -> unit -> unit
+val start : unit -> unit
 (** Reset the collector (drop all events and tracks, restart the id
-    counters) and enable capture. [limit], when positive, bounds the
-    in-memory buffer to that many events kept in a ring — the oldest
-    events are dropped (counted by {!dropped}) once it is full. The
-    default is an unbounded buffer. *)
+    counters) and enable capture into an unbounded in-memory buffer. *)
 
 val stop : unit -> unit
 (** Disable capture. Collected events are retained for {!events} /
@@ -162,16 +159,13 @@ type event = {
   dur : float;  (** duration in microseconds ('X' only; 0 otherwise) *)
   args : (string * arg) list;  (** typed arguments *)
 }
-(** One captured event, as stored in the ring. *)
+(** One captured event, as stored in the buffer. *)
 
 val events : unit -> event list
-(** All retained events, in emission order (oldest first). *)
+(** All captured events, in emission order (oldest first). *)
 
 val count : unit -> int
-(** Number of retained events. *)
-
-val dropped : unit -> int
-(** Number of events evicted from the ring because of [?limit]. *)
+(** Number of captured events. *)
 
 val tracks : unit -> (int * int * string) list
 (** Registered tracks as [(pid, tid, name)], in registration order. *)

@@ -45,13 +45,6 @@ let ycsb_wr ?(theta = default_theta) () =
 let all_ycsb ?theta () =
   [ ycsb_a ?theta (); ycsb_b ?theta (); ycsb_c ?theta (); ycsb_d ?theta (); ycsb_f ?theta (); ycsb_wr ?theta () ]
 
-(* Write-only with tunable skew, for the data-swapping experiment (Fig 10). *)
-let write_only ~theta =
-  { label = Printf.sprintf "WR-ONLY(%.2f)" theta; read = 0.; update = 1.; insert = 0.; rmw = 0.; dist = Zipfian theta }
-
-let read_only ~theta =
-  { label = Printf.sprintf "RD-ONLY(%.2f)" theta; read = 1.; update = 0.; insert = 0.; rmw = 0.; dist = Zipfian theta }
-
 let read_write ~read ~theta =
   { label = Printf.sprintf "MIX(%.0f/%.0f)" (100. *. read) (100. *. (1. -. read));
     read; update = 1. -. read; insert = 0.; rmw = 0.; dist = Zipfian theta }

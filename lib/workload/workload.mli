@@ -47,8 +47,6 @@ val ycsb_wr : ?theta:float -> unit -> mix
 
 val all_ycsb : ?theta:float -> unit -> mix list
 
-val write_only : theta:float -> mix
-val read_only : theta:float -> mix
 val read_write : read:float -> theta:float -> mix
 val uniform_mix : read:float -> mix
 

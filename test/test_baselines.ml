@@ -272,7 +272,7 @@ let test_kvell_dram_capacity_limit () =
 
 let test_fawn_cluster_end_to_end () =
   Sim.run (fun () ->
-      let cl = Fawn_cluster.create ~config:{ Fawn_cluster.default_config with r = 3; nnodes = 5 } () in
+      let cl = Fawn_cluster.create ~config:{ Fawn_cluster.r = 3; nnodes = 5 } () in
       let c = Fawn_cluster.client cl in
       for i = 0 to 29 do
         Fawn_cluster.put c (key i) (Bytes.of_string (string_of_int i))
@@ -316,7 +316,7 @@ let test_fawn_slower_than_kvell_cluster () =
      than a Xeon-backed KVell get. *)
   let fawn_t =
     Sim.run (fun () ->
-        let cl = Fawn_cluster.create ~config:{ Fawn_cluster.default_config with r = 1; nnodes = 2 } () in
+        let cl = Fawn_cluster.create ~config:{ Fawn_cluster.r = 1; nnodes = 2 } () in
         let c = Fawn_cluster.client cl in
         Fawn_cluster.put c (key 1) (Bytes.make 100 'x');
         let t0 = Sim.now () in

@@ -192,11 +192,8 @@ let test_eviction_deterministic () =
 
 let chaos_cfg proto =
   {
-    Fault.Chaos.default_config with
-    Fault.Chaos.nnodes = 3;
-    nkeys = 96;
-    nclients = 3;
-    duration = 2.0;
+    Fault.Chaos.fast_config with
+    Fault.Chaos.duration = 2.0;
     proto;
     cache = true;
   }

@@ -263,7 +263,7 @@ let test_adaptive_timeout_tracks_destination () =
       let c = Cluster.client cl in
       preload c 48;
       let static = Client.default_config.Client.rpc_timeout in
-      let floor_ = Client.default_config.Client.timeout_floor in
+      let floor_ = Client.timeout_floor in
       warm_gets c 240 48;
       let warm_nodes =
         List.filter (fun n -> Client.timeout_for c (Node.id n) < static -. 1e-9) (Cluster.nodes cl)

@@ -237,6 +237,23 @@ let test_store_put_get () =
       Alcotest.(check (option string)) "absent key" None
         (Option.map Bytes.to_string (Store.get st "k000000000000002")))
 
+(* The store bounds values at 1 MiB: exactly 1 MiB is stored, one byte
+   over is rejected, and the keys already written stay readable. *)
+let test_store_value_too_large () =
+  Sim.run (fun () ->
+      let st = make_store () in
+      Store.put st "kA" (Bytes.of_string "small");
+      Store.put st "kMax" (Bytes.make (1 lsl 20) 'm');
+      Alcotest.check_raises "one byte over 1 MiB" (Invalid_argument "Store.put: value too large")
+        (fun () -> Store.put st "kBig" (Bytes.make ((1 lsl 20) + 1) 'b'));
+      Alcotest.(check (option string)) "earlier key served" (Some "small")
+        (Option.map Bytes.to_string (Store.get st "kA"));
+      Alcotest.(check (option int)) "1 MiB value served" (Some (1 lsl 20))
+        (Option.map Bytes.length (Store.get st "kMax"));
+      Alcotest.(check (option string)) "rejected key absent" None
+        (Option.map Bytes.to_string (Store.get st "kBig"));
+      Alcotest.(check int) "objects" 2 (Store.objects st))
+
 let test_store_overwrite () =
   Sim.run (fun () ->
       let st = make_store () in
@@ -505,6 +522,7 @@ let () =
       ( "store",
         [
           Alcotest.test_case "put/get" `Quick test_store_put_get;
+          Alcotest.test_case "value over 1 MiB rejected" `Quick test_store_value_too_large;
           Alcotest.test_case "overwrite" `Quick test_store_overwrite;
           Alcotest.test_case "delete" `Quick test_store_delete;
           Alcotest.test_case "many keys" `Quick test_store_many_keys;

@@ -144,15 +144,6 @@ let test_tracing_off_identical () =
     r_on.Workload.Driver.throughput;
   Alcotest.(check (float 0.)) "same virtual end time" end_off end_on
 
-(* --- ring buffer ------------------------------------------------------ *)
-
-let test_ring_limit () =
-  Trace.start ~limit:100 ();
-  let _ = workload () in
-  Trace.stop ();
-  Alcotest.(check int) "ring holds exactly limit" 100 (Trace.count ());
-  Alcotest.(check bool) "drops counted" true (Trace.dropped () > 0)
-
 let () =
   Alcotest.run "leed_trace"
     [
@@ -164,7 +155,6 @@ let () =
       ( "structure",
         [
           Alcotest.test_case "well-formed capture" `Quick test_well_formed;
-          Alcotest.test_case "ring limit" `Quick test_ring_limit;
         ] );
       ( "invariants",
         [
