@@ -81,16 +81,18 @@ module Storage = struct
   let chunk_bits = 16
   let chunk_size = 1 lsl chunk_bits
 
-  type t = { chunks : (int, bytes) Hashtbl.t }
+  module Chunks = Hashtbl.Make (Int)
 
-  let create () = { chunks = Hashtbl.create 64 }
+  type t = { chunks : bytes Chunks.t }
+
+  let create () = { chunks = Chunks.create 64 }
 
   let chunk t i =
-    match Hashtbl.find_opt t.chunks i with
+    match Chunks.find_opt t.chunks i with
     | Some c -> c
     | None ->
         let c = Bytes.make chunk_size '\000' in
-        Hashtbl.add t.chunks i c;
+        Chunks.add t.chunks i c;
         c
 
   let write t ~off data =
@@ -111,18 +113,28 @@ module Storage = struct
       let abs = off + !pos in
       let ci = abs lsr chunk_bits and co = abs land (chunk_size - 1) in
       let n = min (len - !pos) (chunk_size - co) in
-      (match Hashtbl.find_opt t.chunks ci with
+      (match Chunks.find_opt t.chunks ci with
       | Some c -> Bytes.blit c co out !pos n
       | None -> Bytes.fill out !pos n '\000');
       pos := !pos + n
     done;
     out
 
+  (* The backing chunk itself when the range lies in one written chunk,
+     otherwise a fresh copy at position 0. *)
+  let read_view t ~off ~len =
+    let co = off land (chunk_size - 1) in
+    if co + len > chunk_size then (read t ~off ~len, 0)
+    else
+      match Chunks.find_opt t.chunks (off lsr chunk_bits) with
+      | Some c -> (c, co)
+      | None -> (read t ~off ~len, 0)
+
   (* Chunk indices holding ever-written data, sorted so callers walking
      them stay deterministic regardless of hash-table order. *)
   let resident_chunks t =
     (* simlint: allow hashtbl-order *)
-    let ids = Hashtbl.fold (fun i _ acc -> i :: acc) t.chunks [] in
+    let ids = Chunks.fold (fun i _ acc -> i :: acc) t.chunks [] in
     List.sort compare ids
 end
 
@@ -259,7 +271,8 @@ let check_queue_depth t =
 let trace_depth t =
   Trace.counter ~track:t.track ~cat:"dev" "inflight" [ ("cmds", float_of_int t.inflight) ]
 
-let read t ~off ~len =
+(* Charge one read command of [len] bytes: blocks for its service time. *)
+let serve_read t ~off ~len =
   check_alive t;
   check_bounds t ~off ~len;
   t.inflight <- t.inflight + 1;
@@ -277,8 +290,15 @@ let read t ~off ~len =
   t.inflight <- t.inflight - 1;
   if Trace.on () then trace_depth t;
   t.stats.n_reads <- t.stats.n_reads + 1;
-  t.stats.bytes_read <- t.stats.bytes_read + len;
+  t.stats.bytes_read <- t.stats.bytes_read + len
+
+let read t ~off ~len =
+  serve_read t ~off ~len;
   Storage.read t.storage ~off ~len
+
+let read_view t ~off ~len =
+  serve_read t ~off ~len;
+  Storage.read_view t.storage ~off ~len
 
 let write_kind t ~off data kind =
   check_alive t;

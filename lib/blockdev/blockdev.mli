@@ -73,7 +73,17 @@ val inflight : t -> int
 val queued : t -> int
 
 val read : t -> off:int -> len:int -> bytes
-(** Blocking random read; service = base latency + transfer time. *)
+(** Blocking random read; service = base latency + transfer time. The
+    result is a fresh buffer the caller owns. *)
+
+val read_view : t -> off:int -> len:int -> bytes * int
+(** The same command as {!read}, same service time and counters, but
+    zero-copy: the bytes are at [buf.[pos .. pos+len)] of the returned
+    [(buf, pos)]. When the range lies inside one written 64 KiB storage
+    chunk, [buf] {e is} that chunk; otherwise it is a fresh copy and
+    [pos = 0]. The caller must treat [buf] as read-only and consume it
+    before it next blocks: any later write or bit flip to the device may
+    change it in place. *)
 
 val write_seq : t -> off:int -> bytes -> unit
 (** Sequential append write: priced at the drive's sequential bandwidth. *)

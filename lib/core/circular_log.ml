@@ -190,6 +190,13 @@ let read t ~loff ~len =
     out
   end
 
+(* [read] without the copy: a range that does not wrap is the device's
+   view; a wrapping one is assembled by [read] as before. *)
+let read_view t ~loff ~len =
+  check_readable t ~loff ~len;
+  if len <= room_before_wrap t loff then Blockdev.read_view t.dev ~off:(phys t loff) ~len
+  else (read t ~loff ~len, 0)
+
 (* Move the head forward, reclaiming [n] bytes. Only compaction calls this,
    after relocating every live entry below the new head. *)
 let advance_head t n =

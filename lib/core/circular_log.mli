@@ -80,6 +80,15 @@ val read : t -> loff:int -> len:int -> bytes
     was never written or has been physically overwritten by the
     wrap-around. *)
 
+val read_view : t -> loff:int -> len:int -> bytes * int
+(** {!read} without the copy: the bytes are at [buf.[pos .. pos+len)] of
+    the returned [(buf, pos)]. A range that does not wrap is
+    {!Leed_blockdev.Blockdev.read_view}'s result, often the device's own
+    backing chunk; a wrapping range takes {!read}'s two reads and comes
+    back fresh at [pos = 0]. The caller must treat [buf] as read-only
+    and consume it before it next blocks: a later write to the device
+    may change it in place. Same range checks as {!read}. *)
+
 val phys : t -> int -> int
 (** Device offset backing logical offset [loff] — lets fault injection and
     tests target bit-rot at a specific on-flash entry. *)

@@ -80,6 +80,16 @@ type vstate = {
   waiters : (unit -> unit) Queue.t;
 }
 
+(* Per-vnode flow-control state, keyed by the vnode's two ints. *)
+module Vtbl = Hashtbl.Make (struct
+  type t = Ring.vnode
+
+  let equal (a : t) (b : t) = a.Ring.node = b.Ring.node && a.Ring.vidx = b.Ring.vidx
+  let hash (v : t) = (v.Ring.node * 65599) + v.Ring.vidx
+end)
+
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   config : config;
   writer : int; (* unique writer id: the ABD tag tie-break *)
@@ -90,15 +100,15 @@ type t = {
   ring : Ring.t;
   peer : int -> (Messages.request, Messages.response) Rpc.t;
   refresh : unit -> Ring.snapshot;
-  vstates : (Ring.vnode, vstate) Hashtbl.t;
+  vstates : vstate Vtbl.t;
   rng : Rng.t; (* per-client deterministic jitter source *)
   (* per-destination (physical node) response-time histograms feeding the
      adaptive timeouts; the global one feeds the hedge delay *)
-  dest_hists : (int, Histogram.t) Hashtbl.t;
+  dest_hists : Histogram.t Itbl.t;
   global_hist : Histogram.t;
   (* control-plane pushed slow set: node -> escalation level
      (1 = deprioritize in CRRS spreading, 2 = drain entirely) *)
-  slow : (int, int) Hashtbl.t;
+  slow : int Itbl.t;
   mutable nacks : int;
   mutable retries : int;
   mutable hedges : int;     (* hedge RPCs fired *)
@@ -125,11 +135,11 @@ let create ?(config = default_config) ?(rng = Rng.create 77) ?(track = Trace.roo
       ring = Ring.create ();
       peer;
       refresh;
-      vstates = Hashtbl.create 64;
+      vstates = Vtbl.create 64;
       rng = Rng.split rng;
-      dest_hists = Hashtbl.create 16;
+      dest_hists = Itbl.create 16;
       global_hist = Histogram.create ();
-      slow = Hashtbl.create 4;
+      slow = Itbl.create 4;
       nacks = 0;
       retries = 0;
       hedges = 0;
@@ -159,11 +169,11 @@ let backoff_time t = t.backoff
 (* --- gray-failure state --- *)
 
 let dest_hist t node =
-  match Hashtbl.find_opt t.dest_hists node with
+  match Itbl.find_opt t.dest_hists node with
   | Some h -> h
   | None ->
       let h = Histogram.create () in
-      Hashtbl.replace t.dest_hists node h;
+      Itbl.replace t.dest_hists node h;
       h
 
 let record_latency t node dt =
@@ -174,9 +184,9 @@ let record_latency t node dt =
    Level 1 deprioritizes the node in CRRS read spreading; level 2 drains
    it (reads avoid it whenever any alternative replica exists). *)
 let set_slow t ~node ~level =
-  if level <= 0 then Hashtbl.remove t.slow node else Hashtbl.replace t.slow node level
+  if level <= 0 then Itbl.remove t.slow node else Itbl.replace t.slow node level
 
-let slow_level t node = Option.value ~default:0 (Hashtbl.find_opt t.slow node)
+let slow_level t node = Option.value ~default:0 (Itbl.find_opt t.slow node)
 
 (* Per-destination adaptive timeout: a few multiples of the destination's
    own tail quantile, clamped to [timeout_floor, rpc_timeout]. The floor
@@ -208,7 +218,7 @@ let hedge_delay t =
   else
     let best = ref infinity in
     (* simlint: allow hashtbl-order — min over the fold is order-independent *)
-    Hashtbl.iter
+    Itbl.iter
       (fun _node h ->
         if Histogram.count h >= hedge_min_samples then
           let q = Histogram.percentile h hedge_quantile in
@@ -221,11 +231,11 @@ let hedge_delay t =
     Some (Float.max hedge_floor q)
 
 let vstate t vn =
-  match Hashtbl.find_opt t.vstates vn with
+  match Vtbl.find_opt t.vstates vn with
   | Some v -> v
   | None ->
       let v = { tokens = 4; outstanding = 0; waiters = Queue.create () } in
-      Hashtbl.replace t.vstates vn v;
+      Vtbl.replace t.vstates vn v;
       v
 
 let credit t vn tokens =

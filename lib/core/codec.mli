@@ -69,9 +69,12 @@ val decode_bucket : ?off:int -> bytes -> bucket
 val encode_segment : bucket list -> bytes
 (** Renumbers chain_len/chain_pos over the list. *)
 
-val decode_segment : bytes -> bucket list
+val decode_segment : off:int -> len:int -> bytes -> bucket list
+(** Decodes the [len / bucket_size] buckets at [buf.[off .. off+len)];
+    [buf] may extend past the range (a device view). Raises {!Corrupt}
+    like {!decode_bucket}. *)
 
-val decode_segment_salvage : bytes -> bucket list * int
+val decode_segment_salvage : off:int -> len:int -> bytes -> bucket list * int
 (** Like {!decode_segment} but skips CRC-bad buckets at 512-B granularity
     instead of raising; returns (verified buckets, buckets dropped). For
     write paths that must make progress over a rotted segment so a later
@@ -85,10 +88,14 @@ type value_entry = { ve_seg : int; ve_key : string; ve_value : bytes }
 
 val encode_value_entry : value_entry -> bytes
 
-val decode_value_header : bytes -> int * int * int
-(** (seg_id, klen, vlen) from the first {!value_header_size} bytes, so a
-    scanner can size the full read. *)
+val decode_value_header : off:int -> bytes -> int * int * int
+(** (seg_id, klen, vlen) from the {!value_header_size} bytes at [off], so
+    a scanner can size the full read. *)
 
-val decode_value_entry : bytes -> value_entry
-(** Raises {!Corrupt} on magic, truncation, or CRC mismatch; the CRC
-    covers header, key, and payload. *)
+val decode_value_entry : off:int -> len:int -> bytes -> value_entry
+(** Decodes the entry read as [buf.[off .. off+len)]; [buf] may extend
+    past the range (a device view), and the key and value are copied
+    out. Raises {!Corrupt} on magic or CRC mismatch, and on truncation:
+    an entry whose header claims more than [len] bytes, whatever [buf]
+    holds beyond them. The CRC covers header, key, and payload. Raises
+    [Invalid_argument] if the range lies outside [buf]. *)

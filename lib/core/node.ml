@@ -16,21 +16,24 @@ module Rpc = Netsim.Rpc
 open Leed_platform
 module Trace = Leed_trace.Trace
 
+module Stbl = Hashtbl.Make (String)
+module Itbl = Hashtbl.Make (Int)
+
 type vnode_state = {
   vn : Ring.vnode;
   pid : int; (* engine partition backing this vnode *)
   (* count of in-flight (uncommitted) writes per key — the dirty map *)
-  dirty : (string, int) Hashtbl.t;
+  dirty : int Stbl.t;
   (* keys whose local copy may be ahead of the commit point: a chain
      write applied here but failed somewhere down-chain (partial write);
      reads route through the tail until a later write lands clean *)
-  taint : (string, unit) Hashtbl.t;
+  taint : unit Stbl.t;
   (* ABD write gate: highest tag accepted per key (DRAM cache over the
      framed store values; wiped on restart, rebuilt lazily) *)
-  tags : (string, int * int) Hashtbl.t;
+  tags : (int * int) Stbl.t;
   (* keys freshly written via chain forwarding while a COPY is in
      progress: bulk-copy values must not overwrite them (§3.8.1) *)
-  copy_fence : (string, unit) Hashtbl.t;
+  copy_fence : unit Stbl.t;
   (* nesting depth: one vnode can be the destination of several
      overlapping arc COPYs (it sits in the chain of R consecutive ring
      points), so the fence lifts only when the *last* COPY detaches *)
@@ -47,7 +50,7 @@ type t = {
   rpc : (Messages.request, Messages.response) Rpc.t;
   ring : Ring.t; (* local view, refreshed by control-plane broadcasts *)
   r : int;
-  vnodes : (int, vnode_state) Hashtbl.t; (* vidx -> state *)
+  vnodes : vnode_state array; (* indexed by vidx, 0 .. npartitions - 1 *)
   net_cpu : Sim.Resource.t; (* the cores polling the RDMA RX queues (§3.4) *)
   mutable peer : int -> (Messages.request, Messages.response) Rpc.t;
   mutable up : bool;
@@ -80,7 +83,7 @@ type t = {
      (Control.join phase 3). Ids are per-node and monotonically
      increasing; [wr_active] holds the ids of handlers still executing. *)
   mutable wr_next : int;
-  wr_active : (int, unit) Hashtbl.t;
+  wr_active : unit Itbl.t;
   mutable wr_waiters : (int * unit Sim.Ivar.t) list;
 }
 
@@ -93,19 +96,18 @@ let create ?(proto = Replication.Crrs) ~id ~platform ~fabric
   let engine = Engine.create ~config:engine_config ~rng:(Rng.create (1000 + id)) ~track platform in
   let rpc = Rpc.create fabric ~name:(Printf.sprintf "jbof%d" id) ~gbps:platform.Platform.nic_gbps in
   let nparts = Engine.npartitions engine in
-  let vnodes = Hashtbl.create nparts in
-  for vidx = 0 to nparts - 1 do
-    Hashtbl.replace vnodes vidx
-      {
-        vn = { Ring.node = id; vidx };
-        pid = vidx;
-        dirty = Hashtbl.create 256;
-        taint = Hashtbl.create 64;
-        tags = Hashtbl.create 256;
-        copy_fence = Hashtbl.create 64;
-        fence_depth = 0;
-      }
-  done;
+  let vnodes =
+    Array.init nparts (fun vidx ->
+        {
+          vn = { Ring.node = id; vidx };
+          pid = vidx;
+          dirty = Stbl.create 256;
+          taint = Stbl.create 64;
+          tags = Stbl.create 256;
+          copy_fence = Stbl.create 64;
+          fence_depth = 0;
+        })
+  in
   {
     id;
     platform;
@@ -138,7 +140,7 @@ let create ?(proto = Replication.Crrs) ~id ~platform ~fabric
     slow_factor = 1.0;
     svc_ewma_us = 0.0;
     wr_next = 0;
-    wr_active = Hashtbl.create 16;
+    wr_active = Itbl.create 16;
     wr_waiters = [];
   }
 
@@ -149,23 +151,23 @@ let rpc t = t.rpc
 let ring t = t.ring
 let proto t = t.proto
 let set_peer_resolver t f = t.peer <- f
-let vnode t vidx = Hashtbl.find t.vnodes vidx
-
-let vnode_opt t vidx = Hashtbl.find_opt t.vnodes vidx
+let has_vnode t vidx = vidx >= 0 && vidx < Array.length t.vnodes
+let vnode t vidx = if has_vnode t vidx then t.vnodes.(vidx) else raise Not_found
+let vnode_opt t vidx = if has_vnode t vidx then Some t.vnodes.(vidx) else None
 
 let install_ring t snap = Ring.install t.ring snap
 
 (* --- dirty map --- *)
 
 let dirty_incr vs key =
-  Hashtbl.replace vs.dirty key (1 + Option.value ~default:0 (Hashtbl.find_opt vs.dirty key))
+  Stbl.replace vs.dirty key (1 + Option.value ~default:0 (Stbl.find_opt vs.dirty key))
 
 let dirty_decr vs key =
-  match Hashtbl.find_opt vs.dirty key with
-  | Some 1 | None -> Hashtbl.remove vs.dirty key
-  | Some n -> Hashtbl.replace vs.dirty key (n - 1)
+  match Stbl.find_opt vs.dirty key with
+  | Some 1 | None -> Stbl.remove vs.dirty key
+  | Some n -> Stbl.replace vs.dirty key (n - 1)
 
-let is_dirty vs key = Hashtbl.mem vs.dirty key
+let is_dirty vs key = Stbl.mem vs.dirty key
 
 (* Exposed for the cluster's replication sanitizer: is a write to [key]
    still in flight through this vnode? *)
@@ -220,7 +222,7 @@ let end_fence t vidx =
   vs.fence_depth <- vs.fence_depth - 1;
   if vs.fence_depth <= 0 then begin
     vs.fence_depth <- 0;
-    Hashtbl.reset vs.copy_fence
+    Stbl.reset vs.copy_fence
   end
 
 (* --- COPY forwarding (§3.8.1) --- *)
@@ -300,7 +302,7 @@ let make_env t : Replication.server_env =
     sv_r = t.r;
     sv_ring = t.ring;
     sv_track = t.track;
-    sv_has_vnode = (fun ~vidx -> Hashtbl.mem t.vnodes vidx);
+    sv_has_vnode = (fun ~vidx -> has_vnode t vidx);
     sv_submit = (fun ~deadline ~vidx cmd -> submit_local ~deadline t (vnode t vidx) cmd);
     sv_tokens = (fun ~tenant ~vidx -> tokens_for ~tenant t (vnode t vidx));
     sv_call =
@@ -310,13 +312,13 @@ let make_env t : Replication.server_env =
     sv_is_dirty = (fun ~vidx ~key -> is_dirty (vnode t vidx) key);
     sv_dirty_incr = (fun ~vidx ~key -> dirty_incr (vnode t vidx) key);
     sv_dirty_decr = (fun ~vidx ~key -> dirty_decr (vnode t vidx) key);
-    sv_taint = (fun ~vidx ~key -> Hashtbl.replace (vnode t vidx).taint key ());
-    sv_untaint = (fun ~vidx ~key -> Hashtbl.remove (vnode t vidx).taint key);
-    sv_is_tainted = (fun ~vidx ~key -> Hashtbl.mem (vnode t vidx).taint key);
+    sv_taint = (fun ~vidx ~key -> Stbl.replace (vnode t vidx).taint key ());
+    sv_untaint = (fun ~vidx ~key -> Stbl.remove (vnode t vidx).taint key);
+    sv_is_tainted = (fun ~vidx ~key -> Stbl.mem (vnode t vidx).taint key);
     sv_fence_active = (fun ~vidx -> fence_active (vnode t vidx));
-    sv_fence_mark = (fun ~vidx ~key -> Hashtbl.replace (vnode t vidx).copy_fence key ());
-    sv_fence_holds = (fun ~vidx ~key -> Hashtbl.mem (vnode t vidx).copy_fence key);
-    sv_tag_get = (fun ~vidx ~key -> Hashtbl.find_opt (vnode t vidx).tags key);
+    sv_fence_mark = (fun ~vidx ~key -> Stbl.replace (vnode t vidx).copy_fence key ());
+    sv_fence_holds = (fun ~vidx ~key -> Stbl.mem (vnode t vidx).copy_fence key);
+    sv_tag_get = (fun ~vidx ~key -> Stbl.find_opt (vnode t vidx).tags key);
     (* Monotonic: the gate only rises. A handler resuming from a yield
        may try to install the (older) tag it decided on before blocking;
        silently keeping the higher tag is what makes that safe. Pair
@@ -324,20 +326,20 @@ let make_env t : Replication.server_env =
     sv_tag_set =
       (fun ~vidx ~key ~tag ->
         let tags = (vnode t vidx).tags in
-        match Hashtbl.find_opt tags key with
+        match Stbl.find_opt tags key with
         | Some cur when compare cur tag >= 0 -> ()
-        | Some _ | None -> Hashtbl.replace tags key tag);
+        | Some _ | None -> Stbl.replace tags key tag);
     (* Undo a speculative advance whose engine write failed: restore
        [prev] only if the gate still equals [tag] — if a concurrent
        higher-tagged writer has raised it since, the gate is theirs. *)
     sv_tag_rollback =
       (fun ~vidx ~key ~tag ~prev ->
         let tags = (vnode t vidx).tags in
-        match Hashtbl.find_opt tags key with
+        match Stbl.find_opt tags key with
         | Some cur when cur = tag -> (
             match prev with
-            | Some p -> Hashtbl.replace tags key p
-            | None -> Hashtbl.remove tags key)
+            | Some p -> Stbl.replace tags key p
+            | None -> Stbl.remove tags key)
         | Some _ | None -> ());
     sv_on_commit = (fun ~key ~value -> forward_copies t ~key ~value);
     sv_repair = (fun ~vidx ~key -> read_repair t (vnode t vidx) ~key);
@@ -360,7 +362,7 @@ let renv t =
 (* Exposed for the cluster's replication sanitizer: is a write to [key]
    orphaned (partially applied) at this vnode? *)
 let is_key_tainted t ~vidx key =
-  match vnode_opt t vidx with None -> false | Some vs -> Hashtbl.mem vs.taint key
+  match vnode_opt t vidx with None -> false | Some vs -> Stbl.mem vs.taint key
 
 (* --- generic handlers (protocol-independent) --- *)
 
@@ -387,7 +389,7 @@ let handle_copy_put t ~(vn : Ring.vnode) ~key ~value ~fresh =
 let handle_repair_get t ~(vn : Ring.vnode) ~key =
   match vnode_opt t vn.Ring.vidx with
   | None -> Messages.Nack Messages.Not_serving
-  | Some vs when fence_active vs && not (Hashtbl.mem vs.copy_fence key) -> (
+  | Some vs when fence_active vs && not (Stbl.mem vs.copy_fence key) -> (
       (* Mid-COPY and the key has not been confirmed current by a chain
          write: this replica may hold a pre-expulsion leftover, which
          must never become a repair source. *)
@@ -433,7 +435,7 @@ let dispatch t (req : Messages.request) : Messages.response =
 
 let writes_active_below t bound =
   (* simlint: allow hashtbl-order — existence test, order-insensitive *)
-  Hashtbl.fold (fun wid () acc -> acc || wid < bound) t.wr_active false
+  Itbl.fold (fun wid () acc -> acc || wid < bound) t.wr_active false
 
 let write_mark t = t.wr_next
 
@@ -449,10 +451,10 @@ let tracked_dispatch t (req : Messages.request) : Messages.response =
   | Messages.Write _ | Messages.Tag_write _ ->
       let wid = t.wr_next in
       t.wr_next <- wid + 1;
-      Hashtbl.replace t.wr_active wid ();
+      Itbl.replace t.wr_active wid ();
       Fun.protect
         ~finally:(fun () ->
-          Hashtbl.remove t.wr_active wid;
+          Itbl.remove t.wr_active wid;
           match t.wr_waiters with
           | [] -> ()
           | waiters ->
@@ -525,16 +527,14 @@ let is_up t = t.up
    anything written while it was gone. Blocks for the log-replay I/O time,
    so callers run it from a spawned process. *)
 let restart t =
-  (* Sorted wipe: reset order is observable only through hash internals,
-     but stay deterministic on principle.  simlint: allow hashtbl-order *)
-  Hashtbl.fold (fun vidx vs acc -> (vidx, vs) :: acc) t.vnodes []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun (_, vs) ->
-         Hashtbl.reset vs.dirty;
-         Hashtbl.reset vs.taint;
-         Hashtbl.reset vs.tags;
-         Hashtbl.reset vs.copy_fence;
-         vs.fence_depth <- 0);
+  Array.iter
+    (fun vs ->
+      Stbl.reset vs.dirty;
+      Stbl.reset vs.taint;
+      Stbl.reset vs.tags;
+      Stbl.reset vs.copy_fence;
+      vs.fence_depth <- 0)
+    t.vnodes;
   t.copy_forwards <- [];
   Array.iter (fun p -> Store.recover (Engine.store p)) (Engine.partitions t.engine);
   recover_network t
@@ -583,11 +583,9 @@ let copy_range t ~vidx ~lo ~hi ~(dst : Ring.vnode) =
 
 let scrub_pass t =
   let escalate = ref [] in
-  (* Sorted walk: scrub order charges device time, so it must not depend
-     on hash-bucket layout.  simlint: allow hashtbl-order *)
-  Hashtbl.fold (fun vidx vs acc -> (vidx, vs) :: acc) t.vnodes []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun (_, vs) ->
+  (* vidx order: scrub order charges device time. *)
+  t.vnodes
+  |> Array.iter (fun vs ->
          let p = Engine.partition t.engine vs.pid in
          let st = Engine.store p in
          let bad_frame = ref false in

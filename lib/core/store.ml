@@ -192,19 +192,22 @@ let check_segment_chain t ~(e : Segtbl.entry) (buckets : Codec.bucket list) =
    must make progress over a rotted segment: CRC-bad buckets are dropped at
    512-B granularity instead of raising, so the rewrite that follows
    rebuilds the segment clean. GET keeps the strict decode — a corrupt
-   bucket there must surface as [Corrupt] and trigger read-repair. *)
+   bucket there must surface as [Corrupt] and trigger read-repair. The
+   device read is a zero-copy view, so it is decoded before anything
+   blocks. *)
 let read_segment ?(torn_ok = false) ?(salvage = false) ctx t (e : Segtbl.entry) =
   let log = log_for t e.Segtbl.dev in
   let len = Codec.segment_bytes ~chain_len:e.Segtbl.chain_len in
-  let buf =
+  let buf, off =
     match Hashtbl.find_opt t.prefetch_cache e.Segtbl.off with
-    | Some b when e.Segtbl.dev = t.home_dev && Bytes.length b = len -> b
+    | Some b when e.Segtbl.dev = t.home_dev && Bytes.length b = len -> (b, 0)
     | _ ->
         Circular_log.with_pin log (fun () ->
-            timed_ssd ctx (fun () -> Circular_log.read log ~loff:e.Segtbl.off ~len))
+            timed_ssd ctx (fun () -> Circular_log.read_view log ~loff:e.Segtbl.off ~len))
   in
   let buckets, dropped =
-    if salvage then Codec.decode_segment_salvage buf else (Codec.decode_segment buf, 0)
+    if salvage then Codec.decode_segment_salvage ~off ~len buf
+    else (Codec.decode_segment ~off ~len buf, 0)
   in
   if dropped > 0 then t.salvaged_segments <- t.salvaged_segments + 1;
   if (not torn_ok) && dropped = 0 && Invariant.active () then check_segment_chain t ~e buckets;
@@ -292,11 +295,11 @@ let get t key =
         | Some it ->
             let vlog = if it.Codec.vdev = t.home_dev then t.vlog else t.resolve it.Codec.vdev in
             let len = Codec.value_header_size + String.length key + it.Codec.vlen in
-            let buf =
+            let buf, off =
               Circular_log.with_pin vlog (fun () ->
-                  timed_ssd ctx (fun () -> Circular_log.read vlog ~loff:it.Codec.voff ~len))
+                  timed_ssd ctx (fun () -> Circular_log.read_view vlog ~loff:it.Codec.voff ~len))
             in
-            let ve = Codec.decode_value_entry buf in
+            let ve = Codec.decode_value_entry ~off ~len buf in
             if not (String.equal ve.Codec.ve_key key) then raise (Codec.Corrupt "key mismatch");
             Some ve.Codec.ve_value
       with
@@ -566,7 +569,7 @@ let compact_value_log ?(subcompactions = 0) t =
       let rec parse pos acc =
         if pos + Codec.value_header_size > len then List.rev acc
         else begin
-          match Codec.decode_value_header (Bytes.sub buf pos Codec.value_header_size) with
+          match Codec.decode_value_header ~off:pos buf with
           | exception Codec.Corrupt _ ->
               (* Rotted entry framing: length fields untrustworthy, stop the
                  window at the rot (same rule as the key-log scan). *)
@@ -788,7 +791,7 @@ let fold_live t ~init ~f =
           collected :=
             List.filter_map
               (fun ((it : Codec.item), _, _, slot) ->
-                match Codec.decode_value_entry !slot with
+                match Codec.decode_value_entry ~off:0 ~len:(Bytes.length !slot) !slot with
                 | ve -> Some (it.Codec.key, ve.Codec.ve_value)
                 | exception Codec.Corrupt _ ->
                     t.corrupt_reads <- t.corrupt_reads + 1;
@@ -848,7 +851,7 @@ let scrub_segment t seg =
                       t.corrupt_reads <- t.corrupt_reads + 1;
                       Some it.Codec.key
                   | buf -> (
-                      match Codec.decode_value_entry buf with
+                      match Codec.decode_value_entry ~off:0 ~len buf with
                       | ve when String.equal ve.Codec.ve_key it.Codec.key -> None
                       | _ ->
                           t.corrupt_reads <- t.corrupt_reads + 1;

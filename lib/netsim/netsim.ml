@@ -256,12 +256,14 @@ let stats ep =
    requester. *)
 
 module Rpc = struct
+  module Itbl = Hashtbl.Make (Int)
+
   type ('q, 'r) wire = Req of int * 'q | Resp of int * 'r
 
   type ('q, 'r) t = {
     fab : ('q, 'r) wire fabric;
     ep : ('q, 'r) wire endpoint;
-    pending : (int, ('q, 'r) pending_slot) Hashtbl.t;
+    pending : ('q, 'r) pending_slot Itbl.t;
     mutable next_req : int;
     mutable handler : (('q, 'r) t -> src:('q, 'r) wire endpoint -> 'q -> 'r) option;
     mutable resp_size : 'r -> int;
@@ -274,7 +276,7 @@ module Rpc = struct
       {
         fab;
         ep = endpoint fab ~name ~gbps;
-        pending = Hashtbl.create 64;
+        pending = Itbl.create 64;
         next_req = 0;
         handler = None;
         resp_size = (fun _ -> 64);
@@ -302,9 +304,9 @@ module Rpc = struct
                     if id >= 0 then
                       send t.fab ~src:t.ep ~dst:env.src ~size:(t.resp_size r) (Resp (id, r)))
         | Resp (id, r) -> (
-            match Hashtbl.find_opt t.pending id with
+            match Itbl.find_opt t.pending id with
             | Some iv ->
-                Hashtbl.remove t.pending id;
+                Itbl.remove t.pending id;
                 if not (Sim.Ivar.is_filled iv) then Sim.Ivar.fill iv r
             | None -> ()))
 
@@ -314,9 +316,9 @@ module Rpc = struct
         match env.payload with
         | Req _ -> ()
         | Resp (id, r) -> (
-            match Hashtbl.find_opt t.pending id with
+            match Itbl.find_opt t.pending id with
             | Some iv ->
-                Hashtbl.remove t.pending id;
+                Itbl.remove t.pending id;
                 if not (Sim.Ivar.is_filled iv) then Sim.Ivar.fill iv r
             | None -> ()))
 
@@ -324,7 +326,7 @@ module Rpc = struct
     let id = t.next_req in
     t.next_req <- id + 1;
     let iv = Sim.Ivar.create () in
-    Hashtbl.replace t.pending id iv;
+    Itbl.replace t.pending id iv;
     send t.fab ~src:t.ep ~dst:dst.ep ~size (Req (id, q));
     Sim.Ivar.read iv
 
@@ -334,12 +336,12 @@ module Rpc = struct
     let id = t.next_req in
     t.next_req <- id + 1;
     let iv = Sim.Ivar.create () in
-    Hashtbl.replace t.pending id iv;
+    Itbl.replace t.pending id iv;
     send t.fab ~src:t.ep ~dst:dst.ep ~size (Req (id, q));
     match Sim.Ivar.read_timeout iv timeout with
     | Some _ as r -> r
     | None ->
-        Hashtbl.remove t.pending id;
+        Itbl.remove t.pending id;
         None
 
   (* One-way notification to a peer's handler; no response expected. The
@@ -349,5 +351,5 @@ module Rpc = struct
   let set_down t = set_down t.ep
   let set_up t = set_up t.ep
   let is_up t = is_up t.ep
-  let pending_count t = Hashtbl.length t.pending
+  let pending_count t = Itbl.length t.pending
 end

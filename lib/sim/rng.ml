@@ -4,27 +4,34 @@
    split off a root seed, so adding a new random consumer never perturbs
    the streams seen by existing ones. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a draw reads and writes it
+   with [Bytes.get/set_int64_le], so it boxes no int64 and runs no write
+   barrier. The stream is the one a mutable [int64] field would give. *)
+type t = bytes
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state z =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 z;
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t =
-  let seed = next_int64 t in
-  { state = mix64 seed }
+let[@inline] next_int64 t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden in
+  Bytes.set_int64_le t 0 s;
+  mix64 s
+
+let split t = of_state (mix64 (next_int64 t))
 
 (* Uniform in [0, 1). 53 significant bits. *)
-let float t =
+let[@inline] float t =
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 

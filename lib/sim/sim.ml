@@ -52,6 +52,8 @@ type engine = {
   tiebreak : tiebreak;
   on_dispatch : (dispatch -> unit) option;
   mutable cur_label : string; (* label of the event being executed *)
+  dly : float array; (* [delay]'s duration, read by the [Delay] branch *)
+  mutable handler : (unit, unit) Effect.Deep.handler; (* [exec]'s, built once in [run] *)
 }
 
 let current : engine option ref = ref None
@@ -136,44 +138,56 @@ let cancel eng h seq =
     eng.pending <- eng.pending - 1
   end
 
+(* [Delay] is a constant: the duration travels in the engine's [dly]
+   slot, so performing it allocates no effect block and no float box. *)
 type _ Effect.t +=
-  | Delay : float -> unit Effect.t
+  | Delay : unit Effect.t
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
 
-let exec : engine -> (unit -> unit) -> unit =
- fun eng f ->
+(* The engine's one effect handler. Every process runs under it, so a
+   spawn allocates no handler record, and the [Delay] branch returns a
+   preallocated [Some on_delay] instead of a fresh option and closure. *)
+let make_handler eng : (unit, unit) Effect.Deep.handler =
   let open Effect.Deep in
-  match_with f ()
-    {
-      retc = (fun () -> ());
-      exnc = (fun e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Delay t ->
-              Some
-                (fun (k : (a, _) continuation) ->
-                  ignore
-                    (schedule eng ~label:eng.cur_label ~at:(eng.now +. t) (fun () ->
-                         continue k ())))
-          | Suspend register ->
-              Some
-                (fun (k : (a, _) continuation) ->
-                  let resumed = ref false in
-                  (* The resume closure may run from any other process's
-                     event; tag the wake-up with the suspended process's
-                     own label, not the resumer's. *)
-                  let label = eng.cur_label in
-                  register (fun v ->
-                      if not !resumed then begin
-                        resumed := true;
-                        ignore (schedule eng ~label ~at:eng.now (fun () -> continue k v))
-                      end))
-          | _ -> None);
-    }
+  let on_delay =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        ignore
+          (schedule eng ~label:eng.cur_label ~at:(eng.now +. Array.unsafe_get eng.dly 0)
+             (fun () -> continue k ())))
+  in
+  {
+    retc = (fun () -> ());
+    exnc = (fun e -> raise e);
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Delay -> (on_delay : ((a, unit) continuation -> unit) option)
+        | Suspend register ->
+            Some
+              (fun (k : (a, _) continuation) ->
+                let resumed = ref false in
+                (* The resume closure may run from any other process's
+                   event; tag the wake-up with the suspended process's
+                   own label, not the resumer's. *)
+                let label = eng.cur_label in
+                register (fun v ->
+                    if not !resumed then begin
+                      resumed := true;
+                      ignore (schedule eng ~label ~at:eng.now (fun () -> continue k v))
+                    end))
+        | _ -> None);
+  }
+
+let exec eng f = Effect.Deep.match_with f () eng.handler
 
 let now () = (get_engine ()).now
-let delay t = if t > 0. then Effect.perform (Delay t) else ()
+
+let[@inline] perform_delay t =
+  Array.unsafe_set (get_engine ()).dly 0 t;
+  Effect.perform Delay
+
+let delay t = if t > 0. then perform_delay t
 let suspend register = Effect.perform (Suspend register)
 
 (* [spawn] and [after] are not effects: they only mutate the scheduler, so
@@ -190,7 +204,7 @@ let spawn ?label f =
 let after t f =
   let eng = get_engine () in
   ignore (schedule eng ~label:eng.cur_label ~at:(eng.now +. t) f)
-let yield () = Effect.perform (Delay 0.)
+let yield () = perform_delay 0.
 
 let stop () =
   let eng = get_engine () in
@@ -201,6 +215,10 @@ let events_dispatched () = (get_engine ()).dispatched
 let heap_depth () = (get_engine ()).pending
 let max_pending_events () = (get_engine ()).max_pending
 let processes_spawned () = (get_engine ()).spawned
+
+(* Placeholder until [run] installs the engine's own handler. *)
+let idle_handler : (unit, unit) Effect.Deep.handler =
+  { retc = (fun () -> ()); exnc = raise; effc = (fun _ -> None) }
 
 let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Wheel) ?on_dispatch
     (main : unit -> 'a) : 'a =
@@ -219,8 +237,11 @@ let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Wheel) ?on_disp
       tiebreak;
       on_dispatch;
       cur_label = "main";
+      dly = [| 0. |];
+      handler = idle_handler;
     }
   in
+  eng.handler <- make_handler eng;
   let saved = !current in
   current := Some eng;
   let saved_checks = Invariant.active () in

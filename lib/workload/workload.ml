@@ -61,20 +61,70 @@ let uniform_mix ~read =
 
 let key_size = 16
 
-let key_of_id id = Printf.sprintf "k%015d" id
+(* Keys and tags are formatted by hand on the per-op path; [Printf]
+   remains the reference, and the fallback for the ranges the hand
+   formatters do not cover (negative numbers, keys wider than 15
+   digits, tags clipped by a tiny [size]). *)
+
+let rec ndigits n = if n < 10 then 1 else 1 + ndigits (n / 10)
+
+(* The decimal digits of [n >= 0], right-aligned to end before [stop]. *)
+let rec put_digits b stop n =
+  Bytes.unsafe_set b (stop - 1) (Char.unsafe_chr (48 + (n mod 10)));
+  if n >= 10 then put_digits b (stop - 1) (n / 10)
+
+let rec digits_at v stop n =
+  Bytes.unsafe_get v (stop - 1) = Char.unsafe_chr (48 + (n mod 10))
+  && (n < 10 || digits_at v (stop - 1) (n / 10))
+
+let key_of_id id =
+  if id < 0 || id >= 1_000_000_000_000_000 then Printf.sprintf "k%015d" id
+  else begin
+    let b = Bytes.make key_size '0' in
+    Bytes.unsafe_set b 0 'k';
+    put_digits b key_size id;
+    Bytes.unsafe_to_string b
+  end
 
 let id_of_key k = int_of_string (String.sub k 1 (String.length k - 1))
 
+let tag_of ~id ~version = Printf.sprintf "v%d:%d;" id version
+
+(* The tag "v<id>:<version>;" of non-negative numbers: 'v' at 0, the id,
+   ':' at [1 + ndigits id], the version, ';' last. *)
+let tag_length ~id ~version = ndigits id + ndigits version + 3
+
 let value_for ~id ~version ~size =
   let b = Bytes.make size '.' in
-  let tag = Printf.sprintf "v%d:%d;" id version in
-  Bytes.blit_string tag 0 b 0 (min (String.length tag) size);
+  if id >= 0 && version >= 0 && tag_length ~id ~version <= size then begin
+    let di = ndigits id and n = tag_length ~id ~version in
+    Bytes.unsafe_set b 0 'v';
+    put_digits b (1 + di) id;
+    Bytes.unsafe_set b (1 + di) ':';
+    put_digits b (n - 1) version;
+    Bytes.unsafe_set b (n - 1) ';'
+  end
+  else begin
+    let tag = tag_of ~id ~version in
+    Bytes.blit_string tag 0 b 0 (min (String.length tag) size)
+  end;
   b
 
 let value_matches ~id ~version v =
-  let tag = Printf.sprintf "v%d:%d;" id version in
-  Bytes.length v >= String.length tag
-  && String.equal (Bytes.sub_string v 0 (String.length tag)) tag
+  if id >= 0 && version >= 0 then begin
+    let di = ndigits id and n = tag_length ~id ~version in
+    Bytes.length v >= n
+    && Bytes.unsafe_get v 0 = 'v'
+    && digits_at v (1 + di) id
+    && Bytes.unsafe_get v (1 + di) = ':'
+    && digits_at v (n - 1) version
+    && Bytes.unsafe_get v (n - 1) = ';'
+  end
+  else begin
+    let tag = tag_of ~id ~version in
+    Bytes.length v >= String.length tag
+    && String.equal (Bytes.sub_string v 0 (String.length tag)) tag
+  end
 
 (* ------------------------------------------------------------------ *)
 
@@ -98,7 +148,7 @@ type gen = {
   zipf : Zipf.t option;
   flash : flash_crowd option;
   mutable inserted : int; (* grows under YCSB-D inserts *)
-  versions : (int, int) Hashtbl.t;
+  versions : int array; (* last issued version, indexed by key id *)
 }
 
 (* [object_size] is the paper's headline object size (256 B / 1 KB); the
@@ -125,7 +175,7 @@ let generator ?(object_size = 1024) ?flash_crowd mix ~nkeys rng =
     | Latest theta -> Some (Zipf.create ~theta ~n:nkeys rng)
   in
   { mix; nkeys; value_size; rng = Rng.split rng; zipf; flash = flash_crowd;
-    inserted = nkeys; versions = Hashtbl.create 1024 }
+    inserted = nkeys; versions = Array.make nkeys 0 }
 
 let value_size g = g.value_size
 
@@ -162,12 +212,13 @@ let pick_id g =
               if id < 0 then id + g.nkeys else id
           | None -> assert false))
 
+(* Every id the generator issues lies in [0, nkeys). *)
 let fresh_version g id =
-  let v = (try Hashtbl.find g.versions id with Not_found -> 0) + 1 in
-  Hashtbl.replace g.versions id v;
+  let v = g.versions.(id) + 1 in
+  g.versions.(id) <- v;
   v
 
-let current_version g id = try Hashtbl.find g.versions id with Not_found -> 0
+let current_version g id = if id >= 0 && id < g.nkeys then g.versions.(id) else 0
 
 let next g =
   let r = Rng.float g.rng in

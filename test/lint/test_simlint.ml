@@ -68,6 +68,10 @@ let () =
   expect_line out "R4 Hashtbl.hash-as-checksum flagged" "lib/core/bad_hash.ml:1: R4";
   expect_line out "R4 Hashtbl.iter flagged" "lib/core/bad_hashtbl.ml:2: R4";
   expect_absent out "suppressed Hashtbl.fold not flagged" "bad_hashtbl.ml:4";
+  expect_line out "R4 functor-table fold flagged" "lib/core/bad_hashtbl.ml:6: R4";
+  expect_line out "R4 functor-table iter flagged" "lib/core/bad_hashtbl.ml:7: R4";
+  expect_absent out "suppressed functor-table fold not flagged" "bad_hashtbl.ml:9";
+  expect_absent out "functor-table lookup not flagged" "bad_hashtbl.ml:10";
   expect_line out "R4 Obj.magic flagged" "lib/core/bad_obj.ml:1: R4";
   expect_line out "R4 compare-on-closure flagged" "lib/core/bad_compare.ml:1: R4";
   expect_line out "R5 undocumented value flagged" "lib/trace/undoc.mli:4: R5";
@@ -84,7 +88,7 @@ let () =
   expect_line out "R5 undocumented replication value flagged" "lib/core/replication.mli:4: R5";
   expect_line out "R6 replication toplevel tag gate flagged" "lib/core/replication.ml:1: R6";
   expect_line out "R7 replication quorum deadline flagged" "lib/core/replication.ml:2: R7";
-  expect_line out "exact violation count" "simlint: 20 violation(s)";
+  expect_line out "exact violation count" "simlint: 22 violation(s)";
   (* --- clean tree: allowlists and suppressions must hold --- *)
   let status, out = run_simlint ~dir:"fixtures/clean" [ "lib"; "bin"; "bench" ] in
   if status <> 0 then fail "clean tree: expected exit 0, got %d:\n%s" status out

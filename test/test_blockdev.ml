@@ -167,6 +167,55 @@ let test_reboot_preserves_contents () =
       Alcotest.(check string) "survives reboot" "durable" (Bytes.to_string got);
       Alcotest.(check int) "stats reset" 1 (Blockdev.stats d').Blockdev.n_reads)
 
+(* [read_view] must hand back exactly [read]'s bytes, wherever they live:
+   inside one chunk (the chunk itself), across a 64 KiB chunk boundary
+   and on never-written space (fresh copies), and after at-rest rot. It
+   is the same command, so it is charged and counted like a read. *)
+let view_bytes (buf, pos) len = Bytes.sub buf pos len
+
+let test_read_view_matches_read () =
+  Sim.run (fun () ->
+      let d = instant () in
+      let data = Bytes.init 200_000 (fun i -> Char.chr ((i * 7) mod 253)) in
+      Blockdev.write_seq d ~off:10_000 data;
+      let same what ~off ~len =
+        let reads0 = (Blockdev.stats d).Blockdev.n_reads in
+        let view = Blockdev.read_view d ~off ~len in
+        Alcotest.(check int) (what ^ ": one read counted") 1
+          ((Blockdev.stats d).Blockdev.n_reads - reads0);
+        Alcotest.(check string) what
+          (Bytes.to_string (Blockdev.read d ~off ~len))
+          (Bytes.to_string (view_bytes view len));
+        view
+      in
+      let buf, pos = same "within one chunk" ~off:70_000 ~len:4096 in
+      Alcotest.(check bool) "in-chunk view is zero-copy" true
+        (Bytes.length buf = 65_536 && pos = 70_000 - 65_536);
+      let _, pos = same "across a chunk boundary" ~off:(131_072 - 100) ~len:512 in
+      Alcotest.(check int) "straddling view is a fresh copy" 0 pos;
+      let buf, _ = same "never written" ~off:(1 lsl 25) ~len:300 in
+      Alcotest.(check string) "zeros" (String.make 300 '\000') (Bytes.to_string buf);
+      Blockdev.flip_bit d ~off:70_100 ~bit:3;
+      ignore (same "after flip_bit" ~off:70_000 ~len:4096))
+
+let test_log_read_view_wrapping () =
+  Sim.run (fun () ->
+      let open Leed_core in
+      let d = instant () in
+      let log = Circular_log.create ~name:"w" ~dev:d ~dev_id:0 ~base:4096 ~size:1000 in
+      ignore (Circular_log.append log (Bytes.make 900 'a'));
+      Circular_log.advance_head log 900;
+      let data = Bytes.init 300 (fun i -> Char.chr (65 + (i mod 26))) in
+      let loff = Circular_log.append log data in
+      List.iter
+        (fun (o, n) ->
+          let buf, pos = Circular_log.read_view log ~loff:(loff + o) ~len:n in
+          Alcotest.(check string)
+            (Printf.sprintf "view [%d,%d)" (loff + o) (loff + o + n))
+            (Bytes.to_string (Circular_log.read log ~loff:(loff + o) ~len:n))
+            (Bytes.sub_string buf pos n))
+        [ (0, 300); (50, 100); (0, 100); (100, 200) ])
+
 let storage_roundtrip =
   QCheck.Test.make ~name:"storage write/read roundtrip at random offsets" ~count:200
     QCheck.(pair (int_bound 500_000) (string_of_size (Gen.int_range 1 1000)))
@@ -202,6 +251,9 @@ let () =
           Alcotest.test_case "bounds checked" `Quick test_out_of_bounds_rejected;
           Alcotest.test_case "stats counted" `Quick test_stats_counted;
           Alcotest.test_case "reboot preserves contents" `Quick test_reboot_preserves_contents;
+          Alcotest.test_case "read_view matches read" `Quick test_read_view_matches_read;
+          Alcotest.test_case "wrapping log read_view matches read" `Quick
+            test_log_read_view_wrapping;
         ] );
       ( "timing",
         [

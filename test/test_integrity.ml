@@ -59,20 +59,52 @@ let test_bucket_crc () =
 let test_value_entry_crc () =
   let ve = { Codec.ve_seg = 3; ve_key = "some-key"; ve_value = Bytes.make 200 'q' } in
   let buf = Codec.encode_value_entry ve in
-  let ve' = Codec.decode_value_entry buf in
+  let ve' = Codec.decode_value_entry ~off:0 ~len:(Bytes.length buf) buf in
   Alcotest.(check string) "key round-trip" ve.Codec.ve_key ve'.Codec.ve_key;
   Alcotest.(check bool) "value round-trip" true (Bytes.equal ve.Codec.ve_value ve'.Codec.ve_value);
   (* Decode buffers are often longer than the entry (readers over-read);
      the CRC must cover exactly the entry, not the slack. *)
   let padded = Bytes.cat buf (Bytes.make 64 '\255') in
-  ignore (Codec.decode_value_entry padded);
+  ignore (Codec.decode_value_entry ~off:0 ~len:(Bytes.length padded) padded);
   for off = 0 to Bytes.length buf - 1 do
     let copy = Bytes.copy buf in
     Bytes.set_uint8 copy off (Bytes.get_uint8 copy off lxor 0x04);
-    match Codec.decode_value_entry copy with
+    match Codec.decode_value_entry ~off:0 ~len:(Bytes.length copy) copy with
     | _ -> Alcotest.failf "bit flip at byte %d went undetected" off
     | exception Codec.Corrupt _ -> ()
   done
+
+(* A device view hands the decoder a whole 64 KiB chunk with the entry
+   somewhere inside it: decoding at an offset must see exactly the
+   requested range, and a rotted length must be judged against that
+   range, never against the bytes the chunk happens to hold beyond it. *)
+let test_value_entry_at_offset () =
+  let ve = { Codec.ve_seg = 9; ve_key = "offset-key"; ve_value = Bytes.make 300 'o' } in
+  let entry = Codec.encode_value_entry ve in
+  let len = Bytes.length entry and at = 4093 in
+  let chunk () =
+    let c = Bytes.make (at + len + 1024) '\xa5' in
+    Bytes.blit entry 0 c at len;
+    c
+  in
+  let ve' = Codec.decode_value_entry ~off:at ~len (chunk ()) in
+  Alcotest.(check int) "seg" 9 ve'.Codec.ve_seg;
+  Alcotest.(check string) "key" ve.Codec.ve_key ve'.Codec.ve_key;
+  Alcotest.(check bool) "value" true (Bytes.equal ve.Codec.ve_value ve'.Codec.ve_value);
+  for i = 0 to len - 1 do
+    let c = chunk () in
+    Bytes.set_uint8 c (at + i) (Bytes.get_uint8 c (at + i) lxor 0x20);
+    match Codec.decode_value_entry ~off:at ~len c with
+    | _ -> Alcotest.failf "bit flip at entry byte %d went undetected" i
+    | exception Codec.Corrupt _ -> ()
+  done;
+  (* vlen is the u32 at header byte 2; grow it past the requested range
+     while the chunk still has bytes to spare. *)
+  let c = chunk () in
+  Bytes.set_int32_le c (at + 2) (Int32.of_int (Bytes.length ve.Codec.ve_value + 8));
+  match Codec.decode_value_entry ~off:at ~len c with
+  | _ -> Alcotest.fail "rotted vlen past the range went undetected"
+  | exception Codec.Corrupt msg -> Alcotest.(check string) "reason" "truncated value entry" msg
 
 (* --- blockdev: seeded rot is deterministic --- *)
 
@@ -254,6 +286,8 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "bucket CRC catches every bit flip" `Quick test_bucket_crc;
+          Alcotest.test_case "value entry decodes exactly at an offset" `Quick
+            test_value_entry_at_offset;
           Alcotest.test_case "value entry CRC catches every bit flip" `Quick
             test_value_entry_crc;
         ] );

@@ -143,6 +143,65 @@ let test_key_id_roundtrip () =
     Alcotest.(check int) "fixed width" Workload.key_size (String.length k)
   done
 
+(* The hand formatters against their Printf definitions, on the digit
+   boundaries, the widest 15-digit key, the Printf fallbacks (a 16-digit
+   id, max_int, negatives) and tags clipped by a [size] shorter than the
+   tag. *)
+let test_formatting_matches_printf () =
+  let ref_key id = Printf.sprintf "k%015d" id in
+  let ref_tag id version = Printf.sprintf "v%d:%d;" id version in
+  let ref_value ~id ~version ~size =
+    let b = Bytes.make size '.' in
+    let tag = ref_tag id version in
+    Bytes.blit_string tag 0 b 0 (min (String.length tag) size);
+    b
+  in
+  let ref_matches ~id ~version v =
+    let tag = ref_tag id version in
+    Bytes.length v >= String.length tag
+    && String.equal (Bytes.sub_string v 0 (String.length tag)) tag
+  in
+  let wide = 1_000_000_000_000_000 in
+  let ids = [ 0; 9; 10; 99; 100; 99_999; wide - 1; wide; max_int; -1; -12 ] in
+  let versions = [ 0; 1; 9; 10; 12_345; -3 ] in
+  List.iter
+    (fun id ->
+      Alcotest.(check string) (Printf.sprintf "key_of_id %d" id) (ref_key id) (Workload.key_of_id id);
+      List.iter
+        (fun version ->
+          List.iter
+            (fun size ->
+              let what = Printf.sprintf "id %d version %d size %d" id version size in
+              let v = Workload.value_for ~id ~version ~size in
+              Alcotest.(check string) ("value_for " ^ what)
+                (Bytes.to_string (ref_value ~id ~version ~size))
+                (Bytes.to_string v);
+              (* Matching against this and neighbouring (id, version)s,
+                 so prefixes, digit counts and separators all mismatch. *)
+              List.iter
+                (fun (id', version') ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "value_matches %d:%d on %s" id' version' what)
+                    (ref_matches ~id:id' ~version:version' v)
+                    (Workload.value_matches ~id:id' ~version:version' v))
+                [ (id, version); (id, version + 1); (id + 1, version); (id * 10, version);
+                  (id, version * 10); (id / 10, version) ];
+              (* Every single-byte corruption of the tag region. *)
+              for p = 0 to min size 48 - 1 do
+                List.iter
+                  (fun c ->
+                    let v' = Bytes.copy v in
+                    Bytes.set v' p c;
+                    Alcotest.(check bool)
+                      (Printf.sprintf "value_matches with byte %d = %C on %s" p c what)
+                      (ref_matches ~id ~version v')
+                      (Workload.value_matches ~id ~version v'))
+                  [ 'x'; '0'; ':'; ';' ]
+              done)
+            [ 0; 1; 3; 5; 8; 40; 1008 ])
+        versions)
+    ids
+
 let test_object_size_split () =
   Sim.run (fun () ->
       let g = Workload.generator ~object_size:256 (Workload.ycsb_wr ()) ~nkeys:10 (Rng.create 1) in
@@ -226,6 +285,7 @@ let () =
           Alcotest.test_case "ycsb-wr write-only" `Quick test_ycsb_wr_write_only;
           Alcotest.test_case "value roundtrip" `Quick test_value_roundtrip;
           Alcotest.test_case "key id roundtrip" `Quick test_key_id_roundtrip;
+          Alcotest.test_case "formatting matches Printf" `Quick test_formatting_matches_printf;
           Alcotest.test_case "object size split" `Quick test_object_size_split;
           Alcotest.test_case "latest prefers recent" `Quick test_latest_distribution_prefers_recent;
           Alcotest.test_case "closed-loop driver" `Quick test_closed_loop_driver;

@@ -481,6 +481,27 @@ let rng_deterministic () =
     Alcotest.(check int64) "same stream" (Rng.next_int64 a) (Rng.next_int64 b)
   done
 
+(* Known answers from the SplitMix64 stream: the state representation
+   may change, the stream may not. Draws from [create 42], from one
+   [split] of it, and from the parent after the split. *)
+let rng_known_answers () =
+  let check_draws what r ~i64 ~f ~n ~g =
+    Alcotest.(check int64) (what ^ " next_int64") i64 (Rng.next_int64 r);
+    Alcotest.(check (float 0.)) (what ^ " float") f (Rng.float r);
+    Alcotest.(check int) (what ^ " int 1000") n (Rng.int r 1000);
+    Alcotest.(check (float 0.)) (what ^ " normal") g (Rng.normal r ~mean:1. ~stddev:0.1)
+  in
+  let r = Rng.create 42 in
+  check_draws "create 42" r ~i64:(-7450291807549245335L) ~f:0x1.486da5f92b86cp-3 ~n:285
+    ~g:0x1.3e9fdaa313ba3p+0;
+  let s = Rng.split r in
+  check_draws "split" s ~i64:(-483495983935369787L) ~f:0x1.c3221cf2a8dc9p-1 ~n:510
+    ~g:0x1.24180adc7370ap+0;
+  check_draws "parent after split" r ~i64:5152897204343404489L ~f:0x1.392025051c93p-3 ~n:195
+    ~g:0x1.03e6054fea161p+0;
+  Alcotest.(check int) "hash2 42 7" 307822089938667211 (Rng.hash2 42 7);
+  Alcotest.(check int) "hash2 7 123456" 1346820323948117519 (Rng.hash2 7 123456)
+
 let sim_deterministic () =
   (* Two identical runs produce identical event interleavings. *)
   let trace () =
@@ -553,5 +574,9 @@ let () =
           Alcotest.test_case "every" `Quick test_every;
         ] );
       qsuite "properties" [ heap_sorts; rng_uniform_range; rng_int_range; rng_split_independent ];
-      ("rng", [ Alcotest.test_case "deterministic" `Quick rng_deterministic ]);
+      ( "rng",
+        [
+          Alcotest.test_case "deterministic" `Quick rng_deterministic;
+          Alcotest.test_case "known answers" `Quick rng_known_answers;
+        ] );
     ]

@@ -142,7 +142,8 @@ let test_bucket_roundtrip () =
 
 let test_value_entry_roundtrip () =
   let ve = { Codec.ve_seg = 17; ve_key = "k000000000000009"; ve_value = Bytes.of_string "payload!" } in
-  let dec = Codec.decode_value_entry (Codec.encode_value_entry ve) in
+  let buf = Codec.encode_value_entry ve in
+  let dec = Codec.decode_value_entry ~off:0 ~len:(Bytes.length buf) buf in
   Alcotest.(check int) "seg" 17 dec.Codec.ve_seg;
   Alcotest.(check string) "key" ve.Codec.ve_key dec.Codec.ve_key;
   Alcotest.(check string) "value" "payload!" (Bytes.to_string dec.Codec.ve_value)
@@ -151,7 +152,7 @@ let test_corrupt_rejected () =
   (match Codec.decode_bucket (Bytes.make Codec.bucket_size '\042') with
   | _ -> Alcotest.fail "expected Corrupt"
   | exception Codec.Corrupt _ -> ());
-  match Codec.decode_value_header (Bytes.make Codec.value_header_size '\001') with
+  match Codec.decode_value_header ~off:0 (Bytes.make Codec.value_header_size '\001') with
   | _ -> Alcotest.fail "expected Corrupt"
   | exception Codec.Corrupt _ -> ()
 

@@ -15,8 +15,11 @@
                          event-heap callbacks must not perform effects
      R3 interface coverage every lib/**/*.ml has a matching .mli
      R4 banned constructs [Obj.magic]; order-sensitive [Hashtbl.iter]/
-                         [Hashtbl.fold] in lib/ (annotate reviewed sites
-                         with a "simlint: allow hashtbl-order" comment);
+                         [Hashtbl.fold] in lib/, and [X.iter]/[X.fold]
+                         of a table module the same file defines as
+                         [module X = Hashtbl.Make (...)] (annotate
+                         reviewed sites with a "simlint: allow
+                         hashtbl-order" comment);
                          polymorphic [compare] applied to function literals;
                          [Hashtbl.hash] under lib/core/ — on-flash
                          integrity checks must be real checksums
@@ -232,9 +235,34 @@ let comparison_op parts =
   | [ "Float"; ("equal" | "compare") ] -> true
   | _ -> false
 
+(* Names of the modules [str] binds, at any depth, to a hash-table
+   functor application: [module X = Hashtbl.Make (K)] (or [MakeSeeded],
+   possibly under a signature constraint). Their [iter] and [fold] walk
+   buckets exactly like [Hashtbl.iter] and [Hashtbl.fold]. *)
+let table_modules (str : Parsetree.structure) =
+  let open Ast_iterator in
+  let names = ref [] in
+  let rec is_table_functor (me : Parsetree.module_expr) =
+    match me.pmod_desc with
+    | Pmod_apply ({ pmod_desc = Pmod_ident { txt; _ }; _ }, _) -> (
+        match path_of txt with [ "Hashtbl"; ("Make" | "MakeSeeded") ] -> true | _ -> false)
+    | Pmod_constraint (me, _) -> is_table_functor me
+    | _ -> false
+  in
+  let module_binding (it : Ast_iterator.iterator) (mb : Parsetree.module_binding) =
+    (match mb.pmb_name.txt with
+    | Some name when is_table_functor mb.pmb_expr -> names := name :: !names
+    | _ -> ());
+    Ast_iterator.default_iterator.module_binding it mb
+  in
+  let it = { Ast_iterator.default_iterator with module_binding } in
+  it.structure it str;
+  !names
+
 let lint_structure ~file (str : Parsetree.structure) =
   let open Ast_iterator in
   let line_of (loc : Location.t) = loc.loc_start.pos_lnum in
+  let tables = table_modules str in
   let check_ident lid loc =
     let line = line_of loc in
     match path_of lid with
@@ -270,7 +298,16 @@ let lint_structure ~file (str : Parsetree.structure) =
               scheduling or output; sort the bindings, or annotate the reviewed \
               site with (* simlint: allow hashtbl-order *)"
              fn)
-    | _ -> ()
+    | _ -> (
+        match List.rev (path_of lid) with
+        | (("iter" | "fold") as fn) :: m :: _ when in_lib file && List.mem m tables ->
+            report ~file ~line ~rule:"R4" ~tag:"hashtbl-order"
+              (Printf.sprintf
+                 "%s.%s iterates a Hashtbl.Make table in hash-bucket order, which must \
+                  not leak into scheduling or output; sort the bindings, or annotate \
+                  the reviewed site with (* simlint: allow hashtbl-order *)"
+                 m fn)
+        | _ -> ())
   in
   let expr_iter (it : Ast_iterator.iterator) (e : Parsetree.expression) =
     (match e.pexp_desc with
