@@ -238,10 +238,9 @@ let rec delete_from t node k =
 
 let delete t k =
   let removed = delete_from t t.root k in
-  if removed then begin
-    t.size <- t.size - 1;
-    if t.root.n = 0 && not (is_leaf t.root) then t.root <- t.root.kids.(0)
-  end;
+  if removed then t.size <- t.size - 1;
+  (* A merge on the way down can empty the root even when [k] is absent. *)
+  if t.root.n = 0 && not (is_leaf t.root) then t.root <- t.root.kids.(0);
   removed
 
 (* --- iteration & checking --- *)

@@ -45,6 +45,20 @@ let test_btree_delete () =
   done;
   Alcotest.(check bool) "delete absent" false (Btree.delete t (key 5000))
 
+(* Deleting an absent key can still merge the root's only two children
+   on the way down; the emptied root must be dropped then too, or a later
+   delete descends from a key-less root and indexes kids.(-1). *)
+let test_btree_delete_absent_after_merge () =
+  let t = Btree.create ~order:4 ~dummy:0 () in
+  List.iter (fun i -> Btree.insert t (key i) i) [ 11; 7; 0; 10; 4; 8; 2; 9; 4 ];
+  Alcotest.(check bool) "deleted" true (Btree.delete t (key 8));
+  Btree.insert t (key 10) 10;
+  List.iter
+    (fun i -> Alcotest.(check bool) "absent" false (Btree.delete t (key i)))
+    [ 8; 1; 1 ];
+  Btree.check t;
+  Alcotest.(check int) "size" 7 (Btree.size t)
+
 let test_btree_sorted_iteration () =
   let t = Btree.create ~order:5 ~dummy:0 () in
   let ids = [ 42; 7; 100; 3; 55; 19; 88; 1; 64; 27 ] in
@@ -353,6 +367,7 @@ let () =
           Alcotest.test_case "replace" `Quick test_btree_replace;
           Alcotest.test_case "delete" `Quick test_btree_delete;
           Alcotest.test_case "sorted iteration" `Quick test_btree_sorted_iteration;
+          Alcotest.test_case "delete absent after a merge" `Quick test_btree_delete_absent_after_merge;
         ] );
       ( "fawn",
         [

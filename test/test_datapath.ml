@@ -41,7 +41,7 @@ let test_crc_bounds () =
       match Codec.crc32 buf ~pos ~len with
       | _ -> Alcotest.failf "range pos=%d len=%d accepted" pos len
       | exception Invalid_argument _ -> ())
-    [ (-1, 4); (0, -1); (10, 7); (17, 0) ]
+    [ (-1, 4); (0, -1); (10, 7); (17, 0); (5, max_int); (max_int, 5) ]
 
 (* A buffer, a range inside it (misaligned start, any tail length) and a
    split point inside the range. *)
