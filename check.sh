@@ -9,6 +9,23 @@ cd "$(dirname "$0")"
 echo "== build =="
 dune build
 
+echo "== build flags (no -opaque, warnings are errors) =="
+# dune-workspace selects the release profile, which compiles without
+# -opaque, so Sim and the schedulers inline Event_store's accessors; the
+# root dune file's env stanza keeps the dev profile's warning flags.
+# Fail if the default build loses either.
+sim_rule=$(dune rules lib/sim/.leed_sim.objs/native/leed_sim__Sim.cmx)
+echo "$sim_rule" | grep -qF 'lib/sim/sim.ml' \
+  || { echo "no native compile rule found for lib/sim/sim.ml"; exit 1; }
+if echo "$sim_rule" | grep -qF -- '-opaque'; then
+  echo "lib/sim/sim.ml compiles with -opaque: cross-module inlining is off"; exit 1
+fi
+env_flags=$(dune printenv .)
+for flag in '@1..3@5..28@30..39@43@46..47@49..57@61..62-40' -strict-sequence; do
+  echo "$env_flags" | grep -qF -- "$flag" \
+    || { echo "default build flags lack $flag (warnings must stay errors)"; exit 1; }
+done
+
 echo "== lint (determinism / effect discipline) =="
 dune build @lint
 

@@ -59,13 +59,13 @@ let create () =
   grow st;
   st
 
-let alloc st =
+let[@inline] alloc st =
   if st.free = nil then grow st;
   let h = st.free in
   st.free <- word st h 3;
   h
 
-let release st h =
+let[@inline] release st h =
   set_word st h 2 0;
   set_word st h 3 st.free;
   st.free <- h
@@ -81,25 +81,27 @@ let[@inline] key st h = word st h 1
 let[@inline] seq st h = word st h 2
 let[@inline] next st h = word st h 3
 let[@inline] set_next st h n = set_word st h 3 n
-let run st h = st.run.(h lsr chunk_bits).(h land (chunk - 1))
-let label st h = st.label.(h lsr chunk_bits).(h land (chunk - 1))
+let[@inline] run st h = st.run.(h lsr chunk_bits).(h land (chunk - 1))
+let[@inline] label st h = st.label.(h lsr chunk_bits).(h land (chunk - 1))
 
-let set st h ~stamp ~key ~seq ~label ~run =
+let[@inline] set st h ~stamp ~key ~seq ~label ~run =
   set_word st h 0 stamp;
   set_word st h 1 key;
   set_word st h 2 seq;
   st.run.(h lsr chunk_bits).(h land (chunk - 1)) <- run;
-  st.label.(h lsr chunk_bits).(h land (chunk - 1)) <- label
+  (* A recycled handle usually carried the same label: skip the barrier. *)
+  let labels = st.label.(h lsr chunk_bits) in
+  if labels.(h land (chunk - 1)) != label then labels.(h land (chunk - 1)) <- label
 
 let cancel st h = st.run.(h lsr chunk_bits).(h land (chunk - 1)) <- cancelled
 
-let before st a b =
+let[@inline] before st a b =
   let sa = st.slab.(a lsr chunk_bits) and i = (a land (chunk - 1)) lsl 2 in
   let sb = st.slab.(b lsr chunk_bits) and j = (b land (chunk - 1)) lsl 2 in
   sa.(i) < sb.(j)
   || sa.(i) = sb.(j)
      && (sa.(i + 1) < sb.(j + 1) || (sa.(i + 1) = sb.(j + 1) && sa.(i + 2) < sb.(j + 2)))
 
-let bucket st h scale =
+let[@inline] bucket st h scale =
   let q = time st h *. scale in
   if q >= 4.0e18 then max_int / 2 else int_of_float q

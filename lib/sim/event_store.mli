@@ -22,10 +22,10 @@
       at most one list at a time.
 
     The store grows by whole chunks, so handles never move and growth
-    copies nothing but the small chunk tables. The per-event paths in
-    [Sim] and {!Timing_wheel} address the slab through local copies of
-    these accessors, because the default (dev) build compiles every
-    module with [-opaque], which keeps cross-module calls out of line. *)
+    copies nothing but the small chunk tables. The per-event accessors
+    are marked [[@inline]]: the build compiles without [-opaque]
+    (dune-workspace), so [Sim] and the schedulers inline them, and a
+    time they decode stays an unboxed float. *)
 
 type t = {
   mutable slab : int array array;  (** slab chunks, 4 words per handle *)
@@ -97,7 +97,9 @@ val label : t -> int -> string
 
 val set :
   t -> int -> stamp:int -> key:int -> seq:int -> label:string -> run:(unit -> unit) -> unit
-(** Set every field of an allocated handle but its link. *)
+(** Set every field of an allocated handle but its link. The label is
+    stored only when it is not physically the one already there, so the
+    common re-schedule under the same label runs no write barrier. *)
 
 val cancel : t -> int -> unit
 (** Make the handle a tombstone: its body becomes {!cancelled}. *)

@@ -20,7 +20,12 @@
    for the closure (and a changed label). A timeout that loses its race
    is cancelled in place ([cancel]): its handle stays queued as a
    tombstone and is released, undispatched, when the scheduler reaches
-   it. *)
+   it.
+
+   Spawned processes run on pooled fibers: a body that returns parks
+   its fiber on the engine's pool, and the next [spawn] resumes it with
+   the new body instead of starting a fresh one (see [spawn]). The
+   fibers still parked when the run ends are unwound ([close_pool]). *)
 
 exception Deadlock of string
 exception Main_incomplete
@@ -54,6 +59,9 @@ type engine = {
   mutable cur_label : string; (* label of the event being executed *)
   dly : float array; (* [delay]'s duration, read by the [Delay] branch *)
   mutable handler : (unit, unit) Effect.Deep.handler; (* [exec]'s, built once in [run] *)
+  mutable pool : (unit -> unit, unit) Effect.Deep.continuation array;
+      (* parked fibers, a LIFO stack in [pool.(0 .. parked - 1)] *)
+  mutable parked : int;
 }
 
 let current : engine option ref = ref None
@@ -69,18 +77,6 @@ let[@inline] key_of tiebreak seq =
   | Fifo -> 0
   | Perturbed seed -> Rng.hash2 seed seq
   | Perturb_first { seed; limit } -> if seq <= limit then Rng.hash2 seed seq else 0
-
-(* Event_store.stamp_of_time and its inverse, copied here so they
-   compile inline on the per-event path: a float passed to or returned
-   from another module is boxed (the default dev profile builds with
-   -opaque, so nothing crosses modules inline). *)
-let[@inline] stamp_of_time t = Int64.to_int (Int64.sub (Int64.bits_of_float t) 0x4000_0000_0000_0000L)
-let[@inline] time_of_stamp s = Int64.float_of_bits (Int64.add (Int64.of_int s) 0x4000_0000_0000_0000L)
-
-(* [schedule] and [run]'s dispatch address the store's slots and
-   freelist inline (layout in event_store.mli); the literal 10 there is
-   [Event_store.chunk_bits]. *)
-let () = assert (Event_store.chunk_bits = 10)
 
 (* Queue [run] at [at] and return its handle; the handle and [eng.seq]
    as of the return are the event's [cancel] handle. The slab writes are
@@ -98,23 +94,9 @@ let schedule eng ~label ~at run =
   let seq = eng.seq + 1 in
   eng.seq <- seq;
   let st = eng.store in
-  let h =
-    if st.free = Event_store.nil then Event_store.alloc st
-    else begin
-      let h = st.free in
-      st.free <- st.slab.(h lsr 10).(((h land 1023) lsl 2) + 3);
-      h
-    end
-  in
-  let c = h lsr 10 and i = h land 1023 in
-  let s = st.slab.(c) and j = i lsl 2 in
-  s.(j) <- stamp_of_time at;
-  s.(j + 1) <- key_of eng.tiebreak seq;
-  s.(j + 2) <- seq;
-  st.run.(c).(i) <- run;
-  (* A recycled handle usually carried the same label: skip the barrier. *)
-  let labels = st.label.(c) in
-  if labels.(i) != label then labels.(i) <- label;
+  let h = Event_store.alloc st in
+  Event_store.set st h ~stamp:(Event_store.stamp_of_time at) ~key:(key_of eng.tiebreak seq) ~seq
+    ~label ~run;
   Scheduler.add eng.sched h;
   (* Tracked incrementally rather than asking the scheduler: one fewer
      closure call per scheduled event. *)
@@ -139,14 +121,42 @@ let cancel eng h seq =
   end
 
 (* [Delay] is a constant: the duration travels in the engine's [dly]
-   slot, so performing it allocates no effect block and no float box. *)
+   slot, so performing it allocates no effect block and no float box.
+   [Park] is a constant too: a pooled fiber performs it when its body
+   returns, and is resumed with its next body. *)
 type _ Effect.t +=
   | Delay : unit Effect.t
+  | Park : (unit -> unit) Effect.t
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
 
+(* Push a parked fiber. The pool grows by doubling, filled with [k]
+   itself, so it needs no placeholder continuation. *)
+let park eng k =
+  let n = eng.parked in
+  if n = Array.length eng.pool then begin
+    let pool = Array.make (max 16 (2 * n)) k in
+    Array.blit eng.pool 0 pool 0 n;
+    eng.pool <- pool
+  end
+  else eng.pool.(n) <- k;
+  eng.parked <- n + 1
+
+(* Unwind every parked fiber when the run ends. A continuation that is
+   never resumed keeps its fiber's stack allocated even once it is
+   unreachable, so a dropped pool would leak every fiber it holds. *)
+exception Pool_closed
+
+let close_pool eng =
+  for i = 0 to eng.parked - 1 do
+    match Effect.Deep.discontinue eng.pool.(i) Pool_closed with () | (exception Pool_closed) -> ()
+  done;
+  eng.pool <- [||];
+  eng.parked <- 0
+
 (* The engine's one effect handler. Every process runs under it, so a
-   spawn allocates no handler record, and the [Delay] branch returns a
-   preallocated [Some on_delay] instead of a fresh option and closure. *)
+   spawn allocates no handler record, and the [Delay] and [Park]
+   branches return preallocated options instead of a fresh option and
+   closure. *)
 let make_handler eng : (unit, unit) Effect.Deep.handler =
   let open Effect.Deep in
   let on_delay =
@@ -156,6 +166,7 @@ let make_handler eng : (unit, unit) Effect.Deep.handler =
           (schedule eng ~label:eng.cur_label ~at:(eng.now +. Array.unsafe_get eng.dly 0)
              (fun () -> continue k ())))
   in
+  let on_park = Some (fun (k : (unit -> unit, unit) continuation) -> park eng k) in
   {
     retc = (fun () -> ());
     exnc = (fun e -> raise e);
@@ -163,6 +174,7 @@ let make_handler eng : (unit, unit) Effect.Deep.handler =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
         | Delay -> (on_delay : ((a, unit) continuation -> unit) option)
+        | Park -> (on_park : ((a, unit) continuation -> unit) option)
         | Suspend register ->
             Some
               (fun (k : (a, _) continuation) ->
@@ -181,6 +193,13 @@ let make_handler eng : (unit, unit) Effect.Deep.handler =
 
 let exec eng f = Effect.Deep.match_with f () eng.handler
 
+(* A pooled fiber's body: run a process, park, run the next one it is
+   resumed with. A process that raises unwinds the fiber, which then
+   never returns to the pool. *)
+let rec worker f =
+  f ();
+  worker (Effect.perform Park)
+
 let now () = (get_engine ()).now
 
 let[@inline] perform_delay t =
@@ -193,12 +212,25 @@ let suspend register = Effect.perform (Suspend register)
 (* [spawn] and [after] are not effects: they only mutate the scheduler, so
    they are callable from anywhere — including resume-registration callbacks
    that run outside any process handler. Unlabelled children inherit the
-   spawner's label, so attribution stays allocation-free on hot paths. *)
+   spawner's label, so attribution stays allocation-free on hot paths.
+
+   A spawn takes the most recently parked fiber when there is one and
+   starts a new worker fiber otherwise. Either way it schedules one
+   event at [now] with the same label and seq, so which fiber runs a
+   process never shows in the dispatch order. A fresh fiber starts at
+   64 words and grows by copying itself to twice the size; a parked
+   one keeps the stack its earlier bodies grew. *)
 let spawn ?label f =
   let eng = get_engine () in
   eng.spawned <- eng.spawned + 1;
   let label = match label with Some l -> l | None -> eng.cur_label in
-  ignore (schedule eng ~label ~at:eng.now (fun () -> exec eng f))
+  let n = eng.parked in
+  if n > 0 then begin
+    let k = eng.pool.(n - 1) in
+    eng.parked <- n - 1;
+    ignore (schedule eng ~label ~at:eng.now (fun () -> Effect.Deep.continue k f))
+  end
+  else ignore (schedule eng ~label ~at:eng.now (fun () -> Effect.Deep.match_with worker f eng.handler))
 
 (* Run [f] (non-blocking) after [t] seconds without creating a process. *)
 let after t f =
@@ -239,6 +271,8 @@ let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Wheel) ?on_disp
       cur_label = "main";
       dly = [| 0. |];
       handler = idle_handler;
+      pool = [||];
+      parked = 0;
     }
   in
   eng.handler <- make_handler eng;
@@ -254,11 +288,12 @@ let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Wheel) ?on_disp
              result := Some (main ());
              main_done := true)));
   let finish () =
+    close_pool eng;
     current := saved;
     Invariant.set_enabled saved_checks
   in
   (try
-     let until_stamp = stamp_of_time until in
+     let until_stamp = Event_store.stamp_of_time until in
      let continue_loop = ref true in
      (* The loop ends as soon as the main process has its result: daemon
         processes (periodic compactors, heartbeats) must not keep the
@@ -275,8 +310,7 @@ let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Wheel) ?on_disp
        end
        else begin
          let st = eng.store in
-         let c = h lsr 10 and i = h land 1023 in
-         let run = st.run.(c).(i) in
+         let run = Event_store.run st h in
          (* A tombstone is released unseen — no dispatch count, no clock
             move, no [on_dispatch]; [cancel] already dropped it from
             [pending]. Otherwise the handle is released before dispatch,
@@ -284,14 +318,10 @@ let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Wheel) ?on_disp
             releasing is int stores only. *)
          if run == Event_store.cancelled then Event_store.release st h
          else begin
-           let s = st.slab.(c) and j = i lsl 2 in
-           let time = time_of_stamp s.(j) in
-           let seq = s.(j + 2) in
-           let label = st.label.(c).(i) in
-           (* Event_store.release, inline. *)
-           s.(j + 2) <- 0;
-           s.(j + 3) <- st.free;
-           st.free <- h;
+           let time = Event_store.time st h in
+           let seq = Event_store.seq st h in
+           let label = Event_store.label st h in
+           Event_store.release st h;
            (* Guarded on [active] like the one in [schedule]: the off path
               must not allocate the detail closure on every dispatch. *)
            if Invariant.active () then

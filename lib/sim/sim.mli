@@ -92,7 +92,8 @@ val spawn : ?label:string -> (unit -> unit) -> unit
     until it blocks; the child runs once the caller yields. [label]
     names the process in race-attribution output and dispatch logs;
     when omitted the child inherits the spawner's label (no
-    allocation). *)
+    allocation). The child runs on a pooled fiber when one is parked
+    (DESIGN.md §12); which fiber it gets never changes when it runs. *)
 
 val suspend : (('a -> unit) -> unit) -> 'a
 (** [suspend register] parks the calling process and hands [register] a
@@ -137,7 +138,9 @@ val max_pending_events : unit -> int
     scale benchmark. *)
 
 val processes_spawned : unit -> int
-(** Number of processes started with {!spawn} since the run started. *)
+(** Number of {!spawn} calls since the run started. It counts spawns,
+    not fibers: a spawn that resumes a parked fiber counts the same as
+    one that starts a new fiber. *)
 
 val fork_join : (unit -> unit) list -> unit
 (** Spawn every thunk and block until all have finished. *)

@@ -27,9 +27,9 @@
    link live in the store's int slab, four words per handle, so a cold
    event walked by a migration or cascade costs one cache line and
    every link update is a plain int store (no write barrier); the
-   bucket heads and the front list are ints too. The slab accessors
-   this file uses per event ([next], [set_next], [before]) are local
-   copies of Event_store's, so the compiler inlines them.
+   bucket heads and the front list are ints too. Event_store's
+   accessors are [@inline], so every one of them compiles to a few
+   loads and stores here.
 
    The front is a list, not a heap: a sorted insert into a handful of
    just-migrated, cache-warm events is cheaper than heap sifts, pop is
@@ -95,81 +95,66 @@ let create store =
 
 let length t = t.count
 
-(* Slab accessors (layout in event_store.mli), copied so the compiler
-   inlines them; the literal 10 is [Event_store.chunk_bits]. *)
-let () = assert (Event_store.chunk_bits = 10)
-
 (* Tick index of a queued event: floor (time / tick) for the level-0
-   slot width tick = 2^-23 s (~0.12 us) — Event_store.bucket on the
-   decoded stamp, exact because the tick is a power of two. *)
-let[@inline] tick_of (s : int array array) h =
-  let stamp = s.(h lsr 10).((h land 1023) lsl 2) in
-  let q = Int64.float_of_bits (Int64.add (Int64.of_int stamp) 0x4000_0000_0000_0000L) *. 0x1p23 in
-  if q >= 4.0e18 then max_int / 2 else int_of_float q
-
-let[@inline] next (s : int array array) h = s.(h lsr 10).(((h land 1023) lsl 2) + 3)
-let[@inline] set_next (s : int array array) h n = s.(h lsr 10).(((h land 1023) lsl 2) + 3) <- n
-
-let[@inline] before (s : int array array) a b =
-  let sa = s.(a lsr 10) and i = (a land 1023) lsl 2 in
-  let sb = s.(b lsr 10) and j = (b land 1023) lsl 2 in
-  sa.(i) < sb.(j)
-  || sa.(i) = sb.(j)
-     && (sa.(i + 1) < sb.(j + 1) || (sa.(i + 1) = sb.(j + 1) && sa.(i + 2) < sb.(j + 2)))
+   slot width tick = 2^-23 s (~0.12 us), exact because the tick is a
+   power of two. *)
+let[@inline] tick_of st h = Event_store.bucket st h 0x1p23
 
 (* Insertion point for [h] in a sorted intrusive list after [prev].
    Top level with explicit arguments, not an inner closure: this is on
    the hot path and must not allocate. *)
-let rec find_pos s prev h =
-  let n = next s prev in
-  if n <> nil && before s n h then find_pos s n h else prev
+let rec find_pos st prev h =
+  let n = Event_store.next st prev in
+  if n <> nil && Event_store.before st n h then find_pos st n h else prev
 
 (* Sorted insert into the front list. Head and tail fast paths are
    O(1); the interior walk only runs for events landing strictly inside
    the list, which for a just-migrated slot is a handful of warm ones. *)
-let front_add t s h =
+let front_add t h =
+  let st = t.store in
   if t.front = nil then begin
-    set_next s h nil;
+    Event_store.set_next st h nil;
     t.front <- h;
     t.front_tail <- h
   end
-  else if before s h t.front then begin
-    set_next s h t.front;
+  else if Event_store.before st h t.front then begin
+    Event_store.set_next st h t.front;
     t.front <- h
   end
-  else if before s t.front_tail h then begin
-    set_next s h nil;
-    set_next s t.front_tail h;
+  else if Event_store.before st t.front_tail h then begin
+    Event_store.set_next st h nil;
+    Event_store.set_next st t.front_tail h;
     t.front_tail <- h
   end
   else begin
-    let prev = find_pos s t.front h in
-    set_next s h (next s prev);
-    set_next s prev h
+    let prev = find_pos st t.front h in
+    Event_store.set_next st h (Event_store.next st prev);
+    Event_store.set_next st prev h
   end
 
 (* Bucket an event with tick index [a] by its distance from the current
    edge. Shared by [add], cascades, and the overflow drain; does not
    touch [count]. *)
-let place t s h a =
-  if a <= t.edge then front_add t s h
+let place t h a =
+  let st = t.store in
+  if a <= t.edge then front_add t h
   else begin
     let d = a - t.edge in
     if d < w then begin
       let idx = a land wmask in
-      set_next s h t.slots0.(idx);
+      Event_store.set_next st h t.slots0.(idx);
       t.slots0.(idx) <- h;
       t.c0 <- t.c0 + 1
     end
     else if d < w2 then begin
       let idx = (a asr lw) land wmask in
-      set_next s h t.slots1.(idx);
+      Event_store.set_next st h t.slots1.(idx);
       t.slots1.(idx) <- h;
       t.c1 <- t.c1 + 1
     end
     else if d < w3 then begin
       let idx = (a asr (2 * lw)) land wmask in
-      set_next s h t.slots2.(idx);
+      Event_store.set_next st h t.slots2.(idx);
       t.slots2.(idx) <- h;
       t.c2 <- t.c2 + 1
     end
@@ -177,29 +162,28 @@ let place t s h a =
   end
 
 let add t h =
-  let s = t.store.Event_store.slab in
-  place t s h (tick_of s h);
+  place t h (tick_of t.store h);
   t.count <- t.count + 1
 
 (* Top-level tail-recursive walks with explicit arguments rather than
    [ref] cursors or inner closures throughout the advance path: both
    would allocate once per tick, and the whole point of this structure
    is an allocation-free steady state. *)
-let rec migrate0_go t s h =
+let rec migrate0_go t h =
   if h <> nil then begin
-    let n = next s h in
+    let st = t.store in
+    let n = Event_store.next st h in
     (* Touch the event's closure and label now, though only dispatch
        reads them: both sit in the store's pointer arrays, away from the
        slab line this walk has loaded, and the event is popped within a
        tick. Issued here, their cache misses overlap the walk's
        dependent link misses instead of costing two serial misses at
        dispatch. *)
-    let c = h lsr 10 and i = h land 1023 in
-    let (_ : unit -> unit) = Sys.opaque_identity t.store.Event_store.run.(c).(i) in
-    let (_ : string) = Sys.opaque_identity t.store.Event_store.label.(c).(i) in
+    let (_ : unit -> unit) = Sys.opaque_identity (Event_store.run st h) in
+    let (_ : string) = Sys.opaque_identity (Event_store.label st h) in
     t.c0 <- t.c0 - 1;
-    front_add t s h;
-    migrate0_go t s n
+    front_add t h;
+    migrate0_go t n
   end
 
 (* Move the level-0 slot for tick index [a] (= the slot the edge just
@@ -208,47 +192,46 @@ let migrate0 t a =
   let idx = a land wmask in
   let head = t.slots0.(idx) in
   t.slots0.(idx) <- nil;
-  migrate0_go t t.store.Event_store.slab head
+  migrate0_go t head
 
 (* Re-place every event of a level-1/2 slot now that the edge has
    entered its region; they land in lower levels (or the front list). *)
-let rec cascade1_go t s h =
+let rec cascade1_go t h =
   if h <> nil then begin
-    let n = next s h in
+    let n = Event_store.next t.store h in
     t.c1 <- t.c1 - 1;
-    place t s h (tick_of s h);
-    cascade1_go t s n
+    place t h (tick_of t.store h);
+    cascade1_go t n
   end
 
 let cascade1 t b =
   let idx = b land wmask in
   let head = t.slots1.(idx) in
   t.slots1.(idx) <- nil;
-  cascade1_go t t.store.Event_store.slab head
+  cascade1_go t head
 
-let rec cascade2_go t s h =
+let rec cascade2_go t h =
   if h <> nil then begin
-    let n = next s h in
+    let n = Event_store.next t.store h in
     t.c2 <- t.c2 - 1;
-    place t s h (tick_of s h);
-    cascade2_go t s n
+    place t h (tick_of t.store h);
+    cascade2_go t n
   end
 
 let cascade2 t c =
   let idx = c land wmask in
   let head = t.slots2.(idx) in
   t.slots2.(idx) <- nil;
-  cascade2_go t t.store.Event_store.slab head
+  cascade2_go t head
 
 (* Pull overflow events that have come within the wheel horizon. *)
 let rec drain_overflow t =
   let h = Event_heap.peek t.overflow in
   if h <> nil then begin
-    let s = t.store.Event_store.slab in
-    let a = tick_of s h in
+    let a = tick_of t.store h in
     if a - t.edge < w3 then begin
       ignore (Event_heap.pop t.overflow);
-      place t s h a;
+      place t h a;
       drain_overflow t
     end
   end
@@ -280,7 +263,7 @@ let rec advance t =
     (if t.c0 = 0 && t.c1 = 0 && t.c2 = 0 then
        (* Only far-future overflow remains: jump to just before its
           head; the next drain pulls it into the wheel. *)
-       t.edge <- max t.edge (tick_of t.store.Event_store.slab (Event_heap.peek t.overflow) - 1)
+       t.edge <- max t.edge (tick_of t.store (Event_heap.peek t.overflow) - 1)
      else
        let e = t.edge + 1 in
        if e land (w2 - 1) = 0 then begin
@@ -333,11 +316,10 @@ let pop_until t limit =
   if t.count = 0 then nil
   else begin
     if t.front = nil then advance t;
-    let s = t.store.Event_store.slab in
     let head = t.front in
-    if s.(head lsr 10).((head land 1023) lsl 2) > limit then nil
+    if Event_store.stamp t.store head > limit then nil
     else begin
-      t.front <- next s head;
+      t.front <- Event_store.next t.store head;
       t.count <- t.count - 1;
       head
     end

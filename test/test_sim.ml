@@ -81,6 +81,194 @@ let test_nested_runs () =
   in
   Alcotest.(check (pair (float 1e-9) (float 1e-9))) "clocks" (1., 5.) v
 
+(* --- Pooled fibers ---
+
+   A process whose body returns parks its fiber, and the next spawn
+   resumes that fiber with the new body. In each script below a process
+   has returned (and the spawner has yielded past it) before the spawn
+   under test, so that spawn runs on a reused fiber. *)
+
+exception Boom
+
+let test_pool_raise_reused () =
+  let after_raise = ref false in
+  (match
+     Sim.run (fun () ->
+         Sim.spawn (fun () -> ());
+         Sim.yield ();
+         Sim.spawn (fun () ->
+             Sim.delay 0.5;
+             raise Boom);
+         Sim.spawn (fun () ->
+             Sim.delay 1.;
+             after_raise := true);
+         Sim.delay 10.)
+   with
+   | () -> Alcotest.fail "the raising process should end the run"
+   | exception Boom -> ());
+  Alcotest.(check bool) "the run stopped at the raise" false !after_raise;
+  Alcotest.check_raises "engine restored" (Failure "Sim: no simulation running (call inside Sim.run)")
+    (fun () -> ignore (Sim.now ()));
+  let log = ref [] in
+  let t =
+    Sim.run (fun () ->
+        for i = 1 to 3 do
+          Sim.spawn (fun () ->
+              Sim.delay 1.;
+              log := i :: !log);
+          Sim.delay 2.
+        done;
+        Sim.now ())
+  in
+  check_float "next run's clock" 6. t;
+  Alcotest.(check (list int)) "next run's processes" [ 1; 2; 3 ] (List.rev !log)
+
+(* Not a tail call: every level is a stack frame. Delays at the bottom,
+   so the suspended continuation carries the whole stack. *)
+let rec deep n = if n = 0 then (Sim.delay 1.; 0) else 1 + deep (n - 1)
+
+let test_pool_deep_recursion () =
+  let depths =
+    Sim.run (fun () ->
+        let got = ref [] in
+        Sim.spawn (fun () -> ());
+        Sim.yield ();
+        (* Twice: once on the reused small fiber, then again on the same
+           fiber after it parked with its grown stack. *)
+        for _ = 1 to 2 do
+          Sim.spawn (fun () -> got := deep 150_000 :: !got);
+          Sim.delay 2.
+        done;
+        !got)
+  in
+  Alcotest.(check (list int)) "depths" [ 150_000; 150_000 ] depths
+
+(* Resident set size in KiB, where the OS reports it. *)
+let rss_kib () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+      String.split_on_char '\n' status
+      |> List.find_map (fun line ->
+             match String.split_on_char ':' line with
+             | [ "VmRSS"; v ] -> int_of_string_opt (List.hd (String.split_on_char ' ' (String.trim v)))
+             | _ -> None)
+
+let test_pool_closed_at_end () =
+  (* Every run ends with 25 parked fibers grown to 4000 frames (tens of
+     KiB each). A fiber that is never resumed keeps its stack, so runs
+     that dropped their pool would grow the process by tens of MiB. *)
+  let runs () =
+    for _ = 1 to 40 do
+      Sim.run (fun () ->
+          for _ = 1 to 25 do
+            Sim.spawn (fun () -> ignore (deep 4000))
+          done;
+          Sim.delay 5.)
+    done;
+    Gc.full_major ()
+  in
+  runs ();
+  match rss_kib () with
+  | None -> ()
+  | Some before ->
+      runs ();
+      let grown = Option.value (rss_kib ()) ~default:before - before in
+      if grown > 16 * 1024 then Alcotest.failf "resident set grew by %d KiB over 40 runs" grown
+
+let labels = [| "alpha"; "beta"; "gamma" |]
+
+(* Processes that respawn at their own instant under other labels, some
+   unlabelled (inheriting), some after a delay. *)
+let respawn_dispatch () =
+  let log = ref [] in
+  Sim.run
+    ~on_dispatch:(fun (d : Sim.dispatch) -> log := (d.d_time, d.d_seq, d.d_label) :: !log)
+    (fun () ->
+      let rec proc gen i () =
+        if gen < 3 then begin
+          Sim.spawn ~label:labels.((i + gen + 1) mod 3) (proc (gen + 1) (i + 1));
+          if i mod 2 = 0 then Sim.spawn (proc (gen + 1) (i + 2));
+          Sim.delay 0.25;
+          if gen mod 2 = 0 then Sim.spawn ~label:labels.(i mod 3) (proc (gen + 2) i)
+        end
+      in
+      for i = 0 to 2 do
+        Sim.spawn ~label:labels.(i) (proc 0 i)
+      done;
+      Sim.delay 2.);
+  List.rev !log
+
+(* Recorded from the engine before fibers were pooled: which fiber runs
+   a process must not move any event's time, seq or label. *)
+let expected_respawn_dispatch =
+  let at t l = List.map (fun (seq, label) -> (t, seq, label)) l in
+  at 0.
+    [ (1, "main"); (2, "alpha"); (3, "beta"); (4, "gamma"); (6, "beta"); (7, "alpha"); (9, "gamma");
+      (11, "alpha"); (12, "gamma"); (14, "alpha"); (16, "beta"); (17, "alpha"); (19, "beta");
+      (20, "gamma"); (22, "gamma"); (24, "alpha"); (25, "gamma"); (27, "gamma"); (28, "alpha");
+      (30, "alpha"); (32, "beta"); (33, "alpha"); (35, "alpha"); (37, "beta"); (38, "gamma");
+      (40, "beta"); (41, "gamma"); (43, "gamma"); (45, "alpha"); (46, "gamma") ]
+  @ at 0.25
+      [ (8, "alpha"); (10, "beta"); (13, "gamma"); (15, "beta"); (18, "alpha"); (21, "gamma");
+        (23, "alpha"); (26, "gamma"); (29, "alpha"); (31, "beta"); (34, "alpha"); (36, "beta");
+        (39, "gamma"); (42, "gamma"); (44, "alpha"); (47, "gamma"); (48, "alpha"); (49, "beta");
+        (50, "gamma"); (51, "gamma"); (52, "alpha"); (53, "beta"); (54, "alpha"); (55, "beta");
+        (56, "beta"); (57, "gamma"); (58, "alpha"); (59, "alpha"); (60, "alpha"); (62, "beta");
+        (64, "gamma"); (65, "gamma") ]
+  @ at 0.5 [ (61, "alpha"); (63, "beta"); (66, "gamma"); (67, "alpha"); (68, "beta"); (69, "gamma") ]
+  @ at 2. [ (5, "main") ]
+
+let test_pool_dispatch_unchanged () =
+  Alcotest.(check (list (triple (float 0.) int string)))
+    "dispatch log" expected_respawn_dispatch (respawn_dispatch ())
+
+let test_pool_spawn_count () =
+  let spawned =
+    Sim.run (fun () ->
+        for _ = 1 to 5 do
+          Sim.spawn (fun () -> ());
+          Sim.yield ()
+        done;
+        Sim.processes_spawned ())
+  in
+  Alcotest.(check int) "every spawn counts, reused fiber or not" 5 spawned
+
+let test_pool_nested_run () =
+  let log = ref [] in
+  let labels_seen = ref [] in
+  let spawned =
+    Sim.run
+      ~on_dispatch:(fun (d : Sim.dispatch) -> labels_seen := d.d_label :: !labels_seen)
+      (fun () ->
+        Sim.spawn ~label:"warm" (fun () -> ());
+        Sim.yield ();
+        Sim.spawn ~label:"nester" (fun () ->
+            (* A nested run on a reused fiber, with a pool of its own. *)
+            let inner =
+              Sim.run (fun () ->
+                  for _ = 1 to 3 do
+                    Sim.spawn (fun () -> Sim.delay 1.);
+                    Sim.yield ()
+                  done;
+                  Sim.delay 2.;
+                  Sim.processes_spawned ())
+            in
+            log := Printf.sprintf "inner spawned %d" inner :: !log);
+        Sim.yield ();
+        Sim.spawn ~label:"after1" (fun () -> log := "after1" :: !log);
+        Sim.spawn ~label:"after2" (fun () ->
+            Sim.delay 1.;
+            log := "after2" :: !log);
+        Sim.delay 5.;
+        Sim.processes_spawned ())
+  in
+  Alcotest.(check (list string)) "bodies" [ "inner spawned 3"; "after1"; "after2" ] (List.rev !log);
+  Alcotest.(check int) "outer spawns" 4 spawned;
+  Alcotest.(check (list string)) "outer dispatch labels"
+    [ "main"; "warm"; "main"; "nester"; "main"; "after1"; "after2"; "after2"; "main" ]
+    (List.rev !labels_seen)
+
 (* --- Ivar --- *)
 
 let test_ivar_read_blocks () =
@@ -539,6 +727,15 @@ let () =
           Alcotest.test_case "stop" `Quick test_stop;
           Alcotest.test_case "nested runs" `Quick test_nested_runs;
           Alcotest.test_case "deterministic interleaving" `Quick sim_deterministic;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "raise on a reused fiber" `Quick test_pool_raise_reused;
+          Alcotest.test_case "deep recursion on a reused fiber" `Quick test_pool_deep_recursion;
+          Alcotest.test_case "parked fibers freed at run end" `Quick test_pool_closed_at_end;
+          Alcotest.test_case "respawn dispatch log unchanged" `Quick test_pool_dispatch_unchanged;
+          Alcotest.test_case "spawn count includes reuse" `Quick test_pool_spawn_count;
+          Alcotest.test_case "nested run keeps the outer pool" `Quick test_pool_nested_run;
         ] );
       ( "ivar",
         [
