@@ -15,7 +15,6 @@ open Leed_sim
 open Leed_core
 open Leed_workload
 
-let skews = [ 0.1; 0.3; 0.5; 0.7; 0.9; 0.95; 0.99 ]
 let nkeys = 4_000
 
 let measure_point ~swap ~object_size ~skew =
@@ -74,13 +73,13 @@ let measure_point ~swap ~object_size ~skew =
       (thr, Leed_stats.Histogram.mean lat, Leed_stats.Histogram.percentile lat 0.999, swaps))
 
 let run_size ~object_size =
-  let points swap = List.map (fun skew -> measure_point ~swap ~object_size ~skew) skews in
+  let points swap = List.map (fun skew -> measure_point ~swap ~object_size ~skew) Workload.skew_sweep in
   let with_ds = points true and without = points false in
   let col f pts = List.map f pts in
   Leed_stats.Report.series
     ~title:(Printf.sprintf "Figure 10 (%dB): data swapping on/off under write-only Zipf" object_size)
     ~x_label:"skew"
-    ~xs:(List.map string_of_float skews)
+    ~xs:(List.map string_of_float Workload.skew_sweep)
     [
       ("thr-KQPS w/DS", col (fun (t, _, _, _) -> t /. 1e3) with_ds);
       ("thr-KQPS w/oDS", col (fun (t, _, _, _) -> t /. 1e3) without);

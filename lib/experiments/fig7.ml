@@ -8,7 +8,6 @@ open Leed_sim
 open Leed_core
 open Leed_workload
 
-let skews = [ 0.1; 0.3; 0.5; 0.7; 0.9; 0.95; 0.99 ]
 let nkeys = 5_000
 
 let measure_point ~crrs ~mix_of ~skew =
@@ -20,13 +19,13 @@ let measure_point ~crrs ~mix_of ~skew =
         ~gen ())
 
 let run_mix name mix_of =
-  let points crrs = List.map (fun skew -> measure_point ~crrs ~mix_of ~skew) skews in
+  let points crrs = List.map (fun skew -> measure_point ~crrs ~mix_of ~skew) Workload.skew_sweep in
   let with_crrs = points true and without = points false in
   let col f pts = List.map f pts in
   Leed_stats.Report.series
     ~title:(Printf.sprintf "Figure 7 (%s): CRRS vs no-CRRS over Zipf skew" name)
     ~x_label:"skew"
-    ~xs:(List.map string_of_float skews)
+    ~xs:(List.map string_of_float Workload.skew_sweep)
     [
       ("thr-KQPS w/", col (fun m -> m.Backend.throughput /. 1e3) with_crrs);
       ("thr-KQPS w/o", col (fun m -> m.Backend.throughput /. 1e3) without);

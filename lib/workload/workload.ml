@@ -23,6 +23,9 @@ type mix = {
 
 let default_theta = 0.99
 
+(* The Zipf skews Figures 7, 8 and 10 sweep. *)
+let skew_sweep = [ 0.1; 0.3; 0.5; 0.7; 0.9; 0.95; 0.99 ]
+
 (* The six YCSB workloads of Figure 5/6. *)
 let ycsb_a ?(theta = default_theta) () =
   { label = "YCSB-A"; read = 0.5; update = 0.5; insert = 0.; rmw = 0.; dist = Zipfian theta }

@@ -27,6 +27,12 @@ type mix = {
 val default_theta : float
 (** 0.99, YCSB's default skew. *)
 
+val skew_sweep : float list
+(** The Zipf skews Figures 7, 8 and 10 sweep: 0.1, 0.3, 0.5, 0.7, 0.9,
+    0.95 and 0.99. Each is tabulated in [Zipf.zeta_table] at
+    [virtual_ranks], so a generator at any of them skips the 10 M-term
+    sum; a value added here needs its entry there (a test checks). *)
+
 val ycsb_a : ?theta:float -> unit -> mix
 (** 50% read / 50% update. *)
 

@@ -84,6 +84,68 @@ let test_zipf_low_theta_flatter () =
       let low = share 0.1 and high = share 0.99 in
       Alcotest.(check bool) (Printf.sprintf "0.1 share %.4f < 0.99 share %.4f" low high) true (low < high))
 
+(* Bit-level equality, so that -0. vs 0. or a last-digit slip shows. *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let test_zeta_table_exact () =
+  List.iter
+    (fun (n, theta, z) ->
+      let loop = Zipf.zeta_sum n theta in
+      if not (same_bits z loop) then
+        Alcotest.failf "zeta_table (%d, %g): %h, but zeta_sum gives %h (paste that literal)" n
+          theta z loop;
+      if not (same_bits (Zipf.zeta n theta) z) then
+        Alcotest.failf "Zipf.zeta %d %g does not return its table entry" n theta)
+    Zipf.zeta_table
+
+let test_zeta_sweep_tabulated () =
+  List.iter
+    (fun theta ->
+      let tabulated =
+        List.exists
+          (fun (n, t, _) -> n = Workload.virtual_ranks && Float.equal t theta)
+          Zipf.zeta_table
+      in
+      if not tabulated then
+        Alcotest.failf "theta %g has no zeta_table entry at n = %d" theta Workload.virtual_ranks)
+    (Workload.default_theta :: Workload.skew_sweep)
+
+let test_zeta_fallback () =
+  (* One pair whose theta is tabulated and one whose n is, so a lookup
+     that matches on either key alone returns a wrong constant. *)
+  List.iter
+    (fun (n, theta) ->
+      let z = Zipf.zeta n theta and loop = Zipf.zeta_sum n theta in
+      if not (same_bits z loop) then
+        Alcotest.failf "Zipf.zeta %d %g = %h, zeta_sum = %h" n theta z loop)
+    [ (1000, 0.99); (Workload.virtual_ranks, 0.8) ]
+
+(* Known answers: the first draws of three generators, recorded with
+   zeta summed by the loop. The two at 10 M ranks now read it from the
+   table. Each list is 12 [next] ranks, then 12 [next_scrambled]. *)
+let test_zipf_known_draws () =
+  let draws ~n ~theta ~seed =
+    let z = Zipf.create ~theta ~n (Rng.create seed) in
+    let ranks = List.init 12 (fun _ -> Zipf.next z) in
+    ranks @ List.init 12 (fun _ -> Zipf.next_scrambled z)
+  in
+  Alcotest.(check (list int))
+    "n=1000 theta=0.99"
+    [ 46; 1; 1; 0; 866; 2; 3; 1; 164; 2; 169; 425; 571; 601; 601; 328; 601; 305; 601; 122; 896;
+      305; 593; 106 ]
+    (draws ~n:1000 ~theta:0.99 ~seed:42);
+  Alcotest.(check (list int))
+    "n=10M theta=0.99"
+    [ 14971; 8; 8; 0; 7411211; 30; 66; 7; 223091; 35; 237103; 1669571; 4487202; 8646249; 543601;
+      2554178; 8646249; 2018991; 4338305; 2818720; 1000510; 6326934; 8450660; 3198390 ]
+    (draws ~n:10_000_000 ~theta:0.99 ~seed:42);
+  Alcotest.(check (list int))
+    "n=10M theta=0.5"
+    [ 2750271; 913627; 8854935; 7801305; 4405602; 1188339; 1588688; 3657437; 6584249; 76809;
+      8325256; 290116; 8481158; 8485635; 4603848; 2869988; 1775001; 4241201; 8953321; 6582613;
+      1206217; 2803986; 3628718; 7793020 ]
+    (draws ~n:10_000_000 ~theta:0.5 ~seed:7)
+
 let zipf_in_range =
   QCheck.Test.make ~name:"zipf ranks within [0,n)" ~count:50
     QCheck.(pair (int_range 1 10_000) (int_range 0 1000))
@@ -277,6 +339,10 @@ let () =
         [
           Alcotest.test_case "rank0 hottest" `Quick test_zipf_rank0_hottest;
           Alcotest.test_case "low theta flatter" `Quick test_zipf_low_theta_flatter;
+          Alcotest.test_case "zeta table equals loop" `Quick test_zeta_table_exact;
+          Alcotest.test_case "sweep skews tabulated" `Quick test_zeta_sweep_tabulated;
+          Alcotest.test_case "zeta fallback equals loop" `Quick test_zeta_fallback;
+          Alcotest.test_case "known draws" `Quick test_zipf_known_draws;
         ] );
       ( "workload",
         [
