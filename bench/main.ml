@@ -1,160 +1,33 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md §3 for the experiment index), plus Bechamel
-   microbenchmarks of the core data structures.
+   microbenchmarks of the core data structures and the BENCH_*.json
+   sweeps that only this harness writes.
 
    Usage:
-     bench/main.exe                 run everything
-     bench/main.exe fig7 table3     run selected experiments
+     bench/main.exe                 run every paper experiment, then micro
+     bench/main.exe fig7 table3     run selected experiments (any name of
+                                    Registry.all, failslow included)
      bench/main.exe fast            run everything with shorter windows
      bench/main.exe micro           only the microbenchmarks
-     bench/main.exe ycsb [backend]  YCSB-B through the unified KV_BACKEND
-                                    path (leed/fawn/kvell; default all)
-     bench/main.exe trace [file]    YCSB-B on LEED twice (untraced, traced),
-                                    write the Chrome trace and report the
-                                    wall-clock overhead of capture
      bench/main.exe chaos [seed..]  seeded fault-injection runs (crash-restarts,
                                     partition, SSD degradation) under load, plus
                                     the fail-slow naive-vs-hedged tail comparison;
                                     writes BENCH_chaos.json
-     bench/main.exe race [target..] simultaneous-event race detection over the
-                                    registered targets (default all)
-     bench/main.exe scale           scheduler sweep: heap/calendar/wheel over
-                                    cluster size x pending-event population,
-                                    after a cross-scheduler digest diff
-     bench/main.exe scale-validate [file]
-                                    check BENCH_scale.json's shape (CI gate)
+     bench/main.exe repl [seed..]   CRRS vs ABD over the same chaos seeds;
+                                    writes BENCH_repl.json
      bench/main.exe cache           in-network cache sweep: Zipf theta x
-                                    {cache-off+CRRS, cache-only, cache+CRRS}
-                                    plus a flash-crowd scenario; writes
-                                    BENCH_cache.json
+                                    {cache-off+CRRS, cache+CRRS} plus a
+                                    flash-crowd scenario; writes BENCH_cache.json
      bench/main.exe cache-validate [file]
                                     check BENCH_cache.json's shape (CI gate)
 
-   The ycsb mode takes --jbofs N to scale the cluster. The ycsb, race and
-   scale modes additionally write machine-readable BENCH_ycsb.json /
-   BENCH_race.json / BENCH_scale.json (throughput, p99, events/sec, wall
-   time) for trend tracking across commits. *)
+   Experiment names are resolved before anything runs: an unknown name
+   exits 2 and lists the valid ones. An experiment that raises is
+   reported and the rest still run, then the harness exits 1. *)
 
 open Leed_experiments
 
 module Json = Leed_trace.Trace.Json
-
-let experiments =
-  [
-    ("table1", Table1.run);
-    ("fig1", Fig1.run);
-    ("table3", Table3.run);
-    ("fig5", Fig5.run);
-    ("fig6", Fig6.run);
-    ("fig7", Fig7.run);
-    ("fig8", Fig8.run);
-    ("fig9", Fig9.run);
-    ("fig10", Fig10.run);
-    ("fig11", Fig11.run);
-    ("fig12", Fig12.run);
-    ("fig13", Fig13.run);
-    ("fig14", Fig14.run);
-  ]
-
-(* --- unified backend comparison through the KV_BACKEND boundary --- *)
-
-(* Per-backend saturation sizing, as in Figure 5. *)
-let ycsb_sizing = function
-  | "fawn" -> (2_000, 40, 0.5)
-  | "kvell" -> (4_000, 320, 0.08)
-  | _ -> (4_000, 128, 0.1)
-
-let ycsb ?jbofs backends =
-  let open Leed_sim in
-  let open Leed_workload in
-  let module Backend = Leed_core.Backend in
-  (match jbofs with
-  | None -> print_endline "== YCSB-B (1KB) through the unified backend path =="
-  | Some n -> Printf.printf "== YCSB-B (1KB) through the unified backend path, %d JBOFs ==\n" n);
-  let rows =
-    List.map
-      (fun name ->
-        let wall0 = Unix.gettimeofday () in
-        let m, events =
-          Sim.run (fun () ->
-              let nkeys, workers, window = ycsb_sizing name in
-              let setup = Exp_common.setup_of_name ~nclients:4 ?nnodes:jbofs name in
-              Exp_common.preload setup ~nkeys ~value_size:1008;
-              let gen =
-                Workload.generator ~object_size:1024 (Workload.ycsb_b ()) ~nkeys (Rng.create 9)
-              in
-              let m =
-                Exp_common.measure_closed ~label:name ~setup ~clients:workers
-                  ~duration:(Exp_common.dur window) ~gen ()
-              in
-              (m, Sim.events_dispatched ()))
-        in
-        let wall = Unix.gettimeofday () -. wall0 in
-        Exp_common.report_metrics m;
-        Json.Obj
-          [
-            ("backend", Json.Str name);
-            ("ops", Json.Int m.Backend.ops);
-            ("sim_duration_s", Json.Num m.Backend.duration);
-            ("throughput_ops_s", Json.Num m.Backend.throughput);
-            ("avg_lat_s", Json.Num m.Backend.avg_lat);
-            ("p99_s", Json.Num m.Backend.p99);
-            ("p999_s", Json.Num m.Backend.p999);
-            ("nvme_accesses", Json.Int (Backend.nvme_accesses m.Backend.counters));
-            ("watts", Json.Num m.Backend.watts);
-            ("events", Json.Int events);
-            ("wall_s", Json.Num wall);
-            ("events_per_s", Json.Num (if wall > 0. then float_of_int events /. wall else 0.));
-          ])
-      backends
-  in
-  Json.write "BENCH_ycsb.json"
-    (Json.Obj
-       ([ ("bench", Json.Str "ycsb"); ("workload", Json.Str "YCSB-B"); ("object_size", Json.Int 1024) ]
-       @ (match jbofs with None -> [] | Some n -> [ ("jbofs", Json.Int n) ])
-       @ [ ("results", Json.Arr rows) ]));
-  Printf.printf "wrote BENCH_ycsb.json (%d backends)\n" (List.length rows)
-
-(* --- traced benchmark: capture one YCSB run and report the overhead --- *)
-
-(* One LEED YCSB-B measurement, used both untraced (baseline) and traced. *)
-let ycsb_leed_once () =
-  let open Leed_sim in
-  let open Leed_workload in
-  Sim.run (fun () ->
-      let nkeys, workers, window = ycsb_sizing "leed" in
-      let setup = Exp_common.setup_of_name ~nclients:4 "leed" in
-      Exp_common.preload setup ~nkeys ~value_size:1008;
-      let gen = Workload.generator ~object_size:1024 (Workload.ycsb_b ()) ~nkeys (Rng.create 9) in
-      Exp_common.measure_closed ~label:"leed" ~setup ~clients:workers
-        ~duration:(Exp_common.dur window) ~gen ())
-
-let trace_mode args =
-  let module Trace = Leed_trace.Trace in
-  let module Backend = Leed_core.Backend in
-  let out = match args with f :: _ -> f | [] -> "bench-trace.json" in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  print_endline "== traced YCSB-B (1KB) on LEED ==";
-  let m_off, wall_off = timed ycsb_leed_once in
-  Trace.start ();
-  let m_on, wall_on = timed ycsb_leed_once in
-  Trace.stop ();
-  Trace.write_file out;
-  Printf.printf "untraced: %.0f ops/s simulated, %.2f s wall\n" m_off.Backend.throughput wall_off;
-  Printf.printf "traced:   %.0f ops/s simulated, %.2f s wall (%+.0f%% wall overhead)\n"
-    m_on.Backend.throughput wall_on
-    (100. *. ((wall_on /. wall_off) -. 1.));
-  Printf.printf "wrote %d events to %s\n" (Trace.count ()) out;
-  (* Tracing must never perturb virtual time: same seed, same simulated
-     throughput, bit for bit. *)
-  if m_on.Backend.throughput <> m_off.Backend.throughput then begin
-    prerr_endline "bench trace: traced run diverged from untraced run (virtual-time perturbation)";
-    exit 1
-  end
 
 (* --- seeded chaos runs through the fault-injection subsystem --- *)
 
@@ -327,329 +200,6 @@ let repl ~fast seeds =
     exit 1
   end
 
-(* --- simultaneous-event race detection (leed race, benchmarked) --- *)
-
-let race ~fast names =
-  let module Race = Leed_race.Race in
-  let targets =
-    match names with
-    | [] -> Race.targets ~fast ()
-    | names -> List.map (Race.find_target ~fast) names
-  in
-  let runs = 8 in
-  Printf.printf "== race detection: %d targets, %d perturbed orderings each ==\n%!"
-    (List.length targets) runs;
-  let rows =
-    List.map
-      (fun (t : Race.target) ->
-        let wall0 = Unix.gettimeofday () in
-        let r = Race.check ~runs t in
-        let wall = Unix.gettimeofday () -. wall0 in
-        Format.printf "%a@." Race.pp_result r;
-        (* (runs + 1) full executions of ~events each, plus any
-           attribution bisection — events_per_s is the detector's
-           aggregate dispatch rate, the race-mode BENCH trend metric. *)
-        let total_events = r.Race.events * (runs + 1) in
-        ( r,
-          Json.Obj
-            [
-              ("target", Json.Str r.Race.target);
-              ("passed", Json.Bool (Race.passed r));
-              ("expect_divergence", Json.Bool r.Race.expect_divergence);
-              ("runs", Json.Int r.Race.runs);
-              ("divergences", Json.Int (List.length r.Race.divergences));
-              ("base_digest", Json.Str r.Race.base_digest);
-              ("events", Json.Int r.Race.events);
-              ("wall_s", Json.Num wall);
-              ( "events_per_s",
-                Json.Num (if wall > 0. then float_of_int total_events /. wall else 0.) );
-            ] ))
-      targets
-  in
-  Json.write "BENCH_race.json"
-    (Json.Obj
-       [
-         ("bench", Json.Str "race");
-         ("runs", Json.Int runs);
-         ("fast", Json.Bool fast);
-         ("results", Json.Arr (List.map snd rows));
-       ]);
-  Printf.printf "wrote BENCH_race.json (%d targets)\n" (List.length rows);
-  if List.exists (fun (r, _) -> not (Leed_race.Race.passed r)) rows then begin
-    prerr_endline "bench race: determinism contract violated";
-    exit 1
-  end
-
-(* --- scale: scheduler sweep over cluster size and event population --- *)
-
-(* Synthetic hold-model storm: every preloaded object arms a short chain
-   of maintenance timers (lease refresh / scrub touch) on its JBOF's
-   device rows, so the pending-event population sits at ~[objects] for
-   most of the run — the steady-state regime that separates the
-   O(log n) heap from the O(1) calendar queue and timing wheel. All
-   firing times are stateless hashes of virtual time: identical
-   whichever scheduler runs them, and clustered into equal-time ties by
-   a per-device service quantum. *)
-let scale_ssds = 4
-
-(* Allocation-free int mixer for the storm's firing times: the sim's
-   [Rng.hash2] routes through boxed [Int64] arithmetic whose allocation
-   would swamp the scheduler cost this bench isolates. *)
-let smix x =
-  let x = (x lxor (x lsr 30)) * 0x2545F4914F6CDD1D in
-  let x = (x lxor (x lsr 27)) * 0x106689D45497FDB5 in
-  (x lxor (x lsr 31)) land max_int
-
-let scale_storm ~jbofs ~objects ~rounds () =
-  let open Leed_sim in
-  let devices = jbofs * scale_ssds in
-  let quantum = 16e-6 in
-  (* A chain's identity is its own firing time: every timer runs the one
-     shared closure below, which derives its re-arm delay and its
-     continue/stop decision from a hash of the current virtual instant.
-     Steady state therefore reads no per-object state at all — an
-     earlier design kept per-object round counters and callbacks in two
-     [objects]-sized arrays, whose two random accesses per event were
-     cold DRAM misses charged identically to every scheduler, diluting
-     the very ratios this sweep exists to measure. Chains continue with
-     probability (rounds-1)/rounds per firing, i.e. [rounds] expected
-     firings per chain; the virtual-time hash is bit-identical whichever
-     scheduler dispatches, so the workload still is too. *)
-  let cutoff = (12_288. *. quantum) +. 0.25 in
-  let rec chain () =
-    let h = smix (int_of_float (Sim.now () *. 1e9)) in
-    if h mod rounds <> 0 && not (Sim.past cutoff) then
-      (* re-arm 1-256 device quanta ahead, plus sub-quantum jitter *)
-      Sim.after
-        ((float_of_int (1 + ((h lsr 8) land 255)) *. quantum)
-        +. (float_of_int ((h lsr 16) land 1023) *. 1e-8))
-        chain
-  in
-  for obj = 0 to objects - 1 do
-    let dev = obj mod devices in
-    let h = smix obj in
-    (* initial fires spread over ~197 ms (inside the wheel's cascade
-       horizon, wide enough to keep per-tick occupancy low): a
-       device-quantum grid plus sub-quantum jitter, like the re-arms —
-       without the jitter the whole population collapses onto 12K
-       distinct instants and every scheduler degenerates into sorted
-       tie-chains instead of exercising its placement machinery *)
-    Sim.after
-      ((float_of_int (h mod 12_288) *. quantum)
-      +. (float_of_int ((h lsr 13) land 2047) *. 1e-8)
-      +. (float_of_int dev *. 1e-9))
-      chain
-  done;
-  (* outlive the last possible timer, then read the run counters *)
-  Sim.delay 1.0;
-  (Sim.events_dispatched (), Sim.max_pending_events ())
-
-let scale_run ~sched ~jbofs ~objects ~rounds =
-  let open Leed_sim in
-  Gc.full_major ();
-  let minor0 = Gc.minor_words () in
-  let wall0 = Unix.gettimeofday () in
-  let events, max_pending =
-    Sim.run ~sched (fun () -> scale_storm ~jbofs ~objects ~rounds ())
-  in
-  let wall = Unix.gettimeofday () -. wall0 in
-  let minor = Gc.minor_words () -. minor0 in
-  (events, max_pending, wall, minor)
-
-let scale ~fast () =
-  let open Leed_sim in
-  let module Race = Leed_race.Race in
-  (* 1) Cross-scheduler digest diff on real workloads: the calendar
-     queue and timing wheel must reproduce the binary heap's dispatch
-     order bit for bit, under FIFO and perturbed tie-breaks alike. Any
-     divergence is nondeterminism and fails the bench. *)
-  print_endline "== scale: cross-scheduler digest equivalence ==";
-  List.iter
-    (fun (target, tiebreaks) ->
-      let t = Race.find_target ~fast:true target in
-      List.iter
-        (fun (tb_name, tiebreak) ->
-          let reference = t.Race.run ~tiebreak ~sched:Sim.Binary_heap () in
-          List.iter
-            (fun sched ->
-              let d = t.Race.run ~tiebreak ~sched () in
-              Printf.printf "  %-12s %-9s %-8s %s\n%!" target tb_name (Scheduler.name sched)
-                (String.sub d 0 (min 16 (String.length d)));
-              if d <> reference then begin
-                Printf.eprintf "bench scale: %s digest diverged on %s under %s tie-break\n"
-                  target (Scheduler.name sched) tb_name;
-                exit 1
-              end)
-            Scheduler.kinds)
-        tiebreaks)
-    [
-      ("ycsb-b-leed", [ ("fifo", Sim.Fifo); ("perturbed", Sim.Perturbed 0xACE) ]);
-      ("chaos", [ ("fifo", Sim.Fifo) ]);
-    ];
-  (* 2) Timing sweep: cluster size x preloaded objects x scheduler. *)
-  let jbofs_list = [ 3; 16; 64 ] in
-  let objects_list =
-    if fast then [ 8_192; 131_072; 1_048_576 ]
-    else [ 8_192; 131_072; 1_048_576; 10_485_760 ]
-  in
-  let largest_j = List.fold_left max 0 jbofs_list in
-  (* The 10M-object population costs ~1 GB of live cells and minutes of
-     wall clock per scheduler pass; sweep it at the largest cluster
-     only, which is the configuration the speedup criterion reads. *)
-  let swept jbofs objects = objects < 10_000_000 || jbofs = largest_j in
-  (* More re-arm rounds at huge populations: one round is dominated by
-     the one-time cost of faulting in the cell population, which hits
-     every scheduler identically; extra rounds measure the scheduler's
-     steady state. *)
-  let rounds_for objects = if objects >= 4_000_000 then 6 else 2 in
-  (* Keep the GC out of the measurement: the storm's live set (one cell
-     per pending object) is large, and the nursery must turn over
-     slower than an event's pending wait — otherwise every reschedule's
-     boxed time survives a minor collection and is promoted, charging
-     the major collector per event. A 64M-word nursery makes the
-     turnover tens of virtual milliseconds even at the 10M-object
-     density, far past the millisecond re-arm delays, so per-event
-     garbage dies young in every scheduler. Restored after the sweep. *)
-  let gc0 = Gc.get () in
-  Gc.set { gc0 with Gc.minor_heap_size = 1 lsl 26; space_overhead = 400 };
-  print_endline "== scale: events/sec per scheduler ==";
-  Printf.printf "  %-8s %5s %9s %10s %10s %8s %12s %12s\n" "sched" "jbofs" "objects" "events"
-    "wall_s" "Mev/s" "max_pending" "minor_words";
-  let rows = ref [] in
-  let rates = Hashtbl.create 64 in
-  List.iter
-    (fun jbofs ->
-      List.iter
-        (fun objects ->
-          if swept jbofs objects then begin
-          let rounds = rounds_for objects in
-          (* Two interleaved passes per configuration, keeping each
-             scheduler's best run: machine-load drift hits all three
-             schedulers alike within a pass, and best-of-2 keeps one
-             slow outlier from skewing the cross-scheduler ratios. *)
-          let best = Hashtbl.create 8 in
-          for _pass = 1 to 2 do
-            List.iter
-              (fun sched ->
-                let events, max_pending, wall, minor = scale_run ~sched ~jbofs ~objects ~rounds in
-                let better =
-                  match Hashtbl.find_opt best (Scheduler.name sched) with
-                  | Some (_, _, wall', _) -> wall < wall'
-                  | None -> true
-                in
-                if better then
-                  Hashtbl.replace best (Scheduler.name sched) (events, max_pending, wall, minor))
-              Scheduler.kinds
-          done;
-          List.iter
-            (fun sched ->
-              let events, max_pending, wall, minor =
-                Hashtbl.find best (Scheduler.name sched)
-              in
-              let rate = if wall > 0. then float_of_int events /. wall else 0. in
-              Hashtbl.replace rates (Scheduler.name sched, jbofs, objects) rate;
-              Printf.printf "  %-8s %5d %9d %10d %10.3f %8.2f %12d %12.0f\n%!"
-                (Scheduler.name sched) jbofs objects events wall (rate /. 1e6) max_pending minor;
-              rows :=
-                Json.Obj
-                  [
-                    ("scheduler", Json.Str (Scheduler.name sched));
-                    ("jbofs", Json.Int jbofs);
-                    ("ssds", Json.Int scale_ssds);
-                    ("objects", Json.Int objects);
-                    ("rounds", Json.Int rounds);
-                    ("events", Json.Int events);
-                    ("wall_s", Json.Num wall);
-                    ("events_per_s", Json.Num rate);
-                    ("max_pending", Json.Int max_pending);
-                    ("minor_words", Json.Num minor);
-                  ]
-                :: !rows)
-            Scheduler.kinds
-          end)
-        objects_list)
-    jbofs_list;
-  Gc.set gc0;
-  (* speedup over the binary heap at the largest configuration *)
-  let largest_o = List.fold_left max 0 objects_list in
-  let rate_of name = try Hashtbl.find rates (name, largest_j, largest_o) with Not_found -> 0. in
-  let heap_rate = rate_of "heap" in
-  let speedups =
-    List.filter_map
-      (fun sched ->
-        let name = Scheduler.name sched in
-        if name = "heap" || heap_rate <= 0. then None
-        else Some (name, rate_of name /. heap_rate))
-      Scheduler.kinds
-  in
-  List.iter
-    (fun (name, s) ->
-      Printf.printf "scale: %s is %.2fx heap at %d JBOFs / %d objects\n" name s largest_j largest_o)
-    speedups;
-  Json.write "BENCH_scale.json"
-    (Json.Obj
-       [
-         ("bench", Json.Str "scale");
-         ("fast", Json.Bool fast);
-         ("results", Json.Arr (List.rev !rows));
-         ( "speedup_largest",
-           Json.Obj (List.map (fun (name, s) -> (name, Json.Num s)) speedups) );
-       ]);
-  Printf.printf "wrote BENCH_scale.json (%d rows)\n" (List.length !rows)
-
-(* Shape check for the CI gate: parse BENCH_scale.json back (through the
-   trace module's JSON parser, the repo's only reader) and verify every
-   row carries the full metric set for every scheduler. *)
-let scale_validate file =
-  let module J = Leed_trace.Trace.Json in
-  let fail msg =
-    Printf.eprintf "%s: %s\n" file msg;
-    exit 1
-  in
-  let contents =
-    match In_channel.with_open_bin file In_channel.input_all with
-    | s -> s
-    | exception Sys_error e -> fail e
-  in
-  match J.parse contents with
-  | Error e -> fail ("parse error: " ^ e)
-  | Ok (J.Obj fields) ->
-      let str_field name = function J.Obj fs -> (match List.assoc_opt name fs with Some (J.Str s) -> Some s | _ -> None) | _ -> None in
-      let num_field name = function
-        | J.Obj fs -> (
-            match List.assoc_opt name fs with Some (J.Num n) -> Some n | _ -> None)
-        | _ -> None
-      in
-      if List.assoc_opt "bench" fields <> Some (J.Str "scale") then fail "bench field is not \"scale\"";
-      let rows = match List.assoc_opt "results" fields with Some (J.Arr rows) -> rows | _ -> fail "missing results array" in
-      if rows = [] then fail "empty results array";
-      let required = [ "jbofs"; "ssds"; "objects"; "rounds"; "events"; "wall_s"; "events_per_s"; "max_pending"; "minor_words" ] in
-      let schedulers = Leed_sim.Scheduler.names in
-      List.iteri
-        (fun i row ->
-          (match str_field "scheduler" row with
-          | Some s when List.mem s schedulers -> ()
-          | Some s -> fail (Printf.sprintf "row %d: unknown scheduler %S" i s)
-          | None -> fail (Printf.sprintf "row %d: missing scheduler" i));
-          List.iter
-            (fun f ->
-              match num_field f row with
-              | Some n when Float.is_finite n && n >= 0. -> ()
-              | Some _ -> fail (Printf.sprintf "row %d: non-finite or negative %s" i f)
-              | None -> fail (Printf.sprintf "row %d: missing numeric field %s" i f))
-            required;
-          if num_field "events_per_s" row = Some 0. then
-            fail (Printf.sprintf "row %d: zero events/sec" i))
-        rows;
-      List.iter
-        (fun s ->
-          if not (List.exists (fun row -> str_field "scheduler" row = Some s) rows) then
-            fail (Printf.sprintf "no rows for scheduler %S" s))
-        schedulers;
-      Printf.printf "%s: ok (%d rows, %d schedulers)\n" file (List.length rows)
-        (List.length schedulers)
-  | Ok _ -> fail "top level is not an object"
-
 (* --- in-network cache sweep (fig7/fig8-style; DESIGN.md §15) ---
 
    The LETHE comparison: under growing Zipf skew and under a flash crowd,
@@ -668,12 +218,11 @@ let cache_configs = [ ("crrs", false); ("cache+crrs", true) ]
    scenario instead, which concentrates half the picks on 16 keys. *)
 let cache_thetas = [ 0.6; 0.9; 0.99 ]
 
-let cache_bench ~fast () =
+let cache_bench () =
   let open Leed_sim in
   let open Leed_workload in
   let module Backend = Leed_core.Backend in
   let module Netcache = Leed_core.Netcache in
-  ignore fast;
   print_endline "== In-network cache: Zipf sweep + flash crowd (95/5 read/write, 1KB) ==";
   let nkeys = 4_000 and workers = 128 and window = 0.1 in
   (* Sized for this sweep's traffic (~1M gets/s over 4000 keys): 256
@@ -777,9 +326,10 @@ let cache_bench ~fast () =
        ]);
   Printf.printf "wrote BENCH_cache.json (%d rows)\n" (List.length sweep + List.length flash)
 
-(* Shape check for the CI gate, mirroring [scale_validate]: every
-   (scenario x config) cell present, all metrics finite, and the armed
-   configs actually hit in the cache somewhere. *)
+(* Shape check for the CI gate: parse BENCH_cache.json back (through the
+   trace module's JSON parser, the repo's only reader) and check that
+   every (scenario x config) cell is present, all metrics are finite,
+   and the armed configs actually hit in the cache somewhere. *)
 let cache_validate file =
   let module J = Leed_trace.Trace.Json in
   let fail msg =
@@ -951,14 +501,20 @@ let micro () =
   in
   List.iter (fun (name, ns) -> Printf.printf "  %-28s %10.1f ns/op\n" name ns) rows
 
-(* Pull "--flag N" out of a raw argument list. *)
-let extract_int_opt flag args =
-  let rec go acc = function
-    | f :: v :: rest when f = flag -> (int_of_string_opt v, List.rev_append acc rest)
-    | x :: rest -> go (x :: acc) rest
-    | [] -> (None, List.rev acc)
+(* Run one experiment and report whether it finished; a raise is
+   printed, not propagated, so the experiments after it still run. *)
+let run_experiment (name, f) =
+  let t0 = Unix.gettimeofday () in
+  Printf.printf "\n######## %s ########\n%!" name;
+  let ok =
+    match f () with
+    | () -> true
+    | exception e ->
+        Printf.printf "!! %s failed: %s\n%!" name (Printexc.to_string e);
+        false
   in
-  go [] args
+  Printf.printf "[%s done in %.1fs]\n%!" name (Unix.gettimeofday () -. t0);
+  ok
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -966,69 +522,24 @@ let () =
   if fast then Exp_common.time_scale := 0.3;
   let selected = List.filter (fun a -> a <> "fast" && a <> "--fast") args in
   match selected with
-  | "ycsb" :: rest ->
-      let jbofs, rest = extract_int_opt "--jbofs" rest in
-      ycsb ?jbofs (if rest = [] then Exp_common.backend_names else rest)
-  | "trace" :: rest -> trace_mode rest
   | "chaos" :: rest -> chaos ~fast rest
   | "repl" :: rest -> repl ~fast rest
-  | "race" :: rest -> race ~fast rest
-  | "scale" :: _ -> scale ~fast ()
-  | "scale-probe" :: sched_name :: jbofs :: objects :: rest ->
-      (* One (scheduler, jbofs, objects) cell of the scale sweep, for
-         perf investigation without the full matrix. *)
-      let sched =
-        match Leed_sim.Scheduler.of_name sched_name with
-        | Some s -> s
-        | None -> Printf.eprintf "unknown scheduler %s\n" sched_name; exit 2
-      in
-      let jbofs = int_of_string jbofs and objects = int_of_string objects in
-      let rounds = match rest with r :: _ -> int_of_string r | [] -> 2 in
-      let gc0 = Gc.get () in
-      Gc.set { gc0 with Gc.minor_heap_size = 1 lsl 26; space_overhead = 400 };
-      let s0 = Gc.quick_stat () in
-      let events, max_pending, wall, minor = scale_run ~sched ~jbofs ~objects ~rounds in
-      let s1 = Gc.quick_stat () in
-      Gc.set gc0;
-      Printf.printf
-        "%s jbofs=%d objects=%d events=%d wall=%.3f Mev/s=%.2f max_pending=%d minor=%.0f \
-         promoted=%.0f majors=%d minors=%d\n"
-        sched_name jbofs objects events wall
-        (float_of_int events /. wall /. 1e6)
-        max_pending minor
-        (s1.Gc.promoted_words -. s0.Gc.promoted_words)
-        (s1.Gc.major_collections - s0.Gc.major_collections)
-        (s1.Gc.minor_collections - s0.Gc.minor_collections)
-  | "scale-validate" :: rest ->
-      scale_validate (match rest with f :: _ -> f | [] -> "BENCH_scale.json")
-  | "cache" :: _ -> cache_bench ~fast ()
+  | "cache" :: _ -> cache_bench ()
   | "cache-validate" :: rest ->
       cache_validate (match rest with f :: _ -> f | [] -> "BENCH_cache.json")
   | _ ->
-  let micro_only = selected = [ "micro" ] in
-  let run_micro = selected = [] || List.mem "micro" selected in
-  let to_run =
-    if micro_only then []
-    else
-      match List.filter (fun a -> a <> "micro") selected with
-      | [] -> experiments
-      | names ->
-          List.filter_map
-            (fun n ->
-              match List.assoc_opt n experiments with
-              | Some f -> Some (n, f)
-              | None ->
-                  Printf.eprintf "unknown experiment %s\n" n;
-                  None)
-            names
-  in
-  List.iter
-    (fun (name, f) ->
-      let t0 = Unix.gettimeofday () in
-      Printf.printf "\n######## %s ########\n%!" name;
-      (try f ()
-       with e ->
-         Printf.printf "!! %s failed: %s\n%!" name (Printexc.to_string e));
-      Printf.printf "[%s done in %.1fs]\n%!" name (Unix.gettimeofday () -. t0))
-    to_run;
-  if run_micro then micro ()
+      let to_run =
+        match List.filter (fun a -> a <> "micro") selected with
+        | [] -> if selected = [] then Registry.paper else []
+        | names -> (
+            match Registry.resolve names with
+            | Ok entries -> entries
+            | Error unknown ->
+                Printf.eprintf "unknown experiment %s; valid names: %s, micro\n"
+                  (String.concat ", " unknown)
+                  (String.concat ", " (List.map fst Registry.all));
+                exit 2)
+      in
+      let all_ok = List.fold_left (fun ok e -> run_experiment e && ok) true to_run in
+      if selected = [] || List.mem "micro" selected then micro ();
+      if not all_ok then exit 1

@@ -454,42 +454,18 @@ let scrub_cmd =
     Term.(const run $ seed $ flips)
 
 let experiment_cmd =
-  let names =
-    [
-      "table1"; "fig1"; "table3"; "fig5"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11";
-      "fig12"; "fig13"; "fig14"; "failslow";
-    ]
-  in
-  let exp_name =
-    Arg.(required & pos 0 (some (enum (List.map (fun n -> (n, n)) names))) None
+  let exp =
+    Arg.(required & pos 0 (some (enum Leed_experiments.Registry.all)) None
          & info [] ~docv:"EXPERIMENT")
   in
   let fast = Arg.(value & flag & info [ "fast" ] ~doc:"Shorter measurement windows") in
-  let run exp fast =
+  let run f fast =
     if fast then Leed_experiments.Exp_common.time_scale := 0.3;
-    let f =
-      match exp with
-      | "table1" -> Leed_experiments.Table1.run
-      | "fig1" -> Leed_experiments.Fig1.run
-      | "table3" -> Leed_experiments.Table3.run
-      | "fig5" -> Leed_experiments.Fig5.run
-      | "fig6" -> Leed_experiments.Fig6.run
-      | "fig7" -> Leed_experiments.Fig7.run
-      | "fig8" -> Leed_experiments.Fig8.run
-      | "fig9" -> Leed_experiments.Fig9.run
-      | "fig10" -> Leed_experiments.Fig10.run
-      | "fig11" -> Leed_experiments.Fig11.run
-      | "fig12" -> Leed_experiments.Fig12.run
-      | "fig13" -> Leed_experiments.Fig13.run
-      | "fig14" -> Leed_experiments.Fig14.run
-      | "failslow" -> Leed_experiments.Fig_failslow.run
-      | _ -> assert false
-    in
     f ()
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate one paper table/figure")
-    Term.(const run $ exp_name $ fast)
+    Term.(const run $ exp $ fast)
 
 let () =
   let info = Cmd.info "leed" ~doc:"LEED: low-power persistent KV store on SmartNIC JBOFs" in

@@ -99,21 +99,12 @@ echo "== race smoke (perturbed equal-time orderings, clean target + racy fixture
 dune exec bin/leed.exe -- race --fast --runs 8 --target chaos
 dune exec bin/leed.exe -- race --fast --runs 8 --target racy-demo
 
-echo "== scheduler scale smoke (digest equivalence + fast sweep + schema) =="
-# `scale fast` first replays full YCSB-B and chaos runs under every
-# scheduler x tie-break pair and exits 1 unless the dispatch digests
-# are bit-identical to the binary heap's, then sweeps cluster size x
-# preloaded objects per scheduler and writes BENCH_scale.json, which
-# the validator shape-checks.
-dune exec bench/main.exe -- scale fast
-dune exec bench/main.exe -- scale-validate BENCH_scale.json
-
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 echo "== cache bench smoke (theta sweep + flash crowd + schema + committed-file gate) =="
-# `cache fast` sweeps Zipf skew and a flash crowd across cache-off /
-# cache-only / cache+CRRS and writes BENCH_cache.json; the validator
+# `cache fast` sweeps Zipf skew and a flash crowd across cache-off and
+# cache+CRRS and writes BENCH_cache.json; the validator
 # checks every (scenario x config) cell is present, metrics are finite,
 # cache-off rows report no cache traffic, and some armed cell hit.
 # Every field of the file is simulated (no wall clock) and goes through

@@ -98,9 +98,8 @@ val setup_of_name : ?nclients:int -> ?nnodes:int -> ?ssds:int -> string -> setup
 (** Build a system by selector name with its comparison-default sizing;
     raises [Invalid_argument] on an unknown name. [nnodes] overrides the
     cluster size (JBOF count) and [ssds] the drives per JBOF — the
-    cluster-scale knobs behind [leed smoke --jbofs/--ssds] and
-    [bench ycsb --jbofs]. FAWN nodes model a single flash device, so
-    [ssds] is ignored there. *)
+    cluster-scale knobs behind [leed smoke --jbofs/--ssds]. FAWN nodes
+    model a single flash device, so [ssds] is ignored there. *)
 
 (** {1 Driving and measuring} *)
 

@@ -63,10 +63,3 @@ let length = function
 
 let name = function Binary_heap -> "heap" | Calendar -> "calendar" | Wheel -> "wheel"
 let kinds = [ Binary_heap; Calendar; Wheel ]
-let names = List.map name kinds
-
-let of_name = function
-  | "heap" | "binary-heap" -> Some Binary_heap
-  | "calendar" | "calendar-queue" -> Some Calendar
-  | "wheel" | "timing-wheel" -> Some Wheel
-  | _ -> None

@@ -81,14 +81,7 @@ val length : t -> int
 (** Number of queued handles, tombstones included (see {!S.length}). *)
 
 val name : kind -> string
-(** Canonical CLI name: ["heap"], ["calendar"] or ["wheel"]. *)
+(** Short display name: ["heap"], ["calendar"] or ["wheel"]. *)
 
 val kinds : kind list
 (** All implementations, reference first. *)
-
-val names : string list
-(** Canonical names of {!kinds}, for CLI help strings. *)
-
-val of_name : string -> kind option
-(** Parse a scheduler name (accepts the canonical names plus
-    ["binary-heap"], ["calendar-queue"], ["timing-wheel"]). *)

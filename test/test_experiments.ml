@@ -99,6 +99,35 @@ let test_capacity_model_ordering () =
         (l > f && f > k && l > 0.75))
     [ 256; 1024 ]
 
+(* The registry is the one list both CLIs resolve experiment names
+   through: names must be unique (a duplicate would shadow an entry in
+   [resolve]), the paper set is what a bare bench run regenerates, and
+   resolution reports unknown names instead of dropping them. *)
+let test_registry_names_unique () =
+  let names = List.map fst Registry.all in
+  Alcotest.(check (list string)) "no duplicates" (List.sort_uniq compare names)
+    (List.sort compare names)
+
+let test_registry_paper_set () =
+  Alcotest.(check (list string))
+    "paper artifacts in presentation order"
+    [
+      "table1"; "fig1"; "table3"; "fig5"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11";
+      "fig12"; "fig13"; "fig14";
+    ]
+    (List.map fst Registry.paper)
+
+let test_registry_resolve () =
+  let names r = Result.map (List.map fst) r in
+  let check what expected got =
+    Alcotest.(check (result (list string) (list string))) what expected (names got)
+  in
+  check "unknown names reported" (Error [ "nope" ]) (Registry.resolve [ "fig7"; "nope" ]);
+  check "order of unknowns kept" (Error [ "b"; "a" ]) (Registry.resolve [ "b"; "fig1"; "a" ]);
+  check "known names in the order given" (Ok [ "fig7"; "table1"; "failslow" ])
+    (Registry.resolve [ "fig7"; "table1"; "failslow" ]);
+  check "empty" (Ok []) (Registry.resolve [])
+
 let () =
   Alcotest.run "leed_experiments"
     [
@@ -111,5 +140,11 @@ let () =
           Alcotest.test_case "open-loop attribution" `Quick test_open_loop_attribution;
           Alcotest.test_case "energy helpers" `Quick test_energy_helpers;
           Alcotest.test_case "capacity model ordering" `Quick test_capacity_model_ordering;
+        ] );
+      ( "experiment registry",
+        [
+          Alcotest.test_case "names unique" `Quick test_registry_names_unique;
+          Alcotest.test_case "paper set" `Quick test_registry_paper_set;
+          Alcotest.test_case "resolve" `Quick test_registry_resolve;
         ] );
     ]
