@@ -199,7 +199,6 @@ let set_service_factor t f =
   if f <= 0. then invalid_arg "Blockdev.set_service_factor: factor must be positive";
   t.service_factor <- f
 
-let service_factor t = t.service_factor
 let fail t = t.failed <- true
 let repair t = t.failed <- false
 let is_failed t = t.failed

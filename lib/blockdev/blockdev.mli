@@ -39,9 +39,6 @@ module Storage : sig
   val create : unit -> t
   val write : t -> off:int -> bytes -> unit
   val read : t -> off:int -> len:int -> bytes
-
-  val resident_chunks : t -> int list
-  (** Sorted chunk indices holding ever-written data. *)
 end
 
 type stats = {
@@ -118,8 +115,6 @@ exception Failed of string
 val set_service_factor : t -> float -> unit
 (** Multiply all subsequent service times by [f] (> 0); [1.0] restores
     nominal speed. *)
-
-val service_factor : t -> float
 
 val fail : t -> unit
 (** Mark the device dead: every subsequent command raises {!Failed}. *)

@@ -52,13 +52,13 @@ let store_tag env ~vidx ~key =
    decision is cache-only and yield-free. The warm-up set is monotonic,
    so it cannot regress a tag a concurrent writer advanced during the
    store read's yield. [None] = nothing stored. *)
-let local_tag env ~vidx ~key =
-  match env.R.sv_tag_get ~vidx ~key with
-  | Some c -> Some (R.Tag.of_pair c)
+let local_tag env vs ~vidx ~key =
+  match R.Vstate.tag_get vs key with
+  | Some _ as c -> c
   | None -> (
       match store_tag env ~vidx ~key with
       | Some tg ->
-          env.R.sv_tag_set ~vidx ~key ~tag:(R.Tag.pair tg);
+          R.Vstate.tag_set vs key tg;
           Some tg
       | None -> None)
 
@@ -70,37 +70,34 @@ module Impl = struct
     Messages.Nack (Messages.Stale_view (Ring.version env.R.sv_ring))
 
   (* Phase-1 service: the replica's local (tag, framed value). *)
-  let handle_tag_read env ~(vn : Ring.vnode) ~key ~want_value ~tenant ~deadline ~version =
+  let handle_tag_read env ~(vn : Ring.vnode) ~key ~want_value ~deadline ~version =
     if version <> Ring.version env.R.sv_ring then nack_stale env
-    else if not (env.R.sv_has_vnode ~vidx:vn.Ring.vidx) then nack_stale env
-    else begin
+    else
       let vidx = vn.Ring.vidx in
-      env.R.sv_note R.S_served_read;
-      match R.local_get env ~vidx ~key ~deadline with
-      | R.L_found v ->
-          let tag =
-            match R.Tag.unframe v with Some (tg, _) -> tg | None -> R.Tag.zero
-          in
-          (* Warm the write gate: the cache may be cold after a restart,
-             and the monotonic set only ever raises it. *)
-          env.R.sv_tag_set ~vidx ~key ~tag:(R.Tag.pair tag);
-          Messages.Tagged
-            {
-              value = (if want_value then Some v else None);
-              tag = R.Tag.pair tag;
-              tokens = env.R.sv_tokens ~tenant ~vidx;
-            }
-      | R.L_missing ->
-          Messages.Tagged
-            {
-              value = None;
-              tag = R.Tag.pair R.Tag.zero;
-              tokens = env.R.sv_tokens ~tenant ~vidx;
-            }
-      | R.L_nack reason ->
-          env.R.sv_note R.S_nack;
-          Messages.Nack reason
-    end
+      match env.R.sv_vnode ~vidx with
+      | None -> nack_stale env
+      | Some vs -> (
+          env.R.sv_note R.S_served_read;
+          match R.local_get env ~vidx ~key ~deadline with
+          | R.L_found v ->
+              let tag =
+                match R.Tag.unframe v with Some (tg, _) -> tg | None -> R.Tag.zero
+              in
+              (* Warm the write gate: the cache may be cold after a restart,
+                 and the monotonic set only ever raises it. *)
+              R.Vstate.tag_set vs key tag;
+              Messages.Tagged
+                {
+                  value = (if want_value then Some v else None);
+                  tag = R.Tag.pair tag;
+                  tokens = env.R.sv_tokens ~vidx;
+                }
+          | R.L_missing ->
+              Messages.Tagged
+                { value = None; tag = R.Tag.pair R.Tag.zero; tokens = env.R.sv_tokens ~vidx }
+          | R.L_nack reason ->
+              env.R.sv_note R.S_nack;
+              Messages.Nack reason)
 
   (* Phase-2 service: store [value] iff [tag] beats the local one. The
      gate is advanced *before* the engine write so a concurrent
@@ -112,69 +109,70 @@ module Impl = struct
      flight or after one failed), and a failed Put rolls the speculative
      gate advance back so the replica does not keep refusing writes it
      never applied. *)
-  let handle_tag_write env ~(vn : Ring.vnode) ~key ~value ~tag ~tenant ~deadline ~version =
+  let handle_tag_write env ~(vn : Ring.vnode) ~key ~value ~tag ~deadline ~version =
     if version <> Ring.version env.R.sv_ring then nack_stale env
-    else if not (env.R.sv_has_vnode ~vidx:vn.Ring.vidx) then nack_stale env
-    else begin
+    else
       let vidx = vn.Ring.vidx in
-      let incoming = R.Tag.of_pair tag in
-      (* Warm the gate if cold (may yield on a store read), then decide
-         against the cache alone — synchronously, so nothing can slip
-         between the compare and the set below. *)
-      ignore (local_tag env ~vidx ~key);
-      let prev = env.R.sv_tag_get ~vidx ~key in
-      let accept =
-        match prev with
-        | Some c when R.Tag.compare (R.Tag.of_pair c) incoming >= 0 -> false
-        | Some _ | None -> true
-      in
-      if not accept then begin
-        (* Gate at (or past) this tag already — but only the store can
-           back an ack with data. If it holds >= [tag] the ack is a true
-           idempotent Ok (e.g. a read's write-back of a tag we applied);
-           if it lags (concurrent Put still in flight, or failed), ack
-           would be a phantom quorum vote for a value we do not hold —
-           NACK and let the writer count its majority elsewhere. *)
-        match store_tag env ~vidx ~key with
-        | Some l when R.Tag.compare l incoming >= 0 ->
-            Messages.Ok { tokens = env.R.sv_tokens ~tenant ~vidx }
-        | Some _ | None ->
-            env.R.sv_note R.S_nack;
-            Messages.Nack Messages.Not_serving
-      end
-      else begin
-        env.R.sv_tag_set ~vidx ~key ~tag;
-        match env.R.sv_submit ~deadline ~vidx (Engine.Put (key, value)) with
-        | Engine.Done | Engine.Found _ | Engine.Missing ->
-            env.R.sv_note R.S_write_apply;
-            (* Commit hook: while a membership COPY streams out of this
-               replica, the accepted write must also reach the joining
-               vnode (the bulk stream may already be past this key). The
-               forward is tag-framed, so the joiner merges it
-               idempotently. No-op outside a COPY window. *)
-            env.R.sv_on_commit ~key ~value;
-            Messages.Ok { tokens = env.R.sv_tokens ~tenant ~vidx }
-        | Engine.Shed ->
-            env.R.sv_tag_rollback ~vidx ~key ~tag ~prev;
-            env.R.sv_note R.S_nack;
-            Messages.Nack Messages.Deadline_exceeded
-        | Engine.Failed | Engine.Corrupt | Engine.Scrubbed _ ->
-            env.R.sv_tag_rollback ~vidx ~key ~tag ~prev;
-            env.R.sv_note R.S_nack;
-            Messages.Nack Messages.Not_serving
-        | exception Engine.Overloaded _ ->
-            env.R.sv_tag_rollback ~vidx ~key ~tag ~prev;
-            env.R.sv_note R.S_nack;
-            Messages.Nack Messages.Overloaded
-      end
-    end
+      match env.R.sv_vnode ~vidx with
+      | None -> nack_stale env
+      | Some vs ->
+          let incoming = R.Tag.of_pair tag in
+          (* Warm the gate if cold (may yield on a store read), then decide
+             against the cache alone — synchronously, so nothing can slip
+             between the compare and the set below. *)
+          ignore (local_tag env vs ~vidx ~key);
+          let prev = R.Vstate.tag_get vs key in
+          let accept =
+            match prev with
+            | Some c when R.Tag.compare c incoming >= 0 -> false
+            | Some _ | None -> true
+          in
+          if not accept then begin
+            (* Gate at (or past) this tag already — but only the store can
+               back an ack with data. If it holds >= [tag] the ack is a true
+               idempotent Ok (e.g. a read's write-back of a tag we applied);
+               if it lags (concurrent Put still in flight, or failed), ack
+               would be a phantom quorum vote for a value we do not hold —
+               NACK and let the writer count its majority elsewhere. *)
+            match store_tag env ~vidx ~key with
+            | Some l when R.Tag.compare l incoming >= 0 ->
+                Messages.Ok { tokens = env.R.sv_tokens ~vidx }
+            | Some _ | None ->
+                env.R.sv_note R.S_nack;
+                Messages.Nack Messages.Not_serving
+          end
+          else begin
+            R.Vstate.tag_set vs key incoming;
+            match env.R.sv_submit ~deadline ~vidx (Engine.Put (key, value)) with
+            | Engine.Done | Engine.Found _ | Engine.Missing ->
+                env.R.sv_note R.S_write_apply;
+                (* Commit hook: while a membership COPY streams out of this
+                   replica, the accepted write must also reach the joining
+                   vnode (the bulk stream may already be past this key). The
+                   forward is tag-framed, so the joiner merges it
+                   idempotently. No-op outside a COPY window. *)
+                env.R.sv_on_commit ~key ~value;
+                Messages.Ok { tokens = env.R.sv_tokens ~vidx }
+            | Engine.Shed ->
+                R.Vstate.tag_rollback vs key ~tag:incoming ~prev;
+                env.R.sv_note R.S_nack;
+                Messages.Nack Messages.Deadline_exceeded
+            | Engine.Failed | Engine.Corrupt | Engine.Scrubbed _ ->
+                R.Vstate.tag_rollback vs key ~tag:incoming ~prev;
+                env.R.sv_note R.S_nack;
+                Messages.Nack Messages.Not_serving
+            | exception Engine.Overloaded _ ->
+                R.Vstate.tag_rollback vs key ~tag:incoming ~prev;
+                env.R.sv_note R.S_nack;
+                Messages.Nack Messages.Overloaded
+          end
 
   let handle env (req : Messages.request) =
     match req with
-    | Messages.Tag_read { vn; key; want_value; tenant; deadline; version } ->
-        Some (handle_tag_read env ~vn ~key ~want_value ~tenant ~deadline ~version)
-    | Messages.Tag_write { vn; key; value; tag; tenant; deadline; version } ->
-        Some (handle_tag_write env ~vn ~key ~value ~tag ~tenant ~deadline ~version)
+    | Messages.Tag_read { vn; key; want_value; deadline; version } ->
+        Some (handle_tag_read env ~vn ~key ~want_value ~deadline ~version)
+    | Messages.Tag_write { vn; key; value; tag; deadline; version } ->
+        Some (handle_tag_write env ~vn ~key ~value ~tag ~deadline ~version)
     | Messages.Get _ | Messages.Write _ ->
         (* chain-protocol traffic aimed at a quorum cluster *)
         Some (Messages.Nack Messages.Not_serving)
@@ -219,7 +217,6 @@ module Impl = struct
                   vn = e.Ring.owner;
                   key;
                   want_value = true;
-                  tenant = env.R.cl_tenant;
                   deadline;
                   version;
                 })
@@ -275,8 +272,7 @@ module Impl = struct
                       key;
                       value = framed;
                       tag = R.Tag.pair best_tag;
-                      tenant = env.R.cl_tenant;
-                      deadline;
+                          deadline;
                       version;
                     })
             in
@@ -309,7 +305,6 @@ module Impl = struct
                   vn = e.Ring.owner;
                   key;
                   want_value = false;
-                  tenant = env.R.cl_tenant;
                   deadline;
                   version;
                 })
@@ -338,8 +333,7 @@ module Impl = struct
                     key;
                     value = framed;
                     tag = R.Tag.pair tag;
-                    tenant = env.R.cl_tenant;
-                    deadline;
+                      deadline;
                     version;
                   })
           in
@@ -371,17 +365,17 @@ module Impl = struct
      can fail), but a gate ahead of the store is safe: Tag_write's
      refuse branch verifies the store before acking, so a phantom gate
      can only cost a retry, never a phantom quorum vote. *)
-  let accept_copy env ~vidx ~key ~value ~fresh:_ =
+  let accept_copy env ~vidx vs ~key ~value ~fresh:_ =
     let incoming =
       match R.Tag.unframe value with Some (tg, _) -> tg | None -> R.Tag.zero
     in
-    ignore (local_tag env ~vidx ~key);
+    ignore (local_tag env vs ~vidx ~key);
     let accept =
-      match env.R.sv_tag_get ~vidx ~key with
-      | Some c -> R.Tag.compare incoming (R.Tag.of_pair c) > 0
+      match R.Vstate.tag_get vs key with
+      | Some c -> R.Tag.compare incoming c > 0
       | None -> true
     in
-    if accept then env.R.sv_tag_set ~vidx ~key ~tag:(R.Tag.pair incoming);
+    if accept then R.Vstate.tag_set vs key incoming;
     accept
 end
 

@@ -102,8 +102,6 @@ val advance_head : t -> int -> unit
     The swap-region reclaimer must not reset a log while a reader is
     dereferencing into it; pins make that window explicit. *)
 
-val pin : t -> unit
-val unpin : t -> unit
 val pinned : t -> int
 val with_pin : t -> (unit -> 'a) -> 'a
 

@@ -37,7 +37,6 @@ type config = {
   proto : Replication.proto; (* replication protocol (must match the cluster's) *)
   flow_control : bool; (* §3.5 token gating *)
   crrs : bool;         (* §3.7 replica reads *)
-  tenant : int;        (* §3.5 weighted token share *)
   rpc_timeout : float;
   hedge : bool;              (* hedged GETs toward a second CRRS replica *)
   adaptive_timeout : bool;   (* per-destination quantile-based timeouts *)
@@ -50,7 +49,6 @@ let default_config =
     proto = Replication.Crrs;
     flow_control = true;
     crrs = true;
-    tenant = 0;
     rpc_timeout = 0.5;
     hedge = true;
     adaptive_timeout = true;
@@ -412,7 +410,6 @@ let issue_get t (e : Ring.entry) ~key ~deadline =
         vn = e.Ring.owner;
         key;
         shipped = false;
-        tenant = t.config.tenant;
         deadline;
         version = Ring.version t.ring;
       }
@@ -468,7 +465,6 @@ let make_env t : Replication.client_env =
   {
     R.cl_writer = t.writer;
     cl_r = t.config.r;
-    cl_tenant = t.config.tenant;
     cl_ring = t.ring;
     cl_issue = (fun e req -> issue t e req);
     cl_read_target = (fun chain -> read_target t chain);

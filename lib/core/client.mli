@@ -19,7 +19,6 @@ type config = {
           cluster's; default [Crrs]) *)
   flow_control : bool; (** §3.5 token gating *)
   crrs : bool;         (** §3.7 replica reads *)
-  tenant : int;        (** §3.5 weighted token share this client draws from *)
   rpc_timeout : float;
       (** static RPC timeout: the cold-start value and upper clamp of the
           adaptive per-destination timeouts *)
@@ -105,9 +104,6 @@ val set_slow : t -> node:int -> level:int -> unit
 (** Control-plane push: set a node's slow-escalation level (0 clears,
     1 deprioritizes it in CRRS read spreading, 2 drains it — reads avoid
     it whenever an alternative replica exists). *)
-
-val slow_level : t -> int -> int
-(** The node's currently pushed slow level (0 = healthy). *)
 
 val timeout_for : t -> int -> float
 (** The RPC timeout the client would use toward the given node right now:

@@ -17,7 +17,6 @@ val bucket_size : int
 (** 512 B — "whose size is limited to the SSD block size". *)
 
 val bucket_header_size : int
-val item_fixed_size : int
 val value_header_size : int
 
 exception Corrupt of string
@@ -58,7 +57,6 @@ type bucket = {
 }
 
 val items_capacity : key_size:int -> int
-val bucket_bytes_used : bucket -> int
 val bucket_fits : bucket -> bool
 val encode_bucket : bucket -> bytes
 (** Stamps the bucket CRC-32 into header bytes [34,38). *)

@@ -61,9 +61,6 @@ val leave : t -> int -> int
     newly joined the chain, then delete the vnodes. Returns pairs
     copied. *)
 
-val handle_failure : t -> int -> unit
-(** Fail-stop repair: mark dead and rebuild chains from survivors. *)
-
 val restart : t -> Node.t -> int
 (** Crash-restart (§3.8.2): replay the node's logs ({!Node.restart}) and
     re-admit it. If the failure detector never expelled it, this is a

@@ -117,9 +117,6 @@ type t = {
   ssds : ssd_sched array;
   parts : partition array; (* all partitions, index = pid *)
   mutable running : bool;
-  (* weighted token allocation among co-located tenants (§3.5): tenant id
-     -> weight; unknown tenants get weight 1 *)
-  tenant_weights : (int, float) Hashtbl.t;
 }
 
 let partitions t = t.parts
@@ -206,7 +203,7 @@ let create ?(config = default_config) ?(rng = Rng.create 11) ?track platform =
     (fun (s : ssd_sched) ->
       s.partitions <- Array.of_list (List.filter (fun p -> p.sched == s) (Array.to_list parts)))
     ssds;
-  { platform; config; ssds; parts; running = false; tenant_weights = Hashtbl.create 8 }
+  { platform; config; ssds; parts; running = false }
 
 (* --- load signals --- *)
 
@@ -221,29 +218,6 @@ let available_tokens p =
   let s = p.sched in
   let spare = s.capacity - ssd_load s in
   max 0 (spare / max 1 (Array.length s.partitions))
-
-(* Weighted multi-tenant allocation (§3.5): the spare tokens of a
-   partition are divided among co-located tenants in proportion to their
-   configured weights. *)
-let set_tenant_weight t ~tenant ~weight =
-  if weight <= 0. then invalid_arg "Engine.set_tenant_weight: weight must be positive";
-  Hashtbl.replace t.tenant_weights tenant weight
-
-let tenant_weight t tenant =
-  Option.value ~default:1.0 (Hashtbl.find_opt t.tenant_weights tenant)
-
-let available_tokens_for t ~tenant p =
-  let total =
-    if Hashtbl.length t.tenant_weights = 0 then 1.0
-    else
-      (* Float addition is not associative, so sum in sorted tenant order
-         rather than hash-bucket order.  simlint: allow hashtbl-order *)
-      Hashtbl.fold (fun tenant w acc -> (tenant, w) :: acc) t.tenant_weights []
-      |> List.sort compare
-      |> List.fold_left (fun acc (_, w) -> acc +. w) 0.
-  in
-  let share = tenant_weight t tenant /. Float.max total (tenant_weight t tenant) in
-  int_of_float (float_of_int (available_tokens p) *. share)
 
 let waiting_depth p = Queue.length p.waiting
 

@@ -95,23 +95,9 @@ val devices : t -> Leed_blockdev.Blockdev.t array
 val store : partition -> Store.t
 (** The partition's log-structured store. *)
 
-val ssd_load : ssd_sched -> int
-(** Tokens committed on an SSD: executing + queued, home and swapped-in. *)
-
 val available_tokens : partition -> int
 (** The §3.5 flow-control signal: the SSD's spare token capacity divided
     across its partitions, piggybacked to clients. *)
-
-val set_tenant_weight : t -> tenant:int -> weight:float -> unit
-(** Configure the §3.5 weighted allocation among co-located tenants;
-    unregistered tenants weigh 1. *)
-
-val tenant_weight : t -> int -> float
-(** A tenant's configured weight (1 when unregistered). *)
-
-val available_tokens_for : t -> tenant:int -> partition -> int
-(** A tenant's weighted share of the partition's available tokens — what
-    gets piggybacked to that tenant's clients. *)
 
 val waiting_depth : partition -> int
 (** Commands parked in the partition's FCFS waiting queue. *)

@@ -8,12 +8,10 @@ type request =
       vn : Ring.vnode;
       key : string;
       shipped : bool;
-      tenant : int;
       deadline : float;
       version : int;
     }
       (* [shipped] marks a dirty read forwarded to the tail (§3.7);
-         [tenant] selects the weighted token share (§3.5);
          [deadline] is an absolute virtual-time SLO bound (0. = none):
          queued work past it is shed by the token engine. [version] is
          the sender's ring view: a receiver whose view differs nacks
@@ -25,7 +23,6 @@ type request =
       value : bytes option;
       hop : int;
       version : int;
-      tenant : int;
       deadline : float;
     }
       (* [value] = None is a DEL. [hop] validates the chain position
@@ -35,7 +32,6 @@ type request =
       vn : Ring.vnode;
       key : string;
       want_value : bool;
-      tenant : int;
       deadline : float;
       version : int;
     }
@@ -46,7 +42,6 @@ type request =
       key : string;
       value : bytes;
       tag : int * int;
-      tenant : int;
       deadline : float;
       version : int;
     }

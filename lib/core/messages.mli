@@ -8,15 +8,13 @@ type request =
       vn : Ring.vnode;
       key : string;
       shipped : bool;
-      tenant : int;
       deadline : float;
       version : int;
     }
       (** [shipped] marks a dirty read forwarded to the tail (§3.7);
-          [tenant] selects the weighted token share (§3.5); [deadline]
-          is an absolute virtual-time SLO bound (0. = none): work still
-          queued past it is shed by the token engine instead of served.
-          [version] is the sender's ring view: a mismatched receiver
+          [deadline] is an absolute virtual-time SLO bound (0. = none):
+          work still queued past it is shed by the token engine instead
+          of served. [version] is the sender's ring view: a mismatched receiver
           nacks [Stale_view], so reads never land on an expelled replica
           that still believes it serves the key. *)
   | Write of {
@@ -25,7 +23,6 @@ type request =
       value : bytes option;
       hop : int;
       version : int;
-      tenant : int;
       deadline : float;
     }
       (** [value = None] is a DEL. [hop] validates the chain position
@@ -35,7 +32,6 @@ type request =
       vn : Ring.vnode;
       key : string;
       want_value : bool;
-      tenant : int;
       deadline : float;
       version : int;
     }
@@ -46,7 +42,6 @@ type request =
       key : string;
       value : bytes;
       tag : int * int;
-      tenant : int;
       deadline : float;
       version : int;
     }

@@ -93,9 +93,6 @@ module Classifier : sig
 
   val hot_groups : t -> int
   (** Number of groups currently classified HOT. *)
-
-  val klass_to_string : klass -> string
-  (** ["cold"], ["warm"] or ["hot"]. *)
 end
 
 type t

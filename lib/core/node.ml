@@ -3,12 +3,12 @@
 
    The protocol itself (CRRS chain replication, ABD quorums, ...) lives
    behind the Replication seam: this module owns the engine, the fabric
-   endpoint, the ring view, and the volatile per-vnode protocol state
-   (dirty marks, taint marks, copy fences, the ABD tag gate), and hands
-   the selected protocol a [Replication.server_env] of closures over
-   them. Requests in the protocol's wire vocabulary dispatch through the
-   seam; COPY traffic, integrity repair, membership updates and
-   heartbeats are generic and handled here. *)
+   endpoint, the ring view, and one [Replication.Vstate] per vnode (dirty
+   marks, taint marks, copy fences, the ABD tag gate), and hands the
+   selected protocol a [Replication.server_env] of closures over them.
+   Requests in the protocol's wire vocabulary dispatch through the seam;
+   COPY traffic, integrity repair, membership updates and heartbeats are
+   generic and handled here. *)
 
 open Leed_sim
 open Leed_netsim
@@ -16,31 +16,14 @@ module Rpc = Netsim.Rpc
 open Leed_platform
 module Trace = Leed_trace.Trace
 
-module Stbl = Hashtbl.Make (String)
 module Itbl = Hashtbl.Make (Int)
+module Vstate = Replication.Vstate
 
 type vnode_state = {
   vn : Ring.vnode;
   pid : int; (* engine partition backing this vnode *)
-  (* count of in-flight (uncommitted) writes per key — the dirty map *)
-  dirty : int Stbl.t;
-  (* keys whose local copy may be ahead of the commit point: a chain
-     write applied here but failed somewhere down-chain (partial write);
-     reads route through the tail until a later write lands clean *)
-  taint : unit Stbl.t;
-  (* ABD write gate: highest tag accepted per key (DRAM cache over the
-     framed store values; wiped on restart, rebuilt lazily) *)
-  tags : (int * int) Stbl.t;
-  (* keys freshly written via chain forwarding while a COPY is in
-     progress: bulk-copy values must not overwrite them (§3.8.1) *)
-  copy_fence : unit Stbl.t;
-  (* nesting depth: one vnode can be the destination of several
-     overlapping arc COPYs (it sits in the chain of R consecutive ring
-     points), so the fence lifts only when the *last* COPY detaches *)
-  mutable fence_depth : int;
+  ps : Vstate.t; (* volatile protocol state *)
 }
-
-let fence_active vs = vs.fence_depth > 0
 
 type t = {
   id : int;
@@ -98,15 +81,7 @@ let create ?(proto = Replication.Crrs) ~id ~platform ~fabric
   let nparts = Engine.npartitions engine in
   let vnodes =
     Array.init nparts (fun vidx ->
-        {
-          vn = { Ring.node = id; vidx };
-          pid = vidx;
-          dirty = Stbl.create 256;
-          taint = Stbl.create 64;
-          tags = Stbl.create 256;
-          copy_fence = Stbl.create 64;
-          fence_depth = 0;
-        })
+        { vn = { Ring.node = id; vidx }; pid = vidx; ps = Vstate.create () })
   in
   {
     id;
@@ -155,24 +130,15 @@ let has_vnode t vidx = vidx >= 0 && vidx < Array.length t.vnodes
 let vnode t vidx = if has_vnode t vidx then t.vnodes.(vidx) else raise Not_found
 let vnode_opt t vidx = if has_vnode t vidx then Some t.vnodes.(vidx) else None
 
-let install_ring t snap = Ring.install t.ring snap
-
-(* --- dirty map --- *)
-
-let dirty_incr vs key =
-  Stbl.replace vs.dirty key (1 + Option.value ~default:0 (Stbl.find_opt vs.dirty key))
-
-let dirty_decr vs key =
-  match Stbl.find_opt vs.dirty key with
-  | Some 1 | None -> Stbl.remove vs.dirty key
-  | Some n -> Stbl.replace vs.dirty key (n - 1)
-
-let is_dirty vs key = Stbl.mem vs.dirty key
-
 (* Exposed for the cluster's replication sanitizer: is a write to [key]
    still in flight through this vnode? *)
 let is_key_dirty t ~vidx key =
-  match vnode_opt t vidx with None -> false | Some vs -> is_dirty vs key
+  match vnode_opt t vidx with None -> false | Some vs -> Vstate.is_dirty vs.ps key
+
+(* Exposed for the cluster's replication sanitizer: is a write to [key]
+   orphaned (partially applied) at this vnode? *)
+let is_key_tainted t ~vidx key =
+  match vnode_opt t vidx with None -> false | Some vs -> Vstate.is_tainted vs.ps key
 
 (* --- helpers --- *)
 
@@ -206,24 +172,14 @@ let submit_local ?deadline t vs cmd =
      else (0.9 *. t.svc_ewma_us) +. (0.1 *. sample_us));
   outcome
 
-let tokens_for ?(tenant = 0) t vs =
-  Engine.available_tokens_for t.engine ~tenant (Engine.partition t.engine vs.pid)
+let tokens_for t vs = Engine.available_tokens (Engine.partition t.engine vs.pid)
 
 (* --- COPY fencing (§3.8.1): while a COPY streams into a vnode, writes
    arriving through chain forwarding are newer than any bulk-copied value;
    the fence records them so stale copies are dropped. --- *)
 
-let begin_fence t vidx =
-  let vs = vnode t vidx in
-  vs.fence_depth <- vs.fence_depth + 1
-
-let end_fence t vidx =
-  let vs = vnode t vidx in
-  vs.fence_depth <- vs.fence_depth - 1;
-  if vs.fence_depth <= 0 then begin
-    vs.fence_depth <- 0;
-    Stbl.reset vs.copy_fence
-  end
+let begin_fence t vidx = Vstate.begin_fence (vnode t vidx).ps
+let end_fence t vidx = Vstate.end_fence (vnode t vidx).ps
 
 (* --- COPY forwarding (§3.8.1) --- *)
 
@@ -297,50 +253,20 @@ let read_repair t vs ~key =
 
 let make_env t : Replication.server_env =
   let module R = Replication in
+  (* built once, so a lookup allocates nothing *)
+  let states = Array.map (fun vs -> Some vs.ps) t.vnodes in
   {
     R.sv_node = t.id;
     sv_r = t.r;
     sv_ring = t.ring;
     sv_track = t.track;
-    sv_has_vnode = (fun ~vidx -> has_vnode t vidx);
+    sv_vnode = (fun ~vidx -> if has_vnode t vidx then states.(vidx) else None);
     sv_submit = (fun ~deadline ~vidx cmd -> submit_local ~deadline t (vnode t vidx) cmd);
-    sv_tokens = (fun ~tenant ~vidx -> tokens_for ~tenant t (vnode t vidx));
+    sv_tokens = (fun ~vidx -> tokens_for t (vnode t vidx));
     sv_call =
       (fun ~dst ~timeout req ->
         Rpc.call_timeout t.rpc ~dst:(t.peer dst.Ring.node)
           ~size:(Messages.request_size req) ~timeout req);
-    sv_is_dirty = (fun ~vidx ~key -> is_dirty (vnode t vidx) key);
-    sv_dirty_incr = (fun ~vidx ~key -> dirty_incr (vnode t vidx) key);
-    sv_dirty_decr = (fun ~vidx ~key -> dirty_decr (vnode t vidx) key);
-    sv_taint = (fun ~vidx ~key -> Stbl.replace (vnode t vidx).taint key ());
-    sv_untaint = (fun ~vidx ~key -> Stbl.remove (vnode t vidx).taint key);
-    sv_is_tainted = (fun ~vidx ~key -> Stbl.mem (vnode t vidx).taint key);
-    sv_fence_active = (fun ~vidx -> fence_active (vnode t vidx));
-    sv_fence_mark = (fun ~vidx ~key -> Stbl.replace (vnode t vidx).copy_fence key ());
-    sv_fence_holds = (fun ~vidx ~key -> Stbl.mem (vnode t vidx).copy_fence key);
-    sv_tag_get = (fun ~vidx ~key -> Stbl.find_opt (vnode t vidx).tags key);
-    (* Monotonic: the gate only rises. A handler resuming from a yield
-       may try to install the (older) tag it decided on before blocking;
-       silently keeping the higher tag is what makes that safe. Pair
-       order is (ts, writer), so Stdlib compare is the tag order. *)
-    sv_tag_set =
-      (fun ~vidx ~key ~tag ->
-        let tags = (vnode t vidx).tags in
-        match Stbl.find_opt tags key with
-        | Some cur when compare cur tag >= 0 -> ()
-        | Some _ | None -> Stbl.replace tags key tag);
-    (* Undo a speculative advance whose engine write failed: restore
-       [prev] only if the gate still equals [tag] — if a concurrent
-       higher-tagged writer has raised it since, the gate is theirs. *)
-    sv_tag_rollback =
-      (fun ~vidx ~key ~tag ~prev ->
-        let tags = (vnode t vidx).tags in
-        match Stbl.find_opt tags key with
-        | Some cur when cur = tag -> (
-            match prev with
-            | Some p -> Stbl.replace tags key p
-            | None -> Stbl.remove tags key)
-        | Some _ | None -> ());
     sv_on_commit = (fun ~key ~value -> forward_copies t ~key ~value);
     sv_repair = (fun ~vidx ~key -> read_repair t (vnode t vidx) ~key);
     sv_note =
@@ -359,11 +285,6 @@ let renv t =
       t.renv <- Some e;
       e
 
-(* Exposed for the cluster's replication sanitizer: is a write to [key]
-   orphaned (partially applied) at this vnode? *)
-let is_key_tainted t ~vidx key =
-  match vnode_opt t vidx with None -> false | Some vs -> Stbl.mem vs.taint key
-
 (* --- generic handlers (protocol-independent) --- *)
 
 let handle_copy_put t ~(vn : Ring.vnode) ~key ~value ~fresh =
@@ -371,7 +292,7 @@ let handle_copy_put t ~(vn : Ring.vnode) ~key ~value ~fresh =
   | None -> Messages.Nack Messages.Not_serving
   | Some vs ->
       let module P = (val t.repl : Replication.S) in
-      if not (P.accept_copy (renv t) ~vidx:vn.Ring.vidx ~key ~value ~fresh) then
+      if not (P.accept_copy (renv t) ~vidx:vn.Ring.vidx vs.ps ~key ~value ~fresh) then
         (* The local copy is already newer (a fenced chain write or a
            higher ABD tag): acknowledge without writing. *)
         Messages.Ok { tokens = tokens_for t vs }
@@ -389,7 +310,7 @@ let handle_copy_put t ~(vn : Ring.vnode) ~key ~value ~fresh =
 let handle_repair_get t ~(vn : Ring.vnode) ~key =
   match vnode_opt t vn.Ring.vidx with
   | None -> Messages.Nack Messages.Not_serving
-  | Some vs when fence_active vs && not (Stbl.mem vs.copy_fence key) -> (
+  | Some vs when Vstate.fence_active vs.ps && not (Vstate.fence_holds vs.ps key) -> (
       (* Mid-COPY and the key has not been confirmed current by a chain
          write: this replica may hold a pre-expulsion leftover, which
          must never become a repair source. *)
@@ -413,7 +334,7 @@ let dispatch t (req : Messages.request) : Messages.response =
       | Messages.Copy_put { vn; key; value; fresh } -> handle_copy_put t ~vn ~key ~value ~fresh
       | Messages.Repair_get { vn; key } -> handle_repair_get t ~vn ~key
       | Messages.Ring_update snap ->
-          install_ring t snap;
+          Ring.install t.ring snap;
           Messages.Ok { tokens = 0 }
       | Messages.Ping { node = _ } ->
           (* Heartbeat replies piggyback the node's smoothed service time —
@@ -527,14 +448,7 @@ let is_up t = t.up
    anything written while it was gone. Blocks for the log-replay I/O time,
    so callers run it from a spawned process. *)
 let restart t =
-  Array.iter
-    (fun vs ->
-      Stbl.reset vs.dirty;
-      Stbl.reset vs.taint;
-      Stbl.reset vs.tags;
-      Stbl.reset vs.copy_fence;
-      vs.fence_depth <- 0)
-    t.vnodes;
+  Array.iter (fun vs -> Vstate.reset vs.ps) t.vnodes;
   t.copy_forwards <- [];
   Array.iter (fun p -> Store.recover (Engine.store p)) (Engine.partitions t.engine);
   recover_network t

@@ -4,12 +4,11 @@
 
     The protocol (CRRS chain replication, ABD quorums, ...) lives behind
     the {!Replication} seam: this module owns the engine, the fabric
-    endpoint, the ring view and the volatile per-vnode protocol state,
-    and hands the protocol a [Replication.server_env] of closures over
-    them. Protocol wire traffic dispatches through the seam; COPY,
-    integrity repair, membership updates and heartbeats are generic. *)
-
-type vnode_state
+    endpoint, the ring view and one [Replication.Vstate] of volatile
+    protocol state per vnode, and hands the protocol a
+    [Replication.server_env] of closures over them. Protocol wire
+    traffic dispatches through the seam; COPY, integrity repair,
+    membership updates and heartbeats are generic. *)
 
 type t
 
@@ -45,8 +44,6 @@ val proto : t -> Replication.proto
 
 val set_peer_resolver : t -> (int -> (Messages.request, Messages.response) Leed_netsim.Netsim.Rpc.t) -> unit
 
-val vnode : t -> int -> vnode_state
-val install_ring : t -> Ring.snapshot -> unit
 
 val is_key_dirty : t -> vidx:int -> string -> bool
 (** Is a write to the key still in flight (dirty mark set) through the

@@ -10,12 +10,13 @@
    replicas) drop in the same way.
 
    Protocol code never touches [Node]'s internals directly: the host node
-   exposes its engine, fabric, ring view and volatile per-vnode protocol
-   state (dirty marks, taint marks, copy fences, tag cache) through the
-   closure records [server_env]/[client_env]. That keeps the dependency
-   arrow pointing one way (Node/Client depend on protocols, not the other
-   way around) and makes every side effect a protocol can perform
-   explicit and mockable. *)
+   exposes its engine, fabric and ring view through the closure records
+   [server_env]/[client_env], and its volatile per-vnode protocol state
+   (dirty marks, taint marks, copy fences, tag gate) as one [Vstate]
+   record per vnode, whose operations live here next to the protocols
+   that rely on them. That keeps the dependency arrow pointing one way
+   (Node/Client depend on protocols, not the other way around) and makes
+   every side effect a protocol can perform explicit and mockable. *)
 
 open Leed_sim
 module Trace = Leed_trace.Trace
@@ -93,6 +94,95 @@ module Tag = struct
         | _ -> None
 end
 
+(* --- the volatile per-vnode protocol state --- *)
+
+module Vstate = struct
+  module Stbl = Hashtbl.Make (String)
+
+  type t = {
+    (* count of in-flight (uncommitted) writes per key — the CRRS dirty
+       map *)
+    dirty : int Stbl.t;
+    (* taint marks: a write that applied locally but failed somewhere
+       down-chain leaves the local copy possibly ahead of the commit
+       point; a tainted key's reads are shipped to the tail until a later
+       write fully succeeds *)
+    taint : unit Stbl.t;
+    (* ABD write gate: highest tag accepted per key (a DRAM cache over
+       the framed store values; rebuilt lazily after a restart) *)
+    tags : Tag.t Stbl.t;
+    (* keys confirmed current while a COPY streams in: bulk-copied values
+       must not overwrite them (§3.8.1) *)
+    copy_fence : unit Stbl.t;
+    (* nesting depth: one vnode can be the destination of several
+       overlapping arc COPYs (it sits in the chain of R consecutive ring
+       points), so the fence lifts only when the *last* COPY detaches *)
+    mutable fence_depth : int;
+  }
+
+  let create () =
+    {
+      dirty = Stbl.create 256;
+      taint = Stbl.create 64;
+      tags = Stbl.create 256;
+      copy_fence = Stbl.create 64;
+      fence_depth = 0;
+    }
+
+  let reset vs =
+    Stbl.reset vs.dirty;
+    Stbl.reset vs.taint;
+    Stbl.reset vs.tags;
+    Stbl.reset vs.copy_fence;
+    vs.fence_depth <- 0
+
+  let is_dirty vs key = Stbl.mem vs.dirty key
+
+  let dirty_incr vs key =
+    Stbl.replace vs.dirty key (1 + Option.value ~default:0 (Stbl.find_opt vs.dirty key))
+
+  let dirty_decr vs key =
+    match Stbl.find_opt vs.dirty key with
+    | Some 1 | None -> Stbl.remove vs.dirty key
+    | Some n -> Stbl.replace vs.dirty key (n - 1)
+
+  let taint vs key = Stbl.replace vs.taint key ()
+  let untaint vs key = Stbl.remove vs.taint key
+  let is_tainted vs key = Stbl.mem vs.taint key
+  let fence_active vs = vs.fence_depth > 0
+  let begin_fence vs = vs.fence_depth <- vs.fence_depth + 1
+
+  let end_fence vs =
+    vs.fence_depth <- vs.fence_depth - 1;
+    if vs.fence_depth <= 0 then begin
+      vs.fence_depth <- 0;
+      Stbl.reset vs.copy_fence
+    end
+
+  let fence_mark vs key = Stbl.replace vs.copy_fence key ()
+  let fence_holds vs key = Stbl.mem vs.copy_fence key
+  let tag_get vs key = Stbl.find_opt vs.tags key
+
+  (* Monotonic: the gate only rises. A handler resuming from a yield may
+     try to install the (older) tag it decided on before blocking;
+     silently keeping the higher tag is what makes that safe. *)
+  let tag_set vs key tag =
+    match Stbl.find_opt vs.tags key with
+    | Some cur when Tag.compare cur tag >= 0 -> ()
+    | Some _ | None -> Stbl.replace vs.tags key tag
+
+  (* Undo a speculative advance whose engine write failed: restore
+     [prev] only if the gate still equals [tag] — if a concurrent
+     higher-tagged writer has raised it since, the gate is theirs. *)
+  let tag_rollback vs key ~tag ~prev =
+    match Stbl.find_opt vs.tags key with
+    | Some cur when Tag.compare cur tag = 0 -> (
+        match prev with
+        | Some p -> Stbl.replace vs.tags key p
+        | None -> Stbl.remove vs.tags key)
+    | Some _ | None -> ()
+end
+
 (* --- the host-node surface a server-side protocol runs against --- *)
 
 type server_stat =
@@ -106,42 +196,16 @@ type server_env = {
   sv_r : int;
   sv_ring : Ring.t;
   sv_track : Trace.track;
-  sv_has_vnode : vidx:int -> bool;
+  (* the vnode's protocol state; [None] when the node hosts no such
+     vnode *)
+  sv_vnode : vidx:int -> Vstate.t option;
   (* foreground engine submission (deadline 0. = none); routes through
      the host's fail-slow inflation and service-time telemetry *)
   sv_submit : deadline:float -> vidx:int -> Engine.cmd -> Engine.outcome;
-  sv_tokens : tenant:int -> vidx:int -> int;
+  sv_tokens : vidx:int -> int;
   (* one RPC to a peer vnode's node, bounded by [timeout] *)
   sv_call :
     dst:Ring.vnode -> timeout:float -> Messages.request -> Messages.response option;
-  (* CRRS dirty map: in-flight (uncommitted) writes per key *)
-  sv_is_dirty : vidx:int -> key:string -> bool;
-  sv_dirty_incr : vidx:int -> key:string -> unit;
-  sv_dirty_decr : vidx:int -> key:string -> unit;
-  (* taint marks: a write that applied locally but failed somewhere
-     down-chain leaves the local copy possibly ahead of the commit
-     point; a tainted key's reads are shipped to the tail until a later
-     write fully succeeds. Volatile, like the dirty map. *)
-  sv_taint : vidx:int -> key:string -> unit;
-  sv_untaint : vidx:int -> key:string -> unit;
-  sv_is_tainted : vidx:int -> key:string -> bool;
-  (* COPY fencing (§3.8.1) *)
-  sv_fence_active : vidx:int -> bool;
-  sv_fence_mark : vidx:int -> key:string -> unit;
-  sv_fence_holds : vidx:int -> key:string -> bool;
-  (* ABD write gate: highest tag this vnode has accepted, cached in DRAM
-     so the accept decision is atomic wrt other handlers (no yield
-     between check and set). [sv_tag_set] is monotonic — it only ever
-     raises the gate, so a handler resuming from a yield cannot regress
-     a tag a concurrent writer advanced past it. [sv_tag_rollback]
-     undoes a speculative advance whose engine write failed: it restores
-     [prev] iff the gate still equals [tag] (a concurrent higher writer
-     owns it otherwise). Wiped on restart; lazily rebuilt from the
-     framed values in the store. *)
-  sv_tag_get : vidx:int -> key:string -> (int * int) option;
-  sv_tag_set : vidx:int -> key:string -> tag:int * int -> unit;
-  sv_tag_rollback :
-    vidx:int -> key:string -> tag:int * int -> prev:(int * int) option -> unit;
   (* tail commit hook: COPY forwarding of freshly committed writes *)
   sv_on_commit : key:string -> value:bytes -> unit;
   (* integrity read-repair for a checksum-corrupt local entry *)
@@ -156,7 +220,6 @@ type client_stat = C_nack | C_quorum_round | C_writeback
 type client_env = {
   cl_writer : int; (* unique writer id (ABD tag tie-break) *)
   cl_r : int;
-  cl_tenant : int;
   cl_ring : Ring.t;
   (* one RPC with flow-control admission, adaptive timeout and latency
      accounting *)
@@ -198,7 +261,7 @@ module type S = sig
       [Some payload] for live data, [None] for a tombstone. *)
 
   val accept_copy :
-    server_env -> vidx:int -> key:string -> value:bytes -> fresh:bool -> bool
+    server_env -> vidx:int -> Vstate.t -> key:string -> value:bytes -> fresh:bool -> bool
   (** Should an incoming COPY value overwrite the local one? [fresh]
       flags a forwarded concurrent write (as opposed to a bulk-stream
       entry). CRRS consults the COPY fence — a fresh value marks it, a
@@ -261,21 +324,20 @@ module Crrs_impl = struct
     | Some e when e.Ring.owner = vn && vn.Ring.node = env.sv_node -> Some chain
     | _ -> None
 
-  let handle_write env ~(vn : Ring.vnode) ~key ~value ~hop ~version ~tenant ~deadline =
+  let handle_write env ~(vn : Ring.vnode) ~key ~value ~hop ~version ~deadline =
     (* §3.8.1: a write carries the sender's ring version; a receiver on
        a different view NACKs Stale_view so the client refreshes and
        retries. Chain-position validation alone misses membership
        changes that leave this key's chain intact but move others — the
        version check is the authoritative fence. *)
     if version <> Ring.version env.sv_ring then nack_stale env
-    else if not (env.sv_has_vnode ~vidx:vn.Ring.vidx) then nack_stale env
     else
-      match validate_chain env ~key ~hop ~vn with
-      | None -> nack_stale env
-      | Some chain ->
-          let vidx = vn.Ring.vidx in
+      let vidx = vn.Ring.vidx in
+      match (env.sv_vnode ~vidx, validate_chain env ~key ~hop ~vn) with
+      | None, _ | _, None -> nack_stale env
+      | Some vs, Some chain ->
           let is_tail = hop = List.length chain - 1 in
-          env.sv_dirty_incr ~vidx ~key;
+          Vstate.dirty_incr vs key;
           let ok = ref true in
           let deadline_hit = ref false in
           let apply () =
@@ -288,7 +350,7 @@ module Crrs_impl = struct
                    from here on the local value is newer than anything
                    the bulk stream carries, whether or not this hop's
                    forward ultimately succeeds. *)
-                if env.sv_fence_active ~vidx then env.sv_fence_mark ~vidx ~key;
+                if Vstate.fence_active vs then Vstate.fence_mark vs key;
                 env.sv_note S_write_apply
             | Engine.Shed ->
                 ok := false;
@@ -309,7 +371,6 @@ module Crrs_impl = struct
                         value;
                         hop = hop + 1;
                         version = Ring.version env.sv_ring;
-                        tenant;
                         deadline;
                       }
                   in
@@ -324,37 +385,37 @@ module Crrs_impl = struct
           (* Apply locally and propagate down-chain concurrently; the
              reply (backward ack) leaves only when both are done. *)
           Sim.fork_join [ apply; forward ];
-          env.sv_dirty_decr ~vidx ~key;
+          Vstate.dirty_decr vs key;
           if !ok then begin
             (* A fully successful hop supersedes any earlier partial
                write for the key: the chain below agrees again. *)
-            env.sv_untaint ~vidx ~key;
+            Vstate.untaint vs key;
             if is_tail then (
               match value with
               | Some v -> env.sv_on_commit ~key ~value:v
               | None -> ());
-            Messages.Ok { tokens = env.sv_tokens ~tenant ~vidx }
+            Messages.Ok { tokens = env.sv_tokens ~vidx }
           end
           else begin
             (* Either branch failing can leave this replica (or one
                below) ahead of the commit point: taint the key so local
                reads route through the tail until a write lands clean. *)
-            env.sv_taint ~vidx ~key;
+            Vstate.taint vs key;
             env.sv_note S_nack;
             if !deadline_hit then Messages.Nack Messages.Deadline_exceeded
             else Messages.Nack Messages.Not_serving
           end
 
-  let serve_local_read env ~vidx ~key ~tenant ~deadline =
+  let serve_local_read env ~vidx ~key ~deadline =
     env.sv_note S_served_read;
     match local_get env ~vidx ~key ~deadline with
-    | L_found v -> Messages.Value { value = Some v; tokens = env.sv_tokens ~tenant ~vidx }
-    | L_missing -> Messages.Value { value = None; tokens = env.sv_tokens ~tenant ~vidx }
+    | L_found v -> Messages.Value { value = Some v; tokens = env.sv_tokens ~vidx }
+    | L_missing -> Messages.Value { value = None; tokens = env.sv_tokens ~vidx }
     | L_nack reason ->
         env.sv_note S_nack;
         Messages.Nack reason
 
-  let ship_to_tail env ~key ~tenant ~deadline (te : Ring.entry) =
+  let ship_to_tail env ~key ~deadline (te : Ring.entry) =
     env.sv_note S_shipped_read;
     if Trace.on () then
       Trace.instant ~track:env.sv_track ~cat:"node" "get.ship"
@@ -365,7 +426,6 @@ module Crrs_impl = struct
           vn = te.Ring.owner;
           key;
           shipped = true;
-          tenant;
           deadline;
           version = Ring.version env.sv_ring;
         }
@@ -374,61 +434,61 @@ module Crrs_impl = struct
     | Some r -> r
     | None -> Messages.Nack Messages.Not_serving
 
-  let handle_get env ~(vn : Ring.vnode) ~key ~shipped ~tenant ~deadline ~version =
+  let handle_get env ~(vn : Ring.vnode) ~key ~shipped ~deadline ~version =
     if version <> Ring.version env.sv_ring then nack_stale env
-    else if not (env.sv_has_vnode ~vidx:vn.Ring.vidx) then nack_stale env
     else
       let vidx = vn.Ring.vidx in
-      let chain = Ring.chain env.sv_ring ~r:env.sv_r key in
-      let tail_entry = match List.rev chain with e :: _ -> Some e | [] -> None in
-      let am_tail =
-        match tail_entry with Some e -> e.Ring.owner = vn | None -> false
-      in
-      (* §3.8.1: while a COPY streams into this vnode it may hold a
-         pre-expulsion leftover for any key the fence has not confirmed
-         current (a chain write or forwarded copy landed here since the
-         fence went up). A replacement chain member enters serving duty
-         as the new tail *before* its catch-up COPY completes, so this
-         guard is what keeps the read path linearizable across repair:
-         non-tail members route around it by shipping; the tail itself
-         must refuse — its predecessor (the old tail) cannot be told
-         apart from an uncommitted-write holder over the existing wire
-         vocabulary, and a bounded client retry is cheaper than a wrong
-         value. The fence lifts when the COPY drains. *)
-      let fence_unready =
-        env.sv_fence_active ~vidx && not (env.sv_fence_holds ~vidx ~key)
-      in
-      if fence_unready && (shipped || am_tail) then begin
-        env.sv_note S_nack;
-        Messages.Nack Messages.Not_serving
-      end
-      else if fence_unready then begin
-        match tail_entry with
-        | None -> Messages.Nack Messages.Not_serving
-        | Some te -> ship_to_tail env ~key ~tenant ~deadline te
-      end
-      else if shipped || am_tail then serve_local_read env ~vidx ~key ~tenant ~deadline
-      else if env.sv_is_tainted ~vidx ~key then begin
-        (* The local copy may be ahead of the commit point (a partial
-           write landed here): only the tail is authoritative. *)
-        match tail_entry with
-        | None -> Messages.Nack Messages.Not_serving
-        | Some te -> ship_to_tail env ~key ~tenant ~deadline te
-      end
-      else if env.sv_is_dirty ~vidx ~key then begin
-        (* §3.7: a dirty replica ships the whole request to the tail. *)
-        match tail_entry with
-        | None -> Messages.Nack Messages.Not_serving
-        | Some te -> ship_to_tail env ~key ~tenant ~deadline te
-      end
-      else serve_local_read env ~vidx ~key ~tenant ~deadline
+      match env.sv_vnode ~vidx with
+      | None -> nack_stale env
+      | Some vs ->
+          let chain = Ring.chain env.sv_ring ~r:env.sv_r key in
+          let tail_entry = match List.rev chain with e :: _ -> Some e | [] -> None in
+          let am_tail =
+            match tail_entry with Some e -> e.Ring.owner = vn | None -> false
+          in
+          (* §3.8.1: while a COPY streams into this vnode it may hold a
+             pre-expulsion leftover for any key the fence has not confirmed
+             current (a chain write or forwarded copy landed here since the
+             fence went up). A replacement chain member enters serving duty
+             as the new tail *before* its catch-up COPY completes, so this
+             guard is what keeps the read path linearizable across repair:
+             non-tail members route around it by shipping; the tail itself
+             must refuse — its predecessor (the old tail) cannot be told
+             apart from an uncommitted-write holder over the existing wire
+             vocabulary, and a bounded client retry is cheaper than a wrong
+             value. The fence lifts when the COPY drains. *)
+          let fence_unready = Vstate.fence_active vs && not (Vstate.fence_holds vs key) in
+          if fence_unready && (shipped || am_tail) then begin
+            env.sv_note S_nack;
+            Messages.Nack Messages.Not_serving
+          end
+          else if fence_unready then begin
+            match tail_entry with
+            | None -> Messages.Nack Messages.Not_serving
+            | Some te -> ship_to_tail env ~key ~deadline te
+          end
+          else if shipped || am_tail then serve_local_read env ~vidx ~key ~deadline
+          else if Vstate.is_tainted vs key then begin
+            (* The local copy may be ahead of the commit point (a partial
+               write landed here): only the tail is authoritative. *)
+            match tail_entry with
+            | None -> Messages.Nack Messages.Not_serving
+            | Some te -> ship_to_tail env ~key ~deadline te
+          end
+          else if Vstate.is_dirty vs key then begin
+            (* §3.7: a dirty replica ships the whole request to the tail. *)
+            match tail_entry with
+            | None -> Messages.Nack Messages.Not_serving
+            | Some te -> ship_to_tail env ~key ~deadline te
+          end
+          else serve_local_read env ~vidx ~key ~deadline
 
   let handle env (req : Messages.request) =
     match req with
-    | Messages.Get { vn; key; shipped; tenant; deadline; version } ->
-        Some (handle_get env ~vn ~key ~shipped ~tenant ~deadline ~version)
-    | Messages.Write { vn; key; value; hop; version; tenant; deadline } ->
-        Some (handle_write env ~vn ~key ~value ~hop ~version ~tenant ~deadline)
+    | Messages.Get { vn; key; shipped; deadline; version } ->
+        Some (handle_get env ~vn ~key ~shipped ~deadline ~version)
+    | Messages.Write { vn; key; value; hop; version; deadline } ->
+        Some (handle_write env ~vn ~key ~value ~hop ~version ~deadline)
     | Messages.Tag_read _ | Messages.Tag_write _ ->
         (* quorum-protocol traffic aimed at a chain cluster *)
         Some (Messages.Nack Messages.Not_serving)
@@ -466,7 +526,6 @@ module Crrs_impl = struct
               value;
               hop = 0;
               version = Ring.version env.cl_ring;
-              tenant = env.cl_tenant;
               deadline;
             }
         in
@@ -484,20 +543,18 @@ module Crrs_impl = struct
   (* CRRS stores raw payload bytes — no framing to strip. *)
   let payload_of_stored v = Some v
 
-  let accept_copy env ~vidx ~key ~value:_ ~fresh =
+  let accept_copy _env ~vidx:_ vs ~key ~value:_ ~fresh =
     (* §3.8.1 COPY fence. A forwarded concurrent write is newer than
        anything the bulk stream will ever carry: accept it and mark the
        fence so the bulk stream's (older) entry for the same key is
        dropped regardless of arrival order. A bulk entry is accepted
        only while the fence does not hold the key. *)
-    if not (env.sv_fence_active ~vidx) then true
+    if not (Vstate.fence_active vs) then true
     else if fresh then begin
-      env.sv_fence_mark ~vidx ~key;
+      Vstate.fence_mark vs key;
       true
     end
-    else not (env.sv_fence_holds ~vidx ~key)
+    else not (Vstate.fence_holds vs key)
 end
 
 module Crrs_protocol : S = Crrs_impl
-
-let protocol_name (module P : S) = proto_to_string P.proto

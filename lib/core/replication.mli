@@ -5,9 +5,10 @@
     server-side request handlers, the storage framing of values, and the
     COPY-acceptance rule. The host {!Node}/{!Client} never hard-codes a
     protocol; they build a {!server_env}/{!client_env} closure record
-    over their internals and dispatch through the module selected by
-    {!proto} (see [Abd.protocol]). CRRS (LEED §3.7) is the first
-    implementation; ABD quorum replication the second. *)
+    over their internals, keep one {!Vstate} record per vnode, and
+    dispatch through the module selected by {!proto} (see
+    [Abd.protocol]). CRRS (LEED §3.7) is the first implementation; ABD
+    quorum replication the second. *)
 
 (** The selectable replication protocols. *)
 type proto =
@@ -62,6 +63,79 @@ module Tag : sig
       treat as tag-{!zero} data. *)
 end
 
+(** The volatile per-vnode protocol state a host keeps in DRAM: CRRS
+    dirty and taint marks, the COPY fence, and the ABD tag gate. It dies
+    with the power ({!reset} on crash-restart); nothing in it is needed
+    to recover committed data. *)
+module Vstate : sig
+  type t
+
+  val create : unit -> t
+  (** Empty tables, no fence. *)
+
+  val reset : t -> unit
+  (** Wipe every table and lift the fence (crash-restart). *)
+
+  (** {2 Dirty marks (CRRS §3.7)} *)
+
+  val is_dirty : t -> string -> bool
+  (** Is a write to the key in flight (uncommitted) through this vnode? *)
+
+  val dirty_incr : t -> string -> unit
+  (** A write to the key enters this vnode. *)
+
+  val dirty_decr : t -> string -> unit
+  (** Marks count: [n] increments need [n] decrements to clear. *)
+
+  (** {2 Taint marks} *)
+
+  val taint : t -> string -> unit
+  (** Mark a partial write: applied locally but failed down-chain, so the
+      local copy may be ahead of the commit point and must read through
+      the tail until a write lands clean. *)
+
+  val untaint : t -> string -> unit
+  (** A write landed end to end: the chain agrees on the key again. *)
+
+  val is_tainted : t -> string -> bool
+  (** Must reads of the key go through the tail? *)
+
+  (** {2 COPY fence (§3.8.1)} *)
+
+  val fence_active : t -> bool
+  (** Is a COPY streaming into this vnode? *)
+
+  val begin_fence : t -> unit
+  (** A COPY starts streaming into this vnode. *)
+
+  val end_fence : t -> unit
+  (** Fences nest: a vnode can be the destination of several overlapping
+      arc COPYs, so the fence stays active, and the confirmed-current
+      marks stay, until the last one ends. *)
+
+  val fence_mark : t -> string -> unit
+  (** Confirm the key current (a chain write or a forwarded copy landed):
+      bulk-copied values for it are dropped from now on. *)
+
+  val fence_holds : t -> string -> bool
+  (** Has the key been confirmed current since the fence went up? *)
+
+  (** {2 ABD write gate} *)
+
+  val tag_get : t -> string -> Tag.t option
+  (** The highest tag accepted for the key, cached in DRAM so accept
+      decisions are atomic with respect to other handlers; lazily
+      rebuilt from the framed store values after a restart. *)
+
+  val tag_set : t -> string -> Tag.t -> unit
+  (** Raise-only: a tag at or below the gate leaves it unchanged. *)
+
+  val tag_rollback : t -> string -> tag:Tag.t -> prev:Tag.t option -> unit
+  (** Undo a speculative {!tag_set} whose engine write failed: restore
+      [prev] ([None] removes the key) iff the gate still equals [tag] —
+      otherwise a concurrent higher writer owns it. *)
+end
+
 (** Server-side statistics events a protocol reports to its host. *)
 type server_stat =
   | S_nack  (** request refused (stale view, failure, shed) *)
@@ -70,46 +144,24 @@ type server_stat =
   | S_write_apply  (** replica write applied to the local engine *)
 
 (** The host-node surface a server-side protocol runs against. Every
-    field is a closure over the hosting [Node]; protocol code performs
-    no side effect that is not named here. *)
+    function field is a closure over the hosting [Node]; protocol code
+    performs no side effect that is not named here or in {!Vstate}. *)
 type server_env = {
   sv_node : int;  (** hosting node id *)
   sv_r : int;  (** replication factor *)
   sv_ring : Ring.t;  (** the node's local ring view *)
   sv_track : Leed_trace.Trace.track;
-  sv_has_vnode : vidx:int -> bool;
+  sv_vnode : vidx:int -> Vstate.t option;
+      (** the vnode's protocol state; [None] when the node hosts no such
+          vnode *)
   sv_submit : deadline:float -> vidx:int -> Engine.cmd -> Engine.outcome;
       (** foreground engine submission (deadline [0.] = none); routed
           through fail-slow inflation and service-time telemetry *)
-  sv_tokens : tenant:int -> vidx:int -> int;
+  sv_tokens : vidx:int -> int;
       (** available token balance piggybacked on responses (§3.5) *)
   sv_call :
     dst:Ring.vnode -> timeout:float -> Messages.request -> Messages.response option;
       (** one bounded RPC to a peer vnode's node *)
-  sv_is_dirty : vidx:int -> key:string -> bool;
-  sv_dirty_incr : vidx:int -> key:string -> unit;
-  sv_dirty_decr : vidx:int -> key:string -> unit;
-      (** CRRS dirty map: in-flight (uncommitted) writes per key *)
-  sv_taint : vidx:int -> key:string -> unit;
-  sv_untaint : vidx:int -> key:string -> unit;
-  sv_is_tainted : vidx:int -> key:string -> bool;
-      (** taint marks for partial writes: applied locally but failed
-          down-chain, so the local copy may be ahead of the commit point
-          and must read through the tail until a write lands clean *)
-  sv_fence_active : vidx:int -> bool;
-  sv_fence_mark : vidx:int -> key:string -> unit;
-  sv_fence_holds : vidx:int -> key:string -> bool;
-      (** COPY fencing (§3.8.1) *)
-  sv_tag_get : vidx:int -> key:string -> (int * int) option;
-  sv_tag_set : vidx:int -> key:string -> tag:int * int -> unit;
-  sv_tag_rollback :
-    vidx:int -> key:string -> tag:int * int -> prev:(int * int) option -> unit;
-      (** ABD write gate: highest accepted tag per key, cached in DRAM
-          so accept decisions are atomic wrt other handlers; wiped on
-          restart and lazily rebuilt from the framed store values.
-          [sv_tag_set] is monotonic (raise-only); [sv_tag_rollback]
-          restores [prev] iff the gate still equals [tag] — the undo for
-          a speculative advance whose engine write failed *)
   sv_on_commit : key:string -> value:bytes -> unit;
       (** tail commit hook (COPY forwarding of fresh writes) *)
   sv_repair : vidx:int -> key:string -> bytes option;
@@ -127,7 +179,6 @@ type client_stat =
 type client_env = {
   cl_writer : int;  (** unique writer id (ABD tag tie-break) *)
   cl_r : int;
-  cl_tenant : int;
   cl_ring : Ring.t;
   cl_issue : Ring.entry -> Messages.request -> Messages.response option;
       (** one RPC with flow-control admission, adaptive timeout and
@@ -171,8 +222,9 @@ module type S = sig
       [Some payload] for live data, [None] for a tombstone. *)
 
   val accept_copy :
-    server_env -> vidx:int -> key:string -> value:bytes -> fresh:bool -> bool
-  (** Should an incoming COPY value overwrite the local one? [fresh]
+    server_env -> vidx:int -> Vstate.t -> key:string -> value:bytes -> fresh:bool -> bool
+  (** Should an incoming COPY value overwrite the local one of the vnode
+      [vidx], whose state is given? [fresh]
       flags a forwarded concurrent write (as opposed to a bulk-stream
       entry). CRRS consults the COPY fence — a fresh value marks it, a
       bulk value is dropped once the fence holds the key; ABD compares
@@ -197,6 +249,3 @@ module Crrs_protocol : S
     COPY fencing — plus taint marks that route
     reads of partially written keys through the tail, keeping the chain
     linearizable when a mid-chain hop fails after the head applied. *)
-
-val protocol_name : (module S) -> string
-(** The [--proto] spelling of a packed protocol. *)

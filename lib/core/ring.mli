@@ -18,9 +18,6 @@ type t
 val point_of_key : string -> int
 (** Hash a key onto the ring. *)
 
-val default_point : vnode -> int
-(** Deterministic placement for a vnode id. *)
-
 val create : unit -> t
 val copy : t -> t
 val version : t -> int

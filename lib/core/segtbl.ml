@@ -21,16 +21,17 @@ type t = {
   nsegments : int;
   entries : entry array;
   home_dev : int;
-  (* modeled DRAM bytes per entry: 4 B offset + K bits chain + lock bit +
-     SSD id — 6 B, matching the paper's budget arithmetic. *)
-  entry_bytes : int;
   (* materialised entries whose [dev] is not [home_dev]: kept by [update],
      the only writer of an entry's location, so [swapped_out] can answer
      "none" — the common case — without scanning the table *)
   mutable foreign : int;
 }
 
-let create ?(entry_bytes = 6) ~nsegments ~home_dev () =
+(* Modeled DRAM bytes per entry: 4 B offset + K bits chain + lock bit +
+   SSD id — 6 B, matching the paper's budget arithmetic. *)
+let entry_bytes = 6
+
+let create ~nsegments ~home_dev () =
   if nsegments <= 0 then invalid_arg "Segtbl.create: nsegments must be positive";
   {
     nsegments;
@@ -38,7 +39,6 @@ let create ?(entry_bytes = 6) ~nsegments ~home_dev () =
       Array.init nsegments (fun _ ->
           { dev = home_dev; off = -1; chain_len = 0; locked = false; waiters = Queue.create () });
     home_dev;
-    entry_bytes;
     foreign = 0;
   }
 
@@ -47,7 +47,7 @@ let entry t seg = t.entries.(seg)
 let is_materialised e = e.chain_len > 0
 
 (* Modeled DRAM footprint (what an 8 GB Stingray would actually spend). *)
-let modeled_bytes t = t.nsegments * t.entry_bytes
+let modeled_bytes t = t.nsegments * entry_bytes
 
 let is_foreign t e = e.chain_len > 0 && e.dev <> t.home_dev
 

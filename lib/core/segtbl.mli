@@ -21,7 +21,7 @@ type entry = private {
 
 type t
 
-val create : ?entry_bytes:int -> nsegments:int -> home_dev:int -> unit -> t
+val create : nsegments:int -> home_dev:int -> unit -> t
 val nsegments : t -> int
 val entry : t -> int -> entry
 val is_materialised : entry -> bool

@@ -164,6 +164,22 @@ let finish ctx t kind t0 =
 
 let log_for t dev = if dev = t.home_dev then t.klog else t.resolve dev
 
+(* Where an item's value lives: the home value log, or the foreign log a
+   §3.6 swap left it in; and the length of its entry there. *)
+let value_log t (it : Codec.item) =
+  if it.Codec.vdev = t.home_dev then t.vlog else t.resolve it.Codec.vdev
+
+let value_entry_len (it : Codec.item) =
+  Codec.value_header_size + String.length it.Codec.key + it.Codec.vlen
+
+(* Read an item's whole value entry (a copy), pinning its log so a swap
+   region cannot be reset under the read. *)
+let read_value_entry ctx t (it : Codec.item) =
+  let vlog = value_log t it in
+  Circular_log.with_pin vlog (fun () ->
+      timed_ssd ctx (fun () ->
+          Circular_log.read vlog ~loff:it.Codec.voff ~len:(value_entry_len it)))
+
 (* Sanitizer: a segment's bucket chain must be internally consistent —
    every bucket carries the same seg_id and chain_len, and chain positions
    run 0..n-1 in order. A violation under the segment lock means the store
@@ -228,12 +244,7 @@ let write_segment ctx t ~seg ~items ~(target : Circular_log.t) =
       List.map
         (fun it ->
           if it.Codec.vdev <> t.home_dev && not (Codec.is_tombstone it) then begin
-            let flog = t.resolve it.Codec.vdev in
-            let len = Codec.value_header_size + String.length it.Codec.key + it.Codec.vlen in
-            let buf =
-              Circular_log.with_pin flog (fun () ->
-                  timed_ssd ctx (fun () -> Circular_log.read flog ~loff:it.Codec.voff ~len))
-            in
+            let buf = read_value_entry ctx t it in
             let voff = timed_ssd ctx (fun () -> Circular_log.append t.vlog buf) in
             { it with Codec.voff; vdev = t.home_dev }
           end
@@ -293,8 +304,8 @@ let get t key =
         | None -> None
         | Some it when Codec.is_tombstone it -> None
         | Some it ->
-            let vlog = if it.Codec.vdev = t.home_dev then t.vlog else t.resolve it.Codec.vdev in
-            let len = Codec.value_header_size + String.length key + it.Codec.vlen in
+            let vlog = value_log t it in
+            let len = value_entry_len it in
             let buf, off =
               Circular_log.with_pin vlog (fun () ->
                   timed_ssd ctx (fun () -> Circular_log.read_view vlog ~loff:it.Codec.voff ~len))
@@ -432,46 +443,54 @@ let del t key =
 (* ------------------------------------------------------------------ *)
 (* Compaction (§3.3.1). *)
 
-(* Scan the key log window [head, head+window): one bulk device read of
-   the window, parsed in memory; every complete segment frame found is
-   also staged in the prefetch cache so its relocation needs no further
-   device read. Returns frame descriptors (loff, seg_id, chain_len). *)
-let scan_key_window ctx t ~window =
+(* Walk the key-log compaction window at the head: one bulk device read,
+   decoded in memory frame by frame. Every complete segment frame is
+   staged in the prefetch cache, so its relocation needs no further device
+   read, and folded through [f acc loff bucket] in log order. The walk
+   stops at the first frame that is empty, extends past the window, or
+   whose header fails to decode — a rotted header's chain_len cannot size
+   a skip; [on_corrupt] runs then. *)
+let walk_key_window ctx t ~on_corrupt ~init ~f =
   let head = Circular_log.head t.klog in
-  let stop = min (Circular_log.committed_tail t.klog) (head + window) in
-  if stop <= head then []
+  let stop = min (Circular_log.committed_tail t.klog) (head + t.config.compaction_window) in
+  if stop <= head then init
   else begin
     let len = stop - head in
     let buf = timed_ssd ctx (fun () -> Circular_log.read t.klog ~loff:head ~len) in
     let rec parse pos acc =
-      if pos + Codec.bucket_size > len then List.rev acc
-      else begin
+      if pos + Codec.bucket_size > len then acc
+      else
         match Codec.decode_bucket ~off:pos buf with
         | exception Codec.Corrupt _ ->
-            (* A rotted frame header: its chain_len is untrustworthy, so the
-               scan cannot size a skip. Stop the window here — the head will
-               not advance past the rot until a repair rewrites it. *)
-            t.corrupt_reads <- t.corrupt_reads + 1;
-            List.rev acc
+            on_corrupt ();
+            acc
         | b ->
             let seg_len = Codec.segment_bytes ~chain_len:b.Codec.chain_len in
-            if pos + seg_len > len then List.rev acc (* frame extends past the window *)
+            if seg_len = 0 || pos + seg_len > len then acc
             else begin
               Hashtbl.replace t.prefetch_cache (head + pos) (Bytes.sub buf pos seg_len);
-              parse (pos + seg_len) ((head + pos, b.Codec.seg_id, b.Codec.chain_len) :: acc)
+              parse (pos + seg_len) (f acc (head + pos) b)
             end
-      end
     in
-    parse 0 []
+    parse 0 init
   end
 
 (* One key-log compaction round: relocate every live segment in the window
    to the tail, drop stale copies, purge tombstones, advance the head.
    Returns the number of bytes reclaimed. *)
-let compact_key_log ?(subcompactions = 0) t =
-  let s = if subcompactions > 0 then subcompactions else t.config.subcompactions in
+let compact_key_log t =
+  let s = t.config.subcompactions in
   let ctx = { ssd = 0.; cpu = 0.; accesses = 0 } in
-  let frames = scan_key_window ctx t ~window:t.config.compaction_window in
+  (* Frame descriptors (loff, seg_id, chain_len). A rotted header stops
+     the window: the head will not advance past the rot until a repair
+     rewrites it. *)
+  let frames =
+    List.rev
+      (walk_key_window ctx t
+         ~on_corrupt:(fun () -> t.corrupt_reads <- t.corrupt_reads + 1)
+         ~init:[]
+         ~f:(fun acc loff b -> (loff, b.Codec.seg_id, b.Codec.chain_len) :: acc))
+  in
   (* Split into S sub-compactions processed in parallel (§3.3.1). *)
   let groups = Array.make s [] in
   List.iteri (fun i f -> groups.(i mod s) <- f :: groups.(i mod s)) frames;
@@ -519,43 +538,22 @@ let compact_key_log ?(subcompactions = 0) t =
   reclaimed
 
 (* Background prefetch of the next window's segment frames (§3.3.1: "when
-   executing the Nth compaction, prefetch segments for the N+1th"): one
-   bulk read, parsed defensively — the compactor may advance the head
-   while this read is in flight, in which case the stale bytes are simply
-   dropped (they can only be keyed at offsets nothing live points to). *)
+   executing the Nth compaction, prefetch segments for the N+1th"), parsed
+   defensively: a rotted header just ends the walk, and the compactor may
+   advance the head while the read is in flight, in which case the read
+   fails or its stale bytes are keyed at offsets nothing live points to. *)
 let prefetch_next_window t =
   if t.config.prefetch then
     Sim.spawn (fun () ->
         let ctx = { ssd = 0.; cpu = 0.; accesses = 0 } in
-        let head = Circular_log.head t.klog in
-        let stop =
-          min (Circular_log.committed_tail t.klog) (head + t.config.compaction_window)
-        in
-        if stop > head then begin
-          match timed_ssd ctx (fun () -> Circular_log.read t.klog ~loff:head ~len:(stop - head)) with
-          | buf -> (
-              let len = Bytes.length buf in
-              let rec parse pos =
-                if pos + Codec.bucket_size <= len then begin
-                  match Codec.decode_bucket ~off:pos buf with
-                  | b ->
-                      let seg_len = Codec.segment_bytes ~chain_len:b.Codec.chain_len in
-                      if seg_len > 0 && pos + seg_len <= len then begin
-                        Hashtbl.replace t.prefetch_cache (head + pos) (Bytes.sub buf pos seg_len);
-                        parse (pos + seg_len)
-                      end
-                  | exception Codec.Corrupt _ -> ()
-                end
-              in
-              parse 0)
-          | exception Invalid_argument _ -> () (* head raced past us *)
-        end)
+        try walk_key_window ctx t ~on_corrupt:ignore ~init:() ~f:(fun () _ _ -> ())
+        with Invalid_argument _ -> () (* head raced past us *))
 
 (* One value-log compaction round (§3.3.1, Figure 3-c): group the window's
    entries by segment, lock each segment once, keep values still referenced
    by their bucket, rewrite the buckets, advance the head. *)
-let compact_value_log ?(subcompactions = 0) t =
-  let s = if subcompactions > 0 then subcompactions else t.config.subcompactions in
+let compact_value_log t =
+  let s = t.config.subcompactions in
   let ctx = { ssd = 0.; cpu = 0.; accesses = 0 } in
   let head = Circular_log.head t.vlog in
   let stop = min (Circular_log.committed_tail t.vlog) (head + t.config.compaction_window) in
@@ -616,8 +614,7 @@ let compact_value_log ?(subcompactions = 0) t =
                 then begin
                   (* Live value inside the window: relocate to the tail,
                      sourcing the bytes from the already-read window. *)
-                  let len = Codec.value_header_size + String.length it.Codec.key + it.Codec.vlen in
-                  let buf = Bytes.sub window_buf (it.Codec.voff - head) len in
+                  let buf = Bytes.sub window_buf (it.Codec.voff - head) (value_entry_len it) in
                   match timed_ssd sub (fun () -> Circular_log.append t.vlog buf) with
                   | voff ->
                       changed := true;
@@ -771,26 +768,14 @@ let fold_live t ~init ~f =
           let ctx = { ssd = 0.; cpu = 0.; accesses = 0 } in
           let items = read_segment ~salvage:true ctx t e in
           let live = List.filter (fun it -> not (Codec.is_tombstone it)) items in
-          let fetched =
-            List.map
-              (fun it ->
-                let vlog = if it.Codec.vdev = t.home_dev then t.vlog else t.resolve it.Codec.vdev in
-                let len = Codec.value_header_size + String.length it.Codec.key + it.Codec.vlen in
-                (it, vlog, len, ref Bytes.empty))
-              live
-          in
+          let fetched = List.map (fun it -> (it, ref Bytes.empty)) live in
           Sim.fork_join
-            (List.map
-               (fun (it, vlog, len, slot) () ->
-                 slot :=
-                   Circular_log.with_pin vlog (fun () ->
-                       timed_ssd ctx (fun () -> Circular_log.read vlog ~loff:it.Codec.voff ~len)))
-               fetched);
+            (List.map (fun (it, slot) () -> slot := read_value_entry ctx t it) fetched);
           (* Never stream a rotted value to a COPY destination: a corrupt
              entry is skipped (counted) and left for scrub/read-repair. *)
           collected :=
             List.filter_map
-              (fun ((it : Codec.item), _, _, slot) ->
+              (fun ((it : Codec.item), slot) ->
                 match Codec.decode_value_entry ~off:0 ~len:(Bytes.length !slot) !slot with
                 | ve -> Some (it.Codec.key, ve.Codec.ve_value)
                 | exception Codec.Corrupt _ ->
@@ -839,19 +824,12 @@ let scrub_segment t seg =
             let bad =
               List.filter_map
                 (fun (it : Codec.item) ->
-                  let vlog =
-                    if it.Codec.vdev = t.home_dev then t.vlog else t.resolve it.Codec.vdev
-                  in
-                  let len = Codec.value_header_size + String.length it.Codec.key + it.Codec.vlen in
-                  match
-                    Circular_log.with_pin vlog (fun () ->
-                        timed_ssd ctx (fun () -> Circular_log.read vlog ~loff:it.Codec.voff ~len))
-                  with
+                  match read_value_entry ctx t it with
                   | exception Invalid_argument _ ->
                       t.corrupt_reads <- t.corrupt_reads + 1;
                       Some it.Codec.key
                   | buf -> (
-                      match Codec.decode_value_entry ~off:0 ~len buf with
+                      match Codec.decode_value_entry ~off:0 ~len:(Bytes.length buf) buf with
                       | ve when String.equal ve.Codec.ve_key it.Codec.key -> None
                       | _ ->
                           t.corrupt_reads <- t.corrupt_reads + 1;

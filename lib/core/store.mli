@@ -88,13 +88,13 @@ val del : t -> string -> unit
 
 (** {1 Compaction (§3.3.1)} *)
 
-val compact_key_log : ?subcompactions:int -> t -> int
+val compact_key_log : t -> int
 (** One round over [compaction_window] bytes at the head: one bulk scan
     read, S parallel sub-compactions relocating live segments (purging
     tombstones), head advance. Returns bytes reclaimed (0 when the round
     was blocked by lack of tail space). *)
 
-val compact_value_log : ?subcompactions:int -> t -> int
+val compact_value_log : t -> int
 (** One round over the value log: bulk window scan, group live entries by
     owning segment, relocate values and rewrite their buckets under the
     segment lock, advance the head. *)
@@ -103,8 +103,6 @@ val merge_swapped_back : t -> unit
 (** Rewrite every swapped-out segment (and its foreign values) back to the
     home logs (§3.6). *)
 
-val prefetch_next_window : t -> unit
-(** Background prefetch of the next compaction window (§3.3.1). *)
 
 val run_compactor : ?period:float -> t -> unit
 (** Spawn the background compactor: interleaves key-/value-log rounds when

@@ -23,18 +23,16 @@ open Leed_blockdev
 
 (* --- scaled platforms --- *)
 
-let scale_ssd ?(capacity = 512 * 1024 * 1024) profile = Blockdev.with_capacity profile capacity
-
 let leed_platform ?(ssd_capacity = 512 * 1024 * 1024) () =
-  { Platform.smartnic_jbof with Platform.ssd = scale_ssd ~capacity:ssd_capacity Blockdev.dct983 }
+  { Platform.smartnic_jbof with Platform.ssd = Blockdev.with_capacity Blockdev.dct983 ssd_capacity }
 
 let server_platform ?(ssd_capacity = 512 * 1024 * 1024) () =
-  { Platform.server_jbof with Platform.ssd = scale_ssd ~capacity:ssd_capacity Blockdev.dct983 }
+  { Platform.server_jbof with Platform.ssd = Blockdev.with_capacity Blockdev.dct983 ssd_capacity }
 
 let pi_platform () =
   {
     Platform.embedded_node with
-    Platform.ssd = scale_ssd ~capacity:(128 * 1024 * 1024) Blockdev.sandisk_sd;
+    Platform.ssd = Blockdev.with_capacity Blockdev.sandisk_sd (128 * 1024 * 1024);
   }
 
 (* Store sizing for scaled runs: enough segments that chains stay short at

@@ -11,9 +11,6 @@ open Leed_core
 
 (** {1 Scaled platforms and store sizing} *)
 
-val scale_ssd :
-  ?capacity:int -> Leed_blockdev.Blockdev.profile -> Leed_blockdev.Blockdev.profile
-
 val leed_platform : ?ssd_capacity:int -> unit -> Leed_platform.Platform.t
 val server_platform : ?ssd_capacity:int -> unit -> Leed_platform.Platform.t
 val pi_platform : unit -> Leed_platform.Platform.t
@@ -37,14 +34,9 @@ val engine_config :
 
 type setup = { backend : Backend.t; clients : Backend.client list }
 
-val attach_clients : ?nclients:int -> Backend.t -> setup
-(** [nclients] front-end endpoints (default 4) on the given backend. *)
-
 (** Packing helpers: lift a concrete cluster behind the service boundary. *)
 
 val leed_backend : Cluster.t -> Backend.t
-val fawn_backend : Leed_baselines.Fawn_cluster.t -> Backend.t
-val kvell_backend : Leed_baselines.Kvell_cluster.t -> Backend.t
 
 (** {1 System builders} *)
 

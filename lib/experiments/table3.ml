@@ -44,9 +44,6 @@ let leed_capacity ~object_size =
 
 type point = { rd_lat : float; wr_lat : float; rd_thr : float; wr_thr : float; rd_lat_sat : float }
 
-let smartnic ?(ssd_capacity = 512 * 1024 * 1024) () =
-  { Platform.smartnic_jbof with Platform.ssd = Blockdev.with_capacity Blockdev.dct983 ssd_capacity }
-
 let nkeys = 8_000
 
 let measure ~label ~preload ~execute_read ~execute_write =
@@ -91,7 +88,7 @@ let measure ~label ~preload ~execute_read ~execute_write =
 (* LEED: the intra-JBOF engine on one SmartNIC JBOF. *)
 let leed_point ~object_size =
   Sim.run (fun () ->
-      let platform = smartnic () in
+      let platform = Exp_common.leed_platform () in
       let cfg = Exp_common.engine_config ~partitions_per_ssd:2 () in
       let e = Engine.create ~config:cfg platform in
       Engine.start e;
@@ -125,7 +122,7 @@ let leed_point ~object_size =
    synchronous event loop cannot drive NVMe queue depth). *)
 let fawn_point ~object_size =
   Sim.run (fun () ->
-      let platform = smartnic () in
+      let platform = Exp_common.leed_platform () in
       let nssd = platform.Platform.ssd_count in
       let stores =
         Array.init nssd (fun d ->
@@ -176,7 +173,7 @@ let fawn_point ~object_size =
    cores; B-tree indexing is where the cycles go. *)
 let kvell_point ~object_size =
   Sim.run (fun () ->
-      let platform = smartnic () in
+      let platform = Exp_common.leed_platform () in
       let devs =
         Array.init platform.Platform.ssd_count (fun d ->
             Blockdev.create ~rng:(Rng.create (17 + d)) platform.Platform.ssd)

@@ -49,7 +49,6 @@ module Schedule : sig
   val make : event list -> t
   (** Sort events by time (stable). *)
 
-  val fault_to_string : fault -> string
   val to_string : t -> string
 
   val to_wire : t -> string

@@ -49,9 +49,6 @@ type result =
   | Linearizable
   | Violation of { key : string; detail : string }
 
-val default_budget : int
-(** Default bound on explored search states per key. *)
-
 val check_key : ?budget:int -> t -> string -> result
 (** Wing–Gong search over one key: is there a total order of its ops,
     consistent with real-time (an op invoked after another's response

@@ -20,9 +20,6 @@ val active : unit -> bool
 val set_enabled : bool -> unit
 (** Flip the global switch. {!Sim.run} drives this; tests may too. *)
 
-val violate : invariant:string -> time:float -> string -> 'a
-(** Unconditionally raise {!Violation} with a formatted diagnostic. *)
-
 val require :
   invariant:string -> time:float -> bool -> detail:(unit -> string) -> unit
 (** [require ~invariant ~time cond ~detail] raises {!Violation} when

@@ -9,9 +9,6 @@ val count : t -> int
 val sum : t -> float
 val mean : t -> float
 
-val variance : t -> float
-(** Sample variance (n-1 denominator); 0 for fewer than two samples. *)
-
 val stddev : t -> float
 val min_value : t -> float
 val max_value : t -> float

@@ -201,12 +201,10 @@ module Json : sig
     | Arr of t list
     | Obj of (string * t) list
 
-  val to_buffer : Buffer.t -> t -> unit
-  (** Compact serialization, no whitespace: [Num] as [%.9g] ([null] when
-      not finite), strings escaped as in the trace writer. *)
-
   val write : string -> t -> unit
-  (** [write path v] writes {!to_buffer}'s text plus a newline to [path]. *)
+  (** [write path v] writes [v] to [path] in compact form (no whitespace;
+      [Num] as [%.9g], [null] when not finite; strings escaped as in the
+      trace writer), plus a newline. *)
 
   val parse : string -> (t, string) result
   (** Parse a complete JSON document; [Error] carries a message with an

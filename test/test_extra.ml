@@ -142,7 +142,7 @@ let test_write_with_wrong_hop_nacks () =
       let bogus_vn = { Ring.node = 0; vidx = 0 } in
       match
         Node.handle n0
-          (Messages.Write { vn = bogus_vn; key = !k; value = Some (Bytes.of_string "x"); hop = 0; version = 0; tenant = 0; deadline = 0. })
+          (Messages.Write { vn = bogus_vn; key = !k; value = Some (Bytes.of_string "x"); hop = 0; version = 0; deadline = 0. })
       with
       | Messages.Nack (Messages.Stale_view _) -> ()
       | _ -> Alcotest.fail "expected Stale_view NACK")
@@ -248,28 +248,6 @@ let test_kvell_avg_batch () =
 
       ))
 
-(* --- weighted multi-tenant tokens (§3.5) --- *)
-
-let test_tenant_weighted_tokens () =
-  Sim.run (fun () ->
-      let e =
-        Engine.create
-          ~config:{ Engine.default_config with Engine.store_config = { Store.default_config with Store.nsegments = 128 } }
-          quiet_platform
-      in
-      Engine.start e;
-      Engine.set_tenant_weight e ~tenant:1 ~weight:3.0;
-      Engine.set_tenant_weight e ~tenant:2 ~weight:1.0;
-      let p = Engine.partition e 0 in
-      let base = Engine.available_tokens p in
-      let t1 = Engine.available_tokens_for e ~tenant:1 p in
-      let t2 = Engine.available_tokens_for e ~tenant:2 p in
-      Alcotest.(check bool) "tenant shares sum to the pool" true (t1 + t2 <= base);
-      Alcotest.(check bool)
-        (Printf.sprintf "weighted 3:1 (%d vs %d)" t1 t2)
-        true
-        (t1 >= 2 * t2 && t1 > 0))
-
 (* --- named-counter reads: kind checks and derived totals --- *)
 
 let test_counter_wrong_kind_raises () =
@@ -337,8 +315,6 @@ let () =
       ( "store",
         [ Alcotest.test_case "recovery after heavy churn" `Quick test_store_recovery_after_heavy_churn ] );
       ("kvell", [ Alcotest.test_case "avg batch accessor" `Quick test_kvell_avg_batch ]);
-      ( "tenants",
-        [ Alcotest.test_case "weighted token shares" `Quick test_tenant_weighted_tokens ] );
       ( "counter-reads",
         [
           Alcotest.test_case "wrong kind raises" `Quick test_counter_wrong_kind_raises;

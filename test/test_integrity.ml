@@ -219,7 +219,7 @@ let test_read_repair_heals_replica () =
       (match
          Node.handle victim
            (Messages.Get
-              { vn = entry.Ring.owner; key; shipped = false; tenant = 0; deadline = 0.;
+              { vn = entry.Ring.owner; key; shipped = false; deadline = 0.;
                 version = Ring.version (Node.ring victim) })
        with
       | Messages.Value { value = Some v; _ } ->

@@ -1,4 +1,5 @@
-(* Tests for the replication seam: tag framing, the ABD quorum protocol
+(* Tests for the replication seam: tag framing, the per-vnode protocol
+   state (ABD gate, dirty and fence nesting), the ABD quorum protocol
    end to end (basic ops, minority-crash availability, read write-back
    repair of a lagging replica), and CRRS integrity read-repair's
    tail-first fallback order when the tail is partitioned away. *)
@@ -61,6 +62,98 @@ let test_tag_order () =
   Alcotest.(check bool) "writer breaks ties" true (R.Tag.compare (t 1 2) (t 1 1) > 0);
   Alcotest.(check bool) "zero is smallest" true (R.Tag.compare R.Tag.zero (t 1 0) < 0);
   Alcotest.(check int) "equal tags" 0 (R.Tag.compare (t 3 4) (t 3 4))
+
+(* --- per-vnode protocol state: the ABD gate, dirty and fence nesting --- *)
+
+module V = R.Vstate
+
+let tag_opt = Alcotest.(option (pair int int))
+let gate vs key = Option.map R.Tag.pair (V.tag_get vs key)
+
+let test_vstate_tag_set_raises_only () =
+  let t a b = { R.Tag.ts = a; writer = b } in
+  let vs = V.create () in
+  V.tag_set vs "k" (t 5 2);
+  Alcotest.check tag_opt "first set installs" (Some (5, 2)) (gate vs "k");
+  V.tag_set vs "k" (t 4 9);
+  Alcotest.check tag_opt "lower ts is ignored" (Some (5, 2)) (gate vs "k");
+  V.tag_set vs "k" (t 5 1);
+  Alcotest.check tag_opt "lower writer is ignored" (Some (5, 2)) (gate vs "k");
+  V.tag_set vs "k" (t 5 3);
+  Alcotest.check tag_opt "writer tie-break raises" (Some (5, 3)) (gate vs "k");
+  V.tag_set vs "k" (t 6 0);
+  Alcotest.check tag_opt "higher ts raises" (Some (6, 0)) (gate vs "k");
+  Alcotest.check tag_opt "other keys untouched" None (gate vs "j")
+
+let test_vstate_tag_rollback () =
+  let t a b = { R.Tag.ts = a; writer = b } in
+  let vs = V.create () in
+  (* Undo a speculative advance: the gate still holds the tag, so [prev]
+     comes back. *)
+  V.tag_set vs "k" (t 1 0);
+  V.tag_set vs "k" (t 2 0);
+  V.tag_rollback vs "k" ~tag:(t 2 0) ~prev:(Some (t 1 0));
+  Alcotest.check tag_opt "restores prev" (Some (1, 0)) (gate vs "k");
+  (* No earlier tag: rollback removes the key. *)
+  V.tag_set vs "n" (t 3 0);
+  V.tag_rollback vs "n" ~tag:(t 3 0) ~prev:None;
+  Alcotest.check tag_opt "removes when prev is None" None (gate vs "n");
+  (* A concurrent higher writer raised the gate after our advance: the
+     gate is theirs and the rollback must leave it. *)
+  V.tag_set vs "c" (t 2 0);
+  V.tag_set vs "c" (t 3 1);
+  V.tag_rollback vs "c" ~tag:(t 2 0) ~prev:(Some (t 1 0));
+  Alcotest.check tag_opt "keeps a higher writer's gate" (Some (3, 1)) (gate vs "c");
+  V.tag_rollback vs "c" ~tag:(t 2 0) ~prev:None;
+  Alcotest.check tag_opt "keeps it on a removing rollback too" (Some (3, 1)) (gate vs "c");
+  V.tag_rollback vs "absent" ~tag:(t 1 0) ~prev:(Some (t 0 1));
+  Alcotest.check tag_opt "no gate, nothing restored" None (gate vs "absent")
+
+let test_vstate_dirty_counts () =
+  let vs = V.create () in
+  Alcotest.(check bool) "clean at start" false (V.is_dirty vs "k");
+  V.dirty_incr vs "k";
+  V.dirty_incr vs "k";
+  V.dirty_decr vs "k";
+  Alcotest.(check bool) "one write still in flight" true (V.is_dirty vs "k");
+  V.dirty_decr vs "k";
+  Alcotest.(check bool) "clean after the second decrement" false (V.is_dirty vs "k");
+  V.dirty_decr vs "k";
+  V.dirty_incr vs "k";
+  Alcotest.(check bool) "an extra decrement does not go negative" true (V.is_dirty vs "k")
+
+let test_vstate_fence_nesting () =
+  let vs = V.create () in
+  Alcotest.(check bool) "no fence at start" false (V.fence_active vs);
+  V.begin_fence vs;
+  V.begin_fence vs;
+  V.fence_mark vs "k";
+  V.end_fence vs;
+  Alcotest.(check bool) "inner exit keeps the fence" true (V.fence_active vs);
+  Alcotest.(check bool) "inner exit keeps the marks" true (V.fence_holds vs "k");
+  V.end_fence vs;
+  Alcotest.(check bool) "last exit lifts the fence" false (V.fence_active vs);
+  Alcotest.(check bool) "last exit clears the marks" false (V.fence_holds vs "k");
+  V.end_fence vs;
+  V.begin_fence vs;
+  Alcotest.(check bool) "an unmatched exit does not underflow" true (V.fence_active vs)
+
+let test_vstate_reset () =
+  let vs = V.create () in
+  V.dirty_incr vs "k";
+  V.taint vs "k";
+  V.tag_set vs "k" { R.Tag.ts = 1; writer = 1 };
+  V.begin_fence vs;
+  V.fence_mark vs "k";
+  V.reset vs;
+  Alcotest.(check bool) "dirty wiped" false (V.is_dirty vs "k");
+  Alcotest.(check bool) "taint wiped" false (V.is_tainted vs "k");
+  Alcotest.check tag_opt "gate wiped" None (gate vs "k");
+  Alcotest.(check bool) "fence lifted" false (V.fence_active vs);
+  Alcotest.(check bool) "fence marks wiped" false (V.fence_holds vs "k");
+  V.taint vs "k";
+  V.untaint vs "k";
+  Alcotest.(check bool) "untaint clears" false (V.is_tainted vs "k")
 
 let test_proto_strings () =
   List.iter
@@ -186,7 +279,7 @@ let test_abd_failed_write_no_phantom_ack () =
       let framed = R.Tag.frame ~tag:(R.Tag.of_pair tag) (Some payload) in
       let mk deadline =
         Messages.Tag_write
-          { vn = entry.Ring.owner; key; value = framed; tag; tenant = 0; deadline;
+          { vn = entry.Ring.owner; key; value = framed; tag; deadline;
             version = Ring.version (Node.ring victim) }
       in
       (match Node.handle victim (mk 0.5) with
@@ -298,7 +391,7 @@ let test_repair_get_tail_fallback () =
       (match
          Node.handle victim
            (Messages.Get
-              { vn = head.Ring.owner; key; shipped = false; tenant = 0; deadline = 0.;
+              { vn = head.Ring.owner; key; shipped = false; deadline = 0.;
                 version = Ring.version (Node.ring victim) })
        with
       | Messages.Value { value = Some v; _ } ->
@@ -325,6 +418,16 @@ let () =
           Alcotest.test_case "frame rejects out-of-range tags" `Quick test_tag_frame_overflow;
           Alcotest.test_case "tag order: ts then writer" `Quick test_tag_order;
           Alcotest.test_case "proto names round-trip" `Quick test_proto_strings;
+        ] );
+      ( "vstate",
+        [
+          Alcotest.test_case "tag_set only raises the gate" `Quick test_vstate_tag_set_raises_only;
+          Alcotest.test_case "tag_rollback only undoes its own tag" `Quick
+            test_vstate_tag_rollback;
+          Alcotest.test_case "dirty marks count" `Quick test_vstate_dirty_counts;
+          Alcotest.test_case "nested fences lift at the last exit" `Quick
+            test_vstate_fence_nesting;
+          Alcotest.test_case "reset wipes everything" `Quick test_vstate_reset;
         ] );
       ( "abd",
         [

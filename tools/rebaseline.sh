@@ -8,9 +8,12 @@
 # profile-ycsb-b.txt  the `# events` line and the 8 simulated end-to-end
 #                     metrics of a 1 s bench/profile ycsb-b run
 # chaos-digests.txt   the digest of every chaos stage check.sh runs
+# trace-seed42.txt    the cksum of the Chrome trace `leed trace --seed 42`
+#                     writes, so a change that reorders, adds or drops any
+#                     traced event shows up
 #
 # Every number here is simulated, so it repeats exactly on any machine.
-# A change that should not move simulated behaviour must leave both files
+# A change that should not move simulated behaviour must leave every file
 # byte-identical; a change that moves it on purpose reruns this script
 # and commits the new goldens with the change.
 set -e
@@ -41,3 +44,8 @@ for proto in crrs abd; do
     echo "$name $proto $digest" >> "$out/chaos-digests.txt"
   done
 done
+
+trace=$(mktemp)
+dune exec bin/leed.exe -- trace --seed 42 --out "$trace" > /dev/null
+cksum < "$trace" > "$out/trace-seed42.txt"
+rm -f "$trace"
