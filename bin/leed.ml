@@ -115,7 +115,10 @@ let observed_ycsb ~seed ~nclients ~nkeys ~duration k =
       let gen = Workload.generator ~object_size:256 (Workload.ycsb_a ()) ~nkeys (Rng.create seed) in
       let r =
         Workload.Driver.closed_loop ~clients:(List.length clients) ~duration ~gen
-          ~execute:(Workload.Driver.round_robin Client.execute clients)
+          ~execute:
+            (Workload.Driver.round_robin
+               (fun c -> Workload.apply ~get:(Client.get c) ~put:(Client.put c))
+               clients)
           ()
       in
       Obs.stop obs;

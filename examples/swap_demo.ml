@@ -20,24 +20,17 @@ let print_ssd_state e tag =
 
 let () =
   Sim.run (fun () ->
-      let platform = Leed_experiments.Exp_common.leed_platform () in
       let config =
         { (Leed_experiments.Exp_common.engine_config ~swap_threshold:12 ()) with
           Engine.partitions_per_ssd = 1 }
       in
-      let e = Engine.create ~config platform in
-      Engine.start e;
+      let e, _ = Leed_experiments.Exp_common.jbof_engine ~config () in
       print_endline "== Intra-JBOF data swapping demo: 4 SSDs, all writes to SSD 0 ==";
 
       (* Partition 0 lives on SSD 0; flood it. *)
       let n = 2_048 in
-      let workers = 64 in
-      Sim.fork_join
-        (List.init workers (fun w () ->
-             let lo = w * n / workers and hi = ((w + 1) * n / workers) - 1 in
-             for id = lo to hi do
-               ignore (Engine.submit e ~pid:0 (Engine.Put (key id, Bytes.make 1024 'x')))
-             done));
+      Leed_workload.Workload.Driver.spread ~workers:64 ~n (fun id ->
+          ignore (Engine.submit e ~pid:0 (Engine.Put (key id, Bytes.make 1024 'x'))));
       print_ssd_state e "after write burst";
 
       let st = Engine.store (Engine.partition e 0) in

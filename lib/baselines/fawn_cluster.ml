@@ -152,7 +152,6 @@ let create ?(config = default_config) () =
 
 (* The flusher/compactor processes poll cooperatively and quiesce with
    the simulation; there is nothing to tear down. *)
-let start _ = ()
 let stop _ = ()
 
 (* Front-end client: forwards to the head (writes) or the tail (reads). *)
@@ -194,15 +193,6 @@ let write c key value =
 
 let put c key value = write c key (Some value)
 let del c key = write c key None
-
-let execute c (op : Leed_workload.Workload.op) =
-  match op with
-  | Leed_workload.Workload.Read key -> ignore (get c key)
-  | Leed_workload.Workload.Update (key, v) | Leed_workload.Workload.Insert (key, v) ->
-      put c key v
-  | Leed_workload.Workload.Read_modify_write (key, v) ->
-      ignore (get c key);
-      put c key v
 
 let total_objects t = Array.fold_left (fun acc n -> acc + Fawn_store.objects n.store) 0 t.nodes
 

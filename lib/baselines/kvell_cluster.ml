@@ -117,7 +117,6 @@ let create ?(config = default_config) () =
 
 (* KVell workers poll cooperatively and quiesce with the simulation;
    there is nothing to tear down. *)
-let start _ = ()
 let stop _ = ()
 
 (* Replica set of a key: R consecutive nodes starting at hash(key). *)
@@ -167,14 +166,6 @@ let del c key =
       | Some (KValue _) | Some KErr | None ->
           c.cluster.client_nacks <- c.cluster.client_nacks + 1)
     (replicas c.cluster key)
-
-let execute c (op : Leed_workload.Workload.op) =
-  match op with
-  | Leed_workload.Workload.Read key -> ignore (get c key)
-  | Leed_workload.Workload.Update (key, v) | Leed_workload.Workload.Insert (key, v) -> put c key v
-  | Leed_workload.Workload.Read_modify_write (key, v) ->
-      ignore (get c key);
-      put c key v
 
 let total_objects t = Array.fold_left (fun acc n -> acc + Kvell_store.objects n.store) 0 t.nodes
 

@@ -52,13 +52,11 @@ module type S = sig
   val name : string
   val default_config : config
   val create : ?config:config -> unit -> t
-  val start : t -> unit
   val stop : t -> unit
   val client : t -> client
   val get : client -> string -> bytes option
   val put : client -> string -> bytes -> unit
   val del : client -> string -> unit
-  val execute : client -> Leed_workload.Workload.op -> unit
   val total_objects : t -> int
   val counters : t -> counters
   val watts : t -> util:float -> float
@@ -70,7 +68,6 @@ type client = Client : (module S with type t = 'a and type client = 'c) * 'c -> 
 let pack m inst = Pack (m, inst)
 
 let name (Pack ((module M), _)) = M.name
-let start (Pack ((module M), b)) = M.start b
 let stop (Pack ((module M), b)) = M.stop b
 let client (Pack ((module M), b)) = Client ((module M), M.client b)
 let total_objects (Pack ((module M), b)) = M.total_objects b
@@ -80,7 +77,8 @@ let watts (Pack ((module M), b)) ~util = M.watts b ~util
 let get (Client ((module M), c)) key = M.get c key
 let put (Client ((module M), c)) key value = M.put c key value
 let del (Client ((module M), c)) key = M.del c key
-let execute (Client ((module M), c)) op = M.execute c op
+let execute (Client ((module M), c)) op =
+  Leed_workload.Workload.apply ~get:(M.get c) ~put:(M.put c) op
 
 let measure ~label b run =
   let module D = Leed_workload.Workload.Driver in

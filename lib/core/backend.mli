@@ -2,8 +2,8 @@
 
     The paper's whole evaluation (§4, Figs 5–14, Table 3) is comparative —
     LEED vs FAWN vs KVell per-watt and per-dollar — so every system must
-    expose the same service surface: lifecycle (create/start/stop), client
-    acquisition, the four data operations, object accounting, and a
+    expose the same service surface: lifecycle (create/stop), client
+    acquisition, the three data operations, object accounting, and a
     uniform registry of named counters. A system implements {!S}; callers that
     do not care which system they drive hold a packed {!t} / {!client}
     and use the generic operations below.
@@ -81,10 +81,7 @@ module type S = sig
 
   val create : ?config:config -> unit -> t
   (** Build the cluster inside a simulation ([Sim.run]) context. The
-      returned system is fully started (see {!start}). *)
-
-  val start : t -> unit
-  (** Idempotent; systems come up running from {!create}. *)
+      returned system is fully started. *)
 
   val stop : t -> unit
   (** Quiesce background machinery (schedulers, compactors) where the
@@ -96,7 +93,6 @@ module type S = sig
   val get : client -> string -> bytes option
   val put : client -> string -> bytes -> unit
   val del : client -> string -> unit
-  val execute : client -> Leed_workload.Workload.op -> unit
 
   val total_objects : t -> int
   (** Live objects summed over every store (R replicas count R times). *)
@@ -125,7 +121,6 @@ type client = Client : (module S with type t = 'a and type client = 'c) * 'c -> 
 val pack : (module S with type t = 'a and type client = 'c) -> 'a -> t
 
 val name : t -> string
-val start : t -> unit
 val stop : t -> unit
 val client : t -> client
 val total_objects : t -> int
@@ -135,7 +130,10 @@ val watts : t -> util:float -> float
 val get : client -> string -> bytes option
 val put : client -> string -> bytes -> unit
 val del : client -> string -> unit
+
 val execute : client -> Leed_workload.Workload.op -> unit
+(** [op] through the client's {!get} and {!put}
+    ({!Leed_workload.Workload.apply}). *)
 
 val measure :
   label:string -> t -> (unit -> Leed_workload.Workload.Driver.result) -> metrics

@@ -509,12 +509,3 @@ let write t op_name key value =
 
 let put t key value = write t "put" key (Some value)
 let del t key = write t "del" key None
-
-(* Convenience dispatcher for workload drivers. *)
-let execute t (op : Leed_workload.Workload.op) =
-  match op with
-  | Leed_workload.Workload.Read key -> ignore (get t key)
-  | Leed_workload.Workload.Update (key, v) | Leed_workload.Workload.Insert (key, v) -> put t key v
-  | Leed_workload.Workload.Read_modify_write (key, v) ->
-      ignore (get t key);
-      put t key v

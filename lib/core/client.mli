@@ -131,6 +131,3 @@ val put : t -> string -> bytes -> unit
     backward acknowledgments drain (per-key strong consistency). *)
 
 val del : t -> string -> unit
-
-val execute : t -> Leed_workload.Workload.op -> unit
-(** Dispatcher for workload drivers (RMW = get + put). *)

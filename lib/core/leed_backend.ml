@@ -14,15 +14,12 @@ let name = "leed"
 let default_config = Cluster.default_config
 let create ?(config = default_config) () = Cluster.create ~config ()
 
-(* Cluster.create brings nodes, control plane, and heartbeats up. *)
-let start _ = ()
 let stop t = List.iter (fun n -> Engine.stop (Node.engine n)) (Cluster.nodes t)
 
 let client t = Cluster.client t
 let get = Client.get
 let put = Client.put
 let del = Client.del
-let execute = Client.execute
 let total_objects = Cluster.total_objects
 
 let counters t =

@@ -13,7 +13,6 @@
    closed-/open-loop measurement path returning the unified
    Backend.metrics record. *)
 
-open Leed_sim
 open Leed_core
 open Leed_platform
 open Leed_workload
@@ -37,14 +36,12 @@ let pi_platform () =
 
 (* Store sizing for scaled runs: enough segments that chains stay short at
    the experiment object counts. *)
-let store_config ?(nsegments = 4096) ?(subcompactions = 4) ?(prefetch = true) () =
-  { Store.default_config with Store.nsegments; subcompactions; prefetch }
+let store_config ?(nsegments = 4096) () = { Store.default_config with Store.nsegments }
 
-let engine_config ?(partitions_per_ssd = 2) ?(swap = true) ?(swap_threshold = 24) ?store_cfg () =
+let engine_config ?(swap = true) ?(swap_threshold = 24) ?store_cfg () =
   {
     Engine.default_config with
-    Engine.partitions_per_ssd;
-    swap_enabled = swap;
+    Engine.swap_enabled = swap;
     swap_threshold;
     store_config = Option.value store_cfg ~default:(store_config ());
   }
@@ -82,29 +79,29 @@ let kvell_backend cluster =
 
 (* The raw LEED cluster, for experiments that poke cluster-level machinery
    (fig9's join/leave) in addition to serving ops through the boundary. *)
-let make_leed_cluster ?(nnodes = 3) ?(r = 3) ?(crrs = true) ?(flow_control = true) ?(swap = true)
-    ?cache ?engine_cfg ?platform () =
+let make_leed_cluster ?(nnodes = 3) ?(crrs = true) ?(flow_control = true) ?cache ?engine_cfg
+    ?platform () =
   let platform = Option.value platform ~default:(leed_platform ()) in
-  let engine_cfg = Option.value engine_cfg ~default:(engine_config ~swap ()) in
-  let client_config = { Client.default_config with Client.r; crrs; flow_control } in
+  let engine_cfg = Option.value engine_cfg ~default:(engine_config ()) in
+  let client_config = { Client.default_config with Client.crrs; flow_control } in
   let cache = Option.value cache ~default:Cluster.default_config.Cluster.cache in
   let config =
-    { Cluster.default_config with Cluster.nnodes; r; engine_config = engine_cfg; client_config;
+    { Cluster.default_config with Cluster.nnodes; engine_config = engine_cfg; client_config;
       platform; cache }
   in
   Cluster.create ~config ()
 
 let setup_of_cluster ?nclients cluster = attach_clients ?nclients (leed_backend cluster)
 
-let make_leed ?nnodes ?r ?nclients ?crrs ?flow_control ?swap ?cache ?engine_cfg ?platform () =
+let make_leed ?nnodes ?nclients ?crrs ?flow_control ?cache ?engine_cfg ?platform () =
   setup_of_cluster ?nclients
-    (make_leed_cluster ?nnodes ?r ?crrs ?flow_control ?swap ?cache ?engine_cfg ?platform ())
+    (make_leed_cluster ?nnodes ?crrs ?flow_control ?cache ?engine_cfg ?platform ())
 
-let make_fawn ?(nnodes = 10) ?(r = 3) ?nclients () =
-  let config = { Fawn_cluster.r; nnodes } in
+let make_fawn ?(nnodes = 10) ?nclients () =
+  let config = { Fawn_cluster.default_config with Fawn_cluster.nnodes } in
   attach_clients ?nclients (fawn_backend (Fawn_cluster.create ~config ()))
 
-let make_kvell ?(nnodes = 3) ?(r = 3) ?nclients ?(object_size = 1024) ?platform () =
+let make_kvell ?(nnodes = 3) ?nclients ?(object_size = 1024) ?platform () =
   let platform = Option.value platform ~default:(server_platform ()) in
   let store_config =
     {
@@ -118,7 +115,7 @@ let make_kvell ?(nnodes = 3) ?(r = 3) ?nclients ?(object_size = 1024) ?platform 
       index_cycles = 40_000.;
     }
   in
-  let config = { Kvell_cluster.r; nnodes; platform; store_config } in
+  let config = { Kvell_cluster.default_config with Kvell_cluster.nnodes; platform; store_config } in
   attach_clients ?nclients (kvell_backend (Kvell_cluster.create ~config ()))
 
 let backend_names = [ "leed"; "fawn"; "kvell" ]
@@ -145,13 +142,16 @@ let preload setup ~nkeys ~value_size =
   match setup.clients with
   | [] -> invalid_arg "preload: setup has no clients"
   | c :: _ ->
-      Sim.fork_join
-        (List.init 8 (fun w () ->
-             let lo = w * nkeys / 8 and hi = ((w + 1) * nkeys / 8) - 1 in
-             for id = lo to hi do
-               Backend.put c (Workload.key_of_id id)
-                 (Workload.value_for ~id ~version:0 ~size:value_size)
-             done))
+      Driver.spread ~workers:8 ~n:nkeys (fun id ->
+          Backend.put c (Workload.key_of_id id) (Workload.value_for ~id ~version:0 ~size:value_size))
+
+(* --- one bare JBOF: the intra-JBOF engine without cluster or clients --- *)
+
+let jbof_engine ?(config = engine_config ()) () =
+  let e = Engine.create ~config (leed_platform ()) in
+  Engine.start e;
+  let npart = Engine.npartitions e in
+  (e, fun id -> Codec.hash_key (Workload.key_of_id id) mod npart)
 
 (* --- measurement: one path for every backend --- *)
 
@@ -176,12 +176,6 @@ let report_metrics (m : Backend.metrics) =
     (Backend.count m.Backend.counters "client.retries")
     m.Backend.watts
     (m.Backend.queries_per_joule /. 1e3)
-
-(* --- energy: the paper's measured wall power per platform --- *)
-
-let cluster_watts platform nnodes = float_of_int nnodes *. Platform.wall_power platform ~util:1.0
-
-let queries_per_joule ~throughput ~watts = throughput /. watts
 
 (* Reviewed singleton: CLI-scoped knob set once at process start (before
    any Sim.run) by `leed experiment --fast` / `bench fast`, read-only

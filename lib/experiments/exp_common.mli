@@ -15,15 +15,9 @@ val leed_platform : ?ssd_capacity:int -> unit -> Leed_platform.Platform.t
 val server_platform : ?ssd_capacity:int -> unit -> Leed_platform.Platform.t
 val pi_platform : unit -> Leed_platform.Platform.t
 
-val store_config :
-  ?nsegments:int ->
-  ?subcompactions:int ->
-  ?prefetch:bool ->
-  unit ->
-  Store.config
+val store_config : ?nsegments:int -> unit -> Store.config
 
 val engine_config :
-  ?partitions_per_ssd:int ->
   ?swap:bool ->
   ?swap_threshold:int ->
   ?store_cfg:Store.config ->
@@ -42,10 +36,8 @@ val leed_backend : Cluster.t -> Backend.t
 
 val make_leed_cluster :
   ?nnodes:int ->
-  ?r:int ->
   ?crrs:bool ->
   ?flow_control:bool ->
-  ?swap:bool ->
   ?cache:Netcache.config ->
   ?engine_cfg:Engine.config ->
   ?platform:Leed_platform.Platform.t ->
@@ -60,23 +52,19 @@ val setup_of_cluster : ?nclients:int -> Cluster.t -> setup
 
 val make_leed :
   ?nnodes:int ->
-  ?r:int ->
   ?nclients:int ->
   ?crrs:bool ->
   ?flow_control:bool ->
-  ?swap:bool ->
   ?cache:Netcache.config ->
   ?engine_cfg:Engine.config ->
   ?platform:Leed_platform.Platform.t ->
   unit ->
   setup
 
-val make_fawn :
-  ?nnodes:int -> ?r:int -> ?nclients:int -> unit -> setup
+val make_fawn : ?nnodes:int -> ?nclients:int -> unit -> setup
 
 val make_kvell :
   ?nnodes:int ->
-  ?r:int ->
   ?nclients:int ->
   ?object_size:int ->
   ?platform:Leed_platform.Platform.t ->
@@ -99,7 +87,13 @@ val rr_execute : setup -> Leed_workload.Workload.op -> unit
 (** Round-robin an op stream over the setup's front-end endpoints. *)
 
 val preload : setup -> nkeys:int -> value_size:int -> unit
-(** Load keys [0..nkeys-1] at version 0, 8-way parallel. *)
+(** Load keys [0..nkeys-1] at version 0, 8-way parallel
+    ({!Leed_workload.Workload.Driver.spread}). *)
+
+val jbof_engine : ?config:Engine.config -> unit -> Engine.t * (int -> int)
+(** A started intra-JBOF engine on {!leed_platform} (default
+    {!engine_config}), with no cluster around it, and the map from a key
+    id to its home partition: what Figures 10–12 and Table 3 measure. *)
 
 val measure_closed :
   label:string ->
@@ -126,12 +120,7 @@ val measure_open :
 val report_metrics : Backend.metrics -> unit
 (** One-line dump of the unified metrics record. *)
 
-(** {1 Energy and default sizes} *)
-
-val cluster_watts : Leed_platform.Platform.t -> int -> float
-(** The paper's measured wall power: per-platform watts × node count. *)
-
-val queries_per_joule : throughput:float -> watts:float -> float
+(** {1 Measurement windows} *)
 
 val time_scale : float ref
 (** Global knob for quick runs: multiplies every measurement window

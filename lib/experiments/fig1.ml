@@ -6,6 +6,7 @@
 open Leed_sim
 open Leed_platform
 open Leed_blockdev
+module Driver = Leed_workload.Workload.Driver
 
 let gb = 1024 * 1024 * 1024
 
@@ -16,31 +17,23 @@ let measure_ssd profile =
   let read_iops =
     Sim.run (fun () ->
         let d = Blockdev.create scaled in
+        (* Reads completed so far; the next read's block is this count
+           mod 1000. *)
         let n = ref 0 in
-        let worker () =
-          while not (Sim.reached 0.05) do
-            ignore (Blockdev.read d ~off:(4096 * (!n mod 1000)) ~len:4096);
-            incr n
-          done
-        in
-        Sim.fork_join (List.init 64 (fun _ () -> worker ()));
-        float_of_int !n /. Sim.now ())
+        (Driver.closed ~workers:64 ~duration:0.05 (fun _ ->
+             ignore (Blockdev.read d ~off:(4096 * (!n mod 1000)) ~len:4096);
+             incr n))
+          .Driver.throughput)
   in
   let write_iops =
     Sim.run (fun () ->
         let d = Blockdev.create scaled in
-        let n = ref 0 in
         let block = Bytes.create 4096 in
-        let worker i () =
-          let off = ref (i * 8_000_000) in
-          while not (Sim.reached 0.05) do
-            Blockdev.write_seq d ~off:!off block;
-            off := !off + 4096;
-            incr n
-          done
-        in
-        Sim.fork_join (List.init 16 (fun i () -> worker i ()));
-        float_of_int !n /. Sim.now ())
+        let off = Array.init 16 (fun w -> w * 8_000_000) in
+        (Driver.closed ~workers:16 ~duration:0.05 (fun w ->
+             Blockdev.write_seq d ~off:off.(w) block;
+             off.(w) <- off.(w) + 4096))
+          .Driver.throughput)
   in
   (read_iops, write_iops)
 

@@ -14,63 +14,44 @@
 open Leed_sim
 open Leed_core
 open Leed_workload
+module Driver = Workload.Driver
 
 let nkeys = 4_000
 
 let measure_point ~swap ~object_size ~skew =
   Sim.run (fun () ->
-      let platform = Exp_common.leed_platform () in
-      let cfg = Exp_common.engine_config ~swap ~swap_threshold:16 () in
-      let e = Engine.create ~config:cfg platform in
-      Engine.start e;
+      let e, pid_of =
+        Exp_common.jbof_engine ~config:(Exp_common.engine_config ~swap ~swap_threshold:16 ()) ()
+      in
       let vsize = object_size - Workload.key_size in
-      let npart = Engine.npartitions e in
-      let pid_of key = Codec.hash_key key mod npart in
-      Sim.fork_join
-        (List.init 16 (fun w () ->
-             let lo = w * nkeys / 16 and hi = ((w + 1) * nkeys / 16) - 1 in
-             for id = lo to hi do
-               let k = Workload.key_of_id id in
-               ignore
-                 (Engine.submit e ~pid:(pid_of k)
-                    (Engine.Put (k, Workload.value_for ~id ~version:0 ~size:vsize)))
-             done));
+      let put ~version id =
+        Engine.submit e ~pid:(pid_of id)
+          (Engine.Put (Workload.key_of_id id, Workload.value_for ~id ~version ~size:vsize))
+      in
+      Driver.spread ~workers:16 ~n:nkeys (fun id -> ignore (put ~version:0 id));
       (* Partition the keyspace by home partition once, then sample:
          partition ~ Zipf(skew), key uniform within it. *)
+      let npart = Engine.npartitions e in
       let by_part = Array.make npart [] in
       for id = 0 to nkeys - 1 do
-        let k = Workload.key_of_id id in
-        by_part.(pid_of k) <- id :: by_part.(pid_of k)
+        by_part.(pid_of id) <- id :: by_part.(pid_of id)
       done;
       let by_part = Array.map Array.of_list by_part in
       let zipf = Zipf.create ~theta:skew ~n:npart (Rng.create 81) in
       let rng = Rng.create 82 in
-      let lat = Leed_stats.Histogram.create () in
-      let n = ref 0 in
-      let t0 = Sim.now () in
-      let stop = t0 +. Exp_common.dur 0.12 in
-      let worker () =
-        while not (Sim.reached stop) do
-          let part = by_part.(Zipf.next zipf) in
-          let id = part.(Rng.int rng (Array.length part)) in
-          let k = Workload.key_of_id id in
-          let s0 = Sim.now () in
-          (match
-             Engine.submit e ~pid:(pid_of k)
-               (Engine.Put (k, Workload.value_for ~id ~version:1 ~size:vsize))
-           with
-          | _ -> ()
-          | exception Engine.Overloaded _ -> Sim.delay (Sim.us 200.));
-          Leed_stats.Histogram.record lat (Sim.now () -. s0);
-          incr n
-        done
+      let r =
+        Driver.closed ~workers:128 ~duration:(Exp_common.dur 0.12) (fun _ ->
+            let part = by_part.(Zipf.next zipf) in
+            match put ~version:1 part.(Rng.int rng (Array.length part)) with
+            | _ -> ()
+            | exception Engine.Overloaded _ -> Sim.delay (Sim.us 200.))
       in
-      Sim.fork_join (List.init 128 (fun _ () -> worker ()));
-      let thr = float_of_int !n /. (Sim.now () -. t0) in
       let swaps =
         Array.fold_left (fun acc s -> acc + (Engine.ssd_stats s).Engine.swapped_out) 0 (Engine.ssds e)
       in
-      (thr, Leed_stats.Histogram.mean lat, Leed_stats.Histogram.percentile lat 0.999, swaps))
+      let lat = r.Driver.latency in
+      (r.Driver.throughput, Leed_stats.Histogram.mean lat, Leed_stats.Histogram.percentile lat 0.999,
+       swaps))
 
 let run_size ~object_size =
   let points swap = List.map (fun skew -> measure_point ~swap ~object_size ~skew) Workload.skew_sweep in

@@ -8,12 +8,8 @@ open Leed_workload
 
 let breakdown ~object_size =
   Sim.run (fun () ->
-      let platform = Exp_common.leed_platform () in
-      let e = Engine.create ~config:(Exp_common.engine_config ()) platform in
-      Engine.start e;
+      let e, pid_of = Exp_common.jbof_engine () in
       let vsize = object_size - Workload.key_size in
-      let npart = Engine.npartitions e in
-      let pid_of id = Codec.hash_key (Workload.key_of_id id) mod npart in
       let nkeys = 2_000 in
       for id = 0 to nkeys - 1 do
         ignore

@@ -9,6 +9,7 @@ open Leed_platform
 open Leed_workload
 open Leed_baselines
 open Leed_blockdev
+module Driver = Workload.Driver
 
 let fractions = [ 0.0; 0.1; 0.3; 0.5; 0.7; 0.9; 1.0 ]
 
@@ -16,38 +17,20 @@ let nkeys = 2_000
 
 let leed_throughput ~object_size ~put_frac =
   Sim.run (fun () ->
-      let platform = Exp_common.leed_platform () in
-      let e = Engine.create ~config:(Exp_common.engine_config ()) platform in
-      Engine.start e;
+      let e, pid_of = Exp_common.jbof_engine () in
       let vsize = object_size - Workload.key_size in
-      let npart = Engine.npartitions e in
-      let pid_of id = Codec.hash_key (Workload.key_of_id id) mod npart in
-      Sim.fork_join
-        (List.init 16 (fun w () ->
-             let lo = w * nkeys / 16 and hi = ((w + 1) * nkeys / 16) - 1 in
-             for id = lo to hi do
-               ignore
-                 (Engine.submit e ~pid:(pid_of id)
-                    (Engine.Put (Workload.key_of_id id, Workload.value_for ~id ~version:0 ~size:vsize)))
-             done));
-      let rng = Rng.create 31 in
-      let n = ref 0 in
-      let t0 = Sim.now () in
-      let stop = t0 +. 0.1 in
-      let worker () =
-        while not (Sim.reached stop) do
-          let id = Rng.int rng nkeys in
-          let k = Workload.key_of_id id in
-          (if Rng.float rng < put_frac then
-             ignore
-               (Engine.submit e ~pid:(pid_of id)
-                  (Engine.Put (k, Workload.value_for ~id ~version:1 ~size:vsize)))
-           else ignore (Engine.submit e ~pid:(pid_of id) (Engine.Get k)));
-          incr n
-        done
+      let put ~version id =
+        ignore
+          (Engine.submit e ~pid:(pid_of id)
+             (Engine.Put (Workload.key_of_id id, Workload.value_for ~id ~version ~size:vsize)))
       in
-      Sim.fork_join (List.init 192 (fun _ () -> worker ()));
-      float_of_int !n /. (Sim.now () -. t0))
+      Driver.spread ~workers:16 ~n:nkeys (put ~version:0);
+      let rng = Rng.create 31 in
+      (Driver.closed ~workers:192 ~duration:0.1 (fun _ ->
+           let id = Rng.int rng nkeys in
+           if Rng.float rng < put_frac then put ~version:1 id
+           else ignore (Engine.submit e ~pid:(pid_of id) (Engine.Get (Workload.key_of_id id)))))
+        .Driver.throughput)
 
 let fawn_pi_throughput ~object_size ~put_frac =
   Sim.run (fun () ->
@@ -74,22 +57,14 @@ let fawn_pi_throughput ~object_size ~put_frac =
             Fawn_store.put s (Workload.key_of_id id) (Workload.value_for ~id ~version:0 ~size:vsize))
       done;
       let rng = Rng.create 32 in
-      let n = ref 0 in
-      let t0 = Sim.now () in
-      let stop = t0 +. 0.3 in
-      let worker () =
-        while not (Sim.reached stop) do
-          let id = Rng.int rng nkeys in
-          let k = Workload.key_of_id id in
-          Sim.Resource.with_ lock (fun () ->
-              if Rng.float rng < put_frac then
-                Fawn_store.put s k (Workload.value_for ~id ~version:1 ~size:vsize)
-              else ignore (Fawn_store.get s k));
-          incr n
-        done
-      in
-      Sim.fork_join (List.init 8 (fun _ () -> worker ()));
-      float_of_int !n /. (Sim.now () -. t0))
+      (Driver.closed ~workers:8 ~duration:0.3 (fun _ ->
+           let id = Rng.int rng nkeys in
+           let k = Workload.key_of_id id in
+           Sim.Resource.with_ lock (fun () ->
+               if Rng.float rng < put_frac then
+                 Fawn_store.put s k (Workload.value_for ~id ~version:1 ~size:vsize)
+               else ignore (Fawn_store.get s k))))
+        .Driver.throughput)
 
 let run () =
   let series f = List.map (fun frac -> f ~put_frac:frac /. 1e3) fractions in

@@ -14,6 +14,7 @@ open Leed_core
 open Leed_platform
 open Leed_workload
 open Leed_blockdev
+module Driver = Workload.Driver
 
 let nkeys = 1_500
 let object_size = 1024
@@ -29,7 +30,7 @@ let pick_op wl rng zipf =
 
 (* One store squeezed into logs small enough that compaction runs
    continuously while clients overwrite. *)
-let make_squeezed_store ~name ~dev ~base ~subcompactions ~prefetch =
+let make_squeezed_store ~name ~dev ~base ~subcompactions =
   let vsize = object_size - Workload.key_size in
   let live_bytes = nkeys * (vsize + 40) in
   let klog_size = 768 * 1024 in
@@ -42,33 +43,24 @@ let make_squeezed_store ~name ~dev ~base ~subcompactions ~prefetch =
     {
       Store.nsegments = 256;
       subcompactions;
-      prefetch;
+      prefetch = true;
       compaction_window = 96 * 1024;
       compact_trigger = 0.7;
       compact_target = 0.5;
     }
   in
-  (Store.create ~config ~name ~klog ~vlog (), base + klog_size + vlog_size)
+  Store.create ~config ~name ~klog ~vlog ()
 
-let run_clients ~store ~wl ~duration ~workers ~charge =
-  ignore charge;
+(* 48 closed-loop clients for 0.2 s, worker [w] on [store_of w]; returns
+   their throughput. *)
+let run_clients ~wl ~rng ~zipf ~store_of =
   let vsize = object_size - Workload.key_size in
-  let rng = Rng.create 71 in
-  let zipf = Zipf.create ~theta:0.99 ~n:nkeys (Rng.create 72) in
-  let n = ref 0 in
-  let t0 = Sim.now () in
-  let stop = t0 +. duration in
-  let worker () =
-    while not (Sim.reached stop) do
-      let id, read = pick_op wl rng zipf in
-      let k = Workload.key_of_id id in
-      if read then ignore (Store.get store k)
-      else Store.put store k (Workload.value_for ~id ~version:1 ~size:vsize);
-      incr n
-    done
-  in
-  Sim.fork_join (List.init workers (fun _ () -> worker ()));
-  float_of_int !n /. (Sim.now () -. t0)
+  (Driver.closed ~workers:48 ~duration:0.2 (fun w ->
+       let id, read = pick_op wl rng zipf in
+       let k = Workload.key_of_id id in
+       if read then ignore (Store.get (store_of w) k)
+       else Store.put (store_of w) k (Workload.value_for ~id ~version:1 ~size:vsize)))
+    .Driver.throughput
 
 (* --- (a) intra-parallelism --- *)
 
@@ -77,14 +69,16 @@ let intra_point ~wl ~subcompactions =
       let platform = Exp_common.leed_platform () in
       let dev = Blockdev.create ~rng:(Rng.create 5) platform.Platform.ssd in
       let core = Platform.Cpu.pinned_core platform 0 in
-      let store, _ = make_squeezed_store ~name:"s" ~dev ~base:0 ~subcompactions ~prefetch:true in
+      let store = make_squeezed_store ~name:"s" ~dev ~base:0 ~subcompactions in
       Store.set_charge store (fun cycles -> Platform.Cpu.execute_on platform core ~cycles);
       Store.run_compactor ~period:0.001 store;
       let vsize = object_size - Workload.key_size in
       for id = 0 to nkeys - 1 do
         Store.put store (Workload.key_of_id id) (Workload.value_for ~id ~version:0 ~size:vsize)
       done;
-      run_clients ~store ~wl ~duration:0.2 ~workers:48 ~charge:())
+      run_clients ~wl ~rng:(Rng.create 71)
+        ~zipf:(Zipf.create ~theta:0.99 ~n:nkeys (Rng.create 72))
+        ~store_of:(fun _ -> store))
 
 (* --- (b) inter-parallelism: 4 partitions, at most N concurrent
    compactions --- *)
@@ -97,12 +91,9 @@ let inter_point ~wl ~concurrent =
       let gate = Sim.Resource.create ~name:"compaction-gate" ~capacity:concurrent () in
       let stores =
         List.init 4 (fun i ->
-            let store, _ =
-              make_squeezed_store
-                ~name:(Printf.sprintf "p%d" i)
-                ~dev
-                ~base:(i * 16 * 1024 * 1024)
-                ~subcompactions:4 ~prefetch:true
+            let store =
+              make_squeezed_store ~name:(Printf.sprintf "p%d" i) ~dev ~base:(i * 16 * 1024 * 1024)
+                ~subcompactions:4
             in
             Store.set_charge store (fun cycles -> Platform.Cpu.execute_on platform core ~cycles);
             store)
@@ -125,23 +116,10 @@ let inter_point ~wl ~concurrent =
           done)
         stores;
       (* Clients spread across the 4 partitions. *)
-      let rng = Rng.create 73 in
-      let zipf = Zipf.create ~theta:0.99 ~n:nkeys (Rng.create 74) in
-      let n = ref 0 in
-      let t0 = Sim.now () in
-      let stop = t0 +. 0.2 in
-      let worker w () =
-        let store = List.nth stores (w mod 4) in
-        while not (Sim.reached stop) do
-          let id, read = pick_op wl rng zipf in
-          let k = Workload.key_of_id id in
-          if read then ignore (Store.get store k)
-          else Store.put store k (Workload.value_for ~id ~version:1 ~size:vsize);
-          incr n
-        done
-      in
-      Sim.fork_join (List.init 48 (fun w () -> worker w ()));
-      float_of_int !n /. (Sim.now () -. t0))
+      let stores = Array.of_list stores in
+      run_clients ~wl ~rng:(Rng.create 73)
+        ~zipf:(Zipf.create ~theta:0.99 ~n:nkeys (Rng.create 74))
+        ~store_of:(fun w -> stores.(w mod 4)))
 
 let run () =
   let wls = [ Wr_only; Mix50; Mix50_zip ] in

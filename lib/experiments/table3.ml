@@ -12,6 +12,7 @@ open Leed_platform
 open Leed_workload
 open Leed_baselines
 open Leed_blockdev
+module Driver = Workload.Driver
 
 let gb = 1024. *. 1024. *. 1024.
 
@@ -46,8 +47,7 @@ type point = { rd_lat : float; wr_lat : float; rd_thr : float; wr_thr : float; r
 
 let nkeys = 8_000
 
-let measure ~label ~preload ~execute_read ~execute_write =
-  ignore label;
+let measure ~preload ~execute_read ~execute_write =
   preload ();
   (* latency: a handful of lightly-loaded clients *)
   let lat exec =
@@ -66,20 +66,8 @@ let measure ~label ~preload ~execute_read ~execute_write =
   (* throughput: saturation with many closed-loop workers; the same run's
      latency distribution shows what queueing does to each design *)
   let thr exec =
-    let n = ref 0 in
-    let h = Leed_stats.Histogram.create () in
-    let t0 = Sim.now () in
-    let stop = t0 +. 0.15 in
-    let worker () =
-      while not (Sim.reached stop) do
-        let s0 = Sim.now () in
-        exec ();
-        Leed_stats.Histogram.record h (Sim.now () -. s0);
-        incr n
-      done
-    in
-    Sim.fork_join (List.init 192 (fun _ () -> worker ()));
-    (float_of_int !n /. (Sim.now () -. t0), Leed_stats.Histogram.mean h)
+    let r = Driver.closed ~workers:192 ~duration:0.15 (fun _ -> exec ()) in
+    (r.Driver.throughput, Leed_stats.Histogram.mean r.Driver.latency)
   in
   let rd_thr, rd_lat_sat = thr execute_read in
   let wr_thr, _ = thr execute_write in
@@ -88,35 +76,21 @@ let measure ~label ~preload ~execute_read ~execute_write =
 (* LEED: the intra-JBOF engine on one SmartNIC JBOF. *)
 let leed_point ~object_size =
   Sim.run (fun () ->
-      let platform = Exp_common.leed_platform () in
-      let cfg = Exp_common.engine_config ~partitions_per_ssd:2 () in
-      let e = Engine.create ~config:cfg platform in
-      Engine.start e;
+      let e, pid_of = Exp_common.jbof_engine () in
       let vsize = object_size - Workload.key_size in
       let rng = Rng.create 42 in
-      let npart = Engine.npartitions e in
-      let pid_of id = Codec.hash_key (Workload.key_of_id id) mod npart in
-      let preload () =
-        Sim.fork_join
-          (List.init 16 (fun w () ->
-               let lo = w * nkeys / 16 and hi = ((w + 1) * nkeys / 16) - 1 in
-               for id = lo to hi do
-                 ignore
-                   (Engine.submit e ~pid:(pid_of id)
-                      (Engine.Put (Workload.key_of_id id, Workload.value_for ~id ~version:0 ~size:vsize)))
-               done))
+      let put ~version id =
+        ignore
+          (Engine.submit e ~pid:(pid_of id)
+             (Engine.Put (Workload.key_of_id id, Workload.value_for ~id ~version ~size:vsize)))
       in
+      let preload () = Driver.spread ~workers:16 ~n:nkeys (put ~version:0) in
       let execute_read () =
         let id = Rng.int rng nkeys in
         ignore (Engine.submit e ~pid:(pid_of id) (Engine.Get (Workload.key_of_id id)))
       in
-      let execute_write () =
-        let id = Rng.int rng nkeys in
-        ignore
-          (Engine.submit e ~pid:(pid_of id)
-             (Engine.Put (Workload.key_of_id id, Workload.value_for ~id ~version:1 ~size:vsize)))
-      in
-      measure ~label:"LEED" ~preload ~execute_read ~execute_write)
+      let execute_write () = put ~version:1 (Rng.int rng nkeys) in
+      measure ~preload ~execute_read ~execute_write)
 
 (* FAWN ported to the JBOF: one single-threaded FAWN-DS per SSD (its
    synchronous event loop cannot drive NVMe queue depth). *)
@@ -167,7 +141,7 @@ let fawn_point ~object_size =
         Sim.Resource.with_ lock (fun () ->
             Fawn_store.put s (Workload.key_of_id id) (Workload.value_for ~id ~version:1 ~size:vsize))
       in
-      measure ~label:"FAWN-JBOF" ~preload ~execute_read ~execute_write)
+      measure ~preload ~execute_read ~execute_write)
 
 (* KVell on the JBOF: shared-nothing workers pinned to the wimpy A72
    cores; B-tree indexing is where the cycles go. *)
@@ -195,12 +169,8 @@ let kvell_point ~object_size =
       let vsize = object_size - Workload.key_size in
       let rng = Rng.create 44 in
       let preload () =
-        Sim.fork_join
-          (List.init 16 (fun w () ->
-               let lo = w * nkeys / 16 and hi = ((w + 1) * nkeys / 16) - 1 in
-               for id = lo to hi do
-                 Kvell_store.put s (Workload.key_of_id id) (Workload.value_for ~id ~version:0 ~size:vsize)
-               done))
+        Driver.spread ~workers:16 ~n:nkeys (fun id ->
+            Kvell_store.put s (Workload.key_of_id id) (Workload.value_for ~id ~version:0 ~size:vsize))
       in
       let execute_read () =
         let id = Rng.int rng nkeys in
@@ -210,7 +180,7 @@ let kvell_point ~object_size =
         let id = Rng.int rng nkeys in
         Kvell_store.put s (Workload.key_of_id id) (Workload.value_for ~id ~version:1 ~size:vsize)
       in
-      measure ~label:"KVell-JBOF" ~preload ~execute_read ~execute_write)
+      measure ~preload ~execute_read ~execute_write)
 
 let run () =
   let open Leed_stats.Report in

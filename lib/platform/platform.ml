@@ -110,29 +110,3 @@ module Cpu = struct
 
   let utilisation t = Sim.Resource.utilisation t.pool
 end
-
-(* ------------------------------------------------------------------ *)
-(* Energy accounting: requests per Joule at the cluster level. *)
-
-module Energy = struct
-  type measurement = {
-    watts : float;        (* total cluster wall power *)
-    joules : float;       (* energy over the run *)
-    ops : int;
-    duration : float;
-    ops_per_joule : float;
-    ops_per_sec : float;
-  }
-
-  let measure ~platform ~nodes ~util ~duration ~ops =
-    let watts = float_of_int nodes *. wall_power platform ~util in
-    let joules = watts *. duration in
-    {
-      watts;
-      joules;
-      ops;
-      duration;
-      ops_per_joule = (if joules > 0. then float_of_int ops /. joules else 0.);
-      ops_per_sec = (if duration > 0. then float_of_int ops /. duration else 0.);
-    }
-end

@@ -62,18 +62,3 @@ module Cpu : sig
   val execute_on : platform -> Leed_sim.Sim.Resource.t -> cycles:float -> unit
   val utilisation : t -> float
 end
-
-(** Requests-per-Joule accounting at the cluster level. *)
-module Energy : sig
-  type measurement = {
-    watts : float;
-    joules : float;
-    ops : int;
-    duration : float;
-    ops_per_joule : float;
-    ops_per_sec : float;
-  }
-
-  val measure :
-    platform:t -> nodes:int -> util:float -> duration:float -> ops:int -> measurement
-end

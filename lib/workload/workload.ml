@@ -10,6 +10,15 @@ type op =
   | Insert of string * bytes
   | Read_modify_write of string * bytes
 
+(* The one op -> get/put dispatch: a read-modify-write is a get then a
+   put. *)
+let apply ~get ~put = function
+  | Read key -> ignore (get key)
+  | Update (key, v) | Insert (key, v) -> put key v
+  | Read_modify_write (key, v) ->
+      ignore (get key);
+      put key v
+
 type distribution = Uniform | Zipfian of float | Latest of float
 
 type mix = {
@@ -265,25 +274,38 @@ module Driver = struct
       incr i;
       execute c op
 
-  (* [clients] closed-loop workers issuing back-to-back requests for
-     [duration] simulated seconds. *)
-  let closed_loop ~clients ~duration ~gen ~execute () =
+  (* [workers] closed-loop workers for [duration] simulated seconds:
+     worker [w] calls [op w] back to back until the window ends. Every
+     call's latency and the call count go into the result. This is the
+     one duration-bounded loop; every timed closed loop goes through it. *)
+  let closed ~workers ~duration op =
     let lat = Leed_stats.Histogram.create () in
     let ops = ref 0 in
     let t0 = Sim.now () in
     let stop_at = t0 +. duration in
-    let worker () =
+    let worker w =
       while not (Sim.reached stop_at) do
-        let op = next gen in
         let start = Sim.now () in
-        execute op;
+        op w;
         Leed_stats.Histogram.record lat (Sim.now () -. start);
         incr ops
       done
     in
-    Sim.fork_join (List.init clients (fun _ () -> worker ()));
+    Sim.fork_join (List.init workers (fun w () -> worker w));
     let dt = Sim.now () -. t0 in
     { ops = !ops; duration = dt; throughput = float_of_int !ops /. dt; latency = lat }
+
+  let closed_loop ~clients ~duration ~gen ~execute () =
+    closed ~workers:clients ~duration (fun _ -> execute (next gen))
+
+  (* Worker [w] of [workers] runs [f] over ids [w·n/W, (w+1)·n/W): the
+     sharded preload every experiment uses. *)
+  let spread ~workers ~n f =
+    Sim.fork_join
+      (List.init workers (fun w () ->
+           for id = w * n / workers to ((w + 1) * n / workers) - 1 do
+             f id
+           done))
 
   (* Race-harness variant of [closed_loop]: [workers] closed-loop
      workers, each driving its own generator for exactly [ops]

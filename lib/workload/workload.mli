@@ -13,6 +13,10 @@ type op =
   | Insert of string * bytes
   | Read_modify_write of string * bytes
 
+val apply : get:(string -> 'a) -> put:(string -> bytes -> unit) -> op -> unit
+(** Run [op] through a system's [get] and [put]: an insert or update is a
+    put, and a read-modify-write is a get followed by a put. *)
+
 type distribution = Uniform | Zipfian of float | Latest of float
 
 type mix = {
@@ -109,10 +113,22 @@ module Driver : sig
     latency : Leed_stats.Histogram.t;
   }
 
+  val closed : workers:int -> duration:float -> (int -> unit) -> result
+  (** [closed ~workers ~duration op]: worker [w] (in [0, workers)) calls
+      [op w] back to back until [duration] simulated seconds have
+      passed. [ops] counts the calls and [latency] records each call's
+      duration. *)
+
   val closed_loop :
     clients:int -> duration:float -> gen:gen -> execute:(op -> unit) -> unit -> result
-  (** [clients] workers issuing back-to-back requests for [duration]
-      simulated seconds. *)
+  (** {!closed} with [clients] workers, each call executing the next op
+      of [gen]. *)
+
+  val spread : workers:int -> n:int -> (int -> unit) -> unit
+  (** [spread ~workers ~n f]: [workers] concurrent workers, worker [w]
+      calling [f] on each id of [[w·n/workers, (w+1)·n/workers)] in
+      order; returns when all are done. Together they visit every id of
+      [[0, n)] exactly once. *)
 
   val closed_loop_sharded :
     workers:int ->

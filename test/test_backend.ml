@@ -29,7 +29,6 @@ let conformance name () =
       let setup = small_setup name in
       let b = setup.Exp_common.backend in
       Alcotest.(check string) "selector name" name (Backend.name b);
-      Backend.start b;
       let c = List.hd setup.Exp_common.clients in
       for id = 0 to nkeys - 1 do
         Backend.put c (key id) (Workload.value_for ~id ~version:1 ~size:vsize)

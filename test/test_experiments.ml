@@ -82,11 +82,6 @@ let test_open_loop_attribution () =
     true
     (m.Workload.Driver.throughput > 7_000. && m.Workload.Driver.throughput < 13_000.)
 
-let test_energy_helpers () =
-  let w = Exp_common.cluster_watts Leed_platform.Platform.smartnic_jbof 3 in
-  Alcotest.(check (float 0.01)) "3 stingrays" 157.5 w;
-  Alcotest.(check (float 1e-9)) "qpj" 2.0 (Exp_common.queries_per_joule ~throughput:315. ~watts:157.5)
-
 let test_capacity_model_ordering () =
   (* Table 3 capacity model: LEED >> FAWN >> KVell at both object sizes. *)
   List.iter
@@ -138,7 +133,6 @@ let () =
           Alcotest.test_case "kvell setup measures" `Quick test_kvell_setup_measures;
           Alcotest.test_case "setup of name" `Quick test_setup_of_name;
           Alcotest.test_case "open-loop attribution" `Quick test_open_loop_attribution;
-          Alcotest.test_case "energy helpers" `Quick test_energy_helpers;
           Alcotest.test_case "capacity model ordering" `Quick test_capacity_model_ordering;
         ] );
       ( "experiment registry",

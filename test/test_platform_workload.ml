@@ -45,15 +45,6 @@ let test_cpu_pool_contention () =
   in
   Alcotest.(check (float 1e-4)) "makespan" 2e-3 t
 
-let test_energy_measure () =
-  let m =
-    Platform.Energy.measure ~platform:Platform.smartnic_jbof ~nodes:3 ~util:1.0 ~duration:10.
-      ~ops:1_000_000
-  in
-  Alcotest.(check (float 0.01)) "watts" 157.5 m.Platform.Energy.watts;
-  Alcotest.(check (float 1.)) "joules" 1575. m.Platform.Energy.joules;
-  Alcotest.(check (float 1.)) "ops/J" (1_000_000. /. 1575.) m.Platform.Energy.ops_per_joule
-
 (* --- Zipf --- *)
 
 let test_zipf_rank0_hottest () =
@@ -322,6 +313,63 @@ let test_open_loop_driver () =
     true
     (r.Workload.Driver.ops > 850 && r.Workload.Driver.ops < 1150)
 
+(* --- Driver --- *)
+
+(* Worker [w] sleeps [w + 1] ms per call, so the call counts differ per
+   worker and a shifted index shows up as a missing or extra worker. *)
+let test_closed_worker_indices () =
+  let workers = 5 in
+  let calls = Array.make workers 0 in
+  let r =
+    Sim.run (fun () ->
+        Workload.Driver.closed ~workers ~duration:0.1 (fun w ->
+            calls.(w) <- calls.(w) + 1;
+            Sim.delay (1e-3 *. float_of_int (w + 1))))
+  in
+  Array.iteri
+    (fun w n -> Alcotest.(check bool) (Printf.sprintf "worker %d called (%d)" w n) true (n > 0))
+    calls;
+  Alcotest.(check int) "ops = calls" (Array.fold_left ( + ) 0 calls) r.Workload.Driver.ops
+
+(* A seeded YCSB-B stream against a delay-only execute: the op count and
+   the exact bits of throughput and mean latency, as recorded before
+   [closed_loop] became a wrapper over [closed]. *)
+let test_closed_loop_known_answer () =
+  let r =
+    Sim.run (fun () ->
+        let gen = Workload.generator (Workload.ycsb_b ()) ~nkeys:1_000 (Rng.create 7) in
+        let execute = function
+          | Workload.Read k -> Sim.delay (1e-4 *. float_of_int (1 + (Workload.id_of_key k mod 7)))
+          | _ -> Sim.delay 3e-4
+        in
+        Workload.Driver.closed_loop ~clients:8 ~duration:0.05 ~gen ~execute ())
+  in
+  Alcotest.(check int) "ops" 979 r.Workload.Driver.ops;
+  Alcotest.(check string) "throughput" "0x1.2f8269a69a697p+14"
+    (Printf.sprintf "%h" r.Workload.Driver.throughput);
+  Alcotest.(check string) "mean latency" "0x1.aded4765acfe4p-12"
+    (Printf.sprintf "%h" (Leed_stats.Histogram.mean r.Workload.Driver.latency))
+
+(* Every [f id] takes 1 s, so the ids a step visits are one per worker:
+   step [j] holds the [j]-th id of every worker's range that long. *)
+let spread_steps ~workers ~n =
+  let visits = ref [] in
+  Sim.run (fun () ->
+      Workload.Driver.spread ~workers ~n (fun id ->
+          visits := (int_of_float (Sim.now ()), id) :: !visits;
+          Sim.delay 1.0));
+  let steps = 1 + List.fold_left (fun acc (t, _) -> max acc t) 0 !visits in
+  List.init steps (fun t ->
+      List.sort compare (List.filter_map (fun (t', id) -> if t' = t then Some id else None) !visits))
+
+let test_spread_ranges () =
+  (* n = 10 over 4 workers: [0,2) [2,5) [5,7) [7,10). *)
+  Alcotest.(check (list (list int))) "n=10 W=4"
+    [ [ 0; 2; 5; 7 ]; [ 1; 3; 6; 8 ]; [ 4; 9 ] ]
+    (spread_steps ~workers:4 ~n:10);
+  (* More workers than ids: some ranges are empty, each id still once. *)
+  Alcotest.(check (list (list int))) "n=3 W=5" [ [ 0; 1; 2 ] ] (spread_steps ~workers:5 ~n:3)
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -333,7 +381,6 @@ let () =
           Alcotest.test_case "power model" `Quick test_power_model;
           Alcotest.test_case "cycles model" `Quick test_cycles_model;
           Alcotest.test_case "cpu pool contention" `Quick test_cpu_pool_contention;
-          Alcotest.test_case "energy measure" `Quick test_energy_measure;
         ] );
       ( "zipf",
         [
@@ -356,6 +403,12 @@ let () =
           Alcotest.test_case "latest prefers recent" `Quick test_latest_distribution_prefers_recent;
           Alcotest.test_case "closed-loop driver" `Quick test_closed_loop_driver;
           Alcotest.test_case "open-loop driver" `Quick test_open_loop_driver;
+        ] );
+      ( "driver",
+        [
+          Alcotest.test_case "closed calls every worker" `Quick test_closed_worker_indices;
+          Alcotest.test_case "closed_loop known answer" `Quick test_closed_loop_known_answer;
+          Alcotest.test_case "spread covers each id once" `Quick test_spread_ranges;
         ] );
       qsuite "properties" [ zipf_in_range ];
     ]

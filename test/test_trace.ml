@@ -28,7 +28,10 @@ let workload ?(seed = 11) () =
       in
       let r =
         Workload.Driver.closed_loop ~clients:2 ~duration:0.02 ~gen
-          ~execute:(Workload.Driver.round_robin Client.execute clients)
+          ~execute:
+            (Workload.Driver.round_robin
+               (fun c -> Workload.apply ~get:(Client.get c) ~put:(Client.put c))
+               clients)
           ()
       in
       (r, Sim.now ()))

@@ -11,6 +11,11 @@
 # trace-seed42.txt    the cksum of the Chrome trace `leed trace --seed 42`
 #                     writes, so a change that reorders, adds or drops any
 #                     traced event shows up
+# experiments-fast.txt
+#                     the stdout of `bench/main.exe fast fig1 fig11 table3`
+#                     without its wall-clock `[... done in Xs]` lines: the
+#                     device, single-JBOF engine and baseline-store paths
+#                     the paper experiments measure
 #
 # Every number here is simulated, so it repeats exactly on any machine.
 # A change that should not move simulated behaviour must leave every file
@@ -49,3 +54,6 @@ trace=$(mktemp)
 dune exec bin/leed.exe -- trace --seed 42 --out "$trace" > /dev/null
 cksum < "$trace" > "$out/trace-seed42.txt"
 rm -f "$trace"
+
+dune exec bench/main.exe -- fast fig1 fig11 table3 \
+  | grep -v '^\[.* done in [0-9.]*s\]$' > "$out/experiments-fast.txt"
