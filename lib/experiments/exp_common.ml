@@ -159,9 +159,9 @@ let measure_closed ~label ~setup ~clients ~duration ~gen () =
   Backend.measure ~label setup.backend (fun () ->
       Driver.closed_loop ~clients ~duration ~gen ~execute:(rr_execute setup) ())
 
-let measure_open ?drain ~label ~setup ~rate ~duration ~gen () =
+let measure_open ~label ~setup ~rate ~duration ~gen () =
   Backend.measure ~label setup.backend (fun () ->
-      Driver.open_loop ?drain ~rate ~duration ~gen ~execute:(rr_execute setup) ())
+      Driver.open_loop ~rate ~duration ~gen ~execute:(rr_execute setup) ())
 
 let report_metrics (m : Backend.metrics) =
   Printf.printf

@@ -107,7 +107,6 @@ val measure_closed :
     counters and power are captured from the setup's backend. *)
 
 val measure_open :
-  ?drain:float ->
   label:string ->
   setup:setup ->
   rate:float ->
@@ -115,7 +114,8 @@ val measure_open :
   gen:Leed_workload.Workload.gen ->
   unit ->
   Backend.metrics
-(** Poisson arrivals at [rate] for [duration] simulated seconds. *)
+(** Poisson arrivals at [rate] for [duration] simulated seconds, with
+    {!Leed_workload.Workload.Driver.open_loop}'s default drain. *)
 
 val report_metrics : Backend.metrics -> unit
 (** One-line dump of the unified metrics record. *)

@@ -18,21 +18,18 @@ let breakdown ~object_size =
       done;
       (* Light load: 4 workers cycling GET, PUT, DEL(+reinsert). *)
       let rng = Rng.create 9 in
-      let worker () =
-        for _ = 1 to 120 do
-          let id = Rng.int rng nkeys in
-          let k = Workload.key_of_id id in
-          ignore (Engine.submit e ~pid:(pid_of id) (Engine.Get k));
-          ignore
-            (Engine.submit e ~pid:(pid_of id)
-               (Engine.Put (k, Workload.value_for ~id ~version:1 ~size:vsize)));
-          ignore (Engine.submit e ~pid:(pid_of id) (Engine.Del k));
-          ignore
-            (Engine.submit e ~pid:(pid_of id)
-               (Engine.Put (k, Workload.value_for ~id ~version:2 ~size:vsize)))
-        done
-      in
-      Sim.fork_join (List.init 4 (fun _ () -> worker ()));
+      ignore
+        (Workload.Driver.fixed ~workers:4 ~ops:120 (fun _ ->
+             let id = Rng.int rng nkeys in
+             let k = Workload.key_of_id id in
+             ignore (Engine.submit e ~pid:(pid_of id) (Engine.Get k));
+             ignore
+               (Engine.submit e ~pid:(pid_of id)
+                  (Engine.Put (k, Workload.value_for ~id ~version:1 ~size:vsize)));
+             ignore (Engine.submit e ~pid:(pid_of id) (Engine.Del k));
+             ignore
+               (Engine.submit e ~pid:(pid_of id)
+                  (Engine.Put (k, Workload.value_for ~id ~version:2 ~size:vsize)))));
       (* Aggregate the per-op SSD / CPU attribution over every store. *)
       let agg kind =
         let ssd = ref 0. and cpu = ref 0. and n = ref 0 in

@@ -53,24 +53,16 @@ let run_workload mix =
           events := (Sim.now () -. t0, "leave start") :: !events;
           let copied = Cluster.remove_node cluster 3 in
           events := (Sim.now () -. t0, Printf.sprintf "leave end (%d pairs copied)" copied) :: !events);
-      let rng = Rng.create 62 in
-      let stop = t0 +. horizon in
       (* Bounded client window: when the cluster falls behind (the dip),
          arrivals beyond the window are shed instead of queuing forever —
          which is exactly how the completion-rate drop becomes visible. *)
-      let inflight = ref 0 in
-      while not (Sim.reached stop) do
-        Sim.delay (Rng.exponential rng ~mean:(1. /. rate));
-        if !inflight < 1500 then begin
-          incr inflight;
-          let op = Workload.next gen in
-          Sim.spawn (fun () ->
-              (try execute op with Client.Unavailable _ -> ());
-              decr inflight;
-              record ())
-        end
-      done;
-      Sim.delay 0.5;
+      let r =
+        Workload.Driver.open_loop ~drain:0.5 ~window:1500 ~rate ~duration:horizon ~gen
+          ~execute:(fun op ->
+            (try execute op with Client.Unavailable _ -> ());
+            record ())
+          ()
+      in
       let buckets = List.init (int_of_float (horizon /. bucket)) Fun.id in
       Leed_stats.Report.series
         ~title:(Printf.sprintf "Figure 9 (%s): throughput timeline across join/leave" mix.Workload.label)
@@ -84,7 +76,8 @@ let run_workload mix =
                 /. bucket /. 1e3)
               buckets );
         ];
-      List.iter (fun (t, e) -> Printf.printf "  t=%.2fs: %s\n" t e) (List.rev !events))
+      List.iter (fun (t, e) -> Printf.printf "  t=%.2fs: %s\n" t e) (List.rev !events);
+      Printf.printf "  %d arrivals shed at the 1500-request window\n" r.Workload.Driver.shed)
 
 let run () =
   run_workload (Workload.ycsb_a ());

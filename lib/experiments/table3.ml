@@ -51,16 +51,7 @@ let measure ~preload ~execute_read ~execute_write =
   preload ();
   (* latency: a handful of lightly-loaded clients *)
   let lat exec =
-    let h = Leed_stats.Histogram.create () in
-    let worker () =
-      for _ = 1 to 50 do
-        let t0 = Sim.now () in
-        exec ();
-        Leed_stats.Histogram.record h (Sim.now () -. t0)
-      done
-    in
-    Sim.fork_join (List.init 4 (fun _ () -> worker ()));
-    Leed_stats.Histogram.mean h
+    Leed_stats.Histogram.mean (Driver.fixed ~workers:4 ~ops:50 (fun _ -> exec ())).Driver.latency
   in
   let rd_lat = lat execute_read and wr_lat = lat execute_write in
   (* throughput: saturation with many closed-loop workers; the same run's

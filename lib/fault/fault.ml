@@ -32,6 +32,7 @@ open Leed_netsim
 open Leed_platform
 open Leed_core
 module Rpc = Netsim.Rpc
+module Driver = Leed_workload.Workload.Driver
 
 (* ------------------------------------------------------------------ *)
 
@@ -667,7 +668,7 @@ module Chaos = struct
     if cfg.nkeys < cfg.nclients then invalid_arg "Chaos.run: nkeys must be >= nclients";
     Sim.run ?checks ?tiebreak ?sched ?on_dispatch (fun () ->
         let cluster = Cluster.create ~config:(cluster_config cfg) () in
-        let clients = List.init cfg.nclients (fun _ -> Cluster.client cluster) in
+        let clients = Array.init cfg.nclients (fun _ -> Cluster.client cluster) in
         let sched =
           match cfg.schedule with
           | Some s -> s
@@ -691,16 +692,12 @@ module Chaos = struct
           History.record hist ~key { History.start; finish = Sim.now (); kind; outcome }
         in
         (* Preload every key at sequence 0 before any fault arms. *)
-        List.iteri
-          (fun i c ->
-            if i = 0 then
-              for k = 0 to cfg.nkeys - 1 do
-                let t0 = Sim.now () in
-                Client.put c (key_of k) (encode ~size:cfg.object_size k 0);
-                record_op ~key:(key_of k) ~start:t0 (History.Write (Some 0)) History.Ok
-              done)
-          clients;
-        let ops = ref 0 and reads = ref 0 and writes = ref 0 in
+        for k = 0 to cfg.nkeys - 1 do
+          let t0 = Sim.now () in
+          Client.put clients.(0) (key_of k) (encode ~size:cfg.object_size k 0);
+          record_op ~key:(key_of k) ~start:t0 (History.Write (Some 0)) History.Ok
+        done;
+        let reads = ref 0 and writes = ref 0 in
         let failed = ref 0 and null_reads = ref 0 and corrupt = ref 0 in
         (* Every GET's client-observed latency, including failed ones
            (their elapsed time is exactly the tail the SLO cares about);
@@ -715,101 +712,95 @@ module Chaos = struct
           last_ok := now
         in
         let inj = Injector.arm ~rng:(Rng.create (cfg.seed lxor 0x5eed)) cluster sched in
-        let stop_at = Sim.now () +. cfg.duration in
         (* Background scrubbing runs for the whole faulted window; its
            token-gated segment walks heal rot concurrently with the
            foreground load. Stopped before the end-of-run judgement so
            the final heal pass below is the last integrity actor. *)
         let scrub_stop = ref false in
         if cfg.bit_rot then Scrub.spawn ~period:0.4 ~stop:(fun () -> !scrub_stop) cluster;
-        (* Closed-loop workers. Worker [w] owns keys congruent to w mod
+        (* Closed-loop workers, for [ops_per_worker] ops each or for
+           [duration]. Worker [w] owns keys congruent to w mod
            nclients, so no two processes ever race a write to the same
            key — the ledger stays exact without cross-worker ordering
            assumptions. *)
         let shard = cfg.nkeys / cfg.nclients in
-        let worker w c () =
-          let wrng = Rng.create (cfg.seed lxor (0x9e3779b9 + w)) in
-          let issued = ref 0 in
-          let keep_going () =
-            match cfg.ops_per_worker with
-            | Some n -> !issued < n
-            | None -> not (Sim.reached stop_at)
-          in
-          while keep_going () do
-            incr issued;
-            let k = (w + (cfg.nclients * Rng.int wrng shard)) mod cfg.nkeys in
-            incr ops;
-            if Rng.float wrng < cfg.write_ratio then begin
-              let seq = attempted.(k) + 1 in
-              attempted.(k) <- seq;
-              let t0 = Sim.now () in
-              let lat () = Leed_stats.Histogram.record put_hist (Sim.now () -. t0) in
-              match Client.put c (key_of k) (encode ~size:cfg.object_size k seq) with
-              | () ->
-                  lat ();
-                  if seq > acked.(k) then acked.(k) <- seq;
-                  record_op ~key:(key_of k) ~start:t0 (History.Write (Some seq)) History.Ok;
-                  incr writes;
-                  success ()
-              | exception Client.Unavailable _ ->
-                  lat ();
-                  (* ambiguous: the write may still have taken effect —
-                     the checker explores both branches *)
-                  record_op ~key:(key_of k) ~start:t0 (History.Write (Some seq)) History.Failed;
-                  incr failed
-            end
-            else begin
-              (* A quarter of reads leave the worker's own shard: writes
-                 stay single-owner (the ledger depends on it), but
-                 cross-client read concurrency is what gives the
-                 linearizability oracle teeth. [attempted.(k)] is set
-                 before the owner issues, and only ever grows, so the
-                 bound below cannot race. *)
-              let k = if Rng.float wrng < 0.25 then Rng.int wrng cfg.nkeys else k in
-              let t0 = Sim.now () in
-              let record () = Leed_stats.Histogram.record get_hist (Sim.now () -. t0) in
-              match Client.get c (key_of k) with
-              | Some v ->
-                  record ();
-                  (match decode v with
-                  | Some (i, s) when i = k && s <= attempted.(k) ->
-                      record_op ~key:(key_of k) ~start:t0 (History.Read (Some s)) History.Ok
-                  | _ -> incr corrupt);
-                  incr reads;
-                  success ()
-              | None ->
-                  (* The key was preloaded, so a miss means the serving
-                     side claims it absent. What that implies is
-                     protocol-specific. Under ABD a [None] is a
-                     COMPLETED quorum read — a majority answered and
-                     the highest tag among them carried no value — so
-                     it is a genuine register observation and joins the
-                     history: the checker then flags a protocol that
-                     wrongly serves "key absent" for a present key
-                     (e.g. a quorum dominated by hollow replicas after
-                     a botched membership copy), which a later heal
-                     would otherwise mask. Under CRRS a miss is one
-                     replica lacking the key (mid-repair, mid-rejoin) —
-                     the chaos contract treats that as transient
-                     unavailability, like a failed read, and recording
-                     it would turn tolerated unavailability into a
-                     linearizability verdict. The end-of-run sweep's
-                     reads — taken after the heal, when a miss
-                     genuinely means loss — join the history for both
-                     protocols. *)
-                  record ();
-                  if cfg.proto = Replication.Abd then
-                    record_op ~key:(key_of k) ~start:t0 (History.Read None) History.Ok;
-                  incr null_reads;
-                  incr reads
-              | exception Client.Unavailable _ ->
-                  record ();
-                  incr failed
-            end
-          done
+        let wrngs = Array.init cfg.nclients (fun w -> Rng.create (cfg.seed lxor (0x9e3779b9 + w))) in
+        let op w =
+          let c = clients.(w) and wrng = wrngs.(w) in
+          let k = (w + (cfg.nclients * Rng.int wrng shard)) mod cfg.nkeys in
+          if Rng.float wrng < cfg.write_ratio then begin
+            let seq = attempted.(k) + 1 in
+            attempted.(k) <- seq;
+            let t0 = Sim.now () in
+            let lat () = Leed_stats.Histogram.record put_hist (Sim.now () -. t0) in
+            match Client.put c (key_of k) (encode ~size:cfg.object_size k seq) with
+            | () ->
+                lat ();
+                if seq > acked.(k) then acked.(k) <- seq;
+                record_op ~key:(key_of k) ~start:t0 (History.Write (Some seq)) History.Ok;
+                incr writes;
+                success ()
+            | exception Client.Unavailable _ ->
+                lat ();
+                (* ambiguous: the write may still have taken effect —
+                   the checker explores both branches *)
+                record_op ~key:(key_of k) ~start:t0 (History.Write (Some seq)) History.Failed;
+                incr failed
+          end
+          else begin
+            (* A quarter of reads leave the worker's own shard: writes
+               stay single-owner (the ledger depends on it), but
+               cross-client read concurrency is what gives the
+               linearizability oracle teeth. [attempted.(k)] is set
+               before the owner issues, and only ever grows, so the
+               bound below cannot race. *)
+            let k = if Rng.float wrng < 0.25 then Rng.int wrng cfg.nkeys else k in
+            let t0 = Sim.now () in
+            let record () = Leed_stats.Histogram.record get_hist (Sim.now () -. t0) in
+            match Client.get c (key_of k) with
+            | Some v ->
+                record ();
+                (match decode v with
+                | Some (i, s) when i = k && s <= attempted.(k) ->
+                    record_op ~key:(key_of k) ~start:t0 (History.Read (Some s)) History.Ok
+                | _ -> incr corrupt);
+                incr reads;
+                success ()
+            | None ->
+                (* The key was preloaded, so a miss means the serving
+                   side claims it absent. What that implies is
+                   protocol-specific. Under ABD a [None] is a
+                   COMPLETED quorum read — a majority answered and
+                   the highest tag among them carried no value — so
+                   it is a genuine register observation and joins the
+                   history: the checker then flags a protocol that
+                   wrongly serves "key absent" for a present key
+                   (e.g. a quorum dominated by hollow replicas after
+                   a botched membership copy), which a later heal
+                   would otherwise mask. Under CRRS a miss is one
+                   replica lacking the key (mid-repair, mid-rejoin) —
+                   the chaos contract treats that as transient
+                   unavailability, like a failed read, and recording
+                   it would turn tolerated unavailability into a
+                   linearizability verdict. The end-of-run sweep's
+                   reads — taken after the heal, when a miss
+                   genuinely means loss — join the history for both
+                   protocols. *)
+                record ();
+                if cfg.proto = Replication.Abd then
+                  record_op ~key:(key_of k) ~start:t0 (History.Read None) History.Ok;
+                incr null_reads;
+                incr reads
+            | exception Client.Unavailable _ ->
+                record ();
+                incr failed
+          end
         in
-        Sim.fork_join_named
-          (List.mapi (fun w c -> (Some (Printf.sprintf "chaos:w%d" w), worker w c)) clients);
+        let r =
+          match cfg.ops_per_worker with
+          | Some ops -> Driver.fixed ~label:"chaos" ~workers:cfg.nclients ~ops op
+          | None -> Driver.closed ~label:"chaos" ~workers:cfg.nclients ~duration:cfg.duration op
+        in
         (* Let the schedule finish healing, then give repairs a grace
            window to drain before judging end-state invariants. *)
         Injector.wait_quiesced inj;
@@ -830,7 +821,7 @@ module Chaos = struct
         let live = Control.node_ids control in
         let full_chain = min cfg.r (List.length live) in
         let lost = ref 0 and stale = ref 0 and bad_chains = ref 0 in
-        let vc = List.hd clients in
+        let vc = clients.(0) in
         (* Raw engine bytes carry the protocol's storage framing (ABD
            tags); strip it before decoding sequence numbers. *)
         let module P = (val Abd.protocol cfg.proto : Replication.S) in
@@ -939,7 +930,7 @@ module Chaos = struct
             ([
               string_of_int cfg.seed;
               Replication.proto_to_string cfg.proto;
-              string_of_int !ops;
+              string_of_int r.Driver.ops;
               string_of_int !reads;
               string_of_int !writes;
               string_of_int !failed;
@@ -982,7 +973,7 @@ module Chaos = struct
         {
           schedule = Schedule.to_string sched;
           proto = Replication.proto_to_string cfg.proto;
-          ops = !ops;
+          ops = r.Driver.ops;
           reads = !reads;
           writes = !writes;
           failed_ops = !failed;

@@ -48,9 +48,25 @@ let value_tag v =
   | Some i -> Bytes.sub_string v 0 (i + 1)
   | None -> "?"
 
-(* A sharded fixed-op YCSB run on one backend. Per-worker generators,
-   per-worker key shards and fixed op counts (see
-   [Workload.Driver.closed_loop_sharded]) make the final KV state a
+(* Remap [op]'s key into worker [w]'s residue class of the keyspace:
+   worker [w] of [workers] owns the ids congruent to [w] mod [workers]
+   (the generator's [nkeys] must be a multiple of [workers], so remapped
+   ids stay in range). *)
+let shard_op ~workers w op =
+  let shard_key k = Workload.key_of_id (((Workload.id_of_key k / workers) * workers) + w) in
+  match op with
+  | Workload.Read k -> Workload.Read (shard_key k)
+  | Workload.Update (k, v) -> Workload.Update (shard_key k, v)
+  | Workload.Insert (k, v) -> Workload.Insert (shard_key k, v)
+  | Workload.Read_modify_write (k, v) -> Workload.Read_modify_write (shard_key k, v)
+
+(* A sharded fixed-op YCSB run on one backend. Each choice removes a
+   dependence on equal-time dispatch order: per-worker generators mean
+   no shared stream whose draws depend on which simultaneous worker
+   resumed first; fixed op counts ([Workload.Driver.fixed]) mean totals
+   don't depend on how virtual time sliced the last iteration; disjoint
+   write sets mean the final value of every key is the owning worker's
+   last update in its own program order. The final KV state is then a
    tie-break-invariant observable; the digest covers it plus the op and
    object totals. *)
 let ycsb_target ~fast ~backend ~mixname mk_mix =
@@ -64,11 +80,16 @@ let ycsb_target ~fast ~backend ~mixname mk_mix =
         let value_size = max 1 (object_size - Workload.key_size) in
         E.preload setup ~nkeys ~value_size;
         let clients = Array.of_list setup.E.clients in
-        let gen_for w =
-          Workload.generator ~object_size (mk_mix ()) ~nkeys (Rng.create (0xACE0 + w))
+        let gens =
+          Array.init workers (fun w ->
+              Workload.generator ~object_size (mk_mix ()) ~nkeys (Rng.create (0xACE0 + w)))
         in
-        let execute w op = Backend.execute clients.(w mod Array.length clients) op in
-        let r = Workload.Driver.closed_loop_sharded ~workers ~ops ~gen_for ~execute () in
+        let r =
+          Workload.Driver.fixed ~label:"load" ~workers ~ops (fun w ->
+              Backend.execute
+                clients.(w mod Array.length clients)
+                (shard_op ~workers w (Workload.next gens.(w))))
+        in
         let c = clients.(0) in
         let buf = Buffer.create (nkeys * 12) in
         for id = 0 to nkeys - 1 do

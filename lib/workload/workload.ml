@@ -260,6 +260,7 @@ module Driver = struct
     duration : float;
     throughput : float;
     latency : Leed_stats.Histogram.t;
+    shed : int;
   }
 
   (* Spread an op stream over front-end endpoints: the bridge from a
@@ -274,26 +275,36 @@ module Driver = struct
       incr i;
       execute c op
 
-  (* [workers] closed-loop workers for [duration] simulated seconds:
-     worker [w] calls [op w] back to back until the window ends. Every
-     call's latency and the call count go into the result. This is the
-     one duration-bounded loop; every timed closed loop goes through it. *)
-  let closed ~workers ~duration op =
+  (* The one worker loop: worker [w] calls [op w] back to back until
+     [stop calls] holds, [calls] being how many calls it has made. Every
+     call's latency and the call count go into the result. [closed] and
+     [fixed] differ only in [stop]. *)
+  let run_workers ?label ~workers ~stop op =
     let lat = Leed_stats.Histogram.create () in
     let ops = ref 0 in
     let t0 = Sim.now () in
-    let stop_at = t0 +. duration in
-    let worker w =
-      while not (Sim.reached stop_at) do
+    let worker w () =
+      let calls = ref 0 in
+      while not (stop !calls) do
         let start = Sim.now () in
         op w;
         Leed_stats.Histogram.record lat (Sim.now () -. start);
+        incr calls;
         incr ops
       done
     in
-    Sim.fork_join (List.init workers (fun w () -> worker w));
+    let name w = Option.map (fun l -> Printf.sprintf "%s:w%d" l w) label in
+    Sim.fork_join_named (List.init workers (fun w -> (name w, worker w)));
     let dt = Sim.now () -. t0 in
-    { ops = !ops; duration = dt; throughput = float_of_int !ops /. dt; latency = lat }
+    { ops = !ops; duration = dt; throughput = float_of_int !ops /. dt; latency = lat; shed = 0 }
+
+  let closed ?label ~workers ~duration op =
+    let stop_at = Sim.now () +. duration in
+    run_workers ?label ~workers ~stop:(fun _ -> Sim.reached stop_at) op
+
+  (* A fixed op count per worker keeps the totals independent of how
+     virtual time slices the last iteration. *)
+  let fixed ?label ~workers ~ops op = run_workers ?label ~workers ~stop:(fun n -> n >= ops) op
 
   let closed_loop ~clients ~duration ~gen ~execute () =
     closed ~workers:clients ~duration (fun _ -> execute (next gen))
@@ -307,66 +318,30 @@ module Driver = struct
              f id
            done))
 
-  (* Race-harness variant of [closed_loop]: [workers] closed-loop
-     workers, each driving its own generator for exactly [ops]
-     operations, with every key remapped into the worker's residue class
-     (worker [w] owns ids congruent to [w] mod [workers]; [nkeys] must
-     be a multiple of [workers] so remapped ids stay in range).
-
-     The point of each choice: per-worker generators mean no shared
-     stream whose draws depend on which simultaneous worker resumed
-     first; fixed op counts mean totals don't depend on how virtual
-     time sliced the last iteration; disjoint write sets mean the final
-     value of every key is the owning worker's last update in its own
-     program order. Together they make the op streams and the final KV
-     state invariant under equal-time event reordering — the property
-     the simrace detector checks. *)
-  let closed_loop_sharded ~workers ~ops ~gen_for ~execute () =
-    if workers <= 0 then invalid_arg "Driver.closed_loop_sharded: workers must be positive";
-    let lat = Leed_stats.Histogram.create () in
-    let total = ref 0 in
-    let t0 = Sim.now () in
-    let shard_key w k = key_of_id (((id_of_key k / workers) * workers) + w) in
-    let shard w = function
-      | Read k -> Read (shard_key w k)
-      | Update (k, v) -> Update (shard_key w k, v)
-      | Insert (k, v) -> Insert (shard_key w k, v)
-      | Read_modify_write (k, v) -> Read_modify_write (shard_key w k, v)
-    in
-    let worker w () =
-      let gen = gen_for w in
-      for _ = 1 to ops do
-        let op = shard w (next gen) in
-        let start = Sim.now () in
-        execute w op;
-        Leed_stats.Histogram.record lat (Sim.now () -. start);
-        incr total
-      done
-    in
-    Sim.fork_join_named
-      (List.init workers (fun w -> (Some (Printf.sprintf "load:w%d" w), fun () -> worker w ())));
-    let dt = Sim.now () -. t0 in
-    { ops = !total; duration = dt; throughput = float_of_int !total /. dt; latency = lat }
-
   (* Open loop: Poisson arrivals at [rate] requests/s for [duration]
-     simulated seconds; every request runs in its own process. Completion
-     is awaited for up to [drain] extra seconds, so an overloaded system
-     shows up as unfinished requests rather than a hung driver. *)
-  let open_loop ?(drain = 2.0) ~rate ~duration ~gen ~execute () =
+     simulated seconds; every request runs in its own process. With a
+     [window], an arrival that finds that many requests in flight is
+     shed (counted, and [gen] not drawn). Completion is awaited for up
+     to [drain] extra seconds, so an overloaded system shows up as
+     unfinished requests rather than a hung driver. *)
+  let open_loop ?(drain = 2.0) ?window ~rate ~duration ~gen ~execute () =
     let lat = Leed_stats.Histogram.create () in
-    let completed = ref 0 and issued = ref 0 in
+    let completed = ref 0 and issued = ref 0 and shed = ref 0 in
     let rng = Rng.split gen.rng in
     let t0 = Sim.now () in
     let stop_at = t0 +. duration in
     while not (Sim.reached stop_at) do
       Sim.delay (Rng.exponential rng ~mean:(1. /. rate));
-      let op = next gen in
-      incr issued;
-      Sim.spawn (fun () ->
-          let start = Sim.now () in
-          execute op;
-          Leed_stats.Histogram.record lat (Sim.now () -. start);
-          incr completed)
+      match window with
+      | Some w when !issued - !completed >= w -> incr shed
+      | _ ->
+          let op = next gen in
+          incr issued;
+          Sim.spawn (fun () ->
+              let start = Sim.now () in
+              execute op;
+              Leed_stats.Histogram.record lat (Sim.now () -. start);
+              incr completed)
     done;
     (* Let stragglers finish; throughput is attributed to the issuing
        window only, so the drain must not dilute it. *)
@@ -376,5 +351,6 @@ module Driver = struct
       duration;
       throughput = float_of_int !completed /. duration;
       latency = lat;
+      shed = !shed;
     }
 end

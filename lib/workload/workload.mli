@@ -104,20 +104,30 @@ val inserted_count : gen -> int
 val current_version : gen -> int -> int
 val next : gen -> op
 
-(** Closed- and open-loop measurement drivers. *)
+(** Closed- and open-loop measurement drivers: every timed, fixed-count
+    and Poisson load in the repository goes through these. *)
 module Driver : sig
   type result = {
     ops : int;
     duration : float;
     throughput : float;
     latency : Leed_stats.Histogram.t;
+    shed : int;  (** arrivals [open_loop ~window] dropped; 0 for every other driver *)
   }
 
-  val closed : workers:int -> duration:float -> (int -> unit) -> result
+  val closed : ?label:string -> workers:int -> duration:float -> (int -> unit) -> result
   (** [closed ~workers ~duration op]: worker [w] (in [0, workers)) calls
       [op w] back to back until [duration] simulated seconds have
       passed. [ops] counts the calls and [latency] records each call's
-      duration. *)
+      duration. [label] names worker [w]'s process ["<label>:w<w>"] in
+      {!Leed_sim.Sim.dispatch} records; without it the workers inherit
+      the caller's label. *)
+
+  val fixed : ?label:string -> workers:int -> ops:int -> (int -> unit) -> result
+  (** [fixed ~workers ~ops op]: as {!closed}, but worker [w] calls
+      [op w] exactly [ops] times, so [result.ops = workers * ops]
+      whatever the timing. The same worker loop as {!closed}; only the
+      stop test differs. *)
 
   val closed_loop :
     clients:int -> duration:float -> gen:gen -> execute:(op -> unit) -> unit -> result
@@ -130,29 +140,23 @@ module Driver : sig
       order; returns when all are done. Together they visit every id of
       [[0, n)] exactly once. *)
 
-  val closed_loop_sharded :
-    workers:int ->
-    ops:int ->
-    gen_for:(int -> gen) ->
-    execute:(int -> op -> unit) ->
+  val open_loop :
+    ?drain:float ->
+    ?window:int ->
+    rate:float ->
+    duration:float ->
+    gen:gen ->
+    execute:(op -> unit) ->
     unit ->
     result
-  (** The race-detector variant of {!closed_loop}: [workers] workers,
-      each driving its own generator ([gen_for w]) for exactly [ops]
-      operations, with every key remapped into the worker's residue
-      class of the keyspace (worker [w] owns ids congruent to [w] mod
-      [workers]; the generators' [nkeys] must be a multiple of
-      [workers]). Per-worker streams, fixed op counts and disjoint
-      write sets make the op streams and the final KV state invariant
-      under equal-time event reordering — the property [leed race]
-      checks. [execute] additionally receives the worker index so each
-      worker can pin its own front-end client. *)
-
-  val open_loop :
-    ?drain:float -> rate:float -> duration:float -> gen:gen -> execute:(op -> unit) -> unit -> result
   (** Poisson arrivals at [rate] for [duration] seconds, each request in
       its own process; stragglers get [drain] extra seconds and
-      throughput is attributed to the issuing window only. *)
+      throughput is attributed to the issuing window only. The arrival
+      times come from [Rng.split] of [gen]'s stream. With [window], an
+      arrival that finds [window] requests in flight is shed: it is
+      counted in [shed] and does not draw from [gen], so [ops + shed]
+      is the number of arrivals once every request has finished.
+      Without [window] nothing is shed. *)
 
   val round_robin : ('c -> op -> unit) -> 'c list -> op -> unit
   (** [round_robin execute clients] spreads an op stream over front-end

@@ -350,6 +350,104 @@ let test_closed_loop_known_answer () =
   Alcotest.(check string) "mean latency" "0x1.aded4765acfe4p-12"
     (Printf.sprintf "%h" (Leed_stats.Histogram.mean r.Workload.Driver.latency))
 
+(* Worker [w] makes exactly [ops] calls whatever its call takes: the
+   per-worker delays differ, so a duration-style stop would give unequal
+   counts. *)
+let test_fixed_call_counts () =
+  let workers = 4 and ops = 7 in
+  let calls = Array.make workers 0 in
+  let r =
+    Sim.run (fun () ->
+        Workload.Driver.fixed ~workers ~ops (fun w ->
+            calls.(w) <- calls.(w) + 1;
+            Sim.delay (1e-3 *. float_of_int (w + 1))))
+  in
+  Alcotest.(check (array int)) "calls per worker" (Array.make workers ops) calls;
+  Alcotest.(check int) "ops = workers * ops" (workers * ops) r.Workload.Driver.ops;
+  Alcotest.(check int) "latency samples" (workers * ops)
+    (Leed_stats.Histogram.count r.Workload.Driver.latency);
+  Alcotest.(check int) "nothing shed" 0 r.Workload.Driver.shed
+
+(* The labels the dispatch hook sees while [drive] runs its workers,
+   other than the main process's; an unlabelled worker inherits that. *)
+let worker_labels drive =
+  let labels = ref [] in
+  Sim.run
+    ~on_dispatch:(fun d -> labels := d.Sim.d_label :: !labels)
+    (fun () -> ignore (drive (fun _ -> Sim.delay 1e-3)));
+  List.sort_uniq String.compare (List.filter (fun l -> l <> "main") !labels)
+
+let test_worker_labels () =
+  Alcotest.(check (list string))
+    "fixed ~label" [ "x:w0"; "x:w1"; "x:w2" ]
+    (worker_labels (Workload.Driver.fixed ~label:"x" ~workers:3 ~ops:2));
+  Alcotest.(check (list string))
+    "closed ~label" [ "y:w0"; "y:w1" ]
+    (worker_labels (Workload.Driver.closed ~label:"y" ~workers:2 ~duration:0.01));
+  Alcotest.(check (list string))
+    "unlabelled" [] (worker_labels (Workload.Driver.fixed ~workers:3 ~ops:2))
+
+let op_name = function
+  | Workload.Read k -> "R" ^ k
+  | Workload.Update (k, v) | Workload.Insert (k, v) | Workload.Read_modify_write (k, v) ->
+      "W" ^ k ^ Bytes.to_string v
+
+(* The ops [open_loop] issues, in issue order, from a seeded YCSB-A
+   stream at 10 K arrivals/s for 50 ms; each takes [service] seconds. *)
+let open_ops ?window ~service () =
+  let issued = ref [] and inflight = ref 0 and peak = ref 0 in
+  let r =
+    Sim.run (fun () ->
+        let gen = Workload.generator (Workload.ycsb_a ()) ~nkeys:1_000 (Rng.create 11) in
+        Workload.Driver.open_loop ?window ~rate:10_000. ~duration:0.05 ~gen
+          ~execute:(fun op ->
+            issued := op_name op :: !issued;
+            incr inflight;
+            peak := max !peak !inflight;
+            Sim.delay service;
+            decr inflight)
+          ())
+  in
+  (r, List.rev !issued, !peak)
+
+(* A window of 8 against ~20 requests' worth of concurrency: the window
+   fills, never overflows, every arrival is either completed or shed,
+   and a shed arrival draws nothing from the generator, so the issued
+   ops are a prefix of the unwindowed stream. *)
+let test_open_loop_window () =
+  let all, stream, _ = open_ops ~service:0. () in
+  let r, issued, peak = open_ops ~window:8 ~service:2e-3 () in
+  Alcotest.(check int) "unwindowed sheds nothing" 0 all.Workload.Driver.shed;
+  Alcotest.(check int) "peak in flight = window" 8 peak;
+  Alcotest.(check bool)
+    (Printf.sprintf "some shed (%d)" r.Workload.Driver.shed)
+    true (r.Workload.Driver.shed > 0);
+  Alcotest.(check int) "ops + shed = arrivals" all.Workload.Driver.ops
+    (r.Workload.Driver.ops + r.Workload.Driver.shed);
+  Alcotest.(check (list string))
+    "issued ops are the stream's prefix"
+    (List.filteri (fun i _ -> i < List.length issued) stream)
+    issued
+
+(* The unwindowed open loop on the seeded YCSB-B stream of
+   [test_closed_loop_known_answer]: ops and the exact bits of throughput
+   and mean latency, as recorded before [open_loop] gained [?window]
+   (the hotspot-open benchmark runs this path). *)
+let test_open_loop_known_answer () =
+  let r =
+    Sim.run (fun () ->
+        let gen = Workload.generator (Workload.ycsb_b ()) ~nkeys:1_000 (Rng.create 7) in
+        let execute = function
+          | Workload.Read k -> Sim.delay (1e-4 *. float_of_int (1 + (Workload.id_of_key k mod 7)))
+          | _ -> Sim.delay 3e-4
+        in
+        Workload.Driver.open_loop ~rate:20_000. ~duration:0.05 ~gen ~execute ())
+  in
+  Alcotest.(check int) "ops" 1008 r.Workload.Driver.ops;
+  Alcotest.(check string) "throughput" "0x1.3bp+14" (Printf.sprintf "%h" r.Workload.Driver.throughput);
+  Alcotest.(check string) "mean latency" "0x1.abdb40c67afdcp-12"
+    (Printf.sprintf "%h" (Leed_stats.Histogram.mean r.Workload.Driver.latency))
+
 (* Every [f id] takes 1 s, so the ids a step visits are one per worker:
    step [j] holds the [j]-th id of every worker's range that long. *)
 let spread_steps ~workers ~n =
@@ -408,6 +506,10 @@ let () =
         [
           Alcotest.test_case "closed calls every worker" `Quick test_closed_worker_indices;
           Alcotest.test_case "closed_loop known answer" `Quick test_closed_loop_known_answer;
+          Alcotest.test_case "fixed calls each worker ops times" `Quick test_fixed_call_counts;
+          Alcotest.test_case "worker labels" `Quick test_worker_labels;
+          Alcotest.test_case "open_loop window sheds" `Quick test_open_loop_window;
+          Alcotest.test_case "open_loop known answer" `Quick test_open_loop_known_answer;
           Alcotest.test_case "spread covers each id once" `Quick test_spread_ranges;
         ] );
       qsuite "properties" [ zipf_in_range ];

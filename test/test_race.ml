@@ -79,6 +79,41 @@ let test_clean_targets_no_divergence () =
       end)
     (Race.targets ~fast:true ())
 
+(* --- the clean targets' FIFO baselines are pinned --- *)
+
+(* Digest and dispatched-event count of every clean fast target under
+   FIFO. The YCSB targets run the fixed-count sharded load and the chaos
+   targets run fixed-op chaos workers; nothing in test/golden covers
+   either, so a change to those loops that moves an op stream, a key or
+   an event shows up here. *)
+let pinned =
+  [
+    ("ycsb-a-leed", "72cd403301c503eed0fc4f51e2b9cd95", 44512);
+    ("ycsb-b-leed", "181f22e431e49c95ea81af7e8d3b04dc", 34315);
+    ("ycsb-c-leed", "0b8c7bc287be85e4c7132ea61dad4471", 33479);
+    ("ycsb-b-fawn", "181f22e431e49c95ea81af7e8d3b04dc", 18875);
+    ("ycsb-b-kvell", "181f22e431e49c95ea81af7e8d3b04dc", 22124);
+    ("chaos", "079bdf130a7005b7350ed753655aa6f2", 52298);
+    ("chaos-bitrot", "dd1291c4e2999af7fdca7144d97d7359", 98656);
+  ]
+
+let test_clean_targets_pinned () =
+  let clean =
+    List.filter (fun (t : Race.target) -> not t.Race.expect_divergence) (Race.targets ~fast:true ())
+  in
+  Alcotest.(check (list string))
+    "pinned targets" (List.map (fun (n, _, _) -> n) pinned)
+    (List.map (fun t -> t.Race.name) clean);
+  List.iter
+    (fun (t : Race.target) ->
+      let _, digest, events = List.find (fun (n, _, _) -> n = t.Race.name) pinned in
+      let r = Race.check ~runs:0 t in
+      Alcotest.(check (pair string int))
+        (t.Race.name ^ ": digest, events")
+        (digest, events)
+        (r.Race.base_digest, r.Race.events))
+    clean
+
 (* --- the racy fixture is detected and correctly attributed --- *)
 
 let test_racy_fixture_detected () =
@@ -120,6 +155,7 @@ let () =
         [
           Alcotest.test_case "per-seed digest determinism" `Quick
             test_target_digest_deterministic_per_seed;
+          Alcotest.test_case "clean targets pinned (FIFO)" `Quick test_clean_targets_pinned;
           Alcotest.test_case "clean targets stay clean (K=8)" `Slow
             test_clean_targets_no_divergence;
           Alcotest.test_case "racy fixture detected + attributed" `Quick
