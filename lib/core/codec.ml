@@ -147,32 +147,39 @@ let bucket_crc ?(off = 0) buf =
   let c = crc32 buf ~pos:off ~len:bucket_crc_off in
   crc32 ~crc:c buf ~pos:(off + bucket_crc_off + 4) ~len:(bucket_size - bucket_crc_off - 4)
 
-let encode_bucket b =
+(* Writes [b] as one bucket at [out.[off .. off+bucket_size)], with
+   [chain_len] and [chain_pos] in place of [b]'s own. The range must be
+   zeroed: unused item space and padding are written by not writing. *)
+let write_bucket out ~off ~chain_len ~chain_pos b =
   if not (bucket_fits b) then
     invalid_arg
       (Printf.sprintf "Codec.encode_bucket: %d bytes exceed bucket size %d" (bucket_bytes_used b)
          bucket_size);
+  set_u8 out off bucket_magic;
+  set_u8 out (off + 1) chain_len;
+  set_u8 out (off + 2) chain_pos;
+  set_u16 out (off + 4) (List.length b.items);
+  set_u32 out (off + 6) b.bindex;
+  set_u64 out (off + 10) b.seg_id;
+  set_u64 out (off + 18) b.log_head;
+  set_u64 out (off + 26) b.log_tail;
+  let rec write_items pos = function
+    | [] -> ()
+    | it :: rest ->
+        let klen = String.length it.key in
+        set_u8 out pos klen;
+        set_u32 out (pos + 1) it.vlen;
+        set_u64 out (pos + 5) it.voff;
+        set_u8 out (pos + 13) (if it.vdev < 0 then 0xFF else it.vdev);
+        Bytes.blit_string it.key 0 out (pos + item_fixed_size) klen;
+        write_items (pos + item_fixed_size + klen) rest
+  in
+  write_items (off + bucket_header_size) b.items;
+  set_u32 out (off + bucket_crc_off) (bucket_crc ~off out)
+
+let encode_bucket b =
   let out = Bytes.make bucket_size '\000' in
-  set_u8 out 0 bucket_magic;
-  set_u8 out 1 b.chain_len;
-  set_u8 out 2 b.chain_pos;
-  set_u16 out 4 (List.length b.items);
-  set_u32 out 6 b.bindex;
-  set_u64 out 10 b.seg_id;
-  set_u64 out 18 b.log_head;
-  set_u64 out 26 b.log_tail;
-  let pos = ref bucket_header_size in
-  List.iter
-    (fun it ->
-      let klen = String.length it.key in
-      set_u8 out !pos klen;
-      set_u32 out (!pos + 1) it.vlen;
-      set_u64 out (!pos + 5) it.voff;
-      set_u8 out (!pos + 13) (if it.vdev < 0 then 0xFF else it.vdev);
-      Bytes.blit_string it.key 0 out (!pos + item_fixed_size) klen;
-      pos := !pos + item_fixed_size + klen)
-    b.items;
-  set_u32 out bucket_crc_off (bucket_crc out);
+  write_bucket out ~off:0 ~chain_len:b.chain_len ~chain_pos:b.chain_pos b;
   out
 
 exception Corrupt of string
@@ -208,8 +215,8 @@ let decode_bucket ?(off = 0) buf =
 
 let encode_segment (buckets : bucket list) =
   let n = List.length buckets in
-  let out = Bytes.create (n * bucket_size) in
-  List.iteri (fun i b -> Bytes.blit (encode_bucket { b with chain_len = n; chain_pos = i }) 0 out (i * bucket_size) bucket_size) buckets;
+  let out = Bytes.make (n * bucket_size) '\000' in
+  List.iteri (fun i b -> write_bucket out ~off:(i * bucket_size) ~chain_len:n ~chain_pos:i b) buckets;
   out
 
 (* A segment occupies [buf.[off .. off+len)]; [len] is a whole number of

@@ -252,8 +252,32 @@ let processes_spawned () = (get_engine ()).spawned
 let idle_handler : (unit, unit) Effect.Deep.handler =
   { retc = (fun () -> ()); exnc = raise; effc = (fun _ -> None) }
 
+(* The process's GC policy (DESIGN.md §8). A simulated op's state —
+   continuations, closures, messages, encoded buckets — lives from
+   issue to completion. OCaml's default 256 K-word minor heap fills
+   every ~190 ops while ~128 are in flight, so that state is promoted
+   and dies in the major heap, whose free-space overhead also scales
+   with the flash image it holds. A 4 M-word (32 MiB) minor heap lets
+   it die young, and a lower overhead keeps the major heap nearer its
+   live data. Both only tighten: a larger minor heap or a smaller
+   overhead already set (say by OCAMLRUNPARAM) is kept, so a nested or
+   later run changes nothing. *)
+let gc_minor_heap_words = 4 * 1024 * 1024
+let gc_space_overhead = 80
+
+let tighten_gc () =
+  let g = Gc.get () in
+  if g.minor_heap_size < gc_minor_heap_words || g.space_overhead > gc_space_overhead then
+    Gc.set
+      {
+        g with
+        minor_heap_size = max g.minor_heap_size gc_minor_heap_words;
+        space_overhead = min g.space_overhead gc_space_overhead;
+      }
+
 let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Wheel) ?on_dispatch
     (main : unit -> 'a) : 'a =
+  tighten_gc ();
   let store = Event_store.create () in
   let eng =
     {

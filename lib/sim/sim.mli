@@ -65,7 +65,8 @@ val run :
     stops as soon as [main] has its result: events still pending then
     (daemon processes such as periodic compactors and heartbeats, armed
     timers) are dropped, not drained. Returns [main]'s result. Nested
-    runs are permitted (the outer engine is restored on exit).
+    runs are permitted (the outer engine is restored on exit). On entry
+    it tightens the process's GC policy; see {!gc_space_overhead}.
 
     [~checks:true] turns on the {!Invariant} runtime sanitizer for the
     duration of the run (event-time monotonicity, device queue bounds,
@@ -80,6 +81,23 @@ val run :
     never changes observable behaviour, only performance. [~on_dispatch] is called once per executed event,
     before it runs — the race detector's execution-log channel; leave it
     unset on hot paths (the per-event cost when unset is one branch). *)
+
+val gc_minor_heap_words : int
+(** The minor-heap floor, in words, that {!run} sets for the process:
+    room for the in-flight ops' short-lived state many times over, so
+    it dies young instead of being promoted. *)
+
+val gc_space_overhead : int
+(** The cap {!run} sets on the GC's [space_overhead] (percent).
+
+    On entry {!run} raises [Gc.minor_heap_size] to
+    {!gc_minor_heap_words} and lowers [space_overhead] to this cap, each
+    only when the current value is looser, and never restores them: a
+    larger minor heap or smaller overhead set first (say by
+    [OCAMLRUNPARAM=s=...,o=...]) is kept, and a nested or later run is a
+    no-op. The GC never touches simulated state, so the policy changes
+    memory and wall time only. No other module sets GC parameters
+    (simlint R8). *)
 
 val now : unit -> float
 (** Current simulation time, in seconds. Must be called inside {!run}. *)

@@ -3,3 +3,6 @@ val current : int option ref
 
 val set_current : int option -> unit
 (** Install an engine. *)
+
+val tighten_gc : unit -> unit
+(** Set the process's GC policy (R8-allowlisted by file path). *)

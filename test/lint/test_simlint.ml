@@ -1,7 +1,7 @@
 (* Driver for the simlint fixture suite.
 
    Runs the linter over two fixture trees: one seeded with a known set of
-   R1-R7 violations that must all be flagged at the right file:line, and a
+   R1-R8 violations that must all be flagged at the right file:line, and a
    clean tree (including allowlisted Random/Effect/wall-clock/toplevel-state
    uses and suppression comments) that must pass. Invoked by dune with the
    path to the simlint executable as the single argument. *)
@@ -88,7 +88,11 @@ let () =
   expect_line out "R5 undocumented replication value flagged" "lib/core/replication.mli:4: R5";
   expect_line out "R6 replication toplevel tag gate flagged" "lib/core/replication.ml:1: R6";
   expect_line out "R7 replication quorum deadline flagged" "lib/core/replication.ml:2: R7";
-  expect_line out "exact violation count" "simlint: 22 violation(s)";
+  expect_line out "R8 Gc.set outside Sim flagged" "lib/core/bad_gc.ml:1: R8";
+  expect_line out "R8 Gc.full_major outside Sim flagged" "lib/core/bad_gc.ml:2: R8";
+  expect_line out "R8 Gc.compact outside Sim flagged" "lib/core/bad_gc.ml:3: R8";
+  expect_absent out "Gc counter read not flagged" "bad_gc.ml:4";
+  expect_line out "exact violation count" "simlint: 25 violation(s)";
   (* --- clean tree: allowlists and suppressions must hold --- *)
   let status, out = run_simlint ~dir:"fixtures/clean" [ "lib"; "bin"; "bench" ] in
   if status <> 0 then fail "clean tree: expected exit 0, got %d:\n%s" status out

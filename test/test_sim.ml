@@ -710,6 +710,100 @@ let sim_deterministic () =
   let t1 = trace () and t2 = trace () in
   Alcotest.(check bool) "identical traces" true (t1 = t2)
 
+(* --- GC policy: Sim.run tightens the process's settings, never loosens
+   them. [Gc] is process-global, so each test restores what it found. --- *)
+
+let with_gc_restored f =
+  let saved = Gc.get () in
+  Fun.protect ~finally:(fun () -> Gc.set saved) f
+
+let test_gc_policy_applied () =
+  with_gc_restored (fun () ->
+      Gc.set { (Gc.get ()) with minor_heap_size = 256 * 1024; space_overhead = 120 };
+      Sim.run (fun () -> ());
+      let g = Gc.get () in
+      if g.minor_heap_size < Sim.gc_minor_heap_words then
+        Alcotest.failf "minor heap %d words, below the floor %d" g.minor_heap_size
+          Sim.gc_minor_heap_words;
+      if g.space_overhead > Sim.gc_space_overhead then
+        Alcotest.failf "space_overhead %d, above the cap %d" g.space_overhead Sim.gc_space_overhead)
+
+let test_gc_policy_keeps_tighter () =
+  with_gc_restored (fun () ->
+      let s = 2 * Sim.gc_minor_heap_words and o = Sim.gc_space_overhead / 2 in
+      Gc.set { (Gc.get ()) with minor_heap_size = s; space_overhead = o };
+      Sim.run (fun () -> Sim.run (fun () -> ()));
+      let g = Gc.get () in
+      Alcotest.(check int) "minor heap kept" s g.minor_heap_size;
+      Alcotest.(check int) "space_overhead kept" o g.space_overhead)
+
+(* --- Per-primitive allocation ceilings. Minor words per iteration of
+   each blocking primitive, engine dispatch included, measured after a
+   warm-up round has grown the fiber pool and the scheduler. Each
+   ceiling is the value the engine allocates today: a closure or box
+   added to the wait path raises it past the ceiling. --- *)
+
+let iterations = 20_000
+
+(* Minor words allocated and events dispatched by [body iterations],
+   run after one warm-up call of the same size. *)
+let measure body =
+  Sim.run ~checks:false (fun () ->
+      body iterations;
+      let w0 = Gc.minor_words () and e0 = Sim.events_dispatched () in
+      body iterations;
+      (Gc.minor_words () -. w0, Sim.events_dispatched () - e0))
+
+let words_per_iteration body = fst (measure body) /. float_of_int iterations
+
+let check_ceiling what ~today words =
+  if words > today +. 0.5 then
+    Alcotest.failf "%s: %.2f minor words, above the ceiling of %g" what words today
+
+let test_alloc_delay () =
+  check_ceiling "Sim.delay, per delay" ~today:10.
+    (words_per_iteration (fun n ->
+         for _ = 1 to n do
+           Sim.delay 1e-6
+         done))
+
+let test_alloc_resource () =
+  let r = Sim.Resource.create ~capacity:1 () in
+  check_ceiling "Resource.with_ around a delay, per call" ~today:14.
+    (words_per_iteration (fun n ->
+         for _ = 1 to n do
+           Sim.Resource.with_ r (fun () -> Sim.delay 1e-6)
+         done))
+
+let test_alloc_ivar () =
+  check_ceiling "Ivar read and fill through Sim.after, per read" ~today:54.
+    (words_per_iteration (fun n ->
+         for _ = 1 to n do
+           let iv = Sim.Ivar.create () in
+           Sim.after 1e-6 (fun () -> Sim.Ivar.fill iv ());
+           Sim.Ivar.read iv
+         done))
+
+let test_alloc_read_timeout () =
+  check_ceiling "Ivar.read_timeout won by the fill, per read" ~today:70.
+    (words_per_iteration (fun n ->
+         for _ = 1 to n do
+           let iv = Sim.Ivar.create () in
+           Sim.after 1e-6 (fun () -> Sim.Ivar.fill iv ());
+           ignore (Sim.Ivar.read_timeout iv 1.)
+         done))
+
+let test_alloc_fork_join () =
+  (* Per dispatched event: a two-way fork_join is several events (two
+     spawns, two delays, the join), so the ceiling is per event. *)
+  let words, events =
+    measure (fun n ->
+        for _ = 1 to n do
+          Sim.fork_join [ (fun () -> Sim.delay 1e-6); (fun () -> Sim.delay 2e-6) ]
+        done)
+  in
+  check_ceiling "two-way fork_join, per event" ~today:23.6 (words /. float_of_int events)
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -769,6 +863,19 @@ let () =
           Alcotest.test_case "utilisation" `Quick test_resource_utilisation;
           Alcotest.test_case "fork_join empty" `Quick test_fork_join_empty;
           Alcotest.test_case "every" `Quick test_every;
+        ] );
+      ( "gc policy",
+        [
+          Alcotest.test_case "floor and cap applied" `Quick test_gc_policy_applied;
+          Alcotest.test_case "tighter settings kept" `Quick test_gc_policy_keeps_tighter;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "delay" `Quick test_alloc_delay;
+          Alcotest.test_case "resource with_" `Quick test_alloc_resource;
+          Alcotest.test_case "ivar read and fill" `Quick test_alloc_ivar;
+          Alcotest.test_case "ivar read_timeout" `Quick test_alloc_read_timeout;
+          Alcotest.test_case "fork_join" `Quick test_alloc_fork_join;
         ] );
       qsuite "properties" [ heap_sorts; rng_uniform_range; rng_int_range; rng_split_independent ];
       ( "rng",

@@ -140,6 +140,33 @@ let test_bucket_roundtrip () =
       Alcotest.(check int) "vdev" a.Codec.vdev b.Codec.vdev)
     items dec.Codec.items
 
+(* encode_segment writes each bucket in place: its bytes must be the
+   single-bucket encodings, renumbered over the chain, back to back, and
+   the layout must not move (checksum recorded before the in-place
+   encoder replaced the per-bucket copies). *)
+let test_segment_bytes () =
+  let bucket i nitems =
+    {
+      Codec.bindex = 0xABCD0 + i;
+      chain_len = 9;
+      chain_pos = 7;
+      seg_id = 11;
+      log_head = 4096 * i;
+      log_tail = 65536 + i;
+      items =
+        List.init nitems (fun j ->
+            { Codec.key = Printf.sprintf "key-%d-%d" i j; vlen = 100 * j; voff = 512 * (i + j); vdev = j - 1 });
+    }
+  in
+  let buckets = [ bucket 0 3; bucket 1 0; bucket 2 20 ] in
+  let seg = Codec.encode_segment buckets in
+  let expected =
+    Bytes.concat Bytes.empty
+      (List.mapi (fun i b -> Codec.encode_bucket { b with Codec.chain_len = 3; chain_pos = i }) buckets)
+  in
+  Alcotest.(check string) "buckets back to back" (Bytes.to_string expected) (Bytes.to_string seg);
+  Alcotest.(check int) "layout checksum" 2568148386 (Codec.crc32 seg ~pos:0 ~len:(Bytes.length seg))
+
 let test_value_entry_roundtrip () =
   let ve = { Codec.ve_seg = 17; ve_key = "k000000000000009"; ve_value = Bytes.of_string "payload!" } in
   let buf = Codec.encode_value_entry ve in
@@ -510,6 +537,7 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "bucket roundtrip" `Quick test_bucket_roundtrip;
+          Alcotest.test_case "segment bytes" `Quick test_segment_bytes;
           Alcotest.test_case "value entry roundtrip" `Quick test_value_entry_roundtrip;
           Alcotest.test_case "corrupt rejected" `Quick test_corrupt_rejected;
           Alcotest.test_case "segment chaining threshold" `Quick test_segment_split_merge;

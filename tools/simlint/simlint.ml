@@ -46,13 +46,19 @@
                          deadline logic must go through the epsilon-free
                          helpers [Sim.reached]/[Sim.past]/
                          [Sim.same_instant]
+     R8 gc policy        [Gc.set], [Gc.compact] and [Gc.full_major] only
+                         in lib/sim/sim.ml, whose [Sim.run] owns the
+                         process's GC policy: a GC setting made anywhere
+                         else outlives the run that made it, so wall
+                         time and heap figures would depend on which
+                         experiment ran first
 
    Violations print "file:line: rule: message" and the exit status is
    non-zero. A finding can be suppressed by a comment containing
    "simlint: allow <tag>" on the same or the preceding line, where <tag>
-   is the rule id (R1..R7) or its specific name (random, wall-clock,
+   is the rule id (R1..R8) or its specific name (random, wall-clock,
    effect, hashtbl-order, hashtbl-hash, obj-magic, compare-fun, doc,
-   toplevel-state, time-compare). *)
+   toplevel-state, time-compare, gc-policy). *)
 
 let scope_default = [ "lib"; "bin"; "bench"; "tools" ]
 
@@ -65,6 +71,9 @@ let random_allowed_files = [ "lib/sim/rng.ml" ]
    view; it is re-initialised by each [Sim.run] and cannot be expressed
    any other way with effects. *)
 let r6_allowed_files = [ "lib/sim/sim.ml" ]
+
+(* R8: the one owner of the process's GC policy ([Sim.run]). *)
+let gc_policy_file = "lib/sim/sim.ml"
 
 (* ------------------------------------------------------------------ *)
 
@@ -282,6 +291,13 @@ let lint_structure ~file (str : Parsetree.structure) =
         report ~file ~line ~rule:"R2" ~tag:"effect"
           "Effect.perform outside lib/sim/: blocking must go through the Sim API \
            (event-heap callbacks must not perform effects)"
+    | [ "Gc"; ("set" | "compact" | "full_major") as fn ] when file <> gc_policy_file ->
+        report ~file ~line ~rule:"R8" ~tag:"gc-policy"
+          (Printf.sprintf
+             "Gc.%s outside lib/sim/sim.ml: Sim.run owns the process's GC policy; a \
+              setting or collection forced elsewhere makes wall time and heap \
+              figures depend on what ran before"
+             fn)
     | [ "Obj"; "magic" ] ->
         report ~file ~line ~rule:"R4" ~tag:"obj-magic" "Obj.magic is banned"
     | [ "Hashtbl"; ("hash" | "seeded_hash" | "hash_param") as fn ] when under "lib/core" file ->
