@@ -130,6 +130,8 @@ module Storage = struct
       | Some c -> (c, co)
       | None -> (read t ~off ~len, 0)
 
+  let resident_bytes t = Chunks.length t.chunks * chunk_size
+
   (* Chunk indices holding ever-written data, sorted so callers walking
      them stay deterministic regardless of hash-table order. *)
   let resident_chunks t =
@@ -224,6 +226,8 @@ let corrupt_range t ~rng ~off ~len ~flips =
   for _ = 1 to flips do
     flip_bit t ~off:(off + Rng.int rng len) ~bit:(Rng.int rng 8)
   done
+
+let resident_bytes t = Storage.resident_bytes t.storage
 
 let corrupt_resident t ~rng ~flips =
   match Storage.resident_chunks t.storage with

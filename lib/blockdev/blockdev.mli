@@ -69,6 +69,12 @@ val inflight : t -> int
 
 val queued : t -> int
 
+val resident_bytes : t -> int
+(** Bytes of simulated flash the device holds in memory: its written
+    64 KiB chunks × 64 KiB. The first write into a chunk materialises all
+    of it, zero-filled; reads never do, and a chunk stays resident for
+    the device's life (across {!reboot} too). *)
+
 val read : t -> off:int -> len:int -> bytes
 (** Blocking random read; service = base latency + transfer time. The
     result is a fresh buffer the caller owns. *)

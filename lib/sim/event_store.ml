@@ -1,5 +1,5 @@
 (* Engine-owned event store: an int slab of 4 words per handle (stamp,
-   tie-break key, seq, next) plus two pointer arrays (run, label), all
+   tie-break key, seq, next) plus two pointer arrays (body, label), all
    cut into chunks of [chunk] handles.
 
    The slab is why this module exists. Scheduler cells used to be
@@ -8,9 +8,15 @@
    into them went through [caml_modify]. An [int array] store is a plain
    write, and a float time stored as its stamp needs no box. *)
 
+type body =
+  | Cancelled
+  | Call of (unit -> unit)
+  | Apply : ('a -> unit) * 'a -> body
+  | Resume : ('a, unit) Effect.Deep.continuation * 'a -> body
+
 type t = {
   mutable slab : int array array;
-  mutable run : (unit -> unit) array array;
+  mutable body : body array array;
   mutable label : string array array;
   mutable free : int;
   mutable capacity : int;
@@ -19,13 +25,6 @@ type t = {
 let chunk_bits = 10
 let chunk = 1 lsl chunk_bits
 let nil = -1
-let nop () = ()
-
-(* The body of a cancelled event: [Sim] marks a tombstone by physical
-   equality with this closure and releases the handle without running
-   it, so reaching it is an engine bug. *)
-let cancelled () = invalid_arg "Event_store: a cancelled event was dispatched"
-
 let capacity st = st.capacity
 
 (* Slab word [f] of handle [h]. *)
@@ -40,11 +39,11 @@ let grow st =
   if c = Array.length st.slab then begin
     let widen a = Array.append a (Array.make (max 1 c) [||]) in
     st.slab <- widen st.slab;
-    st.run <- widen st.run;
+    st.body <- widen st.body;
     st.label <- widen st.label
   end;
   st.slab.(c) <- Array.make (4 * chunk) 0;
-  st.run.(c) <- Array.make chunk nop;
+  st.body.(c) <- Array.make chunk Cancelled;
   st.label.(c) <- Array.make chunk "";
   let lo = st.capacity in
   st.capacity <- lo + chunk;
@@ -55,7 +54,7 @@ let grow st =
   st.free <- lo
 
 let create () =
-  let st = { slab = [||]; run = [||]; label = [||]; free = nil; capacity = 0 } in
+  let st = { slab = [||]; body = [||]; label = [||]; free = nil; capacity = 0 } in
   grow st;
   st
 
@@ -81,19 +80,19 @@ let[@inline] key st h = word st h 1
 let[@inline] seq st h = word st h 2
 let[@inline] next st h = word st h 3
 let[@inline] set_next st h n = set_word st h 3 n
-let[@inline] run st h = st.run.(h lsr chunk_bits).(h land (chunk - 1))
+let[@inline] body st h = st.body.(h lsr chunk_bits).(h land (chunk - 1))
 let[@inline] label st h = st.label.(h lsr chunk_bits).(h land (chunk - 1))
 
-let[@inline] set st h ~stamp ~key ~seq ~label ~run =
+let[@inline] set st h ~stamp ~key ~seq ~label ~body =
   set_word st h 0 stamp;
   set_word st h 1 key;
   set_word st h 2 seq;
-  st.run.(h lsr chunk_bits).(h land (chunk - 1)) <- run;
+  st.body.(h lsr chunk_bits).(h land (chunk - 1)) <- body;
   (* A recycled handle usually carried the same label: skip the barrier. *)
   let labels = st.label.(h lsr chunk_bits) in
   if labels.(h land (chunk - 1)) != label then labels.(h land (chunk - 1)) <- label
 
-let cancel st h = st.run.(h lsr chunk_bits).(h land (chunk - 1)) <- cancelled
+let cancel st h = st.body.(h lsr chunk_bits).(h land (chunk - 1)) <- Cancelled
 
 let[@inline] before st a b =
   let sa = st.slab.(a lsr chunk_bits) and i = (a land (chunk - 1)) lsl 2 in

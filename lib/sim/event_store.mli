@@ -5,9 +5,9 @@
     scalars live in an int slab, four adjacent words per handle, so a
     cold event's ordering fields and its link share a cache line and
     every store into them is a plain int write — the OCaml write barrier
-    ([caml_modify]) never runs for them. Only the closure and the label
-    are pointers; they live in two parallel arrays indexed by handle and
-    are written once per schedule.
+    ([caml_modify]) never runs for them. Only the body and the label are
+    pointers; they live in two parallel arrays indexed by handle and are
+    written once per schedule.
 
     The store is cut into chunks of {!chunk} handles: handle [h] lives
     in chunk [h lsr chunk_bits] at index [i = h land (chunk - 1)]. Its
@@ -27,9 +27,23 @@
     (dune-workspace), so [Sim] and the schedulers inline them, and a
     time they decode stays an unboxed float. *)
 
+(** What dispatching an event does. An event that resumes a fiber (a
+    {!Sim.delay} wake-up, a {!Sim.suspend} resume, a spawn onto a
+    pooled fiber) carries the fiber and the value it resumes with
+    instead of a closure over them: one block of three words, and the
+    engine can find every fiber its pending events hold, to unwind them
+    when the run ends. [Apply] likewise saves the engine's own events a
+    closure over a function and its argument. *)
+type body =
+  | Cancelled  (** a tombstone: released when popped, never dispatched *)
+  | Call of (unit -> unit)  (** call the closure *)
+  | Apply : ('a -> unit) * 'a -> body  (** apply the function to the value *)
+  | Resume : ('a, unit) Effect.Deep.continuation * 'a -> body
+      (** continue the fiber with the value *)
+
 type t = {
   mutable slab : int array array;  (** slab chunks, 4 words per handle *)
-  mutable run : (unit -> unit) array array;  (** event bodies, by chunk *)
+  mutable body : body array array;  (** event bodies, by chunk *)
   mutable label : string array array;  (** attribution labels, by chunk *)
   mutable free : int;  (** freelist head, linked through [next]; {!nil} when empty *)
   mutable capacity : int;  (** handles held (free or in use) *)
@@ -58,7 +72,7 @@ val alloc : t -> int
 val release : t -> int -> unit
 (** Return a handle to the freelist with int stores only: its [seq]
     becomes [0], so a stale cancel handle on it no longer matches. The
-    closure and label stay until the handle is reused. *)
+    body and label stay until the handle is reused. *)
 
 val stamp_of_time : float -> int
 (** Order-preserving int image of a nonnegative time: the IEEE-754 bit
@@ -89,20 +103,22 @@ val next : t -> int -> int
 val set_next : t -> int -> int -> unit
 (** Set the handle's intrusive link. *)
 
-val run : t -> int -> unit -> unit
+val body : t -> int -> body
 (** The handle's event body. *)
 
 val label : t -> int -> string
 (** The handle's attribution label. *)
 
 val set :
-  t -> int -> stamp:int -> key:int -> seq:int -> label:string -> run:(unit -> unit) -> unit
+  t -> int -> stamp:int -> key:int -> seq:int -> label:string -> body:body -> unit
 (** Set every field of an allocated handle but its link. The label is
     stored only when it is not physically the one already there, so the
     common re-schedule under the same label runs no write barrier. *)
 
 val cancel : t -> int -> unit
-(** Make the handle a tombstone: its body becomes {!cancelled}. *)
+(** Make the handle a tombstone: its body becomes [Cancelled], and it
+    keeps its place in the scheduler (its stamp, key and seq are
+    untouched) until the engine pops and releases it. *)
 
 val before : t -> int -> int -> bool
 (** The scheduler ordering contract: [(time, key, seq)] lexicographic,
@@ -115,10 +131,3 @@ val bucket : t -> int -> float -> int
     [scale] (exact: an exponent shift), the integer bucket index the
     wheel and calendar queue file an event under. Times too far out for
     int range clamp to one far index, [max_int / 2]. *)
-
-val cancelled : unit -> unit
-(** The tombstone body. A pending handle whose [run] is physically this
-    closure is a cancelled event: it keeps its place in the scheduler
-    (its stamp, key and seq are untouched) and the engine releases it
-    when popped instead of dispatching it. Raises [Invalid_argument] if
-    ever run. *)

@@ -17,18 +17,30 @@
    handles: their time (as a stamp), tie-break key, seq and link are
    int words in one slab, recycled through the store's freelist, so the
    per-event path writes no boxed float and runs the write barrier only
-   for the closure (and a changed label). A timeout that loses its race
-   is cancelled in place ([cancel]): its handle stays queued as a
-   tombstone and is released, undispatched, when the scheduler reaches
-   it.
+   for the body (and a changed label). An event that resumes a fiber
+   carries the fiber itself ([Resume]), not a closure over it. A timeout
+   that loses its race is cancelled in place ([cancel]): its handle
+   stays queued as a tombstone and is released, undispatched, when the
+   scheduler reaches it.
 
    Spawned processes run on pooled fibers: a body that returns parks
    its fiber on the engine's pool, and the next [spawn] resumes it with
-   the new body instead of starting a fresh one (see [spawn]). The
-   fibers still parked when the run ends are unwound ([close_pool]). *)
+   the new body instead of starting a fresh one (see [spawn]).
+
+   The engine knows every fiber it holds that is not running: parked
+   ones in the pool, suspended ones in the held registry ([hold]), and
+   sleeping, woken or newly assigned ones in the [Resume] body of a
+   pending event. A continuation that is never resumed keeps its
+   fiber's stack allocated even once it is unreachable, so when the run
+   ends, however it ends, [tear_down] unwinds all of them. *)
 
 exception Deadlock of string
 exception Main_incomplete
+
+(* Raised in a fiber that [tear_down] unwinds, and by every engine
+   operation it attempts while unwinding. Private: nothing outside this
+   file can catch it by name. *)
+exception Torn_down
 
 (* How simultaneous events are ordered. FIFO (key 0 for every event) is
    the historical insertion-order behaviour; Perturbed keys each event
@@ -62,13 +74,35 @@ type engine = {
   mutable pool : (unit -> unit, unit) Effect.Deep.continuation array;
       (* parked fibers, a LIFO stack in [pool.(0 .. parked - 1)] *)
   mutable parked : int;
+  mutable held : held array; (* suspended fibers by slot *)
+  mutable held_link : int array;
+      (* [holding] for a slot in use, else the next free slot ([-1] ends) *)
+  mutable held_free : int; (* first free slot, [-1] when none *)
+  mutable n_held : int; (* slots ever used *)
 }
+
+(* A fiber suspended in [suspend], until its resume closure is called.
+   A freed slot keeps its block until reused, as the store keeps a
+   released handle's body: freeing is int stores only. *)
+and held = Vacant | Held : ('a, unit) Effect.Deep.continuation -> held
+
+let holding = -2
 
 let current : engine option ref = ref None
 
+(* True while [tear_down] unwinds a finished run's fibers. The engine
+   being torn down stays current, so nothing a fiber does while
+   unwinding can reach an outer engine through [current]; every engine
+   operation refuses (raises [Torn_down]) instead. Global, not per
+   engine: a dying fiber can still hold a resume closure of an outer
+   run's fiber. *)
+let dying = ref false
+
 let get_engine () =
   match !current with
-  | Some e -> e
+  | Some e ->
+      if !dying then raise Torn_down;
+      e
   | None -> failwith "Sim: no simulation running (call inside Sim.run)"
 
 (* The equal-time ordering key of the event with sequence number [seq]. *)
@@ -81,7 +115,8 @@ let[@inline] key_of tiebreak seq =
 (* Queue [run] at [at] and return its handle; the handle and [eng.seq]
    as of the return are the event's [cancel] handle. The slab writes are
    int stores: no barrier. *)
-let schedule eng ~label ~at run =
+let schedule eng ~label ~at body =
+  if !dying then raise Torn_down;
   (* [at >= now] is also false for NaN, so a poisoned latency computation
      trips here instead of silently freezing the dispatch order. Guarded
      on [active] so the off path does not allocate the detail closure —
@@ -96,13 +131,16 @@ let schedule eng ~label ~at run =
   let st = eng.store in
   let h = Event_store.alloc st in
   Event_store.set st h ~stamp:(Event_store.stamp_of_time at) ~key:(key_of eng.tiebreak seq) ~seq
-    ~label ~run;
+    ~label ~body;
   Scheduler.add eng.sched h;
   (* Tracked incrementally rather than asking the scheduler: one fewer
      closure call per scheduled event. *)
   eng.pending <- eng.pending + 1;
   if eng.pending > eng.max_pending then eng.max_pending <- eng.pending;
   h
+
+(* Queue an event that resumes fiber [k] with [v]. *)
+let schedule_fiber eng ~label ~at k v = ignore (schedule eng ~label ~at (Resume (k, v)))
 
 (* Tombstone the event [schedule] returned as handle [h] with sequence
    number [seq]. The handle stays where the scheduler put it — stamp,
@@ -141,17 +179,67 @@ let park eng k =
   else eng.pool.(n) <- k;
   eng.parked <- n + 1
 
-(* Unwind every parked fiber when the run ends. A continuation that is
-   never resumed keeps its fiber's stack allocated even once it is
-   unreachable, so a dropped pool would leak every fiber it holds. *)
-exception Pool_closed
+(* Put a suspended fiber in a free slot of the held registry. *)
+let hold eng h =
+  let slot =
+    if eng.held_free >= 0 then begin
+      let slot = eng.held_free in
+      eng.held_free <- eng.held_link.(slot);
+      slot
+    end
+    else begin
+      let n = eng.n_held in
+      if n = Array.length eng.held then begin
+        let size = max 16 (2 * n) in
+        eng.held <- Array.append eng.held (Array.make (size - n) Vacant);
+        eng.held_link <- Array.append eng.held_link (Array.make (size - n) (-1))
+      end;
+      eng.n_held <- n + 1;
+      n
+    end
+  in
+  eng.held_link.(slot) <- holding;
+  eng.held.(slot) <- h;
+  slot
 
-let close_pool eng =
+(* Whether the suspension of [k] still holds [slot]. Each suspension
+   has its own continuation, so identity on it tells a later resume, or
+   one after the slot was reused, from the first. [Obj.repr] only
+   compares addresses: [Held] hides the continuation's type. *)
+let is_held eng slot k =
+  eng.held_link.(slot) = holding
+  && match eng.held.(slot) with Held k' -> Obj.repr k' == Obj.repr k | Vacant -> false
+
+let free_slot eng slot =
+  eng.held_link.(slot) <- eng.held_free;
+  eng.held_free <- slot
+
+(* Unwind one fiber. Whatever it raises is dropped: the run it belonged
+   to is over, and any engine operation it tries raises [Torn_down]. *)
+let discard k = match Effect.Deep.discontinue k Torn_down with () -> () | exception _ -> ()
+
+(* Unwind every fiber the engine holds: suspended, in a pending event,
+   then parked (a fiber whose body catches [Torn_down] and returns
+   parks again, so the pool goes last). *)
+let tear_down eng =
+  dying := true;
+  for slot = 0 to eng.n_held - 1 do
+    if eng.held_link.(slot) = holding then begin
+      free_slot eng slot;
+      match eng.held.(slot) with Held k -> discard k | Vacant -> ()
+    end
+  done;
+  let st = eng.store in
+  for h = 0 to Event_store.capacity st - 1 do
+    if Event_store.seq st h <> 0 then
+      match Event_store.body st h with Resume (k, _) -> discard k | Call _ | Apply _ | Cancelled -> ()
+  done;
   for i = 0 to eng.parked - 1 do
-    match Effect.Deep.discontinue eng.pool.(i) Pool_closed with () | (exception Pool_closed) -> ()
+    discard eng.pool.(i)
   done;
   eng.pool <- [||];
-  eng.parked <- 0
+  eng.parked <- 0;
+  dying := false
 
 (* The engine's one effect handler. Every process runs under it, so a
    spawn allocates no handler record, and the [Delay] and [Park]
@@ -162,9 +250,7 @@ let make_handler eng : (unit, unit) Effect.Deep.handler =
   let on_delay =
     Some
       (fun (k : (unit, unit) continuation) ->
-        ignore
-          (schedule eng ~label:eng.cur_label ~at:(eng.now +. Array.unsafe_get eng.dly 0)
-             (fun () -> continue k ())))
+        schedule_fiber eng ~label:eng.cur_label ~at:(eng.now +. Array.unsafe_get eng.dly 0) k ())
   in
   let on_park = Some (fun (k : (unit -> unit, unit) continuation) -> park eng k) in
   {
@@ -178,15 +264,17 @@ let make_handler eng : (unit, unit) Effect.Deep.handler =
         | Suspend register ->
             Some
               (fun (k : (a, _) continuation) ->
-                let resumed = ref false in
                 (* The resume closure may run from any other process's
                    event; tag the wake-up with the suspended process's
                    own label, not the resumer's. *)
                 let label = eng.cur_label in
+                let slot = hold eng (Held k) in
                 register (fun v ->
-                    if not !resumed then begin
-                      resumed := true;
-                      ignore (schedule eng ~label ~at:eng.now (fun () -> continue k v))
+                    if is_held eng slot k then begin
+                      (* Scheduled first: while the engine is torn down
+                         this raises, and the fiber stays held. *)
+                      schedule_fiber eng ~label ~at:eng.now k v;
+                      free_slot eng slot
                     end))
         | _ -> None);
   }
@@ -207,7 +295,9 @@ let[@inline] perform_delay t =
   Effect.perform Delay
 
 let delay t = if t > 0. then perform_delay t
-let suspend register = Effect.perform (Suspend register)
+let suspend register =
+  if !dying then raise Torn_down;
+  Effect.perform (Suspend register)
 
 (* [spawn] and [after] are not effects: they only mutate the scheduler, so
    they are callable from anywhere — including resume-registration callbacks
@@ -228,14 +318,16 @@ let spawn ?label f =
   if n > 0 then begin
     let k = eng.pool.(n - 1) in
     eng.parked <- n - 1;
-    ignore (schedule eng ~label ~at:eng.now (fun () -> Effect.Deep.continue k f))
+    schedule_fiber eng ~label ~at:eng.now k f
   end
-  else ignore (schedule eng ~label ~at:eng.now (fun () -> Effect.Deep.match_with worker f eng.handler))
+  else
+    ignore
+      (schedule eng ~label ~at:eng.now (Call (fun () -> Effect.Deep.match_with worker f eng.handler)))
 
 (* Run [f] (non-blocking) after [t] seconds without creating a process. *)
 let after t f =
   let eng = get_engine () in
-  ignore (schedule eng ~label:eng.cur_label ~at:(eng.now +. t) f)
+  ignore (schedule eng ~label:eng.cur_label ~at:(eng.now +. t) (Call f))
 let yield () = perform_delay 0.
 
 let stop () =
@@ -277,7 +369,12 @@ let tighten_gc () =
 
 let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Wheel) ?on_dispatch
     (main : unit -> 'a) : 'a =
+  if !dying then raise Torn_down;
   tighten_gc ();
+  (* An outermost run starts from a reclaimed heap: the worlds earlier
+     runs dropped are collected before this one builds its own, so its
+     peak heap does not depend on what ran before it. *)
+  if Option.is_none !current then Gc.full_major ();
   let store = Event_store.create () in
   let eng =
     {
@@ -297,6 +394,10 @@ let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Wheel) ?on_disp
       handler = idle_handler;
       pool = [||];
       parked = 0;
+      held = [||];
+      held_link = [||];
+      held_free = -1;
+      n_held = 0;
     }
   in
   eng.handler <- make_handler eng;
@@ -307,12 +408,14 @@ let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Wheel) ?on_disp
   let result = ref None in
   let main_done = ref false in
   ignore
-    (schedule eng ~label:"main" ~at:0. (fun () ->
-         exec eng (fun () ->
-             result := Some (main ());
-             main_done := true)));
+    (schedule eng ~label:"main" ~at:0.
+       (Call
+          (fun () ->
+            exec eng (fun () ->
+                result := Some (main ());
+                main_done := true))));
   let finish () =
-    close_pool eng;
+    tear_down eng;
     current := saved;
     Invariant.set_enabled saved_checks
   in
@@ -334,13 +437,13 @@ let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Wheel) ?on_disp
        end
        else begin
          let st = eng.store in
-         let run = Event_store.run st h in
+         let body = Event_store.body st h in
          (* A tombstone is released unseen — no dispatch count, no clock
             move, no [on_dispatch]; [cancel] already dropped it from
             [pending]. Otherwise the handle is released before dispatch,
             since the body is free to schedule (and so reuse it) at once;
             releasing is int stores only. *)
-         if run == Event_store.cancelled then Event_store.release st h
+         if body == Cancelled then Event_store.release st h
          else begin
            let time = Event_store.time st h in
            let seq = Event_store.seq st h in
@@ -362,15 +465,22 @@ let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Wheel) ?on_disp
            (match eng.on_dispatch with
            | None -> ()
            | Some f -> f { d_time = time; d_seq = seq; d_label = label });
-           run ()
+           match body with
+           | Call f -> f ()
+           | Apply (f, v) -> f v
+           | Resume (k, v) -> Effect.Deep.continue k v
+           | Cancelled -> ()
          end
        end
      done
    with e ->
      finish ();
      raise e);
+  (* Read before [finish]: a fiber [tear_down] unwinds cannot supply a
+     result. *)
+  let result = !result in
   finish ();
-  match !result with
+  match result with
   | Some v -> v
   | None ->
       if until = infinity && not eng.stopped then
@@ -402,7 +512,10 @@ module Ivar = struct
 
   let create () = { state = Empty [] }
 
+  (* Refused before the state changes while a run is torn down, as its
+     waiters' resumes would be. *)
   let fill t v =
+    if !dying then raise Torn_down;
     match t.state with
     | Full _ -> invalid_arg "Ivar.fill: already filled"
     | Empty waiters ->
@@ -433,7 +546,7 @@ module Ivar = struct
         suspend (fun resume ->
             let eng = get_engine () in
             let timer =
-              schedule eng ~label:eng.cur_label ~at:(eng.now +. timeout) (fun () -> resume None)
+              schedule eng ~label:eng.cur_label ~at:(eng.now +. timeout) (Apply (resume, None))
             in
             let seq = eng.seq in
             on_fill t (fun v ->
@@ -462,6 +575,7 @@ module Mailbox = struct
     | Some w -> if w.cancelled then next_waiter t else Some w
 
   let send t v =
+    if !dying then raise Torn_down;
     match next_waiter t with
     | None -> Queue.push v t.items
     | Some w -> w.wake v
@@ -494,12 +608,14 @@ module Mailbox = struct
             in
             Queue.push w t.waiters;
             timer :=
-              schedule eng ~label:eng.cur_label ~at:(eng.now +. timeout) (fun () ->
-                  (* Only reached when the timeout wins: a send that wins
-                     cancels this event. The waiter must be tombstoned so
-                     a later send is not swallowed. *)
-                  w.cancelled <- true;
-                  resume None);
+              schedule eng ~label:eng.cur_label ~at:(eng.now +. timeout)
+                (Call
+                   (fun () ->
+                     (* Only reached when the timeout wins: a send that
+                        wins cancels this event. The waiter must be
+                        tombstoned so a later send is not swallowed. *)
+                     w.cancelled <- true;
+                     resume None));
             seq := eng.seq)
 end
 

@@ -68,6 +68,23 @@ val run :
     runs are permitted (the outer engine is restored on exit). On entry
     it tightens the process's GC policy; see {!gc_space_overhead}.
 
+    A run owns its memory. An outermost run (one entered
+    with no enclosing run) first runs a full major collection, so the
+    worlds earlier runs dropped are reclaimed before it builds its own;
+    a nested run collects nothing. When the run ends, however it ends
+    (a result, {!Deadlock}, {!Main_incomplete}, or an exception a
+    process raised), every fiber it still holds is unwound: parked
+    ones, processes sleeping in {!delay} or blocked in {!suspend} (so
+    in every {!Ivar}, {!Mailbox} and {!Resource} wait), woken ones not
+    yet run, and pending spawns onto pooled fibers. Each unwinds with a
+    private exception raised at the point where it blocked, so its
+    [Fun.protect ~finally] and exception handlers run once; a spawn
+    that never started runs nothing. While this teardown runs, every
+    engine operation ({!now}, {!spawn}, {!after}, {!delay}, {!suspend},
+    a resume, {!run} itself) raises that exception too: unwinding
+    schedules no event on any engine, pushes no trace event, and moves
+    no engine counter. What an unwinding fiber raises is dropped.
+
     [~checks:true] turns on the {!Invariant} runtime sanitizer for the
     duration of the run (event-time monotonicity, device queue bounds,
     token conservation, replication chain consistency); [~checks:false]
@@ -96,8 +113,8 @@ val gc_space_overhead : int
     larger minor heap or smaller overhead set first (say by
     [OCAMLRUNPARAM=s=...,o=...]) is kept, and a nested or later run is a
     no-op. The GC never touches simulated state, so the policy changes
-    memory and wall time only. No other module sets GC parameters
-    (simlint R8). *)
+    memory and wall time only. No other module sets GC parameters or
+    forces a collection (simlint R8). *)
 
 val now : unit -> float
 (** Current simulation time, in seconds. Must be called inside {!run}. *)

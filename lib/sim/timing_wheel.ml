@@ -173,13 +173,13 @@ let rec migrate0_go t h =
   if h <> nil then begin
     let st = t.store in
     let n = Event_store.next st h in
-    (* Touch the event's closure and label now, though only dispatch
+    (* Touch the event's body and label now, though only dispatch
        reads them: both sit in the store's pointer arrays, away from the
        slab line this walk has loaded, and the event is popped within a
        tick. Issued here, their cache misses overlap the walk's
        dependent link misses instead of costing two serial misses at
        dispatch. *)
-    let (_ : unit -> unit) = Sys.opaque_identity (Event_store.run st h) in
+    let (_ : Event_store.body) = Sys.opaque_identity (Event_store.body st h) in
     let (_ : string) = Sys.opaque_identity (Event_store.label st h) in
     t.c0 <- t.c0 - 1;
     front_add t h;

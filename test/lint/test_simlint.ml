@@ -92,7 +92,10 @@ let () =
   expect_line out "R8 Gc.full_major outside Sim flagged" "lib/core/bad_gc.ml:2: R8";
   expect_line out "R8 Gc.compact outside Sim flagged" "lib/core/bad_gc.ml:3: R8";
   expect_absent out "Gc counter read not flagged" "bad_gc.ml:4";
-  expect_line out "exact violation count" "simlint: 25 violation(s)";
+  expect_line out "R8 Gc.major outside Sim flagged" "lib/core/bad_gc.ml:5: R8";
+  expect_line out "R8 Gc.minor outside Sim flagged" "lib/core/bad_gc.ml:6: R8";
+  expect_line out "R8 Gc.major_slice outside Sim flagged" "lib/core/bad_gc.ml:7: R8";
+  expect_line out "exact violation count" "simlint: 28 violation(s)";
   (* --- clean tree: allowlists and suppressions must hold --- *)
   let status, out = run_simlint ~dir:"fixtures/clean" [ "lib"; "bin"; "bench" ] in
   if status <> 0 then fail "clean tree: expected exit 0, got %d:\n%s" status out

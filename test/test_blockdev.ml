@@ -37,6 +37,23 @@ let test_overwrite () =
       let got = Blockdev.read d ~off:0 ~len:6 in
       Alcotest.(check string) "patched" "aabbaa" (Bytes.to_string got))
 
+let test_resident_bytes () =
+  let chunk = 64 * 1024 in
+  Sim.run (fun () ->
+      let d = instant () in
+      Alcotest.(check int) "fresh device" 0 (Blockdev.resident_bytes d);
+      ignore (Blockdev.read d ~off:(3 * chunk) ~len:4096);
+      Alcotest.(check int) "a read materialises nothing" 0 (Blockdev.resident_bytes d);
+      Blockdev.write_seq d ~off:10 (Bytes.of_string "x");
+      Alcotest.(check int) "one byte, one whole chunk" chunk (Blockdev.resident_bytes d);
+      Blockdev.write_rand d ~off:100 (Bytes.make 1000 'y');
+      Alcotest.(check int) "same chunk again" chunk (Blockdev.resident_bytes d);
+      Blockdev.write_seq d ~off:(chunk - 1) (Bytes.make (chunk + 2) 'z');
+      Alcotest.(check int) "a write straddling two boundaries" (3 * chunk)
+        (Blockdev.resident_bytes d);
+      let d' = Blockdev.reboot d in
+      Alcotest.(check int) "kept across a reboot" (3 * chunk) (Blockdev.resident_bytes d'))
+
 let test_out_of_bounds_rejected () =
   Sim.run (fun () ->
       let d = Blockdev.create (Blockdev.instant ~capacity_bytes:4096 ()) in
@@ -248,6 +265,7 @@ let () =
           Alcotest.test_case "unwritten reads zero" `Quick test_unwritten_reads_zero;
           Alcotest.test_case "cross-chunk io" `Quick test_cross_chunk_io;
           Alcotest.test_case "overwrite" `Quick test_overwrite;
+          Alcotest.test_case "resident bytes" `Quick test_resident_bytes;
           Alcotest.test_case "bounds checked" `Quick test_out_of_bounds_rejected;
           Alcotest.test_case "stats counted" `Quick test_stats_counted;
           Alcotest.test_case "reboot preserves contents" `Quick test_reboot_preserves_contents;

@@ -249,7 +249,7 @@ let prop_impls_agree =
             let mk st =
               let ev = Event_store.alloc st in
               Event_store.set st ev ~stamp:(Event_store.stamp_of_time time) ~key ~seq:!seq ~label:""
-                ~run:ignore;
+                ~body:(Call ignore);
               ev
             in
             Event_heap.add h (mk sh);
@@ -335,14 +335,14 @@ let model_run kind policy ops =
   let live = ref Ref.empty and issued = ref [||] and n_issued = ref 0 in
   let seq = ref 0 and now = ref 0. and held = ref 0 and max_held = ref 0 in
   let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_reportf "%s: %s" (Scheduler.name kind) s) fmt in
-  let body () = () in
+  let body = Event_store.Call (fun () -> ()) in
   let add time =
     incr seq;
     let h = Event_store.alloc st in
     incr held;
     max_held := max !max_held !held;
     let stamp = Event_store.stamp_of_time time and key = key_of policy !seq in
-    Event_store.set st h ~stamp ~key ~seq:!seq ~label:"" ~run:body;
+    Event_store.set st h ~stamp ~key ~seq:!seq ~label:"" ~body;
     Scheduler.add sched h;
     live := Ref.add (stamp, key, !seq) !live;
     if !n_issued = Array.length !issued then
@@ -363,7 +363,7 @@ let model_run kind policy ops =
     if h = Event_store.nil then begin
       if expect <> None then fail "popped nothing, reference has a due event"
     end
-    else if Event_store.run st h == Event_store.cancelled then begin
+    else if Event_store.body st h == Event_store.Cancelled then begin
       Event_store.release st h;
       decr held;
       dispatch limit

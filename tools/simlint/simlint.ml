@@ -46,10 +46,13 @@
                          deadline logic must go through the epsilon-free
                          helpers [Sim.reached]/[Sim.past]/
                          [Sim.same_instant]
-     R8 gc policy        [Gc.set], [Gc.compact] and [Gc.full_major] only
+     R8 gc policy        [Gc.set], [Gc.compact], [Gc.full_major],
+                         [Gc.major], [Gc.minor] and [Gc.major_slice] only
                          in lib/sim/sim.ml, whose [Sim.run] owns the
-                         process's GC policy: a GC setting made anywhere
-                         else outlives the run that made it, so wall
+                         process's GC policy and its collections: a GC
+                         setting made anywhere else outlives the run that
+                         made it, and a collection forced anywhere else
+                         moves the heap another run starts from, so wall
                          time and heap figures would depend on which
                          experiment ran first
 
@@ -291,7 +294,8 @@ let lint_structure ~file (str : Parsetree.structure) =
         report ~file ~line ~rule:"R2" ~tag:"effect"
           "Effect.perform outside lib/sim/: blocking must go through the Sim API \
            (event-heap callbacks must not perform effects)"
-    | [ "Gc"; ("set" | "compact" | "full_major") as fn ] when file <> gc_policy_file ->
+    | [ "Gc"; ("set" | "compact" | "full_major" | "major" | "minor" | "major_slice") as fn ]
+      when file <> gc_policy_file ->
         report ~file ~line ~rule:"R8" ~tag:"gc-policy"
           (Printf.sprintf
              "Gc.%s outside lib/sim/sim.ml: Sim.run owns the process's GC policy; a \
