@@ -56,24 +56,19 @@ let chaos ~fast seeds =
       seeds
   in
   (* Gray-failure comparison: the fig-failslow triplet (fault-free /
-     naive / hedged over one 10x fail-slow schedule), emitted with the
-     tail ratios the robustness claim is judged on. *)
+     naive / hedged over one 10x fail-slow schedule), printed by the
+     figure itself and emitted with the tail ratios the robustness claim
+     is judged on. *)
   print_endline "== chaos fail-slow: naive vs hedged ==";
   let pts = Fig_failslow.points ~fast () in
+  Fig_failslow.print pts;
   let point_row (p : Fig_failslow.point) =
     let r = p.Fig_failslow.report in
     let module C = Chaos in
     let n = Leed_core.Backend.count r.C.counters in
-    let sheds = Leed_core.Backend.sheds r.C.counters in
     let hedge_rate =
       if r.C.reads > 0 then float_of_int (n "client.hedges") /. float_of_int r.C.reads else 0.
     in
-    Printf.printf
-      "  %-18s get p99 %7.0fus p99.9 %7.0fus  hedges %d (%.1f%% of reads, %d wins)  sheds %d  \
-       slow events %d  detection %s\n"
-      p.Fig_failslow.label (1e6 *. r.C.get_p99) (1e6 *. r.C.get_p999) (n "client.hedges")
-      (100. *. hedge_rate) (n "client.hedge_wins") sheds (n "control.slow_events")
-      (if r.C.detection_latency < 0. then "-" else Printf.sprintf "%.2fs" r.C.detection_latency);
     Json.Obj
       [
         ("label", Json.Str p.Fig_failslow.label);
@@ -82,21 +77,17 @@ let chaos ~fast seeds =
         ("hedges", Json.Int (n "client.hedges"));
         ("hedge_wins", Json.Int (n "client.hedge_wins"));
         ("hedge_rate", Json.Num hedge_rate);
-        ("sheds", Json.Int sheds);
+        ("sheds", Json.Int (Leed_core.Backend.sheds r.C.counters));
         ("slow_events", Json.Int (n "control.slow_events"));
         ("detection_latency_s", Json.Num r.C.detection_latency);
         ("ok", Json.Bool r.C.ok);
       ]
   in
-  let point_rows = List.map point_row pts in
   let ratios =
-    match pts with
-    | [ clean; naive; hedged ] ->
-        let p999 (p : Fig_failslow.point) = p.Fig_failslow.report.Chaos.get_p999 in
-        let r (p : Fig_failslow.point) = if p999 clean > 0. then p999 p /. p999 clean else 0. in
-        Printf.printf "  p99.9 vs fault-free: naive %.1fx, hedged %.1fx\n" (r naive) (r hedged);
-        [ ("naive_p999_x", Json.Num (r naive)); ("hedged_p999_x", Json.Num (r hedged)) ]
-    | _ -> []
+    match Fig_failslow.p999_ratios pts with
+    | Some (naive, hedged) ->
+        [ ("naive_p999_x", Json.Num naive); ("hedged_p999_x", Json.Num hedged) ]
+    | None -> []
   in
   Json.write "BENCH_chaos.json"
     (Json.Obj
@@ -104,7 +95,7 @@ let chaos ~fast seeds =
          ("bench", Json.Str "chaos");
          ("fast", Json.Bool fast);
          ("seeds", Json.Arr seed_rows);
-         ("failslow", Json.Obj (ratios @ [ ("points", Json.Arr point_rows) ]));
+         ("failslow", Json.Obj (ratios @ [ ("points", Json.Arr (List.map point_row pts)) ]));
        ]);
   Printf.printf "wrote BENCH_chaos.json (%d seeds, %d fail-slow points)\n" (List.length seed_rows)
     (List.length pts);

@@ -91,13 +91,13 @@ dune exec bin/leed.exe -- chaos --fast --sanitize --cache --seed 42 --runs 2 --p
 
 done
 
-echo "== race smoke (perturbed equal-time orderings, clean target + racy fixture) =="
-# The detector reruns each target under 8 seeded equal-time orderings
-# and diffs the observable digests: the chaos schedule must be
-# order-invariant, and the deliberately racy fixture must diverge with
-# its first commuting event pair named (exit 1 otherwise).
-dune exec bin/leed.exe -- race --fast --runs 8 --target chaos
-dune exec bin/leed.exe -- race --fast --runs 8 --target racy-demo
+echo "== race smoke (perturbed equal-time orderings, every target) =="
+# The detector reruns each registered target under 8 seeded equal-time
+# orderings and diffs the observable digests: the chaos schedules (plain
+# and bit-rot) and the sharded YCSB loads must be order-invariant, and
+# the deliberately racy fixture must diverge with its first commuting
+# event pair named (exit 1 otherwise).
+dune exec bin/leed.exe -- race --fast --runs 8
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT

@@ -150,10 +150,6 @@ let create ?(config = default_config) () =
   Array.iter (fun n -> Rpc.serve n.rpc ~resp_size:response_size (fun _ ~src:_ req -> node_handler t n req)) nodes;
   t
 
-(* The flusher/compactor processes poll cooperatively and quiesce with
-   the simulation; there is nothing to tear down. *)
-let stop _ = ()
-
 (* Front-end client: forwards to the head (writes) or the tail (reads). *)
 type client = { cluster : t; rpc : (request, response) Rpc.t }
 
@@ -200,18 +196,15 @@ let total_objects t = Array.fold_left (fun acc n -> acc + Fawn_store.objects n.s
    cache machinery: the baseline registers only device activity, client
    NACKs and corruption (which nacks the op; there is no repair path). *)
 let counters t =
-  let per_node f = Array.fold_left (fun acc n -> acc + f n) 0 t.nodes in
-  let busy = Array.fold_left (fun acc n -> acc +. Blockdev.busy_seconds n.dev) 0. t.nodes in
-  let ndevs = Array.length t.nodes in
-  [
-    ("blockdev.reads", Backend.Count (per_node (fun n -> (Blockdev.stats n.dev).Blockdev.n_reads)));
-    ("blockdev.writes", Count (per_node (fun n -> (Blockdev.stats n.dev).Blockdev.n_writes)));
-    ("blockdev.busy_s", Sum (if ndevs > 0 then busy /. float_of_int ndevs else 0.));
-    ("client.nacks", Count t.client_nacks);
+  Backend.device_counters (Array.to_list (Array.map (fun n -> n.dev) t.nodes))
+  @ [
+    ("client.nacks", Backend.Count t.client_nacks);
     ( "store.corrupt_reads",
       Count
         (t.corrupt_reads
-        + per_node (fun n -> (Fawn_store.counters n.store).Fawn_store.c_corrupt)) );
+        + Array.fold_left
+            (fun acc n -> acc + (Fawn_store.counters n.store).Fawn_store.c_corrupt)
+            0 t.nodes) );
   ]
 
 let watts t ~util =

@@ -115,10 +115,6 @@ let create ?(config = default_config) () =
     t.nodes;
   t
 
-(* KVell workers poll cooperatively and quiesce with the simulation;
-   there is nothing to tear down. *)
-let stop _ = ()
-
 (* Replica set of a key: R consecutive nodes starting at hash(key). *)
 let replicas t key =
   let n = Array.length t.nodes in
@@ -174,15 +170,9 @@ let total_objects t = Array.fold_left (fun acc n -> acc + Kvell_store.objects n.
    baseline registers only device activity, client NACKs and corruption
    (which nacks the op; there is no repair path). *)
 let counters t =
-  let devices = Array.concat (Array.to_list (Array.map (fun n -> n.devs) t.nodes)) in
-  let per_device f = Array.fold_left (fun acc d -> acc + f (Blockdev.stats d)) 0 devices in
-  let busy = Array.fold_left (fun acc d -> acc +. Blockdev.busy_seconds d) 0. devices in
-  let ndevs = Array.length devices in
-  [
-    ("blockdev.reads", Backend.Count (per_device (fun s -> s.Blockdev.n_reads)));
-    ("blockdev.writes", Count (per_device (fun s -> s.Blockdev.n_writes)));
-    ("blockdev.busy_s", Sum (if ndevs > 0 then busy /. float_of_int ndevs else 0.));
-    ("client.nacks", Count t.client_nacks);
+  Backend.device_counters (List.concat_map (fun n -> Array.to_list n.devs) (Array.to_list t.nodes))
+  @ [
+    ("client.nacks", Backend.Count t.client_nacks);
     ( "store.corrupt_reads",
       Count (Array.fold_left (fun acc n -> acc + Kvell_store.corrupt_reads n.store) 0 t.nodes) );
   ]

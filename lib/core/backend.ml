@@ -30,6 +30,17 @@ let diff ~after ~before =
 let nvme_accesses c = count c "blockdev.reads" + count c "blockdev.writes"
 let sheds c = count c "client.sheds" + count c "engine.sheds"
 
+let device_counters devices =
+  let module B = Leed_blockdev.Blockdev in
+  let total f = List.fold_left (fun acc d -> acc + f (B.stats d)) 0 devices in
+  let busy = List.fold_left (fun acc d -> acc +. B.busy_seconds d) 0. devices in
+  let ndevs = List.length devices in
+  [
+    ("blockdev.reads", Count (total (fun s -> s.B.n_reads)));
+    ("blockdev.writes", Count (total (fun s -> s.B.n_writes)));
+    ("blockdev.busy_s", Sum (if ndevs > 0 then busy /. float_of_int ndevs else 0.));
+  ]
+
 type metrics = {
   label : string;
   ops : int;
@@ -52,7 +63,6 @@ module type S = sig
   val name : string
   val default_config : config
   val create : ?config:config -> unit -> t
-  val stop : t -> unit
   val client : t -> client
   val get : client -> string -> bytes option
   val put : client -> string -> bytes -> unit
@@ -68,7 +78,6 @@ type client = Client : (module S with type t = 'a and type client = 'c) * 'c -> 
 let pack m inst = Pack (m, inst)
 
 let name (Pack ((module M), _)) = M.name
-let stop (Pack ((module M), b)) = M.stop b
 let client (Pack ((module M), b)) = Client ((module M), M.client b)
 let total_objects (Pack ((module M), b)) = M.total_objects b
 let counters (Pack ((module M), b)) = M.counters b

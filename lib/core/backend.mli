@@ -2,9 +2,9 @@
 
     The paper's whole evaluation (§4, Figs 5–14, Table 3) is comparative —
     LEED vs FAWN vs KVell per-watt and per-dollar — so every system must
-    expose the same service surface: lifecycle (create/stop), client
-    acquisition, the three data operations, object accounting, and a
-    uniform registry of named counters. A system implements {!S}; callers that
+    expose the same service surface: creation, client acquisition, the
+    three data operations, object accounting, and a uniform registry of
+    named counters. A system implements {!S}; callers that
     do not care which system they drive hold a packed {!t} / {!client}
     and use the generic operations below.
 
@@ -52,6 +52,11 @@ val sheds : counters -> int
 (** [client.sheds + engine.sheds]: deadline sheds, client abandonments
     plus engine-side expired-queue drops. *)
 
+val device_counters : Leed_blockdev.Blockdev.t list -> counters
+(** [blockdev.reads], [blockdev.writes] and [blockdev.busy_s] of a
+    system's drives: commands summed over the drives, busy seconds
+    averaged over them (0 with no drive), summed in list order. *)
+
 (** The unified measurement record: driver-side load numbers combined
     with the backend's counter deltas and its modeled wall power. *)
 type metrics = {
@@ -82,10 +87,6 @@ module type S = sig
   val create : ?config:config -> unit -> t
   (** Build the cluster inside a simulation ([Sim.run]) context. The
       returned system is fully started. *)
-
-  val stop : t -> unit
-  (** Quiesce background machinery (schedulers, compactors) where the
-      system supports it. *)
 
   val client : t -> client
   (** A new front-end endpoint with its own NIC attachment. *)
@@ -121,7 +122,6 @@ type client = Client : (module S with type t = 'a and type client = 'c) * 'c -> 
 val pack : (module S with type t = 'a and type client = 'c) -> 'a -> t
 
 val name : t -> string
-val stop : t -> unit
 val client : t -> client
 val total_objects : t -> int
 val counters : t -> counters

@@ -116,7 +116,7 @@ type t = {
   config : config;
   ssds : ssd_sched array;
   parts : partition array; (* all partitions, index = pid *)
-  mutable running : bool;
+  mutable started : bool; (* [start] spawns the background processes once *)
 }
 
 let partitions t = t.parts
@@ -203,7 +203,7 @@ let create ?(config = default_config) ?(rng = Rng.create 11) ?track platform =
     (fun (s : ssd_sched) ->
       s.partitions <- Array.of_list (List.filter (fun p -> p.sched == s) (Array.to_list parts)))
     ssds;
-  { platform; config; ssds; parts; running = false }
+  { platform; config; ssds; parts; started = false }
 
 (* --- load signals --- *)
 
@@ -365,14 +365,14 @@ let admit t (s : ssd_sched) =
   done
 
 let sched_loop t (s : ssd_sched) =
-  while t.running do
+  while true do
     admit t s;
     Sim.Mailbox.recv s.wake
   done
 
 let start t =
-  if not t.running then begin
-    t.running <- true;
+  if not t.started then begin
+    t.started <- true;
     Array.iter (fun s -> Sim.spawn (fun () -> sched_loop t s)) t.ssds;
     Array.iter (fun p -> Store.run_compactor p.store) t.parts;
     (* Swap-region reclamation: reset a swap log once (1) no segment table
@@ -404,10 +404,8 @@ let start t =
               end
             end)
           t.ssds;
-        t.running)
+        true)
   end
-
-let stop t = t.running <- false
 
 (* --- submission (§3.4 / §3.6) --- *)
 

@@ -71,10 +71,8 @@ val create : ?config:config -> ?rng:Leed_sim.Rng.t -> ?track:Leed_trace.Trace.tr
 
 val start : t -> unit
 (** Spawn the per-SSD schedulers, the stores' compactors, and the
-    swap-region reclaimer. *)
-
-val stop : t -> unit
-(** Stop the scheduler loops (each exits at its next wake-up). *)
+    swap-region reclaimer; they run until the simulation ends. A second
+    call does nothing. *)
 
 val partitions : t -> partition array
 (** All partitions of the JBOF, indexed by partition id. *)

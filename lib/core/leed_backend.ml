@@ -3,7 +3,6 @@
    the backend-generic service boundary. *)
 
 open Leed_platform
-open Leed_blockdev
 open Leed_netsim
 
 type config = Cluster.config
@@ -13,8 +12,6 @@ type client = Client.t
 let name = "leed"
 let default_config = Cluster.default_config
 let create ?(config = default_config) () = Cluster.create ~config ()
-
-let stop t = List.iter (fun n -> Engine.stop (Node.engine n)) (Cluster.nodes t)
 
 let client t = Cluster.client t
 let get = Client.get
@@ -26,19 +23,13 @@ let counters t =
   let nodes = Cluster.nodes t and clients = Cluster.clients t in
   let engines = List.map Node.engine nodes in
   let each f = List.concat_map (fun e -> Array.to_list (f e)) engines in
-  let devices = each Engine.devices in
   let total f xs = List.fold_left (fun acc x -> acc + f x) 0 xs in
   let per_node f = total (fun n -> f (Node.stats n)) nodes in
-  let per_device f = total (fun d -> f (Blockdev.stats d)) devices in
-  let busy = List.fold_left (fun acc d -> acc +. Blockdev.busy_seconds d) 0. devices in
-  let ndevs = List.length devices in
   let cs = Control.stats (Cluster.control t) in
   let fabric = Netsim.fabric_stats (Cluster.fabric t) in
-  [
-    ("blockdev.reads", Backend.Count (per_device (fun s -> s.Blockdev.n_reads)));
-    ("blockdev.writes", Count (per_device (fun s -> s.Blockdev.n_writes)));
-    ("blockdev.busy_s", Sum (if ndevs > 0 then busy /. float_of_int ndevs else 0.));
-    ("client.nacks", Count (total Client.nacks clients));
+  Backend.device_counters (each Engine.devices)
+  @ [
+    ("client.nacks", Backend.Count (total Client.nacks clients));
     ("client.retries", Count (total Client.retries clients));
     ( "client.backoff_s",
       Sum (List.fold_left (fun acc c -> acc +. Client.backoff_time c) 0. clients) );

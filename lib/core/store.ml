@@ -18,7 +18,6 @@ type config = {
   compact_trigger : float; (* log occupancy that wakes the compactor *)
   compact_target : float;  (* occupancy the compactor drives down to *)
   subcompactions : int;    (* S-way intra-parallelism (§3.3.1) *)
-  prefetch : bool;         (* prefetch window N+1 during compaction N *)
   compaction_window : int; (* bytes examined per compaction round *)
 }
 
@@ -28,7 +27,6 @@ let default_config =
     compact_trigger = 0.85;
     compact_target = 0.60;
     subcompactions = 4;
-    prefetch = true;
     compaction_window = 256 * 1024;
   }
 
@@ -543,11 +541,10 @@ let compact_key_log t =
    advance the head while the read is in flight, in which case the read
    fails or its stale bytes are keyed at offsets nothing live points to. *)
 let prefetch_next_window t =
-  if t.config.prefetch then
-    Sim.spawn (fun () ->
-        let ctx = { ssd = 0.; cpu = 0.; accesses = 0 } in
-        try walk_key_window ctx t ~on_corrupt:ignore ~init:() ~f:(fun () _ _ -> ())
-        with Invalid_argument _ -> () (* head raced past us *))
+  Sim.spawn (fun () ->
+      let ctx = { ssd = 0.; cpu = 0.; accesses = 0 } in
+      try walk_key_window ctx t ~on_corrupt:ignore ~init:() ~f:(fun () _ _ -> ())
+      with Invalid_argument _ -> () (* head raced past us *))
 
 (* One value-log compaction round (§3.3.1, Figure 3-c): group the window's
    entries by segment, lock each segment once, keep values still referenced

@@ -16,7 +16,6 @@ type config = {
   compact_trigger : float; (** log occupancy that wakes the compactor *)
   compact_target : float;  (** occupancy the compactor drives down to *)
   subcompactions : int;    (** S-way intra-parallelism (§3.3.1) *)
-  prefetch : bool;         (** prefetch window N+1 during compaction N *)
   compaction_window : int; (** bytes examined per compaction round *)
 }
 

@@ -177,6 +177,21 @@ let report_metrics (m : Backend.metrics) =
     m.Backend.watts
     (m.Backend.queries_per_joule /. 1e3)
 
+let on_off_over_skew ~title point =
+  let points on = List.map (point on) Workload.skew_sweep in
+  let on = points true and off = points false in
+  let col = List.map in
+  Leed_stats.Report.series ~title ~x_label:"skew"
+    ~xs:(List.map string_of_float Workload.skew_sweep)
+    [
+      ("thr-KQPS w/", col (fun m -> m.Backend.throughput /. 1e3) on);
+      ("thr-KQPS w/o", col (fun m -> m.Backend.throughput /. 1e3) off);
+      ("avg-ms w/", col (fun m -> m.Backend.avg_lat *. 1e3) on);
+      ("avg-ms w/o", col (fun m -> m.Backend.avg_lat *. 1e3) off);
+      ("p999-ms w/", col (fun m -> m.Backend.p999 *. 1e3) on);
+      ("p999-ms w/o", col (fun m -> m.Backend.p999 *. 1e3) off);
+    ]
+
 (* Reviewed singleton: CLI-scoped knob set once at process start (before
    any Sim.run) by `leed experiment --fast` / `bench fast`, read-only
    afterwards — it cannot couple simulations to each other. *)

@@ -120,6 +120,12 @@ val measure_open :
 val report_metrics : Backend.metrics -> unit
 (** One-line dump of the unified metrics record. *)
 
+val on_off_over_skew : title:string -> (bool -> float -> Backend.metrics) -> unit
+(** Print one series over {!Leed_workload.Workload.skew_sweep}:
+    throughput, average and p99.9 latency with a mechanism on ("w/") and
+    off ("w/o"). [point on skew] measures one cell; every "on" cell is
+    measured before the first "off" one. *)
+
 (** {1 Measurement windows} *)
 
 val time_scale : float ref

@@ -43,7 +43,6 @@ let make_squeezed_store ~name ~dev ~base ~subcompactions =
     {
       Store.nsegments = 256;
       subcompactions;
-      prefetch = true;
       compaction_window = 96 * 1024;
       compact_trigger = 0.7;
       compact_target = 0.5;

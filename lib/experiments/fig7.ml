@@ -5,7 +5,6 @@
    99.9th-percentile latency. *)
 
 open Leed_sim
-open Leed_core
 open Leed_workload
 
 let nkeys = 5_000
@@ -19,21 +18,9 @@ let measure_point ~crrs ~mix_of ~skew =
         ~gen ())
 
 let run_mix name mix_of =
-  let points crrs = List.map (fun skew -> measure_point ~crrs ~mix_of ~skew) Workload.skew_sweep in
-  let with_crrs = points true and without = points false in
-  let col f pts = List.map f pts in
-  Leed_stats.Report.series
+  Exp_common.on_off_over_skew
     ~title:(Printf.sprintf "Figure 7 (%s): CRRS vs no-CRRS over Zipf skew" name)
-    ~x_label:"skew"
-    ~xs:(List.map string_of_float Workload.skew_sweep)
-    [
-      ("thr-KQPS w/", col (fun m -> m.Backend.throughput /. 1e3) with_crrs);
-      ("thr-KQPS w/o", col (fun m -> m.Backend.throughput /. 1e3) without);
-      ("avg-ms w/", col (fun m -> m.Backend.avg_lat *. 1e3) with_crrs);
-      ("avg-ms w/o", col (fun m -> m.Backend.avg_lat *. 1e3) without);
-      ("p999-ms w/", col (fun m -> m.Backend.p999 *. 1e3) with_crrs);
-      ("p999-ms w/o", col (fun m -> m.Backend.p999 *. 1e3) without);
-    ]
+    (fun crrs skew -> measure_point ~crrs ~mix_of ~skew)
 
 let run () =
   run_mix "YCSB-B" (fun ~theta -> Workload.ycsb_b ~theta ());

@@ -3,7 +3,6 @@
    (clients flood, queues build). YCSB-B and YCSB-C over Zipf skew. *)
 
 open Leed_sim
-open Leed_core
 open Leed_workload
 
 let nkeys = 5_000
@@ -30,21 +29,9 @@ let measure_point ~ls ~mix_of ~skew =
         ~gen ())
 
 let run_mix name mix_of =
-  let points ls = List.map (fun skew -> measure_point ~ls ~mix_of ~skew) Workload.skew_sweep in
-  let with_ls = points true and without = points false in
-  let col f pts = List.map f pts in
-  Leed_stats.Report.series
+  Exp_common.on_off_over_skew
     ~title:(Printf.sprintf "Figure 8 (%s): load-aware scheduling on/off over Zipf skew" name)
-    ~x_label:"skew"
-    ~xs:(List.map string_of_float Workload.skew_sweep)
-    [
-      ("thr-KQPS w/", col (fun m -> m.Backend.throughput /. 1e3) with_ls);
-      ("thr-KQPS w/o", col (fun m -> m.Backend.throughput /. 1e3) without);
-      ("avg-ms w/", col (fun m -> m.Backend.avg_lat *. 1e3) with_ls);
-      ("avg-ms w/o", col (fun m -> m.Backend.avg_lat *. 1e3) without);
-      ("p999-ms w/", col (fun m -> m.Backend.p999 *. 1e3) with_ls);
-      ("p999-ms w/o", col (fun m -> m.Backend.p999 *. 1e3) without);
-    ]
+    (fun ls skew -> measure_point ~ls ~mix_of ~skew)
 
 let run () =
   run_mix "YCSB-B" (fun ~theta -> Workload.ycsb_b ~theta ());

@@ -77,9 +77,18 @@ let points ?(seed = 42) ?(fast = false) () =
     { label = "fail-slow hedged"; report = Fault.Chaos.run base };
   ]
 
-let run () =
-  let fast = !Exp_common.time_scale < 1.0 in
-  let pts = points ~fast () in
+let p999_ratios pts =
+  match pts with
+  | [ clean; naive; hedged ] ->
+      let ratio (p : point) =
+        if clean.report.Fault.Chaos.get_p999 > 0. then
+          p.report.Fault.Chaos.get_p999 /. clean.report.Fault.Chaos.get_p999
+        else 0.
+      in
+      Some (ratio naive, ratio hedged)
+  | _ -> None
+
+let print pts =
   let us v = Printf.sprintf "%.0f" (Leed_sim.Sim.to_us v) in
   Leed_stats.Report.table ~title:"Fail-slow gray failure: GET tail, defended vs naive"
     ~columns:
@@ -99,20 +108,17 @@ let run () =
             else Printf.sprintf "%.2f" r.Fault.Chaos.detection_latency);
          ])
        pts);
-  match pts with
-  | [ clean; naive; hedged ] ->
-      let ratio (a : point) (b : point) =
-        if b.report.Fault.Chaos.get_p999 > 0. then
-          a.report.Fault.Chaos.get_p999 /. b.report.Fault.Chaos.get_p999
-        else 0.
-      in
+  match p999_ratios pts with
+  | Some (naive, hedged) ->
       Printf.printf
         "  p99.9 vs fault-free: naive %.1fx, hedged %.1fx (hedging held the tail through a 10x \
          fail-slow)\n"
-        (ratio naive clean) (ratio hedged clean);
+        naive hedged;
       List.iter
         (fun (p : point) ->
           if not p.report.Fault.Chaos.ok then
             Printf.printf "  WARNING: %s violated a chaos invariant\n" p.label)
         pts
-  | _ -> ()
+  | None -> ()
+
+let run () = print (points ~fast:(!Exp_common.time_scale < 1.0) ())

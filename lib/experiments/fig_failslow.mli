@@ -10,5 +10,13 @@ val points : ?seed:int -> ?fast:bool -> unit -> point list
 (** Three same-seed chaos runs: fault-free, fail-slow naive, fail-slow
     hedged — in that order. *)
 
-val run : unit -> unit
+val p999_ratios : point list -> (float * float) option
+(** GET p99.9 of the naive and of the hedged run over the fault-free
+    one's (0 when the fault-free p99.9 is 0), for the three points of
+    {!points}; [None] for any other list. *)
+
+val print : point list -> unit
 (** Print the comparison table and the p99.9 degradation ratios. *)
+
+val run : unit -> unit
+(** [print] the {!points} of the current time scale. *)

@@ -286,6 +286,9 @@ module Injector = struct
     rng : Rng.t;
     mutable pending : int; (* fault processes not yet fully healed *)
     mutable log : (float * string) list; (* newest first *)
+    mutable first_fail_slow : float option;
+        (* when the first Fail_slow struck: where Chaos's detection
+           latency starts *)
   }
 
   let find_node t id =
@@ -296,6 +299,14 @@ module Injector = struct
     | None -> invalid_arg (Printf.sprintf "Fault.Injector: unknown node %d" id)
 
   let endpoint_id t id = Netsim.id (Rpc.endpoint (Node.rpc (find_node t id)))
+
+  (* The node and its drive [ssd], which must exist. *)
+  let find_ssd t node ssd =
+    let n = find_node t node in
+    let devs = Engine.devices (Node.engine n) in
+    if ssd < 0 || ssd >= Array.length devs then
+      invalid_arg (Printf.sprintf "Fault.Injector: node %d has no ssd %d" node ssd);
+    (n, devs.(ssd))
 
   let note t what = t.log <- (Sim.now (), what) :: t.log
 
@@ -311,34 +322,52 @@ module Injector = struct
       ignore (Cluster.restart_node t.cluster id)
     end
 
+  (* The gray-failure ladder may have fenced a fail-slow node (stage 3
+     runs the §3.8 failure path, expelling it while its process lives).
+     The expulsion's chain repair can still be in flight when the
+     slowness heals — the node then still reads as a member and a bare
+     readmit check would skip it, leaving it out of the cluster forever
+     once the repair lands. Wait for a fenced node's expulsion to
+     complete, then re-admit it like any node a network fault got
+     expelled. *)
+  let readmit_if_fenced t id =
+    while is_member t id && Control.slow_stage (Cluster.control t.cluster) id >= 3 do
+      Sim.delay 0.05
+    done;
+    readmit_if_expelled t id
+
+  (* Install a fabric rule for [duration] seconds, then remove it. *)
+  let with_rule t rule duration =
+    let rid = Netsim.add_fault (Cluster.fabric t.cluster) rule in
+    Sim.delay duration;
+    Netsim.remove_fault (Cluster.fabric t.cluster) rid
+
+  (* A rule matching every message to or from endpoint [eid]. *)
+  let touching eid action src dst =
+    if Netsim.id src = eid || Netsim.id dst = eid then action src dst else None
+
   let apply t (fault : Schedule.fault) =
+    note t (Schedule.fault_to_string fault);
     match fault with
-    | Schedule.Crash id ->
-        note t (Schedule.fault_to_string fault);
-        Node.crash (find_node t id)
+    | Schedule.Crash id -> Node.crash (find_node t id)
     | Schedule.Crash_restart { node; downtime } ->
-        note t (Schedule.fault_to_string fault);
         Node.crash (find_node t node);
         Sim.delay downtime;
         let copied = Cluster.restart_node t.cluster node in
         note t (Printf.sprintf "node %d restarted (%d pairs re-copied)" node copied)
     | Schedule.Partition { a; b; duration } ->
-        note t (Schedule.fault_to_string fault);
         let ids l = List.map (endpoint_id t) l in
         let ia = ids a and ib = ids b in
-        let rule src dst =
-          let s = Netsim.id src and d = Netsim.id dst in
-          if (List.mem s ia && List.mem d ib) || (List.mem s ib && List.mem d ia) then
-            Some Netsim.Drop
-          else None
-        in
-        let rid = Netsim.add_fault (Cluster.fabric t.cluster) rule in
-        Sim.delay duration;
-        Netsim.remove_fault (Cluster.fabric t.cluster) rid;
+        with_rule t
+          (fun src dst ->
+            let s = Netsim.id src and d = Netsim.id dst in
+            if (List.mem s ia && List.mem d ib) || (List.mem s ib && List.mem d ia) then
+              Some Netsim.Drop
+            else None)
+          duration;
         note t "partition healed";
         List.iter (readmit_if_expelled t) (a @ b)
     | Schedule.Link_loss { node; prob; duration } ->
-        note t (Schedule.fault_to_string fault);
         let eid = endpoint_id t node in
         (* Drop decisions are a stateless hash of (key, src, dst,
            per-pair message index), not draws from a shared stream: two
@@ -350,90 +379,54 @@ module Injector = struct
            by one sequential process. *)
         let key = Rng.int t.rng 0x3FFFFFFF in
         let counts = Hashtbl.create 64 in
-        let rule src dst =
-          let s = Netsim.id src and d = Netsim.id dst in
-          if s = eid || d = eid then begin
-            let pair = (s lsl 20) lor d in
-            let c = Option.value ~default:0 (Hashtbl.find_opt counts pair) in
-            Hashtbl.replace counts pair (c + 1);
-            if Rng.hash_float key s d c < prob then Some Netsim.Drop else None
-          end
-          else None
-        in
-        let rid = Netsim.add_fault (Cluster.fabric t.cluster) rule in
-        Sim.delay duration;
-        Netsim.remove_fault (Cluster.fabric t.cluster) rid;
+        with_rule t
+          (touching eid (fun src dst ->
+               let s = Netsim.id src and d = Netsim.id dst in
+               let pair = (s lsl 20) lor d in
+               let c = Option.value ~default:0 (Hashtbl.find_opt counts pair) in
+               Hashtbl.replace counts pair (c + 1);
+               if Rng.hash_float key s d c < prob then Some Netsim.Drop else None))
+          duration;
         readmit_if_expelled t node
     | Schedule.Link_jitter { node; extra; duration } ->
-        note t (Schedule.fault_to_string fault);
         let eid = endpoint_id t node in
-        let rule src dst =
-          if Netsim.id src = eid || Netsim.id dst = eid then Some (Netsim.Delay extra) else None
-        in
-        let rid = Netsim.add_fault (Cluster.fabric t.cluster) rule in
-        Sim.delay duration;
-        Netsim.remove_fault (Cluster.fabric t.cluster) rid
+        with_rule t (touching eid (fun _ _ -> Some (Netsim.Delay extra))) duration
     | Schedule.Link_jitter_ramp { node; peak; ramp; duration; inbound } ->
-        note t (Schedule.fault_to_string fault);
         let eid = endpoint_id t node in
         let start = Sim.now () in
         let knee = start +. ramp in
-        let rule src dst =
-          let hit = if inbound then Netsim.id dst = eid else Netsim.id src = eid in
-          if not hit then None
-          else
-            let frac =
-              if ramp <= 0. || Sim.reached knee then 1.0 else (Sim.now () -. start) /. ramp
-            in
-            Some (Netsim.Delay (peak *. frac))
-        in
-        let rid = Netsim.add_fault (Cluster.fabric t.cluster) rule in
-        Sim.delay duration;
-        Netsim.remove_fault (Cluster.fabric t.cluster) rid;
+        with_rule t
+          (fun src dst ->
+            let hit = if inbound then Netsim.id dst = eid else Netsim.id src = eid in
+            if not hit then None
+            else
+              let frac =
+                if ramp <= 0. || Sim.reached knee then 1.0 else (Sim.now () -. start) /. ramp
+              in
+              Some (Netsim.Delay (peak *. frac)))
+          duration;
         readmit_if_expelled t node
     | Schedule.Fail_slow { node; factor; duration } ->
-        note t (Schedule.fault_to_string fault);
+        if t.first_fail_slow = None then t.first_fail_slow <- Some (Sim.now ());
         Node.set_slow_factor (find_node t node) factor;
         Sim.delay duration;
         Node.set_slow_factor (find_node t node) 1.0;
         note t (Printf.sprintf "fail-slow node %d healed" node);
-        (* The gray-failure ladder may have fenced the node (stage 3 runs
-           the §3.8 failure path, expelling it while its process lives).
-           The expulsion's chain repair can still be in flight when the
-           slowness heals — the node then still reads as a member and a
-           bare readmit check would skip it, leaving it out of the
-           cluster forever once the repair lands. Wait for a fenced
-           node's expulsion to complete, then re-admit it like any node
-           a network fault got expelled. *)
-        while
-          is_member t node
-          && Control.slow_stage (Cluster.control t.cluster) node >= 3
-        do
-          Sim.delay 0.05
-        done;
-        readmit_if_expelled t node
+        readmit_if_fenced t node
     | Schedule.Ssd_degrade { node; ssd; factor; duration } ->
-        note t (Schedule.fault_to_string fault);
-        let devs = Engine.devices (Node.engine (find_node t node)) in
-        if ssd < 0 || ssd >= Array.length devs then
-          invalid_arg (Printf.sprintf "Fault.Injector: node %d has no ssd %d" node ssd);
-        Blockdev.set_service_factor devs.(ssd) factor;
+        let _, dev = find_ssd t node ssd in
+        Blockdev.set_service_factor dev factor;
         Sim.delay duration;
-        Blockdev.set_service_factor devs.(ssd) 1.0;
+        Blockdev.set_service_factor dev 1.0;
         note t (Printf.sprintf "ssd-degrade node %d ssd %d healed" node ssd)
     | Schedule.Ssd_fail { node; ssd } ->
-        note t (Schedule.fault_to_string fault);
-        let n = find_node t node in
-        let devs = Engine.devices (Node.engine n) in
-        if ssd < 0 || ssd >= Array.length devs then
-          invalid_arg (Printf.sprintf "Fault.Injector: node %d has no ssd %d" node ssd);
-        Blockdev.fail devs.(ssd);
+        let n, dev = find_ssd t node ssd in
+        Blockdev.fail dev;
         (* A JBOF that lost a drive of live partitions cannot serve its
            arcs: escalate to fail-stop so the failure detector expels the
            node and chains repair from surviving replicas. *)
         Node.crash n
     | Schedule.Bit_rot { node; flips } ->
-        note t (Schedule.fault_to_string fault);
         let devs = Engine.devices (Node.engine (find_node t node)) in
         let r = Rng.split t.rng in
         let ndev = Array.length devs in
@@ -448,7 +441,7 @@ module Injector = struct
         note t (Printf.sprintf "bit-rot node %d: %d bits flipped" node !flipped)
 
   let arm ?(rng = Rng.create 4242) cluster (sched : Schedule.t) =
-    let t = { cluster; rng = Rng.split rng; pending = 0; log = [] } in
+    let t = { cluster; rng = Rng.split rng; pending = 0; log = []; first_fail_slow = None } in
     List.iter
       (fun { Schedule.at; fault } ->
         t.pending <- t.pending + 1;
@@ -664,341 +657,335 @@ module Chaos = struct
 
   let digest_of_fields fields = Digest.to_hex (Digest.string (String.concat "|" fields))
 
-  let run ?checks ?tiebreak ?sched ?on_dispatch (cfg : config) =
-    if cfg.nkeys < cfg.nclients then invalid_arg "Chaos.run: nkeys must be >= nclients";
-    Sim.run ?checks ?tiebreak ?sched ?on_dispatch (fun () ->
-        let cluster = Cluster.create ~config:(cluster_config cfg) () in
-        let clients = Array.init cfg.nclients (fun _ -> Cluster.client cluster) in
-        let sched =
-          match cfg.schedule with
-          | Some s -> s
-          | None ->
-              Schedule.random ~bit_rot:cfg.bit_rot ~fail_slow:cfg.fail_slow ~seed:cfg.seed
-                ~nnodes:cfg.nnodes ~duration:cfg.duration ()
-        in
+  (* --- the five phases of [run]: start, load, heal, sweep, judge --- *)
+
+  module Histogram = Leed_stats.Histogram
+
+  (* What the phases share: the cluster under test, the per-key write
+     ledgers, the operation history, and the client-observed tallies. *)
+  type world = {
+    cfg : config;
+    cluster : Cluster.t;
+    clients : Client.t array;
+    sched : Schedule.t;
+    attempted : int array;
+    acked : int array;
         (* Per-key write ledgers. [attempted] is the highest sequence a
            client ever issued toward the key; [acked] the highest whose
            put returned. The chain may legitimately hold anything in
            [acked, attempted] (a failed write can linger at the head),
            but never below [acked]: that would be acknowledged-write
            loss. *)
-        let attempted = Array.make cfg.nkeys 0 in
-        let acked = Array.make cfg.nkeys 0 in
-        (* Every completed client operation lands in the history
-           recorder; the Wing–Gong checker judges it per key after the
-           sweep (the sixth invariant). *)
-        let hist = History.create () in
-        let record_op ~key ~start kind outcome =
-          History.record hist ~key { History.start; finish = Sim.now (); kind; outcome }
-        in
-        (* Preload every key at sequence 0 before any fault arms. *)
-        for k = 0 to cfg.nkeys - 1 do
-          let t0 = Sim.now () in
-          Client.put clients.(0) (key_of k) (encode ~size:cfg.object_size k 0);
-          record_op ~key:(key_of k) ~start:t0 (History.Write (Some 0)) History.Ok
-        done;
-        let reads = ref 0 and writes = ref 0 in
-        let failed = ref 0 and null_reads = ref 0 and corrupt = ref 0 in
-        (* Every GET's client-observed latency, including failed ones
+    hist : History.t;
+        (* every completed client operation; the Wing–Gong checker
+           judges it per key after the sweep (the sixth invariant) *)
+    get_hist : Histogram.t;
+    put_hist : Histogram.t;
+        (* every GET's client-observed latency, including failed ones
            (their elapsed time is exactly the tail the SLO cares about);
-           PUTs get the same treatment for the protocol comparison. *)
-        let get_hist = Leed_stats.Histogram.create () in
-        let put_hist = Leed_stats.Histogram.create () in
-        let last_ok = ref (Sim.now ()) and max_gap = ref 0. in
-        let success () =
-          let now = Sim.now () in
-          let gap = now -. !last_ok in
-          if gap > !max_gap then max_gap := gap;
-          last_ok := now
-        in
-        let inj = Injector.arm ~rng:(Rng.create (cfg.seed lxor 0x5eed)) cluster sched in
-        (* Background scrubbing runs for the whole faulted window; its
-           token-gated segment walks heal rot concurrently with the
-           foreground load. Stopped before the end-of-run judgement so
-           the final heal pass below is the last integrity actor. *)
-        let scrub_stop = ref false in
-        if cfg.bit_rot then Scrub.spawn ~period:0.4 ~stop:(fun () -> !scrub_stop) cluster;
-        (* Closed-loop workers, for [ops_per_worker] ops each or for
-           [duration]. Worker [w] owns keys congruent to w mod
-           nclients, so no two processes ever race a write to the same
-           key — the ledger stays exact without cross-worker ordering
-           assumptions. *)
-        let shard = cfg.nkeys / cfg.nclients in
-        let wrngs = Array.init cfg.nclients (fun w -> Rng.create (cfg.seed lxor (0x9e3779b9 + w))) in
-        let op w =
-          let c = clients.(w) and wrng = wrngs.(w) in
-          let k = (w + (cfg.nclients * Rng.int wrng shard)) mod cfg.nkeys in
-          if Rng.float wrng < cfg.write_ratio then begin
-            let seq = attempted.(k) + 1 in
-            attempted.(k) <- seq;
-            let t0 = Sim.now () in
-            let lat () = Leed_stats.Histogram.record put_hist (Sim.now () -. t0) in
-            match Client.put c (key_of k) (encode ~size:cfg.object_size k seq) with
-            | () ->
-                lat ();
-                if seq > acked.(k) then acked.(k) <- seq;
-                record_op ~key:(key_of k) ~start:t0 (History.Write (Some seq)) History.Ok;
-                incr writes;
-                success ()
-            | exception Client.Unavailable _ ->
-                lat ();
-                (* ambiguous: the write may still have taken effect —
-                   the checker explores both branches *)
-                record_op ~key:(key_of k) ~start:t0 (History.Write (Some seq)) History.Failed;
-                incr failed
-          end
-          else begin
-            (* A quarter of reads leave the worker's own shard: writes
-               stay single-owner (the ledger depends on it), but
-               cross-client read concurrency is what gives the
-               linearizability oracle teeth. [attempted.(k)] is set
-               before the owner issues, and only ever grows, so the
-               bound below cannot race. *)
-            let k = if Rng.float wrng < 0.25 then Rng.int wrng cfg.nkeys else k in
-            let t0 = Sim.now () in
-            let record () = Leed_stats.Histogram.record get_hist (Sim.now () -. t0) in
-            match Client.get c (key_of k) with
-            | Some v ->
-                record ();
-                (match decode v with
-                | Some (i, s) when i = k && s <= attempted.(k) ->
-                    record_op ~key:(key_of k) ~start:t0 (History.Read (Some s)) History.Ok
-                | _ -> incr corrupt);
-                incr reads;
-                success ()
-            | None ->
-                (* The key was preloaded, so a miss means the serving
-                   side claims it absent. What that implies is
-                   protocol-specific. Under ABD a [None] is a
-                   COMPLETED quorum read — a majority answered and
-                   the highest tag among them carried no value — so
-                   it is a genuine register observation and joins the
-                   history: the checker then flags a protocol that
-                   wrongly serves "key absent" for a present key
-                   (e.g. a quorum dominated by hollow replicas after
-                   a botched membership copy), which a later heal
-                   would otherwise mask. Under CRRS a miss is one
-                   replica lacking the key (mid-repair, mid-rejoin) —
-                   the chaos contract treats that as transient
-                   unavailability, like a failed read, and recording
-                   it would turn tolerated unavailability into a
-                   linearizability verdict. The end-of-run sweep's
-                   reads — taken after the heal, when a miss
-                   genuinely means loss — join the history for both
-                   protocols. *)
-                record ();
-                if cfg.proto = Replication.Abd then
-                  record_op ~key:(key_of k) ~start:t0 (History.Read None) History.Ok;
-                incr null_reads;
-                incr reads
-            | exception Client.Unavailable _ ->
-                record ();
-                incr failed
-          end
-        in
-        let r =
-          match cfg.ops_per_worker with
-          | Some ops -> Driver.fixed ~label:"chaos" ~workers:cfg.nclients ~ops op
-          | None -> Driver.closed ~label:"chaos" ~workers:cfg.nclients ~duration:cfg.duration op
-        in
-        (* Let the schedule finish healing, then give repairs a grace
-           window to drain before judging end-state invariants. *)
-        Injector.wait_quiesced inj;
-        Sim.delay 1.0;
-        scrub_stop := true;
-        (* Final blocking heal: one full scrub pass (read-repair plus arc
-           re-COPY escalation), then the ground-truth verify walk — after
-           healing, every replica of every key must be checksum-clean. *)
-        let verify_bad =
-          if cfg.bit_rot then begin
-            ignore (Scrub.run_once cluster);
-            let v = Scrub.verify_all cluster in
-            v.Scrub.bad_values + v.Scrub.bad_segments
-          end
-          else 0
-        in
-        let control = Cluster.control cluster in
-        let live = Control.node_ids control in
-        let full_chain = min cfg.r (List.length live) in
-        let lost = ref 0 and stale = ref 0 and bad_chains = ref 0 in
-        let vc = clients.(0) in
-        (* Raw engine bytes carry the protocol's storage framing (ABD
-           tags); strip it before decoding sequence numbers. *)
-        let module P = (val Abd.protocol cfg.proto : Replication.S) in
-        (* Accumulates one "k:seq/acked" cell per key for [state_digest]. *)
-        let state_buf = Buffer.create (cfg.nkeys * 16) in
-        for k = 0 to cfg.nkeys - 1 do
-          let key = key_of k in
-          let chain = Ring.chain (Control.ring control) ~r:cfg.r key in
-          let chain_nodes = List.map (fun (e : Ring.entry) -> e.Ring.owner.Ring.node) chain in
-          if
-            List.length chain <> full_chain
-            || List.length (List.sort_uniq compare chain_nodes) <> List.length chain
-          then incr bad_chains;
-          (* Client-level: the acknowledged prefix must be readable. The
-             sweep read joins the history too — under ABD it is also
-             what synchronously writes the winning tag back to replicas
-             that missed writes, so it must precede the engine walk. *)
-          let t0 = Sim.now () in
-          (match Client.get vc key with
-          | Some v -> (
-              match decode v with
-              | Some (i, s) when i = k && s >= acked.(k) && s <= attempted.(k) ->
-                  record_op ~key ~start:t0 (History.Read (Some s)) History.Ok;
-                  Buffer.add_string state_buf (Printf.sprintf "%d:%d/%d;" k s acked.(k))
-              | Some _ | None ->
-                  Buffer.add_string state_buf (Printf.sprintf "%d:garbled/%d;" k acked.(k));
-                  incr lost)
-          | None ->
-              record_op ~key ~start:t0 (History.Read None) History.Ok;
-              Buffer.add_string state_buf (Printf.sprintf "%d:miss/%d;" k acked.(k));
-              incr lost
-          | exception Client.Unavailable _ ->
-              Buffer.add_string state_buf (Printf.sprintf "%d:unavail/%d;" k acked.(k));
-              incr lost);
-          (* Per-replica durability, straight through the engines: every
-             chain member must hold the key at >= the acknowledged
-             sequence (a failed write may leave a newer value at the
-             head — legal — but a replica below [acked] missed a repair.
-             ABD replicas owe the same bound because the sweep read above
-             write-back-repairs any replica the quorum outran). *)
-          List.iter
-            (fun (e : Ring.entry) ->
-              let n = Control.node control e.Ring.owner.Ring.node in
-              match
-                Engine.submit (Node.engine n) ~pid:e.Ring.owner.Ring.vidx (Engine.Get key)
-              with
-              | Engine.Found v -> (
-                  match Option.bind (P.payload_of_stored v) decode with
-                  | Some (i, s) when i = k && s >= acked.(k) && s <= attempted.(k) -> ()
-                  | _ -> incr stale)
-              | Engine.Missing | Engine.Done | Engine.Failed | Engine.Shed -> incr stale
-              | Engine.Corrupt | Engine.Scrubbed _ -> incr corrupt
-              | exception Engine.Overloaded _ -> ())
-            chain
-        done;
-        (* Sixth invariant: every key's operation history must have a
-           legal linearization (Wing–Gong). *)
-        let lin_checked_keys = List.length (History.keys hist) in
-        let lin_violations = ref 0 in
-        let lin_detail = ref "" in
-        List.iter
-          (fun key ->
-            match History.check_key hist key with
-            | History.Linearizable -> ()
-            | History.Violation { key; detail } ->
-                incr lin_violations;
-                if !lin_detail = "" then lin_detail := Printf.sprintf "key %s: %s" key detail)
-          (History.keys hist);
-        let counters = Leed_backend.counters cluster in
-        (* Detection latency: first Fail_slow application (injector log,
-           oldest first — the apply note precedes the heal note) to the
-           first slow-ladder event the control plane pushed. *)
-        let detection_latency =
-          let applied =
-            List.find_map
-              (fun (at, what) ->
-                if String.length what >= 9 && String.sub what 0 9 = "fail-slow" then Some at
-                else None)
-              (Injector.log inj)
-          in
-          match (applied, Control.slow_log control) with
-          | Some t0, (t1, _, _) :: _ when t1 >= t0 -> t1 -. t0
-          | _ -> -1.
-        in
-        let get_p99 = Leed_stats.Histogram.percentile get_hist 0.99 in
-        let get_p999 = Leed_stats.Histogram.percentile get_hist 0.999 in
-        let put_p99 = Leed_stats.Histogram.percentile put_hist 0.99 in
-        let put_p999 = Leed_stats.Histogram.percentile put_hist 0.999 in
-        let outage_ok = cfg.outage_bound <= 0. || !max_gap <= cfg.outage_bound in
-        let failed_invariants =
-          List.filter_map
-            (fun (name, failed) -> if failed then Some name else None)
-            [
-              ("lost-writes", !lost > 0);
-              ("stale-replicas", !stale > 0);
-              ("incomplete-chains", !bad_chains > 0);
-              ("corrupt-reads", !corrupt > 0);
-              ("verify-bad", verify_bad > 0);
-              ("outage-bound", not outage_ok);
-              ("linearizability", !lin_violations > 0);
-            ]
-        in
-        let ok = failed_invariants = [] in
-        let digest =
-          digest_of_fields
-            ([
-              string_of_int cfg.seed;
-              Replication.proto_to_string cfg.proto;
-              string_of_int r.Driver.ops;
-              string_of_int !reads;
-              string_of_int !writes;
-              string_of_int !failed;
-              string_of_int !null_reads;
-              string_of_int !corrupt;
-              string_of_int !lost;
-              string_of_int !stale;
-              string_of_int !bad_chains;
-              Printf.sprintf "%h" !max_gap;
-              string_of_int (List.length live);
-            ]
-            @ List.map (digest_field counters) digest_health
-            @ [
-              string_of_int verify_bad;
-              Printf.sprintf "%h" get_p99;
-              Printf.sprintf "%h" get_p999;
-            ]
-            @ List.map (digest_field counters) digest_gray
-            @ [
-              Printf.sprintf "%h" detection_latency;
-              Printf.sprintf "%h" put_p99;
-              Printf.sprintf "%h" put_p999;
-            ]
-            @ List.map (digest_field counters) digest_replication
-            @ [
-              string_of_int lin_checked_keys;
-              string_of_int !lin_violations;
-            ])
-        in
-        let state_digest =
-          digest_of_fields
-            [
-              Buffer.contents state_buf;
-              string_of_int !lost;
-              string_of_int !corrupt;
-              string_of_int verify_bad;
-              string_of_int !lin_violations;
-            ]
-        in
-        {
-          schedule = Schedule.to_string sched;
-          proto = Replication.proto_to_string cfg.proto;
-          ops = r.Driver.ops;
-          reads = !reads;
-          writes = !writes;
-          failed_ops = !failed;
-          null_reads = !null_reads;
-          corrupt_values = !corrupt;
-          lost_writes = !lost;
-          stale_replicas = !stale;
-          incomplete_chains = !bad_chains;
-          max_outage = !max_gap;
-          live_nodes = List.length live;
-          counters;
-          verify_bad;
-          get_p99;
-          get_p999;
-          put_p99;
-          put_p999;
-          detection_latency;
-          lin_checked_keys;
-          lin_violations = !lin_violations;
-          lin_detail = !lin_detail;
-          failed_invariants;
-          ok;
-          digest;
-          state_digest;
-        })
+           PUTs get the same treatment for the protocol comparison *)
+    mutable reads : int;
+    mutable writes : int;
+    mutable failed : int;
+    mutable null_reads : int;
+    mutable corrupt : int;
+    mutable last_ok : float;
+    mutable max_gap : float; (* longest stretch without a successful op *)
+    mutable scrub_stop : bool;
+  }
+
+  let record_op w ~key ~start kind outcome =
+    History.record w.hist ~key { History.start; finish = Sim.now (); kind; outcome }
+
+  let success w =
+    let now = Sim.now () in
+    let gap = now -. w.last_ok in
+    if gap > w.max_gap then w.max_gap <- gap;
+    w.last_ok <- now
+
+  (* Phase 1: the cluster, its clients and schedule, empty ledgers, and
+     every key preloaded at sequence 0 before any fault arms. *)
+  let start cfg =
+    let cluster = Cluster.create ~config:(cluster_config cfg) () in
+    let clients = Array.init cfg.nclients (fun _ -> Cluster.client cluster) in
+    let sched =
+      match cfg.schedule with
+      | Some s -> s
+      | None ->
+          Schedule.random ~bit_rot:cfg.bit_rot ~fail_slow:cfg.fail_slow ~seed:cfg.seed
+            ~nnodes:cfg.nnodes ~duration:cfg.duration ()
+    in
+    let w =
+      { cfg; cluster; clients; sched; attempted = Array.make cfg.nkeys 0;
+        acked = Array.make cfg.nkeys 0; hist = History.create (); get_hist = Histogram.create ();
+        put_hist = Histogram.create (); reads = 0; writes = 0; failed = 0; null_reads = 0;
+        corrupt = 0; last_ok = 0.; max_gap = 0.; scrub_stop = false }
+    in
+    for k = 0 to cfg.nkeys - 1 do
+      let t0 = Sim.now () in
+      Client.put clients.(0) (key_of k) (encode ~size:cfg.object_size k 0);
+      record_op w ~key:(key_of k) ~start:t0 (History.Write (Some 0)) History.Ok
+    done;
+    w.last_ok <- Sim.now ();
+    w
+
+  (* A worker's write of the next sequence to key [k], which it owns. *)
+  let write w c k =
+    let seq = w.attempted.(k) + 1 in
+    w.attempted.(k) <- seq;
+    let t0 = Sim.now () in
+    let lat () = Histogram.record w.put_hist (Sim.now () -. t0) in
+    match Client.put c (key_of k) (encode ~size:w.cfg.object_size k seq) with
+    | () ->
+        lat ();
+        if seq > w.acked.(k) then w.acked.(k) <- seq;
+        record_op w ~key:(key_of k) ~start:t0 (History.Write (Some seq)) History.Ok;
+        w.writes <- w.writes + 1;
+        success w
+    | exception Client.Unavailable _ ->
+        lat ();
+        (* ambiguous: the write may still have taken effect — the
+           checker explores both branches *)
+        record_op w ~key:(key_of k) ~start:t0 (History.Write (Some seq)) History.Failed;
+        w.failed <- w.failed + 1
+
+  (* A worker's validating read of key [k]. [attempted.(k)] is set before
+     the owner issues, and only ever grows, so the bound cannot race. *)
+  let read w c k =
+    let t0 = Sim.now () in
+    let lat () = Histogram.record w.get_hist (Sim.now () -. t0) in
+    match Client.get c (key_of k) with
+    | Some v ->
+        lat ();
+        (match decode v with
+        | Some (i, s) when i = k && s <= w.attempted.(k) ->
+            record_op w ~key:(key_of k) ~start:t0 (History.Read (Some s)) History.Ok
+        | _ -> w.corrupt <- w.corrupt + 1);
+        w.reads <- w.reads + 1;
+        success w
+    | None ->
+        (* The key was preloaded, so a miss means the serving side
+           claims it absent. What that implies is protocol-specific.
+           Under ABD a [None] is a COMPLETED quorum read — a majority
+           answered and the highest tag among them carried no value — so
+           it is a genuine register observation and joins the history:
+           the checker then flags a protocol that wrongly serves "key
+           absent" for a present key (e.g. a quorum dominated by hollow
+           replicas after a botched membership copy), which a later heal
+           would otherwise mask. Under CRRS a miss is one replica lacking
+           the key (mid-repair, mid-rejoin) — the chaos contract treats
+           that as transient unavailability, like a failed read, and
+           recording it would turn tolerated unavailability into a
+           linearizability verdict. The end-of-run sweep's reads — taken
+           after the heal, when a miss genuinely means loss — join the
+           history for both protocols. *)
+        lat ();
+        if w.cfg.proto = Replication.Abd then
+          record_op w ~key:(key_of k) ~start:t0 (History.Read None) History.Ok;
+        w.null_reads <- w.null_reads + 1;
+        w.reads <- w.reads + 1
+    | exception Client.Unavailable _ ->
+        lat ();
+        w.failed <- w.failed + 1
+
+  (* Phase 2: arm the injector, start the scrubber under [bit_rot], and
+     run the closed-loop workers, for [ops_per_worker] ops each or for
+     [duration]. Worker [i] owns keys congruent to i mod nclients, so no
+     two processes ever race a write to the same key — the ledger stays
+     exact without cross-worker ordering assumptions. A quarter of reads
+     leave the worker's own shard: cross-client read concurrency is what
+     gives the linearizability oracle teeth. *)
+  let load w =
+    let cfg = w.cfg in
+    let inj = Injector.arm ~rng:(Rng.create (cfg.seed lxor 0x5eed)) w.cluster w.sched in
+    (* Background scrubbing runs for the whole faulted window; its
+       token-gated segment walks heal rot concurrently with the
+       foreground load. *)
+    if cfg.bit_rot then Scrub.spawn ~period:0.4 ~stop:(fun () -> w.scrub_stop) w.cluster;
+    let shard = cfg.nkeys / cfg.nclients in
+    let rngs = Array.init cfg.nclients (fun i -> Rng.create (cfg.seed lxor (0x9e3779b9 + i))) in
+    let op i =
+      let c = w.clients.(i) and rng = rngs.(i) in
+      let k = (i + (cfg.nclients * Rng.int rng shard)) mod cfg.nkeys in
+      if Rng.float rng < cfg.write_ratio then write w c k
+      else read w c (if Rng.float rng < 0.25 then Rng.int rng cfg.nkeys else k)
+    in
+    let result =
+      match cfg.ops_per_worker with
+      | Some ops -> Driver.fixed ~label:"chaos" ~workers:cfg.nclients ~ops op
+      | None -> Driver.closed ~label:"chaos" ~workers:cfg.nclients ~duration:cfg.duration op
+    in
+    (inj, result)
+
+  (* Phase 3: let the schedule finish healing, give repairs a 1 s grace
+     window, and stop the scrubber so the final blocking heal is the last
+     integrity actor: one full scrub pass (read-repair plus arc re-COPY
+     escalation), then the ground-truth verify walk — every replica of
+     every key must be checksum-clean. Returns the bad frames it found. *)
+  let heal w inj =
+    Injector.wait_quiesced inj;
+    Sim.delay 1.0;
+    w.scrub_stop <- true;
+    if w.cfg.bit_rot then begin
+      ignore (Scrub.run_once w.cluster);
+      let v = Scrub.verify_all w.cluster in
+      v.Scrub.bad_values + v.Scrub.bad_segments
+    end
+    else 0
+
+  type swept = {
+    live : int; (* members after the heal *)
+    lost : int;
+    stale : int;
+    bad_chains : int;
+    state : string; (* one "k:seq/acked" cell per key, for [state_digest] *)
+  }
+
+  (* Phase 4: read every key back through a client, then check each chain
+     replica's engine value against the ledger. *)
+  let sweep w =
+    let cfg = w.cfg in
+    let control = Cluster.control w.cluster in
+    let live = List.length (Control.node_ids control) in
+    let full_chain = min cfg.r live in
+    let lost = ref 0 and stale = ref 0 and bad_chains = ref 0 in
+    let vc = w.clients.(0) in
+    (* Raw engine bytes carry the protocol's storage framing (ABD tags);
+       strip it before decoding sequence numbers. *)
+    let module P = (val Abd.protocol cfg.proto : Replication.S) in
+    let state = Buffer.create (cfg.nkeys * 16) in
+    let cell fmt = Printf.bprintf state fmt in
+    for k = 0 to cfg.nkeys - 1 do
+      let key = key_of k and acked = w.acked.(k) and attempted = w.attempted.(k) in
+      let chain = Ring.chain (Control.ring control) ~r:cfg.r key in
+      let chain_nodes = List.map (fun (e : Ring.entry) -> e.Ring.owner.Ring.node) chain in
+      if
+        List.length chain <> full_chain
+        || List.length (List.sort_uniq compare chain_nodes) <> List.length chain
+      then incr bad_chains;
+      (* Client-level: the acknowledged prefix must be readable. The
+         sweep read joins the history too — under ABD it is also what
+         synchronously writes the winning tag back to replicas that
+         missed writes, so it must precede the engine walk. *)
+      let t0 = Sim.now () in
+      (match Client.get vc key with
+      | Some v -> (
+          match decode v with
+          | Some (i, s) when i = k && s >= acked && s <= attempted ->
+              record_op w ~key ~start:t0 (History.Read (Some s)) History.Ok;
+              cell "%d:%d/%d;" k s acked
+          | Some _ | None ->
+              cell "%d:garbled/%d;" k acked;
+              incr lost)
+      | None ->
+          record_op w ~key ~start:t0 (History.Read None) History.Ok;
+          cell "%d:miss/%d;" k acked;
+          incr lost
+      | exception Client.Unavailable _ ->
+          cell "%d:unavail/%d;" k acked;
+          incr lost);
+      (* Per-replica durability, straight through the engines: every
+         chain member must hold the key at >= the acknowledged sequence
+         (a failed write may leave a newer value at the head — legal —
+         but a replica below [acked] missed a repair. ABD replicas owe
+         the same bound because the sweep read above write-back-repairs
+         any replica the quorum outran). *)
+      List.iter
+        (fun (e : Ring.entry) ->
+          let n = Control.node control e.Ring.owner.Ring.node in
+          match Engine.submit (Node.engine n) ~pid:e.Ring.owner.Ring.vidx (Engine.Get key) with
+          | Engine.Found v -> (
+              match Option.bind (P.payload_of_stored v) decode with
+              | Some (i, s) when i = k && s >= acked && s <= attempted -> ()
+              | _ -> incr stale)
+          | Engine.Missing | Engine.Done | Engine.Failed | Engine.Shed -> incr stale
+          | Engine.Corrupt | Engine.Scrubbed _ -> w.corrupt <- w.corrupt + 1
+          | exception Engine.Overloaded _ -> ())
+        chain
+    done;
+    { live; lost = !lost; stale = !stale; bad_chains = !bad_chains; state = Buffer.contents state }
+
+  (* The Wing–Gong verdict over every key's history: (keys checked, keys
+     with no legal linearization, the first violation's explanation). *)
+  let linearizability hist =
+    let keys = History.keys hist in
+    List.fold_left
+      (fun (checked, violations, detail) key ->
+        match History.check_key hist key with
+        | History.Linearizable -> (checked, violations, detail)
+        | History.Violation { key; detail = d } ->
+            let detail = if detail = "" then Printf.sprintf "key %s: %s" key d else detail in
+            (checked, violations + 1, detail))
+      (List.length keys, 0, "") keys
+
+  (* [digest]'s fields, in their fixed order. *)
+  let digest_of_report ~seed (r : report) =
+    let f = Printf.sprintf "%h" and i = string_of_int and c = digest_field r.counters in
+    digest_of_fields
+      ([ i seed; r.proto; i r.ops; i r.reads; i r.writes; i r.failed_ops; i r.null_reads;
+         i r.corrupt_values; i r.lost_writes; i r.stale_replicas; i r.incomplete_chains;
+         f r.max_outage; i r.live_nodes ]
+      @ List.map c digest_health
+      @ [ i r.verify_bad; f r.get_p99; f r.get_p999 ]
+      @ List.map c digest_gray
+      @ [ f r.detection_latency; f r.put_p99; f r.put_p999 ]
+      @ List.map c digest_replication
+      @ [ i r.lin_checked_keys; i r.lin_violations ])
+
+  (* Phase 5: the linearizability check, counters, detection latency,
+     tails, the invariant list and both digests. *)
+  let judge w inj (result : Driver.result) ~verify_bad (s : swept) =
+    let lin_checked_keys, lin_violations, lin_detail = linearizability w.hist in
+    (* Detection latency: the first Fail_slow application to the first
+       slow-ladder event the control plane pushed. *)
+    let detection_latency =
+      match (inj.Injector.first_fail_slow, Control.slow_log (Cluster.control w.cluster)) with
+      | Some t0, (t1, _, _) :: _ when t1 >= t0 -> t1 -. t0
+      | _ -> -1.
+    in
+    let outage_ok = w.cfg.outage_bound <= 0. || w.max_gap <= w.cfg.outage_bound in
+    let failed_invariants =
+      List.filter_map
+        (fun (name, failed) -> if failed then Some name else None)
+        [
+          ("lost-writes", s.lost > 0);
+          ("stale-replicas", s.stale > 0);
+          ("incomplete-chains", s.bad_chains > 0);
+          ("corrupt-reads", w.corrupt > 0);
+          ("verify-bad", verify_bad > 0);
+          ("outage-bound", not outage_ok);
+          ("linearizability", lin_violations > 0);
+        ]
+    in
+    let pct = Histogram.percentile in
+    let r =
+      { schedule = Schedule.to_string w.sched; proto = Replication.proto_to_string w.cfg.proto;
+        ops = result.Driver.ops; reads = w.reads; writes = w.writes; failed_ops = w.failed;
+        null_reads = w.null_reads; corrupt_values = w.corrupt; lost_writes = s.lost;
+        stale_replicas = s.stale; incomplete_chains = s.bad_chains; max_outage = w.max_gap;
+        live_nodes = s.live; counters = Leed_backend.counters w.cluster; verify_bad;
+        get_p99 = pct w.get_hist 0.99; get_p999 = pct w.get_hist 0.999;
+        put_p99 = pct w.put_hist 0.99; put_p999 = pct w.put_hist 0.999; detection_latency;
+        lin_checked_keys; lin_violations; lin_detail; failed_invariants;
+        ok = failed_invariants = []; digest = ""; state_digest = "" }
+    in
+    {
+      r with
+      digest = digest_of_report ~seed:w.cfg.seed r;
+      state_digest =
+        digest_of_fields
+          [ s.state; string_of_int s.lost; string_of_int w.corrupt; string_of_int verify_bad;
+            string_of_int lin_violations ];
+    }
+
+  let run ?checks ?tiebreak ?sched ?on_dispatch (cfg : config) =
+    if cfg.nkeys < cfg.nclients then invalid_arg "Chaos.run: nkeys must be >= nclients";
+    Sim.run ?checks ?tiebreak ?sched ?on_dispatch (fun () ->
+        let w = start cfg in
+        let inj, result = load w in
+        let verify_bad = heal w inj in
+        let swept = sweep w in
+        judge w inj result ~verify_bad swept)
 
   let pp_report fmt (r : report) =
     let c = Backend.count r.counters in

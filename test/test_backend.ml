@@ -71,8 +71,7 @@ let conformance name () =
       Alcotest.(check bool) "device busy observed" true (Backend.sum ctrs "blockdev.busy_s" > 0.);
       Alcotest.(check bool)
         "idle power <= active power" true
-        (Backend.watts b ~util:0.0 <= Backend.watts b ~util:1.0);
-      Backend.stop b)
+        (Backend.watts b ~util:0.0 <= Backend.watts b ~util:1.0))
 
 (* The same seeded workload in two fresh simulation worlds must produce
    identical metrics — op counts, histogram shape, counter deltas. *)

@@ -388,7 +388,16 @@ let test_chaos_fail_slow_deterministic () =
     (Backend.count r1.Chaos.counters "client.hedges")
     (Backend.count r2.Chaos.counters "client.hedges");
   Alcotest.(check int) "shed counts agree" (Backend.sheds r1.Chaos.counters)
-    (Backend.sheds r2.Chaos.counters)
+    (Backend.sheds r2.Chaos.counters);
+  (* Known answers recorded before [Chaos.run] was split into phases. The
+     detection latency runs from the Fail_slow's application (0.3 s) to
+     the ladder's first event; measured from its heal (1.1 s) there is
+     none. *)
+  Alcotest.(check string) "known digest" "d20ecfd13d60ffe8f1954dec3c5667a6" r1.Chaos.digest;
+  Alcotest.(check string) "known state digest" "7a69218d2156e7aa26384486f533051d"
+    r1.Chaos.state_digest;
+  Alcotest.(check string) "known detection latency" "0x1.fc65ae7e86b8ap-2"
+    (Printf.sprintf "%h" r1.Chaos.detection_latency)
 
 let () =
   Alcotest.run "leed_failslow"
