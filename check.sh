@@ -117,6 +117,24 @@ dune exec bench/main.exe -- cache-validate BENCH_cache.json
 cmp "$tmp/BENCH_cache.committed.json" BENCH_cache.json \
   || { echo "BENCH_cache.json differs from the committed file"; exit 1; }
 
+echo "== chaos and replication bench gate (committed BENCH_chaos.json / BENCH_repl.json) =="
+# `chaos fast` (seed 42 plus the fail-slow points) and `repl fast` (CRRS
+# vs ABD) write their BENCH files into the current directory, so they run
+# in the stage's temp directory and the working tree stays clean. Every
+# field except the wall-clock `wall_s` is simulated and must reproduce
+# the committed file exactly: a change that moves one on purpose commits
+# the regenerated file.
+dune build bench/main.exe
+bench_exe="$(pwd)/_build/default/bench/main.exe"
+strip_wall() { sed -E 's/"wall_s":[-+0-9.eE]+//g' "$1"; }
+for b in chaos repl; do
+  (cd "$tmp" && "$bench_exe" "$b" fast > "$tmp/bench-$b.log")
+  strip_wall "BENCH_$b.json" > "$tmp/BENCH_$b.committed.nowall"
+  strip_wall "$tmp/BENCH_$b.json" > "$tmp/BENCH_$b.nowall"
+  cmp "$tmp/BENCH_$b.committed.nowall" "$tmp/BENCH_$b.nowall" \
+    || { echo "BENCH_$b.json differs from the committed file (wall_s aside)"; exit 1; }
+done
+
 echo "== traced chaos smoke (capture under faults + schema validation) =="
 # Re-run the chaos schedule with the tracer armed and validate that the
 # capture is a well-formed Chrome trace (every async end has a begin,

@@ -30,7 +30,7 @@ let () =
       (* Partition 0 lives on SSD 0; flood it. *)
       let n = 2_048 in
       Leed_workload.Workload.Driver.spread ~workers:64 ~n (fun id ->
-          ignore (Engine.submit e ~pid:0 (Engine.Put (key id, Bytes.make 1024 'x'))));
+          Result.get_ok (Engine.submit e ~pid:0 (Engine.Put (key id, Bytes.make 1024 'x'))));
       print_ssd_state e "after write burst";
 
       let st = Engine.store (Engine.partition e 0) in
@@ -44,7 +44,7 @@ let () =
       let missing = ref 0 in
       for i = 0 to n - 1 do
         match Engine.submit e ~pid:0 (Engine.Get (key i)) with
-        | Engine.Found _ -> ()
+        | Ok (Some _) -> ()
         | _ -> incr missing
       done;
       Printf.printf "  readable: %d/%d (some via foreign SSDs)\n" (n - !missing) n;
@@ -59,7 +59,7 @@ let () =
       let missing = ref 0 in
       for i = 0 to n - 1 do
         match Engine.submit e ~pid:0 (Engine.Get (key i)) with
-        | Engine.Found _ -> ()
+        | Ok (Some _) -> ()
         | _ -> incr missing
       done;
       Printf.printf "  readable: %d/%d (all home again)\n" (n - !missing) n)

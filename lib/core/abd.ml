@@ -38,13 +38,11 @@ let tag_max a b = if R.Tag.compare a b >= 0 then a else b
    or the store could not answer. *)
 let store_tag env ~vidx ~key =
   match env.R.sv_submit ~deadline:0. ~vidx (Engine.Get key) with
-  | Engine.Found v -> (
+  | Ok (Some v) -> (
       match R.Tag.unframe v with
       | Some (tg, _) -> Some tg
       | None -> Some R.Tag.zero (* pre-protocol raw bytes *))
-  | Engine.Missing | Engine.Done | Engine.Scrubbed _ -> None
-  | Engine.Corrupt | Engine.Failed | Engine.Shed -> None
-  | exception Engine.Overloaded _ -> None
+  | Ok None | Error _ -> None
 
 (* Highest tag this vnode has accepted: consult the DRAM gate first and
    fall back to the framed value in the store (cold cache after a
@@ -65,39 +63,29 @@ let local_tag env vs ~vidx ~key =
 module Impl = struct
   let proto = R.Abd
 
-  let nack_stale env =
-    env.R.sv_note R.S_nack;
-    Messages.Nack (Messages.Stale_view (Ring.version env.R.sv_ring))
-
   (* Phase-1 service: the replica's local (tag, framed value). *)
   let handle_tag_read env ~(vn : Ring.vnode) ~key ~want_value ~deadline ~version =
-    if version <> Ring.version env.R.sv_ring then nack_stale env
-    else
-      let vidx = vn.Ring.vidx in
-      match env.R.sv_vnode ~vidx with
-      | None -> nack_stale env
-      | Some vs -> (
-          env.R.sv_note R.S_served_read;
-          match R.local_get env ~vidx ~key ~deadline with
-          | R.L_found v ->
-              let tag =
-                match R.Tag.unframe v with Some (tg, _) -> tg | None -> R.Tag.zero
-              in
-              (* Warm the write gate: the cache may be cold after a restart,
-                 and the monotonic set only ever raises it. *)
-              R.Vstate.tag_set vs key tag;
-              Messages.Tagged
-                {
-                  value = (if want_value then Some v else None);
-                  tag = R.Tag.pair tag;
-                  tokens = env.R.sv_tokens ~vidx;
-                }
-          | R.L_missing ->
-              Messages.Tagged
-                { value = None; tag = R.Tag.pair R.Tag.zero; tokens = env.R.sv_tokens ~vidx }
-          | R.L_nack reason ->
-              env.R.sv_note R.S_nack;
-              Messages.Nack reason)
+    R.guard env ~vn ~version (fun vs ->
+        let vidx = vn.Ring.vidx in
+        env.R.sv_note R.S_served_read;
+        match R.local_get env ~vidx ~key ~deadline with
+        | Ok (Some v) ->
+            let tag = match R.Tag.unframe v with Some (tg, _) -> tg | None -> R.Tag.zero in
+            (* Warm the write gate: the cache may be cold after a restart,
+               and the monotonic set only ever raises it. *)
+            R.Vstate.tag_set vs key tag;
+            Messages.Tagged
+              {
+                value = (if want_value then Some v else None);
+                tag = R.Tag.pair tag;
+                tokens = env.R.sv_tokens ~vidx;
+              }
+        | Ok None ->
+            Messages.Tagged
+              { value = None; tag = R.Tag.pair R.Tag.zero; tokens = env.R.sv_tokens ~vidx }
+        | Error reason ->
+            env.R.sv_note R.S_nack;
+            Messages.Nack reason)
 
   (* Phase-2 service: store [value] iff [tag] beats the local one. The
      gate is advanced *before* the engine write so a concurrent
@@ -110,62 +98,50 @@ module Impl = struct
      gate advance back so the replica does not keep refusing writes it
      never applied. *)
   let handle_tag_write env ~(vn : Ring.vnode) ~key ~value ~tag ~deadline ~version =
-    if version <> Ring.version env.R.sv_ring then nack_stale env
-    else
-      let vidx = vn.Ring.vidx in
-      match env.R.sv_vnode ~vidx with
-      | None -> nack_stale env
-      | Some vs ->
-          let incoming = R.Tag.of_pair tag in
-          (* Warm the gate if cold (may yield on a store read), then decide
-             against the cache alone — synchronously, so nothing can slip
-             between the compare and the set below. *)
-          ignore (local_tag env vs ~vidx ~key);
-          let prev = R.Vstate.tag_get vs key in
-          let accept =
-            match prev with
-            | Some c when R.Tag.compare c incoming >= 0 -> false
-            | Some _ | None -> true
-          in
-          if not accept then begin
-            (* Gate at (or past) this tag already — but only the store can
-               back an ack with data. If it holds >= [tag] the ack is a true
-               idempotent Ok (e.g. a read's write-back of a tag we applied);
-               if it lags (concurrent Put still in flight, or failed), ack
-               would be a phantom quorum vote for a value we do not hold —
-               NACK and let the writer count its majority elsewhere. *)
-            match store_tag env ~vidx ~key with
-            | Some l when R.Tag.compare l incoming >= 0 ->
-                Messages.Ok { tokens = env.R.sv_tokens ~vidx }
-            | Some _ | None ->
-                env.R.sv_note R.S_nack;
-                Messages.Nack Messages.Not_serving
-          end
-          else begin
-            R.Vstate.tag_set vs key incoming;
-            match env.R.sv_submit ~deadline ~vidx (Engine.Put (key, value)) with
-            | Engine.Done | Engine.Found _ | Engine.Missing ->
-                env.R.sv_note R.S_write_apply;
-                (* Commit hook: while a membership COPY streams out of this
-                   replica, the accepted write must also reach the joining
-                   vnode (the bulk stream may already be past this key). The
-                   forward is tag-framed, so the joiner merges it
-                   idempotently. No-op outside a COPY window. *)
-                env.R.sv_on_commit ~key ~value;
-                Messages.Ok { tokens = env.R.sv_tokens ~vidx }
-            | Engine.Shed ->
-                R.Vstate.tag_rollback vs key ~tag:incoming ~prev;
-                env.R.sv_note R.S_nack;
-                Messages.Nack Messages.Deadline_exceeded
-            | Engine.Failed | Engine.Corrupt | Engine.Scrubbed _ ->
-                R.Vstate.tag_rollback vs key ~tag:incoming ~prev;
-                env.R.sv_note R.S_nack;
-                Messages.Nack Messages.Not_serving
-            | exception Engine.Overloaded _ ->
-                R.Vstate.tag_rollback vs key ~tag:incoming ~prev;
-                env.R.sv_note R.S_nack;
-                Messages.Nack Messages.Overloaded
-          end
+    R.guard env ~vn ~version (fun vs ->
+        let vidx = vn.Ring.vidx in
+        let incoming = R.Tag.of_pair tag in
+        (* Warm the gate if cold (may yield on a store read), then decide
+           against the cache alone — synchronously, so nothing can slip
+           between the compare and the set below. *)
+        ignore (local_tag env vs ~vidx ~key);
+        let prev = R.Vstate.tag_get vs key in
+        let accept =
+          match prev with
+          | Some c when R.Tag.compare c incoming >= 0 -> false
+          | Some _ | None -> true
+        in
+        if not accept then begin
+          (* Gate at (or past) this tag already — but only the store can
+             back an ack with data. If it holds >= [tag] the ack is a true
+             idempotent Ok (e.g. a read's write-back of a tag we applied);
+             if it lags (concurrent Put still in flight, or failed), ack
+             would be a phantom quorum vote for a value we do not hold —
+             NACK and let the writer count its majority elsewhere. *)
+          match store_tag env ~vidx ~key with
+          | Some l when R.Tag.compare l incoming >= 0 ->
+              Messages.Ok { tokens = env.R.sv_tokens ~vidx }
+          | Some _ | None ->
+              env.R.sv_note R.S_nack;
+              Messages.Nack Messages.Not_serving
+        end
+        else begin
+          R.Vstate.tag_set vs key incoming;
+          match env.R.sv_submit ~deadline ~vidx (Engine.Put (key, value)) with
+          | Ok () ->
+              env.R.sv_note R.S_write_apply;
+              (* Commit hook: while a membership COPY streams out of this
+                 replica, the accepted write must also reach the joining
+                 vnode (the bulk stream may already be past this key). The
+                 forward is tag-framed, so the joiner merges it
+                 idempotently. No-op outside a COPY window. *)
+              env.R.sv_on_commit ~key ~value;
+              Messages.Ok { tokens = env.R.sv_tokens ~vidx }
+          | Error f ->
+              R.Vstate.tag_rollback vs key ~tag:incoming ~prev;
+              env.R.sv_note R.S_nack;
+              Messages.Nack (R.nack_of_failure f)
+        end)
 
   let handle env (req : Messages.request) =
     match req with
@@ -201,153 +177,100 @@ module Impl = struct
     if List.exists (function Some (Messages.Nack _) -> true | _ -> false) resps then
       env.R.cl_note R.C_nack
 
+  (* Phase 1, one quorum round: every replica's (tag, value) — values
+     only when [want_value] — or [None] short of a majority of answers. *)
+  let query env chain ~key ~want_value ~deadline ~version =
+    env.R.cl_note R.C_quorum_round;
+    let resps =
+      fan_out env chain (fun (e : Ring.entry) ->
+          Messages.Tag_read { vn = e.Ring.owner; key; want_value; deadline; version })
+    in
+    shed_if_deadline env ~key resps;
+    let tagged =
+      List.filter_map
+        (function
+          | Some (Messages.Tagged { value; tag; _ }) -> Some (R.Tag.of_pair tag, value)
+          | _ -> None)
+        resps
+    in
+    if List.length tagged < R.quorum (List.length chain) then begin
+      note_if_nack env resps;
+      None
+    end
+    else Some tagged
+
+  (* Phase 2, one quorum round: store [framed] under [tag] everywhere;
+     [true] once a majority acked. *)
+  let propagate env chain ~key ~framed ~tag ~deadline ~version =
+    env.R.cl_note R.C_quorum_round;
+    let resps =
+      fan_out env chain (fun (e : Ring.entry) ->
+          Messages.Tag_write
+            { vn = e.Ring.owner; key; value = framed; tag = R.Tag.pair tag; deadline; version })
+    in
+    shed_if_deadline env ~key resps;
+    let acks =
+      List.length (List.filter (function Some (Messages.Ok _) -> true | _ -> false) resps)
+    in
+    if acks >= R.quorum (List.length chain) then true
+    else begin
+      note_if_nack env resps;
+      false
+    end
+
   let read env ~key ~deadline =
     let chain = Ring.chain env.R.cl_ring ~r:env.R.cl_r key in
+    let version = Ring.version env.R.cl_ring in
     match chain with
     | [] -> None
-    | _ ->
-        let n = List.length chain in
-        let maj = R.quorum n in
-        let version = Ring.version env.R.cl_ring in
-        env.R.cl_note R.C_quorum_round;
-        let resps =
-          fan_out env chain (fun (e : Ring.entry) ->
-              Messages.Tag_read
-                {
-                  vn = e.Ring.owner;
-                  key;
-                  want_value = true;
-                  deadline;
-                  version;
-                })
-        in
-        shed_if_deadline env ~key resps;
-        let tagged =
-          List.filter_map
-            (function
-              | Some (Messages.Tagged { value; tag; _ }) ->
-                  Some (R.Tag.of_pair tag, value)
-              | _ -> None)
-            resps
-        in
-        if List.length tagged < maj then begin
-          note_if_nack env resps;
-          None
-        end
-        else begin
-          let best_tag, best_val =
-            List.fold_left
-              (fun (bt, bv) (tg, v) -> if R.Tag.compare tg bt > 0 then (tg, v) else (bt, bv))
-              (List.hd tagged) (List.tl tagged)
-          in
-          let payload =
-            match best_val with
-            | None -> None (* nothing written yet anywhere *)
-            | Some framed -> (
-                match R.Tag.unframe framed with
-                | Some (_, p) -> p (* p = None: tagged tombstone (deleted) *)
-                | None -> Some framed (* pre-protocol raw bytes *))
-          in
-          let unanimous =
-            List.length tagged = n
-            && List.for_all (fun (tg, _) -> R.Tag.compare tg best_tag = 0) tagged
-          in
-          if unanimous then Some payload
-          else begin
-            (* Write-back round: put the winning (tag, value) on a
-               majority before serving it, repairing lagging replicas as
-               a side effect. *)
-            env.R.cl_note R.C_writeback;
-            env.R.cl_note R.C_quorum_round;
-            let framed =
+    | _ -> (
+        match query env chain ~key ~want_value:true ~deadline ~version with
+        | None -> None
+        | Some tagged ->
+            let best_tag, best_val =
+              List.fold_left
+                (fun (bt, bv) (tg, v) -> if R.Tag.compare tg bt > 0 then (tg, v) else (bt, bv))
+                (List.hd tagged) (List.tl tagged)
+            in
+            let payload =
               match best_val with
-              | Some f -> f
-              | None -> R.Tag.frame ~tag:best_tag None
+              | None -> None (* nothing written yet anywhere *)
+              | Some framed -> (
+                  match R.Tag.unframe framed with
+                  | Some (_, p) -> p (* p = None: tagged tombstone (deleted) *)
+                  | None -> Some framed (* pre-protocol raw bytes *))
             in
-            let resps2 =
-              fan_out env chain (fun (e : Ring.entry) ->
-                  Messages.Tag_write
-                    {
-                      vn = e.Ring.owner;
-                      key;
-                      value = framed;
-                      tag = R.Tag.pair best_tag;
-                          deadline;
-                      version;
-                    })
+            let unanimous =
+              List.length tagged = List.length chain
+              && List.for_all (fun (tg, _) -> R.Tag.compare tg best_tag = 0) tagged
             in
-            shed_if_deadline env ~key resps2;
-            let acks =
-              List.length
-                (List.filter (function Some (Messages.Ok _) -> true | _ -> false) resps2)
-            in
-            if acks >= maj then Some payload
+            if unanimous then Some payload
             else begin
-              note_if_nack env resps2;
-              None
-            end
-          end
-        end
+              (* Write-back round: put the winning (tag, value) on a
+                 majority before serving it, repairing lagging replicas as
+                 a side effect. *)
+              env.R.cl_note R.C_writeback;
+              let framed =
+                match best_val with Some f -> f | None -> R.Tag.frame ~tag:best_tag None
+              in
+              if propagate env chain ~key ~framed ~tag:best_tag ~deadline ~version then
+                Some payload
+              else None
+            end)
 
   let write env ~key ~value ~deadline =
     let chain = Ring.chain env.R.cl_ring ~r:env.R.cl_r key in
+    let version = Ring.version env.R.cl_ring in
     match chain with
     | [] -> None
-    | _ ->
-        let n = List.length chain in
-        let maj = R.quorum n in
-        let version = Ring.version env.R.cl_ring in
-        env.R.cl_note R.C_quorum_round;
-        let resps =
-          fan_out env chain (fun (e : Ring.entry) ->
-              Messages.Tag_read
-                {
-                  vn = e.Ring.owner;
-                  key;
-                  want_value = false;
-                  deadline;
-                  version;
-                })
-        in
-        shed_if_deadline env ~key resps;
-        let tags =
-          List.filter_map
-            (function
-              | Some (Messages.Tagged { tag; _ }) -> Some (R.Tag.of_pair tag) | _ -> None)
-            resps
-        in
-        if List.length tags < maj then begin
-          note_if_nack env resps;
-          None
-        end
-        else begin
-          let high = List.fold_left tag_max R.Tag.zero tags in
-          let tag = { R.Tag.ts = high.R.Tag.ts + 1; writer = env.R.cl_writer } in
-          let framed = R.Tag.frame ~tag value in
-          env.R.cl_note R.C_quorum_round;
-          let resps2 =
-            fan_out env chain (fun (e : Ring.entry) ->
-                Messages.Tag_write
-                  {
-                    vn = e.Ring.owner;
-                    key;
-                    value = framed;
-                    tag = R.Tag.pair tag;
-                      deadline;
-                    version;
-                  })
-          in
-          shed_if_deadline env ~key resps2;
-          let acks =
-            List.length
-              (List.filter (function Some (Messages.Ok _) -> true | _ -> false) resps2)
-          in
-          if acks >= maj then Some ()
-          else begin
-            note_if_nack env resps2;
-            None
-          end
-        end
+    | _ -> (
+        match query env chain ~key ~want_value:false ~deadline ~version with
+        | None -> None
+        | Some tagged ->
+            let high = List.fold_left (fun h (tg, _) -> tag_max h tg) R.Tag.zero tagged in
+            let tag = { R.Tag.ts = high.R.Tag.ts + 1; writer = env.R.cl_writer } in
+            let framed = R.Tag.frame ~tag value in
+            if propagate env chain ~key ~framed ~tag ~deadline ~version then Some () else None)
 
   let payload_of_stored v =
     match R.Tag.unframe v with

@@ -33,8 +33,6 @@ module Histogram = Leed_stats.Histogram
 exception Unavailable of string
 
 type config = {
-  r : int;
-  proto : Replication.proto; (* replication protocol (must match the cluster's) *)
   flow_control : bool; (* §3.5 token gating *)
   crrs : bool;         (* §3.7 replica reads *)
   rpc_timeout : float;
@@ -45,8 +43,6 @@ type config = {
 
 let default_config =
   {
-    r = 3;
-    proto = Replication.Crrs;
     flow_control = true;
     crrs = true;
     rpc_timeout = 0.5;
@@ -90,6 +86,7 @@ module Itbl = Hashtbl.Make (Int)
 
 type t = {
   config : config;
+  r : int; (* replication factor: the length of every key's chain *)
   writer : int; (* unique writer id: the ABD tag tie-break *)
   repl : (module Replication.S);
   mutable renv : Replication.client_env option; (* built lazily over [t] *)
@@ -119,14 +116,15 @@ type t = {
 }
 
 let create ?(config = default_config) ?(rng = Rng.create 77) ?(track = Trace.root) ?(writer = 0)
-    ~fabric ~name ~peer ~refresh () =
+    ~r ~proto ~fabric ~name ~peer ~refresh () =
   let rpc = Rpc.create fabric ~name ~gbps:100. in
   Rpc.client rpc;
   let t =
     {
       config;
+      r;
       writer;
-      repl = Abd.protocol config.proto;
+      repl = Abd.protocol proto;
       renv = None;
       track;
       rpc;
@@ -464,7 +462,7 @@ let make_env t : Replication.client_env =
   let module R = Replication in
   {
     R.cl_writer = t.writer;
-    cl_r = t.config.r;
+    cl_r = t.r;
     cl_ring = t.ring;
     cl_issue = (fun e req -> issue t e req);
     cl_read_target = (fun chain -> read_target t chain);

@@ -13,10 +13,6 @@ exception Unavailable of string
     unreachable). *)
 
 type config = {
-  r : int;
-  proto : Replication.proto;
-      (** replication protocol driving reads/writes (must match the
-          cluster's; default [Crrs]) *)
   flow_control : bool; (** §3.5 token gating *)
   crrs : bool;         (** §3.7 replica reads *)
   rpc_timeout : float;
@@ -38,7 +34,7 @@ type config = {
 }
 
 val default_config : config
-(** R = 3, CRRS, flow control, hedging and adaptive timeouts on, 0.5 s
+(** Flow control, CRRS replica reads, hedging and adaptive timeouts on, 0.5 s
     static timeout, no deadline. Retries are fixed: at most 8, each
     sleeping min(0.1 s, 2 ms·2ⁿ) scaled uniformly from [0.75, 1.25] off
     the client's own deterministic {!Leed_sim.Rng}, de-synchronizing
@@ -55,6 +51,8 @@ val create :
   ?rng:Leed_sim.Rng.t ->
   ?track:Leed_trace.Trace.track ->
   ?writer:int ->
+  r:int ->
+  proto:Replication.proto ->
   fabric:(Messages.request, Messages.response) Leed_netsim.Netsim.Rpc.wire Leed_netsim.Netsim.fabric ->
   name:string ->
   peer:(int -> (Messages.request, Messages.response) Leed_netsim.Netsim.Rpc.t) ->
@@ -67,7 +65,10 @@ val create :
     [track] is the trace row the client's operation spans land on
     (default: the root track; the cluster passes a shared [clients]
     row). [writer] is the client's unique writer id — the ABD tag
-    tie-break; the cluster passes its client counter (default 0). *)
+    tie-break; the cluster passes its client counter (default 0). [r]
+    and [proto] are the cluster's replication factor and protocol: the
+    client's chains and wire vocabulary must match what the vnodes
+    host. *)
 
 val ring : t -> Ring.t
 (** The client's local ring view. *)

@@ -108,11 +108,10 @@ let check_replica_agreement t key =
         List.map
           (fun ((e : Ring.entry), n) ->
             match Engine.submit (Node.engine n) ~pid:e.Ring.owner.Ring.vidx (Engine.Get key) with
-            | Engine.Found v -> `Value v
-            | Engine.Missing | Engine.Done -> `Missing
-            | Engine.Corrupt -> `Corrupt
-            | Engine.Failed | Engine.Scrubbed _ | Engine.Shed -> `Unknown
-            | exception Engine.Overloaded _ -> `Unknown)
+            | Ok (Some v) -> `Value v
+            | Ok None -> `Missing
+            | Error Engine.Corrupt -> `Corrupt
+            | Error (Engine.Failed | Engine.Shed | Engine.Overloaded) -> `Unknown)
           replicas
       in
       (* A write may have raced the reads; only judge if the key stayed
@@ -145,10 +144,6 @@ let check_replica_agreement t key =
   end
 
 let create ?(config = default_config) () =
-  (* A client chain wider than the replication factor would target vnodes
-     past the real chain — reads land on a replica that never sees writes. *)
-  if config.client_config.Client.r > config.r then
-    invalid_arg "Cluster.create: client_config.r exceeds cluster replication factor";
   let fabric = Netsim.fabric () in
   let control =
     Control.create ~r:config.r ~heartbeat_period:config.heartbeat_period
@@ -199,12 +194,10 @@ let cache t = t.cache
    deterministic per-client jitter stream (seeded off its id so two
    clients never share a backoff sequence). *)
 let client ?(config : Client.config option) t =
-  let cfg = Option.value config ~default:t.config.client_config in
-  (* The protocol is a cluster-wide choice: clients must speak what the
-     vnodes host, so the cluster's setting always wins. *)
-  let cfg = { cfg with Client.proto = t.config.proto } in
   let c =
-    Client.create ~config:cfg
+    Client.create
+      ~config:(Option.value config ~default:t.config.client_config)
+      ~r:t.config.r ~proto:t.config.proto
       ~rng:(Rng.create (40000 + t.next_client_id))
       ~track:t.clients_track ~fabric:t.fabric
       ~name:(Printf.sprintf "client%d" t.next_client_id)

@@ -4,11 +4,10 @@
 
 type config = {
   nnodes : int;
-  r : int;
+  r : int;  (** replication factor of every vnode and of every client's chains *)
   proto : Replication.proto;
       (** replication protocol hosted on every vnode and spoken by every
-          client the cluster creates (default [Crrs]); clients built via
-          {!client} have their config's [proto] overridden to match *)
+          client the cluster creates (default [Crrs]) *)
   engine_config : Engine.config;
   client_config : Client.config;
   platform : Leed_platform.Platform.t;
@@ -58,7 +57,8 @@ val cache : t -> Netcache.t option
     [Ttl_lru] at creation; [None] otherwise. *)
 
 val client : ?config:Client.config -> t -> Client.t
-(** A new front-end client with its own NIC endpoint and ring watch. *)
+(** A new front-end client with its own NIC endpoint and ring watch,
+    speaking the cluster's [r] and [proto]. *)
 
 val add_node : t -> Node.t * int
 (** Grow the cluster through the full §3.8.1 join protocol

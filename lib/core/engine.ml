@@ -21,23 +21,28 @@ open Leed_blockdev
 open Leed_platform
 module Trace = Leed_trace.Trace
 
-type cmd = Get of string | Put of string * bytes | Del of string | Scrub of int
+type _ cmd =
+  | Get : string -> bytes option cmd
+  | Put : string * bytes -> unit cmd
+  | Del : string -> unit cmd
+  | Scrub : int -> Store.scrub_result cmd
 
-let cmd_name = function Get _ -> "get" | Put _ -> "put" | Del _ -> "del" | Scrub _ -> "scrub"
+type failure = Failed | Corrupt | Shed | Overloaded
 
-type outcome =
-  | Found of bytes
-  | Missing
-  | Done
-  | Failed
-  | Corrupt
-  | Scrubbed of Store.scrub_result
-  | Shed
+let cmd_name : type a. a cmd -> string = function
+  | Get _ -> "get"
+  | Put _ -> "put"
+  | Del _ -> "del"
+  | Scrub _ -> "scrub"
 
 (* Token cost of a command = its NVMe access count (§3.3). A scrub round
    reads the segment frame plus its values; 4 tokens prices it as a bulk
    maintenance read without starving foreground admissions. *)
-let token_cost = function Get _ -> 2 | Put _ -> 3 | Del _ -> 2 | Scrub _ -> 4
+let token_cost : type a. a cmd -> int = function
+  | Get _ -> 2
+  | Put _ -> 3
+  | Del _ -> 2
+  | Scrub _ -> 4
 
 type config = {
   partitions_per_ssd : int;
@@ -63,13 +68,15 @@ let default_config =
 let klog_frac = 0.3 (* fraction of a partition given to the key log *)
 let swap_frac = 0.1 (* fraction of each SSD reserved as swap region *)
 
+(* A queued command and its completion, typed together. *)
+type job = Job : 'a cmd * ('a, failure) result Sim.Ivar.t -> job
+
 type pending = {
-  cmd : cmd;
+  job : job;
   tokens : int;
   part : partition;
   (* destination logs when the command was swapped to a foreign SSD *)
   target : (Circular_log.t * Circular_log.t) option;
-  completion : outcome Sim.Ivar.t;
   enqueued_at : float;
   deadline : float; (* absolute virtual-time SLO bound; 0. = none *)
   trace_id : int; (* async trace span from submit to completion; 0 untraced *)
@@ -101,7 +108,7 @@ and ssd_sched = {
   mutable swapped_out : int;
   mutable swapped_in : int;
   mutable deferred : int; (* commands that had to wait for tokens *)
-  mutable denied : int; (* submissions rejected with Overloaded *)
+  mutable denied : int; (* submissions answered [Error Overloaded] *)
   mutable shed : int; (* queued commands dropped past their deadline *)
   (* sanitizer ledger: independently accounts every token issued to a
      launched command and consumed at its completion *)
@@ -223,33 +230,30 @@ let waiting_depth p = Queue.length p.waiting
 
 (* --- execution --- *)
 
-let run_pending t (s : ssd_sched) (pend : pending) =
+let run_pending : type a. t -> ssd_sched -> pending -> a cmd -> (a, failure) result =
+ fun t s pend cmd ->
   let exec_start = Sim.now () in
   let st = pend.part.store in
-  let execute () =
+  let execute () : (a, failure) result =
     (* A dead SSD (injected brown-out) turns the command into a Failed
        completion instead of tearing down the scheduler loop. *)
     try
-      match pend.cmd with
-      | Get k -> ( match Store.get st k with Some v -> Found v | None -> Missing)
-      | Put (k, v) ->
-          Store.put ?target:pend.target st k v;
-          Done
-      | Del k ->
-          Store.del st k;
-          Done
-      | Scrub seg -> Scrubbed (Store.scrub_segment st seg)
+      match cmd with
+      | Get k -> Ok (Store.get st k)
+      | Put (k, v) -> Ok (Store.put ?target:pend.target st k v)
+      | Del k -> Ok (Store.del st k)
+      | Scrub seg -> Ok (Store.scrub_segment st seg)
     with
-    | Blockdev.Failed _ -> Failed
+    | Blockdev.Failed _ -> Error Failed
     (* Rot at rest: the store already counted it; complete the single
        command as Corrupt so the node can read-repair, never tear down the
        scheduler loop. *)
-    | Store.Corrupt _ | Codec.Corrupt _ -> Corrupt
+    | Store.Corrupt _ | Codec.Corrupt _ -> Error Corrupt
   in
-  let outcome =
+  let result =
     if Trace.on () then
       Trace.span ~track:s.track ~cat:"engine"
-        ("exec." ^ cmd_name pend.cmd)
+        ("exec." ^ cmd_name cmd)
         ~largs:(fun () -> [ ("pid", Trace.Int pend.part.pid); ("tokens", Trace.Int pend.tokens) ])
         execute
     else execute ()
@@ -266,7 +270,7 @@ let run_pending t (s : ssd_sched) (pend : pending) =
     int_of_float (float_of_int (base_capacity t.platform) *. (base /. max base s.ewma_access_us))
   in
   s.capacity <- max t.config.token_min (min t.config.token_max scaled);
-  outcome
+  result
 
 let trace_tokens (s : ssd_sched) kind pend =
   Trace.instant ~track:s.track ~cat:"engine" kind
@@ -286,8 +290,9 @@ let launch t (s : ssd_sched) (pend : pending) =
   Invariant.Tokens.issue s.tok_acct ~time:(Sim.now ()) pend.tokens;
   Invariant.Tokens.check_balance s.tok_acct ~time:(Sim.now ())
     ~expect_outstanding:s.active_tokens;
+  let (Job (cmd, completion)) = pend.job in
   Sim.spawn (fun () ->
-      let outcome = run_pending t s pend in
+      let result = run_pending t s pend cmd in
       s.active_tokens <- s.active_tokens - pend.tokens;
       if Trace.on () then trace_tokens s "tok.release" pend;
       Invariant.Tokens.consume s.tok_acct ~time:(Sim.now ()) pend.tokens;
@@ -299,9 +304,8 @@ let launch t (s : ssd_sched) (pend : pending) =
           Printf.sprintf "ssd%d: negative token balance (active=%d foreign=%d)"
             s.dev_idx s.active_tokens s.foreign_tokens);
       if pend.trace_id <> 0 then
-        Trace.async_end ~track:s.track ~cat:"engine" ~id:pend.trace_id
-          ("cmd." ^ cmd_name pend.cmd);
-      Sim.Ivar.fill pend.completion outcome;
+        Trace.async_end ~track:s.track ~cat:"engine" ~id:pend.trace_id ("cmd." ^ cmd_name cmd);
+      Sim.Ivar.fill completion result;
       Sim.Mailbox.send s.wake ())
 
 (* Deadline-aware load shedding: a queued command whose deadline already
@@ -320,47 +324,40 @@ let shed_pending (s : ssd_sched) (pend : pending) =
           ("tokens", Trace.Int pend.tokens);
           ("late_us", Trace.Float (Sim.to_us (Sim.now () -. pend.deadline)));
         ]);
+  let (Job (cmd, completion)) = pend.job in
   if pend.trace_id <> 0 then
-    Trace.async_end ~track:s.track ~cat:"engine" ~id:pend.trace_id
-      ("cmd." ^ cmd_name pend.cmd);
-  Sim.Ivar.fill pend.completion Shed
+    Trace.async_end ~track:s.track ~cat:"engine" ~id:pend.trace_id ("cmd." ^ cmd_name cmd);
+  Sim.Ivar.fill completion (Error Shed)
+
+(* The head of one FCFS queue: shed it if expired, else launch it if its
+   tokens fit. [true] when the head left the queue. *)
+let admit_head t (s : ssd_sched) queue ~dequeued =
+  match Queue.peek_opt queue with
+  | Some pend when expired pend ->
+      ignore (Queue.pop queue);
+      dequeued pend.tokens;
+      shed_pending s pend;
+      true
+  | Some pend when pend.tokens <= s.capacity - s.active_tokens ->
+      ignore (Queue.pop queue);
+      dequeued pend.tokens;
+      launch t s pend;
+      true
+  | _ -> false
 
 let admit t (s : ssd_sched) =
   let progress = ref true in
   while !progress do
-    progress := false;
     (* Swapped-in commands take the "active queue" path directly (§3.6). *)
-    (match Queue.peek_opt s.foreign with
-    | Some pend when expired pend ->
-        ignore (Queue.pop s.foreign);
-        s.foreign_tokens <- s.foreign_tokens - pend.tokens;
-        shed_pending s pend;
-        progress := true
-    | Some pend when pend.tokens <= s.capacity - s.active_tokens ->
-        ignore (Queue.pop s.foreign);
-        s.foreign_tokens <- s.foreign_tokens - pend.tokens;
-        launch t s pend;
-        progress := true
-    | _ -> ());
+    progress :=
+      admit_head t s s.foreign ~dequeued:(fun tok -> s.foreign_tokens <- s.foreign_tokens - tok);
     (* Round-robin across this SSD's home partitions, FCFS within each. *)
     let n = Array.length s.partitions in
-    let tried = ref 0 in
-    while !tried < n do
+    for _ = 1 to n do
       let p = s.partitions.(s.rr) in
       s.rr <- (s.rr + 1) mod n;
-      incr tried;
-      match Queue.peek_opt p.waiting with
-      | Some pend when expired pend ->
-          ignore (Queue.pop p.waiting);
-          p.queued_tokens <- p.queued_tokens - pend.tokens;
-          shed_pending s pend;
-          progress := true
-      | Some pend when pend.tokens <= s.capacity - s.active_tokens ->
-          ignore (Queue.pop p.waiting);
-          p.queued_tokens <- p.queued_tokens - pend.tokens;
-          launch t s pend;
-          progress := true
-      | _ -> ()
+      if admit_head t s p.waiting ~dequeued:(fun tok -> p.queued_tokens <- p.queued_tokens - tok)
+      then progress := true
     done
   done
 
@@ -409,8 +406,6 @@ let start t =
 
 (* --- submission (§3.4 / §3.6) --- *)
 
-exception Overloaded of int (* partition id whose waiting queue is full *)
-
 (* Pick the least-loaded co-located SSD if the home SSD is overloaded by
    more than the configured gap. *)
 let swap_candidate t (home : ssd_sched) =
@@ -429,11 +424,12 @@ let swap_candidate t (home : ssd_sched) =
     | _ -> None
   end
 
-let submit ?(deadline = 0.) t ~pid cmd =
+let submit (type a) ?(deadline = 0.) t ~pid (cmd : a cmd) : (a, failure) result =
   let p = t.parts.(pid) in
   let home = p.sched in
   let tokens = token_cost cmd in
   let completion = Sim.Ivar.create () in
+  let job = Job (cmd, completion) in
   let is_put = match cmd with Put _ -> true | Get _ | Del _ | Scrub _ -> false in
   let open_span (s : ssd_sched) =
     let trace_id = Trace.next_id () in
@@ -442,7 +438,7 @@ let submit ?(deadline = 0.) t ~pid cmd =
         ~args:[ ("pid", Trace.Int pid); ("tokens", Trace.Int tokens) ];
     trace_id
   in
-  (match (is_put, swap_candidate t home) with
+  match (is_put, swap_candidate t home) with
   | true, Some other ->
       (* Redirect the write: foreign queue, foreign logs (§3.6). *)
       let trace_id = open_span other in
@@ -451,11 +447,10 @@ let submit ?(deadline = 0.) t ~pid cmd =
           ~args:[ ("to_ssd", Trace.Int other.dev_idx); ("pid", Trace.Int pid) ];
       let pend =
         {
-          cmd;
+          job;
           tokens;
           part = p;
           target = Some (other.swap_log, other.swap_log);
-          completion;
           enqueued_at = Sim.now ();
           deadline;
           trace_id;
@@ -467,22 +462,21 @@ let submit ?(deadline = 0.) t ~pid cmd =
       Sim.Ivar.on_fill completion (fun _ -> other.swap_inflight <- other.swap_inflight - 1);
       Queue.push pend other.foreign;
       other.foreign_tokens <- other.foreign_tokens + tokens;
-      Sim.Mailbox.send other.wake ()
+      Sim.Mailbox.send other.wake ();
+      Sim.Ivar.read completion
+  | _ when Queue.length p.waiting >= t.config.waiting_cap ->
+      home.denied <- home.denied + 1;
+      if Trace.on () then
+        Trace.instant ~track:home.track ~cat:"engine" "tok.deny"
+          ~largs:(fun () -> [ ("pid", Trace.Int pid) ]);
+      Error Overloaded
   | _ ->
-      if Queue.length p.waiting >= t.config.waiting_cap then begin
-        home.denied <- home.denied + 1;
-        if Trace.on () then
-          Trace.instant ~track:home.track ~cat:"engine" "tok.deny"
-            ~largs:(fun () -> [ ("pid", Trace.Int pid) ]);
-        raise (Overloaded pid)
-      end;
       let pend =
         {
-          cmd;
+          job;
           tokens;
           part = p;
           target = None;
-          completion;
           enqueued_at = Sim.now ();
           deadline;
           trace_id = open_span home;
@@ -490,8 +484,8 @@ let submit ?(deadline = 0.) t ~pid cmd =
       in
       Queue.push pend p.waiting;
       p.queued_tokens <- p.queued_tokens + tokens;
-      Sim.Mailbox.send home.wake ());
-  Sim.Ivar.read completion
+      Sim.Mailbox.send home.wake ();
+      Sim.Ivar.read completion
 
 type ssd_stats = {
   executed : int;

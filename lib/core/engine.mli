@@ -13,29 +13,32 @@
     segment table references it, nothing toward it is in flight, and no
     reader pins it. *)
 
-type cmd = Get of string | Put of string * bytes | Del of string | Scrub of int
-(** [Scrub seg] verifies one segment's checksums end-to-end
-    ({!Store.scrub_segment}); scheduled through the same token engine so
-    maintenance reads are priced like any other I/O. *)
+(** A store command, indexed by what it answers. *)
+type _ cmd =
+  | Get : string -> bytes option cmd  (** the value, [None] when absent *)
+  | Put : string * bytes -> unit cmd
+  | Del : string -> unit cmd
+  | Scrub : int -> Store.scrub_result cmd
+      (** [Scrub seg] verifies one segment's checksums end-to-end
+          ({!Store.scrub_segment}); scheduled through the same token
+          engine so maintenance reads are priced like any other I/O. *)
 
-type outcome =
-  | Found of bytes
-  | Missing
-  | Done
+(** Why a command completed without an answer. *)
+type failure =
   | Failed
       (** the command hit a dead device (injected SSD brown-out): the
-          store's state for that key is unchanged and the node turns the
-          completion into a NACK *)
+          store's state for that key is unchanged *)
   | Corrupt
       (** the command hit rot at rest (checksum failure after torn-read
-          retries): the node read-repairs from the next CRRS replica *)
-  | Scrubbed of Store.scrub_result  (** completion of a {!cmd.Scrub} *)
+          retries): the node read-repairs from another replica *)
   | Shed
       (** the command sat queued past its deadline and was dropped before
-          touching flash (deadline-aware load shedding): the node turns
-          this into a [Deadline_exceeded] NACK *)
+          touching flash (deadline-aware load shedding) *)
+  | Overloaded
+      (** the partition's waiting queue was full: the command was refused
+          at submission and never queued *)
 
-val token_cost : cmd -> int
+val token_cost : _ cmd -> int
 (** A command's cost = its NVMe access count (§3.3): GET 2, PUT 3, DEL 2,
     SCRUB 4 (bulk maintenance read). *)
 
@@ -100,17 +103,15 @@ val available_tokens : partition -> int
 val waiting_depth : partition -> int
 (** Commands parked in the partition's FCFS waiting queue. *)
 
-exception Overloaded of int
-(** Raised by {!submit} when the partition's waiting queue is full; the
-    node turns this into a NACK. *)
-
-val submit : ?deadline:float -> t -> pid:int -> cmd -> outcome
-(** Enqueue a command on partition [pid] and block until it completes.
-    Overloaded PUTs may be swapped to another SSD (§3.6). [deadline]
+val submit : ?deadline:float -> t -> pid:int -> 'a cmd -> ('a, failure) result
+(** Enqueue a command on partition [pid] and block until it completes
+    with the command's answer or the reason it has none. PUTs on an
+    overloaded SSD may be swapped to another SSD (§3.6). A full waiting
+    queue answers [Error Overloaded] at once, without blocking. [deadline]
     (absolute virtual time; 0. = none, the default) arms deadline-aware
     shedding: if the command is still queued when the deadline passes it
-    completes as {!outcome.Shed} without consuming tokens or NVMe
-    accesses. *)
+    completes as [Error Shed] without consuming tokens or NVMe accesses,
+    so a submission with no deadline never sheds. *)
 
 type ssd_stats = {
   executed : int;  (** commands completed on this SSD *)
@@ -119,8 +120,8 @@ type ssd_stats = {
   capacity : int;  (** current adaptive token capacity *)
   ewma_access_us : float;  (** smoothed per-token service latency *)
   deferred : int;  (** commands that had to wait for tokens before launch *)
-  denied : int;  (** submissions rejected with {!Overloaded} *)
-  shed : int;  (** queued commands dropped past their deadline ({!outcome.Shed}) *)
+  denied : int;  (** submissions answered [Error Overloaded] *)
+  shed : int;  (** queued commands dropped past their deadline ([Error Shed]) *)
 }
 
 val ssd_stats : ssd_sched -> ssd_stats

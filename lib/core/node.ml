@@ -242,11 +242,8 @@ let read_repair t vs ~key =
       None
   | Some v ->
       (match submit_local t vs (Engine.Put (key, v)) with
-      | Engine.Done | Engine.Found _ | Engine.Missing | Engine.Scrubbed _ ->
-          t.read_repairs <- t.read_repairs + 1
-      | Engine.Failed | Engine.Corrupt | Engine.Shed ->
-          t.repair_failures <- t.repair_failures + 1
-      | exception Engine.Overloaded _ -> t.repair_failures <- t.repair_failures + 1);
+      | Ok () -> t.read_repairs <- t.read_repairs + 1
+      | Error _ -> t.repair_failures <- t.repair_failures + 1);
       Some v
 
 (* --- the seam: the server_env closure record handed to the protocol --- *)
@@ -298,10 +295,8 @@ let handle_copy_put t ~(vn : Ring.vnode) ~key ~value ~fresh =
         Messages.Ok { tokens = tokens_for t vs }
       else begin
         match submit_local t vs (Engine.Put (key, value)) with
-        | Engine.Done | Engine.Found _ | Engine.Missing -> Messages.Ok { tokens = tokens_for t vs }
-        | Engine.Failed | Engine.Corrupt | Engine.Scrubbed _ | Engine.Shed ->
-            Messages.Nack Messages.Not_serving
-        | exception Engine.Overloaded _ -> Messages.Nack Messages.Overloaded
+        | Ok () -> Messages.Ok { tokens = tokens_for t vs }
+        | Error f -> Messages.Nack (Replication.nack_of_failure f)
       end
 
 (* Read-repair fetch: serve strictly from the local store. A local
@@ -317,13 +312,10 @@ let handle_repair_get t ~(vn : Ring.vnode) ~key =
       Messages.Nack Messages.Not_serving)
   | Some vs -> (
       match submit_local t vs (Engine.Get key) with
-      | Engine.Found v ->
-          t.repair_serves <- t.repair_serves + 1;
-          Messages.Value { value = Some v; tokens = tokens_for t vs }
-      | Engine.Missing | Engine.Done -> Messages.Value { value = None; tokens = tokens_for t vs }
-      | Engine.Failed | Engine.Corrupt | Engine.Scrubbed _ | Engine.Shed ->
-          Messages.Nack Messages.Not_serving
-      | exception Engine.Overloaded _ -> Messages.Nack Messages.Overloaded)
+      | Ok value ->
+          if Option.is_some value then t.repair_serves <- t.repair_serves + 1;
+          Messages.Value { value; tokens = tokens_for t vs }
+      | Error f -> Messages.Nack (Replication.nack_of_failure f))
 
 let dispatch t (req : Messages.request) : Messages.response =
   let module P = (val t.repl : Replication.S) in
@@ -511,9 +503,8 @@ let scrub_pass t =
              done;
              if t.up then
                match Engine.submit t.engine ~pid:vs.pid (Engine.Scrub seg) with
-               | Engine.Scrubbed (Store.Scrub_clean _) ->
-                   t.scrubbed_segments <- t.scrubbed_segments + 1
-               | Engine.Scrubbed (Store.Scrub_repair keys) ->
+               | Ok (Store.Scrub_clean _) -> t.scrubbed_segments <- t.scrubbed_segments + 1
+               | Ok (Store.Scrub_repair keys) ->
                    t.scrubbed_segments <- t.scrubbed_segments + 1;
                    List.iter
                      (fun key ->
@@ -521,13 +512,10 @@ let scrub_pass t =
                        | Some _ -> t.scrub_repairs <- t.scrub_repairs + 1
                        | None -> ())
                      keys
-               | Engine.Scrubbed Store.Scrub_bad_segment ->
+               | Ok Store.Scrub_bad_segment ->
                    t.scrubbed_segments <- t.scrubbed_segments + 1;
                    bad_frame := true
-               | Engine.Found _ | Engine.Missing | Engine.Done | Engine.Failed
-               | Engine.Corrupt | Engine.Shed ->
-                   ()
-               | exception Engine.Overloaded _ -> ()
+               | Error _ -> ()
            end
          done;
          if !bad_frame then escalate := vs.vn :: !escalate);

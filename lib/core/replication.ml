@@ -201,7 +201,7 @@ type server_env = {
   sv_vnode : vidx:int -> Vstate.t option;
   (* foreground engine submission (deadline 0. = none); routes through
      the host's fail-slow inflation and service-time telemetry *)
-  sv_submit : deadline:float -> vidx:int -> Engine.cmd -> Engine.outcome;
+  sv_submit : 'a. deadline:float -> vidx:int -> 'a Engine.cmd -> ('a, Engine.failure) result;
   sv_tokens : vidx:int -> int;
   (* one RPC to a peer vnode's node, bounded by [timeout] *)
   sv_call :
@@ -269,27 +269,37 @@ module type S = sig
       tags, which makes COPY idempotent and order-free. *)
 end
 
-(* --- shared server helper: one local engine read with integrity
-   repair, mapped to the protocol-neutral outcome the handlers brand --- *)
+(* --- shared server helpers: the request guard, the engine-failure NACK
+   map, and one local engine read with integrity repair --- *)
 
-type local_read =
-  | L_found of bytes
-  | L_missing
-  | L_nack of Messages.nack_reason
+let nack_stale env =
+  env.sv_note S_nack;
+  Messages.Nack (Messages.Stale_view (Ring.version env.sv_ring))
+
+(* §3.8.1: a request carries the sender's ring version; a receiver on a
+   different view NACKs Stale_view so the client refreshes and retries.
+   Chain-position validation alone misses membership changes that leave
+   this key's chain intact but move others — the version check is the
+   authoritative fence. *)
+let guard env ~(vn : Ring.vnode) ~version serve =
+  if version <> Ring.version env.sv_ring then nack_stale env
+  else match env.sv_vnode ~vidx:vn.Ring.vidx with None -> nack_stale env | Some vs -> serve vs
+
+let nack_of_failure : Engine.failure -> Messages.nack_reason = function
+  | Engine.Failed | Engine.Corrupt -> Messages.Not_serving
+  | Engine.Shed -> Messages.Deadline_exceeded
+  | Engine.Overloaded -> Messages.Overloaded
 
 let local_get env ~vidx ~key ~deadline =
   match env.sv_submit ~deadline ~vidx (Engine.Get key) with
-  | Engine.Found v -> L_found v
-  | Engine.Missing | Engine.Done | Engine.Scrubbed _ -> L_missing
-  | Engine.Corrupt -> (
+  | Ok v -> Ok v
+  | Error Engine.Corrupt -> (
       (* Never serve (or silently drop) a rotted entry: heal it from a
          replica and answer with the verified bytes, or NACK. *)
       match env.sv_repair ~vidx ~key with
-      | Some v -> L_found v
-      | None -> L_nack Messages.Not_serving)
-  | Engine.Shed -> L_nack Messages.Deadline_exceeded
-  | Engine.Failed -> L_nack Messages.Not_serving
-  | exception Engine.Overloaded _ -> L_nack Messages.Overloaded
+      | Some v -> Ok (Some v)
+      | None -> Error Messages.Not_serving)
+  | Error f -> Error (nack_of_failure f)
 
 (* ====================================================================
    CRRS: LEED §3.7 chain replication with replica reads.
@@ -312,10 +322,6 @@ let local_get env ~vidx ~key ~deadline =
 module Crrs_impl = struct
   let proto = Crrs
 
-  let nack_stale env =
-    env.sv_note S_nack;
-    Messages.Nack (Messages.Stale_view (Ring.version env.sv_ring))
-
   (* Validate that this node is position [hop] of the key's chain in the
      local ring view; returns the chain on success. *)
   let validate_chain env ~key ~hop ~(vn : Ring.vnode) =
@@ -325,93 +331,85 @@ module Crrs_impl = struct
     | _ -> None
 
   let handle_write env ~(vn : Ring.vnode) ~key ~value ~hop ~version ~deadline =
-    (* §3.8.1: a write carries the sender's ring version; a receiver on
-       a different view NACKs Stale_view so the client refreshes and
-       retries. Chain-position validation alone misses membership
-       changes that leave this key's chain intact but move others — the
-       version check is the authoritative fence. *)
-    if version <> Ring.version env.sv_ring then nack_stale env
-    else
-      let vidx = vn.Ring.vidx in
-      match (env.sv_vnode ~vidx, validate_chain env ~key ~hop ~vn) with
-      | None, _ | _, None -> nack_stale env
-      | Some vs, Some chain ->
-          let is_tail = hop = List.length chain - 1 in
-          Vstate.dirty_incr vs key;
-          let ok = ref true in
-          let deadline_hit = ref false in
-          let apply () =
-            let cmd =
-              match value with Some v -> Engine.Put (key, v) | None -> Engine.Del key
+    guard env ~vn ~version (fun vs ->
+        match validate_chain env ~key ~hop ~vn with
+        | None -> nack_stale env
+        | Some chain ->
+            let vidx = vn.Ring.vidx in
+            let is_tail = hop = List.length chain - 1 in
+            Vstate.dirty_incr vs key;
+            let ok = ref true in
+            let deadline_hit = ref false in
+            let apply () =
+              let cmd =
+                match value with Some v -> Engine.Put (key, v) | None -> Engine.Del key
+              in
+              match env.sv_submit ~deadline ~vidx cmd with
+              | Ok () ->
+                  (* Mark the COPY fence the moment the chain write lands:
+                     from here on the local value is newer than anything
+                     the bulk stream carries, whether or not this hop's
+                     forward ultimately succeeds. *)
+                  if Vstate.fence_active vs then Vstate.fence_mark vs key;
+                  env.sv_note S_write_apply
+              | Error Engine.Shed ->
+                  ok := false;
+                  deadline_hit := true
+              | Error (Engine.Failed | Engine.Corrupt | Engine.Overloaded) -> ok := false
             in
-            match env.sv_submit ~deadline ~vidx cmd with
-            | Engine.Done | Engine.Found _ | Engine.Missing ->
-                (* Mark the COPY fence the moment the chain write lands:
-                   from here on the local value is newer than anything
-                   the bulk stream carries, whether or not this hop's
-                   forward ultimately succeeds. *)
-                if Vstate.fence_active vs then Vstate.fence_mark vs key;
-                env.sv_note S_write_apply
-            | Engine.Shed ->
-                ok := false;
-                deadline_hit := true
-            | Engine.Failed | Engine.Corrupt | Engine.Scrubbed _ -> ok := false
-            | exception Engine.Overloaded _ -> ok := false
-          in
-          let forward () =
-            if not is_tail then begin
-              match List.nth_opt chain (hop + 1) with
-              | None -> ok := false
-              | Some next -> (
-                  let req =
-                    Messages.Write
-                      {
-                        vn = next.Ring.owner;
-                        key;
-                        value;
-                        hop = hop + 1;
-                        version = Ring.version env.sv_ring;
-                        deadline;
-                      }
-                  in
-                  match env.sv_call ~dst:next.Ring.owner ~timeout:0.5 req with
-                  | Some (Messages.Ok _) -> ()
-                  | Some (Messages.Nack Messages.Deadline_exceeded) ->
-                      ok := false;
-                      deadline_hit := true
-                  | _ -> ok := false)
+            let forward () =
+              if not is_tail then begin
+                match List.nth_opt chain (hop + 1) with
+                | None -> ok := false
+                | Some next -> (
+                    let req =
+                      Messages.Write
+                        {
+                          vn = next.Ring.owner;
+                          key;
+                          value;
+                          hop = hop + 1;
+                          version = Ring.version env.sv_ring;
+                          deadline;
+                        }
+                    in
+                    match env.sv_call ~dst:next.Ring.owner ~timeout:0.5 req with
+                    | Some (Messages.Ok _) -> ()
+                    | Some (Messages.Nack Messages.Deadline_exceeded) ->
+                        ok := false;
+                        deadline_hit := true
+                    | _ -> ok := false)
+              end
+            in
+            (* Apply locally and propagate down-chain concurrently; the
+               reply (backward ack) leaves only when both are done. *)
+            Sim.fork_join [ apply; forward ];
+            Vstate.dirty_decr vs key;
+            if !ok then begin
+              (* A fully successful hop supersedes any earlier partial
+                 write for the key: the chain below agrees again. *)
+              Vstate.untaint vs key;
+              if is_tail then (
+                match value with
+                | Some v -> env.sv_on_commit ~key ~value:v
+                | None -> ());
+              Messages.Ok { tokens = env.sv_tokens ~vidx }
             end
-          in
-          (* Apply locally and propagate down-chain concurrently; the
-             reply (backward ack) leaves only when both are done. *)
-          Sim.fork_join [ apply; forward ];
-          Vstate.dirty_decr vs key;
-          if !ok then begin
-            (* A fully successful hop supersedes any earlier partial
-               write for the key: the chain below agrees again. *)
-            Vstate.untaint vs key;
-            if is_tail then (
-              match value with
-              | Some v -> env.sv_on_commit ~key ~value:v
-              | None -> ());
-            Messages.Ok { tokens = env.sv_tokens ~vidx }
-          end
-          else begin
-            (* Either branch failing can leave this replica (or one
-               below) ahead of the commit point: taint the key so local
-               reads route through the tail until a write lands clean. *)
-            Vstate.taint vs key;
-            env.sv_note S_nack;
-            if !deadline_hit then Messages.Nack Messages.Deadline_exceeded
-            else Messages.Nack Messages.Not_serving
-          end
+            else begin
+              (* Either branch failing can leave this replica (or one
+                 below) ahead of the commit point: taint the key so local
+                 reads route through the tail until a write lands clean. *)
+              Vstate.taint vs key;
+              env.sv_note S_nack;
+              if !deadline_hit then Messages.Nack Messages.Deadline_exceeded
+              else Messages.Nack Messages.Not_serving
+            end)
 
   let serve_local_read env ~vidx ~key ~deadline =
     env.sv_note S_served_read;
     match local_get env ~vidx ~key ~deadline with
-    | L_found v -> Messages.Value { value = Some v; tokens = env.sv_tokens ~vidx }
-    | L_missing -> Messages.Value { value = None; tokens = env.sv_tokens ~vidx }
-    | L_nack reason ->
+    | Ok value -> Messages.Value { value; tokens = env.sv_tokens ~vidx }
+    | Error reason ->
         env.sv_note S_nack;
         Messages.Nack reason
 
@@ -435,53 +433,40 @@ module Crrs_impl = struct
     | None -> Messages.Nack Messages.Not_serving
 
   let handle_get env ~(vn : Ring.vnode) ~key ~shipped ~deadline ~version =
-    if version <> Ring.version env.sv_ring then nack_stale env
-    else
-      let vidx = vn.Ring.vidx in
-      match env.sv_vnode ~vidx with
-      | None -> nack_stale env
-      | Some vs ->
-          let chain = Ring.chain env.sv_ring ~r:env.sv_r key in
-          let tail_entry = match List.rev chain with e :: _ -> Some e | [] -> None in
-          let am_tail =
-            match tail_entry with Some e -> e.Ring.owner = vn | None -> false
-          in
-          (* §3.8.1: while a COPY streams into this vnode it may hold a
-             pre-expulsion leftover for any key the fence has not confirmed
-             current (a chain write or forwarded copy landed here since the
-             fence went up). A replacement chain member enters serving duty
-             as the new tail *before* its catch-up COPY completes, so this
-             guard is what keeps the read path linearizable across repair:
-             non-tail members route around it by shipping; the tail itself
-             must refuse — its predecessor (the old tail) cannot be told
-             apart from an uncommitted-write holder over the existing wire
-             vocabulary, and a bounded client retry is cheaper than a wrong
-             value. The fence lifts when the COPY drains. *)
-          let fence_unready = Vstate.fence_active vs && not (Vstate.fence_holds vs key) in
-          if fence_unready && (shipped || am_tail) then begin
-            env.sv_note S_nack;
-            Messages.Nack Messages.Not_serving
-          end
-          else if fence_unready then begin
-            match tail_entry with
-            | None -> Messages.Nack Messages.Not_serving
-            | Some te -> ship_to_tail env ~key ~deadline te
-          end
-          else if shipped || am_tail then serve_local_read env ~vidx ~key ~deadline
-          else if Vstate.is_tainted vs key then begin
-            (* The local copy may be ahead of the commit point (a partial
-               write landed here): only the tail is authoritative. *)
-            match tail_entry with
-            | None -> Messages.Nack Messages.Not_serving
-            | Some te -> ship_to_tail env ~key ~deadline te
-          end
-          else if Vstate.is_dirty vs key then begin
-            (* §3.7: a dirty replica ships the whole request to the tail. *)
-            match tail_entry with
-            | None -> Messages.Nack Messages.Not_serving
-            | Some te -> ship_to_tail env ~key ~deadline te
-          end
-          else serve_local_read env ~vidx ~key ~deadline
+    guard env ~vn ~version (fun vs ->
+        let vidx = vn.Ring.vidx in
+        let chain = Ring.chain env.sv_ring ~r:env.sv_r key in
+        let tail_entry = match List.rev chain with e :: _ -> Some e | [] -> None in
+        let am_tail = match tail_entry with Some e -> e.Ring.owner = vn | None -> false in
+        (* §3.8.1: while a COPY streams into this vnode it may hold a
+           pre-expulsion leftover for any key the fence has not confirmed
+           current (a chain write or forwarded copy landed here since the
+           fence went up). A replacement chain member enters serving duty
+           as the new tail *before* its catch-up COPY completes, so this
+           guard is what keeps the read path linearizable across repair:
+           non-tail members route around it by shipping; the tail itself
+           must refuse — its predecessor (the old tail) cannot be told
+           apart from an uncommitted-write holder over the existing wire
+           vocabulary, and a bounded client retry is cheaper than a wrong
+           value. The fence lifts when the COPY drains. *)
+        let fence_unready = Vstate.fence_active vs && not (Vstate.fence_holds vs key) in
+        if fence_unready && (shipped || am_tail) then begin
+          env.sv_note S_nack;
+          Messages.Nack Messages.Not_serving
+        end
+        else if shipped || am_tail then serve_local_read env ~vidx ~key ~deadline
+        else if
+          (* Only the tail is authoritative for a key that is unconfirmed
+             mid-COPY, tainted (a partial write may have put the local
+             copy ahead of the commit point) or dirty (§3.7: a dirty
+             replica ships the whole request to the tail). *)
+          fence_unready || Vstate.is_tainted vs key || Vstate.is_dirty vs key
+        then begin
+          match tail_entry with
+          | None -> Messages.Nack Messages.Not_serving
+          | Some te -> ship_to_tail env ~key ~deadline te
+        end
+        else serve_local_read env ~vidx ~key ~deadline)
 
   let handle env (req : Messages.request) =
     match req with

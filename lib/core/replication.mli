@@ -154,9 +154,10 @@ type server_env = {
   sv_vnode : vidx:int -> Vstate.t option;
       (** the vnode's protocol state; [None] when the node hosts no such
           vnode *)
-  sv_submit : deadline:float -> vidx:int -> Engine.cmd -> Engine.outcome;
-      (** foreground engine submission (deadline [0.] = none); routed
-          through fail-slow inflation and service-time telemetry *)
+  sv_submit : 'a. deadline:float -> vidx:int -> 'a Engine.cmd -> ('a, Engine.failure) result;
+      (** foreground engine submission (deadline [0.] = none), typed by
+          the command; routed through fail-slow inflation and
+          service-time telemetry *)
   sv_tokens : vidx:int -> int;
       (** available token balance piggybacked on responses (§3.5) *)
   sv_call :
@@ -231,17 +232,31 @@ module type S = sig
       tags, which makes COPY idempotent and order-free. *)
 end
 
-(** Outcome of one local engine read with integrity repair — the shared
-    helper protocols build their read handlers on. *)
-type local_read =
-  | L_found of bytes
-  | L_missing
-  | L_nack of Messages.nack_reason
+(** {1 Shared server helpers} *)
 
-val local_get : server_env -> vidx:int -> key:string -> deadline:float -> local_read
-(** One engine [Get] through [sv_submit]; checksum-corrupt entries are
-    healed via [sv_repair] before answering, and engine overload /
-    deadline shed map to the matching NACK reasons. *)
+val guard :
+  server_env -> vn:Ring.vnode -> version:int -> (Vstate.t -> Messages.response) -> Messages.response
+(** The request guard every protocol handler opens with: a request sent
+    under another ring [version] than the node's, or aimed at a vnode the
+    node does not host, is answered [Nack (Stale_view v)] (and noted as
+    a NACK) so the client refreshes its view and retries; otherwise the
+    handler runs on the vnode's state. *)
+
+val nack_of_failure : Engine.failure -> Messages.nack_reason
+(** The one engine-failure → NACK map: [Failed] and [Corrupt] answer
+    [Not_serving], [Shed] answers [Deadline_exceeded], [Overloaded]
+    answers [Overloaded]. *)
+
+val local_get :
+  server_env ->
+  vidx:int ->
+  key:string ->
+  deadline:float ->
+  (bytes option, Messages.nack_reason) result
+(** One engine [Get] through [sv_submit]: [Ok None] when the key is
+    absent. A checksum-corrupt entry is healed via [sv_repair] before
+    answering ([Not_serving] when no replica can supply it); any other
+    failure maps through {!nack_of_failure}. *)
 
 module Crrs_protocol : S
 (** LEED §3.7 chain replication, re-expressed against the seam: head-to

@@ -118,6 +118,29 @@ let make_kvell ?(nnodes = 3) ?nclients ?(object_size = 1024) ?platform () =
   let config = { Kvell_cluster.default_config with Kvell_cluster.nnodes; platform; store_config } in
   attach_clients ?nclients (kvell_backend (Kvell_cluster.create ~config ()))
 
+(* --- the three compared systems (Figures 5, 6 and 14) --- *)
+
+type system = { name : string; make : unit -> setup; nkeys : int; workers : int }
+
+let compared_systems ~object_size =
+  [
+    { name = "leed"; make = (fun () -> make_leed ~nclients:6 ()); nkeys = 8_000; workers = 192 };
+    {
+      (* KVell's batched workers need deep client concurrency to reach
+         their (much higher) saturation point. *)
+      name = "kvell";
+      make = (fun () -> make_kvell ~nclients:6 ~object_size ());
+      nkeys = 8_000;
+      workers = 640;
+    };
+    {
+      name = "fawn";
+      make = (fun () -> make_fawn ~nnodes:10 ~nclients:6 ());
+      nkeys = 2_000;
+      workers = 40;
+    };
+  ]
+
 let backend_names = [ "leed"; "fawn"; "kvell" ]
 
 let setup_of_name ?nclients ?nnodes ?ssds name =

@@ -12,7 +12,6 @@ open Leed_core
 (** {1 Scaled platforms and store sizing} *)
 
 val leed_platform : ?ssd_capacity:int -> unit -> Leed_platform.Platform.t
-val server_platform : ?ssd_capacity:int -> unit -> Leed_platform.Platform.t
 val pi_platform : unit -> Leed_platform.Platform.t
 
 val store_config : ?nsegments:int -> unit -> Store.config
@@ -70,6 +69,22 @@ val make_kvell :
   ?platform:Leed_platform.Platform.t ->
   unit ->
   setup
+
+(** {1 The compared systems} *)
+
+type system = {
+  name : string;  (** ["leed"], ["kvell"] or ["fawn"] *)
+  make : unit -> setup;
+  nkeys : int;  (** keys preloaded and drawn from *)
+  workers : int;  (** closed-loop workers that saturate the system *)
+}
+
+val compared_systems : object_size:int -> system list
+(** The systems Figures 5, 6 and 14 compare, sized for [object_size]-byte
+    objects: SmartNIC-LEED (3 JBOFs), Server-KVell (3 JBOFs, slots sized
+    to the objects) and Embedded-FAWN (10 Pi nodes), each behind 6
+    front-end clients, in that order. Each figure keeps its own seeds and
+    measurement windows. *)
 
 val backend_names : string list
 (** ["leed"; "fawn"; "kvell"] — selector names for CLIs. *)

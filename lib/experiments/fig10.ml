@@ -28,7 +28,7 @@ let measure_point ~swap ~object_size ~skew =
         Engine.submit e ~pid:(pid_of id)
           (Engine.Put (Workload.key_of_id id, Workload.value_for ~id ~version ~size:vsize))
       in
-      Driver.spread ~workers:16 ~n:nkeys (fun id -> ignore (put ~version:0 id));
+      Driver.spread ~workers:16 ~n:nkeys (fun id -> Result.get_ok (put ~version:0 id));
       (* Partition the keyspace by home partition once, then sample:
          partition ~ Zipf(skew), key uniform within it. *)
       let npart = Engine.npartitions e in
@@ -43,8 +43,8 @@ let measure_point ~swap ~object_size ~skew =
         Driver.closed ~workers:128 ~duration:(Exp_common.dur 0.12) (fun _ ->
             let part = by_part.(Zipf.next zipf) in
             match put ~version:1 part.(Rng.int rng (Array.length part)) with
-            | _ -> ()
-            | exception Engine.Overloaded _ -> Sim.delay (Sim.us 200.))
+            | Error Engine.Overloaded -> Sim.delay (Sim.us 200.)
+            | Ok () | Error (Engine.Failed | Engine.Corrupt | Engine.Shed) -> ())
       in
       let swaps =
         Array.fold_left (fun acc s -> acc + (Engine.ssd_stats s).Engine.swapped_out) 0 (Engine.ssds e)

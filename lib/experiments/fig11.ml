@@ -12,7 +12,7 @@ let breakdown ~object_size =
       let vsize = object_size - Workload.key_size in
       let nkeys = 2_000 in
       for id = 0 to nkeys - 1 do
-        ignore
+        Result.get_ok
           (Engine.submit e ~pid:(pid_of id)
              (Engine.Put (Workload.key_of_id id, Workload.value_for ~id ~version:0 ~size:vsize)))
       done;
@@ -22,12 +22,12 @@ let breakdown ~object_size =
         (Workload.Driver.fixed ~workers:4 ~ops:120 (fun _ ->
              let id = Rng.int rng nkeys in
              let k = Workload.key_of_id id in
-             ignore (Engine.submit e ~pid:(pid_of id) (Engine.Get k));
-             ignore
+             ignore (Result.get_ok (Engine.submit e ~pid:(pid_of id) (Engine.Get k)));
+             Result.get_ok
                (Engine.submit e ~pid:(pid_of id)
                   (Engine.Put (k, Workload.value_for ~id ~version:1 ~size:vsize)));
-             ignore (Engine.submit e ~pid:(pid_of id) (Engine.Del k));
-             ignore
+             Result.get_ok (Engine.submit e ~pid:(pid_of id) (Engine.Del k));
+             Result.get_ok
                (Engine.submit e ~pid:(pid_of id)
                   (Engine.Put (k, Workload.value_for ~id ~version:2 ~size:vsize)))));
       (* Aggregate the per-op SSD / CPU attribution over every store. *)

@@ -20,7 +20,7 @@ let leed_throughput ~object_size ~put_frac =
       let e, pid_of = Exp_common.jbof_engine () in
       let vsize = object_size - Workload.key_size in
       let put ~version id =
-        ignore
+        Result.get_ok
           (Engine.submit e ~pid:(pid_of id)
              (Engine.Put (Workload.key_of_id id, Workload.value_for ~id ~version ~size:vsize)))
       in
@@ -29,7 +29,9 @@ let leed_throughput ~object_size ~put_frac =
       (Driver.closed ~workers:192 ~duration:0.1 (fun _ ->
            let id = Rng.int rng nkeys in
            if Rng.float rng < put_frac then put ~version:1 id
-           else ignore (Engine.submit e ~pid:(pid_of id) (Engine.Get (Workload.key_of_id id)))))
+           else
+             ignore
+               (Result.get_ok (Engine.submit e ~pid:(pid_of id) (Engine.Get (Workload.key_of_id id))))))
         .Driver.throughput)
 
 let fawn_pi_throughput ~object_size ~put_frac =

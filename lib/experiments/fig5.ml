@@ -5,16 +5,24 @@
    Replication factor 3 everywhere; saturated closed-loop throughput
    divided by the paper's measured wall power.
 
-   All three systems run through the backend-generic boundary: the only
-   per-system facts here are display name, sizing, and saturation knobs. *)
+   All three systems run through the backend-generic boundary, sized and
+   saturated as Exp_common.compared_systems sets them; the only
+   per-system facts here are display name, window and seed. *)
 
 open Leed_sim
 open Leed_core
 open Leed_workload
 
-(* Per-system sizing: key count, closed-loop worker count at saturation,
-   and the measurement window (slow systems need longer windows for the
-   same statistical weight). *)
+(* Figure 5's own display name, measurement window (slow systems need
+   longer windows for the same statistical weight) and seed per system,
+   in the order the systems are built and printed. *)
+let runs =
+  [
+    ("fawn", "Embedded-FAWN", 1.0, 23);
+    ("kvell", "Server-KVell", 0.1, 22);
+    ("leed", "SmartNIC-LEED", 0.12, 21);
+  ]
+
 type system_run = {
   display : string;
   setup : Exp_common.setup;
@@ -24,41 +32,27 @@ type system_run = {
   seed : int;
 }
 
-let systems () =
-  [
-    {
-      display = "Embedded-FAWN";
-      setup = Exp_common.make_fawn ~nnodes:10 ~nclients:6 ();
-      nkeys = 2_000;
-      workers = 40;
-      window = 1.0;
-      seed = 23;
-    };
-    {
-      (* KVell's batched workers need deep client concurrency to reach
-         their (much higher) saturation point. *)
-      display = "Server-KVell";
-      setup = Exp_common.make_kvell ~nclients:6 ~object_size:1024 ();
-      nkeys = 8_000;
-      workers = 640;
-      window = 0.1;
-      seed = 22;
-    };
-    {
-      display = "SmartNIC-LEED";
-      setup = Exp_common.make_leed ~nclients:6 ();
-      nkeys = 8_000;
-      workers = 192;
-      window = 0.12;
-      seed = 21;
-    };
-  ]
+let systems ~object_size =
+  let sized = Exp_common.compared_systems ~object_size in
+  List.map
+    (fun (name, display, window, seed) ->
+      let sys = List.find (fun (s : Exp_common.system) -> s.Exp_common.name = name) sized in
+      {
+        display;
+        setup = sys.Exp_common.make ();
+        nkeys = sys.Exp_common.nkeys;
+        workers = sys.Exp_common.workers;
+        window;
+        seed;
+      })
+    runs
 
 let run_size ~object_size =
   Sim.run (fun () ->
-      let systems = systems () in
+      let systems = systems ~object_size in
       List.iter
-        (fun s -> Exp_common.preload s.setup ~nkeys:s.nkeys ~value_size:(1024 - Workload.key_size))
+        (fun s ->
+          Exp_common.preload s.setup ~nkeys:s.nkeys ~value_size:(object_size - Workload.key_size))
         systems;
       let mixes = Workload.all_ycsb () in
       let rows =

@@ -31,41 +31,26 @@ let sweep ~gen_of ~setup ~clients () =
       { thr = m.Backend.throughput; avg_ms = m.Backend.avg_lat *. 1e3 })
     fractions
 
-(* Per-system sizing, same saturation knobs as Figure 5. *)
-type sysdesc = { make : unit -> Exp_common.setup; nkeys : int; seed_base : int; workers : int }
-
-let descriptors ~object_size =
-  [
-    ("leed", { make = (fun () -> Exp_common.make_leed ~nclients:6 ()); nkeys = 8_000; seed_base = 100; workers = 192 });
-    ( "kvell",
-      {
-        make = (fun () -> Exp_common.make_kvell ~nclients:6 ~object_size ());
-        nkeys = 8_000;
-        seed_base = 200;
-        workers = 640;
-      } );
-    ( "fawn",
-      {
-        make = (fun () -> Exp_common.make_fawn ~nnodes:10 ~nclients:6 ());
-        nkeys = 2_000;
-        seed_base = 300;
-        workers = 40;
-      } );
-  ]
+(* Each system's generator seeds start here. *)
+let seed_base = [ ("leed", 100); ("kvell", 200); ("fawn", 300) ]
 
 (* Each system in its own simulation world. *)
-let run_system ~object_size (mix : Workload.mix) d =
+let run_system ~object_size (mix : Workload.mix) (d : Exp_common.system) =
   Sim.run (fun () ->
-      let setup = d.make () in
-      Exp_common.preload setup ~nkeys:d.nkeys ~value_size:(object_size - Workload.key_size);
+      let setup = d.Exp_common.make () in
+      Exp_common.preload setup ~nkeys:d.Exp_common.nkeys
+        ~value_size:(object_size - Workload.key_size);
       sweep
         ~gen_of:(fun i ->
-          Workload.generator ~object_size mix ~nkeys:d.nkeys (Rng.create (d.seed_base + i)))
-        ~setup ~clients:d.workers ())
+          Workload.generator ~object_size mix ~nkeys:d.Exp_common.nkeys
+            (Rng.create (List.assoc d.Exp_common.name seed_base + i)))
+        ~setup ~clients:d.Exp_common.workers ())
 
 let run_workload ~object_size (mix : Workload.mix) =
   let results =
-    List.map (fun (name, d) -> (name, run_system ~object_size mix d)) (descriptors ~object_size)
+    List.map
+      (fun (d : Exp_common.system) -> (d.Exp_common.name, run_system ~object_size mix d))
+      (Exp_common.compared_systems ~object_size)
   in
   let points name = List.assoc name results in
   let leed = points "leed" and kvell = points "kvell" and fawn = points "fawn" in

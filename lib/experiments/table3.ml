@@ -71,14 +71,14 @@ let leed_point ~object_size =
       let vsize = object_size - Workload.key_size in
       let rng = Rng.create 42 in
       let put ~version id =
-        ignore
+        Result.get_ok
           (Engine.submit e ~pid:(pid_of id)
              (Engine.Put (Workload.key_of_id id, Workload.value_for ~id ~version ~size:vsize)))
       in
       let preload () = Driver.spread ~workers:16 ~n:nkeys (put ~version:0) in
       let execute_read () =
         let id = Rng.int rng nkeys in
-        ignore (Engine.submit e ~pid:(pid_of id) (Engine.Get (Workload.key_of_id id)))
+        ignore (Result.get_ok (Engine.submit e ~pid:(pid_of id) (Engine.Get (Workload.key_of_id id))))
       in
       let execute_write () = put ~version:1 (Rng.int rng nkeys) in
       measure ~preload ~execute_read ~execute_write)

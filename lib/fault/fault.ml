@@ -604,14 +604,10 @@ module Chaos = struct
       r = cfg.r;
       proto = cfg.proto;
       platform = scaled_platform;
-      (* The client must agree with the cluster on r: a wider client chain
-         would target a phantom replica past the real chain, whose idle
-         partition advertises full tokens and attracts every CRRS read. *)
       client_config =
         {
           Client.default_config with
-          Client.r = cfg.r;
-          op_deadline = cfg.op_deadline;
+          Client.op_deadline = cfg.op_deadline;
           (* naive = the static-timeout, no-hedge baseline *)
           hedge = not cfg.naive;
           adaptive_timeout = not cfg.naive;
@@ -894,13 +890,13 @@ module Chaos = struct
         (fun (e : Ring.entry) ->
           let n = Control.node control e.Ring.owner.Ring.node in
           match Engine.submit (Node.engine n) ~pid:e.Ring.owner.Ring.vidx (Engine.Get key) with
-          | Engine.Found v -> (
+          | Ok (Some v) -> (
               match Option.bind (P.payload_of_stored v) decode with
               | Some (i, s) when i = k && s >= acked && s <= attempted -> ()
               | _ -> incr stale)
-          | Engine.Missing | Engine.Done | Engine.Failed | Engine.Shed -> incr stale
-          | Engine.Corrupt | Engine.Scrubbed _ -> w.corrupt <- w.corrupt + 1
-          | exception Engine.Overloaded _ -> ())
+          | Ok None | Error (Engine.Failed | Engine.Shed) -> incr stale
+          | Error Engine.Corrupt -> w.corrupt <- w.corrupt + 1
+          | Error Engine.Overloaded -> ())
         chain
     done;
     { live; lost = !lost; stale = !stale; bad_chains = !bad_chains; state = Buffer.contents state }

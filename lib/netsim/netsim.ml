@@ -287,6 +287,15 @@ module Rpc = struct
   let endpoint t = t.ep
   let name t = t.ep.name
 
+  (* A response fills its request's pre-allocated slot; a late one (the
+     caller timed out and dropped the slot) is ignored. *)
+  let complete t id r =
+    match Itbl.find_opt t.pending id with
+    | Some iv ->
+        Itbl.remove t.pending id;
+        if not (Sim.Ivar.is_filled iv) then Sim.Ivar.fill iv r
+    | None -> ()
+
   (* Install the request handler. Each incoming request runs in its own
      process, so handlers may block on storage. *)
   let serve t ?(resp_size = fun _ -> 64) handler =
@@ -303,24 +312,12 @@ module Rpc = struct
                     (* id -1 marks a one-way notify: no response expected. *)
                     if id >= 0 then
                       send t.fab ~src:t.ep ~dst:env.src ~size:(t.resp_size r) (Resp (id, r)))
-        | Resp (id, r) -> (
-            match Itbl.find_opt t.pending id with
-            | Some iv ->
-                Itbl.remove t.pending id;
-                if not (Sim.Ivar.is_filled iv) then Sim.Ivar.fill iv r
-            | None -> ()))
+        | Resp (id, r) -> complete t id r)
 
   (* Endpoints that only issue calls still need the response receiver. *)
   let client t =
     set_receiver t.ep (fun env ->
-        match env.payload with
-        | Req _ -> ()
-        | Resp (id, r) -> (
-            match Itbl.find_opt t.pending id with
-            | Some iv ->
-                Itbl.remove t.pending id;
-                if not (Sim.Ivar.is_filled iv) then Sim.Ivar.fill iv r
-            | None -> ()))
+        match env.payload with Req _ -> () | Resp (id, r) -> complete t id r)
 
   let call t ~dst ~size q =
     let id = t.next_req in

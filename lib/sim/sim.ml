@@ -524,7 +524,6 @@ module Ivar = struct
 
   let try_fill t v = match t.state with Full _ -> false | Empty _ -> fill t v; true
   let is_filled t = match t.state with Full _ -> true | Empty _ -> false
-  let peek t = match t.state with Full v -> Some v | Empty _ -> None
 
   let on_fill t f =
     match t.state with
@@ -565,8 +564,6 @@ module Mailbox = struct
   type 'a t = { items : 'a Queue.t; waiters : 'a waiter Queue.t }
 
   let create () = { items = Queue.create (); waiters = Queue.create () }
-  let length t = Queue.length t.items
-  let is_empty t = Queue.is_empty t.items
 
   (* Oldest live waiter, discarding tombstones on the way. *)
   let rec next_waiter t =

@@ -242,9 +242,6 @@ module Ivar : sig
   val is_filled : 'a t -> bool
   (** Whether the variable has been filled. *)
 
-  val peek : 'a t -> 'a option
-  (** The value if already filled, without blocking. *)
-
   val on_fill : 'a t -> ('a -> unit) -> unit
   (** Register a callback run at fill time (immediately if already full). *)
 
@@ -264,12 +261,6 @@ module Mailbox : sig
 
   val create : unit -> 'a t
   (** A fresh, empty channel. *)
-
-  val length : 'a t -> int
-  (** Number of queued (sent but not yet received) values. *)
-
-  val is_empty : 'a t -> bool
-  (** Whether no values are queued. *)
 
   val send : 'a t -> 'a -> unit
   (** Never blocks: hands the value to the oldest waiting receiver, or

@@ -21,31 +21,31 @@ let test_basic_ops () =
   Sim.run (fun () ->
       let e = make_engine () in
       (match Engine.submit e ~pid:0 (Engine.Put (key 1, Bytes.of_string "v1")) with
-      | Engine.Done -> ()
+      | Ok () -> ()
       | _ -> Alcotest.fail "put should be Done");
       (match Engine.submit e ~pid:0 (Engine.Get (key 1)) with
-      | Engine.Found v -> Alcotest.(check string) "value" "v1" (Bytes.to_string v)
+      | Ok (Some v) -> Alcotest.(check string) "value" "v1" (Bytes.to_string v)
       | _ -> Alcotest.fail "expected Found");
       (match Engine.submit e ~pid:0 (Engine.Get (key 2)) with
-      | Engine.Missing -> ()
+      | Ok None -> ()
       | _ -> Alcotest.fail "expected Missing");
       (match Engine.submit e ~pid:0 (Engine.Del (key 1)) with
-      | Engine.Done -> ()
+      | Ok () -> ()
       | _ -> Alcotest.fail "del should be Done");
       match Engine.submit e ~pid:0 (Engine.Get (key 1)) with
-      | Engine.Missing -> ()
+      | Ok None -> ()
       | _ -> Alcotest.fail "expected Missing after del")
 
 let test_partitions_isolated () =
   Sim.run (fun () ->
       let e = make_engine () in
-      ignore (Engine.submit e ~pid:0 (Engine.Put (key 1, Bytes.of_string "p0")));
-      ignore (Engine.submit e ~pid:1 (Engine.Put (key 1, Bytes.of_string "p1")));
+      Result.get_ok (Engine.submit e ~pid:0 (Engine.Put (key 1, Bytes.of_string "p0")));
+      Result.get_ok (Engine.submit e ~pid:1 (Engine.Put (key 1, Bytes.of_string "p1")));
       (match Engine.submit e ~pid:0 (Engine.Get (key 1)) with
-      | Engine.Found v -> Alcotest.(check string) "p0 value" "p0" (Bytes.to_string v)
+      | Ok (Some v) -> Alcotest.(check string) "p0 value" "p0" (Bytes.to_string v)
       | _ -> Alcotest.fail "p0 missing");
       match Engine.submit e ~pid:1 (Engine.Get (key 1)) with
-      | Engine.Found v -> Alcotest.(check string) "p1 value" "p1" (Bytes.to_string v)
+      | Ok (Some v) -> Alcotest.(check string) "p1 value" "p1" (Bytes.to_string v)
       | _ -> Alcotest.fail "p1 missing")
 
 let test_token_cost () =
@@ -58,15 +58,15 @@ let test_concurrent_load_completes () =
       let e = make_engine () in
       (* Preload. *)
       for i = 0 to 63 do
-        ignore (Engine.submit e ~pid:(i mod Engine.npartitions e) (Engine.Put (key i, Bytes.of_string "x")))
+        Result.get_ok (Engine.submit e ~pid:(i mod Engine.npartitions e) (Engine.Put (key i, Bytes.of_string "x")))
       done;
       let done_count = ref 0 in
       Sim.fork_join
         (List.init 200 (fun i () ->
              let pid = i mod Engine.npartitions e in
              match Engine.submit e ~pid (Engine.Get (key (i mod 64))) with
-             | Engine.Found _ | Engine.Missing -> incr done_count
-             | Engine.Done | Engine.Failed | Engine.Corrupt | Engine.Scrubbed _ | Engine.Shed -> ()));
+             | Ok _ -> incr done_count
+             | Error _ -> ()));
       Alcotest.(check int) "all completed" 200 !done_count)
 
 let test_available_tokens_drop_under_load () =
@@ -77,7 +77,7 @@ let test_available_tokens_drop_under_load () =
       Alcotest.(check bool) "idle positive" true (idle > 0);
       (* Saturate partition 0's SSD. *)
       for i = 0 to 63 do
-        Sim.spawn (fun () -> ignore (Engine.submit e ~pid:0 (Engine.Put (key i, Bytes.make 4096 'x'))))
+        Sim.spawn (fun () -> Result.get_ok (Engine.submit e ~pid:0 (Engine.Put (key i, Bytes.make 4096 'x'))))
       done;
       Sim.delay (Sim.us 30.);
       let busy = Engine.available_tokens p in
@@ -97,7 +97,7 @@ let test_swap_redirects_overloaded_puts () =
          gap opens and swaps must trigger. *)
       Sim.fork_join
         (List.init 400 (fun i () ->
-             ignore (Engine.submit e ~pid:0 (Engine.Put (key (i mod 50), Bytes.make 1024 'x')))));
+             Result.get_ok (Engine.submit e ~pid:0 (Engine.Put (key (i mod 50), Bytes.make 1024 'x')))));
       let s0 = Engine.ssd_stats (Engine.ssds e).(0) in
       Alcotest.(check bool)
         (Printf.sprintf "swapped_out %d > 0" s0.Engine.swapped_out)
@@ -106,7 +106,7 @@ let test_swap_redirects_overloaded_puts () =
       (* Every key must still be readable (possibly from the swap region). *)
       for i = 0 to 49 do
         match Engine.submit e ~pid:0 (Engine.Get (key i)) with
-        | Engine.Found _ -> ()
+        | Ok (Some _) -> ()
         | _ -> Alcotest.failf "key %d unreadable after swapping" i
       done)
 
@@ -119,7 +119,7 @@ let test_swap_disabled_never_swaps () =
       Engine.start e;
       Sim.fork_join
         (List.init 200 (fun i () ->
-             ignore (Engine.submit e ~pid:0 (Engine.Put (key (i mod 20), Bytes.make 1024 'x')))));
+             Result.get_ok (Engine.submit e ~pid:0 (Engine.Put (key (i mod 20), Bytes.make 1024 'x')))));
       let s0 = Engine.ssd_stats (Engine.ssds e).(0) in
       Alcotest.(check int) "no swaps" 0 s0.Engine.swapped_out)
 
@@ -132,7 +132,7 @@ let test_swap_merges_back () =
       Engine.start e;
       Sim.fork_join
         (List.init 300 (fun i () ->
-             ignore (Engine.submit e ~pid:0 (Engine.Put (key (i mod 30), Bytes.make 512 'x')))));
+             Result.get_ok (Engine.submit e ~pid:0 (Engine.Put (key (i mod 30), Bytes.make 512 'x')))));
       let st = Engine.store (Engine.partition e 0) in
       (* Give the background compactor time to merge the swap region home
          and the engine to reset the swap logs. *)
@@ -141,7 +141,7 @@ let test_swap_merges_back () =
       (* Values all intact after merge-back. *)
       for i = 0 to 29 do
         match Engine.submit e ~pid:0 (Engine.Get (key i)) with
-        | Engine.Found _ -> ()
+        | Ok (Some _) -> ()
         | _ -> Alcotest.failf "key %d lost after merge-back" i
       done)
 
@@ -153,7 +153,7 @@ let test_adaptive_capacity_shrinks () =
       (* Large values inflate per-IO service time, so capacity must drop. *)
       Sim.fork_join
         (List.init 100 (fun i () ->
-             ignore (Engine.submit e ~pid:0 (Engine.Put (key i, Bytes.make 262144 'x')))));
+             Result.get_ok (Engine.submit e ~pid:0 (Engine.Put (key i, Bytes.make 262144 'x')))));
       let adapted = (Engine.ssd_stats s).Engine.capacity in
       Alcotest.(check bool)
         (Printf.sprintf "capacity %d < initial %d" adapted initial)
@@ -175,8 +175,8 @@ let test_overload_rejects () =
       for i = 0 to 199 do
         Sim.spawn (fun () ->
             match Engine.submit e ~pid:0 (Engine.Put (key i, Bytes.make 4096 'x')) with
-            | _ -> ()
-            | exception Engine.Overloaded _ -> incr rejected)
+            | Error Engine.Overloaded -> incr rejected
+            | Ok () | Error (Engine.Failed | Engine.Corrupt | Engine.Shed) -> ())
       done;
       Sim.delay 1.0;
       Alcotest.(check bool) (Printf.sprintf "%d rejected" !rejected) true (!rejected > 0))

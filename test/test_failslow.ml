@@ -137,36 +137,35 @@ let test_engine_sheds_expired_queue () =
       in
       let e = Engine.create ~config test_platform in
       Engine.start e;
-      ignore (Engine.submit e ~pid:0 (Engine.Put (key 0, Bytes.of_string "v")));
+      Result.get_ok (Engine.submit e ~pid:0 (Engine.Put (key 0, Bytes.of_string "v")));
       (* Bury partition 0's SSD under writes, then enqueue a GET whose
          deadline expires while it waits: it must complete as [Shed]
          without consuming tokens (the ~checks sanitizer would flag a
          leak) or touching flash. *)
       for i = 0 to 63 do
         Sim.spawn ~label:"test:filler" (fun () ->
-            ignore (Engine.submit e ~pid:0 (Engine.Put (key (i + 1), Bytes.make 4096 'x'))))
+            Result.get_ok (Engine.submit e ~pid:0 (Engine.Put (key (i + 1), Bytes.make 4096 'x'))))
       done;
       (* Yield so the fillers enqueue ahead of the doomed GET. *)
       Sim.delay (Sim.us 5.);
       let deadline = Sim.now () +. Sim.us 100. in
       (match Engine.submit ~deadline e ~pid:0 (Engine.Get (key 0)) with
-      | Engine.Shed -> ()
+      | Error Engine.Shed -> ()
       | o ->
           Alcotest.failf "expected Shed, got %s"
             (match o with
-            | Engine.Found _ -> "Found"
-            | Engine.Missing -> "Missing"
-            | Engine.Done -> "Done"
-            | Engine.Failed -> "Failed"
-            | Engine.Corrupt -> "Corrupt"
-            | Engine.Scrubbed _ -> "Scrubbed"
-            | Engine.Shed -> "Shed"));
+            | Ok (Some _) -> "a value"
+            | Ok None -> "no value"
+            | Error Engine.Failed -> "Failed"
+            | Error Engine.Corrupt -> "Corrupt"
+            | Error Engine.Shed -> "Shed"
+            | Error Engine.Overloaded -> "Overloaded"));
       Sim.delay 1.0;
       let s0 = Engine.ssd_stats (Engine.ssds e).(0) in
       Alcotest.(check bool) (Printf.sprintf "shed counted (%d)" s0.Engine.shed) true (s0.Engine.shed >= 1);
       (* A deadline already satisfied must not shed. *)
       match Engine.submit ~deadline:(Sim.now () +. 1.0) e ~pid:0 (Engine.Get (key 0)) with
-      | Engine.Found _ -> ()
+      | Ok (Some _) -> ()
       | _ -> Alcotest.fail "in-budget get must serve")
 
 (* --- cluster helpers --- *)
@@ -175,9 +174,7 @@ let test_engine_config =
   { Engine.default_config with Engine.store_config = small_store_config; partitions_per_ssd = 1 }
 
 let mk_cluster ?(nnodes = 3) ?(r = 3) ?(slow_detection = true) ?client_config () =
-  let client_config =
-    match client_config with Some c -> c | None -> { Client.default_config with Client.r }
-  in
+  let client_config = Option.value client_config ~default:Client.default_config in
   let config =
     {
       Cluster.default_config with
@@ -257,7 +254,7 @@ let test_hedge_cold_client_never_fires () =
 let test_adaptive_timeout_tracks_destination () =
   Sim.run (fun () ->
       let client_config =
-        { Client.default_config with Client.r = 3; hedge = false } (* isolate the timeout path *)
+        { Client.default_config with Client.hedge = false } (* isolate the timeout path *)
       in
       let cl = mk_cluster ~nnodes:3 ~slow_detection:false ~client_config () in
       let c = Cluster.client cl in

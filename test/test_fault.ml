@@ -119,7 +119,6 @@ let mk_cluster ?(nnodes = 3) ?(r = 3) () =
       Cluster.nnodes;
       r;
       engine_config = test_engine_config;
-      client_config = { Client.default_config with Client.r };
       platform = quiet_platform;
     }
   in
@@ -163,7 +162,7 @@ let test_fast_revive_serves_after_replay () =
           (fun (e : Ring.entry) ->
             if e.Ring.owner.Ring.node = 1 then begin
               match Engine.submit (Node.engine n1) ~pid:e.Ring.owner.Ring.vidx (Engine.Get (key i)) with
-              | Engine.Found _ -> incr served
+              | Ok (Some _) -> incr served
               | _ -> Alcotest.failf "node 1 lost key %d across restart" i
             end)
           (Ring.chain ring ~r:3 (key i))

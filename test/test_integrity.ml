@@ -212,7 +212,7 @@ let test_read_repair_heals_replica () =
         ~off:(Circular_log.phys (Store.klog st) e.Segtbl.off + 50)
         ~bit:2;
       (match Engine.submit (Node.engine victim) ~pid (Engine.Get key) with
-      | Engine.Corrupt -> ()
+      | Error Engine.Corrupt -> ()
       | _ -> Alcotest.fail "rotted frame did not surface as Corrupt");
       (* A read through the node's dispatcher must heal from a CRRS
          replica and answer with the verified bytes. *)
@@ -231,7 +231,7 @@ let test_read_repair_heals_replica () =
       (* The heal rewrote the entry locally: the replica now serves the
          key straight from its own store. *)
       match Engine.submit (Node.engine victim) ~pid (Engine.Get key) with
-      | Engine.Found v -> Alcotest.(check bool) "healed locally" true (Bytes.equal v value)
+      | Ok (Some v) -> Alcotest.(check bool) "healed locally" true (Bytes.equal v value)
       | _ -> Alcotest.fail "replica still corrupt after read-repair")
 
 (* --- cluster: unreadable segment frames escalate to an arc re-COPY --- *)

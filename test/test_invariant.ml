@@ -128,12 +128,12 @@ let test_engine_token_flow_clean () =
       Engine.start e;
       for i = 1 to 64 do
         match Engine.submit e ~pid:0 (Engine.Put (key i, Bytes.of_string "v")) with
-        | Engine.Done -> ()
+        | Ok () -> ()
         | _ -> Alcotest.fail "put should be Done"
       done;
       for i = 1 to 64 do
         match Engine.submit e ~pid:0 (Engine.Get (key i)) with
-        | Engine.Found _ -> ()
+        | Ok (Some _) -> ()
         | _ -> Alcotest.fail "expected Found"
       done)
 
@@ -183,7 +183,6 @@ let mk_cluster () =
       Cluster.nnodes = 3;
       r = 3;
       engine_config;
-      client_config = { Client.default_config with Client.r = 3 };
       platform = quiet_platform;
     }
   in
@@ -207,7 +206,7 @@ let test_replica_agreement () =
              Engine.submit (Node.engine n) ~pid:tail.Ring.owner.Ring.vidx
                (Engine.Put (key 3, Bytes.of_string "diverged"))
            with
-          | Engine.Done -> ()
+          | Ok () -> ()
           | _ -> Alcotest.fail "direct put failed");
           match Cluster.check_replica_agreement cl (key 3) with
           | () -> Alcotest.fail "expected divergence to trip"

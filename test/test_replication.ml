@@ -247,7 +247,7 @@ let test_abd_writeback_heals_lagging_replica () =
       Alcotest.(check bool) "write-back counted" true (Client.writebacks client >= 1);
       (* the victim's own store now holds the framed winning value *)
       match Engine.submit (Node.engine victim) ~pid (Engine.Get key) with
-      | Engine.Found raw -> (
+      | Ok (Some raw) -> (
           match R.Tag.unframe raw with
           | Some (_, Some p) ->
               Alcotest.(check bool) "replica healed to v2" true (Bytes.equal p v2)
@@ -291,7 +291,7 @@ let test_abd_failed_write_no_phantom_ack () =
       | Messages.Ok _ -> ()
       | _ -> Alcotest.fail "retry at the same tag was refused");
       match Engine.submit (Node.engine victim) ~pid (Engine.Get key) with
-      | Engine.Found raw -> (
+      | Ok (Some raw) -> (
           match R.Tag.unframe raw with
           | Some (tg, Some p) ->
               Alcotest.(check int) "store holds the acked tag" 1_000 tg.R.Tag.ts;
@@ -337,7 +337,7 @@ let test_abd_join_copy_merges_quorum () =
                 Engine.submit (Node.engine newbie) ~pid:e.Ring.owner.Ring.vidx
                   (Engine.Get (key i))
               with
-              | Engine.Found raw -> (
+              | Ok (Some raw) -> (
                   match R.Tag.unframe raw with
                   | Some (_, Some p) ->
                       Alcotest.(check bool)
