@@ -490,7 +490,10 @@ let get_impl t key =
       check_deadline t ~key deadline;
       P.read (renv t) ~key ~deadline)
 
+(* Keys are checked before any RPC: the on-flash headers hold a key's
+   length in one byte. *)
 let get t key =
+  Codec.check_key ~fn:"Client.get" key;
   if not (Trace.on ()) then get_impl t key
   else op_span t "get" key (fun () -> get_impl t key)
 
@@ -505,5 +508,10 @@ let write t op_name key value =
   if not (Trace.on ()) then write_impl t key value
   else op_span t op_name key (fun () -> write_impl t key value)
 
-let put t key value = write t "put" key (Some value)
-let del t key = write t "del" key None
+let put t key value =
+  Codec.check_key ~fn:"Client.put" key;
+  write t "put" key (Some value)
+
+let del t key =
+  Codec.check_key ~fn:"Client.del" key;
+  write t "del" key None

@@ -125,7 +125,9 @@ val backoff_time : t -> float
 
 val get : t -> string -> bytes option
 (** Read from the best clean replica (or the tail without CRRS); a dirty
-    replica ships the request to the tail transparently. *)
+    replica ships the request to the tail transparently. [get], {!put}
+    and {!del} raise [Invalid_argument], before sending anything, for a
+    key longer than {!Codec.max_key_size} bytes. *)
 
 val put : t -> string -> bytes -> unit
 (** Write through the chain head; returns after the tail commits and the

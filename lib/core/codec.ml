@@ -20,6 +20,15 @@ let bucket_magic = 0xB5
 let value_magic = 0x5E
 let value_header_size = 20
 
+(* A key's length and a bucket's chain length and position are each one
+   header byte. *)
+let max_key_size = 255
+let max_chain_len = 255
+
+let check_key ~fn key =
+  if String.length key > max_key_size then
+    invalid_arg (Printf.sprintf "%s: key longer than %d bytes" fn max_key_size)
+
 (* FNV-1a 64-bit over the key with a SplitMix64 avalanche finalizer:
    plain FNV disperses the short, near-identical keys of a key-value
    workload poorly (consecutive ids land on near-consecutive ring points),
@@ -215,6 +224,8 @@ let decode_bucket ?(off = 0) buf =
 
 let encode_segment (buckets : bucket list) =
   let n = List.length buckets in
+  if n > max_chain_len then
+    invalid_arg (Printf.sprintf "Codec.encode_segment: %d buckets exceed %d" n max_chain_len);
   let out = Bytes.make (n * bucket_size) '\000' in
   List.iteri (fun i b -> write_bucket out ~off:(i * bucket_size) ~chain_len:n ~chain_pos:i b) buckets;
   out

@@ -19,6 +19,19 @@ val bucket_size : int
 val bucket_header_size : int
 val value_header_size : int
 
+val max_key_size : int
+(** 255: the longest key an item or value-entry header can record (its
+    length is one byte). Longer keys are rejected by [Store.put]/[del]
+    and by the client, never written truncated. *)
+
+val check_key : fn:string -> string -> unit
+(** Raises [Invalid_argument "<fn>: key longer than 255 bytes"] for a
+    key longer than {!max_key_size}. *)
+
+val max_chain_len : int
+(** 255: the most buckets one segment can chain (chain length and
+    position are one byte each). *)
+
 exception Corrupt of string
 
 val crc32 : ?crc:int -> bytes -> pos:int -> len:int -> int
@@ -65,7 +78,8 @@ val decode_bucket : ?off:int -> bytes -> bucket
 (** Raises {!Corrupt} on magic or CRC mismatch. *)
 
 val encode_segment : bucket list -> bytes
-(** Renumbers chain_len/chain_pos over the list. *)
+(** Renumbers chain_len/chain_pos over the list. Raises
+    [Invalid_argument] for more than {!max_chain_len} buckets. *)
 
 val decode_segment : off:int -> len:int -> bytes -> bucket list
 (** Decodes the [len / bucket_size] buckets at [buf.[off .. off+len)];

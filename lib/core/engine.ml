@@ -386,7 +386,7 @@ let start t =
                     Store.home_dev p.store <> s.dev_idx
                     && List.exists
                          (fun seg ->
-                           (Segtbl.entry (Store.segtbl p.store) seg).Segtbl.dev = s.dev_idx)
+                           Segtbl.dev (Segtbl.entry (Store.segtbl p.store) seg) = s.dev_idx)
                          (Segtbl.swapped_out (Store.segtbl p.store)))
                   t.parts
               in

@@ -194,7 +194,7 @@ let check_segment_chain t ~(e : Segtbl.entry) (buckets : Codec.bucket list) =
           Printf.sprintf
             "%s: bucket %d of segment at loff=%d is out of chain order \
              (seg_id=%d/%d chain_pos=%d chain_len=%d/%d)"
-            t.name i e.Segtbl.off b.Codec.seg_id seg0 b.Codec.chain_pos
+            t.name i (Segtbl.off e) b.Codec.seg_id seg0 b.Codec.chain_pos
             b.Codec.chain_len n))
     buckets
 
@@ -210,14 +210,14 @@ let check_segment_chain t ~(e : Segtbl.entry) (buckets : Codec.bucket list) =
    device read is a zero-copy view, so it is decoded before anything
    blocks. *)
 let read_segment ?(torn_ok = false) ?(salvage = false) ctx t (e : Segtbl.entry) =
-  let log = log_for t e.Segtbl.dev in
-  let len = Codec.segment_bytes ~chain_len:e.Segtbl.chain_len in
+  let log = log_for t (Segtbl.dev e) in
+  let len = Codec.segment_bytes ~chain_len:(Segtbl.chain_len e) in
   let buf, off =
-    match Hashtbl.find_opt t.prefetch_cache e.Segtbl.off with
-    | Some b when e.Segtbl.dev = t.home_dev && Bytes.length b = len -> (b, 0)
+    match Hashtbl.find_opt t.prefetch_cache (Segtbl.off e) with
+    | Some b when Segtbl.dev e = t.home_dev && Bytes.length b = len -> (b, 0)
     | _ ->
         Circular_log.with_pin log (fun () ->
-            timed_ssd ctx (fun () -> Circular_log.read_view log ~loff:e.Segtbl.off ~len))
+            timed_ssd ctx (fun () -> Circular_log.read_view log ~loff:(Segtbl.off e) ~len))
   in
   let buckets, dropped =
     if salvage then Codec.decode_segment_salvage ~off ~len buf
@@ -349,6 +349,7 @@ let wait_for_space t log need =
    swap log. *)
 
 let put ?target t key value =
+  Codec.check_key ~fn:"Store.put" key;
   if Bytes.length value > max_value_size then invalid_arg "Store.put: value too large";
   if Bytes.length value = 0 then invalid_arg "Store.put: empty value (reserved as tombstone)";
   let t0 = Sim.now () in
@@ -371,6 +372,8 @@ let put ?target t key value =
     (Codec.segment_bytes ~chain_len:8 + t.config.compaction_window);
   let voff = ref (-1) and koff = ref (-1) in
   Segtbl.with_lock t.segtbl seg (fun () ->
+      (* A snapshot, still current after the value append blocks: the
+         lock keeps every other writer of this entry out. *)
       let e = Segtbl.entry t.segtbl seg in
       (* Overlap the value append with the segment read (the paper's
          latency optimisation: PUT adds only ~10 us over GET). *)
@@ -408,6 +411,7 @@ let put ?target t key value =
 (* --- DEL (§3.3): like PUT but only the key log; vlen=0 marks deletion --- *)
 
 let del t key =
+  Codec.check_key ~fn:"Store.del" key;
   let t0 = Sim.now () in
   let ctx = { ssd = 0.; cpu = 0.; accesses = 0 } in
   charge ctx t (Costs.command_setup +. Costs.hash_lookup);
@@ -497,13 +501,15 @@ let compact_key_log t =
   let blocked = ref false in
   let process (loff, seg, chain_len) =
     let e = Segtbl.entry t.segtbl seg in
-    if e.Segtbl.dev = t.home_dev && e.Segtbl.off = loff && e.Segtbl.chain_len = chain_len then begin
+    if Segtbl.dev e = t.home_dev && Segtbl.off e = loff && Segtbl.chain_len e = chain_len then begin
       (* Live segment: relocate. Skip (leave for the next round) if locked
          by a PUT/DEL/value compaction — the paper's rule; here we wait
          since the head must move past it. *)
       Segtbl.with_lock t.segtbl seg (fun () ->
+          (* Fetched again: a writer may have moved the segment while
+             this process waited for the lock. *)
           let e = Segtbl.entry t.segtbl seg in
-          if e.Segtbl.dev = t.home_dev && e.Segtbl.off = loff then begin
+          if Segtbl.dev e = t.home_dev && Segtbl.off e = loff then begin
             let sub = { ssd = 0.; cpu = 0.; accesses = 0 } in
             let items = read_segment ~salvage:true sub t e in
             let live = List.filter (fun it -> not (Codec.is_tombstone it)) items in
@@ -644,7 +650,7 @@ let merge_swapped_back t =
     (fun seg ->
       Segtbl.with_lock t.segtbl seg (fun () ->
           let e = Segtbl.entry t.segtbl seg in
-          if e.Segtbl.dev <> t.home_dev && Segtbl.is_materialised e then begin
+          if Segtbl.dev e <> t.home_dev && Segtbl.is_materialised e then begin
             let ctx = { ssd = 0.; cpu = 0.; accesses = 0 } in
             let items = read_segment ~salvage:true ctx t e in
             (* write_segment pulls the foreign values home as it goes. *)
@@ -708,7 +714,7 @@ let recover t =
      rebuilds every segment that survives on flash. *)
   for seg = 0 to Segtbl.nsegments t.segtbl - 1 do
     let e = Segtbl.entry t.segtbl seg in
-    Segtbl.update t.segtbl ~seg ~dev:e.Segtbl.dev ~off:e.Segtbl.off ~chain_len:0
+    Segtbl.update t.segtbl ~seg ~dev:(Segtbl.dev e) ~off:(Segtbl.off e) ~chain_len:0
   done;
   let loff = ref (Circular_log.head t.klog) in
   let stop = Circular_log.committed_tail t.klog in

@@ -79,11 +79,13 @@ val put : ?target:Circular_log.t * Circular_log.t -> t -> string -> bytes -> uni
 (** Three NVMe accesses, value append overlapped with the segment read.
     [target] redirects both appends to a foreign SSD's swap log (§3.6).
     Blocks for compaction headroom when a log is near-full. Raises
-    [Invalid_argument] on an empty value (the tombstone) or one larger
-    than 1 MiB. *)
+    [Invalid_argument] on an empty value (the tombstone), one larger
+    than 1 MiB, or a key longer than {!Codec.max_key_size} bytes. *)
 
 val del : t -> string -> unit
-(** Two NVMe accesses; writes a tombstoned segment copy. *)
+(** Two NVMe accesses; writes a tombstoned segment copy. Raises
+    [Invalid_argument] for a key longer than {!Codec.max_key_size}
+    bytes. *)
 
 (** {1 Compaction (§3.3.1)} *)
 

@@ -153,6 +153,29 @@ let test_cluster_delete () =
       Alcotest.(check (option string)) "deleted" None
         (Option.map Bytes.to_string (Client.get c (key 5))))
 
+let test_client_key_length () =
+  (* Refused before any RPC: no simulated time passes. *)
+  Sim.run (fun () ->
+      let cl = mk_cluster () in
+      let c = Cluster.client cl in
+      let k300 = String.make 300 'k' in
+      let t0 = Sim.now () in
+      List.iter
+        (fun (op, f) ->
+          Alcotest.check_raises op
+            (Invalid_argument (Printf.sprintf "Client.%s: key longer than 255 bytes" op))
+            f)
+        [
+          ("get", fun () -> ignore (Client.get c k300));
+          ("put", fun () -> Client.put c k300 (Bytes.of_string "x"));
+          ("del", fun () -> Client.del c k300);
+        ];
+      Alcotest.(check (float 0.)) "no RPC sent" t0 (Sim.now ());
+      let k255 = String.make 255 'k' in
+      Client.put c k255 (Bytes.of_string "long");
+      Alcotest.(check (option string)) "255-byte key served" (Some "long")
+        (Option.map Bytes.to_string (Client.get c k255)))
+
 let test_write_replicated_r_times () =
   Sim.run (fun () ->
       let cl = mk_cluster () in
@@ -419,6 +442,7 @@ let () =
         [
           Alcotest.test_case "put/get" `Quick test_cluster_put_get;
           Alcotest.test_case "delete" `Quick test_cluster_delete;
+          Alcotest.test_case "key over 255 B rejected" `Quick test_client_key_length;
           Alcotest.test_case "R replicas per object" `Quick test_write_replicated_r_times;
           Alcotest.test_case "read-after-write, any replica" `Quick test_read_after_write_any_replica;
           Alcotest.test_case "concurrent read/write no stale" `Quick test_concurrent_read_write_no_stale;

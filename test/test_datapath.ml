@@ -155,7 +155,7 @@ let ref_swapped_out tbl ~home_dev =
   List.filter
     (fun seg ->
       let e = Segtbl.entry tbl seg in
-      e.Segtbl.chain_len > 0 && e.Segtbl.dev <> home_dev)
+      Segtbl.chain_len e > 0 && Segtbl.dev e <> home_dev)
     (List.init (Segtbl.nsegments tbl) Fun.id)
 
 let prop_swapped_out_matches_scan =
@@ -170,6 +170,192 @@ let prop_swapped_out_matches_scan =
               Segtbl.update tbl ~seg ~dev ~off ~chain_len;
               Segtbl.swapped_out tbl = ref_swapped_out tbl ~home_dev)
             updates))
+
+(* The reference for the packed table: one boxed record per segment with
+   its own FIFO queue of waiting fibers, as the table was first written. *)
+type ref_entry = {
+  mutable r_dev : int;
+  mutable r_off : int;
+  mutable r_chain_len : int;
+  mutable r_locked : bool;
+  r_waiters : int Queue.t; (* fiber ids, oldest first *)
+}
+
+type segtbl_cmd =
+  | Update of int * int * int * int (* seg, dev, off, chain_len *)
+  | Lock of int (* a fresh fiber blocks in [lock] until it holds the lock *)
+  | Try_lock of int
+  | Unlock of int
+
+let show_segtbl_cmd = function
+  | Update (s, d, o, c) -> Printf.sprintf "update %d dev=%d off=%d chain_len=%d" s d o c
+  | Lock s -> Printf.sprintf "lock %d" s
+  | Try_lock s -> Printf.sprintf "try_lock %d" s
+  | Unlock s -> Printf.sprintf "unlock %d" s
+
+let model_nsegments = 4
+let model_home_dev = 1
+
+(* Boundary values first: the packed fields' limits and one past them. *)
+let gen_segtbl_cmd =
+  let open QCheck.Gen in
+  let seg = int_bound (model_nsegments - 1) in
+  let dev = oneof [ oneofl [ 0; model_home_dev; 2; 254; 255; -1 ]; int_bound 254 ] in
+  let off =
+    oneof [ oneofl [ -2; -1; 0; 1 lsl 40; (1 lsl 46) - 2; (1 lsl 46) - 1 ]; int_bound 1_000_000 ]
+  in
+  let chain_len = oneof [ oneofl [ 0; 1; 255; 256; -1 ]; int_bound 8 ] in
+  frequency
+    [
+      (4, map (fun (s, d, o, c) -> Update (s, d, o, c)) (quad seg dev off chain_len));
+      (3, map (fun s -> Lock s) seg);
+      (1, map (fun s -> Try_lock s) seg);
+      (3, map (fun s -> Unlock s) seg);
+    ]
+
+let arb_segtbl_cmds =
+  QCheck.make
+    ~print:(fun cmds -> String.concat "; " (List.map show_segtbl_cmd cmds))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_bound 60) gen_segtbl_cmd)
+
+(* Every command runs on the packed table and on the reference; after
+   each, the entries, the order in which fibers got the lock, the
+   swapped-out set (sanitized, so the foreign count is cross-checked by a
+   scan) and the number of live waiter queues must agree. *)
+let prop_segtbl_matches_model =
+  QCheck.Test.make ~name:"packed table matches the boxed reference" ~count:300 arb_segtbl_cmds
+    (fun cmds ->
+      Sim.run ~checks:true (fun () ->
+          let tbl = Segtbl.create ~nsegments:model_nsegments ~home_dev:model_home_dev () in
+          let model =
+            Array.init model_nsegments (fun _ ->
+                {
+                  r_dev = model_home_dev;
+                  r_off = -1;
+                  r_chain_len = 0;
+                  r_locked = false;
+                  r_waiters = Queue.create ();
+                })
+          in
+          let got = ref [] and want = ref [] and fibers = ref 0 in
+          let step = function
+            | Update (seg, dev, off, chain_len) ->
+                let valid =
+                  dev >= 0 && dev <= 254 && chain_len >= 0 && chain_len <= 255 && off >= -1
+                  && off <= (1 lsl 46) - 2
+                in
+                (match Segtbl.update tbl ~seg ~dev ~off ~chain_len with
+                | () -> if not valid then QCheck.Test.fail_report "out-of-range update accepted"
+                | exception Invalid_argument _ ->
+                    if valid then QCheck.Test.fail_report "valid update rejected");
+                if valid then begin
+                  let m = model.(seg) in
+                  m.r_dev <- dev;
+                  m.r_off <- off;
+                  m.r_chain_len <- chain_len
+                end
+            | Lock seg ->
+                let id = !fibers in
+                incr fibers;
+                Sim.spawn (fun () ->
+                    Segtbl.lock tbl seg;
+                    got := id :: !got);
+                let m = model.(seg) in
+                if m.r_locked then Queue.push id m.r_waiters
+                else begin
+                  m.r_locked <- true;
+                  want := id :: !want
+                end
+            | Try_lock seg ->
+                let m = model.(seg) in
+                let ok = Segtbl.try_lock tbl seg in
+                if ok = m.r_locked then QCheck.Test.fail_report "try_lock disagrees";
+                m.r_locked <- true
+            | Unlock seg -> (
+                let m = model.(seg) in
+                match Segtbl.unlock tbl seg with
+                | () ->
+                    if not m.r_locked then QCheck.Test.fail_report "unlock of a free segment accepted";
+                    if Queue.is_empty m.r_waiters then m.r_locked <- false
+                    else want := Queue.pop m.r_waiters :: !want
+                | exception Invalid_argument _ ->
+                    if m.r_locked then QCheck.Test.fail_report "unlock of a held segment rejected")
+          in
+          List.for_all
+            (fun cmd ->
+              step cmd;
+              (* Let spawned and woken fibers run. *)
+              Sim.delay 1e-6;
+              let entries_agree =
+                Array.for_all Fun.id
+                  (Array.mapi
+                     (fun seg m ->
+                       let e = Segtbl.entry tbl seg in
+                       Segtbl.dev e = m.r_dev && Segtbl.off e = m.r_off
+                       && Segtbl.chain_len e = m.r_chain_len
+                       && Segtbl.is_materialised e = (m.r_chain_len > 0))
+                     model)
+              in
+              let ref_swapped =
+                List.filter
+                  (fun seg -> model.(seg).r_chain_len > 0 && model.(seg).r_dev <> model_home_dev)
+                  (List.init model_nsegments Fun.id)
+              in
+              let ref_queues =
+                Array.fold_left
+                  (fun n m -> if Queue.is_empty m.r_waiters then n else n + 1)
+                  0 model
+              in
+              entries_agree && !got = !want
+              && Segtbl.swapped_out tbl = ref_swapped
+              && Segtbl.waiter_queues tbl = ref_queues)
+            cmds))
+
+(* The packed table's footprint, checked deterministically: one flat
+   block of immediate words, no waiter queue once contention drains, and
+   no allocation to read an entry. *)
+let test_segtbl_footprint () =
+  Sim.run (fun () ->
+      let n = 4096 in
+      let tbl = Segtbl.create ~nsegments:n ~home_dev:0 () in
+      for seg = 0 to n - 1 do
+        Segtbl.update tbl ~seg ~dev:(seg mod 3) ~off:(seg * 4096) ~chain_len:(1 + (seg mod 5))
+      done;
+      let words () = Obj.reachable_words (Obj.repr tbl) in
+      let bound = (2 * n) + 64 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d words <= %d" (words ()) bound)
+        true
+        (words () <= bound);
+      let order = ref [] in
+      Segtbl.lock tbl 7;
+      for i = 1 to 3 do
+        Sim.spawn (fun () ->
+            Segtbl.lock tbl 7;
+            order := i :: !order;
+            Segtbl.unlock tbl 7)
+      done;
+      Sim.delay 1e-6;
+      Alcotest.(check int) "one queue while contended" 1 (Segtbl.waiter_queues tbl);
+      Segtbl.unlock tbl 7;
+      Sim.delay 1e-6;
+      Alcotest.(check (list int)) "handed off in arrival order" [ 3; 2; 1 ] !order;
+      Alcotest.(check int) "no queue once drained" 0 (Segtbl.waiter_queues tbl);
+      Alcotest.(check bool) "lock released" true (Segtbl.try_lock tbl 7);
+      Segtbl.unlock tbl 7;
+      Alcotest.(check bool) "still within bound" true (words () <= bound);
+      let acc = ref 0 in
+      let before = Gc.minor_words () in
+      for i = 0 to 99_999 do
+        let e = Segtbl.entry tbl (i land (n - 1)) in
+        acc := !acc + Segtbl.off e + Segtbl.dev e + Segtbl.chain_len e
+      done;
+      let allocated = Gc.minor_words () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "entry reads allocate nothing (%.0f words)" allocated)
+        true (allocated < 64.);
+      Alcotest.(check bool) "entries were read" true (!acc > 0))
 
 let instant_dev () = Blockdev.create (Blockdev.instant ())
 
@@ -282,6 +468,8 @@ let () =
       ( "segtbl",
         [
           QCheck_alcotest.to_alcotest prop_swapped_out_matches_scan;
+          QCheck_alcotest.to_alcotest prop_segtbl_matches_model;
+          Alcotest.test_case "footprint: one word per entry" `Quick test_segtbl_footprint;
           Alcotest.test_case "swapped_out through recover and merge-back" `Quick
             test_swapped_out_after_recover;
         ] );

@@ -208,8 +208,8 @@ let test_read_repair_heals_replica () =
       let seg = Codec.segment_of_key ~nsegments:(Store.nsegments st) key in
       let e = Segtbl.entry (Store.segtbl st) seg in
       let devs = Engine.devices (Node.engine victim) in
-      Blockdev.flip_bit devs.(e.Segtbl.dev)
-        ~off:(Circular_log.phys (Store.klog st) e.Segtbl.off + 50)
+      Blockdev.flip_bit devs.(Segtbl.dev e)
+        ~off:(Circular_log.phys (Store.klog st) (Segtbl.off e) + 50)
         ~bit:2;
       (match Engine.submit (Node.engine victim) ~pid (Engine.Get key) with
       | Error Engine.Corrupt -> ()
@@ -257,8 +257,8 @@ let test_scrub_escalates_to_copy () =
           for seg = 0 to Store.nsegments st - 1 do
             let e = Segtbl.entry (Store.segtbl st) seg in
             if Segtbl.is_materialised e then
-              Blockdev.flip_bit devs.(e.Segtbl.dev)
-                ~off:(Circular_log.phys (Store.klog st) e.Segtbl.off + 20)
+              Blockdev.flip_bit devs.(Segtbl.dev e)
+                ~off:(Circular_log.phys (Store.klog st) (Segtbl.off e) + 20)
                 ~bit:1
           done)
         (Engine.partitions (Node.engine victim));

@@ -375,8 +375,8 @@ let test_repair_get_tail_fallback () =
       let seg = Codec.segment_of_key ~nsegments:(Store.nsegments st) key in
       let e = Segtbl.entry (Store.segtbl st) seg in
       let devs = Engine.devices (Node.engine victim) in
-      Blockdev.flip_bit devs.(e.Segtbl.dev)
-        ~off:(Circular_log.phys (Store.klog st) e.Segtbl.off + 50)
+      Blockdev.flip_bit devs.(Segtbl.dev e)
+        ~off:(Circular_log.phys (Store.klog st) (Segtbl.off e) + 50)
         ~bit:2;
       (* Partition the tail away: drop every message to or from its NIC.
          Read-repair prefers the tail (the one replica guaranteed

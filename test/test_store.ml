@@ -218,6 +218,22 @@ let test_segment_split_merge () =
       let cap = Codec.items_capacity ~key_size:16 in
       Alcotest.(check bool) "needs chaining" true (List.length items > cap))
 
+let test_segment_bucket_limit () =
+  (* chain_len and chain_pos are one byte each: 255 buckets encode, 256
+     would wrap both. *)
+  let bucket i =
+    { Codec.bindex = 0; chain_len = 0; chain_pos = 0; seg_id = 1; log_head = 0; log_tail = 0;
+      items = [ { Codec.key = string_of_int i; vlen = 1; voff = i; vdev = 0 } ] }
+  in
+  let n = Codec.max_chain_len in
+  let data = Codec.encode_segment (List.init n bucket) in
+  let back = Codec.decode_segment ~off:0 ~len:(Bytes.length data) data in
+  Alcotest.(check int) "255 buckets round-trip" n (List.length back);
+  Alcotest.(check int) "last chain_pos" (n - 1) (List.nth back (n - 1)).Codec.chain_pos;
+  Alcotest.check_raises "256 buckets rejected"
+    (Invalid_argument "Codec.encode_segment: 256 buckets exceed 255")
+    (fun () -> ignore (Codec.encode_segment (List.init (n + 1) bucket)))
+
 (* --- segtbl --- *)
 
 let test_segtbl_lock_mutex () =
@@ -254,6 +270,26 @@ let test_segtbl_memory_budget () =
   Alcotest.(check bool) (Printf.sprintf "%.3f B/obj < 0.5" per_obj) true (per_obj < 0.5)
 
 (* --- store: basic semantics --- *)
+
+let test_store_key_length () =
+  (* A key's length is one byte on flash: a 255-byte key round-trips, a
+     longer one is refused instead of being written truncated (and then
+     never found). *)
+  Sim.run (fun () ->
+      let st = make_store () in
+      let k255 = String.make 255 'k' and k300 = String.make 300 'k' in
+      Store.put st k255 (Bytes.of_string "long");
+      Alcotest.(check (option string)) "255-byte key served" (Some "long")
+        (Option.map Bytes.to_string (Store.get st k255));
+      Alcotest.check_raises "300-byte put rejected"
+        (Invalid_argument "Store.put: key longer than 255 bytes")
+        (fun () -> Store.put st k300 (Bytes.of_string "x"));
+      Alcotest.check_raises "300-byte del rejected"
+        (Invalid_argument "Store.del: key longer than 255 bytes")
+        (fun () -> Store.del st k300);
+      Store.del st k255;
+      Alcotest.(check (option string)) "255-byte key deleted" None
+        (Option.map Bytes.to_string (Store.get st k255)))
 
 let test_store_put_get () =
   Sim.run (fun () ->
@@ -541,6 +577,7 @@ let () =
           Alcotest.test_case "value entry roundtrip" `Quick test_value_entry_roundtrip;
           Alcotest.test_case "corrupt rejected" `Quick test_corrupt_rejected;
           Alcotest.test_case "segment chaining threshold" `Quick test_segment_split_merge;
+          Alcotest.test_case "at most 255 buckets" `Quick test_segment_bucket_limit;
         ] );
       ( "segtbl",
         [
@@ -552,6 +589,7 @@ let () =
         [
           Alcotest.test_case "put/get" `Quick test_store_put_get;
           Alcotest.test_case "value over 1 MiB rejected" `Quick test_store_value_too_large;
+          Alcotest.test_case "key over 255 B rejected" `Quick test_store_key_length;
           Alcotest.test_case "overwrite" `Quick test_store_overwrite;
           Alcotest.test_case "delete" `Quick test_store_delete;
           Alcotest.test_case "many keys" `Quick test_store_many_keys;
