@@ -169,7 +169,8 @@ echo "== cross-commit golden gate (simulated numbers vs checked-in goldens) =="
 # with goldens checked in by an earlier commit (test/golden/): the event
 # count and simulated metrics of the profile ycsb-b run, the digest of
 # every chaos stage, the checksum of the seed-42 trace capture and the
-# output of three fast paper experiments (fig1, fig11, table3). A change
+# output of four fast paper experiments (fig1, fig11, fig13, table3;
+# fig13 is the one that runs both compactors). A change
 # that moves any of them fails here unless it reruns tools/rebaseline.sh
 # and commits the new goldens on purpose.
 sh tools/rebaseline.sh "$tmp/golden"

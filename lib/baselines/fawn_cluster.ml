@@ -56,8 +56,6 @@ type t = {
 
 let name = "fawn"
 
-let store_of t id = t.nodes.(id).store
-
 let node_handler t (n : node) req =
   (* Network + request dispatch cycles on the embedded CPU. *)
   Platform.Cpu.execute_on n.platform n.cpu ~cycles:8000.;

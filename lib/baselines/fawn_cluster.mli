@@ -16,5 +16,3 @@ type config = {
 }
 
 include Leed_core.Backend.S with type config := config
-
-val store_of : t -> int -> Fawn_store.t

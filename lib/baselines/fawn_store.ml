@@ -74,7 +74,6 @@ let create ?(config = default_config) ~log () =
 
 let objects t = t.objects
 let max_objects t = t.max_objects
-let index_bytes t = t.objects * index_bytes_per_object
 let log t = t.log
 
 (* Fraction of the flash this store can actually index (Table 3 row 1). *)

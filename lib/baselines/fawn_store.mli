@@ -29,7 +29,6 @@ val create : ?config:config -> log:Leed_core.Circular_log.t -> unit -> t
 
 val objects : t -> int
 val max_objects : t -> int
-val index_bytes : t -> int
 val log : t -> Leed_core.Circular_log.t
 
 val addressable_fraction : t -> object_size:int -> float

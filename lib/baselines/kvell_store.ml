@@ -133,9 +133,6 @@ let create ?(config = default_config) ~devs () =
 let objects t = t.objects
 let max_objects t = t.max_objects
 
-let index_bytes t =
-  Array.fold_left (fun acc w -> acc + Btree.modeled_bytes w.btree) 0 t.workers
-
 let addressable_fraction t ~object_size ~flash_bytes =
   Float.min 1.0 (float_of_int (t.max_objects * object_size) /. float_of_int flash_bytes)
 

@@ -38,7 +38,6 @@ val start : t -> unit
 
 val objects : t -> int
 val max_objects : t -> int
-val index_bytes : t -> int
 val addressable_fraction : t -> object_size:int -> flash_bytes:int -> float
 
 val put : t -> string -> bytes -> unit

@@ -34,10 +34,6 @@ val node : t -> int -> Node.t
 val node_ids : t -> int list
 val peer_resolver : t -> int -> (Messages.request, Messages.response) Leed_netsim.Netsim.Rpc.t
 
-val broadcast : t -> unit
-(** Push the current ring to every node (Ring_update RPCs) and client
-    (jittered watch delivery). *)
-
 val register_bootstrap_node : t -> Node.t -> unit
 (** Insert a node with its vnodes directly RUNNING — cluster bootstrap
     only; follow with {!finish_bootstrap}. *)

@@ -520,8 +520,6 @@ let attach ?(config = enabled default_config) fab =
   Netsim.set_tap fab (tap t);
   t
 
-let detach t = Netsim.clear_tap t.fab
-
 let resident t =
   Array.fold_left (fun acc inst -> acc + Hashtbl.length inst.tbl) 0 t.insts
 

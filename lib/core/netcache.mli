@@ -104,10 +104,6 @@ val attach : ?config:config -> wire Leed_netsim.Netsim.fabric -> t
     [config]'s [mode] is not consulted — calling [attach] is the arming
     decision; [Cluster.create] makes it from its own config. *)
 
-val detach : t -> unit
-(** Remove the cache's tap from the fabric; resident entries and
-    counters survive for inspection. *)
-
 (** Cumulative counters plus the current hot-group and resident-entry
     gauges. [sprays] counts HOT GETs round-robined over the instances;
     [invalidations] write-driven eviction events that removed at least

@@ -28,10 +28,6 @@ val start : t -> unit
 val stop : t -> unit
 (** Stop sampling at the next tick. *)
 
-val sample : t -> unit
-(** Take one sample right now (also usable without {!start} for
-    event-driven snapshots, e.g. around a membership change). *)
-
 val samples : t -> int
 (** Number of samples taken so far. *)
 

@@ -80,12 +80,6 @@ val check : ?runs:int -> ?seed:int -> ?attribute_divergences:bool -> target -> r
     commuting event pair unless [attribute_divergences] is [false]
     (attribution costs O(log events) extra runs per divergence). *)
 
-val attribute :
-  target -> base_digest:string -> seed:int -> attribution option
-(** The bisection step alone: reproduce the divergence under [seed],
-    binary-search the perturbed prefix limit, and diff the two adjacent
-    dispatch logs. *)
-
 val pp_result : Format.formatter -> result -> unit
 (** One line per clean target; diverging targets additionally list each
     seed, digest and attributed event pair. *)

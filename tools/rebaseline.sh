@@ -12,10 +12,12 @@
 #                     writes, so a change that reorders, adds or drops any
 #                     traced event shows up
 # experiments-fast.txt
-#                     the stdout of `bench/main.exe fast fig1 fig11 table3`
-#                     without its wall-clock `[... done in Xs]` lines: the
-#                     device, single-JBOF engine and baseline-store paths
-#                     the paper experiments measure
+#                     the stdout of `bench/main.exe fast fig1 fig11 fig13
+#                     table3` without its wall-clock `[... done in Xs]`
+#                     lines: the device, single-JBOF engine, compaction and
+#                     baseline-store paths the paper experiments measure
+#                     (fig13's squeezed stores are the only golden run in
+#                     which both compactors work)
 #
 # Every number here is simulated, so it repeats exactly on any machine.
 # A change that should not move simulated behaviour must leave every file
@@ -55,5 +57,5 @@ dune exec bin/leed.exe -- trace --seed 42 --out "$trace" > /dev/null
 cksum < "$trace" > "$out/trace-seed42.txt"
 rm -f "$trace"
 
-dune exec bench/main.exe -- fast fig1 fig11 table3 \
+dune exec bench/main.exe -- fast fig1 fig11 fig13 table3 \
   | grep -v '^\[.* done in [0-9.]*s\]$' > "$out/experiments-fast.txt"
