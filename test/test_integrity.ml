@@ -187,6 +187,100 @@ let test_recovery_stops_at_rot () =
         | exception Store.Corrupt _ -> ()
       done)
 
+(* --- compaction over rotted frames --- *)
+
+(* The live items of [st] as the key log holds them, read around the
+   store so a test can see where each value lies. *)
+let live_items st =
+  List.concat_map
+    (fun seg ->
+      let e = Segtbl.entry (Store.segtbl st) seg in
+      if not (Segtbl.is_materialised e) then []
+      else
+        let n = Segtbl.chain_len e in
+        let buf = Circular_log.read (Store.klog st) ~loff:(Segtbl.off e) ~len:(n * Codec.bucket_size) in
+        List.concat_map
+          (fun i -> (Codec.decode_bucket ~off:(i * Codec.bucket_size) buf).Codec.items)
+          (List.init n Fun.id)
+        |> List.filter (fun it -> not (Codec.is_tombstone it)))
+    (List.init (Store.nsegments st) Fun.id)
+
+(* Twenty 40-byte value entries, one bit of the first flipped, then 200
+   value-log compaction rounds. Returns the head and the live values
+   behind it; checks every key reads back or surfaces [Corrupt]. *)
+let compact_rotted_value_log ~byte ~bit =
+  Sim.run (fun () ->
+      let dev, _, vlog, st = make_store () in
+      for i = 0 to 19 do
+        Store.put st (key_of i) (Bytes.of_string (Printf.sprintf "v%03d" i))
+      done;
+      Blockdev.flip_bit dev ~off:(Circular_log.phys vlog 0 + byte) ~bit;
+      for _ = 1 to 200 do
+        ignore (Store.compact_value_log st)
+      done;
+      (match Store.get st (key_of 0) with
+      | _ -> Alcotest.fail "the rotted value read back"
+      | exception Store.Corrupt _ -> ());
+      for i = 1 to 19 do
+        Alcotest.(check (option string)) "intact value" (Some (Printf.sprintf "v%03d" i))
+          (Option.map Bytes.to_string (Store.get st (key_of i)))
+      done;
+      let head = Circular_log.head vlog in
+      (head, List.length (List.filter (fun it -> it.Codec.voff < head) (live_items st))))
+
+let test_value_compaction_header_rot () =
+  (* Bit 0 of byte 3 adds 256 to the entry's vlen: trusting it would move
+     the head over the next seven live values without relocating them. *)
+  let head, behind = compact_rotted_value_log ~byte:3 ~bit:0 in
+  Alcotest.(check int) "no live value behind the head" 0 behind;
+  Alcotest.(check int) "head stops at the rotted entry" 0 head
+
+let test_value_compaction_payload_rot () =
+  (* A payload flip leaves the length intact (the next entry verifies):
+     the head keeps moving, the rotted value travels as-is for
+     read-repair. *)
+  let head, behind = compact_rotted_value_log ~byte:37 ~bit:0 in
+  Alcotest.(check int) "no live value behind the head" 0 behind;
+  Alcotest.(check bool) "head advanced" true (head > 0)
+
+(* Flip bit 2 of the chain_len byte of the key log's first frame after
+   [rounds] PUTs of each of 20 keys, then run 200 key-log compaction
+   rounds. Returns the head, the corrupt count and the first key's GET. *)
+let compact_rotted_key_log ~rounds =
+  Sim.run (fun () ->
+      let dev, klog, _, st = make_store () in
+      for r = 1 to rounds do
+        for i = 0 to 19 do
+          Store.put st (key_of i) (Bytes.of_string (Printf.sprintf "r%d" r))
+        done
+      done;
+      Blockdev.flip_bit dev ~off:(Circular_log.phys klog 0 + 1) ~bit:2;
+      for _ = 1 to 200 do
+        ignore (Store.compact_key_log st)
+      done;
+      for i = 1 to 19 do
+        Alcotest.(check (option string)) "intact key" (Some (Printf.sprintf "r%d" rounds))
+          (Option.map Bytes.to_string (Store.get st (key_of i)))
+      done;
+      let first = match Store.get st (key_of 0) with v -> Ok v | exception Store.Corrupt _ -> Error () in
+      (Circular_log.head klog, (Store.counters st).Store.corrupt, first))
+
+let test_key_compaction_stale_rot () =
+  (* The first frame is a stale copy of key 0's segment: nothing live is
+     in it, so the walk steps past it to the next verified frame. *)
+  let head, corrupt, first = compact_rotted_key_log ~rounds:20 in
+  Alcotest.(check bool) "head passed the rot" true (head > 0);
+  Alcotest.(check int) "skip counted once" 1 corrupt;
+  Alcotest.(check bool) "key 0 intact" true (first = Ok (Some (Bytes.of_string "r20")))
+
+let test_key_compaction_live_rot () =
+  (* Written once, the first frame is key 0's only copy: the window stops
+     at it, since skipping would drop a live segment. *)
+  let head, corrupt, first = compact_rotted_key_log ~rounds:1 in
+  Alcotest.(check int) "head stays at the rot" 0 head;
+  Alcotest.(check bool) "rot counted" true (corrupt >= 1);
+  Alcotest.(check bool) "key 0 surfaces Corrupt" true (first = Error ())
+
 (* --- cluster: a corrupt read heals transparently from the chain --- *)
 
 let test_read_repair_heals_replica () =
@@ -299,6 +393,14 @@ let () =
             test_get_surfaces_corrupt;
           Alcotest.test_case "recovery stops at a rotted frame" `Quick
             test_recovery_stops_at_rot;
+          Alcotest.test_case "value compaction stops at a rotted length" `Quick
+            test_value_compaction_header_rot;
+          Alcotest.test_case "value compaction moves past payload rot" `Quick
+            test_value_compaction_payload_rot;
+          Alcotest.test_case "key compaction skips a rotted stale frame" `Quick
+            test_key_compaction_stale_rot;
+          Alcotest.test_case "key compaction stops at a rotted live frame" `Quick
+            test_key_compaction_live_rot;
         ] );
       ( "cluster",
         [
