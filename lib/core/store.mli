@@ -91,8 +91,8 @@ val del : t -> string -> unit
 
 val compact_key_log : t -> int
 (** One round over [compaction_window] bytes at the head: one bulk scan
-    read, S parallel sub-compactions relocating live segments (purging
-    tombstones), head advance. Returns bytes reclaimed (0 when the round
+    read, S parallel sub-compactions relocating live segments from that
+    read's bytes (purging tombstones), head advance. Returns bytes reclaimed (0 when the round
     was blocked by lack of tail space). *)
 
 val compact_value_log : t -> int

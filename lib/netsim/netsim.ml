@@ -130,7 +130,6 @@ let judge fab ~src ~dst =
 (* --- switch tap --- *)
 
 let set_tap fab f = fab.tap <- Some f
-let clear_tap fab = fab.tap <- None
 
 type fabric_stats = { dropped : int; delayed : int; consumed : int }
 

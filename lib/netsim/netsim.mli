@@ -57,9 +57,6 @@ val set_tap : 'p fabric -> ('p envelope -> tap_verdict) -> unit
     the addressed endpoint. Tap closures run in the sender's process and
     must not block; spawn anything slow. *)
 
-val clear_tap : 'p fabric -> unit
-(** Remove the tap, restoring pure pass-through forwarding. *)
-
 val inject : 'p fabric -> src:'p endpoint -> dst:'p endpoint -> size:int -> 'p -> unit
 (** Switch-originated delivery: send a message minted at the switch (e.g.
     a cache serving a consumed request). Pays the base switch latency and
