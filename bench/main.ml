@@ -427,13 +427,6 @@ let micro () =
     }
   in
   let encoded = Leed_core.Codec.encode_bucket bucket in
-  let btree =
-    let t = Leed_baselines.Btree.create ~dummy:0 () in
-    for i = 0 to 9_999 do
-      Leed_baselines.Btree.insert t (key i) i
-    done;
-    t
-  in
   let ring =
     let r = Leed_core.Ring.create () in
     for n = 0 to 9 do
@@ -457,14 +450,6 @@ let micro () =
           (Staged.stage (fun () -> ignore (Leed_core.Codec.decode_bucket encoded)));
         Test.make ~name:"codec.hash_key"
           (Staged.stage (fun () -> ignore (Leed_core.Codec.hash_key "k000000000012345")));
-        Test.make ~name:"btree.find-10k"
-          (Staged.stage (fun () ->
-               incr i;
-               ignore (Leed_baselines.Btree.find btree (key (!i mod 10_000)))));
-        Test.make ~name:"btree.insert-10k"
-          (Staged.stage (fun () ->
-               incr i;
-               Leed_baselines.Btree.insert btree (key (!i mod 10_000)) !i));
         Test.make ~name:"ring.chain-r3"
           (Staged.stage (fun () ->
                incr i;

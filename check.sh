@@ -48,11 +48,14 @@ LEED_SANITIZE=1 dune runtest --force
 echo "== examples (each must exit 0) =="
 # The examples build their clusters from the library's default configs,
 # so a config change that breaks one shows up here. ycsb_cluster runs a
-# 20 ms window to keep the stage at a few seconds.
+# 20 ms window to keep the stage at a few seconds, once per backend; the
+# KVell run uses 4 KB objects, so its slab slots must follow -s.
 for ex in quickstart failover swap_demo; do
   dune exec "examples/$ex.exe" > /dev/null
 done
 dune exec examples/ycsb_cluster.exe -- -d 0.02 > /dev/null
+dune exec examples/ycsb_cluster.exe -- -b fawn -d 0.02 > /dev/null
+dune exec examples/ycsb_cluster.exe -- -b kvell -s 4096 -d 0.02 > /dev/null
 
 # The chaos stages run as a replication-protocol matrix: every schedule
 # must pass the same invariants (including the linearizability oracle)

@@ -28,9 +28,11 @@ let run backend_name workload_name object_size duration clients skew nkeys crrs 
     Sim.run (fun () ->
         let setup =
           (* The CRRS / flow-control knobs are LEED mechanisms; the other
-             backends take their comparison-default configs. *)
+             backends take their comparison-default configs, with KVell's
+             slab slots sized to the objects. *)
           match backend_name with
           | "leed" -> Exp_common.make_leed ~nclients:4 ~crrs ~flow_control ()
+          | "kvell" -> Exp_common.make_kvell ~nclients:4 ~object_size ()
           | name -> Exp_common.setup_of_name ~nclients:4 name
         in
         Printf.printf "preloading %d objects of %d B (R=3)...\n%!" nkeys object_size;

@@ -27,6 +27,9 @@ type t
 
 val create : ?config:config -> log:Leed_core.Circular_log.t -> unit -> t
 
+val index_bytes_per_object : int
+(** DRAM the index spends per object: the paper's 6 B. *)
+
 val objects : t -> int
 val max_objects : t -> int
 val log : t -> Leed_core.Circular_log.t

@@ -66,7 +66,7 @@ let node_handler (n : node) req =
   | KPut (key, v) -> (
       match Kvell_store.put n.store key v with
       | () -> KOk
-      | exception Kvell_store.Dram_full -> KErr)
+      | exception (Kvell_store.Dram_full | Kvell_store.Slab_full | Invalid_argument _) -> KErr)
   | KDel key -> (
       match Kvell_store.del n.store key with () -> KOk | exception _ -> KErr)
 

@@ -1,24 +1,29 @@
 (* KVell [SOSP'19] — the server-JBOF baseline: a shared-nothing,
    unordered-on-disk persistent KV store with batched asynchronous I/O.
 
-   Each worker owns a slice of the flash and, in DRAM: a B-tree index
+   Each worker owns a slice of the flash and, in DRAM: a hash index
    (key → slot), a free list of slots, and a page cache. Items live in
    fixed-size slots of a slab ("no ordering on disk"); updates are
    in-place (random writes — no log, no compaction, no sorting).
 
    Execution follows KVell's architecture: every command is enqueued to
-   its worker; the worker loop drains a batch, walks the B-tree for each
+   its worker; the worker loop drains a batch, looks up the index for each
    command *sequentially on its pinned core*, then issues the batch's
    device I/O asynchronously and completes the commands. Batching is what
    maxes out SSD bandwidth — and what inflates latency under load, the
    effect Table 3 shows on the wimpy SmartNIC cores. DRAM cost is ~64 B
-   per object, which caps the addressable capacity (Table 3 row 1). *)
+   per object, which caps the addressable capacity (Table 3 row 1). The
+   index's CPU cost is the flat [index_cycles] charge per op; the hash
+   table only answers key → slot, and nothing iterates it. *)
 
 open Leed_sim
 open Leed_blockdev
 
 exception Dram_full
 (* The in-memory index/page-cache budget is exhausted (Table 3 row 1). *)
+
+exception Slab_full
+(* The worker's slab slice has no free slot left. *)
 
 exception Corrupt of string
 (* A slot failed validation after an at-rest bit flip. *)
@@ -27,7 +32,7 @@ type config = {
   nworkers : int;
   slot_size : int;         (* slab item class *)
   dram_budget : int;       (* total for index + cache across workers *)
-  index_cycles : float;    (* per-op B-tree walk cost, A72-equivalent *)
+  index_cycles : float;    (* flat per-op index cost, A72-equivalent *)
   charge : int -> float -> unit; (* worker -> cycles -> () *)
 }
 
@@ -40,13 +45,13 @@ let default_config =
     charge = (fun _ _ -> ());
   }
 
-let index_bytes_per_object = 64 (* ~64 B: B-tree entry + free list + cache meta *)
+let index_bytes_per_object = 64 (* ~64 B: index entry + free list + cache meta *)
 let page_cache_frac = 0.25 (* share of DRAM for the page cache *)
 let batch_size = 64 (* device-access batching factor *)
 
 type op = OGet of string | OPut of string * bytes | ODel of string
 
-type outcome = Found of bytes | Missing | Done | Full | Corrupted
+type outcome = Found of bytes | Missing | Done | Full | No_slot | Corrupted
 
 type pending = { op : op; completion : outcome Sim.Ivar.t }
 
@@ -55,7 +60,7 @@ type worker = {
   dev : Blockdev.t;
   base : int;
   nslots : int;
-  btree : int Btree.t; (* key -> slot index *)
+  index : (string, int) Hashtbl.t; (* key -> slot index *)
   free_list : int Queue.t;
   mutable next_slot : int;
   inbox : pending Sim.Mailbox.t;
@@ -99,7 +104,7 @@ let create ?(config = default_config) ~devs () =
           dev;
           base;
           nslots = share / config.slot_size;
-          btree = Btree.create ~entry_bytes:index_bytes_per_object ~dummy:0 ();
+          index = Hashtbl.create 1024;
           free_list = Queue.create ();
           next_slot = 0;
           inbox = Sim.Mailbox.create ();
@@ -168,12 +173,12 @@ let decode_slot buf =
 
 let alloc_slot w =
   match Queue.take_opt w.free_list with
-  | Some s -> s
+  | Some s -> Some s
+  | None when w.next_slot >= w.nslots -> None
   | None ->
-      if w.next_slot >= w.nslots then failwith "kvell: slab full";
       let s = w.next_slot in
       w.next_slot <- s + 1;
-      s
+      Some s
 
 (* --- the worker loop: index phase (sequential CPU) then device phase
    (asynchronous batch) --- *)
@@ -188,7 +193,7 @@ let index_phase t w pend =
   t.config.charge w.wid t.config.index_cycles;
   match pend.op with
   | OGet key -> (
-      match Btree.find w.btree key with
+      match Hashtbl.find_opt w.index key with
       | None -> Complete (Missing, pend)
       | Some slot -> (
           t.reads <- t.reads + 1;
@@ -207,26 +212,24 @@ let index_phase t w pend =
               w.cache_misses <- w.cache_misses + 1;
               Read_slot (slot, pend)))
   | OPut (key, value) -> (
-      if String.length key + Bytes.length value + 8 > t.config.slot_size then
-        invalid_arg "Kvell_store: item exceeds slot size";
-      match Btree.find w.btree key with
+      match Hashtbl.find_opt w.index key with
       | Some slot ->
           t.writes <- t.writes + 1;
           Write_slot (slot, encode_slot key value t.config.slot_size, pend)
-      | None ->
-          if t.objects >= t.max_objects then Complete (Full, pend)
-          else begin
-            let slot = alloc_slot w in
-            Btree.insert w.btree key slot;
-            t.objects <- t.objects + 1;
-            t.writes <- t.writes + 1;
-            Write_slot (slot, encode_slot key value t.config.slot_size, pend)
-          end)
+      | None when t.objects >= t.max_objects -> Complete (Full, pend)
+      | None -> (
+          match alloc_slot w with
+          | None -> Complete (No_slot, pend)
+          | Some slot ->
+              Hashtbl.replace w.index key slot;
+              t.objects <- t.objects + 1;
+              t.writes <- t.writes + 1;
+              Write_slot (slot, encode_slot key value t.config.slot_size, pend)))
   | ODel key -> (
-      match Btree.find w.btree key with
+      match Hashtbl.find_opt w.index key with
       | None -> Complete (Done, pend)
       | Some slot ->
-          ignore (Btree.delete w.btree key);
+          Hashtbl.remove w.index key;
           Queue.push slot w.free_list;
           Hashtbl.remove w.cache slot;
           t.objects <- t.objects - 1;
@@ -307,11 +310,19 @@ let get t key =
   | Found v -> Some v
   | Missing | Done -> None
   | Full -> raise Dram_full
+  | No_slot -> raise Slab_full
   | Corrupted -> raise (Corrupt "kvell: rotted slot")
 
+(* An item that cannot fit one slot, or whose key length the one-byte slot
+   header cannot record, is refused here, before it reaches the worker,
+   so it fails only this call. *)
 let put t key value =
+  Leed_core.Codec.check_key ~fn:"Kvell_store.put" key;
+  if String.length key + Bytes.length value + 8 > t.config.slot_size then
+    invalid_arg "Kvell_store.put: item exceeds slot size";
   match submit t (OPut (key, value)) with
   | Full -> raise Dram_full
+  | No_slot -> raise Slab_full
   | Found _ | Missing | Done | Corrupted -> ()
 
 let del t key = ignore (submit t (ODel key))

@@ -1,16 +1,21 @@
 (** KVell [SOSP'19] — the server-JBOF baseline: a shared-nothing,
     unordered-on-disk persistent KV store with batched asynchronous I/O.
 
-    Each worker owns a slab slice of the flash and keeps a B-tree index,
-    a free list, and a page cache in DRAM (~64 B per object — the Table 3
-    capacity cap). Commands are enqueued to their worker; the worker walks
-    the B-tree for each batch entry sequentially on its pinned core and
-    issues the device I/O asynchronously behind a window of 64. Every
-    command costs at most one SSD access; the CPU-heavy index is why KVell
-    collapses on the wimpy SmartNIC while topping throughput on a Xeon. *)
+    Each worker owns a slab slice of the flash and keeps a hash index
+    (key → slot), a free list, and a page cache in DRAM (~64 B per object
+    — the Table 3 capacity cap). Commands are enqueued to their worker;
+    the worker looks up each batch entry sequentially on its pinned core,
+    paying the flat [index_cycles] charge per op, and issues the device
+    I/O asynchronously behind a window of 64. Every command costs at most
+    one SSD access; the CPU-heavy index is why KVell collapses on the
+    wimpy SmartNIC while topping throughput on a Xeon. *)
 
 exception Dram_full
 (** The DRAM index budget is exhausted (Table 3 row 1). *)
+
+exception Slab_full
+(** The key's worker has no free slot left in its slab slice; fails the
+    single put, never the worker loop. *)
 
 exception Corrupt of string
 (** A slot failed validation after an at-rest bit flip; fails the single
@@ -21,11 +26,19 @@ type config = {
   slot_size : int;              (** slab item class *)
   dram_budget : int;
       (** a quarter is page cache, the rest indexes objects at 64 B each *)
-  index_cycles : float;         (** per-op B-tree walk, A72-equivalent *)
+  index_cycles : float;
+      (** flat index charge per op (lookup, insert or delete), A72-equivalent *)
   charge : int -> float -> unit; (** worker id -> cycles -> () *)
 }
 
 val default_config : config
+
+val index_bytes_per_object : int
+(** DRAM per indexed object (index entry, free list and cache metadata):
+    64 B. *)
+
+val page_cache_frac : float
+(** Share of [dram_budget] given to the page cache: 0.25. *)
 
 type t
 
@@ -41,8 +54,12 @@ val max_objects : t -> int
 val addressable_fraction : t -> object_size:int -> flash_bytes:int -> float
 
 val put : t -> string -> bytes -> unit
-(** In-place update, or slot allocation for a new key; raises
-    {!Dram_full} beyond the index budget. *)
+(** In-place update, or slot allocation for a new key. Raises
+    [Invalid_argument] (before the op reaches a worker) for a key longer
+    than {!Leed_core.Codec.max_key_size} bytes or when key, value and the
+    8 B slot header exceed [slot_size], {!Dram_full} beyond the
+    index budget and {!Slab_full} when the worker's slab has no free
+    slot. *)
 
 val get : t -> string -> bytes option
 val del : t -> string -> unit

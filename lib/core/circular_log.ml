@@ -82,24 +82,6 @@ let write_range t ~loff data =
 let committed_tail t =
   List.fold_left (fun acc (loff, _) -> min acc loff) t.tail t.outstanding
 
-let append t data =
-  let len = Bytes.length data in
-  if len > free t then
-    raise
-      (Log_full
-         (Printf.sprintf "%s: append of %d bytes exceeds free space %d" t.name len (free t)));
-  (* Reserve first: concurrent appends must not claim the same range while
-     this one blocks on the device. *)
-  let loff = t.tail in
-  t.tail <- t.tail + len;
-  t.appended_bytes <- t.appended_bytes + len;
-  t.outstanding <- (loff, len) :: t.outstanding;
-  (try write_range t ~loff data with e ->
-     t.outstanding <- List.filter (fun (o, _) -> o <> loff) t.outstanding;
-     raise e);
-  t.outstanding <- List.filter (fun (o, _) -> o <> loff) t.outstanding;
-  loff
-
 (* Block until the whole log prefix through the entry at [loff] is durable
    — i.e. no reservation at or below it is still in flight. An entry after
    a torn hole is unreachable to the append-order recovery scan, so a
@@ -147,6 +129,13 @@ let write_reserved t ~loff data =
      settle ();
      raise e);
   settle ()
+
+(* Reserve first: concurrent appends must not claim the same range while
+   this one blocks on the device. *)
+let append t data =
+  let loff = reserve t (Bytes.length data) in
+  write_reserved t ~loff data;
+  loff
 
 let pin t = t.pins <- t.pins + 1
 

@@ -42,8 +42,13 @@ val create : nsegments:int -> home_dev:int -> unit -> t
 val nsegments : t -> int
 val entry : t -> int -> entry
 
+val entry_bytes : int
+(** Modeled DRAM bytes per entry: the paper's 6 B budget, not the 8 B the
+    simulator spends. *)
+
 val modeled_bytes : t -> int
-(** The DRAM an 8 GB Stingray would actually spend on this table. *)
+(** The DRAM an 8 GB Stingray would actually spend on this table:
+    [nsegments * entry_bytes]. *)
 
 val update : t -> seg:int -> dev:int -> off:int -> chain_len:int -> unit
 (** Point the segment at a fresh on-flash copy. The single place a

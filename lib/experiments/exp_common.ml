@@ -109,9 +109,9 @@ let make_kvell ?(nnodes = 3) ?nclients ?(object_size = 1024) ?platform () =
       Kvell_store.nworkers = 32;
       slot_size = object_size + 64;
       dram_budget = 8 * 1024 * 1024;
-      (* The Xeon's OoO core + cache hierarchy favours B-tree walks beyond
-         the generic per-cycle factor; calibrated so Server-KVell peaks a
-         few x above SmartNIC-LEED as in Fig. 6. *)
+      (* The Xeon's OoO core + cache hierarchy favours KVell's index
+         lookups beyond the generic per-cycle factor; calibrated so
+         Server-KVell peaks a few x above SmartNIC-LEED as in Fig. 6. *)
       index_cycles = 40_000.;
     }
   in

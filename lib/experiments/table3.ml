@@ -22,21 +22,24 @@ let flash_bytes = 4. *. 960. *. gb
 let dram_bytes = 8. *. gb
 
 let fawn_capacity ~object_size =
-  (* 6 B of DRAM per object, ~80% of DRAM usable for the index. *)
-  let objects = 0.8 *. dram_bytes /. 6. in
+  (* FAWN-DS's DRAM per object, ~80% of DRAM usable for the index. *)
+  let objects = 0.8 *. dram_bytes /. float_of_int Fawn_store.index_bytes_per_object in
   Float.min 1.0 (objects *. float_of_int object_size /. flash_bytes)
 
 let kvell_capacity ~object_size =
-  (* ~64 B per object across B-tree + free lists, 25% of DRAM to the page
-     cache. *)
-  let objects = 0.75 *. dram_bytes /. 64. in
+  (* KVell's DRAM per object (hash index entry + free list + cache meta),
+     after its page-cache share of DRAM. *)
+  let objects =
+    (1. -. Kvell_store.page_cache_frac) *. dram_bytes
+    /. float_of_int Kvell_store.index_bytes_per_object
+  in
   Float.min 1.0 (objects *. float_of_int object_size /. flash_bytes)
 
 let leed_capacity ~object_size =
-  (* SegTbl: 6 B per *segment* of ~14 objects — DRAM never binds; what is
-     lost is metadata overhead in the logs (~36 B key-log amortised +
-     20 B value header per object) and the swap reserve. *)
-  let objects_dram = dram_bytes /. 6. *. 14. in
+  (* SegTbl: its modeled bytes per *segment* of ~14 objects — DRAM never
+     binds; what is lost is metadata overhead in the logs (~36 B key-log
+     amortised + 20 B value header per object) and the swap reserve. *)
+  let objects_dram = dram_bytes /. float_of_int Segtbl.entry_bytes *. 14. in
   let dram_frac = Float.min 1.0 (objects_dram *. float_of_int object_size /. flash_bytes) in
   let overhead = float_of_int object_size /. float_of_int (object_size + 36 + 20) in
   dram_frac *. overhead *. 0.98
@@ -135,7 +138,7 @@ let fawn_point ~object_size =
       measure ~preload ~execute_read ~execute_write)
 
 (* KVell on the JBOF: shared-nothing workers pinned to the wimpy A72
-   cores; B-tree indexing is where the cycles go. *)
+   cores; the flat per-op index charge is where the cycles go. *)
 let kvell_point ~object_size =
   Sim.run (fun () ->
       let platform = Exp_common.leed_platform () in

@@ -3,13 +3,17 @@
     read/write latency and throughput for 256 B and 1 KB objects. *)
 
 val fawn_capacity : object_size:int -> float
-(** Max usable TB at full hardware scale under FAWN's 6 B/object DRAM
-    index model. *)
+(** Max usable fraction of flash at full hardware scale under FAWN's
+    {!Leed_baselines.Fawn_store.index_bytes_per_object} DRAM index
+    model. *)
 
 val kvell_capacity : object_size:int -> float
-(** Same under KVell's B-tree index model. *)
+(** Same under KVell's model:
+    {!Leed_baselines.Kvell_store.index_bytes_per_object} per object after
+    the page cache's share of DRAM. *)
 
 val leed_capacity : object_size:int -> float
-(** Same under LEED's two-level segment-table model. *)
+(** Same under LEED's segment-table model
+    ({!Leed_core.Segtbl.entry_bytes} per segment). *)
 
 val run : unit -> unit

@@ -1,5 +1,5 @@
-(* Tests for the baseline systems: B-tree, FAWN-DS, KVell, and their
-   cluster wrappers. *)
+(* Tests for the baseline systems: FAWN-DS, KVell, and their cluster
+   wrappers. *)
 
 open Leed_sim
 open Leed_core
@@ -7,86 +7,6 @@ open Leed_baselines
 open Leed_blockdev
 
 let key = Leed_workload.Workload.key_of_id
-
-(* --- B-tree --- *)
-
-let test_btree_insert_find () =
-  let t = Btree.create ~dummy:0 () in
-  for i = 0 to 999 do
-    Btree.insert t (key i) i
-  done;
-  Alcotest.(check int) "size" 1000 (Btree.size t);
-  Btree.check t;
-  for i = 0 to 999 do
-    Alcotest.(check (option int)) "found" (Some i) (Btree.find t (key i))
-  done;
-  Alcotest.(check (option int)) "absent" None (Btree.find t (key 5000))
-
-let test_btree_replace () =
-  let t = Btree.create ~dummy:0 () in
-  Btree.insert t "a" 1;
-  Btree.insert t "a" 2;
-  Alcotest.(check int) "size stays 1" 1 (Btree.size t);
-  Alcotest.(check (option int)) "latest" (Some 2) (Btree.find t "a")
-
-let test_btree_delete () =
-  let t = Btree.create ~order:6 ~dummy:0 () in
-  for i = 0 to 199 do
-    Btree.insert t (key i) i
-  done;
-  for i = 0 to 199 do
-    if i mod 2 = 0 then Alcotest.(check bool) "deleted" true (Btree.delete t (key i))
-  done;
-  Btree.check t;
-  Alcotest.(check int) "size" 100 (Btree.size t);
-  for i = 0 to 199 do
-    let expect = if i mod 2 = 0 then None else Some i in
-    Alcotest.(check (option int)) "survivors" expect (Btree.find t (key i))
-  done;
-  Alcotest.(check bool) "delete absent" false (Btree.delete t (key 5000))
-
-(* Deleting an absent key can still merge the root's only two children
-   on the way down; the emptied root must be dropped then too, or a later
-   delete descends from a key-less root and indexes kids.(-1). *)
-let test_btree_delete_absent_after_merge () =
-  let t = Btree.create ~order:4 ~dummy:0 () in
-  List.iter (fun i -> Btree.insert t (key i) i) [ 11; 7; 0; 10; 4; 8; 2; 9; 4 ];
-  Alcotest.(check bool) "deleted" true (Btree.delete t (key 8));
-  Btree.insert t (key 10) 10;
-  List.iter
-    (fun i -> Alcotest.(check bool) "absent" false (Btree.delete t (key i)))
-    [ 8; 1; 1 ];
-  Btree.check t;
-  Alcotest.(check int) "size" 7 (Btree.size t)
-
-let test_btree_sorted_iteration () =
-  let t = Btree.create ~order:5 ~dummy:0 () in
-  let ids = [ 42; 7; 100; 3; 55; 19; 88; 1; 64; 27 ] in
-  List.iter (fun i -> Btree.insert t (key i) i) ids;
-  let got = List.map fst (Btree.to_list t) in
-  Alcotest.(check (list string)) "sorted" (List.sort compare (List.map key ids)) got
-
-let btree_model_prop =
-  QCheck.Test.make ~name:"btree behaves like a map under random ops" ~count:100
-    QCheck.(
-      pair (int_range 4 12)
-        (list_of_size (Gen.int_range 1 300) (pair (int_bound 60) (option (int_bound 1000)))))
-    (fun (order, ops) ->
-      let t = Btree.create ~order ~dummy:0 () in
-      let model = Hashtbl.create 32 in
-      List.iter
-        (fun (id, v) ->
-          match v with
-          | Some v ->
-              Btree.insert t (key id) v;
-              Hashtbl.replace model (key id) v
-          | None ->
-              ignore (Btree.delete t (key id));
-              Hashtbl.remove model (key id))
-        ops;
-      (match Btree.check t with () -> () | exception Failure m -> QCheck.Test.fail_report m);
-      Btree.size t = Hashtbl.length model
-      && Hashtbl.fold (fun k v acc -> acc && Btree.find t k = Some v) model true)
 
 (* --- FAWN store --- *)
 
@@ -282,6 +202,65 @@ let test_kvell_dram_capacity_limit () =
       | () -> Alcotest.fail "expected Dram_full"
       | exception Kvell_store.Dram_full -> ())
 
+(* An item too large for its slot, a key too long for the slot header
+   and a put into a full slab each fail that one call; the workers keep
+   serving the rest of the run. *)
+let test_kvell_put_failures_stay_local () =
+  Sim.run (fun () ->
+      (* one worker over a four-slot slab *)
+      let devs = [| Blockdev.create (Blockdev.instant ~capacity_bytes:(4 * 512) ()) |] in
+      let s =
+        Kvell_store.create
+          ~config:{ Kvell_store.default_config with Kvell_store.nworkers = 1; slot_size = 512 }
+          ~devs ()
+      in
+      let get k = Option.map Bytes.to_string (Kvell_store.get s k) in
+      (match Kvell_store.put s (key 0) (Bytes.make 512 'x') with
+      | () -> Alcotest.fail "expected Invalid_argument for an oversized item"
+      | exception Invalid_argument _ -> ());
+      (match Kvell_store.put s (String.make 256 'k') (Bytes.of_string "v") with
+      | () -> Alcotest.fail "expected Invalid_argument for a 256-byte key"
+      | exception Invalid_argument _ -> ());
+      for i = 0 to 3 do
+        Kvell_store.put s (key i) (Bytes.of_string (string_of_int i))
+      done;
+      (match Kvell_store.put s (key 4) (Bytes.of_string "4") with
+      | () -> Alcotest.fail "expected Slab_full"
+      | exception Kvell_store.Slab_full -> ());
+      Alcotest.(check int) "objects" 4 (Kvell_store.objects s);
+      Alcotest.(check (option string)) "refused key absent" None (get (key 4));
+      Kvell_store.put s (key 1) (Bytes.of_string "one");
+      Alcotest.(check (option string)) "in-place update" (Some "one") (get (key 1));
+      Kvell_store.del s (key 0);
+      Kvell_store.put s (key 4) (Bytes.of_string "4");
+      Alcotest.(check (option string)) "freed slot reused" (Some "4") (get (key 4)))
+
+let kvell_model_prop =
+  QCheck.Test.make ~name:"kvell store behaves like a hashtable" ~count:60
+    QCheck.(
+      list_of_size (Gen.int_range 1 100)
+        (pair (int_bound 25) (option (string_of_size (Gen.int_range 1 50)))))
+    (fun ops ->
+      Sim.run (fun () ->
+          let s = mk_kvell () in
+          let model = Hashtbl.create 16 in
+          List.iter
+            (fun (id, v) ->
+              match v with
+              | Some v ->
+                  Kvell_store.put s (key id) (Bytes.of_string v);
+                  Hashtbl.replace model (key id) v
+              | None ->
+                  Kvell_store.del s (key id);
+                  Hashtbl.remove model (key id))
+            ops;
+          Kvell_store.objects s = Hashtbl.length model
+          && List.for_all
+               (fun id ->
+                 Option.map Bytes.to_string (Kvell_store.get s (key id))
+                 = Hashtbl.find_opt model (key id))
+               (List.init 26 Fun.id)))
+
 (* --- cluster wrappers --- *)
 
 let test_fawn_cluster_end_to_end () =
@@ -323,7 +302,13 @@ let test_kvell_cluster_end_to_end () =
           (Option.map Bytes.to_string (Kvell_cluster.get c (key i)))
       done;
       Alcotest.(check int) "replicated" 90 (Kvell_cluster.total_objects cl);
-      Alcotest.(check int) "no nacks" 0 (Backend.count (Kvell_cluster.counters cl) "client.nacks"))
+      Alcotest.(check int) "no nacks" 0 (Backend.count (Kvell_cluster.counters cl) "client.nacks");
+      (* an item larger than a slot is refused by each replica with KErr *)
+      Kvell_cluster.put c (key 30) (Bytes.make 512 'x');
+      Alcotest.(check int) "oversized put nacked" 3
+        (Backend.count (Kvell_cluster.counters cl) "client.nacks");
+      Alcotest.(check (option string)) "still serving" (Some "0")
+        (Option.map Bytes.to_string (Kvell_cluster.get c (key 0))))
 
 let test_fawn_slower_than_kvell_cluster () =
   (* Sanity on relative platform speed: a Pi-backed FAWN get is much slower
@@ -361,14 +346,6 @@ let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false
 let () =
   Alcotest.run "leed_baselines"
     [
-      ( "btree",
-        [
-          Alcotest.test_case "insert/find" `Quick test_btree_insert_find;
-          Alcotest.test_case "replace" `Quick test_btree_replace;
-          Alcotest.test_case "delete" `Quick test_btree_delete;
-          Alcotest.test_case "sorted iteration" `Quick test_btree_sorted_iteration;
-          Alcotest.test_case "delete absent after a merge" `Quick test_btree_delete_absent_after_merge;
-        ] );
       ( "fawn",
         [
           Alcotest.test_case "put/get/del" `Quick test_fawn_put_get_del;
@@ -385,6 +362,7 @@ let () =
           Alcotest.test_case "slot reuse" `Quick test_kvell_slot_reuse;
           Alcotest.test_case "cache hits" `Quick test_kvell_cache_hits;
           Alcotest.test_case "dram capacity limit" `Quick test_kvell_dram_capacity_limit;
+          Alcotest.test_case "failed put stays local" `Quick test_kvell_put_failures_stay_local;
         ] );
       ( "clusters",
         [
@@ -392,5 +370,5 @@ let () =
           Alcotest.test_case "kvell end-to-end" `Quick test_kvell_cluster_end_to_end;
           Alcotest.test_case "fawn slower than kvell" `Quick test_fawn_slower_than_kvell_cluster;
         ] );
-      qsuite "properties" [ btree_model_prop; fawn_model_prop ];
+      qsuite "properties" [ fawn_model_prop; kvell_model_prop ];
     ]

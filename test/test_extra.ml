@@ -274,18 +274,6 @@ let test_counter_derived_totals () =
   Alcotest.(check int) "nvme accesses, writes unregistered" 5
     (Backend.nvme_accesses [ ("blockdev.reads", Backend.Count 5) ])
 
-let btree_small_order_heavy_delete =
-  QCheck.Test.make ~name:"order-4 btree survives heavy delete/reinsert" ~count:50
-    QCheck.(list_of_size (Gen.int_range 50 150) (int_bound 40))
-    (fun ids ->
-      let t = Btree.create ~order:4 ~dummy:0 () in
-      List.iteri (fun i id -> Btree.insert t (key id) i) ids;
-      List.iter (fun id -> ignore (Btree.delete t (key id))) ids;
-      Btree.check t;
-      Btree.size t = 0)
-
-let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
-
 let () =
   Alcotest.run "leed_extra"
     [
@@ -320,5 +308,4 @@ let () =
           Alcotest.test_case "wrong kind raises" `Quick test_counter_wrong_kind_raises;
           Alcotest.test_case "derived totals add their parts" `Quick test_counter_derived_totals;
         ] );
-      qsuite "properties" [ btree_small_order_heavy_delete ];
     ]
