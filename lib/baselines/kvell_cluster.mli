@@ -16,4 +16,10 @@ type config = {
   store_config : Kvell_store.config;
 }
 
-include Leed_core.Backend.S with type config := config
+include Leed_core.Backend.S
+
+val default_config : config
+
+val create : ?config:config -> unit -> t
+(** Build the cluster inside a simulation ([Sim.run]) context; the
+    returned system is fully started. *)

@@ -153,7 +153,7 @@ module Impl = struct
         (* chain-protocol traffic aimed at a quorum cluster *)
         Some (Messages.Nack Messages.Not_serving)
     | Messages.Copy_put _ | Messages.Repair_get _ | Messages.Ring_update _
-    | Messages.Ping _ ->
+    | Messages.Ping ->
         None
 
   (* --- client side --- *)

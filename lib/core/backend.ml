@@ -57,12 +57,9 @@ type metrics = {
 
 module type S = sig
   type t
-  type config
   type client
 
   val name : string
-  val default_config : config
-  val create : ?config:config -> unit -> t
   val client : t -> client
   val get : client -> string -> bytes option
   val put : client -> string -> bytes -> unit

@@ -2,11 +2,13 @@
 
     The paper's whole evaluation (§4, Figs 5–14, Table 3) is comparative —
     LEED vs FAWN vs KVell per-watt and per-dollar — so every system must
-    expose the same service surface: creation, client acquisition, the
-    three data operations, object accounting, and a uniform registry of
-    named counters. A system implements {!S}; callers that
-    do not care which system they drive hold a packed {!t} / {!client}
-    and use the generic operations below.
+    expose the same service surface: client acquisition, the three data
+    operations, object accounting, and a uniform registry of named
+    counters. A system implements {!S} and keeps its own config and
+    constructor (each system's are different, and nothing builds a
+    system through the signature); callers that do not care which system
+    they drive hold a packed {!t} / {!client} and use the generic
+    operations below.
 
     Implementations: [Leed_backend] (this library),
     [Leed_baselines.Fawn_cluster], and [Leed_baselines.Kvell_cluster].
@@ -76,17 +78,10 @@ type metrics = {
 (** What a KV system must provide to be comparable. *)
 module type S = sig
   type t
-  type config
   type client
 
   val name : string
   (** Short selector name ("leed", "fawn", "kvell"). *)
-
-  val default_config : config
-
-  val create : ?config:config -> unit -> t
-  (** Build the cluster inside a simulation ([Sim.run]) context. The
-      returned system is fully started. *)
 
   val client : t -> client
   (** A new front-end endpoint with its own NIC attachment. *)

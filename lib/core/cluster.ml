@@ -17,8 +17,6 @@ type config = {
   client_config : Client.config;
   platform : Platform.t;
   heartbeat_period : float;   (* failure-detector probe period (§3.8.2) *)
-  miss_limit : int;           (* consecutive missed probes before fail-out *)
-  slow_detection : bool;      (* gray-failure outlier scoring + escalation *)
   cache : Netcache.config;    (* in-network cache (§15); default Off *)
 }
 
@@ -31,8 +29,6 @@ let default_config =
     client_config = Client.default_config;
     platform = Platform.smartnic_jbof;
     heartbeat_period = 0.2;
-    miss_limit = 3;
-    slow_detection = true;
     cache = Netcache.default_config;
   }
 
@@ -147,7 +143,7 @@ let create ?(config = default_config) () =
   let fabric = Netsim.fabric () in
   let control =
     Control.create ~r:config.r ~heartbeat_period:config.heartbeat_period
-      ~miss_limit:config.miss_limit ~slow_detection:config.slow_detection fabric
+      ~slow_detection:config.client_config.Client.gray_defenses fabric
   in
   let cache =
     match config.cache.Netcache.mode with
@@ -193,10 +189,9 @@ let cache t = t.cache
 (* A new front-end client with its own NIC endpoint, ring watch, and a
    deterministic per-client jitter stream (seeded off its id so two
    clients never share a backoff sequence). *)
-let client ?(config : Client.config option) t =
+let client t =
   let c =
-    Client.create
-      ~config:(Option.value config ~default:t.config.client_config)
+    Client.create ~config:t.config.client_config
       ~r:t.config.r ~proto:t.config.proto
       ~rng:(Rng.create (40000 + t.next_client_id))
       ~track:t.clients_track ~fabric:t.fabric

@@ -10,16 +10,13 @@ type config = {
           client the cluster creates (default [Crrs]) *)
   engine_config : Engine.config;
   client_config : Client.config;
+      (** the config of every client the cluster creates; its
+          [gray_defenses] bit also arms the control plane's slow-outlier
+          ladder ({!Control.create}'s [slow_detection]) *)
   platform : Leed_platform.Platform.t;
   heartbeat_period : float;
-      (** failure-detector probe period (§3.8.2); default 0.2 s *)
-  miss_limit : int;
-      (** consecutive missed probes before a node is failed out; default 3 *)
-  slow_detection : bool;
-      (** gray-failure detection (default true): score heartbeat-reported
-          service times against the per-round median and walk sustained
-          outliers up the deprioritize → drain → fence ladder
-          ({!Control.create}) *)
+      (** failure-detector probe period (§3.8.2); default 0.2 s. A node
+          that misses 3 probes in a row is failed out. *)
   cache : Netcache.config;
       (** in-network hot-object cache (DESIGN.md §15); armed when its
           [mode] is [Ttl_lru], default [Netcache.default_config]
@@ -56,9 +53,9 @@ val cache : t -> Netcache.t option
 (** The armed in-network cache, when the config's cache mode was
     [Ttl_lru] at creation; [None] otherwise. *)
 
-val client : ?config:Client.config -> t -> Client.t
+val client : t -> Client.t
 (** A new front-end client with its own NIC endpoint and ring watch,
-    speaking the cluster's [r] and [proto]. *)
+    speaking the cluster's [r] and [proto] under its [client_config]. *)
 
 val add_node : t -> Node.t * int
 (** Grow the cluster through the full §3.8.1 join protocol

@@ -35,7 +35,6 @@ type t = {
   directory : (int, Node.t) Hashtbl.t; (* every node ever registered; insert-only *)
   mutable clients : Client.t list;
   heartbeat_period : float;
-  miss_limit : int;
   slow_detection : bool;
   mutable running : bool;
   mutable joins : int;
@@ -47,10 +46,11 @@ type t = {
   mutable slow_log : (float * int * int) list;
 }
 
+let miss_limit = 3 (* consecutive missed probes before fail-out (§3.8.2) *)
 let slow_threshold = 3.0 (* svc / median ratio that reads as slow *)
 let slow_rounds_trigger = 3 (* consecutive slow rounds per ladder rung *)
 
-let create ~r ~heartbeat_period ~miss_limit ~slow_detection fabric =
+let create ~r ~heartbeat_period ~slow_detection fabric =
   let rpc = Rpc.create fabric ~name:"control-plane" ~gbps:10. in
   Rpc.client rpc;
   {
@@ -62,7 +62,6 @@ let create ~r ~heartbeat_period ~miss_limit ~slow_detection fabric =
     directory = Hashtbl.create 8;
     clients = [];
     heartbeat_period;
-    miss_limit;
     slow_detection;
     running = false;
     joins = 0;
@@ -550,7 +549,7 @@ let probe_round t =
         else
           Some
             (fun () ->
-              let req = Messages.Ping { node = -1 } in
+              let req = Messages.Ping in
               match
                 Rpc.call_timeout t.rpc ~dst:(Node.rpc ns.node) ~size:(Messages.request_size req)
                   ~timeout:(t.heartbeat_period /. 2.) req
@@ -564,7 +563,7 @@ let probe_round t =
                   | _ -> ())
               | None ->
                   ns.missed <- ns.missed + 1;
-                  if ns.missed >= t.miss_limit then Sim.spawn (fun () -> handle_failure t id)))
+                  if ns.missed >= miss_limit then Sim.spawn (fun () -> handle_failure t id)))
       (node_ids t)
   in
   Sim.fork_join checks;

@@ -11,7 +11,6 @@ type t
 val create :
   r:int ->
   heartbeat_period:float ->
-  miss_limit:int ->
   slow_detection:bool ->
   (Messages.request, Messages.response) Leed_netsim.Netsim.Rpc.wire Leed_netsim.Netsim.fabric ->
   t
@@ -21,7 +20,8 @@ val create :
     sustaining 3× the median for 3 consecutive rounds walks the
     escalation ladder — deprioritize in CRRS read spreading, then drain,
     then fence and re-copy via the §3.8 failure machinery. The same count
-    of consecutive healthy rounds walks stages 1-2 back down. *)
+    of consecutive healthy rounds walks stages 1-2 back down.
+    {!Cluster.create} passes its client config's [gray_defenses]. *)
 
 val ring : t -> Ring.t
 (** The authoritative ring. *)
@@ -66,8 +66,9 @@ val restart : t -> Node.t -> int
     spawned process. *)
 
 val start : t -> unit
-(** Start the periodic heartbeat prober; {!handle_failure} fires after
-    [miss_limit] consecutive misses. *)
+(** Start the periodic heartbeat prober, one round every
+    [heartbeat_period]; a node that misses 3 consecutive probes is failed
+    out and its chains are repaired. *)
 
 val stop : t -> unit
 

@@ -5,15 +5,11 @@
 open Leed_platform
 open Leed_netsim
 
-type config = Cluster.config
 type t = Cluster.t
 type client = Client.t
 
 let name = "leed"
-let default_config = Cluster.default_config
-let create ?(config = default_config) () = Cluster.create ~config ()
-
-let client t = Cluster.client t
+let client = Cluster.client
 let get = Client.get
 let put = Client.put
 let del = Client.del

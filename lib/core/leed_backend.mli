@@ -1,9 +1,9 @@
 (** LEED behind the {!Backend.S} service boundary.
 
     Wraps {!Cluster} (whole-cluster assembly) and {!Client} (the §3.5
-    load-aware front-end library): [create] builds a started cluster,
-    [client] attaches a front-end with the cluster's default client
-    config, and [watts] is the paper's wall-power model.
+    load-aware front-end library): a LEED system is a cluster built with
+    {!Cluster.create}, [client] attaches a front-end with the cluster's
+    client config, and [watts] is the paper's wall-power model.
 
     [counters] registers, summed over every JBOF, device and registered
     client: [blockdev.{reads,writes}], [blockdev.busy_s] (mean fully-busy
@@ -17,8 +17,4 @@
     in-network cache is armed, [netcache.{hits,misses,invalidations,
     sprays}] plus the gauge [netcache.hot_groups]. *)
 
-include
-  Backend.S
-    with type t = Cluster.t
-     and type config = Cluster.config
-     and type client = Client.t
+include Backend.S with type t = Cluster.t and type client = Client.t

@@ -58,7 +58,7 @@ type request =
          serves strictly from its own store (never repairs recursively, so
          two rotted replicas cannot ping-pong). *)
   | Ring_update of Ring.snapshot
-  | Ping of { node : int }
+  | Ping
 
 type nack_reason =
   | Stale_view of int (* receiver's ring version: refresh and retry *)
@@ -86,7 +86,7 @@ let request_size = function
   | Copy_put { key; value; _ } -> 64 + String.length key + Bytes.length value
   | Repair_get { key; _ } -> 48 + String.length key
   | Ring_update snap -> 64 + (48 * List.length snap.Ring.snap_entries)
-  | Ping _ -> 64
+  | Ping -> 64
 
 let response_size = function
   | Value { value = Some v; _ } -> 64 + Bytes.length v

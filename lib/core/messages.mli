@@ -60,7 +60,7 @@ type request =
           serves strictly from its own store (never repairs recursively,
           so two rotted replicas cannot ping-pong). *)
   | Ring_update of Ring.snapshot
-  | Ping of { node : int }
+  | Ping
 
 type nack_reason =
   | Stale_view of int  (** receiver's ring version: refresh and retry *)

@@ -328,7 +328,7 @@ let dispatch t (req : Messages.request) : Messages.response =
       | Messages.Ring_update snap ->
           Ring.install t.ring snap;
           Messages.Ok { tokens = 0 }
-      | Messages.Ping { node = _ } ->
+      | Messages.Ping ->
           (* Heartbeat replies piggyback the node's smoothed service time —
              the gray-failure telemetry the control plane scores
              (§3.8-adjacent escalation ladder). *)
@@ -386,8 +386,8 @@ let handle t (req : Messages.request) : Messages.response =
     (* One span per request on the node's row; the hop argument makes a
        CRRS chain write readable straight off the timeline (hop 0 on the
        head's row, hop 1 on the next node's, ...). The span name is a
-       shared constant and the argument list is built lazily, so the
-       per-request allocation is the two closures only. *)
+       shared constant, and the argument list is built only here, on the
+       traced branch. *)
     let name =
       match req with
       | Messages.Get _ -> "get"
@@ -397,9 +397,9 @@ let handle t (req : Messages.request) : Messages.response =
       | Messages.Copy_put _ -> "copy_put"
       | Messages.Repair_get _ -> "repair_get"
       | Messages.Ring_update _ -> "ring_update"
-      | Messages.Ping _ -> "ping"
+      | Messages.Ping -> "ping"
     in
-    let largs () =
+    let args =
       match req with
       | Messages.Get { key; shipped; _ } ->
           [ ("key", Trace.Str key); ("shipped", Trace.Bool shipped) ]
@@ -408,9 +408,9 @@ let handle t (req : Messages.request) : Messages.response =
       | Messages.Tag_write { key; tag = (ts, _); _ } ->
           [ ("key", Trace.Str key); ("ts", Trace.Int ts) ]
       | Messages.Copy_put { key; _ } | Messages.Repair_get { key; _ } -> [ ("key", Trace.Str key) ]
-      | Messages.Ring_update _ | Messages.Ping _ -> []
+      | Messages.Ring_update _ | Messages.Ping -> []
     in
-    Trace.span ~track:t.track ~cat:"node" name ~largs (fun () -> tracked_dispatch t req)
+    Trace.span ~track:t.track ~cat:"node" name ~args (fun () -> tracked_dispatch t req)
   end
 
 let start t =

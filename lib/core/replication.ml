@@ -478,7 +478,7 @@ module Crrs_impl = struct
         (* quorum-protocol traffic aimed at a chain cluster *)
         Some (Messages.Nack Messages.Not_serving)
     | Messages.Copy_put _ | Messages.Repair_get _ | Messages.Ring_update _
-    | Messages.Ping _ ->
+    | Messages.Ping ->
         None
 
   (* --- client side --- *)

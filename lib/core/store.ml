@@ -297,7 +297,7 @@ let wait_for_space t log need =
 
 (* --- PUT (§3.3): segment read ∥ value append, then segment append ---
 
-   [target] overrides the destination logs for swapped writes (§3.6):
+   [target] overrides the destination log for swapped writes (§3.6):
    both the value entry and the updated segment land on the foreign SSD's
    swap log. *)
 
@@ -310,7 +310,7 @@ let put ?target t key value =
   charge ctx t (Costs.command_setup +. Costs.hash_lookup);
   let seg = Codec.segment_of_key ~nsegments:t.config.nsegments key in
   let klog_target, vlog_target =
-    match target with Some (k, v) -> (k, v) | None -> (t.klog, t.vlog) in
+    match target with Some log -> (log, log) | None -> (t.klog, t.vlog) in
   if Circular_log.dev_id klog_target <> t.home_dev then t.swapped_puts <- t.swapped_puts + 1;
   (* The headroom beyond the entry itself absorbs racing writers and the
      value compactor's own relocation appends. *)

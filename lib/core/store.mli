@@ -75,9 +75,10 @@ val get : t -> string -> bytes option
     the log wraps over them and the rare torn read is retried internally.
     Raises {!Corrupt} when retries exhaust on a CRC failure. *)
 
-val put : ?target:Circular_log.t * Circular_log.t -> t -> string -> bytes -> unit
+val put : ?target:Circular_log.t -> t -> string -> bytes -> unit
 (** Three NVMe accesses, value append overlapped with the segment read.
-    [target] redirects both appends to a foreign SSD's swap log (§3.6).
+    [target] redirects both appends to that log, a foreign SSD's swap
+    log (§3.6).
     Blocks for compaction headroom when a log is near-full. Raises
     [Invalid_argument] on an empty value (the tombstone), one larger
     than 1 MiB, or a key longer than {!Codec.max_key_size} bytes. *)

@@ -608,11 +608,9 @@ module Chaos = struct
         {
           Client.default_config with
           Client.op_deadline = cfg.op_deadline;
-          (* naive = the static-timeout, no-hedge baseline *)
-          hedge = not cfg.naive;
-          adaptive_timeout = not cfg.naive;
+          (* naive = the static-timeout, no-hedge, no-ladder baseline *)
+          gray_defenses = not cfg.naive;
         };
-      slow_detection = not cfg.naive;
       cache =
         (if cfg.cache then Netcache.enabled Netcache.default_config
          else Netcache.default_config);

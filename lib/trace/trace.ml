@@ -103,17 +103,9 @@ let events () = List.init st.len (fun i -> st.buf.(i))
 
 let us_of t = Sim.to_us t
 
-(* Effective args of an emitter: eager [args] plus, when tracing is on,
-   whatever the lazy [largs] thunk builds. Hot paths pass only [largs]
-   (and branch on [on ()] before building any closure), so a disabled
-   tracer costs zero allocations per call site. *)
-let eval_args args largs =
-  match largs with None -> args | Some f -> args @ f ()
-
-let span ?(track = root) ?(args = []) ?largs ~cat name f =
+let span ?(track = root) ?(args = []) ~cat name f =
   if not st.enabled then f ()
   else begin
-    let args = eval_args args largs in
     let t0 = Sim.now () in
     let emit extra =
       push
@@ -138,11 +130,11 @@ let span ?(track = root) ?(args = []) ?largs ~cat name f =
         raise e
   end
 
-let complete ?(track = root) ?(args = []) ?largs ~cat name ~since =
+let complete ?(track = root) ?(args = []) ~cat name ~since =
   if st.enabled then
     push
       {
-        args = eval_args args largs;
+        args;
         ts = us_of since;
         ph = 'X';
         cat;
@@ -153,7 +145,7 @@ let complete ?(track = root) ?(args = []) ?largs ~cat name ~since =
         dur = us_of (Sim.now () -. since);
       }
 
-let instant ?(track = root) ?(args = []) ?largs ~cat name =
+let instant ?(track = root) ?(args = []) ~cat name =
   if st.enabled then
     push
       {
@@ -165,7 +157,7 @@ let instant ?(track = root) ?(args = []) ?largs ~cat name =
         tid = track.tid;
         id = 0;
         dur = 0.;
-        args = eval_args args largs;
+        args;
       }
 
 let counter ?(track = root) ~cat name series =
@@ -191,7 +183,7 @@ let next_id () =
     v
   end
 
-let async_event ph ?(track = root) ?(args = []) ?largs ~cat ~id name =
+let async_event ph ?(track = root) ?(args = []) ~cat ~id name =
   if st.enabled then
     push
       {
@@ -203,14 +195,11 @@ let async_event ph ?(track = root) ?(args = []) ?largs ~cat ~id name =
         tid = track.tid;
         id;
         dur = 0.;
-        args = eval_args args largs;
+        args;
       }
 
-let async_begin ?track ?args ?largs ~cat ~id name =
-  async_event 'b' ?track ?args ?largs ~cat ~id name
-
-let async_end ?track ?args ?largs ~cat ~id name =
-  async_event 'e' ?track ?args ?largs ~cat ~id name
+let async_begin ?track ?args ~cat ~id name = async_event 'b' ?track ?args ~cat ~id name
+let async_end ?track ?args ~cat ~id name = async_event 'e' ?track ?args ~cat ~id name
 
 (* --- Chrome trace_event serialization --- *)
 

@@ -74,7 +74,6 @@ val stop : unit -> unit
 val span :
   ?track:track ->
   ?args:(string * arg) list ->
-  ?largs:(unit -> (string * arg) list) ->
   cat:string ->
   string ->
   (unit -> 'a) ->
@@ -85,33 +84,27 @@ val span :
     re-raised. Overlapping spans on one track are fine (the viewer nests
     them by containment).
 
-    [largs] is the lazy form of [args]: the thunk is evaluated only when
-    capture is on, so a hot path that also branches on {!on} before
-    building its closure pays zero allocations per call while tracing is
-    off. When both are given the eager [args] come first. *)
+    A hot path that branches on {!on} before building [args] (and the
+    closure [f]) allocates nothing per call while tracing is off. *)
 
 val complete :
   ?track:track ->
   ?args:(string * arg) list ->
-  ?largs:(unit -> (string * arg) list) ->
   cat:string ->
   string ->
   since:float ->
   unit
 (** [complete ~cat name ~since] records a complete ('X') event from
     absolute virtual time [since] (seconds, from [Sim.now]) to now. For
-    sites where the span's arguments are only known at the end.
-    [largs] as in {!span}. *)
+    sites where the span's arguments are only known at the end. *)
 
 val instant :
   ?track:track ->
   ?args:(string * arg) list ->
-  ?largs:(unit -> (string * arg) list) ->
   cat:string ->
   string ->
   unit
-(** Record a zero-duration ('i') event at the current virtual time.
-    [largs] as in {!span}. *)
+(** Record a zero-duration ('i') event at the current virtual time. *)
 
 val counter : ?track:track -> cat:string -> string -> (string * float) list -> unit
 (** [counter ~cat name series] records a 'C' event: one named counter
@@ -125,26 +118,22 @@ val next_id : unit -> int
 val async_begin :
   ?track:track ->
   ?args:(string * arg) list ->
-  ?largs:(unit -> (string * arg) list) ->
   cat:string ->
   id:int ->
   string ->
   unit
 (** Open an async ('b') span. Async spans tie together work that moves
     between tracks (a message in flight, a command in a device queue);
-    the matching {!async_end} must use the same [cat], [name] and [id].
-    [largs] as in {!span}. *)
+    the matching {!async_end} must use the same [cat], [name] and [id]. *)
 
 val async_end :
   ?track:track ->
   ?args:(string * arg) list ->
-  ?largs:(unit -> (string * arg) list) ->
   cat:string ->
   id:int ->
   string ->
   unit
-(** Close an async ('e') span opened by {!async_begin}. [largs] as in
-    {!span}. *)
+(** Close an async ('e') span opened by {!async_begin}. *)
 
 (** {1 In-memory access (tests)} *)
 

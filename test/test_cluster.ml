@@ -402,8 +402,7 @@ let test_reads_during_crash_window () =
      time out and retry elsewhere; nothing hangs forever. *)
   Sim.run (fun () ->
       let cl = mk_cluster ~nnodes:4 () in
-      let config = { Client.default_config with Client.rpc_timeout = 0.05 } in
-      let c = Cluster.client ~config cl in
+      let c = Cluster.client cl in
       for i = 0 to 9 do
         Client.put c (key i) (Bytes.of_string "v")
       done;

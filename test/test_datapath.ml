@@ -377,7 +377,7 @@ let test_swapped_out_after_recover () =
       (* Redirect some writes to the swap logs, as the engine does under a
          bandwidth gap (§3.6). *)
       let put_swapped ids =
-        List.iter (fun i -> Store.put ~target:(swap, swap) st (key i) (Bytes.make 64 's')) ids
+        List.iter (fun i -> Store.put ~target:swap st (key i) (Bytes.make 64 's')) ids
       in
       for i = 0 to 39 do
         Store.put st (key i) (Bytes.make 64 'h')

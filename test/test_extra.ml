@@ -151,7 +151,7 @@ let test_ping_handled () =
   Sim.run (fun () ->
       let config = { Cluster.default_config with Cluster.nnodes = 3; platform = quiet_platform } in
       let cl = Cluster.create ~config () in
-      match Node.handle (Cluster.node cl 0) (Messages.Ping { node = -1 }) with
+      match Node.handle (Cluster.node cl 0) Messages.Ping with
       | Messages.Pong _ -> ()
       | _ -> Alcotest.fail "ping must be acked")
 

@@ -175,9 +175,9 @@ let abd_config =
     Cluster.default_config with
     Cluster.proto = R.Abd;
     (* keep the failure detector out of the way: these tests crash nodes
-       on purpose and must not race chain rebuilds *)
-    miss_limit = 1_000_000;
-    slow_detection = false;
+       on purpose and must not race chain rebuilds, so no probe round runs
+       within a test *)
+    heartbeat_period = 1000.;
   }
 
 let test_abd_basic_ops () =
