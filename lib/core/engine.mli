@@ -144,6 +144,9 @@ val ssd_device : ssd_sched -> Leed_blockdev.Blockdev.t
 val ssd_track : ssd_sched -> Leed_trace.Trace.track
 (** The scheduler's trace row (counters for this SSD land here). *)
 
+val ssd_partitions : ssd_sched -> partition array
+(** The SSD's home partitions (a subset of {!partitions}). *)
+
 val swapped_segments : partition -> int
 (** Segments of this partition currently living in a foreign SSD's swap
     region — the per-vnode swap-state gauge. *)

@@ -186,11 +186,9 @@ type instance = {
    epoch's monotonicity is what makes stale pending-GET records inert. *)
 type kmeta = { mutable epoch : int; mutable writers : int }
 
-(* A GET the cache let through, awaiting its response for populate. *)
-type pget = { pg_key : string; pg_epoch : int; pg_expires : float }
-
-(* A write-class request awaiting its ack. *)
-type pwrite = { pw_key : string; pw_expires : float }
+(* A GET the cache let through, awaiting its response for populate. Its
+   expiry rides the [gc_get] queue. *)
+type pget = { pg_key : string; pg_epoch : int }
 
 type stats = {
   hits : int;
@@ -217,7 +215,7 @@ type t = {
      request ids are per-endpoint and never reused, so the pair is unique
      for the fabric's lifetime *)
   pending_get : (int * int, pget) Hashtbl.t;
-  pending_wr : (int * int, pwrite) Hashtbl.t;
+  pending_wr : (int * int, string) Hashtbl.t; (* write-class request -> its key *)
   gc_get : ((int * int) * float) Queue.t;
   gc_wr : ((int * int) * float) Queue.t;
   mutable rr : int; (* round-robin spray cursor *)
@@ -271,6 +269,14 @@ let kmeta_of t key =
 
 let bump_epoch m = m.epoch <- m.epoch + 1
 
+(* A write-class request is over (acked, nacked or expired): drop its
+   in-flight guard, and evict and bump the epoch once more. *)
+let release_write t key =
+  let m = kmeta_of t key in
+  if m.writers > 0 then m.writers <- m.writers - 1;
+  bump_epoch m;
+  evict_key t key
+
 (* Expire pending records whose response never crossed back (lost in the
    fabric or the responder died). A lost write ack is the dangerous case:
    its key stays uncacheable until here, and the expiry itself evicts and
@@ -288,12 +294,9 @@ let gc t =
   drain t.gc_wr ~on_expire:(fun slot ->
       match Hashtbl.find_opt t.pending_wr slot with
       | None -> ()
-      | Some pw ->
+      | Some key ->
           Hashtbl.remove t.pending_wr slot;
-          let m = kmeta_of t pw.pw_key in
-          if m.writers > 0 then m.writers <- m.writers - 1;
-          bump_epoch m;
-          evict_key t pw.pw_key)
+          release_write t key)
 
 (* --- the LRU store --- *)
 
@@ -370,8 +373,7 @@ let on_get t (env : wire Netsim.envelope) req_id key =
             ~args:[ ("key", Trace.Str key); ("class", Trace.Str (Classifier.klass_to_string klass)) ];
         let m = kmeta_of t key in
         let slot = (Netsim.id env.Netsim.src, req_id) in
-        Hashtbl.replace t.pending_get slot
-          { pg_key = key; pg_epoch = m.epoch; pg_expires = Sim.now () +. pending_ttl };
+        Hashtbl.replace t.pending_get slot { pg_key = key; pg_epoch = m.epoch };
         Queue.push (slot, Sim.now () +. pending_ttl) t.gc_get;
         Netsim.Forward
       in
@@ -400,8 +402,7 @@ let on_write_req t (env : wire Netsim.envelope) req_id key =
   if req_id >= 0 then begin
     m.writers <- m.writers + 1;
     let slot = (Netsim.id env.Netsim.src, req_id) in
-    Hashtbl.replace t.pending_wr slot
-      { pw_key = key; pw_expires = Sim.now () +. pending_ttl };
+    Hashtbl.replace t.pending_wr slot key;
     Queue.push (slot, Sim.now () +. pending_ttl) t.gc_wr
   end
 
@@ -421,16 +422,13 @@ let populate t key value tokens =
 let on_resp t (env : wire Netsim.envelope) req_id resp =
   let slot = (Netsim.id env.Netsim.dst, req_id) in
   match Hashtbl.find_opt t.pending_wr slot with
-  | Some pw ->
+  | Some key ->
       (* The write's ack is crossing back: the write is about to complete
          at its issuer, so the value it installed is committed — evict
          once more and release the in-flight guard. Nacks get the same
          conservative treatment. *)
       Hashtbl.remove t.pending_wr slot;
-      let m = kmeta_of t pw.pw_key in
-      if m.writers > 0 then m.writers <- m.writers - 1;
-      bump_epoch m;
-      evict_key t pw.pw_key
+      release_write t key
   | None -> (
       match Hashtbl.find_opt t.pending_get slot with
       | None -> ()

@@ -129,39 +129,34 @@ let report t =
       ]
 
 (* A `top`-style instantaneous snapshot: one row per SSD across the
-   cluster, straight off the live gauges. *)
-let top cluster =
-  let rows = ref [] in
-  List.iter
+   cluster, straight off the live gauges. The queue and swap columns sum
+   the SSD's own partitions only. *)
+let top_columns =
+  [ "ssd"; "tok"; "wait"; "inflight"; "exec"; "defer"; "deny"; "swap out/in"; "swapped" ]
+
+let top_rows cluster =
+  List.concat_map
     (fun n ->
-      let eng = Node.engine n in
-      Array.iteri
-        (fun d s ->
-          let stats = Engine.ssd_stats s in
-          let parts = Engine.partitions eng in
-          let waiting = ref 0 and swapped = ref 0 in
-          Array.iter
-            (fun p ->
-              waiting := !waiting + Engine.waiting_depth p;
-              swapped := !swapped + Engine.swapped_segments p)
-            parts;
-          rows :=
-            [
-              Printf.sprintf "jbof%d/ssd%d" (Node.id n) d;
-              Printf.sprintf "%d/%d" (Engine.active_tokens s) (Engine.token_capacity s);
-              string_of_int !waiting;
-              string_of_int (Leed_blockdev.Blockdev.inflight (Engine.ssd_device s));
-              string_of_int stats.Engine.executed;
-              string_of_int stats.Engine.deferred;
-              string_of_int stats.Engine.denied;
-              Printf.sprintf "%d/%d" stats.Engine.swapped_out stats.Engine.swapped_in;
-              string_of_int !swapped;
-            ]
-            :: !rows)
-        (Engine.ssds eng))
-    (Cluster.nodes cluster);
+      Array.to_list
+        (Array.mapi
+           (fun d s ->
+             let stats = Engine.ssd_stats s in
+             let sum f = Array.fold_left (fun acc p -> acc + f p) 0 (Engine.ssd_partitions s) in
+             [
+               Printf.sprintf "jbof%d/ssd%d" (Node.id n) d;
+               Printf.sprintf "%d/%d" (Engine.active_tokens s) (Engine.token_capacity s);
+               string_of_int (sum Engine.waiting_depth);
+               string_of_int (Leed_blockdev.Blockdev.inflight (Engine.ssd_device s));
+               string_of_int stats.Engine.executed;
+               string_of_int stats.Engine.deferred;
+               string_of_int stats.Engine.denied;
+               Printf.sprintf "%d/%d" stats.Engine.swapped_out stats.Engine.swapped_in;
+               string_of_int (sum Engine.swapped_segments);
+             ])
+           (Engine.ssds (Node.engine n))))
+    (Cluster.nodes cluster)
+
+let top cluster =
   Report.table
     ~title:(Printf.sprintf "cluster top @ t=%.3fs" (Sim.now ()))
-    ~columns:
-      [ "ssd"; "tok"; "wait"; "inflight"; "exec"; "defer"; "deny"; "swap out/in"; "swapped" ]
-    (List.rev !rows)
+    ~columns:top_columns (top_rows cluster)

@@ -36,7 +36,15 @@ val report : t -> unit
     {!Leed_stats.Report} table — the end-of-run flush. No-op before the
     first sample. *)
 
+val top_columns : string list
+(** The column names of {!top_rows}, in order. *)
+
+val top_rows : Cluster.t -> string list list
+(** A [top]-style instantaneous snapshot: one row per SSD (["jbofN/ssdD"]
+    first), in node then device order, with token occupancy, queue
+    depths, executed/deferred/denied counts, and swap state, straight off
+    the live gauges. The [wait] and [swapped] cells count the SSD's own
+    partitions only. *)
+
 val top : Cluster.t -> unit
-(** Print a [top]-style instantaneous snapshot: one row per SSD with
-    token occupancy, queue depths, executed/deferred/denied counts, and
-    swap state, straight off the live gauges. *)
+(** Print {!top_rows} as a table. *)

@@ -147,6 +147,37 @@ let test_tracing_off_identical () =
     r_on.Workload.Driver.throughput;
   Alcotest.(check (float 0.)) "same virtual end time" end_off end_on
 
+(* --- the top snapshot ----------------------------------------------- *)
+
+(* Park more GETs on two partitions of JBOF 0 than the token pools admit,
+   then snapshot while they wait: each SSD row must show its own
+   partitions' queue, so JBOF 0's wait cells add up to the JBOF's total
+   rather than repeating it on every row. *)
+let test_top_wait_per_ssd () =
+  Sim.run (fun () ->
+      let cluster = Cluster.create () in
+      let eng = Node.engine (Cluster.node cluster 0) in
+      let last = Engine.npartitions eng - 1 in
+      List.iter
+        (fun pid ->
+          for i = 0 to 199 do
+            Sim.spawn (fun () ->
+                ignore (Engine.submit eng ~pid (Engine.Get (Workload.key_of_id i))))
+          done)
+        [ 0; last ];
+      Sim.delay (Sim.us 1.);
+      let total = Array.fold_left (fun acc p -> acc + Engine.waiting_depth p) 0 (Engine.partitions eng) in
+      Alcotest.(check bool) (Printf.sprintf "JBOF 0 has queued commands (%d)" total) true (total > 0);
+      let wait = Option.get (List.find_index (String.equal "wait") Obs.top_columns) in
+      let jbof0 =
+        List.filter (fun row -> String.starts_with ~prefix:"jbof0/" (List.hd row)) (Obs.top_rows cluster)
+      in
+      Alcotest.(check int) "one row per SSD"
+        (Array.length (Engine.ssds eng)) (List.length jbof0);
+      let cells = List.map (fun row -> int_of_string (List.nth row wait)) jbof0 in
+      Alcotest.(check int) "per-SSD wait cells sum to the JBOF's queue" total
+        (List.fold_left ( + ) 0 cells))
+
 let () =
   Alcotest.run "leed_trace"
     [
@@ -164,4 +195,5 @@ let () =
           Alcotest.test_case "token conservation replay" `Quick test_token_conservation;
           Alcotest.test_case "tracing off = identical run" `Quick test_tracing_off_identical;
         ] );
+      ( "top", [ Alcotest.test_case "per-SSD wait cells" `Quick test_top_wait_per_ssd ] );
     ]

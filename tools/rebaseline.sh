@@ -23,17 +23,24 @@
 # A change that should not move simulated behaviour must leave every file
 # byte-identical; a change that moves it on purpose reruns this script
 # and commits the new goldens with the change.
+#
+# Each producer writes to a temp file before anything filters it, so a
+# producer that fails (a chaos run whose invariants break, an experiment
+# that raises) stops the script instead of leaving a golden behind.
 set -e
 
 cd "$(dirname "$0")/.."
 out=${1:-test/golden}
 mkdir -p "$out"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
 dune build 2>&1
 
 sim_lines='^(# events|throughput_ops_s|get_p[0-9]+_us|put_p[0-9]+_us|slo_met_frac|ok_frac|avail_frac) '
-bash bench/profile/run.sh --workload ycsb-b --seconds 1 \
-  | grep -E "$sim_lines" > "$out/profile-ycsb-b.txt"
+bash bench/profile/run.sh --workload ycsb-b --seconds 1 > "$tmp/profile.out" \
+  || { echo "rebaseline: bench/profile ycsb-b failed"; exit 1; }
+grep -E "$sim_lines" "$tmp/profile.out" > "$out/profile-ycsb-b.txt"
 [ "$(wc -l < "$out/profile-ycsb-b.txt")" -eq 9 ] \
   || { echo "rebaseline: expected 9 simulated profile lines"; exit 1; }
 
@@ -45,17 +52,18 @@ for proto in crrs abd; do
     set -- $stage
     name=$1
     shift
-    digest=$(dune exec bin/leed.exe -- chaos --fast --sanitize "$@" --proto "$proto" \
-      | awk '$1 == "digest" { print $2 }')
+    dune exec bin/leed.exe -- chaos --fast --sanitize "$@" --proto "$proto" > "$tmp/chaos.out" \
+      || { echo "rebaseline: chaos $name [$proto] failed"; exit 1; }
+    digest=$(awk '$1 == "digest" { print $2 }' "$tmp/chaos.out")
     [ -n "$digest" ] || { echo "rebaseline: no digest from chaos $name [$proto]"; exit 1; }
     echo "$name $proto $digest" >> "$out/chaos-digests.txt"
   done
 done
 
-trace=$(mktemp)
-dune exec bin/leed.exe -- trace --seed 42 --out "$trace" > /dev/null
-cksum < "$trace" > "$out/trace-seed42.txt"
-rm -f "$trace"
+dune exec bin/leed.exe -- trace --seed 42 --out "$tmp/trace.json" > /dev/null \
+  || { echo "rebaseline: leed trace failed"; exit 1; }
+cksum < "$tmp/trace.json" > "$out/trace-seed42.txt"
 
-dune exec bench/main.exe -- fast fig1 fig11 fig13 table3 \
-  | grep -v '^\[.* done in [0-9.]*s\]$' > "$out/experiments-fast.txt"
+dune exec bench/main.exe -- fast fig1 fig11 fig13 table3 > "$tmp/experiments.out" \
+  || { echo "rebaseline: bench/main.exe fast fig1 fig11 fig13 table3 failed"; exit 1; }
+grep -v '^\[.* done in [0-9.]*s\]$' "$tmp/experiments.out" > "$out/experiments-fast.txt"
