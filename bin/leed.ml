@@ -93,8 +93,10 @@ let smoke_cmd =
 
 (* Shared driver for the observability commands: a small LEED cluster
    under a short YCSB-A closed loop with the gauge sampler attached.
-   [k] runs inside the simulation after the load completes. *)
-let observed_ycsb ~seed ~nclients ~nkeys ~duration k =
+   [at_window_end] runs at the end of the load window, while the workers'
+   last ops are still in flight; [k] runs inside the simulation after
+   the load completes. *)
+let observed_ycsb ?at_window_end ~seed ~nclients ~nkeys ~duration k =
   let open Leed_sim in
   let open Leed_core in
   let open Leed_workload in
@@ -113,6 +115,7 @@ let observed_ycsb ~seed ~nclients ~nkeys ~duration k =
         Client.put c0 (Workload.key_of_id id) (Workload.value_for ~id ~version:1 ~size:240)
       done;
       let gen = Workload.generator ~object_size:256 (Workload.ycsb_a ()) ~nkeys (Rng.create seed) in
+      Option.iter (fun f -> Sim.after duration (fun () -> f cluster)) at_window_end;
       let r =
         Workload.Driver.closed_loop ~clients:(List.length clients) ~duration ~gen
           ~execute:
@@ -172,19 +175,20 @@ let top_cmd =
   let duration =
     Arg.(
       value & opt float 0.05
-      & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated load window before the snapshot.")
+      & info [ "duration" ] ~docv:"SECONDS"
+          ~doc:"Simulated load window; the snapshot is taken at its end.")
   in
   let run seed duration =
     let open Leed_core in
-    observed_ycsb ~seed ~nclients:4 ~nkeys:300 ~duration (fun cluster obs _r ->
-        Obs.top cluster;
-        Obs.report obs)
+    observed_ycsb ~at_window_end:Obs.top ~seed ~nclients:4 ~nkeys:300 ~duration
+      (fun _cluster obs _r -> Obs.report obs)
   in
   Cmd.v
     (Cmd.info "top"
        ~doc:
          "Run a short YCSB-A load on a small LEED cluster and print a top-style per-SSD snapshot \
-          (token occupancy, queue depths, swap state) plus the sampled gauge summary.")
+          (token occupancy, queue depths, swap state) taken at the end of the load window, while \
+          ops are still in flight, plus the sampled gauge summary.")
     Term.(const run $ seed $ duration)
 
 let trace_validate_cmd =

@@ -76,6 +76,13 @@ echo "== bit-rot chaos [$proto] (scrub + read-repair under faults, determinism d
 # and the two same-seed runs must still be bit-identical.
 dune exec bin/leed.exe -- chaos --fast --sanitize --bit-rot --seed 7 --runs 2 --proto "$proto"
 
+echo "== full-size bit-rot chaos [$proto] (seed 8: expulsion during a scrub re-copy, determinism diff) =="
+# The full-size schedule of seed 8 expels a node while a scrub escalation
+# re-copies a rotted vnode's arcs. Every membership COPY walks a frozen
+# copy of the ring, so the run must complete with every invariant held
+# and two same-seed runs bit-identical.
+dune exec bin/leed.exe -- chaos --sanitize --bit-rot --seed 8 --runs 2 --proto "$proto"
+
 echo "== fail-slow chaos [$proto] (gray failure: hedging + ladder + shedding, determinism diff) =="
 # Adds a 10x fail-slow node (plus an inbound jitter ramp) to the
 # schedule with hedged reads, adaptive timeouts, deadline shedding and

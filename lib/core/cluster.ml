@@ -41,7 +41,6 @@ type t = {
   (* newest first: membership changes prepend (appending to a growing
      list is quadratic); the accessors below restore arrival order *)
   mutable nodes_rev : Node.t list;
-  mutable clients_rev : Client.t list;
   mutable next_node_id : int;
   mutable next_client_id : int;
 }
@@ -139,10 +138,20 @@ let check_replica_agreement t key =
     end
   end
 
+(* A fresh node under the next id, its NIC already serving. *)
+let start_node t =
+  let n =
+    Node.create ~proto:t.config.proto ~id:t.next_node_id ~platform:t.config.platform
+      ~fabric:t.fabric ~engine_config:t.config.engine_config ~r:t.config.r ()
+  in
+  t.next_node_id <- t.next_node_id + 1;
+  Node.start n;
+  n
+
 let create ?(config = default_config) () =
   let fabric = Netsim.fabric () in
   let control =
-    Control.create ~r:config.r ~heartbeat_period:config.heartbeat_period
+    Control.create ~r:config.r ~proto:config.proto ~heartbeat_period:config.heartbeat_period
       ~slow_detection:config.client_config.Client.gray_defenses fabric
   in
   let cache =
@@ -158,18 +167,12 @@ let create ?(config = default_config) () =
       cache;
       clients_track = Trace.new_track "clients";
       nodes_rev = [];
-      clients_rev = [];
       next_node_id = 0;
       next_client_id = 0;
     }
   in
   for _ = 1 to config.nnodes do
-    let n =
-      Node.create ~proto:config.proto ~id:t.next_node_id
-        ~platform:config.platform ~fabric ~engine_config:config.engine_config ~r:config.r ()
-    in
-    t.next_node_id <- t.next_node_id + 1;
-    Node.start n;
+    let n = start_node t in
     Control.register_bootstrap_node control n;
     t.nodes_rev <- n :: t.nodes_rev
   done;
@@ -181,7 +184,7 @@ let create ?(config = default_config) () =
 let control t = t.control
 let config t = t.config
 let nodes t = List.rev t.nodes_rev
-let clients t = List.rev t.clients_rev
+let clients t = Control.clients t.control
 let node t id = Control.node t.control id
 let fabric t = t.fabric
 let cache t = t.cache
@@ -202,19 +205,12 @@ let client t =
   in
   t.next_client_id <- t.next_client_id + 1;
   Control.register_client t.control c;
-  t.clients_rev <- c :: t.clients_rev;
   c
 
 (* Grow the cluster: full §3.8.1 join protocol (JOINING → COPY → RUNNING).
    Returns the number of key-value pairs copied. *)
 let add_node t =
-  let n =
-    Node.create ~proto:t.config.proto ~id:t.next_node_id
-      ~platform:t.config.platform ~fabric:t.fabric ~engine_config:t.config.engine_config
-      ~r:t.config.r ()
-  in
-  t.next_node_id <- t.next_node_id + 1;
-  Node.start n;
+  let n = start_node t in
   let copied = Control.join t.control n in
   t.nodes_rev <- n :: t.nodes_rev;
   check_chain_structure t;

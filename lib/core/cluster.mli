@@ -6,8 +6,9 @@ type config = {
   nnodes : int;
   r : int;  (** replication factor of every vnode and of every client's chains *)
   proto : Replication.proto;
-      (** replication protocol hosted on every vnode and spoken by every
-          client the cluster creates (default [Crrs]) *)
+      (** replication protocol hosted on every vnode, spoken by every
+          client the cluster creates, and followed by the control plane's
+          membership COPYs (default [Crrs]) *)
   engine_config : Engine.config;
   client_config : Client.config;
       (** the config of every client the cluster creates; its

@@ -29,14 +29,15 @@ type node_state = {
 type t = {
   ring : Ring.t; (* authoritative *)
   r : int;
+  proto : Replication.proto; (* every node's; picks how COPY draws sources *)
   track : Trace.track;
   rpc : (Messages.request, Messages.response) Rpc.t; (* manager's probe endpoint *)
   nodes : (int, node_state) Hashtbl.t;
   directory : (int, Node.t) Hashtbl.t; (* every node ever registered; insert-only *)
-  mutable clients : Client.t list;
+  mutable clients : Client.t list; (* newest first *)
   heartbeat_period : float;
   slow_detection : bool;
-  mutable running : bool;
+  mutable started : bool;
   mutable joins : int;
   mutable leaves : int;
   mutable failures_handled : int;
@@ -50,12 +51,13 @@ let miss_limit = 3 (* consecutive missed probes before fail-out (§3.8.2) *)
 let slow_threshold = 3.0 (* svc / median ratio that reads as slow *)
 let slow_rounds_trigger = 3 (* consecutive slow rounds per ladder rung *)
 
-let create ~r ~heartbeat_period ~slow_detection fabric =
+let create ~r ~proto ~heartbeat_period ~slow_detection fabric =
   let rpc = Rpc.create fabric ~name:"control-plane" ~gbps:10. in
   Rpc.client rpc;
   {
     ring = Ring.create ();
     r;
+    proto;
     track = Trace.new_track "control";
     rpc;
     nodes = Hashtbl.create 8;
@@ -63,7 +65,7 @@ let create ~r ~heartbeat_period ~slow_detection fabric =
     clients = [];
     heartbeat_period;
     slow_detection;
-    running = false;
+    started = false;
     joins = 0;
     leaves = 0;
     failures_handled = 0;
@@ -75,6 +77,7 @@ let ring t = t.ring
 let r t = t.r
 let snapshot t = Ring.snapshot t.ring
 let register_client t c = t.clients <- c :: t.clients
+let clients t = List.rev t.clients
 
 let node t id = (Hashtbl.find t.nodes id).node
 
@@ -128,11 +131,16 @@ let broadcast t =
           Ring.install (Client.ring c) snap))
     t.clients
 
-(* Register a node with its vnodes directly RUNNING — cluster bootstrap. *)
-let register_bootstrap_node t (n : Node.t) =
+(* Admission, shared by bootstrap and join: enter the node in the
+   membership and the directory, and let it resolve its peers. *)
+let admit t (n : Node.t) =
   Hashtbl.replace t.nodes (Node.id n) (fresh_node_state n);
   Hashtbl.replace t.directory (Node.id n) n;
-  Node.set_peer_resolver n (peer_resolver t);
+  Node.set_peer_resolver n (peer_resolver t)
+
+(* Register a node with its vnodes directly RUNNING — cluster bootstrap. *)
+let register_bootstrap_node t (n : Node.t) =
+  admit t n;
   for vidx = 0 to Engine.npartitions (Node.engine n) - 1 do
     let e = Ring.add t.ring { Ring.node = Node.id n; vidx } in
     e.Ring.vstate <- Ring.Running
@@ -183,18 +191,8 @@ let copy_arc ?detach t ~(src : Ring.entry) ~(dst : Ring.vnode) ~lo ~hi =
           "copy.arc" ~since;
       copied
 
-(* Which replication protocol the destination node runs — every node in
-   a cluster runs the same one, and it decides how many sources a
-   membership COPY must draw from. *)
-let proto_of_dst t (dst : Ring.vnode) =
-  match Hashtbl.find_opt t.nodes dst.Ring.node with
-  | Some ns -> Node.proto ns.node
-  | None -> (
-      match Hashtbl.find_opt t.directory dst.Ring.node with
-      | Some n -> Node.proto n
-      | None -> Replication.Crrs)
-
-(* Stream an arc into [dst] from the candidate [sources].
+(* Stream an arc into [dst] from the candidate [sources]; the cluster's
+   protocol decides how many of them the COPY draws from.
 
    CRRS: any single committed replica suffices — the tail (last source)
    always holds every committed write, so try each candidate in turn,
@@ -216,7 +214,7 @@ let proto_of_dst t (dst : Ring.vnode) =
    newcomer through [sv_on_commit] forwarding rather than racing the
    bulk stream. *)
 let copy_arc_from_any ?detach t ~(sources : Ring.entry list) ~(dst : Ring.vnode) ~lo ~hi =
-  match proto_of_dst t dst with
+  match t.proto with
   | Replication.Abd ->
       List.fold_left
         (fun acc (src : Ring.entry) -> acc + copy_arc ?detach t ~src ~dst ~lo ~hi)
@@ -235,6 +233,27 @@ let copy_arc_from_any ?detach t ~(sources : Ring.entry list) ~(dst : Ring.vnode)
       in
       go (List.rev sources)
 
+let owners chain = List.map (fun (m : Ring.entry) -> m.Ring.owner) chain
+
+(* The one membership-COPY walk (§3.8.1-§3.8.2), shared by join, leave,
+   failure repair and scrub escalation. It walks the entries of [ring], a
+   frozen copy nobody mutates: its copies yield, and a membership change
+   meanwhile must not pull an entry out from under [Ring.arc_of]. For
+   each entry in ring order, the vnodes [dsts e] receive the entry's arc
+   from [sources e]; both may read the live ring. Returns pairs copied. *)
+let copy_arcs ?detach t ring ~dsts ~sources =
+  List.fold_left
+    (fun total (e : Ring.entry) ->
+      match dsts e with
+      | [] -> total
+      | dsts ->
+          let lo, hi = Ring.arc_of ring e in
+          let sources = sources e in
+          List.fold_left
+            (fun total dst -> total + copy_arc_from_any ?detach t ~sources ~dst ~lo ~hi)
+            total dsts)
+    0 (Ring.entries ring)
+
 (* --- scrub escalation (data integrity) --- *)
 
 (* A scrub pass found a segment frame on [vn] too rotted to rebuild entry
@@ -244,26 +263,17 @@ let copy_arc_from_any ?detach t ~(sources : Ring.entry list) ~(dst : Ring.vnode)
    the fence/forward machinery of [copy_arc] keeps this safe under
    concurrent writes. Returns pairs copied. *)
 let recopy_vnode t (vn : Ring.vnode) =
-  let total = ref 0 in
-  List.iter
-    (fun (e : Ring.entry) ->
-      let chain = Ring.chain_at t.ring ~r:t.r e.Ring.point in
-      if List.exists (fun (m : Ring.entry) -> m.Ring.owner = vn) chain then begin
-        let lo, hi = Ring.arc_of t.ring e in
-        let sources = List.filter (fun (m : Ring.entry) -> m.Ring.owner <> vn) chain in
-        total := !total + copy_arc_from_any t ~sources ~dst:vn ~lo ~hi
-      end)
-    (Ring.entries t.ring);
-  !total
+  let chain (e : Ring.entry) = Ring.chain_at t.ring ~r:t.r e.Ring.point in
+  copy_arcs t (Ring.copy t.ring)
+    ~dsts:(fun e -> if List.mem vn (owners (chain e)) then [ vn ] else [])
+    ~sources:(fun e -> List.filter (fun (m : Ring.entry) -> m.Ring.owner <> vn) (chain e))
 
 (* --- node join (§3.8.1) --- *)
 
 let join t (n : Node.t) =
   if Trace.on () then
     Trace.instant ~track:t.track ~cat:"control" "join" ~args:[ ("node", Trace.Int (Node.id n)) ];
-  Hashtbl.replace t.nodes (Node.id n) (fresh_node_state n);
-  Hashtbl.replace t.directory (Node.id n) n;
-  Node.set_peer_resolver n (peer_resolver t);
+  admit t n;
   Ring.install (Node.ring n) (Ring.snapshot t.ring);
   (* Phase 1: vnodes enter as JOINING (receive COPY traffic only). *)
   let new_vns =
@@ -284,22 +294,13 @@ let join t (n : Node.t) =
   let copy_pass () =
     let future = Ring.copy t.ring in
     List.iter (fun vn -> Ring.set_state future vn Ring.Running) new_vns;
-    List.iter
-      (fun (e : Ring.entry) ->
-        let future_chain = Ring.chain_at future ~r:t.r e.Ring.point in
-        let gained =
-          List.filter (fun (m : Ring.entry) -> List.mem m.Ring.owner new_vns) future_chain
-        in
-        if gained <> [] then begin
-          let lo, hi = Ring.arc_of future e in
-          let sources = Ring.chain_at t.ring ~r:t.r e.Ring.point in
-          List.iter
-            (fun (m : Ring.entry) ->
-              total_copied :=
-                !total_copied + copy_arc_from_any ~detach t ~sources ~dst:m.Ring.owner ~lo ~hi)
-            gained
-        end)
-      (Ring.entries future)
+    total_copied :=
+      !total_copied
+      + copy_arcs ~detach t future
+          ~dsts:(fun e ->
+            List.filter (fun vn -> List.mem vn new_vns)
+              (owners (Ring.chain_at future ~r:t.r e.Ring.point)))
+          ~sources:(fun e -> Ring.chain_at t.ring ~r:t.r e.Ring.point)
   in
   (* A concurrent membership change (another node expelled or joining
      while an arc streams) re-appoints chain tails, and commits then
@@ -355,42 +356,19 @@ let join t (n : Node.t) =
 (* --- node leave / failure repair (§3.8.1, §3.8.2) --- *)
 
 (* Common tail: the leaver's vnodes no longer serve; every chain it was in
-   gains one new member that must receive the range from a survivor. *)
+   gains one new member that must receive the range from a survivor of
+   the old chain (the tail first, which always holds committed data). *)
 let rebuild_chains_without t (old_ring : Ring.t) leaver_id =
-  let total_copied = ref 0 in
-  List.iter
-    (fun (e : Ring.entry) ->
-      let old_chain = Ring.chain_at old_ring ~r:t.r e.Ring.point in
-      let involved =
-        List.exists (fun (m : Ring.entry) -> m.Ring.owner.Ring.node = leaver_id) old_chain
-      in
-      if involved then begin
-        let new_chain = Ring.chain_at t.ring ~r:t.r e.Ring.point in
-        let fresh =
-          List.filter
-            (fun (m : Ring.entry) ->
-              not
-                (List.exists
-                   (fun (o : Ring.entry) -> o.Ring.owner = m.Ring.owner)
-                   old_chain))
-            new_chain
-        in
-        if fresh <> [] then begin
-          let lo, hi = Ring.arc_of old_ring e in
-          (* Source: a surviving member of the old chain (prefer its tail,
-             which always holds committed data). *)
-          let survivors =
-            List.filter (fun (m : Ring.entry) -> m.Ring.owner.Ring.node <> leaver_id) old_chain
-          in
-          List.iter
-            (fun (m : Ring.entry) ->
-              total_copied :=
-                !total_copied + copy_arc_from_any t ~sources:survivors ~dst:m.Ring.owner ~lo ~hi)
-            fresh
-        end
-      end)
-    (Ring.entries old_ring);
-  !total_copied
+  let old_chain (e : Ring.entry) = Ring.chain_at old_ring ~r:t.r e.Ring.point in
+  let fresh (e : Ring.entry) =
+    let old = owners (old_chain e) in
+    if List.for_all (fun (vn : Ring.vnode) -> vn.Ring.node <> leaver_id) old then []
+    else
+      let now = owners (Ring.chain_at t.ring ~r:t.r e.Ring.point) in
+      List.filter (fun vn -> not (List.mem vn old)) now
+  in
+  copy_arcs t old_ring ~dsts:fresh ~sources:(fun e ->
+      List.filter (fun (m : Ring.entry) -> m.Ring.owner.Ring.node <> leaver_id) (old_chain e))
 
 let leave t leaver_id =
   if Trace.on () then
@@ -574,14 +552,12 @@ let probe_round t =
       "probe_round" ~since
 
 let start t =
-  if not t.running then begin
-    t.running <- true;
+  if not t.started then begin
+    t.started <- true;
     Sim.every ~period:t.heartbeat_period (fun () ->
-        if t.running then probe_round t;
-        t.running)
+        probe_round t;
+        true)
   end
-
-let stop t = t.running <- false
 
 type stats = {
   n_joins : int;

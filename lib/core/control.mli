@@ -10,11 +10,17 @@ type t
 
 val create :
   r:int ->
+  proto:Replication.proto ->
   heartbeat_period:float ->
   slow_detection:bool ->
   (Messages.request, Messages.response) Leed_netsim.Netsim.Rpc.wire Leed_netsim.Netsim.fabric ->
   t
-(** [slow_detection] arms the gray-failure detector:
+(** [proto] is the replication protocol every node of the cluster
+    hosts ({!Cluster.config}'s [proto]); it decides how a membership COPY
+    draws from an arc's sources — the first surviving one, tail first,
+    under CRRS; all live ones, merged, under ABD.
+
+    [slow_detection] arms the gray-failure detector:
     heartbeat replies piggyback each node's smoothed service time, every
     probe round scores reporters against the round's median, and a node
     sustaining 3× the median for 3 consecutive rounds walks the
@@ -29,6 +35,11 @@ val ring : t -> Ring.t
 val r : t -> int
 val snapshot : t -> Ring.snapshot
 val register_client : t -> Client.t -> unit
+(** Add a client to the set that ring broadcasts and slow-ladder levels
+    reach. *)
+
+val clients : t -> Client.t list
+(** Every registered client, oldest first. *)
 
 val node : t -> int -> Node.t
 val node_ids : t -> int list
@@ -44,18 +55,21 @@ val recopy_vnode : t -> Ring.vnode -> int
 (** Scrub escalation: a segment frame on the vnode rotted beyond local
     repair (its item list is gone), so re-copy every arc the vnode
     serves from the other members of each chain, with the usual COPY
-    fencing. Returns pairs copied. *)
+    fencing. Like {!join} and {!leave}, it walks a frozen copy of the
+    ring, so a membership change while its copies stream cannot abort
+    it. Returns pairs copied. *)
 
 val join : t -> Node.t -> int
 (** Full §3.8.1 join: vnodes enter JOINING, every affected arc's current
     tail COPYs its range over (with write forwarding and fencing), then
-    the vnodes flip to RUNNING. Returns pairs copied. *)
+    the vnodes flip to RUNNING. Each copy pass walks a frozen copy of the
+    future ring. Returns pairs copied. *)
 
 val leave : t -> int -> int
 (** Graceful departure: mark LEAVING (clients stop addressing it), copy
     each affected arc from a surviving chain member to the member that
-    newly joined the chain, then delete the vnodes. Returns pairs
-    copied. *)
+    newly joined the chain, then delete the vnodes. The copies walk the
+    ring frozen as it was before the departure. Returns pairs copied. *)
 
 val restart : t -> Node.t -> int
 (** Crash-restart (§3.8.2): replay the node's logs ({!Node.restart}) and
@@ -68,9 +82,7 @@ val restart : t -> Node.t -> int
 val start : t -> unit
 (** Start the periodic heartbeat prober, one round every
     [heartbeat_period]; a node that misses 3 consecutive probes is failed
-    out and its chains are repaired. *)
-
-val stop : t -> unit
+    out and its chains are repaired. Idempotent. *)
 
 type stats = {
   n_joins : int;

@@ -397,14 +397,10 @@ let on_write_req t (env : wire Netsim.envelope) req_id key =
   let m = kmeta_of t key in
   bump_epoch m;
   evict_key t key;
-  (* id -1 marks a one-way notify: no ack will ever cross back, so do not
-     leave a pending record waiting for one. *)
-  if req_id >= 0 then begin
-    m.writers <- m.writers + 1;
-    let slot = (Netsim.id env.Netsim.src, req_id) in
-    Hashtbl.replace t.pending_wr slot key;
-    Queue.push (slot, Sim.now () +. pending_ttl) t.gc_wr
-  end
+  m.writers <- m.writers + 1;
+  let slot = (Netsim.id env.Netsim.src, req_id) in
+  Hashtbl.replace t.pending_wr slot key;
+  Queue.push (slot, Sim.now () +. pending_ttl) t.gc_wr
 
 let populate t key value tokens =
   match Classifier.klass t.cls (group_of t key) with
@@ -448,7 +444,7 @@ let on_resp t (env : wire Netsim.envelope) req_id resp =
 let tap t (env : wire Netsim.envelope) =
   gc t;
   match env.Netsim.payload with
-  | Netsim.Rpc.Req (id, Messages.Get { key; shipped = false; _ }) when id >= 0 ->
+  | Netsim.Rpc.Req (id, Messages.Get { key; shipped = false; _ }) ->
       (* a client-issued read; shipped GETs are CRRS tail forwards and
          pass through untouched *)
       on_get t env id key

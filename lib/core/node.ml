@@ -40,7 +40,6 @@ type t = {
   (* forwarding rules active during COPY: writes committed in (lo, hi]
      are also forwarded to [dst] *)
   mutable copy_forwards : (int * int * Ring.vnode) list;
-  proto : Replication.proto;
   repl : (module Replication.S);
   mutable renv : Replication.server_env option; (* built lazily over [t] *)
   mutable nacks : int;
@@ -100,7 +99,6 @@ let create ?(proto = Replication.Crrs) ~id ~platform ~fabric
     peer = (fun _ -> failwith "Node.peer unset");
     up = true;
     copy_forwards = [];
-    proto;
     repl = Abd.protocol proto;
     renv = None;
     nacks = 0;
@@ -124,7 +122,6 @@ let engine t = t.engine
 let track t = t.track
 let rpc t = t.rpc
 let ring t = t.ring
-let proto t = t.proto
 let set_peer_resolver t f = t.peer <- f
 let has_vnode t vidx = vidx >= 0 && vidx < Array.length t.vnodes
 let vnode t vidx = if has_vnode t vidx then t.vnodes.(vidx) else raise Not_found

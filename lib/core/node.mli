@@ -39,9 +39,6 @@ val rpc : t -> (Messages.request, Messages.response) Leed_netsim.Netsim.Rpc.t
 val ring : t -> Ring.t
 (** The node's local ring view (refreshed by control-plane broadcasts). *)
 
-val proto : t -> Replication.proto
-(** The replication protocol this node hosts. *)
-
 val set_peer_resolver : t -> (int -> (Messages.request, Messages.response) Leed_netsim.Netsim.Rpc.t) -> unit
 
 

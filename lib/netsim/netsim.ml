@@ -215,10 +215,6 @@ let send fab ~src ~dst ~size payload =
                   deliver env))
   end
 
-(* Non-blocking variant for callers that must not stall (e.g. replica
-   forwarding inside a request handler). *)
-let post fab ~src ~dst ~size payload = Sim.spawn (fun () -> send fab ~src ~dst ~size payload)
-
 (* Switch-originated delivery: a message minted at the switch itself (an
    in-network cache serving a consumed request). It pays the base switch
    latency and the receiver's NIC occupancy but no sender NIC time and no
@@ -308,9 +304,7 @@ module Rpc = struct
                 | None -> ()
                 | Some h ->
                     let r = h t ~src:env.src q in
-                    (* id -1 marks a one-way notify: no response expected. *)
-                    if id >= 0 then
-                      send t.fab ~src:t.ep ~dst:env.src ~size:(t.resp_size r) (Resp (id, r)))
+                    send t.fab ~src:t.ep ~dst:env.src ~size:(t.resp_size r) (Resp (id, r)))
         | Resp (id, r) -> complete t id r)
 
   (* Endpoints that only issue calls still need the response receiver. *)
@@ -339,10 +333,6 @@ module Rpc = struct
     | None ->
         Itbl.remove t.pending id;
         None
-
-  (* One-way notification to a peer's handler; no response expected. The
-     request id -1 is never awaited. *)
-  let notify t ~dst ~size q = post t.fab ~src:t.ep ~dst:dst.ep ~size (Req (-1, q))
 
   let set_down t = set_down t.ep
   let set_up t = set_up t.ep

@@ -82,9 +82,6 @@ val send : 'p fabric -> src:'p endpoint -> dst:'p endpoint -> size:int -> 'p -> 
 (** Fire-and-forget: blocks the caller for the sender-side NIC occupancy
     only; flight and receive proceed asynchronously. *)
 
-val post : 'p fabric -> src:'p endpoint -> dst:'p endpoint -> size:int -> 'p -> unit
-(** Fully non-blocking variant. *)
-
 type stats = { msgs_out : int; bytes_out : int; msgs_in : int; bytes_in : int }
 
 val stats : 'p endpoint -> stats
@@ -104,7 +101,9 @@ module Rpc : sig
   val serve :
     ('q, 'r) t -> ?resp_size:('r -> int) -> (('q, 'r) t -> src:('q, 'r) wire endpoint -> 'q -> 'r) -> unit
   (** Install the request handler; each incoming request runs in its own
-      process, so handlers may block on storage or downstream RPCs. *)
+      process, so handlers may block on storage or downstream RPCs. Every
+      request is answered: the handler's result travels back as the
+      response to the caller's request id. *)
 
   val client : ('q, 'r) t -> unit
   (** Endpoints that only issue calls still need the response receiver. *)
@@ -116,9 +115,6 @@ module Rpc : sig
   val call_timeout : ('q, 'r) t -> dst:('q, 'r) t -> size:int -> timeout:float -> 'q -> 'r option
   (** [None] on timeout (e.g. a dead destination); a late response is
       dropped. *)
-
-  val notify : ('q, 'r) t -> dst:('q, 'r) t -> size:int -> 'q -> unit
-  (** One-way message to the peer's handler; no response is generated. *)
 
   val set_down : ('q, 'r) t -> unit
   val set_up : ('q, 'r) t -> unit

@@ -337,6 +337,15 @@ let test_chaos_different_seed_diverges () =
   Alcotest.(check bool) "different seeds, different digests" true
     (r1.Chaos.digest <> r2.Chaos.digest)
 
+(* The full-size bit-rot schedule of seed 8 expels a node while a scrub
+   escalation re-copies a rotted vnode's arcs: the re-copy must walk a
+   frozen ring, or the expulsion pulls the entry it is copying out from
+   under it and the whole run aborts. *)
+let test_chaos_recopy_survives_membership_change () =
+  let r = Chaos.run { Chaos.default_config with Chaos.seed = 8; bit_rot = true } in
+  if not r.Chaos.ok then Format.eprintf "%a@." Chaos.pp_report r;
+  Alcotest.(check bool) "invariants hold" true r.Chaos.ok
+
 let () =
   Alcotest.run "leed_fault"
     [
@@ -363,5 +372,7 @@ let () =
         [
           Alcotest.test_case "same seed, identical digest" `Quick test_chaos_same_seed_identical;
           Alcotest.test_case "different seed diverges" `Quick test_chaos_different_seed_diverges;
+          Alcotest.test_case "bit-rot recopy survives a membership change" `Quick
+            test_chaos_recopy_survives_membership_change;
         ] );
     ]

@@ -135,23 +135,6 @@ let test_rpc_timeout_on_dead_server () =
   in
   Alcotest.(check bool) "timed out" true (r = None)
 
-let test_rpc_notify () =
-  let got =
-    Sim.run (fun () ->
-        let fab = Netsim.fabric () in
-        let server = Netsim.Rpc.create fab ~name:"server" ~gbps:100. in
-        let cli = Netsim.Rpc.create fab ~name:"client" ~gbps:100. in
-        let seen = ref [] in
-        Netsim.Rpc.serve server (fun _t ~src:_ q ->
-            seen := q :: !seen;
-            q);
-        Netsim.Rpc.client cli;
-        Netsim.Rpc.notify cli ~dst:server ~size:64 7;
-        Sim.delay 0.01;
-        !seen)
-  in
-  Alcotest.(check (list int)) "notified" [ 7 ] got
-
 let test_rpc_bandwidth_contention () =
   (* A 1 Gb/s server NIC receiving 100 requests of 12.5 KB each needs at
      least 10 ms just for the wire time. *)
@@ -185,7 +168,6 @@ let () =
           Alcotest.test_case "handler can block" `Quick test_rpc_handler_can_block;
           Alcotest.test_case "concurrent calls matched" `Quick test_rpc_concurrent_calls;
           Alcotest.test_case "timeout on dead server" `Quick test_rpc_timeout_on_dead_server;
-          Alcotest.test_case "notify" `Quick test_rpc_notify;
           Alcotest.test_case "bandwidth contention" `Quick test_rpc_bandwidth_contention;
         ] );
     ]

@@ -7,7 +7,8 @@
 #
 # profile-ycsb-b.txt  the `# events` line and the 8 simulated end-to-end
 #                     metrics of a 1 s bench/profile ycsb-b run
-# chaos-digests.txt   the digest of every chaos stage check.sh runs
+# chaos-digests.txt   the digest of every chaos stage check.sh runs: the
+#                     --fast matrix, then the full-size bit-rot seed 8
 # trace-seed42.txt    the cksum of the Chrome trace `leed trace --seed 42`
 #                     writes, so a change that reorders, adds or drops any
 #                     traced event shows up
@@ -45,6 +46,18 @@ grep -E "$sim_lines" "$tmp/profile.out" > "$out/profile-ycsb-b.txt"
   || { echo "rebaseline: expected 9 simulated profile lines"; exit 1; }
 
 : > "$out/chaos-digests.txt"
+# chaos_digest NAME PROTO FLAGS...: append "NAME PROTO DIGEST" of one
+# sanitized chaos run.
+chaos_digest() {
+  name=$1
+  proto=$2
+  shift 2
+  dune exec bin/leed.exe -- chaos --sanitize "$@" --proto "$proto" > "$tmp/chaos.out" \
+    || { echo "rebaseline: chaos $name [$proto] failed"; exit 1; }
+  digest=$(awk '$1 == "digest" { print $2 }' "$tmp/chaos.out")
+  [ -n "$digest" ] || { echo "rebaseline: no digest from chaos $name [$proto]"; exit 1; }
+  echo "$name $proto $digest" >> "$out/chaos-digests.txt"
+}
 for proto in crrs abd; do
   for stage in "smoke --seed 42" "bit-rot --bit-rot --seed 7" "fail-slow --fail-slow --seed 11" \
     "cache --cache --seed 42"; do
@@ -52,12 +65,11 @@ for proto in crrs abd; do
     set -- $stage
     name=$1
     shift
-    dune exec bin/leed.exe -- chaos --fast --sanitize "$@" --proto "$proto" > "$tmp/chaos.out" \
-      || { echo "rebaseline: chaos $name [$proto] failed"; exit 1; }
-    digest=$(awk '$1 == "digest" { print $2 }' "$tmp/chaos.out")
-    [ -n "$digest" ] || { echo "rebaseline: no digest from chaos $name [$proto]"; exit 1; }
-    echo "$name $proto $digest" >> "$out/chaos-digests.txt"
+    chaos_digest "$name" "$proto" --fast "$@"
   done
+done
+for proto in crrs abd; do
+  chaos_digest bit-rot-full "$proto" --bit-rot --seed 8
 done
 
 dune exec bin/leed.exe -- trace --seed 42 --out "$tmp/trace.json" > /dev/null \
