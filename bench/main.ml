@@ -209,7 +209,7 @@ let cache_configs = [ ("crrs", false); ("cache+crrs", true) ]
    scenario instead, which concentrates half the picks on 16 keys. *)
 let cache_thetas = [ 0.6; 0.9; 0.99 ]
 
-let cache_bench () =
+let cache_bench ~fast =
   let open Leed_sim in
   let open Leed_workload in
   let module Backend = Leed_core.Backend in
@@ -249,8 +249,8 @@ let cache_bench () =
             if scenario = "flash" then
               Some
                 {
-                  Workload.fc_start = Sim.now () +. Exp_common.dur 0.02;
-                  fc_duration = Exp_common.dur 0.05;
+                  Workload.fc_start = Sim.now () +. Exp_common.dur ~fast 0.02;
+                  fc_duration = Exp_common.dur ~fast 0.05;
                   fc_frac = 0.5;
                   fc_keys = 16;
                 }
@@ -263,7 +263,7 @@ let cache_bench () =
           in
           Exp_common.measure_closed
             ~label:(Printf.sprintf "%s/%s θ=%.1f" scenario label theta)
-            ~setup ~clients:workers ~duration:(Exp_common.dur window) ~gen ())
+            ~setup ~clients:workers ~duration:(Exp_common.dur ~fast window) ~gen ())
     in
     Exp_common.report_metrics m;
     let n = Backend.count m.Backend.counters in
@@ -479,11 +479,11 @@ let micro () =
 
 (* Run one experiment and report whether it finished; a raise is
    printed, not propagated, so the experiments after it still run. *)
-let run_experiment (name, f) =
+let run_experiment ~fast (name, f) =
   let t0 = Unix.gettimeofday () in
   Printf.printf "\n######## %s ########\n%!" name;
   let ok =
-    match f () with
+    match f ~fast with
     | () -> true
     | exception e ->
         Printf.printf "!! %s failed: %s\n%!" name (Printexc.to_string e);
@@ -495,12 +495,11 @@ let run_experiment (name, f) =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let fast = List.mem "fast" args || List.mem "--fast" args in
-  if fast then Exp_common.time_scale := 0.3;
   let selected = List.filter (fun a -> a <> "fast" && a <> "--fast") args in
   match selected with
   | "chaos" :: rest -> chaos ~fast rest
   | "repl" :: rest -> repl ~fast rest
-  | "cache" :: _ -> cache_bench ()
+  | "cache" :: _ -> cache_bench ~fast
   | "cache-validate" :: rest ->
       cache_validate (match rest with f :: _ -> f | [] -> "BENCH_cache.json")
   | _ ->
@@ -516,6 +515,6 @@ let () =
                   (String.concat ", " (List.map fst Registry.all));
                 exit 2)
       in
-      let all_ok = List.fold_left (fun ok e -> run_experiment e && ok) true to_run in
+      let all_ok = List.fold_left (fun ok e -> run_experiment ~fast e && ok) true to_run in
       if selected = [] || List.mem "micro" selected then micro ();
       if not all_ok then exit 1

@@ -466,10 +466,7 @@ let experiment_cmd =
          & info [] ~docv:"EXPERIMENT")
   in
   let fast = Arg.(value & flag & info [ "fast" ] ~doc:"Shorter measurement windows") in
-  let run f fast =
-    if fast then Leed_experiments.Exp_common.time_scale := 0.3;
-    f ()
-  in
+  let run f fast = f ~fast in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate one paper table/figure")
     Term.(const run $ exp $ fast)

@@ -112,37 +112,33 @@ dune exec bin/leed.exe -- race --fast --runs 8
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-echo "== cache bench smoke (theta sweep + flash crowd + schema + committed-file gate) =="
-# `cache fast` sweeps Zipf skew and a flash crowd across cache-off and
-# cache+CRRS and writes BENCH_cache.json; the validator
-# checks every (scenario x config) cell is present, metrics are finite,
-# cache-off rows report no cache traffic, and some armed cell hit.
-# Every field of the file is simulated (no wall clock) and goes through
-# Backend.measure's counter deltas, so it must also reproduce the
-# committed BENCH_cache.json byte for byte: a change that moves it on
-# purpose commits the regenerated file.
-cp BENCH_cache.json "$tmp/BENCH_cache.committed.json"
-dune exec bench/main.exe -- cache fast
-dune exec bench/main.exe -- cache-validate BENCH_cache.json
-cmp "$tmp/BENCH_cache.committed.json" BENCH_cache.json \
-  || { echo "BENCH_cache.json differs from the committed file"; exit 1; }
-
-echo "== chaos and replication bench gate (committed BENCH_chaos.json / BENCH_repl.json) =="
-# `chaos fast` (seed 42 plus the fail-slow points) and `repl fast` (CRRS
-# vs ABD) write their BENCH files into the current directory, so they run
-# in the stage's temp directory and the working tree stays clean. Every
-# field except the wall-clock `wall_s` is simulated and must reproduce
-# the committed file exactly: a change that moves one on purpose commits
-# the regenerated file.
+echo "== bench gates (cache, chaos and replication vs the committed BENCH files) =="
+# Each bench writes its BENCH file into the current directory, so all
+# three run in the stage's temp directory and the working tree stays
+# clean. `cache fast` sweeps Zipf skew and a flash crowd across cache-off
+# and cache+CRRS; the validator checks every (scenario x config) cell is
+# present, metrics are finite, cache-off rows report no cache traffic,
+# and some armed cell hit. Every field of BENCH_cache.json is simulated
+# (no wall clock) and goes through Backend.measure's counter deltas, so
+# it must reproduce the committed file byte for byte. `chaos fast` (seed
+# 42 plus the fail-slow points) and `repl fast` (CRRS vs ABD) must
+# reproduce theirs in every field except the wall-clock `wall_s`. A
+# change that moves one on purpose commits the regenerated file.
 dune build bench/main.exe
 bench_exe="$(pwd)/_build/default/bench/main.exe"
 strip_wall() { sed -E 's/"wall_s":[-+0-9.eE]+//g' "$1"; }
-for b in chaos repl; do
+for b in cache chaos repl; do
   (cd "$tmp" && "$bench_exe" "$b" fast > "$tmp/bench-$b.log")
-  strip_wall "BENCH_$b.json" > "$tmp/BENCH_$b.committed.nowall"
-  strip_wall "$tmp/BENCH_$b.json" > "$tmp/BENCH_$b.nowall"
-  cmp "$tmp/BENCH_$b.committed.nowall" "$tmp/BENCH_$b.nowall" \
-    || { echo "BENCH_$b.json differs from the committed file (wall_s aside)"; exit 1; }
+  if [ "$b" = cache ]; then
+    "$bench_exe" cache-validate "$tmp/BENCH_cache.json"
+    cmp BENCH_cache.json "$tmp/BENCH_cache.json" \
+      || { echo "BENCH_cache.json differs from the committed file"; exit 1; }
+  else
+    strip_wall "BENCH_$b.json" > "$tmp/BENCH_$b.committed.nowall"
+    strip_wall "$tmp/BENCH_$b.json" > "$tmp/BENCH_$b.nowall"
+    cmp "$tmp/BENCH_$b.committed.nowall" "$tmp/BENCH_$b.nowall" \
+      || { echo "BENCH_$b.json differs from the committed file (wall_s aside)"; exit 1; }
+  fi
 done
 
 echo "== traced chaos smoke (capture under faults + schema validation) =="

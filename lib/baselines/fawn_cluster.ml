@@ -18,12 +18,12 @@ type request =
 
 type response = FValue of bytes option | FOk | FErr
 
-let request_size = function
-  | FGet { key; _ } -> 48 + String.length key
-  | FWrite { key; value; _ } ->
-      48 + String.length key + (match value with Some v -> Bytes.length v | None -> 0)
-
-let response_size = function FValue (Some v) -> 48 + Bytes.length v | FValue None | FOk | FErr -> 48
+(* Modeled wire size in bytes: a 48-byte header plus key and value. *)
+let wire_size = function
+  | Rpc.Req (_, (FGet { key; _ } | FWrite { key; value = None; _ })) -> 48 + String.length key
+  | Rpc.Req (_, FWrite { key; value = Some v; _ }) -> 48 + String.length key + Bytes.length v
+  | Rpc.Resp (_, FValue (Some v)) -> 48 + Bytes.length v
+  | Rpc.Resp (_, (FValue None | FOk | FErr)) -> 48
 
 type config = {
   r : int;
@@ -90,9 +90,8 @@ let node_handler t (n : node) req =
                   FWrite { vn = next.Ring.owner; key; value; hop = hop + 1 }
                 in
                 let resp =
-                  Rpc.call_timeout n.rpc
-                    ~dst:t.nodes.(next.Ring.owner.Ring.node).rpc
-                    ~size:(request_size req) ~timeout:1.0 req
+                  Rpc.call_timeout n.rpc ~dst:t.nodes.(next.Ring.owner.Ring.node).rpc
+                    ~timeout:1.0 req
                 in
                 (match resp with Some FOk -> FOk | _ -> FErr)
           end
@@ -103,7 +102,7 @@ let node_handler t (n : node) req =
 
 let create ?(config = default_config) () =
   let platform = Platform.embedded_node in
-  let fabric = Netsim.fabric ~base_latency_us:30.0 () in
+  let fabric = Netsim.fabric ~base_latency_us:30.0 ~size:wire_size () in
   let ring = Ring.create () in
   let nodes =
     Array.init config.nnodes (fun id ->
@@ -145,7 +144,7 @@ let create ?(config = default_config) () =
       corrupt_reads = 0;
     }
   in
-  Array.iter (fun n -> Rpc.serve n.rpc ~resp_size:response_size (fun _ ~src:_ req -> node_handler t n req)) nodes;
+  Array.iter (fun n -> Rpc.serve n.rpc (node_handler t n)) nodes;
   t
 
 (* Front-end client: forwards to the head (writes) or the tail (reads). *)
@@ -154,7 +153,6 @@ type client = { cluster : t; rpc : (request, response) Rpc.t }
 let client t =
   let rpc = Rpc.create t.fabric ~name:(Printf.sprintf "fawn-fe%d" t.next_client_id) ~gbps:1.0 in
   t.next_client_id <- t.next_client_id + 1;
-  Rpc.client rpc;
   { cluster = t; rpc }
 
 let get c key =
@@ -164,8 +162,7 @@ let get c key =
   | tail :: _ -> (
       let req = FGet { vn = tail.Ring.owner; key } in
       match
-        Rpc.call_timeout c.rpc ~dst:t.nodes.(tail.Ring.owner.Ring.node).rpc ~size:(request_size req)
-          ~timeout:1.0 req
+        Rpc.call_timeout c.rpc ~dst:t.nodes.(tail.Ring.owner.Ring.node).rpc ~timeout:1.0 req
       with
       | Some (FValue v) -> v
       | Some FOk | Some FErr | None ->
@@ -179,8 +176,7 @@ let write c key value =
   | head :: _ -> (
       let req = FWrite { vn = head.Ring.owner; key; value; hop = 0 } in
       match
-        Rpc.call_timeout c.rpc ~dst:t.nodes.(head.Ring.owner.Ring.node).rpc ~size:(request_size req)
-          ~timeout:1.0 req
+        Rpc.call_timeout c.rpc ~dst:t.nodes.(head.Ring.owner.Ring.node).rpc ~timeout:1.0 req
       with
       | Some FOk -> ()
       | Some (FValue _) | Some FErr | None -> t.client_nacks <- t.client_nacks + 1)

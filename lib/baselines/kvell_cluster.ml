@@ -16,12 +16,12 @@ type request = KGet of string | KPut of string * bytes | KDel of string
 
 type response = KValue of bytes option | KOk | KErr
 
-let request_size = function
-  | KGet key -> 48 + String.length key
-  | KPut (key, v) -> 48 + String.length key + Bytes.length v
-  | KDel key -> 48 + String.length key
-
-let response_size = function KValue (Some v) -> 48 + Bytes.length v | KValue None | KOk | KErr -> 48
+(* Modeled wire size in bytes: a 48-byte header plus key and value. *)
+let wire_size = function
+  | Rpc.Req (_, (KGet key | KDel key)) -> 48 + String.length key
+  | Rpc.Req (_, KPut (key, v)) -> 48 + String.length key + Bytes.length v
+  | Rpc.Resp (_, KValue (Some v)) -> 48 + Bytes.length v
+  | Rpc.Resp (_, (KValue None | KOk | KErr)) -> 48
 
 type config = {
   r : int;
@@ -72,7 +72,7 @@ let node_handler (n : node) req =
 
 let create ?(config = default_config) () =
   let platform = config.platform in
-  let fabric = Netsim.fabric ~base_latency_us:3.0 () in
+  let fabric = Netsim.fabric ~base_latency_us:3.0 ~size:wire_size () in
   let nodes =
     Array.init config.nnodes (fun id ->
         let devs =
@@ -110,9 +110,7 @@ let create ?(config = default_config) () =
       client_nacks = 0;
     }
   in
-  Array.iter
-    (fun n -> Rpc.serve n.rpc ~resp_size:response_size (fun _ ~src:_ req -> node_handler n req))
-    t.nodes;
+  Array.iter (fun n -> Rpc.serve n.rpc (node_handler n)) t.nodes;
   t
 
 (* Replica set of a key: R consecutive nodes starting at hash(key). *)
@@ -126,15 +124,13 @@ type client = { cluster : t; rpc : (request, response) Rpc.t }
 let client t =
   let rpc = Rpc.create t.fabric ~name:(Printf.sprintf "kvell-cli%d" t.next_client_id) ~gbps:100.0 in
   t.next_client_id <- t.next_client_id + 1;
-  Rpc.client rpc;
   { cluster = t; rpc }
 
 let get c key =
   match replicas c.cluster key with
   | [] -> None
   | primary :: _ -> (
-      let req = KGet key in
-      match Rpc.call_timeout c.rpc ~dst:primary.rpc ~size:(request_size req) ~timeout:1.0 req with
+      match Rpc.call_timeout c.rpc ~dst:primary.rpc ~timeout:1.0 (KGet key) with
       | Some (KValue v) -> v
       | Some KOk | Some KErr | None ->
           c.cluster.client_nacks <- c.cluster.client_nacks + 1;
@@ -144,8 +140,7 @@ let put c key value =
   let results =
     List.map
       (fun (n : node) () ->
-        let req = KPut (key, value) in
-        match Rpc.call_timeout c.rpc ~dst:n.rpc ~size:(request_size req) ~timeout:1.0 req with
+        match Rpc.call_timeout c.rpc ~dst:n.rpc ~timeout:1.0 (KPut (key, value)) with
         | Some KOk -> ()
         | Some (KValue _) | Some KErr | None ->
             c.cluster.client_nacks <- c.cluster.client_nacks + 1)
@@ -156,8 +151,7 @@ let put c key value =
 let del c key =
   List.iter
     (fun (n : node) ->
-      let req = KDel key in
-      match Rpc.call_timeout c.rpc ~dst:n.rpc ~size:(request_size req) ~timeout:1.0 req with
+      match Rpc.call_timeout c.rpc ~dst:n.rpc ~timeout:1.0 (KDel key) with
       | Some KOk -> ()
       | Some (KValue _) | Some KErr | None ->
           c.cluster.client_nacks <- c.cluster.client_nacks + 1)

@@ -111,7 +111,6 @@ type t = {
 
 let create ~config ~rng ~track ~writer ~r ~proto ~fabric ~name ~peer ~refresh () =
   let rpc = Rpc.create fabric ~name ~gbps:100. in
-  Rpc.client rpc;
   let t =
     {
       config;
@@ -280,8 +279,7 @@ let issue t (e : Ring.entry) req =
   v.outstanding <- v.outstanding + 1;
   let start = Sim.now () in
   let resp =
-    Rpc.call_timeout t.rpc ~dst:(t.peer vn.Ring.node) ~size:(Messages.request_size req)
-      ~timeout:(timeout_for t vn.Ring.node) req
+    Rpc.call_timeout t.rpc ~dst:(t.peer vn.Ring.node) ~timeout:(timeout_for t vn.Ring.node) req
   in
   v.outstanding <- v.outstanding - 1;
   record_latency t vn.Ring.node (Sim.now () -. start);

@@ -149,7 +149,7 @@ let start_node t =
   n
 
 let create ?(config = default_config) () =
-  let fabric = Netsim.fabric () in
+  let fabric = Netsim.fabric ~size:Messages.wire_size () in
   let control =
     Control.create ~r:config.r ~proto:config.proto ~heartbeat_period:config.heartbeat_period
       ~slow_detection:config.client_config.Client.gray_defenses fabric

@@ -53,7 +53,6 @@ let slow_rounds_trigger = 3 (* consecutive slow rounds per ladder rung *)
 
 let create ~r ~proto ~heartbeat_period ~slow_detection fabric =
   let rpc = Rpc.create fabric ~name:"control-plane" ~gbps:10. in
-  Rpc.client rpc;
   {
     ring = Ring.create ();
     r;
@@ -119,10 +118,9 @@ let broadcast t =
       let ns = Hashtbl.find t.nodes id in
       if ns.alive then
         Sim.spawn (fun () ->
-            let req = Messages.Ring_update snap in
             ignore
-              (Rpc.call_timeout t.rpc ~dst:(Node.rpc ns.node) ~size:(Messages.request_size req)
-                 ~timeout:0.5 req)))
+              (Rpc.call_timeout t.rpc ~dst:(Node.rpc ns.node) ~timeout:0.5
+                 (Messages.Ring_update snap))))
     (node_ids t);
   List.iteri
     (fun i c ->
@@ -338,10 +336,9 @@ let join t (n : Node.t) =
         let ns = Hashtbl.find t.nodes id in
         if not ns.alive then None
         else begin
-          let req = Messages.Ring_update snap in
           ignore
-            (Rpc.call_timeout t.rpc ~dst:(Node.rpc ns.node) ~size:(Messages.request_size req)
-               ~timeout:0.5 req);
+            (Rpc.call_timeout t.rpc ~dst:(Node.rpc ns.node) ~timeout:0.5
+               (Messages.Ring_update snap));
           Some (ns.node, Node.write_mark ns.node)
         end)
       (node_ids t)
@@ -527,10 +524,9 @@ let probe_round t =
         else
           Some
             (fun () ->
-              let req = Messages.Ping in
               match
-                Rpc.call_timeout t.rpc ~dst:(Node.rpc ns.node) ~size:(Messages.request_size req)
-                  ~timeout:(t.heartbeat_period /. 2.) req
+                Rpc.call_timeout t.rpc ~dst:(Node.rpc ns.node)
+                  ~timeout:(t.heartbeat_period /. 2.) Messages.Ping
               with
               | Some resp ->
                   ns.missed <- 0;

@@ -93,3 +93,7 @@ let response_size = function
   | Tagged { value = Some v; _ } -> 80 + Bytes.length v
   | Tagged { value = None; _ } -> 80
   | Value { value = None; _ } | Ok _ | Pong _ | Nack _ -> 64
+
+let wire_size : (request, response) Leed_netsim.Netsim.Rpc.wire -> int = function
+  | Leed_netsim.Netsim.Rpc.Req (_, q) -> request_size q
+  | Leed_netsim.Netsim.Rpc.Resp (_, r) -> response_size r

@@ -81,7 +81,8 @@ type response =
           (µs) — the gray-failure telemetry the control plane scores *)
   | Nack of nack_reason
 
-val request_size : request -> int
-(** Modeled wire size in bytes (headers + payload). *)
-
-val response_size : response -> int
+val wire_size : (request, response) Leed_netsim.Netsim.Rpc.wire -> int
+(** Modeled wire size in bytes (headers + payload) of a request or a
+    response: the sizing rule of the LEED fabric ([Cluster.create]
+    builds it with this), so every RPC and injected cache reply is priced
+    here. *)

@@ -186,9 +186,10 @@ type instance = {
    epoch's monotonicity is what makes stale pending-GET records inert. *)
 type kmeta = { mutable epoch : int; mutable writers : int }
 
-(* A GET the cache let through, awaiting its response for populate. Its
-   expiry rides the [gc_get] queue. *)
-type pget = { pg_key : string; pg_epoch : int }
+(* A request the cache let through, awaiting its response: a GET to
+   populate from, or a write-class request whose key stays uncacheable
+   until its ack crosses back. *)
+type pending = Get_sent of { key : string; epoch : int } | Write_sent of string
 
 type stats = {
   hits : int;
@@ -211,13 +212,11 @@ type t = {
   insts : instance array;
   track : Trace.track;
   keymeta : (string, kmeta) Hashtbl.t;
-  (* both pending tables are keyed by (requester endpoint id, req id) —
-     request ids are per-endpoint and never reused, so the pair is unique
-     for the fabric's lifetime *)
-  pending_get : (int * int, pget) Hashtbl.t;
-  pending_wr : (int * int, string) Hashtbl.t; (* write-class request -> its key *)
-  gc_get : ((int * int) * float) Queue.t;
-  gc_wr : ((int * int) * float) Queue.t;
+  (* keyed by (requester endpoint id, req id) — request ids are
+     per-endpoint and never reused, so the pair is unique for the
+     fabric's lifetime *)
+  pending : (int * int, pending) Hashtbl.t;
+  expiry : ((int * int) * float) Queue.t; (* FIFO: every record has the same TTL *)
   mutable rr : int; (* round-robin spray cursor *)
   mutable tick : int;
   mutable hits : int;
@@ -281,22 +280,21 @@ let release_write t key =
    fabric or the responder died). A lost write ack is the dangerous case:
    its key stays uncacheable until here, and the expiry itself evicts and
    bumps the epoch once more — conservative, never unsafe. *)
-let gc t =
-  let rec drain q ~on_expire =
-    match Queue.peek_opt q with
-    | Some (_, expires) when Sim.past expires ->
-        let slot, _ = Queue.pop q in
-        on_expire slot;
-        drain q ~on_expire
-    | _ -> ()
-  in
-  drain t.gc_get ~on_expire:(fun slot -> Hashtbl.remove t.pending_get slot);
-  drain t.gc_wr ~on_expire:(fun slot ->
-      match Hashtbl.find_opt t.pending_wr slot with
+let rec gc t =
+  match Queue.peek_opt t.expiry with
+  | Some (_, expires) when Sim.past expires ->
+      let slot, _ = Queue.pop t.expiry in
+      (match Hashtbl.find_opt t.pending slot with
       | None -> ()
-      | Some key ->
-          Hashtbl.remove t.pending_wr slot;
-          release_write t key)
+      | Some p -> (
+          Hashtbl.remove t.pending slot;
+          match p with Write_sent key -> release_write t key | Get_sent _ -> ()));
+      gc t
+  | _ -> ()
+
+let expect t slot p =
+  Hashtbl.replace t.pending slot p;
+  Queue.push (slot, Sim.now () +. pending_ttl) t.expiry
 
 (* --- the LRU store --- *)
 
@@ -343,11 +341,10 @@ let insert t inst key value tokens =
 let serve t inst ~requester ~req_id (e : entry) =
   let value = Bytes.copy e.e_value in
   let resp = Messages.Value { value = Some value; tokens = e.e_tokens } in
-  let size = Messages.response_size resp in
   let service = Sim.us service_us in
   Sim.spawn ~label:(Netsim.name inst.ep) (fun () ->
       Sim.Resource.with_ inst.res (fun () -> Sim.delay service);
-      Netsim.inject t.fab ~src:inst.ep ~dst:requester ~size (Netsim.Rpc.Resp (req_id, resp)))
+      Netsim.inject t.fab ~src:inst.ep ~dst:requester (Netsim.Rpc.Resp (req_id, resp)))
 
 (* --- tap handlers --- *)
 
@@ -371,10 +368,8 @@ let on_get t (env : wire Netsim.envelope) req_id key =
         if Trace.on () then
           Trace.instant ~track:t.track ~cat:"cache" "cache.miss"
             ~args:[ ("key", Trace.Str key); ("class", Trace.Str (Classifier.klass_to_string klass)) ];
-        let m = kmeta_of t key in
-        let slot = (Netsim.id env.Netsim.src, req_id) in
-        Hashtbl.replace t.pending_get slot { pg_key = key; pg_epoch = m.epoch };
-        Queue.push (slot, Sim.now () +. pending_ttl) t.gc_get;
+        expect t (Netsim.id env.Netsim.src, req_id)
+          (Get_sent { key; epoch = (kmeta_of t key).epoch });
         Netsim.Forward
       in
       (match Hashtbl.find_opt inst.tbl key with
@@ -398,9 +393,7 @@ let on_write_req t (env : wire Netsim.envelope) req_id key =
   bump_epoch m;
   evict_key t key;
   m.writers <- m.writers + 1;
-  let slot = (Netsim.id env.Netsim.src, req_id) in
-  Hashtbl.replace t.pending_wr slot key;
-  Queue.push (slot, Sim.now () +. pending_ttl) t.gc_wr
+  expect t (Netsim.id env.Netsim.src, req_id) (Write_sent key)
 
 let populate t key value tokens =
   match Classifier.klass t.cls (group_of t key) with
@@ -417,29 +410,25 @@ let populate t key value tokens =
 
 let on_resp t (env : wire Netsim.envelope) req_id resp =
   let slot = (Netsim.id env.Netsim.dst, req_id) in
-  match Hashtbl.find_opt t.pending_wr slot with
-  | Some key ->
-      (* The write's ack is crossing back: the write is about to complete
-         at its issuer, so the value it installed is committed — evict
-         once more and release the in-flight guard. Nacks get the same
-         conservative treatment. *)
-      Hashtbl.remove t.pending_wr slot;
-      release_write t key
-  | None -> (
-      match Hashtbl.find_opt t.pending_get slot with
-      | None -> ()
-      | Some pg -> (
-          Hashtbl.remove t.pending_get slot;
-          match resp with
-          | Messages.Value { value = Some v; tokens } ->
-              (* Populate only if nothing write-shaped crossed the switch
-                 since the GET's request did, and nothing is in flight:
-                 the returned value is then the key's latest committed
-                 value for the whole request interval. *)
-              let m = kmeta_of t pg.pg_key in
-              if m.epoch = pg.pg_epoch && m.writers = 0 then
-                populate t pg.pg_key v tokens
-          | _ -> ()))
+  match Hashtbl.find_opt t.pending slot with
+  | None -> ()
+  | Some p -> (
+      Hashtbl.remove t.pending slot;
+      match (p, resp) with
+      | Write_sent key, _ ->
+          (* The write's ack is crossing back: the write is about to
+             complete at its issuer, so the value it installed is
+             committed — evict once more and release the in-flight guard.
+             Nacks get the same conservative treatment. *)
+          release_write t key
+      | Get_sent { key; epoch }, Messages.Value { value = Some v; tokens } ->
+          (* Populate only if nothing write-shaped crossed the switch
+             since the GET's request did, and nothing is in flight: the
+             returned value is then the key's latest committed value for
+             the whole request interval. *)
+          let m = kmeta_of t key in
+          if m.epoch = epoch && m.writers = 0 then populate t key v tokens
+      | Get_sent _, _ -> ())
 
 let tap t (env : wire Netsim.envelope) =
   gc t;
@@ -496,10 +485,8 @@ let attach ?(config = enabled default_config) fab =
       insts;
       track;
       keymeta = Hashtbl.create 1024;
-      pending_get = Hashtbl.create 256;
-      pending_wr = Hashtbl.create 256;
-      gc_get = Queue.create ();
-      gc_wr = Queue.create ();
+      pending = Hashtbl.create 256;
+      expiry = Queue.create ();
       rr = 0;
       tick = 0;
       hits = 0;

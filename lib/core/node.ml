@@ -36,7 +36,6 @@ type t = {
   vnodes : vnode_state array; (* indexed by vidx, 0 .. npartitions - 1 *)
   net_cpu : Sim.Resource.t; (* the cores polling the RDMA RX queues (§3.4) *)
   mutable peer : int -> (Messages.request, Messages.response) Rpc.t;
-  mutable up : bool;
   (* forwarding rules active during COPY: writes committed in (lo, hi]
      are also forwarded to [dst] *)
   mutable copy_forwards : (int * int * Ring.vnode) list;
@@ -97,7 +96,6 @@ let create ?(proto = Replication.Crrs) ~id ~platform ~fabric
         ~capacity:(max 1 (platform.Platform.cpu.Platform.cores - platform.Platform.ssd_count - 1))
         ();
     peer = (fun _ -> failwith "Node.peer unset");
-    up = true;
     copy_forwards = [];
     repl = Abd.protocol proto;
     renv = None;
@@ -195,8 +193,7 @@ let forward_copies t ~key ~value =
       if Ring.key_in_arc ~lo ~hi key then begin
         let req = Messages.Copy_put { vn = dst; key; value; fresh = true } in
         match
-          Rpc.call_timeout t.rpc ~dst:(t.peer dst.Ring.node) ~size:(Messages.request_size req)
-            ~timeout:0.5 req
+          Rpc.call_timeout t.rpc ~dst:(t.peer dst.Ring.node) ~timeout:0.5 req
         with
         | Some _ | None -> ()
       end)
@@ -217,9 +214,7 @@ let fetch_from_replicas t vs key =
     | (e : Ring.entry) :: rest -> (
         let req = Messages.Repair_get { vn = e.Ring.owner; key } in
         match
-          Rpc.call_timeout t.rpc
-            ~dst:(t.peer e.Ring.owner.Ring.node)
-            ~size:(Messages.request_size req) ~timeout:0.5 req
+          Rpc.call_timeout t.rpc ~dst:(t.peer e.Ring.owner.Ring.node) ~timeout:0.5 req
         with
         | Some (Messages.Value { value = Some v; _ }) -> Some v
         | Some _ | None -> go rest)
@@ -258,9 +253,7 @@ let make_env t : Replication.server_env =
     sv_submit = (fun ~deadline ~vidx cmd -> submit_local ~deadline t (vnode t vidx) cmd);
     sv_tokens = (fun ~vidx -> tokens_for t (vnode t vidx));
     sv_call =
-      (fun ~dst ~timeout req ->
-        Rpc.call_timeout t.rpc ~dst:(t.peer dst.Ring.node)
-          ~size:(Messages.request_size req) ~timeout req);
+      (fun ~dst ~timeout req -> Rpc.call_timeout t.rpc ~dst:(t.peer dst.Ring.node) ~timeout req);
     sv_on_commit = (fun ~key ~value -> forward_copies t ~key ~value);
     sv_repair = (fun ~vidx ~key -> read_repair t (vnode t vidx) ~key);
     sv_note =
@@ -412,19 +405,13 @@ let handle t (req : Messages.request) : Messages.response =
 
 let start t =
   Engine.start t.engine;
-  Rpc.serve t.rpc ~resp_size:Messages.response_size (fun _rpc ~src:_ req -> handle t req)
+  Rpc.serve t.rpc (handle t)
 
 (* Fail-stop crash: the NIC goes silent; engine state survives in DRAM/
    flash but nothing is served. *)
-let crash t =
-  t.up <- false;
-  Rpc.set_down t.rpc
-
-let recover_network t =
-  t.up <- true;
-  Rpc.set_up t.rpc
-
-let is_up t = t.up
+let crash t = Rpc.set_down t.rpc
+let recover_network t = Rpc.set_up t.rpc
+let is_up t = Rpc.is_up t.rpc
 
 (* Crash-restart (§3.8.2): the DRAM side of the node — dirty marks, taint
    marks, the ABD tag gate, copy fences, forwarding rules — died with the
@@ -462,8 +449,7 @@ let copy_range t ~vidx ~lo ~hi ~(dst : Ring.vnode) =
         Sim.spawn (fun () ->
             let req = Messages.Copy_put { vn = dst; key; value; fresh = false } in
             (match
-               Rpc.call_timeout t.rpc ~dst:(t.peer dst.Ring.node) ~size:(Messages.request_size req)
-                 ~timeout:1.0 req
+               Rpc.call_timeout t.rpc ~dst:(t.peer dst.Ring.node) ~timeout:1.0 req
              with
             | Some (Messages.Ok _) -> incr copied
             | Some _ | None -> ());
@@ -495,10 +481,10 @@ let scrub_pass t =
          for seg = 0 to Store.nsegments st - 1 do
            if Segtbl.is_materialised (Segtbl.entry (Store.segtbl st) seg) then begin
              let cost = Engine.token_cost (Engine.Scrub seg) in
-             while t.up && Engine.available_tokens p < cost do
+             while is_up t && Engine.available_tokens p < cost do
                Sim.delay (Sim.us 500.)
              done;
-             if t.up then
+             if is_up t then
                match Engine.submit t.engine ~pid:vs.pid (Engine.Scrub seg) with
                | Ok (Store.Scrub_clean _) -> t.scrubbed_segments <- t.scrubbed_segments + 1
                | Ok (Store.Scrub_repair keys) ->

@@ -215,9 +215,4 @@ let on_off_over_skew ~title point =
       ("p999-ms w/o", col (fun m -> m.Backend.p999 *. 1e3) off);
     ]
 
-(* Reviewed singleton: CLI-scoped knob set once at process start (before
-   any Sim.run) by `leed experiment --fast` / `bench fast`, read-only
-   afterwards — it cannot couple simulations to each other. *)
-(* simlint: allow toplevel-state *)
-let time_scale = ref 1.0
-let dur x = x *. !time_scale
+let dur ~fast x = if fast then x *. 0.3 else x

@@ -143,9 +143,6 @@ val on_off_over_skew : title:string -> (bool -> float -> Backend.metrics) -> uni
 
 (** {1 Measurement windows} *)
 
-val time_scale : float ref
-(** Global knob for quick runs: multiplies every measurement window
-    ([bench fast] sets it below 1). *)
-
-val dur : float -> float
-(** [dur x = x *. !time_scale]. *)
+val dur : fast:bool -> float -> float
+(** A measurement window of [x] seconds, cut to 30% for quick runs
+    ([~fast], from [leed experiment --fast] and [bench/main.exe fast]). *)

@@ -18,7 +18,7 @@ module Driver = Workload.Driver
 
 let nkeys = 4_000
 
-let measure_point ~swap ~object_size ~skew =
+let measure_point ~fast ~swap ~object_size ~skew =
   Sim.run (fun () ->
       let e, pid_of =
         Exp_common.jbof_engine ~config:(Exp_common.engine_config ~swap ~swap_threshold:16 ()) ()
@@ -40,7 +40,7 @@ let measure_point ~swap ~object_size ~skew =
       let zipf = Zipf.create ~theta:skew ~n:npart (Rng.create 81) in
       let rng = Rng.create 82 in
       let r =
-        Driver.closed ~workers:128 ~duration:(Exp_common.dur 0.12) (fun _ ->
+        Driver.closed ~workers:128 ~duration:(Exp_common.dur ~fast 0.12) (fun _ ->
             let part = by_part.(Zipf.next zipf) in
             match put ~version:1 part.(Rng.int rng (Array.length part)) with
             | Error Engine.Overloaded -> Sim.delay (Sim.us 200.)
@@ -53,8 +53,8 @@ let measure_point ~swap ~object_size ~skew =
       (r.Driver.throughput, Leed_stats.Histogram.mean lat, Leed_stats.Histogram.percentile lat 0.999,
        swaps))
 
-let run_size ~object_size =
-  let points swap = List.map (fun skew -> measure_point ~swap ~object_size ~skew) Workload.skew_sweep in
+let run_size ~fast ~object_size =
+  let points swap = List.map (fun skew -> measure_point ~fast ~swap ~object_size ~skew) Workload.skew_sweep in
   let with_ds = points true and without = points false in
   let col f pts = List.map f pts in
   Leed_stats.Report.series
@@ -71,8 +71,8 @@ let run_size ~object_size =
       ("swaps", col (fun (_, _, _, s) -> float_of_int s) with_ds);
     ]
 
-let run () =
-  run_size ~object_size:256;
-  run_size ~object_size:1024;
+let run ~fast =
+  run_size ~fast ~object_size:256;
+  run_size ~fast ~object_size:1024;
   print_endline
     "paper: at skew 0.99 swapping adds 15.4%/17.2% throughput (256B/1KB); avg/p99.9 latency improve 28.6%/32.1% across skewed cases"

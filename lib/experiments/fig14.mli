@@ -1,3 +1,3 @@
 (** Figure 14 (appendix): the Figure 6 grid at 256 B objects. *)
 
-val run : unit -> unit
+val run : fast:bool -> unit

@@ -47,7 +47,7 @@ let systems ~object_size =
       })
     runs
 
-let run_size ~object_size =
+let run_size ~fast ~object_size =
   Sim.run (fun () ->
       let systems = systems ~object_size in
       List.iter
@@ -66,7 +66,7 @@ let run_size ~object_size =
                   in
                   let m =
                     Exp_common.measure_closed ~label:mix.Workload.label ~setup:sys.setup
-                      ~clients:sys.workers ~duration:(Exp_common.dur sys.window) ~gen ()
+                      ~clients:sys.workers ~duration:(Exp_common.dur ~fast sys.window) ~gen ()
                   in
                   m.Backend.queries_per_joule /. 1e3)
                 mixes ))
@@ -89,6 +89,6 @@ let run_size ~object_size =
             (if object_size = 256 then "17.5x" else "19.1x")
       | _ -> ())
 
-let run () =
-  run_size ~object_size:256;
-  run_size ~object_size:1024
+let run ~fast =
+  run_size ~fast ~object_size:256;
+  run_size ~fast ~object_size:1024

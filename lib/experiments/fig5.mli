@@ -2,4 +2,4 @@
     persistent KV systems across the six YCSB workloads, for 256 B and
     1 KB objects, all driven through the backend-generic boundary. *)
 
-val run : unit -> unit
+val run : fast:bool -> unit

@@ -13,10 +13,10 @@ let fractions = [ 0.25; 0.5; 0.75; 0.95 ]
 type sweep_point = { thr : float; avg_ms : float }
 
 (* Find saturation closed-loop, then sweep open-loop rates. *)
-let sweep ~gen_of ~setup ~clients () =
+let sweep ~fast ~gen_of ~setup ~clients () =
   let sat =
     let m =
-      Exp_common.measure_closed ~label:"sat" ~setup ~clients ~duration:(Exp_common.dur 0.1)
+      Exp_common.measure_closed ~label:"sat" ~setup ~clients ~duration:(Exp_common.dur ~fast 0.1)
         ~gen:(gen_of 0) ()
     in
     m.Backend.throughput
@@ -25,7 +25,7 @@ let sweep ~gen_of ~setup ~clients () =
     (fun i frac ->
       let rate = frac *. sat in
       let m =
-        Exp_common.measure_open ~label:"pt" ~setup ~rate ~duration:(Exp_common.dur 0.12)
+        Exp_common.measure_open ~label:"pt" ~setup ~rate ~duration:(Exp_common.dur ~fast 0.12)
           ~gen:(gen_of (i + 1)) ()
       in
       { thr = m.Backend.throughput; avg_ms = m.Backend.avg_lat *. 1e3 })
@@ -35,21 +35,21 @@ let sweep ~gen_of ~setup ~clients () =
 let seed_base = [ ("leed", 100); ("kvell", 200); ("fawn", 300) ]
 
 (* Each system in its own simulation world. *)
-let run_system ~object_size (mix : Workload.mix) (d : Exp_common.system) =
+let run_system ~fast ~object_size (mix : Workload.mix) (d : Exp_common.system) =
   Sim.run (fun () ->
       let setup = d.Exp_common.make () in
       Exp_common.preload setup ~nkeys:d.Exp_common.nkeys
         ~value_size:(object_size - Workload.key_size);
-      sweep
+      sweep ~fast
         ~gen_of:(fun i ->
           Workload.generator ~object_size mix ~nkeys:d.Exp_common.nkeys
             (Rng.create (List.assoc d.Exp_common.name seed_base + i)))
         ~setup ~clients:d.Exp_common.workers ())
 
-let run_workload ~object_size (mix : Workload.mix) =
+let run_workload ~fast ~object_size (mix : Workload.mix) =
   let results =
     List.map
-      (fun (d : Exp_common.system) -> (d.Exp_common.name, run_system ~object_size mix d))
+      (fun (d : Exp_common.system) -> (d.Exp_common.name, run_system ~fast ~object_size mix d))
       (Exp_common.compared_systems ~object_size)
   in
   let points name = List.assoc name results in
@@ -72,9 +72,9 @@ let run_workload ~object_size (mix : Workload.mix) =
          ])
        fractions)
 
-let run_size ~object_size =
-  List.iter (run_workload ~object_size) (Workload.all_ycsb ());
+let run_size ~fast ~object_size =
+  List.iter (run_workload ~fast ~object_size) (Workload.all_ycsb ());
   print_endline
     "paper (1KB): KVell peaks ~2.9x LEED's throughput; near saturation LEED's avg latency is ~28.5% lower than KVell, ~47.9% lower than FAWN(100)"
 
-let run () = run_size ~object_size:1024
+let run ~fast = run_size ~fast ~object_size:1024

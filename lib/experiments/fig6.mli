@@ -2,7 +2,7 @@
     workloads across the four compared systems, every system driven
     through the backend-generic boundary. *)
 
-val run_size : object_size:int -> unit
+val run_size : fast:bool -> object_size:int -> unit
 (** One full grid at the given object size (fig14 reuses this at 256 B). *)
 
-val run : unit -> unit
+val run : fast:bool -> unit

@@ -7,7 +7,7 @@ open Leed_workload
 
 let nkeys = 5_000
 
-let measure_point ~ls ~mix_of ~skew =
+let measure_point ~fast ~ls ~mix_of ~skew =
   Sim.run (fun () ->
       (* "LS off" disables both halves of load-aware scheduling: the
          client-side token gating (Alg. 1) and the intra-JBOF token engine
@@ -25,16 +25,16 @@ let measure_point ~ls ~mix_of ~skew =
       let setup = Exp_common.make_leed ~nclients:6 ~flow_control:ls ~engine_cfg () in
       Exp_common.preload setup ~nkeys ~value_size:1008;
       let gen = Workload.generator ~object_size:1024 (mix_of ~theta:skew) ~nkeys (Rng.create 52) in
-      Exp_common.measure_closed ~label:"pt" ~setup ~clients:160 ~duration:(Exp_common.dur 0.12)
+      Exp_common.measure_closed ~label:"pt" ~setup ~clients:160 ~duration:(Exp_common.dur ~fast 0.12)
         ~gen ())
 
-let run_mix name mix_of =
+let run_mix ~fast name mix_of =
   Exp_common.on_off_over_skew
     ~title:(Printf.sprintf "Figure 8 (%s): load-aware scheduling on/off over Zipf skew" name)
-    (fun ls skew -> measure_point ~ls ~mix_of ~skew)
+    (fun ls skew -> measure_point ~fast ~ls ~mix_of ~skew)
 
-let run () =
-  run_mix "YCSB-B" (fun ~theta -> Workload.ycsb_b ~theta ());
-  run_mix "YCSB-C" (fun ~theta -> Workload.ycsb_c ~theta ());
+let run ~fast =
+  run_mix ~fast "YCSB-B" (fun ~theta -> Workload.ycsb_b ~theta ());
+  run_mix ~fast "YCSB-C" (fun ~theta -> Workload.ycsb_c ~theta ());
   print_endline
     "paper (YCSB-B): load-aware scheduling improves throughput 52.2% and cuts avg/p99.9 latency 34.4%/33.7%"

@@ -121,4 +121,4 @@ let print pts =
         pts
   | None -> ()
 
-let run () = print (points ~fast:(!Exp_common.time_scale < 1.0) ())
+let run ~fast = print (points ~fast ())

@@ -18,5 +18,5 @@ val p999_ratios : point list -> (float * float) option
 val print : point list -> unit
 (** Print the comparison table and the p99.9 degradation ratios. *)
 
-val run : unit -> unit
-(** [print] the {!points} of the current time scale. *)
+val run : fast:bool -> unit
+(** [print] the {!points}, at the quick scale when [fast]. *)

@@ -3,9 +3,10 @@
     [leed experiment]), so the set of names and their order live in one
     place. *)
 
-type entry = string * (unit -> unit)
+type entry = string * (fast:bool -> unit)
 (** An experiment's command-line name and the function that runs it
-    and prints its table or figure. *)
+    and prints its table or figure; [~fast] cuts its measurement windows
+    (see {!Exp_common.dur}) where it has any. *)
 
 val paper : entry list
 (** The paper's evaluation artifacts in presentation order (Table 1,

@@ -16,13 +16,12 @@ type 'p endpoint = {
   gbps : float;
   nic : Sim.Resource.t;
   trace : Trace.track; (* the owning fabric's trace row *)
-  mutable receiver : ('p envelope -> unit) option;
+  mutable receiver : 'p envelope -> unit;
   mutable up : bool;
   mutable sent_msgs : int;
   mutable sent_bytes : int;
   mutable recv_msgs : int;
   mutable recv_bytes : int;
-  backlog : 'p envelope Queue.t; (* messages arriving before a receiver is set *)
 }
 
 and 'p envelope = {
@@ -48,9 +47,9 @@ type tap_verdict = Forward | Consume
 
 type 'p fabric = {
   base_latency : float;
+  size : 'p -> int; (* the wire size of every message, in bytes *)
   trace : Trace.track;
   mutable next_id : int;
-  mutable endpoints : 'p endpoint list;
   mutable next_rule : int;
   (* evaluated in insertion order; any Drop wins, Delays accumulate *)
   mutable rules : (int * ('p endpoint -> 'p endpoint -> verdict option)) list;
@@ -62,12 +61,12 @@ type 'p fabric = {
   mutable consumed_msgs : int;
 }
 
-let fabric ?(base_latency_us = 3.0) () =
+let fabric ?(base_latency_us = 3.0) ~size () =
   {
     base_latency = Sim.us base_latency_us;
+    size;
     trace = Trace.new_track "net";
     next_id = 0;
-    endpoints = [];
     next_rule = 0;
     rules = [];
     dropped_msgs = 0;
@@ -79,24 +78,19 @@ let fabric ?(base_latency_us = 3.0) () =
 let endpoint fab ~name ~gbps =
   let id = fab.next_id in
   fab.next_id <- id + 1;
-  let ep =
-    {
-      name;
-      id;
-      gbps;
-      nic = Sim.Resource.create ~name:(name ^ ".nic") ~capacity:1 ();
-      trace = fab.trace;
-      receiver = None;
-      up = true;
-      sent_msgs = 0;
-      sent_bytes = 0;
-      recv_msgs = 0;
-      recv_bytes = 0;
-      backlog = Queue.create ();
-    }
-  in
-  fab.endpoints <- ep :: fab.endpoints;
-  ep
+  {
+    name;
+    id;
+    gbps;
+    nic = Sim.Resource.create ~name:(name ^ ".nic") ~capacity:1 ();
+    trace = fab.trace;
+    receiver = ignore;
+    up = true;
+    sent_msgs = 0;
+    sent_bytes = 0;
+    recv_msgs = 0;
+    recv_bytes = 0;
+  }
 
 let name ep = ep.name
 let id ep = ep.id
@@ -140,12 +134,12 @@ let set_down ep = ep.up <- false
 
 let set_up ep = ep.up <- true
 
-let set_receiver ep f =
-  ep.receiver <- Some f;
-  (* Drain anything that arrived before the receiver was installed. *)
-  while not (Queue.is_empty ep.backlog) do
-    f (Queue.pop ep.backlog)
-  done
+let set_receiver ep f = ep.receiver <- f
+
+(* A message that dies in flight still closes its trace span. *)
+let end_dropped track trace_id =
+  if trace_id <> 0 then
+    Trace.async_end ~track ~cat:"net" ~id:trace_id "msg" ~args:[ ("dropped", Trace.Bool true) ]
 
 let deliver env =
   let ep = env.dst in
@@ -154,65 +148,69 @@ let deliver env =
     ep.recv_bytes <- ep.recv_bytes + env.size;
     if env.trace_id <> 0 then
       Trace.async_end ~track:ep.trace ~cat:"net" ~id:env.trace_id "msg";
-    match ep.receiver with
-    | Some f -> f env
-    | None -> Queue.push env ep.backlog
+    ep.receiver env
   end
+  else end_dropped ep.trace env.trace_id
 
 let wire_time size gbps = float_of_int (size * 8) /. (gbps *. 1e9)
 
+(* The receive side of every flight, once it has crossed the switch: a
+   down destination loses the message, an up one holds its NIC for the
+   wire time and then delivers. *)
+let arrive env =
+  let dst = env.dst in
+  if dst.up then
+    Sim.spawn ~label:dst.name (fun () ->
+        Sim.Resource.with_ dst.nic (fun () -> Sim.delay (wire_time env.size dst.gbps));
+        deliver env)
+  else end_dropped dst.trace env.trace_id
+
+(* Count a message out of [src] and open its in-flight span. *)
+let depart fab ~src ~dst payload =
+  let size = fab.size payload in
+  src.sent_msgs <- src.sent_msgs + 1;
+  src.sent_bytes <- src.sent_bytes + size;
+  let trace_id = Trace.next_id () in
+  if trace_id <> 0 then
+    Trace.async_begin ~track:fab.trace ~cat:"net" ~id:trace_id "msg"
+      ~args:[ ("src", Trace.Str src.name); ("dst", Trace.Str dst.name); ("size", Trace.Int size) ];
+  { src; dst; size; payload; trace_id }
+
 (* Fire-and-forget message send. Blocks the caller for the sender-side NIC
    occupancy only; the flight and receive side proceed asynchronously. *)
-let send fab ~src ~dst ~size payload =
-  if not src.up then ()
-  else begin
-    src.sent_msgs <- src.sent_msgs + 1;
-    src.sent_bytes <- src.sent_bytes + size;
-    (* Open the in-flight span before the sender pays NIC occupancy, so
-       the viewer shows the full send-to-deliver extent of the message. *)
-    let trace_id = Trace.next_id () in
-    if trace_id <> 0 then
-      Trace.async_begin ~track:fab.trace ~cat:"net" ~id:trace_id "msg"
-        ~args:[ ("src", Trace.Str src.name); ("dst", Trace.Str dst.name); ("size", Trace.Int size) ];
-    Sim.Resource.with_ src.nic (fun () -> Sim.delay (wire_time size src.gbps));
-    let env = { src; dst; size; payload; trace_id } in
+let send fab ~src ~dst payload =
+  if src.up then begin
+    (* The span opens before the sender pays NIC occupancy, so the viewer
+       shows the full send-to-deliver extent of the message. *)
+    let env = depart fab ~src ~dst payload in
+    Sim.Resource.with_ src.nic (fun () -> Sim.delay (wire_time env.size src.gbps));
     (* The tap models switch-resident logic (in-network caching): it sees
        every message that left a sender NIC, exactly once, before the
        fault rules — switch-local handling is not subject to link loss
        between the switch and the addressed endpoint. Tap closures run in
        the sender's process and must not block; anything slow (a cache
        lookup service time) is spawned. *)
-    let consumed =
-      match fab.tap with
-      | Some tap when tap env = Consume ->
-          fab.consumed_msgs <- fab.consumed_msgs + 1;
-          if trace_id <> 0 then
-            Trace.async_end ~track:fab.trace ~cat:"net" ~id:trace_id "msg"
-              ~args:[ ("consumed", Trace.Bool true) ];
-          true
-      | _ -> false
-    in
-    if consumed then ()
-    else
-    (* Fault rules apply after the sender has paid its NIC occupancy: the
-       packet left the NIC and was lost (or delayed) in the fabric, so
-       sender-side timing is identical with and without an armed fault. *)
-    match judge fab ~src ~dst with
-    | Drop ->
-        fab.dropped_msgs <- fab.dropped_msgs + 1;
-        if trace_id <> 0 then begin
-          Trace.instant ~track:fab.trace ~cat:"net" "drop"
-            ~args:[ ("src", Trace.Str src.name); ("dst", Trace.Str dst.name) ];
-          Trace.async_end ~track:fab.trace ~cat:"net" ~id:trace_id "msg"
-            ~args:[ ("dropped", Trace.Bool true) ]
-        end
-    | Delay extra ->
-        if extra > 0. then fab.delayed_msgs <- fab.delayed_msgs + 1;
-        Sim.after (fab.base_latency +. extra) (fun () ->
-            if dst.up then
-              Sim.spawn ~label:dst.name (fun () ->
-                  Sim.Resource.with_ dst.nic (fun () -> Sim.delay (wire_time size dst.gbps));
-                  deliver env))
+    match fab.tap with
+    | Some tap when tap env = Consume ->
+        fab.consumed_msgs <- fab.consumed_msgs + 1;
+        if env.trace_id <> 0 then
+          Trace.async_end ~track:fab.trace ~cat:"net" ~id:env.trace_id "msg"
+            ~args:[ ("consumed", Trace.Bool true) ]
+    | _ -> (
+        (* Fault rules apply after the sender has paid its NIC occupancy:
+           the packet left the NIC and was lost (or delayed) in the
+           fabric, so sender-side timing is identical with and without an
+           armed fault. *)
+        match judge fab ~src ~dst with
+        | Drop ->
+            fab.dropped_msgs <- fab.dropped_msgs + 1;
+            if env.trace_id <> 0 then
+              Trace.instant ~track:fab.trace ~cat:"net" "drop"
+                ~args:[ ("src", Trace.Str src.name); ("dst", Trace.Str dst.name) ];
+            end_dropped fab.trace env.trace_id
+        | Delay extra ->
+            if extra > 0. then fab.delayed_msgs <- fab.delayed_msgs + 1;
+            Sim.after (fab.base_latency +. extra) (fun () -> arrive env))
   end
 
 (* Switch-originated delivery: a message minted at the switch itself (an
@@ -220,22 +218,9 @@ let send fab ~src ~dst ~size payload =
    latency and the receiver's NIC occupancy but no sender NIC time and no
    fault rules — the switch-to-receiver leg shares fate with the switch,
    not with whatever link a rule models. Never blocks the caller. *)
-let inject fab ~src ~dst ~size payload =
-  src.sent_msgs <- src.sent_msgs + 1;
-  src.sent_bytes <- src.sent_bytes + size;
-  let trace_id = Trace.next_id () in
-  if trace_id <> 0 then
-    Trace.async_begin ~track:fab.trace ~cat:"net" ~id:trace_id "msg"
-      ~args:[ ("src", Trace.Str src.name); ("dst", Trace.Str dst.name); ("size", Trace.Int size) ];
-  let env = { src; dst; size; payload; trace_id } in
-  Sim.after fab.base_latency (fun () ->
-      if dst.up then
-        Sim.spawn ~label:dst.name (fun () ->
-            Sim.Resource.with_ dst.nic (fun () -> Sim.delay (wire_time size dst.gbps));
-            deliver env)
-      else if trace_id <> 0 then
-        Trace.async_end ~track:fab.trace ~cat:"net" ~id:trace_id "msg"
-          ~args:[ ("dropped", Trace.Bool true) ])
+let inject fab ~src ~dst payload =
+  let env = depart fab ~src ~dst payload in
+  Sim.after fab.base_latency (fun () -> arrive env)
 
 type stats = { msgs_out : int; bytes_out : int; msgs_in : int; bytes_in : int }
 
@@ -258,76 +243,49 @@ module Rpc = struct
   type ('q, 'r) t = {
     fab : ('q, 'r) wire fabric;
     ep : ('q, 'r) wire endpoint;
-    pending : ('q, 'r) pending_slot Itbl.t;
+    pending : 'r Sim.Ivar.t Itbl.t; (* completion slots by request id *)
     mutable next_req : int;
-    mutable handler : (('q, 'r) t -> src:('q, 'r) wire endpoint -> 'q -> 'r) option;
-    mutable resp_size : 'r -> int;
   }
 
-  and ('q, 'r) pending_slot = 'r Sim.Ivar.t
-
-  let create fab ~name ~gbps =
-    let t =
-      {
-        fab;
-        ep = endpoint fab ~name ~gbps;
-        pending = Itbl.create 64;
-        next_req = 0;
-        handler = None;
-        resp_size = (fun _ -> 64);
-      }
-    in
-    t
-
-  let endpoint t = t.ep
-  let name t = t.ep.name
-
   (* A response fills its request's pre-allocated slot; a late one (the
-     caller timed out and dropped the slot) is ignored. *)
+     caller timed out and dropped the slot) is ignored. A slot leaves
+     [pending] before it is filled, so none is filled twice. *)
   let complete t id r =
     match Itbl.find_opt t.pending id with
     | Some iv ->
         Itbl.remove t.pending id;
-        if not (Sim.Ivar.is_filled iv) then Sim.Ivar.fill iv r
+        Sim.Ivar.fill iv r
     | None -> ()
 
-  (* Install the request handler. Each incoming request runs in its own
-     process, so handlers may block on storage. *)
-  let serve t ?(resp_size = fun _ -> 64) handler =
-    t.handler <- Some handler;
-    t.resp_size <- resp_size;
+  (* Every endpoint completes responses from creation on; a request
+     reaching one that does not {!serve} is dropped. *)
+  let create fab ~name ~gbps =
+    let t = { fab; ep = endpoint fab ~name ~gbps; pending = Itbl.create 64; next_req = 0 } in
+    set_receiver t.ep (fun env ->
+        match env.payload with Req _ -> () | Resp (id, r) -> complete t id r);
+    t
+
+  let endpoint t = t.ep
+
+  (* Answer requests too. Each incoming request runs in its own process,
+     so handlers may block on storage. *)
+  let serve t handler =
     set_receiver t.ep (fun env ->
         match env.payload with
         | Req (id, q) ->
             Sim.spawn ~label:t.ep.name (fun () ->
-                match t.handler with
-                | None -> ()
-                | Some h ->
-                    let r = h t ~src:env.src q in
-                    send t.fab ~src:t.ep ~dst:env.src ~size:(t.resp_size r) (Resp (id, r)))
+                let r = handler q in
+                send t.fab ~src:t.ep ~dst:env.src (Resp (id, r)))
         | Resp (id, r) -> complete t id r)
-
-  (* Endpoints that only issue calls still need the response receiver. *)
-  let client t =
-    set_receiver t.ep (fun env ->
-        match env.payload with Req _ -> () | Resp (id, r) -> complete t id r)
-
-  let call t ~dst ~size q =
-    let id = t.next_req in
-    t.next_req <- id + 1;
-    let iv = Sim.Ivar.create () in
-    Itbl.replace t.pending id iv;
-    send t.fab ~src:t.ep ~dst:dst.ep ~size (Req (id, q));
-    Sim.Ivar.read iv
 
   (* [None] on timeout (e.g. the destination died). The pending slot is
      dropped so a late response is ignored. *)
-  let call_timeout t ~dst ~size ~timeout q =
+  let call_timeout t ~dst ~timeout q =
     let id = t.next_req in
     t.next_req <- id + 1;
     let iv = Sim.Ivar.create () in
     Itbl.replace t.pending id iv;
-    send t.fab ~src:t.ep ~dst:dst.ep ~size (Req (id, q));
+    send t.fab ~src:t.ep ~dst:dst.ep (Req (id, q));
     match Sim.Ivar.read_timeout iv timeout with
     | Some _ as r -> r
     | None ->

@@ -29,7 +29,12 @@ type verdict = Drop | Delay of float
     responsible for any further effect, typically an {!inject}ed reply. *)
 type tap_verdict = Forward | Consume
 
-val fabric : ?base_latency_us:float -> unit -> 'p fabric
+val fabric : ?base_latency_us:float -> size:('p -> int) -> unit -> 'p fabric
+(** A fabric whose switch adds [base_latency_us] (default 3 µs) to every
+    flight. [size] is the fabric's one sizing rule: {!send}, {!inject}
+    and every RPC request and reply charge NIC time and byte counters at
+    [size payload] bytes. *)
+
 val endpoint : 'p fabric -> name:string -> gbps:float -> 'p endpoint
 val name : 'p endpoint -> string
 
@@ -57,7 +62,7 @@ val set_tap : 'p fabric -> ('p envelope -> tap_verdict) -> unit
     the addressed endpoint. Tap closures run in the sender's process and
     must not block; spawn anything slow. *)
 
-val inject : 'p fabric -> src:'p endpoint -> dst:'p endpoint -> size:int -> 'p -> unit
+val inject : 'p fabric -> src:'p endpoint -> dst:'p endpoint -> 'p -> unit
 (** Switch-originated delivery: send a message minted at the switch (e.g.
     a cache serving a consumed request). Pays the base switch latency and
     the receiver's NIC occupancy, but no sender-side NIC time and no
@@ -75,12 +80,14 @@ val set_down : 'p endpoint -> unit
 val set_up : 'p endpoint -> unit
 
 val set_receiver : 'p endpoint -> ('p envelope -> unit) -> unit
-(** Install the delivery callback; anything that arrived earlier is
-    drained from the backlog. *)
+(** Install the endpoint's one delivery callback, replacing the previous
+    one. A new endpoint drops what it receives until this is called. *)
 
-val send : 'p fabric -> src:'p endpoint -> dst:'p endpoint -> size:int -> 'p -> unit
+val send : 'p fabric -> src:'p endpoint -> dst:'p endpoint -> 'p -> unit
 (** Fire-and-forget: blocks the caller for the sender-side NIC occupancy
-    only; flight and receive proceed asynchronously. *)
+    only; flight and receive proceed asynchronously. A message that dies
+    in flight (fault rule, down endpoint) closes its trace span with
+    [dropped: true]. *)
 
 type stats = { msgs_out : int; bytes_out : int; msgs_in : int; bytes_in : int }
 
@@ -95,25 +102,21 @@ module Rpc : sig
   type ('q, 'r) t
 
   val create : ('q, 'r) wire fabric -> name:string -> gbps:float -> ('q, 'r) t
+  (** A fresh endpoint that completes responses to its own calls; requests
+      reaching it are dropped until it {!serve}s. *)
+
   val endpoint : ('q, 'r) t -> ('q, 'r) wire endpoint
-  val name : ('q, 'r) t -> string
 
-  val serve :
-    ('q, 'r) t -> ?resp_size:('r -> int) -> (('q, 'r) t -> src:('q, 'r) wire endpoint -> 'q -> 'r) -> unit
-  (** Install the request handler; each incoming request runs in its own
-      process, so handlers may block on storage or downstream RPCs. Every
-      request is answered: the handler's result travels back as the
-      response to the caller's request id. *)
+  val serve : ('q, 'r) t -> ('q -> 'r) -> unit
+  (** Answer requests with [handler] from now on; each incoming request
+      runs in its own process, so handlers may block on storage or
+      downstream RPCs. Every request is answered: the handler's result
+      travels back as the response to the caller's request id. *)
 
-  val client : ('q, 'r) t -> unit
-  (** Endpoints that only issue calls still need the response receiver. *)
-
-  val call : ('q, 'r) t -> dst:('q, 'r) t -> size:int -> 'q -> 'r
-  (** Blocking call; responses are matched by request id, so calls from
-      one endpoint may complete out of order. *)
-
-  val call_timeout : ('q, 'r) t -> dst:('q, 'r) t -> size:int -> timeout:float -> 'q -> 'r option
-  (** [None] on timeout (e.g. a dead destination); a late response is
+  val call_timeout : ('q, 'r) t -> dst:('q, 'r) t -> timeout:float -> 'q -> 'r option
+  (** Blocking call, sized by the fabric's rule. Responses are matched by
+      request id, so calls from one endpoint may complete out of order.
+      [None] on timeout (e.g. a dead destination); a late response is
       dropped. *)
 
   val set_down : ('q, 'r) t -> unit

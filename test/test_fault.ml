@@ -54,7 +54,7 @@ let test_blockdev_fail_and_repair () =
 
 let test_netsim_drop_rule () =
   Sim.run (fun () ->
-      let fab = Netsim.fabric () in
+      let fab = Netsim.fabric ~size:(fun () -> 64) () in
       let a = Netsim.endpoint fab ~name:"a" ~gbps:100. in
       let b = Netsim.endpoint fab ~name:"b" ~gbps:100. in
       let got = ref 0 in
@@ -63,30 +63,30 @@ let test_netsim_drop_rule () =
       let rid =
         Netsim.add_fault fab (fun src _ -> if Netsim.id src = ida then Some Netsim.Drop else None)
       in
-      Netsim.send fab ~src:a ~dst:b ~size:64 ();
+      Netsim.send fab ~src:a ~dst:b ();
       Sim.delay 0.01;
       Alcotest.(check int) "dropped" 0 !got;
       Alcotest.(check int) "counted" 1 (Netsim.fabric_stats fab).Netsim.dropped;
       Netsim.remove_fault fab rid;
-      Netsim.send fab ~src:a ~dst:b ~size:64 ();
+      Netsim.send fab ~src:a ~dst:b ();
       Sim.delay 0.01;
       Alcotest.(check int) "healed" 1 !got)
 
 let test_netsim_delay_rule () =
   let plain, jittered =
     Sim.run (fun () ->
-        let fab = Netsim.fabric ~base_latency_us:1. () in
+        let fab = Netsim.fabric ~base_latency_us:1. ~size:(fun () -> 64) () in
         let a = Netsim.endpoint fab ~name:"a" ~gbps:100. in
         let b = Netsim.endpoint fab ~name:"b" ~gbps:100. in
         let arrived = ref 0. in
         Netsim.set_receiver b (fun _ -> arrived := Sim.now ());
         let t0 = Sim.now () in
-        Netsim.send fab ~src:a ~dst:b ~size:64 ();
+        Netsim.send fab ~src:a ~dst:b ();
         Sim.delay 0.01;
         let plain = !arrived -. t0 in
         let rid = Netsim.add_fault fab (fun _ _ -> Some (Netsim.Delay (Sim.us 100.))) in
         let t1 = Sim.now () in
-        Netsim.send fab ~src:a ~dst:b ~size:64 ();
+        Netsim.send fab ~src:a ~dst:b ();
         Sim.delay 0.01;
         Netsim.remove_fault fab rid;
         Alcotest.(check int) "counted" 1 (Netsim.fabric_stats fab).Netsim.delayed;
