@@ -173,17 +173,15 @@ diff "$tmp/profile-heap.txt" "$tmp/profile-calendar.txt"
 echo "== cross-commit golden gate (simulated numbers vs checked-in goldens) =="
 # The stages above compare two runs of this commit; this one compares it
 # with goldens checked in by an earlier commit (test/golden/): the event
-# count and simulated metrics of the profile ycsb-b run, the digest of
+# count and simulated metrics of each bench/profile workload, the digest of
 # every chaos stage, the checksum of the seed-42 trace capture and the
 # output of four fast paper experiments (fig1, fig11, fig13, table3;
 # fig13 is the one that runs both compactors). A change
 # that moves any of them fails here unless it reruns tools/rebaseline.sh
-# and commits the new goldens on purpose.
+# and commits the new goldens on purpose. The recursive diff also fails
+# on a golden that only one side has.
 sh tools/rebaseline.sh "$tmp/golden"
-diff -u test/golden/profile-ycsb-b.txt "$tmp/golden/profile-ycsb-b.txt"
-diff -u test/golden/chaos-digests.txt "$tmp/golden/chaos-digests.txt"
-diff -u test/golden/trace-seed42.txt "$tmp/golden/trace-seed42.txt"
-diff -u test/golden/experiments-fast.txt "$tmp/golden/experiments-fast.txt"
+diff -ru test/golden "$tmp/golden"
 
 echo "== api docs (odoc, when available) =="
 # CI installs odoc and builds the full doc tree; containers without odoc

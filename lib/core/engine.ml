@@ -9,6 +9,14 @@
    fits, runs the store command on the SSD's pinned core, and releases its
    tokens on completion.
 
+   The engine owns no fiber. LEED's engine is a polling loop that admits a
+   request as soon as its token cost fits; here [admit] is a plain call,
+   made at the end of every [submit] once the engine has started and by
+   every completing command. A command runs on its submitter's fiber: at
+   once when its own [submit] admits it, or after the single resume of the
+   [admit] that launches it when it had to queue. Its completion is
+   [submit]'s return.
+
    Data swapping redirects an overloaded SSD's PUTs to the least-loaded
    co-located SSD's swap region: the command moves to the *other* SSD's
    queue and executes against the other SSD's swap log while the home
@@ -68,11 +76,11 @@ let default_config =
 let klog_frac = 0.3 (* fraction of a partition given to the key log *)
 let swap_frac = 0.1 (* fraction of each SSD reserved as swap region *)
 
-(* A queued command and its completion, typed together. *)
-type job = Job : 'a cmd * ('a, failure) result Sim.Ivar.t -> job
+(* What [admit] tells a queued command: run now, or give up. *)
+type verdict = Run | Shed_expired
 
 type pending = {
-  job : job;
+  name : string; (* [cmd_name] of the command, for its trace span *)
   tokens : int;
   part : partition;
   (* the foreign SSD's swap log when the command was swapped there *)
@@ -80,6 +88,7 @@ type pending = {
   enqueued_at : float;
   deadline : float; (* absolute virtual-time SLO bound; 0. = none *)
   trace_id : int; (* async trace span from submit to completion; 0 untraced *)
+  verdict : verdict Sim.Ivar.t; (* filled by the [admit] that launches or sheds it *)
 }
 
 and partition = {
@@ -102,7 +111,6 @@ and ssd_sched = {
   mutable active_tokens : int;
   mutable capacity : int;
   mutable ewma_access_us : float;
-  wake : unit Sim.Mailbox.t;
   mutable rr : int; (* round-robin cursor over partitions *)
   mutable executed : int;
   mutable swapped_out : int;
@@ -123,7 +131,7 @@ type t = {
   config : config;
   ssds : ssd_sched array;
   parts : partition array; (* all partitions, index = pid *)
-  mutable started : bool; (* [start] spawns the background processes once *)
+  mutable started : bool; (* [start] admits and spawns the background processes once *)
 }
 
 let partitions t = t.parts
@@ -174,7 +182,6 @@ let create ?(config = default_config) ?(rng = Rng.create 11) ?track platform =
           active_tokens = 0;
           capacity = max config.token_min (min config.token_max (base_capacity platform));
           ewma_access_us = platform.Platform.ssd.Blockdev.read_us;
-          wake = Sim.Mailbox.create ();
           rr = 0;
           executed = 0;
           swapped_out = 0;
@@ -236,7 +243,7 @@ let run_pending : type a. t -> ssd_sched -> pending -> a cmd -> (a, failure) res
   let st = pend.part.store in
   let execute () : (a, failure) result =
     (* A dead SSD (injected brown-out) turns the command into a Failed
-       completion instead of tearing down the scheduler loop. *)
+       completion instead of an exception for the submitter. *)
     try
       match cmd with
       | Get k -> Ok (Store.get st k)
@@ -246,8 +253,7 @@ let run_pending : type a. t -> ssd_sched -> pending -> a cmd -> (a, failure) res
     with
     | Blockdev.Failed _ -> Error Failed
     (* Rot at rest: the store already counted it; complete the single
-       command as Corrupt so the node can read-repair, never tear down the
-       scheduler loop. *)
+       command as Corrupt so the node can read-repair. *)
     | Store.Corrupt _ | Codec.Corrupt _ -> Error Corrupt
   in
   let result =
@@ -283,30 +289,17 @@ let trace_tokens (s : ssd_sched) kind pend =
   Trace.counter ~track:s.track ~cat:"engine" "tokens"
     [ ("active", float_of_int s.active_tokens); ("capacity", float_of_int s.capacity) ]
 
-let launch t (s : ssd_sched) (pend : pending) =
+(* Hand a command its tokens. The submitter runs it on its own fiber:
+   at once when this is its own [submit]'s [admit], else once the fill
+   resumes it. *)
+let launch (s : ssd_sched) (pend : pending) =
   s.active_tokens <- s.active_tokens + pend.tokens;
   if Sim.past pend.enqueued_at then s.deferred <- s.deferred + 1;
   if Trace.on () then trace_tokens s "tok.grant" pend;
   Invariant.Tokens.issue s.tok_acct ~time:(Sim.now ()) pend.tokens;
   Invariant.Tokens.check_balance s.tok_acct ~time:(Sim.now ())
     ~expect_outstanding:s.active_tokens;
-  let (Job (cmd, completion)) = pend.job in
-  Sim.spawn (fun () ->
-      let result = run_pending t s pend cmd in
-      s.active_tokens <- s.active_tokens - pend.tokens;
-      if Trace.on () then trace_tokens s "tok.release" pend;
-      Invariant.Tokens.consume s.tok_acct ~time:(Sim.now ()) pend.tokens;
-      Invariant.Tokens.check_balance s.tok_acct ~time:(Sim.now ())
-        ~expect_outstanding:s.active_tokens;
-      Invariant.require ~invariant:"token-conservation" ~time:(Sim.now ())
-        (s.active_tokens >= 0 && s.foreign_tokens >= 0)
-        ~detail:(fun () ->
-          Printf.sprintf "ssd%d: negative token balance (active=%d foreign=%d)"
-            s.dev_idx s.active_tokens s.foreign_tokens);
-      if pend.trace_id <> 0 then
-        Trace.async_end ~track:s.track ~cat:"engine" ~id:pend.trace_id ("cmd." ^ cmd_name cmd);
-      Sim.Ivar.fill completion result;
-      Sim.Mailbox.send s.wake ())
+  Sim.Ivar.fill pend.verdict Run
 
 (* Deadline-aware load shedding: a queued command whose deadline already
    passed is completed as [Shed] without ever holding tokens or touching
@@ -324,53 +317,74 @@ let shed_pending (s : ssd_sched) (pend : pending) =
           ("tokens", Trace.Int pend.tokens);
           ("late_us", Trace.Float (Sim.to_us (Sim.now () -. pend.deadline)));
         ];
-  let (Job (cmd, completion)) = pend.job in
   if pend.trace_id <> 0 then
-    Trace.async_end ~track:s.track ~cat:"engine" ~id:pend.trace_id ("cmd." ^ cmd_name cmd);
-  Sim.Ivar.fill completion (Error Shed)
+    Trace.async_end ~track:s.track ~cat:"engine" ~id:pend.trace_id ("cmd." ^ pend.name);
+  if pend.target <> None then s.swap_inflight <- s.swap_inflight - 1;
+  Sim.Ivar.fill pend.verdict Shed_expired
+
+(* Take a command's tokens off the queue it left: a swapped command
+   waited in its SSD's foreign queue, any other in its partition's. *)
+let dequeued (s : ssd_sched) pend =
+  match pend.target with
+  | Some _ -> s.foreign_tokens <- s.foreign_tokens - pend.tokens
+  | None -> pend.part.queued_tokens <- pend.part.queued_tokens - pend.tokens
 
 (* The head of one FCFS queue: shed it if expired, else launch it if its
    tokens fit. [true] when the head left the queue. *)
-let admit_head t (s : ssd_sched) queue ~dequeued =
+let admit_head (s : ssd_sched) queue =
   match Queue.peek_opt queue with
   | Some pend when expired pend ->
       ignore (Queue.pop queue);
-      dequeued pend.tokens;
+      dequeued s pend;
       shed_pending s pend;
       true
   | Some pend when pend.tokens <= s.capacity - s.active_tokens ->
       ignore (Queue.pop queue);
-      dequeued pend.tokens;
-      launch t s pend;
+      dequeued s pend;
+      launch s pend;
       true
   | _ -> false
 
-let admit t (s : ssd_sched) =
+(* Admit everything that fits. Called at the end of every [submit] on a
+   started engine and by every completing command, so tokens never sit
+   free while a fitting command waits. *)
+let admit (s : ssd_sched) =
   let progress = ref true in
   while !progress do
     (* Swapped-in commands take the "active queue" path directly (§3.6). *)
-    progress :=
-      admit_head t s s.foreign ~dequeued:(fun tok -> s.foreign_tokens <- s.foreign_tokens - tok);
+    progress := admit_head s s.foreign;
     (* Round-robin across this SSD's home partitions, FCFS within each. *)
     let n = Array.length s.partitions in
     for _ = 1 to n do
       let p = s.partitions.(s.rr) in
       s.rr <- (s.rr + 1) mod n;
-      if admit_head t s p.waiting ~dequeued:(fun tok -> p.queued_tokens <- p.queued_tokens - tok)
-      then progress := true
+      if admit_head s p.waiting then progress := true
     done
   done
 
-let sched_loop t (s : ssd_sched) =
-  while true do
-    admit t s;
-    Sim.Mailbox.recv s.wake
-  done
+(* A launched command is done, answered or raising: give its tokens back
+   and admit what they now fit. *)
+let finish (s : ssd_sched) (pend : pending) =
+  s.active_tokens <- s.active_tokens - pend.tokens;
+  if Trace.on () then trace_tokens s "tok.release" pend;
+  Invariant.Tokens.consume s.tok_acct ~time:(Sim.now ()) pend.tokens;
+  Invariant.Tokens.check_balance s.tok_acct ~time:(Sim.now ())
+    ~expect_outstanding:s.active_tokens;
+  Invariant.require ~invariant:"token-conservation" ~time:(Sim.now ())
+    (s.active_tokens >= 0 && s.foreign_tokens >= 0)
+    ~detail:(fun () ->
+      Printf.sprintf "ssd%d: negative token balance (active=%d foreign=%d)"
+        s.dev_idx s.active_tokens s.foreign_tokens);
+  if pend.trace_id <> 0 then
+    Trace.async_end ~track:s.track ~cat:"engine" ~id:pend.trace_id ("cmd." ^ pend.name);
+  if pend.target <> None then s.swap_inflight <- s.swap_inflight - 1;
+  admit s
 
 let start t =
   if not t.started then begin
     t.started <- true;
-    Array.iter (fun s -> Sim.spawn (fun () -> sched_loop t s)) t.ssds;
+    (* Commands submitted before the start have been waiting for it. *)
+    Array.iter admit t.ssds;
     Array.iter (fun p -> Store.run_compactor p.store) t.parts;
     (* Swap-region reclamation: reset a swap log once (1) no segment table
        references it, (2) no swapped command toward it is in flight, and
@@ -424,12 +438,27 @@ let swap_candidate t (home : ssd_sched) =
     | _ -> None
   end
 
+(* Wait for [admit]'s verdict on [pend], queued on [s], then run [cmd] on
+   this fiber: [admit] hands a command over by one resume, and the
+   command's completion is this function's return. *)
+let await (type a) t (s : ssd_sched) pend (cmd : a cmd) : (a, failure) result =
+  if t.started then admit s;
+  match Sim.Ivar.read pend.verdict with
+  | Shed_expired -> Error Shed
+  | Run -> (
+      match run_pending t s pend cmd with
+      | result ->
+          finish s pend;
+          result
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          finish s pend;
+          Printexc.raise_with_backtrace e bt)
+
 let submit (type a) ?(deadline = 0.) t ~pid (cmd : a cmd) : (a, failure) result =
   let p = t.parts.(pid) in
   let home = p.sched in
   let tokens = token_cost cmd in
-  let completion = Sim.Ivar.create () in
-  let job = Job (cmd, completion) in
   let is_put = match cmd with Put _ -> true | Get _ | Del _ | Scrub _ -> false in
   let open_span (s : ssd_sched) =
     let trace_id = Trace.next_id () in
@@ -438,6 +467,18 @@ let submit (type a) ?(deadline = 0.) t ~pid (cmd : a cmd) : (a, failure) result 
         ~args:[ ("pid", Trace.Int pid); ("tokens", Trace.Int tokens) ];
     trace_id
   in
+  let pending ~target trace_id =
+    {
+      name = cmd_name cmd;
+      tokens;
+      part = p;
+      target;
+      enqueued_at = Sim.now ();
+      deadline;
+      trace_id;
+      verdict = Sim.Ivar.create ();
+    }
+  in
   match (is_put, swap_candidate t home) with
   | true, Some other ->
       (* Redirect the write: foreign queue, foreign logs (§3.6). *)
@@ -445,25 +486,13 @@ let submit (type a) ?(deadline = 0.) t ~pid (cmd : a cmd) : (a, failure) result 
       if trace_id <> 0 then
         Trace.instant ~track:home.track ~cat:"engine" "swap.redirect"
           ~args:[ ("to_ssd", Trace.Int other.dev_idx); ("pid", Trace.Int pid) ];
-      let pend =
-        {
-          job;
-          tokens;
-          part = p;
-          target = Some other.swap_log;
-          enqueued_at = Sim.now ();
-          deadline;
-          trace_id;
-        }
-      in
+      let pend = pending ~target:(Some other.swap_log) trace_id in
       home.swapped_out <- home.swapped_out + 1;
       other.swapped_in <- other.swapped_in + 1;
       other.swap_inflight <- other.swap_inflight + 1;
-      Sim.Ivar.on_fill completion (fun _ -> other.swap_inflight <- other.swap_inflight - 1);
       Queue.push pend other.foreign;
       other.foreign_tokens <- other.foreign_tokens + tokens;
-      Sim.Mailbox.send other.wake ();
-      Sim.Ivar.read completion
+      await t other pend cmd
   | _ when Queue.length p.waiting >= t.config.waiting_cap ->
       home.denied <- home.denied + 1;
       if Trace.on () then
@@ -471,21 +500,10 @@ let submit (type a) ?(deadline = 0.) t ~pid (cmd : a cmd) : (a, failure) result 
           ~args:[ ("pid", Trace.Int pid) ];
       Error Overloaded
   | _ ->
-      let pend =
-        {
-          job;
-          tokens;
-          part = p;
-          target = None;
-          enqueued_at = Sim.now ();
-          deadline;
-          trace_id = open_span home;
-        }
-      in
+      let pend = pending ~target:None (open_span home) in
       Queue.push pend p.waiting;
       p.queued_tokens <- p.queued_tokens + tokens;
-      Sim.Mailbox.send home.wake ();
-      Sim.Ivar.read completion
+      await t home pend cmd
 
 type ssd_stats = {
   executed : int;

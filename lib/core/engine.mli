@@ -73,9 +73,9 @@ val create : ?config:config -> ?rng:Leed_sim.Rng.t -> ?track:Leed_trace.Trace.tr
     top-level ["jbof"] row when omitted. *)
 
 val start : t -> unit
-(** Spawn the per-SSD schedulers, the stores' compactors, and the
-    swap-region reclaimer; they run until the simulation ends. A second
-    call does nothing. *)
+(** Admit the commands submitted before the start, then spawn the
+    stores' compactors and the swap-region reclaimer; they run until the
+    simulation ends. A second call does nothing. *)
 
 val partitions : t -> partition array
 (** All partitions of the JBOF, indexed by partition id. *)
@@ -105,7 +105,10 @@ val waiting_depth : partition -> int
 
 val submit : ?deadline:float -> t -> pid:int -> 'a cmd -> ('a, failure) result
 (** Enqueue a command on partition [pid] and block until it completes
-    with the command's answer or the reason it has none. PUTs on an
+    with the command's answer or the reason it has none. The command runs
+    on the caller's fiber once its tokens are granted (at once when they
+    fit and the engine has started); if it raises, its tokens are
+    released and the exception reaches the caller. PUTs on an
     overloaded SSD may be swapped to another SSD (§3.6). A full waiting
     queue answers [Error Overloaded] at once, without blocking. [deadline]
     (absolute virtual time; 0. = none, the default) arms deadline-aware

@@ -267,15 +267,12 @@ module Rpc = struct
 
   let endpoint t = t.ep
 
-  (* Answer requests too. Each incoming request runs in its own process,
-     so handlers may block on storage. *)
+  (* Answer requests too. The handler runs on the fiber [arrive] spawned
+     to deliver the request, so it may block on storage. *)
   let serve t handler =
     set_receiver t.ep (fun env ->
         match env.payload with
-        | Req (id, q) ->
-            Sim.spawn ~label:t.ep.name (fun () ->
-                let r = handler q in
-                send t.fab ~src:t.ep ~dst:env.src (Resp (id, r)))
+        | Req (id, q) -> send t.fab ~src:t.ep ~dst:env.src (Resp (id, handler q))
         | Resp (id, r) -> complete t id r)
 
   (* [None] on timeout (e.g. the destination died). The pending slot is

@@ -108,10 +108,12 @@ module Rpc : sig
   val endpoint : ('q, 'r) t -> ('q, 'r) wire endpoint
 
   val serve : ('q, 'r) t -> ('q -> 'r) -> unit
-  (** Answer requests with [handler] from now on; each incoming request
-      runs in its own process, so handlers may block on storage or
-      downstream RPCs. Every request is answered: the handler's result
-      travels back as the response to the caller's request id. *)
+  (** Answer requests with [handler] from now on. The handler runs on
+      the fiber that delivered the request (one per arriving message),
+      so it may still block on storage or downstream RPCs without
+      holding up other requests. Every request is answered: the
+      handler's result travels back as the response to the caller's
+      request id. *)
 
   val call_timeout : ('q, 'r) t -> dst:('q, 'r) t -> timeout:float -> 'q -> 'r option
   (** Blocking call, sized by the fabric's rule. Responses are matched by

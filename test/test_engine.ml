@@ -12,7 +12,9 @@ let small_store_config =
 
 let test_platform = { Platform.smartnic_jbof with Platform.ssd = { Platform.smartnic_jbof.Platform.ssd with Leed_blockdev.Blockdev.jitter = 0. } }
 
-let make_engine ?(config = { Engine.default_config with Engine.store_config = small_store_config }) () =
+let small_config = { Engine.default_config with Engine.store_config = small_store_config }
+
+let make_engine ?(config = small_config) () =
   let e = Engine.create ~config test_platform in
   Engine.start e;
   e
@@ -85,6 +87,128 @@ let test_available_tokens_drop_under_load () =
         (Printf.sprintf "busy %d < idle %d" busy idle)
         true (busy < idle);
       Sim.delay 1.0)
+
+(* --- where commands run --- *)
+
+(* An admitted command runs on its submitter's fiber: nothing is spawned
+   for it, and the events it dispatches are its own device and core
+   waits. *)
+let test_uncontended_runs_inline () =
+  Sim.run (fun () ->
+      let e = make_engine () in
+      Result.get_ok (Engine.submit e ~pid:0 (Engine.Put (key 1, Bytes.of_string "v1")));
+      let spawned = Sim.processes_spawned () and events = Sim.events_dispatched () in
+      (match Engine.submit e ~pid:0 (Engine.Get (key 1)) with
+      | Ok (Some _) -> ()
+      | _ -> Alcotest.fail "expected Found");
+      Alcotest.(check int) "spawns" 0 (Sim.processes_spawned () - spawned);
+      (* its two flash reads and three core charges *)
+      Alcotest.(check int) "events" 5 (Sim.events_dispatched () - events))
+
+(* Tokens for one PUT at a time, so queued commands launch one by one and
+   never share the device or the core. *)
+let serial_config = { small_config with Engine.token_min = 3; token_max = 3; swap_enabled = false }
+
+(* A command queued behind three others is woken once, by the [admit]
+   that launches it, not at each completion before its turn: its fiber
+   dispatches exactly one event more than the same GET run uncontended. *)
+let test_queued_resumed_once () =
+  let late = ref 0 in
+  Sim.run
+    ~on_dispatch:(fun d -> if d.Sim.d_label = "late" then incr late)
+    (fun () ->
+      let e = make_engine ~config:serial_config () in
+      Result.get_ok (Engine.submit e ~pid:0 (Engine.Put (key 0, Bytes.of_string "v0")));
+      let get () =
+        let before = !late in
+        (match Engine.submit e ~pid:0 (Engine.Get (key 0)) with
+        | Ok (Some _) -> ()
+        | _ -> Alcotest.fail "expected Found");
+        !late - before
+      in
+      let queued = ref 0 and alone = ref 0 in
+      Sim.fork_join_named
+        (List.init 3 (fun i ->
+             ( None,
+               fun () ->
+                 Result.get_ok
+                   (Engine.submit e ~pid:0 (Engine.Put (key (i + 1), Bytes.make 4096 'x'))) ))
+        @ [
+            ( Some "late",
+              fun () ->
+                queued := get ();
+                alone := get () );
+          ]);
+      let s0 = Engine.ssd_stats (Engine.ssds e).(0) in
+      Alcotest.(check int) "deferred: two puts and the get" 3 s0.Engine.deferred;
+      Alcotest.(check int) "one resume" 1 (!queued - !alone))
+
+(* Submitter fibers labelled by their partition and rank, e.g. "a2". *)
+let labelled_gets e ~pid tag =
+  for i = 1 to 3 do
+    Sim.spawn ~label:(Printf.sprintf "%s%d" tag i) (fun () ->
+        ignore (Engine.submit e ~pid (Engine.Get (key i))))
+  done
+
+(* Nothing runs before [start]; then one admission pass launches what
+   waited, round-robin across the SSD's partitions and FCFS within each,
+   and each launched submitter resumes in that order. *)
+let test_start_admits_round_robin () =
+  let ours l = String.length l = 2 && (l.[0] = 'a' || l.[0] = 'b') in
+  let started = ref false and order = ref [] in
+  Sim.run
+    ~on_dispatch:(fun d ->
+      let l = d.Sim.d_label in
+      if !started && ours l && not (List.mem l !order) then order := l :: !order)
+    (fun () ->
+      let e = Engine.create ~config:small_config test_platform in
+      (* partitions 0 and [ssd_count] share SSD 0 *)
+      labelled_gets e ~pid:0 "a";
+      labelled_gets e ~pid:test_platform.Platform.ssd_count "b";
+      Sim.delay (Sim.ms 1.);
+      let s0 = (Engine.ssds e).(0) in
+      Alcotest.(check int) "nothing ran before start" 0 (Engine.ssd_stats s0).Engine.executed;
+      started := true;
+      Engine.start e;
+      Sim.delay (Sim.ms 1.);
+      Alcotest.(check int) "all ran after start" 6 (Engine.ssd_stats s0).Engine.executed);
+  Alcotest.(check (list string))
+    "launch order" [ "a1"; "b1"; "a2"; "b2"; "a3"; "b3" ] (List.rev !order)
+
+(* A command submitted before [start] waits for it even though its
+   tokens fit at once. *)
+let test_submit_before_start_waits () =
+  Sim.run (fun () ->
+      let e = Engine.create ~config:small_config test_platform in
+      let done_at = ref None in
+      Sim.spawn (fun () ->
+          Result.get_ok (Engine.submit e ~pid:0 (Engine.Put (key 1, Bytes.of_string "v1")));
+          done_at := Some (Sim.now ()));
+      Sim.delay (Sim.ms 1.);
+      Alcotest.(check bool) "not run before start" true (!done_at = None);
+      Alcotest.(check int) "still queued" 1 (Engine.waiting_depth (Engine.partition e 0));
+      let started_at = Sim.now () in
+      Engine.start e;
+      Sim.delay (Sim.ms 1.);
+      match !done_at with
+      | Some t -> Alcotest.(check bool) "ran after start" true (t > started_at)
+      | None -> Alcotest.fail "never ran")
+
+(* A command that raises (here the store refusing an empty value) gives
+   its tokens back on the way out, and the sanitizer's token ledger stays
+   balanced for the commands after it. *)
+let test_raising_command_releases_tokens () =
+  Sim.run ~checks:true (fun () ->
+      let e = make_engine () in
+      let s0 = (Engine.ssds e).(0) in
+      (match Engine.submit e ~pid:0 (Engine.Put (key 1, Bytes.empty)) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "an empty value must raise");
+      Alcotest.(check int) "tokens released" 0 (Engine.active_tokens s0);
+      Result.get_ok (Engine.submit e ~pid:0 (Engine.Put (key 1, Bytes.of_string "v1")));
+      match Engine.submit e ~pid:0 (Engine.Get (key 1)) with
+      | Ok (Some v) -> Alcotest.(check string) "value" "v1" (Bytes.to_string v)
+      | _ -> Alcotest.fail "expected Found")
 
 let test_swap_redirects_overloaded_puts () =
   Sim.run (fun () ->
@@ -191,6 +315,16 @@ let () =
           Alcotest.test_case "token costs" `Quick test_token_cost;
           Alcotest.test_case "concurrent load completes" `Quick test_concurrent_load_completes;
           Alcotest.test_case "available tokens drop under load" `Quick test_available_tokens_drop_under_load;
+        ] );
+      ( "admission",
+        [
+          Alcotest.test_case "uncontended command runs inline" `Quick test_uncontended_runs_inline;
+          Alcotest.test_case "queued command is resumed once" `Quick test_queued_resumed_once;
+          Alcotest.test_case "start admits round-robin, FCFS per partition" `Quick
+            test_start_admits_round_robin;
+          Alcotest.test_case "submit before start waits for it" `Quick test_submit_before_start_waits;
+          Alcotest.test_case "raising command releases its tokens" `Quick
+            test_raising_command_releases_tokens;
         ] );
       ( "swap",
         [

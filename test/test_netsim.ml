@@ -182,6 +182,46 @@ let test_rpc_requests_before_serve () =
       (* b heard a's request and one answer: the dropped request stays dropped *)
       Alcotest.(check int) "b's arrivals" 2 (Netsim.stats (Rpc.endpoint b)).Netsim.msgs_in)
 
+(* [serve]'s handler runs on the fiber that delivered the request: a
+   round trip spawns one receive process per delivered message and
+   nothing more, yet two blocking handlers still overlap. A request to an
+   endpoint that does not serve is still dropped on arrival, and one to a
+   down endpoint still closes its span as dropped. *)
+let test_rpc_handler_on_delivering_fiber () =
+  Trace.start ();
+  Sim.run (fun () ->
+      let fab = Netsim.fabric ~base_latency_us:0. ~size:(fun _ -> 64) () in
+      let ep name = Rpc.create fab ~name ~gbps:1000. in
+      let cli = ep "client" and server = ep "server" and idle = ep "idle" in
+      Rpc.serve server (fun q ->
+          Sim.delay 0.5;
+          q + 1);
+      let spawns f =
+        let before = Sim.processes_spawned () in
+        let r = f () in
+        (r, Sim.processes_spawned () - before)
+      in
+      let call_to dst () = Rpc.call_timeout cli ~dst ~timeout:1. 1 in
+      Alcotest.(check (pair (option int) int))
+        "answered, one spawn per delivered message" (Some 2, 2)
+        (spawns (call_to server));
+      let t0 = Sim.now () in
+      Sim.fork_join [ (fun () -> ignore (call_to server ())); (fun () -> ignore (call_to server ())) ];
+      Alcotest.(check bool) "blocking handlers overlap" true (Sim.now () -. t0 < 1.);
+      Alcotest.(check (pair (option int) int))
+        "not serving: dropped on arrival" (None, 1) (spawns (call_to idle));
+      Rpc.set_down server;
+      Alcotest.(check (pair (option int) int)) "down: dropped at the switch" (None, 0)
+        (spawns (call_to server)));
+  Trace.stop ();
+  let msg ph =
+    List.filter (fun e -> e.Trace.cat = "net" && e.Trace.name = "msg" && e.Trace.ph = ph)
+  in
+  let ends = msg 'e' (Trace.events ()) in
+  Alcotest.(check int) "every begin has an end" (List.length (msg 'b' (Trace.events ()))) (List.length ends);
+  Alcotest.(check int) "one closed as dropped" 1
+    (List.length (List.filter (fun e -> List.mem_assoc "dropped" e.Trace.args) ends))
+
 let test_rpc_sizer () =
   Sim.run (fun () ->
       let size = function Rpc.Req (_, q) -> 100 + q | Rpc.Resp (_, r) -> 1000 + r in
@@ -224,5 +264,7 @@ let () =
             test_rpc_requests_before_serve;
           Alcotest.test_case "the fabric sizer prices requests, replies and injects" `Quick
             test_rpc_sizer;
+          Alcotest.test_case "handler runs on the delivering fiber" `Quick
+            test_rpc_handler_on_delivering_fiber;
         ] );
     ]

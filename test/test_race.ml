@@ -88,13 +88,13 @@ let test_clean_targets_no_divergence () =
    an event shows up here. *)
 let pinned =
   [
-    ("ycsb-a-leed", "72cd403301c503eed0fc4f51e2b9cd95", 44512);
-    ("ycsb-b-leed", "181f22e431e49c95ea81af7e8d3b04dc", 34315);
-    ("ycsb-c-leed", "0b8c7bc287be85e4c7132ea61dad4471", 33479);
-    ("ycsb-b-fawn", "181f22e431e49c95ea81af7e8d3b04dc", 18875);
-    ("ycsb-b-kvell", "181f22e431e49c95ea81af7e8d3b04dc", 22124);
-    ("chaos", "079bdf130a7005b7350ed753655aa6f2", 52298);
-    ("chaos-bitrot", "dd1291c4e2999af7fdca7144d97d7359", 98656);
+    ("ycsb-a-leed", "72cd403301c503eed0fc4f51e2b9cd95", 36187);
+    ("ycsb-b-leed", "181f22e431e49c95ea81af7e8d3b04dc", 27460);
+    ("ycsb-c-leed", "0b8c7bc287be85e4c7132ea61dad4471", 26744);
+    ("ycsb-b-fawn", "181f22e431e49c95ea81af7e8d3b04dc", 17507);
+    ("ycsb-b-kvell", "181f22e431e49c95ea81af7e8d3b04dc", 20756);
+    ("chaos", "079bdf130a7005b7350ed753655aa6f2", 44732);
+    ("chaos-bitrot", "dd1291c4e2999af7fdca7144d97d7359", 87585);
   ]
 
 let test_clean_targets_pinned () =

@@ -5,8 +5,11 @@
 #   sh tools/rebaseline.sh            # regenerate the checked-in goldens
 #   sh tools/rebaseline.sh /tmp/now   # what check.sh diffs against them
 #
-# profile-ycsb-b.txt  the `# events` line and the 8 simulated end-to-end
-#                     metrics of a 1 s bench/profile ycsb-b run
+# profile-<workload>.txt
+#                     the `# events` line and the 8 simulated end-to-end
+#                     metrics of a 1 s bench/profile run, one file for each
+#                     of its four workloads (ycsb-b, ycsb-a, hotspot-open,
+#                     faults-abd)
 # chaos-digests.txt   the digest of every chaos stage check.sh runs: the
 #                     --fast matrix, then the full-size bit-rot seed 8
 # trace-seed42.txt    the cksum of the Chrome trace `leed trace --seed 42`
@@ -39,11 +42,13 @@ trap 'rm -rf "$tmp"' EXIT
 dune build 2>&1
 
 sim_lines='^(# events|throughput_ops_s|get_p[0-9]+_us|put_p[0-9]+_us|slo_met_frac|ok_frac|avail_frac) '
-bash bench/profile/run.sh --workload ycsb-b --seconds 1 > "$tmp/profile.out" \
-  || { echo "rebaseline: bench/profile ycsb-b failed"; exit 1; }
-grep -E "$sim_lines" "$tmp/profile.out" > "$out/profile-ycsb-b.txt"
-[ "$(wc -l < "$out/profile-ycsb-b.txt")" -eq 9 ] \
-  || { echo "rebaseline: expected 9 simulated profile lines"; exit 1; }
+for workload in ycsb-b ycsb-a hotspot-open faults-abd; do
+  bash bench/profile/run.sh --workload "$workload" --seconds 1 > "$tmp/profile.out" \
+    || { echo "rebaseline: bench/profile $workload failed"; exit 1; }
+  grep -E "$sim_lines" "$tmp/profile.out" > "$out/profile-$workload.txt"
+  [ "$(wc -l < "$out/profile-$workload.txt")" -eq 9 ] \
+    || { echo "rebaseline: expected 9 simulated profile lines from $workload"; exit 1; }
+done
 
 : > "$out/chaos-digests.txt"
 # chaos_digest NAME PROTO FLAGS...: append "NAME PROTO DIGEST" of one
