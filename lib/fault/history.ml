@@ -66,6 +66,34 @@ let show_op op =
     (match op.outcome with Ok -> Printf.sprintf "%.6f" op.finish | Failed -> "inf")
     (match op.outcome with Ok -> "" | Failed -> " (failed)")
 
+(* The shortest proof of a stale read, if the history holds one: the
+   first read (by invocation) that returned [v] although an [Ok] write of
+   another value finished before the read began, and every write of [v]
+   (the initial [None] included, at -infinity) finished before that
+   write began. No order can then put a write of [v] between the two.
+   Of several such writes, the one that finished last. *)
+let stale_read_witness ops =
+  let last_write_of v =
+    Array.fold_left
+      (fun acc o -> match o.kind with Write v' when v' = v -> Float.max acc (resp_eff o) | _ -> acc)
+      neg_infinity ops
+  in
+  let overwrite r v =
+    let last = last_write_of v in
+    Array.fold_left
+      (fun best w ->
+        match (w.kind, w.outcome) with
+        | Write v', Ok when v' <> v && w.finish < r.start && w.start > last -> (
+            match best with Some b when b.finish >= w.finish -> best | _ -> Some w)
+        | _ -> best)
+      None ops
+  in
+  Array.to_list ops
+  |> List.find_map (fun r ->
+         match r.kind with
+         | Read v -> Option.map (fun w -> (r, w)) (overwrite r v)
+         | Write _ -> None)
+
 (* Wing–Gong search over one key's operations. States are (set of
    linearized ops, register value); memoized so concurrent windows are
    explored once per reachable value, and bounded by [budget] explored
@@ -148,8 +176,13 @@ let check_key ?(budget = default_budget) t key =
                Printf.sprintf
                  "state budget (%d) exceeded over %d ops — treating as a violation" budget n
              else
-               Printf.sprintf "no legal linearization of %d ops (%d states); history:\n  %s" n
+               Printf.sprintf "no legal linearization of %d ops (%d states)%s; history:\n  %s" n
                  !explored
+                 (match stale_read_witness ops with
+                 | None -> ""
+                 | Some (r, w) ->
+                     Printf.sprintf "; witness: %s began after %s overwrote its value"
+                       (show_op r) (show_op w))
                  (String.concat "\n  " (Array.to_list (Array.map show_op ops))));
         }
   end

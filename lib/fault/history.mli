@@ -41,10 +41,14 @@ val keys : t -> string list
 val ops : t -> string -> op list
 (** One key's operations, by invocation time. *)
 
-(** A checker verdict. [Violation.detail] includes the offending key's
-    full history when the search space was exhausted, or a budget note
-    when it was cut off (a cut-off counts as a violation so it can never
-    silently pass). *)
+(** A checker verdict. When the search space was exhausted,
+    [Violation.detail] includes the offending key's full history, preceded
+    by a minimal stale-read witness when one exists: the first read (by
+    invocation) that returned [v] although an [Ok] write of another value
+    finished before it began, and every write of [v] (the initial [None]
+    included) finished before that write began. When the search was cut
+    off, it is a budget note instead (a cut-off counts as a violation so it
+    can never silently pass). *)
 type result =
   | Linearizable
   | Violation of { key : string; detail : string }

@@ -508,9 +508,21 @@ let same_instant t = now () = t
 
 (* ------------------------------------------------------------------ *)
 
+(* An Ivar: its waiters until it is filled, then its value. *)
+type 'a ivar_state = Empty of ('a -> unit) list | Full of 'a
+type 'a ivar = { mutable state : 'a ivar_state }
+
+(* Run [f] at fill time (now if already full). It lives outside [Ivar],
+   which sim.mli exports field for field: an implementation field the
+   interface drops would make the compiler build [Ivar] at run time, and
+   every closure that uses it would then capture it. *)
+let on_fill t f =
+  match t.state with
+  | Full v -> f v
+  | Empty ws -> t.state <- Empty (f :: ws)
+
 module Ivar = struct
-  type 'a state = Empty of ('a -> unit) list | Full of 'a
-  type 'a t = { mutable state : 'a state }
+  type 'a t = 'a ivar
 
   let create () = { state = Empty [] }
 
@@ -526,11 +538,6 @@ module Ivar = struct
 
   let try_fill t v = match t.state with Full _ -> false | Empty _ -> fill t v; true
   let is_filled t = match t.state with Full _ -> true | Empty _ -> false
-
-  let on_fill t f =
-    match t.state with
-    | Full v -> f v
-    | Empty ws -> t.state <- Empty (f :: ws)
 
   let read t =
     match t.state with

@@ -246,9 +246,6 @@ module Ivar : sig
   val is_filled : 'a t -> bool
   (** Whether the variable has been filled. *)
 
-  val on_fill : 'a t -> ('a -> unit) -> unit
-  (** Register a callback run at fill time (immediately if already full). *)
-
   val read : 'a t -> 'a
   (** Block until filled. *)
 

@@ -158,6 +158,47 @@ let test_failed_write_cannot_flicker () =
          ("k", op 4.0 4.5 (History.Read (Some 1)));
        ])
 
+let violation_detail name h =
+  match History.check h with
+  | History.Violation { detail; _ } -> detail
+  | History.Linearizable -> Alcotest.failf "%s: violation not detected" name
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_stale_read_witness () =
+  (* write 2 finished after every write of 1 and before the read of 1
+     began: the pair proves the read stale, ahead of the full history *)
+  let detail =
+    violation_detail "witness"
+      (record_all
+         [
+           ("k", op 0.0 1.0 (History.Write (Some 1)));
+           ("k", op 2.0 3.0 (History.Write (Some 2)));
+           ("k", op 4.0 5.0 (History.Read (Some 1)));
+         ])
+  in
+  let witness =
+    "witness: read seq 1 [4.000000, 5.000000] began after write seq 2 [2.000000, 3.000000] \
+     overwrote its value; history:"
+  in
+  Alcotest.(check bool) (Printf.sprintf "witness in %S" detail) true (contains detail witness);
+  (* with overlapping writes either may linearize last, so no pair alone
+     proves a read stale, although reading 2 then 1 still has no order *)
+  let detail =
+    violation_detail "no witness"
+      (record_all
+         [
+           ("k", op 0.0 2.0 (History.Write (Some 1)));
+           ("k", op 1.0 3.0 (History.Write (Some 2)));
+           ("k", op 4.0 5.0 (History.Read (Some 2)));
+           ("k", op 6.0 7.0 (History.Read (Some 1)));
+         ])
+  in
+  Alcotest.(check bool) (Printf.sprintf "no witness in %S" detail) false (contains detail "witness")
+
 let test_budget_cutoff_is_loud () =
   (* an absurd budget of 1 state must fail closed, not pass *)
   let h =
@@ -195,6 +236,7 @@ let () =
           Alcotest.test_case "non-monotonic reads" `Quick test_non_monotonic_reads;
           Alcotest.test_case "failed write cannot flicker" `Quick
             test_failed_write_cannot_flicker;
+          Alcotest.test_case "stale read witness" `Quick test_stale_read_witness;
           Alcotest.test_case "budget cutoff fails closed" `Quick test_budget_cutoff_is_loud;
         ] );
     ]
